@@ -12,13 +12,12 @@ from .config import SessionConfig, load_config, parse_config
 from .errors import (
     BoundExceededError,
     ConfigError,
-    FieldMismatchError,
     InfeasibleError,
     MppsiError,
     ProtocolViolationError,
     TransportError,
 )
-from .field import FieldElement, PrimeField, inner_product, select_field_size
+from .field import PrimeField, select_field_size
 from .leader import (
     CostTable,
     IntersectionResult,
@@ -45,8 +44,6 @@ __all__ = [
     "BoundExceededError",
     "ConfigError",
     "CostTable",
-    "FieldElement",
-    "FieldMismatchError",
     "IncidenceVector",
     "InfeasibleError",
     "IntersectionResult",
@@ -67,7 +64,6 @@ __all__ = [
     "download_cost",
     "elect_leader",
     "generate_queries",
-    "inner_product",
     "load_config",
     "make_partition_plan",
     "parse_config",

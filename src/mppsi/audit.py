@@ -37,14 +37,7 @@ from .field import PrimeField
 from .leader import PartitionPlan, decode_values, generate_queries, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
-from .randomness import (
-    FAITHFUL,
-    RandomnessBundle,
-    RandomnessPolicy,
-    correlate,
-    correlating_client,
-    free_clients,
-)
+from .randomness import FAITHFUL, RandomnessPolicy, correlating_client, free_clients
 from .seeding import draw_vector, labeled_rng
 from .session import SessionTranscript
 
@@ -117,69 +110,6 @@ def randomness_space_size(plan: PartitionPlan, field: PrimeField) -> int:
     n_s = sum(plan.eta[i] for i in plan.client_ids)
     n_t = len(free_clients(plan.client_ids)) * plan.set_size
     return modulus ** (n_s + n_t) * (modulus - 1)
-
-
-def bundle_from_values(
-    plan: PartitionPlan,
-    field: PrimeField,
-    s_values: Sequence[int],
-    t_values: Sequence[int],
-    c_value: int,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> RandomnessBundle:
-    """Assemble a concrete bundle from explicit raw draws."""
-    bundle = RandomnessBundle()
-    cursor = 0
-    for client_id in plan.client_ids:
-        eta = plan.eta[client_id]
-        bundle.local[client_id] = [
-            field.element(v) for v in s_values[cursor : cursor + eta]
-        ]
-        bundle.individual[(client_id, 1)] = {
-            ell: field.zero() for ell in range(1, eta + 1)
-        }
-        cursor += eta
-    free = free_clients(plan.client_ids)
-    corr = correlating_client(plan.client_ids)
-    free_map = {}
-    cursor = 0
-    for client_id in free:
-        for position in range(1, plan.set_size + 1):
-            value = field.element(t_values[cursor])
-            cursor += 1
-            free_map[(client_id, position)] = value
-            partition, database = plan.position_location(client_id, position)
-            bundle.individual.setdefault((client_id, database), {})[partition] = value
-            bundle.t_tilde[(client_id, position)] = value
-    corr_values = correlate(free_map, plan, len(plan.client_ids) + 1, field, policy)
-    for position, value in corr_values.items():
-        partition, database = plan.position_location(corr, position)
-        bundle.individual.setdefault((corr, database), {})[partition] = value
-        bundle.t_tilde[(corr, position)] = value
-    bundle.c = field.element(c_value)
-    return bundle
-
-
-def enumerate_randomness(
-    plan: PartitionPlan,
-    field: PrimeField,
-    bound: int = DEFAULT_BOUND,
-) -> Iterator[Tuple[RandomnessBundle, Fraction]]:
-    """Every joint randomness realization exactly once, with uniform weight."""
-    size = randomness_space_size(plan, field)
-    if size > bound:
-        raise BoundExceededError(
-            f"randomness space has {size} outcomes, above the bound {bound}; "
-            "audit a smaller instance or raise --bound"
-        )
-    modulus = field.modulus
-    n_s = sum(plan.eta[i] for i in plan.client_ids)
-    n_t = len(free_clients(plan.client_ids)) * plan.set_size
-    weight = Fraction(1, size)
-    for s_values in itertools.product(range(modulus), repeat=n_s):
-        for t_values in itertools.product(range(modulus), repeat=n_t):
-            for c_value in range(1, modulus):
-                yield bundle_from_values(plan, field, s_values, t_values, c_value), weight
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +276,7 @@ def _h_realizations(
     return out, False
 
 
-def _bundle_tuples(
+def _raw_realizations(
     compiled: CompiledInstance,
     policy: RandomnessPolicy,
     bound: int,
@@ -423,7 +353,7 @@ def check_reliability(
     space = 0
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        tuples, space, exhaustive = _bundle_tuples(
+        tuples, space, exhaustive = _raw_realizations(
             compiled, policy, bound, sample_beyond_bound, seed
         )
         for s_values, t_values, c_value in tuples:

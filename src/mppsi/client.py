@@ -1,9 +1,11 @@
 """Per-database answer generation at client parties.
 
-A database answers every query it received with a single field value: the
+A database answers every query it received with a single residue: the
 inner product of its incidence vector with the query vector, plus its local
 and individual randomness slots for that query's partition, all multiplied
-by the global multiplier. The answer echoes the query's (partition, target
+by the global multiplier. The incidence vector is binary, so the inner
+product is the sum of the query's entries at the coordinates of the party's
+own set, O(|P_i|) per answer rather than O(K). The answer echoes the query's (partition, target
 position) tags so the leader can decode in any arrival order.
 
 A database uses nothing beyond its own copy of the party's set, its own
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .errors import ProtocolViolationError
-from .field import FieldElement, PrimeField, inner_product
+from .errors import ConfigError, ProtocolViolationError
+from .field import PrimeField
 from .leader import QuerySpec
-from .model import IncidenceVector, PartyProfile, Universe, to_incidence
+from .model import PartyProfile, Universe
 from .randomness import RandomnessBundle
 
 
@@ -31,31 +33,12 @@ class AnswerMsg:
     database: int
     partition: int
     target_pos: Optional[int]
-    value: FieldElement
+    value: int
 
 
 def answer_value(ip: int, s: int, t: int, c: int, modulus: int) -> int:
     """The answer formula on raw residues: c * (ip + s + t) mod L."""
     return (c * (ip + s + t)) % modulus
-
-
-def answer(
-    x: Sequence[FieldElement],
-    q: Sequence[FieldElement],
-    s_slot: FieldElement,
-    t_slot: FieldElement,
-    c: FieldElement,
-    field: PrimeField,
-) -> FieldElement:
-    """Answer one query: c * (<x, q> + s + t)."""
-    if len(x) != len(q):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(q)}")
-    if c.is_zero():
-        raise ValueError("global multiplier must be nonzero")
-    ip = inner_product(x, q)
-    return field.element(
-        answer_value(ip.value, s_slot.value, t_slot.value, c.value, field.modulus)
-    )
 
 
 def answer_all(
@@ -69,8 +52,14 @@ def answer_all(
     """Answer every query delivered to one database, echoing its tags."""
     if bundle.c is None:
         raise ProtocolViolationError("global multiplier not installed")
-    incidence: IncidenceVector = to_incidence(profile, universe)
-    x = incidence.as_field_elements(field)
+    if bundle.c == 0:
+        raise ValueError("global multiplier must be nonzero")
+    support = sorted(elem - 1 for elem in profile.data_set)
+    if support and support[-1] >= universe.size:
+        raise ConfigError(
+            f"party {profile.party_id}: element {support[-1] + 1} outside "
+            f"universe of size {universe.size}"
+        )
     answers: List[AnswerMsg] = []
     for query in queries:
         if query.client_id != profile.party_id or query.database != database:
@@ -84,16 +73,21 @@ def answer_all(
                 raise ProtocolViolationError(
                     f"bare base query delivered to database {database}"
                 )
-            t_slot = field.zero()
+            t_slot = 0
         else:
             t_slot = bundle.individual_slot(profile.party_id, database, query.partition)
+        q = query.vector
+        if len(q) != universe.size:
+            raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")
         answers.append(
             AnswerMsg(
                 client_id=profile.party_id,
                 database=database,
                 partition=query.partition,
                 target_pos=query.target_pos,
-                value=answer(x, query.vector, s_slot, t_slot, bundle.c, field),
+                value=answer_value(
+                    sum(q[j] for j in support), s_slot, t_slot, bundle.c, field.modulus
+                ),
             )
         )
     return answers

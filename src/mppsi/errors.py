@@ -36,9 +36,5 @@ class ProtocolViolationError(MppsiError):
     exit_code = 5
 
 
-class FieldMismatchError(MppsiError):
-    """Arithmetic attempted between elements of different prime fields."""
-
-
 class BoundExceededError(MppsiError):
     """An exact enumeration would exceed the configured outcome bound."""

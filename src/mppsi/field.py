@@ -1,17 +1,17 @@
-"""Prime-field arithmetic for the protocol.
+"""The protocol's prime field.
 
 All protocol values (query entries, randomness, answers, decoded indicators)
-live in a prime field F_L. The protocol only ever needs tiny moduli
-(the smallest prime not below the number of parties), so everything here is
-plain word-sized integer arithmetic with trial-division primality.
+are plain int residues in [0, L) of a prime field F_L; code that combines
+them reduces mod L itself. The protocol only ever needs tiny moduli (the
+smallest prime not below the number of parties), so primality is settled by
+trial division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from .errors import ConfigError, FieldMismatchError
+from .errors import ConfigError
 
 
 def is_prime(n: int) -> bool:
@@ -40,65 +40,8 @@ class PrimeField:
         if self.modulus < 2 or not is_prime(self.modulus):
             raise ValueError(f"modulus must be a prime >= 2, got {self.modulus}")
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.modulus, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.modulus, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(v, self) for v in range(self.modulus))
-
-    def nonzero_elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(v, self) for v in range(1, self.modulus))
-
     def __repr__(self) -> str:
         return f"F_{self.modulus}"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An integer in [0, L-1]; every operation reduces modulo L."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.modulus:
-            raise ValueError(f"value {self.value} out of range for {self.field}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.field.modulus, self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.field.modulus, self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value * other.value) % self.field.modulus, self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.field.modulus, self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.modulus})"
 
 
 def select_field_size(num_parties: int) -> PrimeField:
@@ -114,20 +57,3 @@ def select_field_size(num_parties: int) -> PrimeField:
         candidate += 1
     return PrimeField(candidate)
 
-
-def inner_product(xs: Iterable[FieldElement], qs: Iterable[FieldElement]) -> FieldElement:
-    """Sum of pairwise products, in the common field of the operands."""
-    xs = list(xs)
-    qs = list(qs)
-    if len(xs) != len(qs):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(qs)}")
-    if not xs:
-        raise ValueError("inner product of empty vectors has no field")
-    field = xs[0].field
-    total = 0
-    for x, q in zip(xs, qs):
-        x._check(q)
-        if x.field != field:
-            raise FieldMismatchError(f"mixed fields {field} and {x.field}")
-        total += x.value * q.value
-    return FieldElement(total % field.modulus, field)

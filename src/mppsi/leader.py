@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleError, ProtocolViolationError
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .model import PartyProfile, Universe
 from .seeding import draw_vector
 
@@ -246,14 +246,14 @@ class QuerySpec:
     partition: int
     target_pos: Optional[int]
     target_element: Optional[int]
-    vector: Tuple[FieldElement, ...]
+    vector: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class QueryPlan:
     """The drawn base vectors and every query derived from them."""
 
-    h_vectors: Tuple[Tuple[FieldElement, ...], ...]
+    h_vectors: Tuple[Tuple[int, ...], ...]
     queries: Dict[int, List[QuerySpec]]
 
     def queries_for(self, client_id: int, database: int) -> List[QuerySpec]:
@@ -276,13 +276,9 @@ def generate_queries(
     kappa = max(plan.eta.values())
     modulus = field.modulus
     h_vectors = tuple(
-        tuple(
-            field.element(v)
-            for v in draw_vector(seed, modulus, universe.size, "h", ell)
-        )
+        tuple(draw_vector(seed, modulus, universe.size, "h", ell))
         for ell in range(1, kappa + 1)
     )
-    one = field.one()
     queries: Dict[int, List[QuerySpec]] = {}
     for client_id in plan.client_ids:
         specs: List[QuerySpec] = []
@@ -301,7 +297,7 @@ def generate_queries(
             partition, database = plan.position_location(client_id, position)
             base = h_vectors[partition - 1]
             bumped = list(base)
-            bumped[element - 1] = bumped[element - 1] + one
+            bumped[element - 1] = (bumped[element - 1] + 1) % modulus
             specs.append(
                 QuerySpec(
                     client_id=client_id,
@@ -321,7 +317,7 @@ class IntersectionResult:
     """Decoded intersection plus the per-element indicator values."""
 
     decoded: frozenset
-    indicators: Dict[int, FieldElement]
+    indicators: Dict[int, int]
     download_cost_actual: int
 
 
@@ -371,9 +367,8 @@ def decode(
         key = (answer.client_id, answer.partition, answer.target_pos)
         if key in values:
             raise ProtocolViolationError(f"duplicate answer for {key}")
-        values[key] = int(answer.value)
-    decoded, raw_indicators = decode_values(plan, values, field.modulus)
-    indicators = {elem: field.element(v) for elem, v in raw_indicators.items()}
+        values[key] = answer.value
+    decoded, indicators = decode_values(plan, values, field.modulus)
     return IntersectionResult(
         decoded=decoded,
         indicators=indicators,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
-from .field import FieldElement, PrimeField
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,6 @@ class IncidenceVector:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def as_field_elements(self, field: PrimeField) -> tuple:
-        return tuple(FieldElement(b, field) for b in self.bits)
-
     def to_set(self) -> frozenset:
         return frozenset(j + 1 for j, b in enumerate(self.bits) if b == 1)
 
@@ -85,10 +81,6 @@ def to_incidence(profile: PartyProfile, universe: Universe) -> IncidenceVector:
     for elem in profile.data_set:
         bits[elem - 1] = 1
     return IncidenceVector(tuple(bits))
-
-
-def from_incidence(vector: IncidenceVector) -> frozenset:
-    return vector.to_set()
 
 
 def brute_force_intersection(profiles: Sequence[PartyProfile]) -> frozenset:

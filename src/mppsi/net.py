@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError, ProtocolViolationError, TransportError
-from .field import FieldElement, select_field_size
+from .field import select_field_size
 from .leader import QuerySpec, cost_table, decode, generate_queries, make_partition_plan, make_plan_shape
 from .model import PartyProfile
 from .protocol import prepare_session, run_protocol
@@ -125,9 +125,9 @@ class DatabaseEndpoint:
         self.c_origin = (min(self.client_ids), 1)
 
         seed = config.seed
-        self._c: Optional[FieldElement] = None
-        self._s: List[FieldElement] = []
-        self._t_slots: Dict[int, FieldElement] = {}
+        self._c: Optional[int] = None
+        self._s: List[int] = []
+        self._t_slots: Dict[int, int] = {}
         self._pending: Dict[int, Dict[int, int]] = {}
         self._own_positions: List[int] = []
 
@@ -139,8 +139,8 @@ class DatabaseEndpoint:
                 for position in self._own_positions:
                     partition, db = self.shape.position_location(party_id, position)
                     assert db == database
-                    self._t_slots[partition] = self.field.element(
-                        draw_value(seed, self.field.modulus, "t", party_id, db, partition)
+                    self._t_slots[partition] = draw_value(
+                        seed, self.field.modulus, "t", party_id, db, partition
                     )
             else:
                 self._pending = {k: {} for k in self._own_positions}
@@ -174,6 +174,12 @@ class DatabaseEndpoint:
         self._stop.set()
         if self._sock is not None:
             try:
+                # Wakes the accept loop at once; closing alone leaves it
+                # blocked until its poll timeout.
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._sock.close()
             except OSError:
                 pass
@@ -197,7 +203,7 @@ class DatabaseEndpoint:
                         dest=dest,
                         partition=None,
                         target=position,
-                        values=(self._t_slots[partition].value,),
+                        values=(self._t_slots[partition],),
                     )
                 )
         if (self.party_id, self.database) == self.c_origin:
@@ -216,7 +222,7 @@ class DatabaseEndpoint:
                             dest=dest,
                             partition=None,
                             target=None,
-                            values=(self._c.value,),
+                            values=(self._c,),
                         )
                     )
         if not outgoing:
@@ -242,7 +248,7 @@ class DatabaseEndpoint:
         for position in self._own_positions:
             total = sum(self._pending[position].values()) % modulus
             partition, _ = self.shape.position_location(self.party_id, position)
-            self._t_slots[partition] = self.field.element((target - total) % modulus)
+            self._t_slots[partition] = (target - total) % modulus
 
     def _check_ready(self) -> None:
         if self.shape is None:
@@ -261,7 +267,7 @@ class DatabaseEndpoint:
                 value = msg.values[0]
                 if not 0 < value < self.field.modulus:
                     raise ProtocolViolationError(f"global multiplier {value} out of range")
-                self._c = self.field.element(value)
+                self._c = value
             elif msg.type == "t_share":
                 if self.party_id != self.correlator:
                     raise ProtocolViolationError(
@@ -288,8 +294,7 @@ class DatabaseEndpoint:
         bundle.local[self.party_id] = list(self._s)
         if self.shape is not None:
             bundle.individual[(self.party_id, 1)] = {
-                ell: self.field.zero()
-                for ell in range(1, self.shape.eta[self.party_id] + 1)
+                ell: 0 for ell in range(1, self.shape.eta[self.party_id] + 1)
             }
         if self.database >= 2:
             bundle.individual[(self.party_id, self.database)] = dict(self._t_slots)
@@ -358,7 +363,7 @@ class DatabaseEndpoint:
             partition=msg.partition,
             target_pos=msg.target,
             target_element=None,
-            vector=tuple(self.field.element(v) for v in msg.values),
+            vector=msg.values,
         )
         with self._lock:
             self.received_log.append(msg)

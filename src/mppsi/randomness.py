@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolViolationError
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .leader import PartitionPlan
 from .model import PartyProfile
 from .seeding import draw_nonzero, draw_value
@@ -51,7 +51,7 @@ class ShareMessage:
     origin: Tuple[int, int]
     dest: Tuple[int, int]
     position: Optional[int]
-    value: FieldElement
+    value: int
 
 
 @dataclass
@@ -60,16 +60,14 @@ class RandomnessBundle:
 
     individual[(client, db)] maps a partition slot to the value that database
     adds to its targeted answer for that partition; database 1 carries
-    explicit zeros. t_tilde[(client, position)] is the same data re-keyed by
-    leader-set position, which is the alignment the correlation works in.
+    explicit zeros. All values are residues in [0, L).
     """
 
-    local: Dict[int, List[FieldElement]] = dc_field(default_factory=dict)
-    individual: Dict[Tuple[int, int], Dict[int, FieldElement]] = dc_field(default_factory=dict)
-    t_tilde: Dict[Tuple[int, int], FieldElement] = dc_field(default_factory=dict)
-    c: Optional[FieldElement] = None
+    local: Dict[int, List[int]] = dc_field(default_factory=dict)
+    individual: Dict[Tuple[int, int], Dict[int, int]] = dc_field(default_factory=dict)
+    c: Optional[int] = None
 
-    def local_slot(self, client_id: int, partition: int) -> FieldElement:
+    def local_slot(self, client_id: int, partition: int) -> int:
         try:
             return self.local[client_id][partition - 1]
         except (KeyError, IndexError):
@@ -77,7 +75,7 @@ class RandomnessBundle:
                 f"no local randomness slot for client {client_id} partition {partition}"
             )
 
-    def individual_slot(self, client_id: int, database: int, partition: int) -> FieldElement:
+    def individual_slot(self, client_id: int, database: int, partition: int) -> int:
         try:
             return self.individual[(client_id, database)][partition]
         except KeyError:
@@ -103,14 +101,14 @@ def gen_local(
     field: PrimeField,
     seed: int,
     policy: RandomnessPolicy = FAITHFUL,
-) -> List[FieldElement]:
+) -> List[int]:
     """The client's local vector: one uniform slot per partition."""
     if eta < 1:
         raise ValueError(f"local vector needs at least one slot, got {eta}")
     if policy.zero_local:
-        return [field.zero() for _ in range(eta)]
+        return [0] * eta
     return [
-        field.element(draw_value(seed, field.modulus, "s", client_id, ell))
+        draw_value(seed, field.modulus, "s", client_id, ell)
         for ell in range(1, eta + 1)
     ]
 
@@ -120,24 +118,22 @@ def gen_individual_free(
     field: PrimeField,
     seed: int,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Tuple[Dict[Tuple[int, int], FieldElement], List[ShareMessage]]:
+) -> Tuple[Dict[Tuple[int, int], int], List[ShareMessage]]:
     """Free individual values for every client except the correlating one.
 
     Returns the values keyed by (client, position) plus the share messages
     that carry them to the correlating client's matching databases.
     """
     corr = correlating_client(plan.client_ids)
-    values: Dict[Tuple[int, int], FieldElement] = {}
+    values: Dict[Tuple[int, int], int] = {}
     messages: List[ShareMessage] = []
     for client_id in free_clients(plan.client_ids):
         for position in range(1, plan.set_size + 1):
             partition, database = plan.position_location(client_id, position)
             if policy.zero_individual:
-                value = field.zero()
+                value = 0
             else:
-                value = field.element(
-                    draw_value(seed, field.modulus, "t", client_id, database, partition)
-                )
+                value = draw_value(seed, field.modulus, "t", client_id, database, partition)
             values[(client_id, position)] = value
             _, dest_db = plan.position_location(corr, position)
             messages.append(
@@ -153,12 +149,12 @@ def gen_individual_free(
 
 
 def correlate(
-    free_values: Dict[Tuple[int, int], FieldElement],
+    free_values: Dict[Tuple[int, int], int],
     plan: PartitionPlan,
     num_parties: int,
     field: PrimeField,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Dict[int, FieldElement]:
+) -> Dict[int, int]:
     """Values for the correlating client, one per leader-set position.
 
     Completes each position's sum across clients to L - (M - 1). With a
@@ -167,11 +163,12 @@ def correlate(
     corr = correlating_client(plan.client_ids)
     others = free_clients(plan.client_ids)
     if policy.zero_individual:
-        return {k: field.zero() for k in range(1, plan.set_size + 1)}
-    target = field.element(field.modulus - (num_parties - 1) + policy.correlation_offset)
-    result: Dict[int, FieldElement] = {}
+        return {k: 0 for k in range(1, plan.set_size + 1)}
+    modulus = field.modulus
+    target = modulus - (num_parties - 1) + policy.correlation_offset
+    result: Dict[int, int] = {}
     for position in range(1, plan.set_size + 1):
-        total = field.zero()
+        total = 0
         for client_id in others:
             key = (client_id, position)
             if key not in free_values:
@@ -179,22 +176,22 @@ def correlate(
                     f"missing randomness share from client {client_id} "
                     f"for position {position}"
                 )
-            total = total + free_values[key]
-        result[position] = target - total
+            total += free_values[key]
+        result[position] = (target - total) % modulus
     assert corr not in others
     return result
 
 
 def gen_global(
     field: PrimeField, seed: int, policy: RandomnessPolicy = FAITHFUL
-) -> FieldElement:
+) -> int:
     """The session-wide nonzero answer multiplier."""
     if policy.fixed_global is not None:
         value = policy.fixed_global % field.modulus
         if value == 0:
             raise ValueError("global multiplier must be nonzero")
-        return field.element(value)
-    return field.element(draw_nonzero(seed, field.modulus, "c"))
+        return value
+    return draw_nonzero(seed, field.modulus, "c")
 
 
 def build_bundle(
@@ -215,7 +212,7 @@ def build_bundle(
         )
         # Database 1 never adds individual randomness.
         bundle.individual[(client_id, 1)] = {
-            ell: field.zero() for ell in range(1, plan.eta[client_id] + 1)
+            ell: 0 for ell in range(1, plan.eta[client_id] + 1)
         }
 
     free_values, messages = gen_individual_free(plan, field, seed, policy)
@@ -224,11 +221,9 @@ def build_bundle(
     for (client_id, position), value in free_values.items():
         partition, database = plan.position_location(client_id, position)
         bundle.individual.setdefault((client_id, database), {})[partition] = value
-        bundle.t_tilde[(client_id, position)] = value
     for position, value in corr_values.items():
         partition, database = plan.position_location(corr, position)
         bundle.individual.setdefault((corr, database), {})[partition] = value
-        bundle.t_tilde[(corr, position)] = value
 
     bundle.c = gen_global(field, seed, policy)
     origin_client = min(plan.client_ids)

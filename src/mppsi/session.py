@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .leader import CostTable, IntersectionResult
 from .protocol import ProtocolRun, run_protocol
 from .randomness import FAITHFUL, RandomnessPolicy
-from .wire import Message, message_from_dict
+from .wire import SESSION_ID_CHARS, Message, message_from_dict
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SessionTranscript:
             "result": {
                 "decoded": sorted(self.result.decoded),
                 "indicators": {
-                    str(elem): int(value)
+                    str(elem): value
                     for elem, value in sorted(self.result.indicators.items())
                 },
                 "download_cost_actual": self.result.download_cost_actual,
@@ -71,16 +71,10 @@ def load_transcript(data: bytes) -> SessionTranscript:
     raw = json.loads(data.decode("utf-8"))
     messages = tuple(message_from_dict(m) for m in raw["messages"])
     table = CostTable({int(pid): cost for pid, cost in raw["cost_table"].items()})
-    # The field is pinned by the party count, so indicator values can be
-    # rehydrated without extra file fields.
-    from .field import select_field_size
-
-    field = select_field_size(len(table.costs))
     result = IntersectionResult(
         decoded=frozenset(raw["result"]["decoded"]),
         indicators={
-            int(elem): field.element(value)
-            for elem, value in raw["result"]["indicators"].items()
+            int(elem): value for elem, value in raw["result"]["indicators"].items()
         },
         download_cost_actual=raw["result"]["download_cost_actual"],
     )
@@ -107,7 +101,7 @@ def session_id_for(config: SessionConfig) -> str:
     digest = hashlib.sha256(
         json.dumps(core, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
-    return digest.hexdigest()[:16]
+    return digest.hexdigest()[:SESSION_ID_CHARS]
 
 
 def shares_to_wire(share_messages, session_id: str) -> List[Message]:
@@ -121,7 +115,7 @@ def shares_to_wire(share_messages, session_id: str) -> List[Message]:
             dest=share.dest,
             partition=None,
             target=share.position,
-            values=(share.value.value,),
+            values=(share.value,),
         )
         for share in share_messages
     ]
@@ -139,7 +133,7 @@ def queries_to_wire(leader_id: int, specs, session_id: str) -> List[Message]:
             dest=(spec.client_id, spec.database),
             partition=spec.partition,
             target=spec.target_pos,
-            values=tuple(v.value for v in spec.vector),
+            values=spec.vector,
         )
         for spec in specs
     ]
@@ -157,7 +151,7 @@ def answers_to_wire(leader_id: int, answers, session_id: str) -> List[Message]:
             dest=(leader_id, 0),
             partition=answer.partition,
             target=answer.target_pos,
-            values=(answer.value.value,),
+            values=(answer.value,),
         )
         for answer in answers
     ]

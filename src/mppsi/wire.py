@@ -21,6 +21,7 @@ from .errors import ProtocolViolationError
 
 MAX_FRAME_BYTES = 1 << 20
 HEADER = struct.Struct(">I")
+SESSION_ID_CHARS = 16
 
 PHASE_BY_TYPE = {
     "t_share": "randomness",
@@ -117,9 +118,36 @@ def message_from_dict(data: dict) -> Message:
     )
 
 
+def _body(msg: Message) -> bytes:
+    return json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def max_query_frame_bytes(
+    universe_size: int, modulus: int, num_parties: int, max_databases: int
+) -> int:
+    """Payload bytes of the widest query frame a session of this shape sends.
+
+    Every value is L - 1 and every tag takes its widest value: party ids up
+    to M, databases up to the largest N_i, and partition and target up to K
+    (both are at most the leader's set size R <= K).
+    """
+    widest = Message(
+        type="query",
+        session_id="f" * SESSION_ID_CHARS,
+        phase="query",
+        origin=(num_parties, 0),
+        dest=(num_parties, max_databases),
+        partition=universe_size,
+        target=universe_size,
+        values=(),
+    )
+    value_chars = len(str(modulus - 1))
+    return len(_body(widest)) + universe_size * (value_chars + 1) - 1
+
+
 def encode_msg(msg: Message) -> bytes:
     """Serialize to one length-prefixed frame."""
-    body = json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = _body(msg)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolViolationError(f"frame of {len(body)} bytes exceeds 1 MiB limit")
     return HEADER.pack(len(body)) + body

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from mppsi.audit import (
+    DEFAULT_BOUND,
     AuditInstance,
     DistributionTable,
+    _raw_realizations,
     check_db1_uniformity,
     check_indicator_privacy,
     check_reliability,
     check_z_uniformity,
     client_privacy_mi,
+    compile_instance,
     database_view,
-    enumerate_randomness,
     leader_privacy_mi,
     leader_view,
     randomness_space_size,
@@ -22,7 +24,7 @@ from mppsi.errors import BoundExceededError
 from mppsi.field import select_field_size
 from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, Universe
-from mppsi.randomness import RandomnessPolicy
+from mppsi.randomness import FAITHFUL, RandomnessPolicy
 from mppsi.session import run_memory_session
 from mppsi.config import SessionConfig
 
@@ -69,24 +71,29 @@ class TestEnumeration:
         expected = modulus**2 * modulus**2 * (modulus - 1)
         assert expected == 162
         assert randomness_space_size(plan, setup.field) == expected
-        realizations = list(enumerate_randomness(plan, setup.field))
-        assert len(realizations) == expected
-        assert sum(w for _, w in realizations) == Fraction(1)
+        tuples, space, exhaustive = _raw_realizations(
+            compile_instance(HOMOGENEOUS), FAITHFUL, DEFAULT_BOUND, 0, 0
+        )
+        realizations = list(tuples)
+        assert exhaustive and space == expected
+        # Every realization exactly once: the uniform weights sum to one.
+        assert len(realizations) == len(set(realizations)) == expected
 
     def test_two_party_space_size(self):
         setup = TWO_PARTY.setup()
         plan = make_partition_plan(setup.leader, setup.clients)
         assert setup.field.modulus == 2
         assert randomness_space_size(plan, setup.field) == 2
-        bundles = [b for b, _ in enumerate_randomness(plan, setup.field)]
-        assert len(bundles) == 2
-        assert all(b.c.value == 1 for b in bundles)
+        tuples, space, _ = _raw_realizations(
+            compile_instance(TWO_PARTY), FAITHFUL, DEFAULT_BOUND, 0, 0
+        )
+        realizations = list(tuples)
+        assert space == len(realizations) == 2
+        assert all(c == 1 for _, _, c in realizations)
 
     def test_bound_exceeded(self):
-        setup = HOMOGENEOUS.setup()
-        plan = make_partition_plan(setup.leader, setup.clients)
         with pytest.raises(BoundExceededError):
-            list(enumerate_randomness(plan, setup.field, bound=10))
+            _raw_realizations(compile_instance(HOMOGENEOUS), FAITHFUL, 10, 0, 0)
 
     def test_distribution_table_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,12 @@ import itertools
 
 import pytest
 
-from mppsi.client import answer, answer_all, answer_value
+from mppsi.client import answer_all, answer_value
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi.leader import QuerySpec, generate_queries, make_partition_plan
 from mppsi.model import PartyProfile, Universe
-from mppsi.randomness import build_bundle
+from mppsi.randomness import RandomnessBundle, build_bundle
 
 
 def modular_answer(x, q, s, t, c, modulus):
@@ -17,77 +17,73 @@ def modular_answer(x, q, s, t, c, modulus):
     return (c * (sum(a * b for a, b in zip(x, q)) + s + t)) % modulus
 
 
-def elems(field, values):
-    return [field.element(v) for v in values]
+def answer(x, q, s, t, c, modulus):
+    """One targeted answer through answer_all, for a binary incidence vector x."""
+    profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
+    bundle = RandomnessBundle(local={1: [s]}, individual={(1, 2): {1: t}}, c=c)
+    spec = QuerySpec(
+        client_id=1,
+        database=2,
+        partition=1,
+        target_pos=1,
+        target_element=None,
+        vector=tuple(q),
+    )
+    (msg,) = answer_all(profile, 2, [spec], Universe(len(x)), bundle, PrimeField(modulus))
+    return msg.value
 
 
 class TestAnswer:
     def test_all_zero_inputs(self):
-        f = PrimeField(3)
-        x = elems(f, (0, 0, 0, 0))
-        q = elems(f, (2, 1, 0, 1))
-        assert answer(x, q, f.zero(), f.zero(), f.one(), f).value == 0
+        assert answer((0, 0, 0, 0), (2, 1, 0, 1), 0, 0, 1, 3) == 0
 
     def test_hand_example(self):
-        f = PrimeField(3)
         x, q = (1, 1, 0, 0), (2, 1, 0, 0)
         expected = modular_answer(x, q, 1, 2, 2, 3)
         assert expected == 0
-        got = answer(elems(f, x), elems(f, q), f.element(1), f.element(2), f.element(2), f)
-        assert got.value == expected
+        assert answer(x, q, 1, 2, 2, 3) == expected
 
     def test_bumped_query_example(self):
-        f = PrimeField(3)
         x, q = (1, 1, 0, 0), ((2 + 1) % 3, 1, 0, 0)
         expected = modular_answer(x, q, 1, 1, 1, 3)
-        got = answer(elems(f, x), elems(f, q), f.element(1), f.element(1), f.one(), f)
-        assert got.value == expected
+        assert answer(x, q, 1, 1, 1, 3) == expected
 
     def test_matches_oracle_exhaustively(self):
-        f = PrimeField(3)
         for x in itertools.product((0, 1), repeat=2):
             for q in itertools.product(range(3), repeat=2):
                 for s in range(3):
                     for t in range(3):
                         for c in range(1, 3):
-                            got = answer(
-                                elems(f, x),
-                                elems(f, q),
-                                f.element(s),
-                                f.element(t),
-                                f.element(c),
-                                f,
-                            )
-                            assert got.value == modular_answer(x, q, s, t, c, 3)
-                            assert got.value == answer_value(
+                            got = answer(x, q, s, t, c, 3)
+                            assert got == modular_answer(x, q, s, t, c, 3)
+                            assert got == answer_value(
                                 sum(a * b for a, b in zip(x, q)) % 3, s, t, c, 3
                             )
 
     def test_length_mismatch(self):
-        f = PrimeField(3)
+        profile = PartyProfile(1, 2, frozenset({1}))
+        bundle = RandomnessBundle(local={1: [0]}, individual={(1, 1): {1: 0}}, c=1)
+        spec = QuerySpec(1, 1, 1, None, None, (1, 2))
         with pytest.raises(ValueError):
-            answer(elems(f, (1,)), elems(f, (1, 2)), f.zero(), f.zero(), f.one(), f)
+            answer_all(profile, 1, [spec], Universe(1), bundle, PrimeField(3))
 
     def test_zero_multiplier_rejected(self):
-        f = PrimeField(3)
         with pytest.raises(ValueError):
-            answer(elems(f, (1,)), elems(f, (1,)), f.zero(), f.zero(), f.zero(), f)
+            answer((1,), (1,), 0, 0, 0, 3)
 
     def test_linearity_of_query_difference(self):
         # Subtracting two answers with shared randomness isolates the inner
         # product against the query difference; decoding relies on this.
-        f = PrimeField(3)
         for x in itertools.product((0, 1), repeat=2):
             for q1 in itertools.product(range(3), repeat=2):
                 for q2 in itertools.product(range(3), repeat=2):
                     for c in range(1, 3):
-                        a1 = answer(elems(f, x), elems(f, q1), f.element(1), f.element(2), f.element(c), f)
-                        a2 = answer(elems(f, x), elems(f, q2), f.element(1), f.element(2), f.element(c), f)
-                        diff = (a1 - a2).value
+                        a1 = answer(x, q1, 1, 2, c, 3)
+                        a2 = answer(x, q2, 1, 2, c, 3)
                         expected = (
                             c * sum(xv * (a - b) for xv, a, b in zip(x, q1, q2))
                         ) % 3
-                        assert diff == expected
+                        assert (a1 - a2) % 3 == expected
 
 
 def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
@@ -111,10 +107,10 @@ class TestAnswerAll:
         msgs = answer_all(client, 1, queries, Universe(4), bundle, field)
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
-        q = [v.value for v in queries[0].vector]
-        s = bundle.local[client.party_id][0].value
-        expected = modular_answer(x, q, s, 0, bundle.c.value, field.modulus)
-        assert msgs[0].value.value == expected
+        q = queries[0].vector
+        s = bundle.local[client.party_id][0]
+        expected = modular_answer(x, q, s, 0, bundle.c, field.modulus)
+        assert msgs[0].value == expected
         assert msgs[0].target_pos is None
 
     def test_one_answer_per_query_with_tags_echoed(self):
@@ -148,7 +144,7 @@ class TestAnswerAll:
             partition=99,
             target_pos=None,
             target_element=None,
-            vector=tuple(field.zero() for _ in range(4)),
+            vector=(0, 0, 0, 0),
         )
         with pytest.raises(ProtocolViolationError):
             answer_all(client, 1, [rogue], Universe(4), bundle, field)

@@ -117,3 +117,28 @@ class TestParse:
     def test_bad_address_port(self):
         with pytest.raises(ConfigError, match="port"):
             parse_config(as_json(variant(addresses={"1:1": "127.0.0.1:notaport"})))
+
+
+class TestNetFrameLimit:
+    """Net configs whose widest query frame exceeds the 1 MiB wire limit fail at load."""
+
+    def config(self, universe_size, num_parties=3, transport="net"):
+        return variant(
+            universe_size=universe_size,
+            transport=transport,
+            leader=None,
+            parties=[
+                {"id": pid, "databases": 3, "set": [1, 2]}
+                for pid in range(1, num_parties + 1)
+            ],
+        )
+
+    @pytest.mark.parametrize("num_parties,limit", [(3, 524_219), (11, 349_478)])
+    def test_boundary(self, num_parties, limit):
+        assert parse_config(as_json(self.config(limit, num_parties))).universe_size == limit
+        with pytest.raises(ConfigError, match="frame limit"):
+            parse_config(as_json(self.config(limit + 1, num_parties)))
+
+    def test_memory_configs_unaffected(self):
+        config = parse_config(as_json(self.config(524_220, transport="memory")))
+        assert config.universe_size == 524_220

@@ -1,14 +1,47 @@
-"""Field arithmetic: protocol field selection, operations, axioms."""
+"""The protocol field: field selection, and residue arithmetic in the answer kernel."""
+
+import itertools
 
 import pytest
 
-from mppsi.errors import ConfigError, FieldMismatchError
-from mppsi.field import FieldElement, PrimeField, inner_product, is_prime, select_field_size
+from mppsi.client import answer_all, answer_value
+from mppsi.errors import ConfigError
+from mppsi.field import PrimeField, is_prime, select_field_size
+from mppsi.leader import QuerySpec
+from mppsi.model import PartyProfile, Universe
+from mppsi.randomness import RandomnessBundle
 
 
 def modular_dot(xs, qs, modulus):
-    """Independent oracle: big-integer evaluation reduced once at the end."""
-    return sum(int(x) * int(q) for x, q in zip(xs, qs)) % modulus
+    """Independent oracle: dense big-integer evaluation reduced once at the end."""
+    return sum(x * q for x, q in zip(xs, qs)) % modulus
+
+
+def sparse_dot(x, q, modulus, universe=None):
+    """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
+    profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
+    bundle = RandomnessBundle(local={1: [0]}, individual={(1, 1): {1: 0}}, c=1)
+    spec = QuerySpec(
+        client_id=1,
+        database=1,
+        partition=1,
+        target_pos=None,
+        target_element=None,
+        vector=tuple(q),
+    )
+    size = len(x) if universe is None else universe
+    (msg,) = answer_all(profile, 1, [spec], Universe(size), bundle, PrimeField(modulus))
+    return msg.value
+
+
+def add(a, b, modulus):
+    """(a + b) mod L as the answer formula computes it (c = 1, t = 0)."""
+    return answer_value(a, b, 0, 1, modulus)
+
+
+def mul(a, b, modulus):
+    """(a * b) mod L as the answer formula computes it (multiplier a, s = t = 0)."""
+    return answer_value(b, 0, 0, a, modulus)
 
 
 class TestFieldSelection:
@@ -31,120 +64,90 @@ class TestFieldSelection:
 
 class TestOperations:
     def test_add_wraps(self):
-        f = PrimeField(3)
-        assert (f.element(2) + f.element(2)).value == 1
+        assert add(2, 2, 3) == 1
 
     def test_additive_identity(self):
-        f = PrimeField(5)
-        for x in f.elements():
-            assert f.zero() + x == x
+        for x in range(5):
+            assert add(0, x, 5) == x
 
     def test_additive_inverse_example(self):
-        f = PrimeField(3)
-        assert (f.element(1) + f.element(2)).value == 0
+        assert add(1, 2, 3) == 0
 
     def test_mul_wraps(self):
-        f = PrimeField(5)
-        assert (f.element(2) * f.element(3)).value == 1
+        assert mul(2, 3, 5) == 1
 
     def test_multiplicative_identity(self):
-        f = PrimeField(5)
-        for x in f.elements():
-            assert f.one() * x == x
+        for x in range(5):
+            assert mul(1, x, 5) == x
 
     def test_mul_mod_three(self):
-        f = PrimeField(3)
-        assert (f.element(2) * f.element(2)).value == 1
-
-    def test_field_mismatch_raises(self):
-        with pytest.raises(FieldMismatchError):
-            PrimeField(3).element(1) + PrimeField(5).element(1)
-
-    def test_value_range_enforced(self):
-        with pytest.raises(ValueError):
-            FieldElement(3, PrimeField(3))
-        with pytest.raises(ValueError):
-            FieldElement(-1, PrimeField(3))
+        assert mul(2, 2, 3) == 1
 
 
 class TestInnerProduct:
     def test_hand_example_mod_three(self):
-        f = PrimeField(3)
-        x = [f.element(v) for v in (1, 1, 0, 0)]
-        q = [f.element(v) for v in (2, 1, 0, 0)]
+        x, q = (1, 1, 0, 0), (2, 1, 0, 0)
         assert modular_dot(x, q, 3) == 0
-        assert inner_product(x, q).value == 0
+        assert sparse_dot(x, q, 3) == 0
 
     def test_zero_vector(self):
-        f = PrimeField(5)
-        x = [f.zero()] * 4
-        q = [f.element(v) for v in (1, 2, 3, 4)]
-        assert inner_product(x, q).value == 0
+        assert sparse_dot((0, 0, 0, 0), (1, 2, 3, 4), 5) == 0
 
     def test_hand_example_mod_five(self):
-        f = PrimeField(5)
-        x = [f.element(v) for v in (1, 0, 1, 1, 0)]
-        q = [f.element(v) for v in (1, 1, 1, 1, 1)]
+        x, q = (1, 0, 1, 1, 0), (1, 1, 1, 1, 1)
         assert modular_dot(x, q, 5) == 3
-        assert inner_product(x, q).value == 3
+        assert sparse_dot(x, q, 5) == 3
 
     def test_matches_oracle_exhaustively(self):
-        f = PrimeField(3)
-        vectors = [(a, b) for a in range(3) for b in range(3)]
-        for xv in vectors:
-            for qv in vectors:
-                x = [f.element(v) for v in xv]
-                q = [f.element(v) for v in qv]
-                assert inner_product(x, q).value == modular_dot(x, q, 3)
+        for modulus in (2, 3, 5):
+            for size in (1, 2, 3):
+                for x in itertools.product((0, 1), repeat=size):
+                    for q in itertools.product(range(modulus), repeat=size):
+                        assert sparse_dot(x, q, modulus) == modular_dot(x, q, modulus)
 
     def test_length_mismatch(self):
-        f = PrimeField(3)
         with pytest.raises(ValueError):
-            inner_product([f.one()], [f.one(), f.one()])
-
-    def test_mixed_fields(self):
-        with pytest.raises(FieldMismatchError):
-            inner_product([PrimeField(3).one()], [PrimeField(5).one()])
+            sparse_dot((1,), (1, 2), 3, universe=1)
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7])
 class TestFieldAxioms:
     def test_commutativity(self, modulus):
-        f = PrimeField(modulus)
-        for a in f.elements():
-            for b in f.elements():
-                assert a + b == b + a
-                assert a * b == b * a
+        residues = range(PrimeField(modulus).modulus)
+        for a in residues:
+            for b in residues:
+                assert add(a, b, modulus) == add(b, a, modulus)
+                assert mul(a, b, modulus) == mul(b, a, modulus)
 
     def test_associativity(self, modulus):
-        f = PrimeField(modulus)
-        elems = list(f.elements())
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    assert (a + b) + c == a + (b + c)
-                    assert (a * b) * c == a * (b * c)
+        residues = range(PrimeField(modulus).modulus)
+        for a in residues:
+            for b in residues:
+                for c in residues:
+                    assert add(add(a, b, modulus), c, modulus) == add(a, add(b, c, modulus), modulus)
+                    assert mul(mul(a, b, modulus), c, modulus) == mul(a, mul(b, c, modulus), modulus)
 
     def test_distributivity(self, modulus):
-        f = PrimeField(modulus)
-        elems = list(f.elements())
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    assert a * (b + c) == a * b + a * c
+        # Subtracting two answers under one multiplier cancels their shared
+        # randomness only because the multiplier distributes over the sum.
+        residues = range(PrimeField(modulus).modulus)
+        for a in residues:
+            for b in residues:
+                for c in residues:
+                    assert answer_value(b, c, 0, a, modulus) == add(
+                        mul(a, b, modulus), mul(a, c, modulus), modulus
+                    )
 
     def test_inverses(self, modulus):
-        f = PrimeField(modulus)
-        for a in f.elements():
-            assert a + (-a) == f.zero()
-        for a in f.nonzero_elements():
-            inverses = [b for b in f.nonzero_elements() if (a * b) == f.one()]
+        residues = range(PrimeField(modulus).modulus)
+        for a in residues:
+            assert add(a, (-a) % modulus, modulus) == 0
+        for a in range(1, modulus):
+            inverses = [b for b in range(1, modulus) if mul(a, b, modulus) == 1]
             assert len(inverses) == 1
 
     def test_scaling_by_nonzero_permutes_nonzeros(self, modulus):
         # The masking argument for the intersection indicator rests on this.
-        f = PrimeField(modulus)
-        nonzero = list(f.nonzero_elements())
+        nonzero = set(range(1, PrimeField(modulus).modulus))
         for a in nonzero:
-            image = {(c * a).value for c in nonzero}
-            assert image == {e.value for e in nonzero}
+            assert {mul(c, a, modulus) for c in nonzero} == nonzero

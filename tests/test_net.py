@@ -153,6 +153,15 @@ class TestEndpointBehaviour:
         finally:
             net_mod.CONNECT_RETRY_SECONDS = old_retry
 
+    def test_stop_wakes_accept_loops_at_once(self):
+        endpoints = spawn_endpoints(DEMOS["sec4"].config)
+        assert len(endpoints) == 6
+        start = time.perf_counter()
+        for endpoint in endpoints:
+            endpoint.stop()
+        assert time.perf_counter() - start < 0.1
+        assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
+
     def test_leader_party_cannot_serve_endpoints(self):
         from mppsi.errors import ConfigError
 

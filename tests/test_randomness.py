@@ -27,6 +27,12 @@ def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
     return plan, clients, field
 
 
+def t_at(bundle, plan, client_id, position):
+    """The individual value a client's databases hold for a leader-set position."""
+    partition, database = plan.position_location(client_id, position)
+    return bundle.individual[(client_id, database)][partition]
+
+
 class TestLocal:
     def test_seeded_runs_repeat(self):
         field = select_field_size(3)
@@ -38,7 +44,7 @@ class TestLocal:
 
     def test_values_cover_field_across_seeds(self):
         field = select_field_size(3)
-        seen = {gen_local(1, 1, field, seed=s)[0].value for s in range(60)}
+        seen = {gen_local(1, 1, field, seed=s)[0] for s in range(60)}
         assert seen == {0, 1, 2}
 
     def test_zero_slots_rejected(self):
@@ -49,16 +55,16 @@ class TestLocal:
 class TestGlobal:
     def test_never_zero(self):
         field = select_field_size(3)
-        values = {gen_global(field, seed=s).value for s in range(60)}
+        values = {gen_global(field, seed=s) for s in range(60)}
         assert values == {1, 2}
 
     def test_binary_field_forces_one(self):
         field = select_field_size(2)
-        assert all(gen_global(field, seed=s).value == 1 for s in range(10))
+        assert all(gen_global(field, seed=s) == 1 for s in range(10))
 
     def test_larger_field_covers_all_nonzero(self):
         field = select_field_size(4)
-        values = {gen_global(field, seed=s).value for s in range(200)}
+        values = {gen_global(field, seed=s) for s in range(200)}
         assert values == {1, 2, 3, 4}
 
 
@@ -68,7 +74,7 @@ class TestBundle:
         bundle, _ = build_bundle(plan, clients, field, seed=4)
         for client in clients:
             slots = bundle.individual[(client.party_id, 1)]
-            assert all(v.value == 0 for v in slots.values())
+            assert all(v == 0 for v in slots.values())
 
     def test_correlation_sum_every_position_every_seed(self):
         for num_clients in (1, 2, 3):
@@ -79,7 +85,7 @@ class TestBundle:
                 bundle, _ = build_bundle(plan, clients, field, seed=seed)
                 for position in range(1, plan.set_size + 1):
                     total = sum(
-                        bundle.t_tilde[(cid, position)].value for cid in plan.client_ids
+                        t_at(bundle, plan, cid, position) for cid in plan.client_ids
                     ) % field.modulus
                     assert total == expected
 
@@ -90,7 +96,7 @@ class TestBundle:
         bundle, shares = build_bundle(plan, clients, field, seed=0)
         assert field.modulus == 2
         for position in range(1, plan.set_size + 1):
-            assert bundle.t_tilde[(1, position)].value == field.modulus - 1
+            assert t_at(bundle, plan, 1, position) == field.modulus - 1
         assert all(s.kind == "c_share" for s in shares)
 
     def test_same_seed_reproduces_bundle(self):
@@ -104,7 +110,7 @@ class TestBundle:
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
         bundles = [build_bundle(plan, clients, field, seed=s)[0] for s in range(8)]
-        locals_seen = {tuple(tuple(v.value for v in b.local[i]) for i in sorted(b.local)) for b in bundles}
+        locals_seen = {tuple(tuple(b.local[i]) for i in sorted(b.local)) for b in bundles}
         assert len(locals_seen) > 1
 
     def test_leader_never_appears_in_share_traffic(self):
@@ -137,8 +143,12 @@ class TestBundle:
             for spec in specs:
                 assert spec.target_pos not in seen
                 seen.add(spec.target_pos)
+                assert plan.position_location(client.party_id, spec.target_pos) == (
+                    spec.partition,
+                    spec.database,
+                )
                 slot = bundle.individual[(client.party_id, spec.database)][spec.partition]
-                assert slot == bundle.t_tilde[(client.party_id, spec.target_pos)]
+                assert slot == t_at(bundle, plan, client.party_id, spec.target_pos)
 
     def test_free_clients_and_correlator_split(self):
         assert correlating_client((1, 2, 3)) == 3
@@ -165,14 +175,18 @@ class TestPolicies:
         bundle, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(zero_local=True)
         )
-        assert all(v.value == 0 for vec in bundle.local.values() for v in vec)
+        assert all(v == 0 for vec in bundle.local.values() for v in vec)
 
     def test_zero_individual_breaks_correlation(self):
         plan, clients, field = fixture()
         bundle, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(zero_individual=True)
         )
-        assert all(v.value == 0 for v in bundle.t_tilde.values())
+        assert all(
+            t_at(bundle, plan, cid, position) == 0
+            for cid in plan.client_ids
+            for position in range(1, plan.set_size + 1)
+        )
 
     def test_correlation_offset_shifts_sums(self):
         plan, clients, field = fixture()
@@ -183,7 +197,7 @@ class TestPolicies:
         broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
         for position in range(1, plan.set_size + 1):
             total = sum(
-                bundle.t_tilde[(cid, position)].value for cid in plan.client_ids
+                t_at(bundle, plan, cid, position) for cid in plan.client_ids
             ) % field.modulus
             assert total == broken
 
@@ -192,7 +206,7 @@ class TestPolicies:
         bundle, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(fixed_global=1)
         )
-        assert bundle.c.value == 1
+        assert bundle.c == 1
 
     def test_fixed_global_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mppsi.errors import ProtocolViolationError
-from mppsi.wire import MAX_FRAME_BYTES, Message, decode_msg, encode_msg, message_from_dict
+from mppsi.wire import (
+    HEADER,
+    MAX_FRAME_BYTES,
+    SESSION_ID_CHARS,
+    Message,
+    decode_msg,
+    encode_msg,
+    max_query_frame_bytes,
+    message_from_dict,
+)
 
 ENDPOINT = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
@@ -71,6 +80,38 @@ class TestRoundTrip:
             assert decoded == msg
             assert len(decoded.values) == 5
             assert all(0 <= v <= 4 for v in decoded.values)
+
+
+class TestQueryFrameBound:
+    @staticmethod
+    def widest(universe, modulus, parties, databases):
+        return Message(
+            type="query",
+            session_id="f" * SESSION_ID_CHARS,
+            phase="query",
+            origin=(parties, 0),
+            dest=(parties, databases),
+            partition=universe,
+            target=universe,
+            values=(modulus - 1,) * universe,
+        )
+
+    @pytest.mark.parametrize(
+        "universe,modulus,parties,databases",
+        [(1, 2, 2, 2), (37, 3, 3, 3), (1000, 5, 4, 12), (349_478, 11, 11, 9)],
+    )
+    def test_bound_is_the_widest_encoded_payload(self, universe, modulus, parties, databases):
+        frame = encode_msg(self.widest(universe, modulus, parties, databases))
+        assert len(frame) - HEADER.size == max_query_frame_bytes(
+            universe, modulus, parties, databases
+        )
+
+    def test_one_coordinate_past_the_bound_does_not_encode(self):
+        assert max_query_frame_bytes(524_219, 7, 7, 9) <= MAX_FRAME_BYTES
+        assert max_query_frame_bytes(524_220, 7, 7, 9) > MAX_FRAME_BYTES
+        encode_msg(self.widest(524_219, 7, 7, 9))
+        with pytest.raises(ProtocolViolationError):
+            encode_msg(self.widest(524_220, 7, 7, 9))
 
 
 class TestFrameErrors:
