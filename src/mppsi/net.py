@@ -11,6 +11,16 @@ leader connects to each used database once, sends its queries, and reads the
 answers off the same connection, tolerating any interleaving across
 databases.
 
+Endpoints are served by a serve loop: one thread multiplexing their listening
+sockets and accepted connections. The endpoints of spawn_endpoints share one
+loop, so their work never competes for the interpreter lock; an endpoint
+started alone gets a loop of its own. Queries that arrive before an
+endpoint's randomness wait on their connection until it is installed, and
+the answers to the queries of one read go back in one write. The leader
+encodes its queries before the randomness phase starts and runs its whole
+query round on the calling thread. A session therefore hands control between
+threads a few times per phase rather than a few times per message.
+
 Transcripts are assembled by the session runner as an omniscient evidence
 object: the randomness-phase traffic is reproduced from (config, seed) --
 the endpoints' labeled draws make it identical to what was actually sent,
@@ -21,10 +31,11 @@ same transcript the in-memory transport produces.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .config import SessionConfig
@@ -50,11 +61,12 @@ from .session import (
     shares_to_wire,
     transcript_from_run,
 )
-from .wire import Message, decode_msg, encode_msg, read_frame
+from .wire import Message, decode_msg, encode_msg, split_frames
 
 CONNECT_RETRY_SECONDS = 5.0
 READY_TIMEOUT_SECONDS = 15.0
 SOCKET_TIMEOUT_SECONDS = 15.0
+RECV_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,15 @@ class _WireAnswer:
     partition: int
     target_pos: Optional[int]
     value: int
+
+
+@dataclass
+class _Connection:
+    """An endpoint's state for one accepted connection."""
+
+    buffer: bytearray = field(default_factory=bytearray)
+    waiting: List[Message] = field(default_factory=list)  # queries not yet answered
+    deadline: float = 0.0  # when the first waiting query gives up on randomness
 
 
 class DatabaseEndpoint:
@@ -88,8 +109,10 @@ class DatabaseEndpoint:
         self._lock = threading.Lock()
         self._ready = threading.Event()
         self._stop = threading.Event()
+        self._closed = threading.Event()  # set once the loop dropped our sockets
         self._threads: List[threading.Thread] = []
         self._sock: Optional[socket.socket] = None
+        self._loop: Optional[_ServeLoop] = None
         self._host = host
         self._port = port
 
@@ -152,16 +175,22 @@ class DatabaseEndpoint:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
+    def start(self, loop: Optional[_ServeLoop] = None) -> None:
+        """Listen, served by loop, or by a loop of its own when none is given.
+
+        A shared loop serves nothing until its owner starts it.
+        """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self._host, self._port))
         sock.listen(16)
-        sock.settimeout(0.2)
+        sock.setblocking(False)
         self._sock = sock
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._loop = loop if loop is not None else _ServeLoop()
+        self._loop.add(self)
+        self._threads.append(self._loop.thread)
+        if loop is None:
+            self._loop.start()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -174,17 +203,20 @@ class DatabaseEndpoint:
         self._stop.set()
         if self._sock is not None:
             try:
-                # Wakes the accept loop at once; closing alone leaves it
-                # blocked until its poll timeout.
+                # Makes the listening socket readable for good, so the serve
+                # loop wakes at once, sees the stop flag and drops our sockets.
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            if self._loop.thread.is_alive():
+                self._closed.wait(timeout=2.0)
         for thread in self._threads:
-            thread.join(timeout=2.0)
+            if thread is self._loop.thread and self._loop.endpoints:
+                continue  # the loop still serves other endpoints
+            if thread.ident is not None:
+                thread.join(timeout=2.0)
+        if self._sock is not None:
+            self._sock.close()
 
     def begin_sharing(self, addresses: Dict[Tuple[int, int], Tuple[str, int]]) -> None:
         """Send this database's outgoing randomness-phase messages."""
@@ -303,52 +335,33 @@ class DatabaseEndpoint:
 
     # -- socket plumbing ----------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(SOCKET_TIMEOUT_SECONDS)
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
+    def _read_frames(self, conn: socket.socket, state: _Connection) -> None:
+        chunk = conn.recv(RECV_BYTES)
+        if not chunk:
+            raise TransportError("peer closed the connection")
+        state.buffer += chunk
+        for frame in split_frames(state.buffer):
+            msg = decode_msg(frame)
+            if msg.session_id != self.session_id:
+                raise ProtocolViolationError(
+                    f"frame for session {msg.session_id}, serving {self.session_id}"
+                )
+            if msg.dest != (self.party_id, self.database):
+                raise ProtocolViolationError(
+                    f"frame for {msg.dest} delivered to "
+                    f"({self.party_id},{self.database})"
+                )
+            if msg.type in ("t_share", "c_share"):
+                self._install(msg)
+            elif msg.type == "query":
+                self._check_query(msg)
+                if not state.waiting:
+                    state.deadline = time.monotonic() + READY_TIMEOUT_SECONDS
+                state.waiting.append(msg)
+            else:
+                raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
 
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                while True:
-                    frame = read_frame(conn)
-                    if frame is None:
-                        return
-                    msg = decode_msg(frame)
-                    if msg.session_id != self.session_id:
-                        raise ProtocolViolationError(
-                            f"frame for session {msg.session_id}, serving {self.session_id}"
-                        )
-                    if msg.dest != (self.party_id, self.database):
-                        raise ProtocolViolationError(
-                            f"frame for {msg.dest} delivered to "
-                            f"({self.party_id},{self.database})"
-                        )
-                    if msg.type in ("t_share", "c_share"):
-                        self._install(msg)
-                    elif msg.type == "query":
-                        self._answer_query(msg, conn)
-                    else:
-                        raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
-        except (ProtocolViolationError, TransportError, OSError):
-            # Closing the connection signals the failure to the peer.
-            return
-
-    def _answer_query(self, msg: Message, conn: socket.socket) -> None:
-        from .client import answer_all
-
-        if not self._ready.wait(READY_TIMEOUT_SECONDS):
-            raise TransportError("randomness was not installed in time")
+    def _check_query(self, msg: Message) -> None:
         if self.shape is None:
             raise ProtocolViolationError("query received for an empty leader set")
         if len(msg.values) != self.config.universe_size:
@@ -357,29 +370,46 @@ class DatabaseEndpoint:
             )
         if any(v >= self.field.modulus for v in msg.values):
             raise ProtocolViolationError("query value out of field range")
-        spec = QuerySpec(
-            client_id=self.party_id,
-            database=self.database,
-            partition=msg.partition,
-            target_pos=msg.target,
-            target_element=None,
-            vector=msg.values,
-        )
         with self._lock:
             self.received_log.append(msg)
+
+    def _answer_waiting(self, conn: socket.socket, state: _Connection) -> None:
+        """Answer every waiting query of a connection in one write, once ready."""
+        from .client import answer_all
+
+        if not self._ready.is_set():
+            if time.monotonic() >= state.deadline:
+                raise TransportError("randomness was not installed in time")
+            return
+        specs = [
+            QuerySpec(
+                client_id=self.party_id,
+                database=self.database,
+                partition=msg.partition,
+                target_pos=msg.target,
+                target_element=None,
+                vector=msg.values,
+            )
+            for msg in state.waiting
+        ]
+        state.waiting = []
+        with self._lock:
             bundle = self._partial_bundle()
         answers = answer_all(
             self.profile,
             self.database,
-            [spec],
+            specs,
             self.config.universe,
             bundle,
             self.field,
         )
-        reply = answers_to_wire(self.leader_id, answers, self.session_id)[0]
-        conn.sendall(encode_msg(reply))
+        replies = answers_to_wire(self.leader_id, answers, self.session_id)
+        # A blocking write on the loop thread: it holds up every endpoint of
+        # the loop until the leader, which reads answers as they arrive,
+        # takes them (or SOCKET_TIMEOUT_SECONDS passes).
+        conn.sendall(b"".join(encode_msg(reply) for reply in replies))
         with self._lock:
-            self.sent_log.append(reply)
+            self.sent_log.extend(replies)
 
     def _send_shares(
         self,
@@ -394,10 +424,91 @@ class DatabaseEndpoint:
             except TransportError:
                 return
             with conn:
-                for msg in msgs:
-                    conn.sendall(encode_msg(msg))
-                    with self._lock:
-                        self.sent_log.append(msg)
+                conn.sendall(b"".join(encode_msg(msg) for msg in msgs))
+                with self._lock:
+                    self.sent_log.extend(msgs)
+
+
+class _ServeLoop:
+    """One thread serving the sockets of one or more database endpoints."""
+
+    def __init__(self) -> None:
+        self.selector = selectors.DefaultSelector()
+        self.endpoints: List[DatabaseEndpoint] = []  # changed only by the loop once started
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def add(self, endpoint: DatabaseEndpoint) -> None:
+        if self.thread.ident is not None:
+            raise TransportError("endpoints join a serve loop before it starts")
+        self.endpoints.append(endpoint)
+        self.selector.register(endpoint._sock, selectors.EVENT_READ, (endpoint, None))
+
+    def start(self) -> None:
+        self.thread.start()
+
+    def _run(self) -> None:
+        selector = self.selector
+        try:
+            while self.endpoints:
+                for key, _ in selector.select(self._patience()):
+                    endpoint, state = key.data
+                    if state is None:
+                        self._accept(endpoint)
+                    else:
+                        self._step(key, endpoint._read_frames)
+                for key in list(selector.get_map().values()):
+                    endpoint, state = key.data
+                    if state is not None and state.waiting:
+                        self._step(key, endpoint._answer_waiting)
+                for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
+                    self._remove(endpoint)
+        finally:
+            for endpoint in list(self.endpoints):
+                self._remove(endpoint)
+            selector.close()
+
+    def _patience(self) -> Optional[float]:
+        """How long the loop may block: until some waiting query gives up."""
+        deadlines = [
+            state.deadline
+            for endpoint, state in (key.data for key in self.selector.get_map().values())
+            if state is not None and state.waiting and not endpoint._ready.is_set()
+        ]
+        return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+
+    def _accept(self, endpoint: DatabaseEndpoint) -> None:
+        try:
+            conn, _ = endpoint._sock.accept()
+        except BlockingIOError:
+            return
+        except OSError:
+            # stop() shut the listening socket down.
+            endpoint._stop.set()
+            return
+        conn.settimeout(SOCKET_TIMEOUT_SECONDS)
+        self.selector.register(conn, selectors.EVENT_READ, (endpoint, _Connection()))
+
+    def _step(self, key: selectors.SelectorKey, step) -> None:
+        """Run one step for a connection; on failure drop the connection.
+
+        Closing the connection signals the failure to the peer.
+        """
+        try:
+            step(key.fileobj, key.data[1])
+        except (ProtocolViolationError, TransportError, OSError):
+            self.selector.unregister(key.fileobj)
+            key.fileobj.close()
+
+    def _remove(self, endpoint: DatabaseEndpoint) -> None:
+        """Stop serving an endpoint: close its connections, forget its socket."""
+        for key in list(self.selector.get_map().values()):
+            owner, state = key.data
+            if owner is endpoint:
+                self.selector.unregister(key.fileobj)
+                if state is not None:
+                    key.fileobj.close()
+        self.endpoints.remove(endpoint)
+        endpoint._closed.set()
 
 
 def _connect_with_retry(
@@ -415,40 +526,82 @@ def _connect_with_retry(
             time.sleep(0.05)
 
 
-def _query_database(
-    address: Tuple[str, int],
-    wire_queries: List[Message],
-    collected: List[Message],
-    errors: List[BaseException],
-    lock: threading.Lock,
-) -> None:
+@dataclass
+class _Exchange:
+    """The leader's side of one database connection in the query round."""
+
+    dest: Tuple[int, int]
+    outgoing: memoryview  # the query frames not yet written, in order
+    expected: int  # answers still to come
+    buffer: bytearray = field(default_factory=bytearray)
+
+
+def _query_round(
+    addresses: Dict[Tuple[int, int], Tuple[str, int]],
+    exchanges: Dict[Tuple[int, int], _Exchange],
+) -> List[Message]:
+    """Send every query and collect every answer on the calling thread.
+
+    Each database gets one connection. Its queries are written as its socket
+    takes them and its answers read as they arrive, so no database waits on
+    another.
+    """
+    selector = selectors.DefaultSelector()
+    conns: List[socket.socket] = []
+    collected: List[Message] = []
     try:
-        conn = _connect_with_retry(address)
-        with conn:
-            for msg in wire_queries:
-                conn.sendall(encode_msg(msg))
-            received = []
-            for _ in wire_queries:
-                frame = read_frame(conn)
-                if frame is None:
-                    raise TransportError(f"{address} closed before answering")
-                received.append(decode_msg(frame))
-        with lock:
-            collected.extend(received)
-    except BaseException as exc:  # noqa: BLE001 - reported to the runner thread
-        with lock:
-            errors.append(exc)
+        for dest, exchange in sorted(exchanges.items()):
+            if dest not in addresses:
+                raise TransportError(f"no address for database endpoint {dest}")
+            conn = _connect_with_retry(addresses[dest])
+            conns.append(conn)
+            conn.setblocking(False)
+            selector.register(conn, selectors.EVENT_READ | selectors.EVENT_WRITE, exchange)
+        pending = sum(exchange.expected for exchange in exchanges.values())
+        deadline = time.monotonic() + READY_TIMEOUT_SECONDS + SOCKET_TIMEOUT_SECONDS
+        while pending:
+            events = selector.select(deadline - time.monotonic())
+            if not events:
+                raise TransportError("query round timed out")
+            for key, mask in events:
+                conn, exchange = key.fileobj, key.data
+                if mask & selectors.EVENT_WRITE and exchange.outgoing:
+                    exchange.outgoing = exchange.outgoing[conn.send(exchange.outgoing):]
+                    if not exchange.outgoing:
+                        selector.modify(conn, selectors.EVENT_READ, exchange)
+                if mask & selectors.EVENT_READ:
+                    chunk = conn.recv(RECV_BYTES)
+                    if not chunk:
+                        raise TransportError(f"database {exchange.dest} closed before answering")
+                    exchange.buffer += chunk
+                    for frame in split_frames(exchange.buffer):
+                        exchange.expected -= 1
+                        if exchange.expected < 0:
+                            raise ProtocolViolationError(
+                                f"database {exchange.dest} sent more answers than queries"
+                            )
+                        collected.append(decode_msg(frame))
+                        pending -= 1
+    except OSError as exc:
+        raise TransportError(f"query round failed: {exc}") from exc
+    finally:
+        selector.close()
+        for conn in conns:
+            conn.close()
+    return collected
 
 
 def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
     setup = prepare_session(config.parties, config.universe, config.leader_override)
+    loop = _ServeLoop()
     endpoints = []
     for client in setup.clients:
         for db in range(1, client.num_databases + 1):
             endpoint = DatabaseEndpoint(config, client.party_id, db)
-            endpoint.start()
+            endpoint.start(loop)
             endpoints.append(endpoint)
+    loop.start()
     return endpoints
 
 
@@ -459,8 +612,8 @@ def run_networked_session(
     """Run one session over TCP loopback endpoints.
 
     Without explicit endpoints (and without configured addresses) the runner
-    spawns one thread-backed endpoint per client database and tears them
-    down afterwards.
+    spawns one endpoint per client database, all served by one thread, and
+    tears them down afterwards.
     """
     setup = prepare_session(config.parties, config.universe, config.leader_override)
     if not setup.leader.data_set:
@@ -482,8 +635,6 @@ def run_networked_session(
             addresses = {
                 (ep.party_id, ep.database): ep.address for ep in endpoints
             }
-            for ep in endpoints:
-                ep.begin_sharing(addresses)
 
         plan = make_partition_plan(setup.leader, setup.clients)
         query_plan = generate_queries(plan, setup.field, config.universe, config.seed)
@@ -491,30 +642,17 @@ def run_networked_session(
         per_db: Dict[Tuple[int, int], List[Message]] = {}
         for msg in wire_queries:
             per_db.setdefault(msg.dest, []).append(msg)
+        exchanges = {
+            dest: _Exchange(dest, memoryview(b"".join(encode_msg(m) for m in msgs)), len(msgs))
+            for dest, msgs in per_db.items()
+        }
 
-        collected: List[Message] = []
-        errors: List[BaseException] = []
-        lock = threading.Lock()
-        threads = []
-        for dest, msgs in sorted(per_db.items()):
-            if dest not in addresses:
-                raise TransportError(f"no address for database endpoint {dest}")
-            thread = threading.Thread(
-                target=_query_database,
-                args=(addresses[dest], msgs, collected, errors, lock),
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join(timeout=READY_TIMEOUT_SECONDS + SOCKET_TIMEOUT_SECONDS)
-        if errors:
-            first = errors[0]
-            if isinstance(first, (TransportError, ProtocolViolationError)):
-                raise first
-            raise TransportError(f"query round failed: {first}")
-        if any(thread.is_alive() for thread in threads):
-            raise TransportError("query round timed out")
+        # In-process endpoints start their randomness traffic only now, so
+        # the leader's work above does not compete with theirs for the GIL.
+        if endpoints is not None:
+            for ep in endpoints:
+                ep.begin_sharing(addresses)
+        collected = _query_round(addresses, exchanges)
 
         answers = []
         for msg in collected:

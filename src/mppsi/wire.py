@@ -174,29 +174,23 @@ def decode_msg(frame: bytes) -> Message:
     return message_from_dict(data)
 
 
-def read_frame(sock) -> Optional[bytes]:
-    """Read one whole frame from a socket; None on clean EOF before a header."""
-    header = _recv_exact(sock, HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = HEADER.unpack(header)
-    if length == 0:
-        raise ProtocolViolationError("zero-length frame")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolViolationError(f"declared frame length {length} exceeds 1 MiB limit")
-    body = _recv_exact(sock, length, allow_eof=False)
-    return header + body
+def split_frames(buffer: bytearray) -> List[bytes]:
+    """Remove every whole frame from the front of buffer and return them.
 
-
-def _recv_exact(sock, count: int, allow_eof: bool) -> Optional[bytes]:
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == count:
-                return None
-            raise ProtocolViolationError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    A trailing partial frame stays in buffer for the next read.
+    """
+    frames: List[bytes] = []
+    start = 0
+    while len(buffer) - start >= HEADER.size:
+        (length,) = HEADER.unpack_from(buffer, start)
+        if length == 0:
+            raise ProtocolViolationError("zero-length frame")
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolViolationError(f"declared frame length {length} exceeds 1 MiB limit")
+        end = start + HEADER.size + length
+        if len(buffer) < end:
+            break
+        frames.append(bytes(buffer[start:end]))
+        start = end
+    del buffer[:start]
+    return frames

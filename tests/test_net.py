@@ -13,7 +13,7 @@ from mppsi.errors import TransportError
 from mppsi.model import PartyProfile
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.session import run_memory_session, session_id_for
-from mppsi.wire import encode_msg, read_frame
+from mppsi.wire import Message, encode_msg
 
 
 def message_multiset(transcript):
@@ -50,6 +50,35 @@ class TestEquivalence:
             net = run_networked_session(config)
             assert message_multiset(mem) == message_multiset(net)
             assert mem.result.decoded == net.result.decoded
+
+    def test_concurrent_sessions_under_frequent_thread_switches(self):
+        import sys
+        import threading
+
+        configs = [
+            replace(DEMOS[name].config, seed=seed) for name in sorted(DEMOS) for seed in (1, 2)
+        ]
+        results = {}
+
+        def run(index, config):
+            results[index] = run_networked_session(config).serialize()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i, config), daemon=True)
+                for i, config in enumerate(configs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, config in enumerate(configs):
+            assert results[i] == run_memory_session(config).serialize()
 
     def test_empty_leader_set_needs_no_network(self):
         config = SessionConfig(
@@ -105,8 +134,6 @@ class TestEndpointBehaviour:
             target = endpoints[0]
             alien = replace(config, seed=config.seed + 1)
             msg_session = session_id_for(alien)
-            from mppsi.wire import Message
-
             rogue = Message(
                 type="query",
                 session_id=msg_session,
@@ -121,7 +148,7 @@ class TestEndpointBehaviour:
                 conn.settimeout(5)
                 conn.sendall(encode_msg(rogue))
                 # The endpoint answers by closing the connection.
-                assert read_frame(conn) is None
+                assert conn.recv(1) == b""
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -160,6 +187,53 @@ class TestEndpointBehaviour:
         for endpoint in endpoints:
             endpoint.stop()
         assert time.perf_counter() - start < 0.1
+        assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
+
+    def test_query_without_randomness_is_dropped_in_bounded_time(self, monkeypatch):
+        import mppsi.net as net_mod
+
+        monkeypatch.setattr(net_mod, "READY_TIMEOUT_SECONDS", 0.2)
+        config = DEMOS["sec4"].config
+        # No begin_sharing: the endpoints never receive their randomness.
+        endpoints = spawn_endpoints(config)
+        try:
+            target = next(ep for ep in endpoints if ep.database >= 2 and ep._c is None)
+            query = Message(
+                type="query",
+                session_id=session_id_for(config),
+                phase="query",
+                origin=(3, 0),
+                dest=(target.party_id, target.database),
+                partition=1,
+                target=None,
+                values=(0,) * config.universe_size,
+            )
+            with socket.create_connection(target.address, timeout=5) as conn:
+                conn.settimeout(5)
+                start = time.monotonic()
+                conn.sendall(encode_msg(query))
+                assert conn.recv(1) == b""
+                assert 0.15 < time.monotonic() - start < 2.0
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_spawned_endpoints_share_one_serve_thread(self):
+        config = DEMOS["sec7_2"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            run_networked_session(config, endpoints=endpoints)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        loops = {ep._threads[0] for ep in endpoints}
+        assert len(loops) == 1
+        for ep in endpoints:
+            asked = [m for m in ep.received_log if m.type == "query"]
+            answered = [m for m in ep.sent_log if m.type == "answer"]
+            assert len(asked) == len(answered)
+            # The shared loop, plus at most one sender for randomness shares.
+            assert len(ep._threads) <= 2
         assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
 
     def test_leader_party_cannot_serve_endpoints(self):

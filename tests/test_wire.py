@@ -16,6 +16,7 @@ from mppsi.wire import (
     encode_msg,
     max_query_frame_bytes,
     message_from_dict,
+    split_frames,
 )
 
 ENDPOINT = st.tuples(st.integers(0, 9), st.integers(0, 9))
@@ -135,6 +136,29 @@ class TestFrameErrors:
     def test_non_json_payload(self):
         with pytest.raises(ProtocolViolationError):
             decode_msg(frame_with_body(b"not json"))
+
+
+class TestSplitFrames:
+    MSG = Message("answer", "feed", "answer", (1, 2), (3, 0), 1, None, (4,))
+
+    def test_whole_frames_leave_and_a_partial_one_stays(self):
+        frame = encode_msg(self.MSG)
+        buffer = bytearray(frame + frame + frame[:5])
+        assert split_frames(buffer) == [frame, frame]
+        assert buffer == frame[:5]
+        buffer += frame[5:]
+        assert [decode_msg(f) for f in split_frames(buffer)] == [self.MSG]
+        assert buffer == b""
+
+    def test_short_header_waits(self):
+        buffer = bytearray(b"\x00\x00")
+        assert split_frames(buffer) == []
+        assert buffer == b"\x00\x00"
+
+    @pytest.mark.parametrize("length", [0, MAX_FRAME_BYTES + 1])
+    def test_bad_declared_length(self, length):
+        with pytest.raises(ProtocolViolationError):
+            split_frames(bytearray(struct.pack(">I", length) + b"x"))
 
 
 def valid_payload(**overrides):
