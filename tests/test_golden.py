@@ -20,6 +20,7 @@ GOLDEN = {
 }
 AUDIT_SMALL = "7047ac7fb628c2c121a24d4d28c1a917f6fca5946a8b97a9dae4f92b157ad39d"
 WIDE = "27343008bb205470866889c49a4af92ff33aba26e868bd2165bc774445ed3a81"
+ELEVEN = "b80c977668ba8e45848d5c9e1de371dfcd0ab3dee94ea6c5d8ce417e280595c6"
 
 
 def digest(transcript) -> str:
@@ -36,6 +37,21 @@ def wide_config() -> SessionConfig:
         own = set(rng.sample(leader_set, 60))
         own.update(rng.sample(range(1, universe + 1), 190))
         parties.append(PartyProfile(pid, 4, frozenset(own)))
+    return SessionConfig(
+        universe_size=universe, parties=tuple(parties), seed=rng.getrandbits(64)
+    )
+
+
+def eleven_config() -> SessionConfig:
+    """M=8 parties, so the field is F_11 and values take two digits."""
+    rng = random.Random("golden/eleven")
+    universe = 60
+    leader_set = rng.sample(range(1, universe + 1), 12)
+    parties = [PartyProfile(1, 2, frozenset(leader_set))]
+    for pid in range(2, 9):
+        own = set(rng.sample(leader_set, 8))
+        own.update(rng.sample(range(1, universe + 1), 20))
+        parties.append(PartyProfile(pid, 2 + pid % 2, frozenset(own)))
     return SessionConfig(
         universe_size=universe, parties=tuple(parties), seed=rng.getrandbits(64)
     )
@@ -71,3 +87,11 @@ def test_wide_session_digest_covers_bump_wrap():
         wrapped += h[j] == modulus - 1
     assert wrapped > 0
     assert digest(transcript) == WIDE
+
+
+def test_eleven_field_session_digest_covers_two_digit_values():
+    transcript = run_memory_session(eleven_config())
+    values = [v for m in transcript.messages for v in m.values]
+    assert max(values) == 10
+    assert any(v == 10 for m in transcript.messages_in_phase("query") for v in m.values)
+    assert digest(transcript) == ELEVEN
