@@ -106,6 +106,7 @@ class DatabaseEndpoint:
         self.session_id = session_id_for(config)
         self.sent_log: List[Message] = []
         self.received_log: List[Message] = []
+        self.errors: List[TransportError] = []  # shares this endpoint could not send
         self._lock = threading.Lock()
         self._ready = threading.Event()
         self._stop = threading.Event()
@@ -368,7 +369,7 @@ class DatabaseEndpoint:
             raise ProtocolViolationError(
                 f"query vector length {len(msg.values)} != universe {self.config.universe_size}"
             )
-        if any(v >= self.field.modulus for v in msg.values):
+        if max(msg.values, default=0) >= self.field.modulus:
             raise ProtocolViolationError("query value out of field range")
         with self._lock:
             self.received_log.append(msg)
@@ -416,17 +417,19 @@ class DatabaseEndpoint:
         outgoing: Dict[Tuple[int, int], List[Message]],
         addresses: Dict[Tuple[int, int], Tuple[str, int]],
     ) -> None:
+        """Send each destination its shares; record a failed one and go on."""
         for dest, msgs in sorted(outgoing.items()):
-            if dest not in addresses:
-                return
             try:
-                conn = _connect_with_retry(addresses[dest], self._stop)
-            except TransportError:
-                return
-            with conn:
-                conn.sendall(b"".join(encode_msg(msg) for msg in msgs))
+                if dest not in addresses:
+                    raise TransportError(f"no address for database endpoint {dest}")
+                with _connect_with_retry(addresses[dest], self._stop) as conn:
+                    conn.sendall(b"".join(encode_msg(msg) for msg in msgs))
+            except (TransportError, OSError) as exc:
                 with self._lock:
-                    self.sent_log.extend(msgs)
+                    self.errors.append(TransportError(f"shares to {dest} not sent: {exc}"))
+                continue
+            with self._lock:
+                self.sent_log.extend(msgs)
 
 
 class _ServeLoop:
@@ -539,12 +542,14 @@ class _Exchange:
 def _query_round(
     addresses: Dict[Tuple[int, int], Tuple[str, int]],
     exchanges: Dict[Tuple[int, int], _Exchange],
+    leader: Tuple[int, int],
 ) -> List[Message]:
     """Send every query and collect every answer on the calling thread.
 
     Each database gets one connection. Its queries are written as its socket
     takes them and its answers read as they arrive, so no database waits on
-    another.
+    another. An answer must come from the database its connection reaches
+    and be addressed to the leader.
     """
     selector = selectors.DefaultSelector()
     conns: List[socket.socket] = []
@@ -580,7 +585,13 @@ def _query_round(
                             raise ProtocolViolationError(
                                 f"database {exchange.dest} sent more answers than queries"
                             )
-                        collected.append(decode_msg(frame))
+                        msg = decode_msg(frame)
+                        if msg.origin != exchange.dest or msg.dest != leader:
+                            raise ProtocolViolationError(
+                                f"answer from {msg.origin} to {msg.dest} arrived on "
+                                f"the connection to {exchange.dest}"
+                            )
+                        collected.append(msg)
                         pending -= 1
     except OSError as exc:
         raise TransportError(f"query round failed: {exc}") from exc
@@ -652,7 +663,7 @@ def run_networked_session(
         if endpoints is not None:
             for ep in endpoints:
                 ep.begin_sharing(addresses)
-        collected = _query_round(addresses, exchanges)
+        collected = _query_round(addresses, exchanges, (plan.leader_id, 0))
 
         answers = []
         for msg in collected:

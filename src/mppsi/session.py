@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .leader import CostTable, IntersectionResult
 from .protocol import ProtocolRun, run_protocol
 from .randomness import FAITHFUL, RandomnessPolicy
-from .wire import SESSION_ID_CHARS, Message, message_from_dict
+from .wire import SESSION_ID_CHARS, Message, message_from_dict, render_body
 
 
 @dataclass(frozen=True)
@@ -43,28 +43,40 @@ class SessionTranscript:
     def messages_in_phase(self, phase: str) -> Tuple[Message, ...]:
         return tuple(m for m in self.messages if m.phase == phase)
 
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "leader": self.leader_id,
-            "cost_table": {
-                str(pid): cost for pid, cost in sorted(self.cost_table.costs.items())
-            },
-            "messages": [m.to_dict() for m in self.messages],
-            "result": {
-                "decoded": sorted(self.result.decoded),
-                "indicators": {
-                    str(elem): value
-                    for elem, value in sorted(self.result.indicators.items())
-                },
-                "download_cost_actual": self.result.download_cost_actual,
-            },
-        }
-
     def serialize(self) -> bytes:
-        return (
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
+        """The transcript as one line of sorted-key JSON.
+
+        Its keys in sorted order are cost_table, leader, messages, result and
+        session_id, so the text is a head object, the message bodies exactly
+        as they travel in frames, and a tail object.
+        """
+        head = _compact_json(
+            {
+                "cost_table": {
+                    str(pid): cost for pid, cost in sorted(self.cost_table.costs.items())
+                },
+                "leader": self.leader_id,
+            }
+        )
+        tail = _compact_json(
+            {
+                "result": {
+                    "decoded": sorted(self.result.decoded),
+                    "indicators": {
+                        str(elem): value
+                        for elem, value in sorted(self.result.indicators.items())
+                    },
+                    "download_cost_actual": self.result.download_cost_actual,
+                },
+                "session_id": self.session_id,
+            }
+        )
+        bodies = ",".join(map(render_body, self.messages))
+        return f'{head[:-1]},"messages":[{bodies}],{tail[1:]}\n'.encode("ascii")
+
+
+def _compact_json(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def load_transcript(data: bytes) -> SessionTranscript:
@@ -98,9 +110,7 @@ def session_id_for(config: SessionConfig) -> str:
         "leader": config.leader_override,
         "seed": config.seed,
     }
-    digest = hashlib.sha256(
-        json.dumps(core, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    digest = hashlib.sha256(_compact_json(core).encode("utf-8"))
     return digest.hexdigest()[:SESSION_ID_CHARS]
 
 

@@ -4,7 +4,9 @@ Every protocol message is one frame: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON. The JSON object carries exactly
 the fields {type, session_id, phase, origin, dest, partition, target,
 values}; unknown fields are rejected on decode. Values are plain decimal
-field residues. Frames above 1 MiB (or empty) are invalid.
+field residues. Frames above 1 MiB (or empty) are invalid. render_body is
+the one renderer of a message: frame payloads and transcript entries are
+the same text.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Tuple
 
 from .errors import ProtocolViolationError
@@ -102,8 +105,10 @@ def message_from_dict(data: dict) -> Message:
         ):
             raise ProtocolViolationError(f"{name} must be a positive integer or null")
     values = data["values"]
-    if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values
+    if (
+        not isinstance(values, list)
+        or not set(map(type, values)) <= {int}
+        or min(values, default=0) < 0
     ):
         raise ProtocolViolationError("values must be a list of non-negative integers")
     return Message(
@@ -118,8 +123,44 @@ def message_from_dict(data: dict) -> Message:
     )
 
 
-def _body(msg: Message) -> bytes:
-    return json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+# Maps residues 0..9 to their digit; every other byte value to NUL.
+_DIGITS = b"0123456789" + bytes(246)
+
+
+def _values_text(values: Tuple[int, ...]) -> str:
+    """The comma-separated decimal values, as json.dumps writes them."""
+    try:
+        digits = bytes(values).translate(_DIGITS)
+    except ValueError:  # a value outside 0..255
+        digits = b"\0"
+    if b"\0" in digits:
+        return ",".join(map(str, values))
+    text = bytearray(b"," * (2 * len(digits) - 1))
+    text[::2] = digits
+    return text.decode("ascii")
+
+
+def _tag_text(tag: Optional[int]) -> str:
+    return "null" if tag is None else str(tag)
+
+
+def render_body(msg: Message) -> str:
+    """The JSON text of a message: a frame's payload and a transcript entry.
+
+    Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")),
+    written directly: the keys in sorted order, strings ASCII-escaped, and
+    the values rendered in one pass.
+    """
+    return (
+        f'{{"dest":[{msg.dest[0]},{msg.dest[1]}],'
+        f'"origin":[{msg.origin[0]},{msg.origin[1]}],'
+        f'"partition":{_tag_text(msg.partition)},'
+        f'"phase":{_quote(msg.phase)},'
+        f'"session_id":{_quote(msg.session_id)},'
+        f'"target":{_tag_text(msg.target)},'
+        f'"type":{_quote(msg.type)},'
+        f'"values":[{_values_text(msg.values)}]}}'
+    )
 
 
 def max_query_frame_bytes(
@@ -142,12 +183,12 @@ def max_query_frame_bytes(
         values=(),
     )
     value_chars = len(str(modulus - 1))
-    return len(_body(widest)) + universe_size * (value_chars + 1) - 1
+    return len(render_body(widest)) + universe_size * (value_chars + 1) - 1
 
 
 def encode_msg(msg: Message) -> bytes:
     """Serialize to one length-prefixed frame."""
-    body = _body(msg)
+    body = render_body(msg).encode("ascii")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolViolationError(f"frame of {len(body)} bytes exceeds 1 MiB limit")
     return HEADER.pack(len(body)) + body

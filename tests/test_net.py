@@ -1,15 +1,16 @@
 """Networked transport: loopback endpoints, equivalence with the simulator."""
 
 import random
-import time
 import socket
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
-from mppsi.errors import TransportError
+from mppsi.errors import ProtocolViolationError, TransportError
 from mppsi.model import PartyProfile
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.session import run_memory_session, session_id_for
@@ -236,9 +237,130 @@ class TestEndpointBehaviour:
             assert len(ep._threads) <= 2
         assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
 
+    def test_query_value_equal_to_modulus_closes_the_connection(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            # No randomness arrives, so a valid query waits on its connection.
+            target = next(ep for ep in endpoints if ep.database >= 2 and ep._c is None)
+            modulus = target.field.modulus
+
+            def query(first_value):
+                return Message(
+                    type="query",
+                    session_id=session_id_for(config),
+                    phase="query",
+                    origin=(3, 0),
+                    dest=(target.party_id, target.database),
+                    partition=1,
+                    target=None,
+                    values=(first_value,) + (0,) * (config.universe_size - 1),
+                )
+
+            with socket.create_connection(target.address, timeout=5) as conn:
+                conn.settimeout(0.3)
+                conn.sendall(encode_msg(query(modulus - 1)))
+                with pytest.raises(socket.timeout):
+                    conn.recv(1)
+                conn.settimeout(5)
+                conn.sendall(encode_msg(query(modulus)))
+                assert conn.recv(1) == b""
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_shares_reach_every_addressed_destination(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.c_origin)
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            others = sorted(key for key in addresses if key != sender.c_origin)
+            missing = others[0]
+            del addresses[missing]
+            sender.begin_sharing(addresses)
+            sender._threads[-1].join(timeout=10)
+            assert not sender._threads[-1].is_alive()
+
+            def received():
+                return {
+                    (ep.party_id, ep.database)
+                    for ep in endpoints
+                    if any(m.type == "c_share" for m in ep.received_log)
+                }
+
+            deadline = time.monotonic() + 5.0
+            while received() != set(others[1:]) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert received() == set(others[1:])
+            assert [str(missing) in str(error) for error in sender.errors] == [True]
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
     def test_leader_party_cannot_serve_endpoints(self):
         from mppsi.errors import ConfigError
 
         config = DEMOS["sec4"].config
         with pytest.raises(ConfigError):
             DatabaseEndpoint(config, 3, 1)
+
+
+class RogueDatabase:
+    """A listener that answers the leader's first query read with one frame."""
+
+    def __init__(self, reply: Message):
+        self.reply = reply
+        self.server = socket.create_server(("127.0.0.1", 0))
+        self.address = self.server.getsockname()[:2]
+        self.done = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        self.server.settimeout(5)
+        conn, _ = self.server.accept()
+        with conn:
+            conn.settimeout(5)
+            conn.recv(1 << 16)
+            conn.sendall(encode_msg(self.reply))
+            self.done.wait(5)
+
+    def close(self):
+        self.done.set()
+        self.thread.join(timeout=5)
+        self.server.close()
+        assert not self.thread.is_alive()
+
+
+class TestLeaderChecksAnswers:
+    @pytest.mark.parametrize("forged", ["origin", "dest"])
+    def test_answer_must_come_from_its_connection_to_the_leader(self, forged):
+        config = DEMOS["sec4"].config
+        queried = sorted({m.dest for m in run_memory_session(config).messages_in_phase("query")})
+        victim, other = queried[0], queried[1]
+        leader = run_memory_session(config).leader_id
+        reply = Message(
+            type="answer",
+            session_id=session_id_for(config),
+            phase="answer",
+            origin=other if forged == "origin" else victim,
+            dest=(leader, 0) if forged == "origin" else (leader, 1),
+            partition=1,
+            target=None,
+            values=(0,),
+        )
+        endpoints = spawn_endpoints(config)
+        rogue = RogueDatabase(reply)
+        try:
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            addresses[victim] = rogue.address
+            addressed = replace(config, transport="net", addresses=addresses)
+            start = time.monotonic()
+            with pytest.raises(ProtocolViolationError, match=str(victim)):
+                run_networked_session(addressed)
+            assert time.monotonic() - start < 5.0
+        finally:
+            rogue.close()
+            for ep in endpoints:
+                ep.stop()

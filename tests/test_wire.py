@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mppsi.errors import ProtocolViolationError
+from mppsi.leader import CostTable, IntersectionResult
+from mppsi.session import SessionTranscript
 from mppsi.wire import (
     HEADER,
     MAX_FRAME_BYTES,
+    PHASE_BY_TYPE,
     SESSION_ID_CHARS,
     Message,
     decode_msg,
     encode_msg,
     max_query_frame_bytes,
     message_from_dict,
+    render_body,
     split_frames,
 )
 
@@ -58,6 +62,70 @@ MESSAGES = st.one_of(
 )
 
 
+# Arbitrary text, with quotes, backslashes, control and non-ASCII characters
+# drawn often.
+ANY_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\n\x00\x7f\u00e9\u2603\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=12,
+)
+TAG = st.one_of(st.none(), st.integers(1, 10**6))
+ORACLE_MESSAGES = st.builds(
+    lambda kind, **fields: Message(type=kind[0], phase=kind[1], **fields),
+    kind=st.sampled_from(sorted(PHASE_BY_TYPE.items())),
+    session_id=ANY_TEXT,
+    origin=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+    dest=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+    partition=TAG,
+    target=TAG,
+    # Single-digit residues, two-digit ones (L >= 11) and large ints.
+    values=st.one_of(
+        st.lists(st.integers(0, 9), max_size=40),
+        st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**80)), max_size=40),
+    ).map(tuple),
+)
+
+
+def reference_body(msg: Message) -> str:
+    return json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def reference_transcript_layout(transcript: SessionTranscript) -> dict:
+    """The dict whose sorted-key JSON a transcript file has always been."""
+    return {
+        "session_id": transcript.session_id,
+        "leader": transcript.leader_id,
+        "cost_table": {
+            str(pid): cost for pid, cost in sorted(transcript.cost_table.costs.items())
+        },
+        "messages": [m.to_dict() for m in transcript.messages],
+        "result": {
+            "decoded": sorted(transcript.result.decoded),
+            "indicators": {
+                str(elem): value for elem, value in sorted(transcript.result.indicators.items())
+            },
+            "download_cost_actual": transcript.result.download_cost_actual,
+        },
+    }
+
+
+TRANSCRIPTS = st.builds(
+    SessionTranscript,
+    session_id=ANY_TEXT,
+    leader_id=st.integers(1, 20),
+    cost_table=st.dictionaries(
+        st.integers(1, 20), st.one_of(st.none(), st.integers(0, 10**6))
+    ).map(CostTable),
+    messages=st.lists(ORACLE_MESSAGES, max_size=6).map(tuple),
+    result=st.builds(
+        IntersectionResult,
+        decoded=st.frozensets(st.integers(1, 50)),
+        indicators=st.dictionaries(st.integers(1, 50), st.integers(0, 12)),
+        download_cost_actual=st.integers(0, 100),
+    ),
+)
+
+
 def frame_with_body(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
@@ -81,6 +149,25 @@ class TestRoundTrip:
             assert decoded == msg
             assert len(decoded.values) == 5
             assert all(0 <= v <= 4 for v in decoded.values)
+
+
+class TestRenderBody:
+    @given(ORACLE_MESSAGES)
+    def test_body_equals_sorted_key_json(self, msg):
+        assert render_body(msg) == reference_body(msg)
+        assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("utf-8"))
+
+    def test_multi_digit_values_are_joined(self):
+        msg = Message("query", "s", "query", (3, 0), (1, 2), 1, None, (10, 0, 9, 255, 256, 2**64))
+        assert render_body(msg).endswith('"values":[10,0,9,255,256,18446744073709551616]}')
+        assert render_body(msg) == reference_body(msg)
+
+    @given(TRANSCRIPTS)
+    def test_transcript_equals_sorted_key_json_of_its_layout(self, transcript):
+        expected = json.dumps(
+            reference_transcript_layout(transcript), sort_keys=True, separators=(",", ":")
+        )
+        assert transcript.serialize() == (expected + "\n").encode("utf-8")
 
 
 class TestQueryFrameBound:
@@ -206,6 +293,11 @@ class TestPayloadValidation:
     def test_bool_values_rejected(self):
         with pytest.raises(ProtocolViolationError):
             message_from_dict(valid_payload(values=[True]))
+
+    @pytest.mark.parametrize("value", [1.0, "1", None, [1]])
+    def test_non_integer_values_rejected(self, value):
+        with pytest.raises(ProtocolViolationError):
+            message_from_dict(valid_payload(values=[0, value, 2]))
 
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ProtocolViolationError):
