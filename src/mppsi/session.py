@@ -52,9 +52,7 @@ class SessionTranscript:
         """
         head = _compact_json(
             {
-                "cost_table": {
-                    str(pid): cost for pid, cost in sorted(self.cost_table.costs.items())
-                },
+                "cost_table": {str(pid): cost for pid, cost in self.cost_table.costs.items()},
                 "leader": self.leader_id,
             }
         )
@@ -63,8 +61,7 @@ class SessionTranscript:
                 "result": {
                     "decoded": sorted(self.result.decoded),
                     "indicators": {
-                        str(elem): value
-                        for elem, value in sorted(self.result.indicators.items())
+                        str(elem): value for elem, value in self.result.indicators.items()
                     },
                     "download_cost_actual": self.result.download_cost_actual,
                 },
