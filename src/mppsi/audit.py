@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .client import answer_value
+from .client import answer_value, support_sum
 from .errors import BoundExceededError
 from .field import PrimeField
 from .leader import PartitionPlan, decode_values, generate_queries, make_partition_plan
@@ -207,10 +207,13 @@ def query_inner_products(
     modulus = compiled.field.modulus
     plan = compiled.plan
     sets = {p.party_id: p.data_set for p in compiled.setup.clients}
+    sums = {
+        client_id: support_sum(sorted(elem - 1 for elem in data_set))
+        for client_id, data_set in sets.items()
+    }
     ips: Dict[Tuple[int, int, Optional[int]], int] = {}
     for key, client_id, partition, target_pos, _, _ in compiled.answer_layout:
-        base = h_vectors[partition - 1]
-        total = sum(base[elem - 1] for elem in sets[client_id])
+        total = sums[client_id](h_vectors[partition - 1])
         if target_pos is not None:
             element = plan.leader_elements[target_pos - 1]
             if element in sets[client_id]:

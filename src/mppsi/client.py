@@ -5,8 +5,10 @@ inner product of its incidence vector with the query vector, plus its local
 and individual randomness slots for that query's partition, all multiplied
 by the global multiplier. The incidence vector is binary, so the inner
 product is the sum of the query's entries at the coordinates of the party's
-own set, O(|P_i|) per answer rather than O(K). The answer echoes the query's (partition, target
-position) tags so the leader can decode in any arrival order.
+own set, O(|P_i|) per answer rather than O(K), picked in one C-level call by
+support_sum; the auditor computes its inner products with the same function.
+The answer echoes the query's (partition, target position) tags so the
+leader can decode in any arrival order.
 
 A database uses nothing beyond its own copy of the party's set, its own
 randomness slots, and the queries delivered to it; the function signatures
@@ -16,7 +18,8 @@ here admit nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence
 
 from .errors import ConfigError, ProtocolViolationError
 from .field import PrimeField
@@ -41,6 +44,20 @@ def answer_value(ip: int, s: int, t: int, c: int, modulus: int) -> int:
     return (c * (ip + s + t)) % modulus
 
 
+def support_sum(support: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """The function summing a vector's entries at the 0-based support indices.
+
+    itemgetter picks every entry in one call, but it needs at least one
+    index, and with one index it returns that entry rather than a tuple.
+    """
+    if not support:
+        return lambda vector: 0
+    if len(support) == 1:
+        return itemgetter(support[0])
+    pick = itemgetter(*support)
+    return lambda vector: sum(pick(vector))
+
+
 def answer_all(
     profile: PartyProfile,
     database: int,
@@ -60,6 +77,7 @@ def answer_all(
             f"party {profile.party_id}: element {support[-1] + 1} outside "
             f"universe of size {universe.size}"
         )
+    inner_product = support_sum(support)
     answers: List[AnswerMsg] = []
     for query in queries:
         if query.client_id != profile.party_id or query.database != database:
@@ -86,7 +104,7 @@ def answer_all(
                 partition=query.partition,
                 target_pos=query.target_pos,
                 value=answer_value(
-                    sum(q[j] for j in support), s_slot, t_slot, bundle.c, field.modulus
+                    inner_product(q), s_slot, t_slot, bundle.c, field.modulus
                 ),
             )
         )

@@ -36,7 +36,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError, ProtocolViolationError, TransportError
@@ -65,6 +65,7 @@ from .wire import Message, decode_msg, encode_msg, split_frames
 
 CONNECT_RETRY_SECONDS = 5.0
 READY_TIMEOUT_SECONDS = 15.0
+ENDPOINT_POLL_SECONDS = 0.05
 SOCKET_TIMEOUT_SECONDS = 15.0
 RECV_BYTES = 1 << 16
 
@@ -426,7 +427,12 @@ class DatabaseEndpoint:
                     conn.sendall(b"".join(encode_msg(msg) for msg in msgs))
             except (TransportError, OSError) as exc:
                 with self._lock:
-                    self.errors.append(TransportError(f"shares to {dest} not sent: {exc}"))
+                    self.errors.append(
+                        TransportError(
+                            f"shares from ({self.party_id}, {self.database}) to {dest} "
+                            f"not sent: {exc}"
+                        )
+                    )
                 continue
             with self._lock:
                 self.sent_log.extend(msgs)
@@ -543,6 +549,7 @@ def _query_round(
     addresses: Dict[Tuple[int, int], Tuple[str, int]],
     exchanges: Dict[Tuple[int, int], _Exchange],
     leader: Tuple[int, int],
+    endpoints: Sequence[DatabaseEndpoint] = (),
 ) -> List[Message]:
     """Send every query and collect every answer on the calling thread.
 
@@ -550,7 +557,31 @@ def _query_round(
     takes them and its answers read as they arrive, so no database waits on
     another. An answer must come from the database its connection reaches
     and be addressed to the leader.
+
+    While in-process endpoints serve the session, the round looks at their
+    recorded errors at least every ENDPOINT_POLL_SECONDS and fails with the
+    first one as its cause; a round that fails otherwise names them too.
     """
+    try:
+        return _exchange_all(addresses, exchanges, leader, endpoints)
+    except (TransportError, ProtocolViolationError) as exc:
+        errors = _endpoint_errors(endpoints)
+        if not errors or exc.__cause__ in errors:
+            raise
+        listed = "; ".join(str(error) for error in errors)
+        raise type(exc)(f"{exc} (endpoint errors: {listed})") from exc
+
+
+def _endpoint_errors(endpoints: Sequence[DatabaseEndpoint]) -> List[TransportError]:
+    return [error for endpoint in endpoints for error in endpoint.errors]
+
+
+def _exchange_all(
+    addresses: Dict[Tuple[int, int], Tuple[str, int]],
+    exchanges: Dict[Tuple[int, int], _Exchange],
+    leader: Tuple[int, int],
+    endpoints: Sequence[DatabaseEndpoint],
+) -> List[Message]:
     selector = selectors.DefaultSelector()
     conns: List[socket.socket] = []
     collected: List[Message] = []
@@ -565,8 +596,14 @@ def _query_round(
         pending = sum(exchange.expected for exchange in exchanges.values())
         deadline = time.monotonic() + READY_TIMEOUT_SECONDS + SOCKET_TIMEOUT_SECONDS
         while pending:
-            events = selector.select(deadline - time.monotonic())
+            wait = deadline - time.monotonic()
+            events = selector.select(min(wait, ENDPOINT_POLL_SECONDS) if endpoints else wait)
+            errors = _endpoint_errors(endpoints)
+            if errors:
+                raise TransportError(f"a database endpoint failed: {errors[0]}") from errors[0]
             if not events:
+                if time.monotonic() < deadline:
+                    continue
                 raise TransportError("query round timed out")
             for key, mask in events:
                 conn, exchange = key.fileobj, key.data
@@ -663,7 +700,7 @@ def run_networked_session(
         if endpoints is not None:
             for ep in endpoints:
                 ep.begin_sharing(addresses)
-        collected = _query_round(addresses, exchanges, (plan.leader_id, 0))
+        collected = _query_round(addresses, exchanges, (plan.leader_id, 0), endpoints or ())
 
         answers = []
         for msg in collected:

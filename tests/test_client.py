@@ -1,10 +1,11 @@
 """Per-database answer generation."""
 
 import itertools
+import random
 
 import pytest
 
-from mppsi.client import answer_all, answer_value
+from mppsi.client import answer_all, answer_value, support_sum
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi.leader import QuerySpec, generate_queries, make_partition_plan
@@ -84,6 +85,28 @@ class TestAnswer:
                             c * sum(xv * (a - b) for xv, a, b in zip(x, q1, q2))
                         ) % 3
                         assert (a1 - a2) % 3 == expected
+
+
+class TestSparseSum:
+    # Empty and single-element sets are the two sizes where itemgetter
+    # either refuses its arguments or returns an entry instead of a tuple.
+    @pytest.mark.parametrize("set_size", [0, 1, 2, 9])
+    def test_answer_matches_dense_oracle(self, set_size):
+        size, modulus = 9, 7
+        rng = random.Random(f"sparse-sum/{set_size}")
+        for _ in range(30):
+            members = set(rng.sample(range(size), set_size))
+            x = [1 if j in members else 0 for j in range(size)]
+            q = [rng.randrange(modulus) for _ in range(size)]
+            s, t, c = rng.randrange(modulus), rng.randrange(modulus), rng.randrange(1, modulus)
+            assert answer(x, q, s, t, c, modulus) == modular_answer(x, q, s, t, c, modulus)
+
+    @pytest.mark.parametrize("support", [[], [4], [0, 4], list(range(6))])
+    def test_support_sum_is_the_dense_inner_product(self, support):
+        q = (3, 1, 4, 1, 5, 9)
+        x = [1 if j in support else 0 for j in range(len(q))]
+        assert support_sum(support)(q) == sum(a * b for a, b in zip(x, q))
+        assert support_sum(support)(list(q)) == support_sum(support)(q)
 
 
 def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):

@@ -364,3 +364,39 @@ class TestLeaderChecksAnswers:
             rogue.close()
             for ep in endpoints:
                 ep.stop()
+
+
+class TestEndpointErrorsReachTheRunner:
+    def test_unsent_shares_fail_the_session_with_their_cause_at_once(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.c_origin)
+        share = sender.begin_sharing
+        # The c sender alone lacks the address of (1, 2), which therefore
+        # never gets its multiplier and never answers.
+        sender.begin_sharing = lambda addresses: share(
+            {dest: address for dest, address in addresses.items() if dest != (1, 2)}
+        )
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError) as raised:
+                run_networked_session(config, endpoints=endpoints)
+            assert time.monotonic() - start < 2.0
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert "no address for database endpoint (1, 2)" in str(raised.value)
+        assert str(sender.c_origin) in str(raised.value)
+        assert raised.value.__cause__ is sender.errors[0]
+
+    def test_a_round_failing_otherwise_names_the_endpoint_errors(self):
+        import mppsi.net as net_mod
+
+        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, 1, 1)
+        endpoint.errors.append(TransportError("shares from (1, 1) to (2, 3) not sent: refused"))
+        exchange = net_mod._Exchange((2, 1), memoryview(b""), 1)
+        with pytest.raises(TransportError) as raised:
+            net_mod._query_round({}, {(2, 1): exchange}, (3, 0), [endpoint])
+        message = str(raised.value)
+        assert "no address for database endpoint (2, 1)" in message
+        assert "shares from (1, 1) to (2, 3) not sent: refused" in message
