@@ -1,0 +1,161 @@
+"""One client database's protocol state, with no I/O.
+
+A DatabaseState is built from what one client database is entitled to: the
+public plan shape, its party's own set, its own labeled draws, and a
+RandomnessPolicy. It never touches a socket or a clock. Its four operations
+list the shares it sends, receive one share, report whether it is ready, and
+answer a batch of queries through client.answer_all. Both transports drive
+these states: randomness.build_bundle routes shares between them in memory,
+and each net.DatabaseEndpoint keeps one behind its serve loop.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Sequence
+
+from .client import AnswerMsg, answer_all
+from .errors import ProtocolViolationError
+from .field import PrimeField
+from .leader import PlanShape, QuerySpec
+from .model import PartyProfile, Universe
+from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, ShareMessage
+from .randomness import correlating_client, free_clients, gen_global, gen_local
+from .seeding import draw_value
+
+
+class DatabaseState:
+    """The randomness and answering state of one client database.
+
+    bundle holds only this database's own slots: its client's local vector,
+    its individual values (explicit zeros at database 1), and the global
+    multiplier once it has one.
+    """
+
+    def __init__(
+        self,
+        shape: PlanShape,
+        profile: PartyProfile,
+        database: int,
+        field: PrimeField,
+        seed: int,
+        policy: RandomnessPolicy = FAITHFUL,
+    ):
+        party_id = profile.party_id
+        self.shape = shape
+        self.profile = profile
+        self.address = (party_id, database)
+        self.field = field
+        self.policy = policy
+        self.correlator = correlating_client(shape.client_ids)
+        self.free = free_clients(shape.client_ids)
+        self.c_origin = (shape.client_ids[0], 1)
+        self.positions = shape.positions_of_database(party_id, database)
+        eta = shape.eta[party_id]
+        self.bundle = RandomnessBundle(
+            local={party_id: gen_local(party_id, eta, field, seed, policy)},
+            c=gen_global(field, seed, policy) if self.address == self.c_origin else None,
+        )
+        self._t: Dict[int, int] = {}  # partition -> value added to its targeted answer
+        if database == 1:
+            self.bundle.individual[self.address] = dict.fromkeys(range(1, eta + 1), 0)
+        elif self.positions:
+            self.bundle.individual[self.address] = self._t
+        # At the correlating client: position -> {free client: its share}.
+        self._received: Dict[int, Dict[int, int]] = {}
+        if party_id == self.correlator:
+            self._received = {position: {} for position in self.positions}
+        else:
+            for position in self.positions:
+                partition, _ = shape.position_location(party_id, position)
+                self._t[partition] = 0 if policy.zero_individual else draw_value(
+                    seed, field.modulus, "t", party_id, database, partition
+                )
+        self._missing = len(self._received) * len(self.free)
+        self._complete()
+
+    @property
+    def ready(self) -> bool:
+        """Whether every value this database's answers need is installed."""
+        return self.bundle.c is not None and len(self._t) == len(self.positions)
+
+    def shares(self) -> List[ShareMessage]:
+        """The randomness-phase messages this database sends."""
+        party_id = self.address[0]
+        sent = []
+        for position in self.positions if party_id != self.correlator else ():
+            dest = (self.correlator, self.shape.position_location(self.correlator, position)[1])
+            value = self._t[self.shape.position_location(party_id, position)[0]]
+            sent.append(ShareMessage("t_share", self.address, dest, position, (value,)))
+        if self.address == self.c_origin:
+            sent.extend(
+                ShareMessage("c_share", self.address, (client, db), None, (self.bundle.c,))
+                for client in self.shape.client_ids
+                for db in range(1, self.shape.databases[client] + 1)
+                if (client, db) != self.address
+            )
+        return sent
+
+    def receive(self, share: ShareMessage) -> None:
+        """Install one share addressed to this database, or reject it whole.
+
+        A share must carry exactly one residue below L. The multiplier is
+        taken only from c_origin and only once; an individual value only for
+        a position this database completes, from the free-client database
+        holding it.
+        """
+        modulus = self.field.modulus
+        if len(share.values) != 1 or not 0 <= share.values[0] < modulus:
+            raise ProtocolViolationError(
+                f"{share.kind} must carry one residue below {modulus}, got {list(share.values)}"
+            )
+        (value,) = share.values
+        if share.kind == "c_share":
+            if share.origin != self.c_origin:
+                raise ProtocolViolationError(
+                    f"global multiplier from {share.origin}, expected {self.c_origin}"
+                )
+            if self.bundle.c is not None:
+                raise ProtocolViolationError("global multiplier already installed")
+            if value == 0:
+                raise ProtocolViolationError("global multiplier must be nonzero")
+            self.bundle.c = value
+        elif share.kind == "t_share":
+            received = self._received.get(share.position)
+            if received is None:
+                raise ProtocolViolationError(
+                    f"share for position {share.position} not owned by database {self.address}"
+                )
+            sender = share.origin[0]
+            if sender not in self.free or share.origin != (
+                sender, self.shape.position_location(sender, share.position)[1]
+            ):
+                raise ProtocolViolationError(
+                    f"share for position {share.position} from {share.origin}"
+                )
+            if sender in received:
+                raise ProtocolViolationError(
+                    f"duplicate share for position {share.position} from {share.origin}"
+                )
+            received[sender] = value
+            self._missing -= 1
+            self._complete()
+        else:
+            raise ProtocolViolationError(f"unexpected message type {share.kind!r}")
+
+    def _complete(self) -> None:
+        """Fill in the correlating client's values once every free share is in."""
+        if self._missing:
+            return
+        modulus = self.field.modulus
+        # M - 1 is the number of clients.
+        target = modulus - len(self.shape.client_ids) + self.policy.correlation_offset
+        for position, received in self._received.items():
+            partition, _ = self.shape.position_location(self.correlator, position)
+            self._t[partition] = (
+                0 if self.policy.zero_individual else (target - sum(received.values())) % modulus
+            )
+
+    def answer(self, queries: Sequence[QuerySpec], universe: Universe) -> List[AnswerMsg]:
+        """Answer a batch of queries delivered to this database."""
+        database = self.address[1]
+        return answer_all(self.profile, database, queries, universe, self.bundle, self.field)

@@ -1,36 +1,40 @@
 """Networked transport: one TCP endpoint per client database.
 
 Each database is an independently addressable endpoint; a party is only an
-administrative grouping. Endpoints derive everything they are entitled to
-from the shared configuration: the public database counts and set
-cardinalities, the chunk geometry, their own party's data set, and their own
-labeled randomness draws. The randomness phase runs directly between client
-endpoints (individual-value shares to the correlating client's databases,
-the global multiplier broadcast from database 1 of the lowest client); the
-leader connects to each used database once, sends its queries, and reads the
+administrative grouping. An endpoint is the database.DatabaseState that the
+in-memory transport routes between, built from the shared configuration,
+behind sockets. The randomness phase runs directly between client endpoints
+(individual-value shares to the correlating client's databases, the global
+multiplier broadcast from database 1 of the lowest client); the leader
+connects to each used database once, sends its queries, and reads the
 answers off the same connection, tolerating any interleaving across
 databases.
 
-Endpoints are served by a serve loop: one thread multiplexing their listening
-sockets and accepted connections. The endpoints of spawn_endpoints share one
-loop, so their work never competes for the interpreter lock; an endpoint
-started alone gets a loop of its own. Queries that arrive before an
-endpoint's randomness wait on their connection until it is installed, and
-the answers to the queries of one read go back in one write. The leader
-encodes its queries before the randomness phase starts and runs its whole
-query round on the calling thread. A session therefore hands control between
-threads a few times per phase rather than a few times per message.
+Endpoints are served by a serve loop: one thread multiplexing their
+listening sockets, the connections they accept and those they open to send
+their shares. The endpoints of spawn_endpoints share one loop; an endpoint
+started alone gets a loop of its own. No socket call blocks the loop: share
+connections are opened by non-blocking connects, and shares and answers
+alike are queued on their connection and written when it is writable.
+begin_sharing and stop wake the loop through a socket pair. Queries that
+arrive before an endpoint's randomness wait on their connection until it is
+installed. The leader runs its whole query round on the calling thread.
 
-Transcripts are assembled by the session runner as an omniscient evidence
-object: the randomness-phase traffic is reproduced from (config, seed) --
-the endpoints' labeled draws make it identical to what was actually sent,
-which the tests verify against the endpoints' own logs -- while queries and
-answers are logged as observed. For equal (config, seed) the result is the
-same transcript the in-memory transport produces.
+A share connection is done when its receiver, having read every frame,
+closes it; its shares are then logged as sent. The runner waits until every
+in-process endpoint's shares are sent or have failed, and the randomness
+section of its transcript is the canonical order of what they logged as
+sent. For endpoints given only by address, whose logs it cannot see, that
+section comes from the same states routed by randomness.build_bundle.
+Queries and answers are logged as observed. For equal (config, seed) the
+transcript equals the in-memory transport's.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import queue
 import selectors
 import socket
 import threading
@@ -38,27 +42,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .client import AnswerMsg
 from .config import SessionConfig
+from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError, TransportError
 from .field import select_field_size
 from .leader import QuerySpec, cost_table, decode, generate_queries, make_partition_plan, make_plan_shape
-from .model import PartyProfile
-from .protocol import prepare_session, run_protocol
-from .randomness import (
-    RandomnessBundle,
-    build_bundle,
-    correlating_client,
-    free_clients,
-    gen_global,
-    gen_local,
-)
-from .seeding import draw_value
+from .protocol import ProtocolRun, prepare_session
+from .randomness import FAITHFUL, RandomnessPolicy, ShareMessage, build_bundle
 from .session import (
     SessionTranscript,
     answers_to_wire,
     queries_to_wire,
+    run_memory_session,
     session_id_for,
-    shares_to_wire,
+    share_from_wire,
+    share_to_wire,
     transcript_from_run,
 )
 from .wire import Message, decode_msg, encode_msg, split_frames
@@ -67,31 +66,25 @@ CONNECT_RETRY_SECONDS = 5.0
 READY_TIMEOUT_SECONDS = 15.0
 ENDPOINT_POLL_SECONDS = 0.05
 SOCKET_TIMEOUT_SECONDS = 15.0
+RETRY_PAUSE_SECONDS = 0.05
 RECV_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class _WireAnswer:
-    """Adapter giving received answer messages the shape decode expects."""
-
-    client_id: int
-    database: int
-    partition: int
-    target_pos: Optional[int]
-    value: int
 
 
 @dataclass
 class _Connection:
-    """An endpoint's state for one accepted connection."""
+    """An endpoint's side of one connection: accepted, or opened to send shares."""
 
-    buffer: bytearray = field(default_factory=bytearray)
+    buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
+    out: bytearray = field(default_factory=bytearray)  # queued for writing
+    unlogged: List[Message] = field(default_factory=list)  # queued, not yet delivered
     waiting: List[Message] = field(default_factory=list)  # queries not yet answered
-    deadline: float = 0.0  # when the first waiting query gives up on randomness
+    deadline: float = 0.0  # when waiting queries, or unfinished shares, give up
+    dest: Optional[Tuple[int, int]] = None  # where a share connection goes
+    address: Optional[Tuple[str, int]] = None  # the address of dest
 
 
 class DatabaseEndpoint:
-    """One client database serving a single session over TCP."""
+    """One client database serving a single session over TCP: its state behind sockets."""
 
     def __init__(
         self,
@@ -100,6 +93,7 @@ class DatabaseEndpoint:
         database: int,
         host: str = "127.0.0.1",
         port: int = 0,
+        policy: RandomnessPolicy = FAITHFUL,
     ):
         self.config = config
         self.party_id = party_id
@@ -108,74 +102,35 @@ class DatabaseEndpoint:
         self.sent_log: List[Message] = []
         self.received_log: List[Message] = []
         self.errors: List[TransportError] = []  # shares this endpoint could not send
-        self._lock = threading.Lock()
-        self._ready = threading.Event()
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
-        self._threads: List[threading.Thread] = []
+        self._shared = threading.Event()  # set once every share is sent or has failed
+        self._sending = 0  # share connections not yet done, counted down by the loop
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[_ServeLoop] = None
         self._host = host
         self._port = port
 
-        profiles = config.parties
-        by_id = {p.party_id: p for p in profiles}
+        by_id = {p.party_id: p for p in config.parties}
         if party_id not in by_id:
             raise ConfigError(f"endpoint names unknown party {party_id}")
-        self.profile: PartyProfile = by_id[party_id]
-        if not 1 <= database <= self.profile.num_databases:
-            raise ConfigError(
-                f"party {party_id} has no database {database}"
-            )
-        self.field = select_field_size(len(profiles))
-        table = cost_table(profiles)
-        self.leader_id = (
-            config.leader_override if config.leader_override is not None else table.best()
-        )
+        profile = by_id[party_id]
+        if not 1 <= database <= profile.num_databases:
+            raise ConfigError(f"party {party_id} has no database {database}")
+        self.field = select_field_size(len(config.parties))
+        self.leader_id = config.leader_override
+        if self.leader_id is None:
+            self.leader_id = cost_table(config.parties).best()
         if party_id == self.leader_id:
             raise ConfigError("the leader party does not serve database endpoints")
-        clients = sorted(
-            (p for p in profiles if p.party_id != self.leader_id),
-            key=lambda p: p.party_id,
-        )
-        self.client_profiles = clients
-        self.client_ids = [p.party_id for p in clients]
-        # Public quantity: set cardinalities are known to everyone.
-        self.set_size = len(by_id[self.leader_id].data_set)
-        self.shape = (
-            make_plan_shape(self.set_size, clients) if self.set_size > 0 else None
-        )
-        self.correlator = correlating_client(self.client_ids)
-        self.free_ids = free_clients(self.client_ids)
-        self.c_origin = (min(self.client_ids), 1)
-
-        seed = config.seed
-        self._c: Optional[int] = None
-        self._s: List[int] = []
-        self._t_slots: Dict[int, int] = {}
-        self._pending: Dict[int, Dict[int, int]] = {}
-        self._own_positions: List[int] = []
-
-        if self.shape is not None:
-            eta = self.shape.eta[party_id]
-            self._s = gen_local(party_id, eta, self.field, seed)
-            self._own_positions = self.shape.positions_of_database(party_id, database)
-            if party_id != self.correlator:
-                for position in self._own_positions:
-                    partition, db = self.shape.position_location(party_id, position)
-                    assert db == database
-                    self._t_slots[partition] = draw_value(
-                        seed, self.field.modulus, "t", party_id, db, partition
-                    )
-            else:
-                self._pending = {k: {} for k in self._own_positions}
-                if not self.free_ids:
-                    self._complete_correlation()
-        if (party_id, database) == self.c_origin:
-            self._c = gen_global(self.field, seed)
-        self._check_ready()
-
-    # -- lifecycle ---------------------------------------------------------
+        clients = [p for p in config.parties if p.party_id != self.leader_id]
+        # Public quantity: set cardinalities are known to everyone. An empty
+        # leader set needs no randomness and gets no queries.
+        set_size = len(by_id[self.leader_id].data_set)
+        self.state: Optional[DatabaseState] = None
+        if set_size:
+            shape = make_plan_shape(set_size, clients)
+            self.state = DatabaseState(shape, profile, database, self.field, config.seed, policy)
 
     def start(self, loop: Optional[_ServeLoop] = None) -> None:
         """Listen, served by loop, or by a loop of its own when none is given.
@@ -190,7 +145,6 @@ class DatabaseEndpoint:
         self._sock = sock
         self._loop = loop if loop is not None else _ServeLoop()
         self._loop.add(self)
-        self._threads.append(self._loop.thread)
         if loop is None:
             self._loop.start()
 
@@ -203,146 +157,38 @@ class DatabaseEndpoint:
 
     def stop(self) -> None:
         self._stop.set()
-        if self._sock is not None:
-            try:
-                # Makes the listening socket readable for good, so the serve
-                # loop wakes at once, sees the stop flag and drops our sockets.
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            if self._loop.thread.is_alive():
-                self._closed.wait(timeout=2.0)
-        for thread in self._threads:
-            if thread is self._loop.thread and self._loop.endpoints:
-                continue  # the loop still serves other endpoints
-            if thread.ident is not None:
-                thread.join(timeout=2.0)
+        loop = self._loop
+        if loop is not None and loop.thread.is_alive():
+            loop.wake()
+            self._closed.wait(timeout=2.0)
+            if not loop.endpoints:
+                loop.thread.join(timeout=2.0)
         if self._sock is not None:
             self._sock.close()
 
     def begin_sharing(self, addresses: Dict[Tuple[int, int], Tuple[str, int]]) -> None:
-        """Send this database's outgoing randomness-phase messages."""
+        """Have the serve loop send this database's randomness shares."""
         outgoing: Dict[Tuple[int, int], List[Message]] = {}
-        if self.shape is not None and self.party_id in self.free_ids:
-            for position in self._own_positions:
-                partition, _ = self.shape.position_location(self.party_id, position)
-                _, dest_db = self.shape.position_location(self.correlator, position)
-                dest = (self.correlator, dest_db)
-                outgoing.setdefault(dest, []).append(
-                    Message(
-                        type="t_share",
-                        session_id=self.session_id,
-                        phase="randomness",
-                        origin=(self.party_id, self.database),
-                        dest=dest,
-                        partition=None,
-                        target=position,
-                        values=(self._t_slots[partition],),
-                    )
-                )
-        if (self.party_id, self.database) == self.c_origin:
-            assert self._c is not None
-            for client in self.client_profiles:
-                for db in range(1, client.num_databases + 1):
-                    dest = (client.party_id, db)
-                    if dest == self.c_origin:
-                        continue
-                    outgoing.setdefault(dest, []).append(
-                        Message(
-                            type="c_share",
-                            session_id=self.session_id,
-                            phase="randomness",
-                            origin=self.c_origin,
-                            dest=dest,
-                            partition=None,
-                            target=None,
-                            values=(self._c,),
-                        )
-                    )
+        for share in self.state.shares() if self.state is not None else ():
+            outgoing.setdefault(share.dest, []).append(share_to_wire(share, self.session_id))
+        self._sending = len(outgoing)
         if not outgoing:
+            self._shared.set()
             return
-        thread = threading.Thread(
-            target=self._send_shares, args=(outgoing, addresses), daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
+        deadline = time.monotonic() + CONNECT_RETRY_SECONDS
+        for dest, msgs in sorted(outgoing.items()):
+            frames = bytearray(b"".join(map(encode_msg, msgs)))
+            conn = _Connection(out=frames, unlogged=msgs, deadline=deadline, dest=dest)
+            conn.address = addresses.get(dest)
+            self._loop.requests.put((self, conn))
+        self._loop.wake()
 
-    # -- randomness state --------------------------------------------------
-
-    def _complete_correlation(self) -> None:
-        # Sum of the individual values across clients must be L - (M - 1)
-        # at every position; this database fills in the remainder.
-        modulus = self.field.modulus
-        num_parties = len(self.client_ids) + 1
-        target = (modulus - (num_parties - 1)) % modulus
-        for position in self._own_positions:
-            received = self._pending.get(position, {})
-            if len(received) != len(self.free_ids):
-                return
-        for position in self._own_positions:
-            total = sum(self._pending[position].values()) % modulus
-            partition, _ = self.shape.position_location(self.party_id, position)
-            self._t_slots[partition] = (target - total) % modulus
-
-    def _check_ready(self) -> None:
-        if self.shape is None:
-            self._ready.set()
-            return
-        if self._c is None:
-            return
-        if self.database >= 2 and len(self._t_slots) < len(self._own_positions):
-            return
-        self._ready.set()
-
-    def _install(self, msg: Message) -> None:
-        with self._lock:
-            self.received_log.append(msg)
-            if msg.type == "c_share":
-                value = msg.values[0]
-                if not 0 < value < self.field.modulus:
-                    raise ProtocolViolationError(f"global multiplier {value} out of range")
-                self._c = value
-            elif msg.type == "t_share":
-                if self.party_id != self.correlator:
-                    raise ProtocolViolationError(
-                        "individual-randomness share sent to a non-correlating client"
-                    )
-                position = msg.target
-                if position not in self._pending:
-                    raise ProtocolViolationError(
-                        f"share for position {position} not owned by this database"
-                    )
-                sender = msg.origin[0]
-                if sender not in self.free_ids or sender in self._pending[position]:
-                    raise ProtocolViolationError(
-                        f"unexpected or duplicate share from party {sender}"
-                    )
-                self._pending[position][sender] = msg.values[0] % self.field.modulus
-                self._complete_correlation()
-            else:
-                raise ProtocolViolationError(f"unexpected message type {msg.type!r}")
-            self._check_ready()
-
-    def _partial_bundle(self) -> RandomnessBundle:
-        bundle = RandomnessBundle()
-        bundle.local[self.party_id] = list(self._s)
-        if self.shape is not None:
-            bundle.individual[(self.party_id, 1)] = {
-                ell: 0 for ell in range(1, self.shape.eta[self.party_id] + 1)
-            }
-        if self.database >= 2:
-            bundle.individual[(self.party_id, self.database)] = dict(self._t_slots)
-        bundle.c = self._c
-        return bundle
-
-    # -- socket plumbing ----------------------------------------------------
-
-    def _read_frames(self, conn: socket.socket, state: _Connection) -> None:
-        chunk = conn.recv(RECV_BYTES)
+    def _read_frames(self, sock: socket.socket, conn: _Connection) -> None:
+        chunk = sock.recv(RECV_BYTES)
         if not chunk:
             raise TransportError("peer closed the connection")
-        state.buffer += chunk
-        for frame in split_frames(state.buffer):
+        conn.buffer += chunk
+        for frame in split_frames(conn.buffer):
             msg = decode_msg(frame)
             if msg.session_id != self.session_id:
                 raise ProtocolViolationError(
@@ -353,98 +199,54 @@ class DatabaseEndpoint:
                     f"frame for {msg.dest} delivered to "
                     f"({self.party_id},{self.database})"
                 )
+            if self.state is None:
+                raise ProtocolViolationError(f"{msg.type!r} frame for an empty leader set")
             if msg.type in ("t_share", "c_share"):
-                self._install(msg)
+                self.state.receive(share_from_wire(msg))
+                self.received_log.append(msg)
             elif msg.type == "query":
-                self._check_query(msg)
-                if not state.waiting:
-                    state.deadline = time.monotonic() + READY_TIMEOUT_SECONDS
-                state.waiting.append(msg)
+                if len(msg.values) != self.config.universe_size:
+                    raise ProtocolViolationError(
+                        f"query vector length {len(msg.values)} != universe "
+                        f"{self.config.universe_size}"
+                    )
+                if max(msg.values, default=0) >= self.field.modulus:
+                    raise ProtocolViolationError("query value out of field range")
+                self.received_log.append(msg)
+                if not conn.waiting:
+                    conn.deadline = time.monotonic() + READY_TIMEOUT_SECONDS
+                conn.waiting.append(msg)
             else:
                 raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
 
-    def _check_query(self, msg: Message) -> None:
-        if self.shape is None:
-            raise ProtocolViolationError("query received for an empty leader set")
-        if len(msg.values) != self.config.universe_size:
-            raise ProtocolViolationError(
-                f"query vector length {len(msg.values)} != universe {self.config.universe_size}"
-            )
-        if max(msg.values, default=0) >= self.field.modulus:
-            raise ProtocolViolationError("query value out of field range")
-        with self._lock:
-            self.received_log.append(msg)
-
-    def _answer_waiting(self, conn: socket.socket, state: _Connection) -> None:
-        """Answer every waiting query of a connection in one write, once ready."""
-        from .client import answer_all
-
-        if not self._ready.is_set():
-            if time.monotonic() >= state.deadline:
-                raise TransportError("randomness was not installed in time")
-            return
+    def _answer(self, queries: List[Message]) -> List[Message]:
         specs = [
-            QuerySpec(
-                client_id=self.party_id,
-                database=self.database,
-                partition=msg.partition,
-                target_pos=msg.target,
-                target_element=None,
-                vector=msg.values,
-            )
-            for msg in state.waiting
+            QuerySpec(self.party_id, self.database, msg.partition, msg.target, None, msg.values)
+            for msg in queries
         ]
-        state.waiting = []
-        with self._lock:
-            bundle = self._partial_bundle()
-        answers = answer_all(
-            self.profile,
-            self.database,
-            specs,
-            self.config.universe,
-            bundle,
-            self.field,
-        )
-        replies = answers_to_wire(self.leader_id, answers, self.session_id)
-        # A blocking write on the loop thread: it holds up every endpoint of
-        # the loop until the leader, which reads answers as they arrive,
-        # takes them (or SOCKET_TIMEOUT_SECONDS passes).
-        conn.sendall(b"".join(encode_msg(reply) for reply in replies))
-        with self._lock:
-            self.sent_log.extend(replies)
-
-    def _send_shares(
-        self,
-        outgoing: Dict[Tuple[int, int], List[Message]],
-        addresses: Dict[Tuple[int, int], Tuple[str, int]],
-    ) -> None:
-        """Send each destination its shares; record a failed one and go on."""
-        for dest, msgs in sorted(outgoing.items()):
-            try:
-                if dest not in addresses:
-                    raise TransportError(f"no address for database endpoint {dest}")
-                with _connect_with_retry(addresses[dest], self._stop) as conn:
-                    conn.sendall(b"".join(encode_msg(msg) for msg in msgs))
-            except (TransportError, OSError) as exc:
-                with self._lock:
-                    self.errors.append(
-                        TransportError(
-                            f"shares from ({self.party_id}, {self.database}) to {dest} "
-                            f"not sent: {exc}"
-                        )
-                    )
-                continue
-            with self._lock:
-                self.sent_log.extend(msgs)
+        answers = self.state.answer(specs, self.config.universe)
+        return answers_to_wire(self.leader_id, answers, self.session_id)
 
 
 class _ServeLoop:
-    """One thread serving the sockets of one or more database endpoints."""
+    """One thread serving the sockets of one or more database endpoints.
+
+    Only the loop thread touches the selector, the connections and the
+    endpoints' logs; other threads hand it work through requests and wake.
+    """
 
     def __init__(self) -> None:
         self.selector = selectors.DefaultSelector()
         self.endpoints: List[DatabaseEndpoint] = []  # changed only by the loop once started
         self.thread = threading.Thread(target=self._run, daemon=True)
+        # (endpoint, share connection) from begin_sharing
+        self.requests: queue.SimpleQueue = queue.SimpleQueue()
+        self._retries: List[Tuple[float, DatabaseEndpoint, _Connection]] = []
+        self._wake_lock = threading.Lock()  # the loop closes the waker while others may write
+        self._wakeup, self._waker = socket.socketpair()
+        self._wakeup.setblocking(False)
+        self._waker.setblocking(False)
+        self.selector.register(self._wakeup, selectors.EVENT_READ, None)
 
     def add(self, endpoint: DatabaseEndpoint) -> None:
         if self.thread.ident is not None:
@@ -455,84 +257,187 @@ class _ServeLoop:
     def start(self) -> None:
         self.thread.start()
 
+    def wake(self) -> None:
+        """Make the loop take its requests and look at the stop flags."""
+        # Fails once the loop has closed the waker, or while it is full of wakeups.
+        with self._wake_lock, contextlib.suppress(OSError):
+            self._waker.send(b"\0")
+
     def _run(self) -> None:
         selector = self.selector
         try:
+            patience = None
             while self.endpoints:
-                for key, _ in selector.select(self._patience()):
-                    endpoint, state = key.data
-                    if state is None:
-                        self._accept(endpoint)
+                for key, mask in selector.select(patience):
+                    if key.data is None:
+                        self._take_requests()
+                    elif key.data[1] is None:
+                        self._accept(key.data[0])
                     else:
-                        self._step(key, endpoint._read_frames)
-                for key in list(selector.get_map().values()):
-                    endpoint, state = key.data
-                    if state is not None and state.waiting:
-                        self._step(key, endpoint._answer_waiting)
-                for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
-                    self._remove(endpoint)
+                        self._step(key, mask)
+                patience = self._tick()
         finally:
             for endpoint in list(self.endpoints):
                 self._remove(endpoint)
             selector.close()
+            with self._wake_lock:
+                self._wakeup.close()
+                self._waker.close()
 
-    def _patience(self) -> Optional[float]:
-        """How long the loop may block: until some waiting query gives up."""
-        deadlines = [
-            state.deadline
-            for endpoint, state in (key.data for key in self.selector.get_map().values())
-            if state is not None and state.waiting and not endpoint._ready.is_set()
-        ]
-        return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+    def _take_requests(self) -> None:
+        self._wakeup.recv(RECV_BYTES)
+        while not self.requests.empty():
+            self._connect(*self.requests.get())
+
+    def _connect(self, endpoint: DatabaseEndpoint, conn: _Connection) -> None:
+        """Open a share connection; it is writable once connected or refused."""
+        if conn.address is None:
+            self._finish(endpoint, conn, f"no address for database endpoint {conn.dest}")
+            return
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        key = self.selector.register(sock, selectors.EVENT_WRITE, (endpoint, conn))
+        try:
+            sock.connect(conn.address)
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            self._close(key, exc)
 
     def _accept(self, endpoint: DatabaseEndpoint) -> None:
         try:
             conn, _ = endpoint._sock.accept()
-        except BlockingIOError:
-            return
         except OSError:
-            # stop() shut the listening socket down.
-            endpoint._stop.set()
             return
-        conn.settimeout(SOCKET_TIMEOUT_SECONDS)
+        conn.setblocking(False)
         self.selector.register(conn, selectors.EVENT_READ, (endpoint, _Connection()))
 
-    def _step(self, key: selectors.SelectorKey, step) -> None:
-        """Run one step for a connection; on failure drop the connection.
-
-        Closing the connection signals the failure to the peer.
-        """
+    def _step(self, key: selectors.SelectorKey, mask: int) -> None:
+        """Serve one ready connection; on failure close it."""
+        sock = key.fileobj
+        endpoint, conn = key.data
         try:
-            step(key.fileobj, key.data[1])
-        except (ProtocolViolationError, TransportError, OSError):
-            self.selector.unregister(key.fileobj)
-            key.fileobj.close()
+            if mask & selectors.EVENT_WRITE:
+                if conn.dest is not None:
+                    # A share connection: its connect may have been refused.
+                    error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                    if error:
+                        raise OSError(error, os.strerror(error))
+                    conn.deadline = time.monotonic() + SOCKET_TIMEOUT_SECONDS
+                self._write(key)
+            if mask & selectors.EVENT_READ:
+                if conn.dest is None:
+                    endpoint._read_frames(sock, conn)
+                elif sock.recv(1):
+                    raise ProtocolViolationError(f"{conn.dest} wrote on a share connection")
+                else:
+                    # The receiver closed the connection having read every frame.
+                    self._close(key)
+        except (ProtocolViolationError, TransportError, OSError) as exc:
+            self._close(key, exc)
+
+    def _write(self, key: selectors.SelectorKey) -> None:
+        sock = key.fileobj
+        endpoint, conn = key.data
+        del conn.out[: sock.send(conn.out)]
+        if conn.out:
+            return
+        if conn.dest is not None:
+            sock.shutdown(socket.SHUT_WR)  # then wait for the receiver to close
+        else:
+            endpoint.sent_log.extend(conn.unlogged)
+            conn.unlogged = []
+        self.selector.modify(sock, selectors.EVENT_READ, key.data)
+
+    def _tick(self) -> Optional[float]:
+        """Retry refused connects, answer queries now ready, enforce deadlines.
+
+        Returns how long the loop may block: until the next retry or deadline.
+        """
+        now = time.monotonic()
+        due = [retry for retry in self._retries if retry[0] <= now]
+        self._retries = [retry for retry in self._retries if retry[0] > now]
+        for _, endpoint, conn in due:
+            self._connect(endpoint, conn)
+        times = [retry_at for retry_at, _, _ in self._retries]
+        for key in list(self.selector.get_map().values()):
+            if key.data is None or key.data[1] is None:
+                continue
+            endpoint, conn = key.data
+            try:
+                if conn.waiting and endpoint.state.ready:
+                    answers = endpoint._answer(conn.waiting)
+                    conn.waiting = []
+                    conn.out += b"".join(map(encode_msg, answers))
+                    conn.unlogged.extend(answers)
+                    self.selector.modify(
+                        key.fileobj, selectors.EVENT_READ | selectors.EVENT_WRITE, key.data
+                    )
+                elif conn.waiting and now >= conn.deadline:
+                    raise TransportError("randomness was not installed in time")
+                elif conn.dest is not None and now >= conn.deadline:
+                    raise TransportError("timed out")
+                elif conn.dest is not None or conn.waiting:
+                    times.append(conn.deadline)
+            except (ProtocolViolationError, TransportError) as exc:
+                self._close(key, exc)
+        for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
+            self._remove(endpoint)
+        return max(0.0, min(times) - now) if times else None
+
+    def _close(self, key: selectors.SelectorKey, cause=None) -> None:
+        """Close a connection, failed when cause is given, which tells the peer.
+
+        A share connection that closes ends its shares, as sent or as failed.
+        """
+        self.selector.unregister(key.fileobj)
+        key.fileobj.close()
+        endpoint, conn = key.data
+        if conn.dest is not None:
+            self._finish(endpoint, conn, cause)
+
+    def _finish(self, endpoint: DatabaseEndpoint, conn: _Connection, cause=None) -> None:
+        """End a share connection: its shares are sent, or cause says why not.
+
+        A refused connect is tried again shortly, until the connection's
+        deadline: its receiver may not listen yet.
+        """
+        retry_at = time.monotonic() + RETRY_PAUSE_SECONDS
+        if isinstance(cause, ConnectionRefusedError) and retry_at < conn.deadline:
+            self._retries.append((retry_at, endpoint, conn))
+            return
+        if cause is None:
+            endpoint.sent_log.extend(conn.unlogged)
+        else:
+            sender = (endpoint.party_id, endpoint.database)
+            endpoint.errors.append(
+                TransportError(f"shares from {sender} to {conn.dest} not sent: {cause}")
+            )
+        endpoint._sending -= 1
+        if not endpoint._sending:
+            endpoint._shared.set()
 
     def _remove(self, endpoint: DatabaseEndpoint) -> None:
         """Stop serving an endpoint: close its connections, forget its socket."""
         for key in list(self.selector.get_map().values()):
-            owner, state = key.data
-            if owner is endpoint:
+            if key.data is not None and key.data[0] is endpoint:
                 self.selector.unregister(key.fileobj)
-                if state is not None:
+                if key.data[1] is not None:
                     key.fileobj.close()
+        self._retries = [retry for retry in self._retries if retry[1] is not endpoint]
         self.endpoints.remove(endpoint)
         endpoint._closed.set()
 
 
-def _connect_with_retry(
-    address: Tuple[str, int], stop: Optional[threading.Event] = None
-) -> socket.socket:
+def _connect_with_retry(address: Tuple[str, int]) -> socket.socket:
     deadline = time.monotonic() + CONNECT_RETRY_SECONDS
     while True:
         try:
-            conn = socket.create_connection(address, timeout=SOCKET_TIMEOUT_SECONDS)
-            conn.settimeout(SOCKET_TIMEOUT_SECONDS)
-            return conn
+            return socket.create_connection(address, timeout=SOCKET_TIMEOUT_SECONDS)
         except OSError as exc:
-            if time.monotonic() >= deadline or (stop is not None and stop.is_set()):
+            if time.monotonic() >= deadline:
                 raise TransportError(f"cannot connect to {address}: {exc}") from exc
-            time.sleep(0.05)
+            time.sleep(RETRY_PAUSE_SECONDS)
 
 
 @dataclass
@@ -639,14 +544,16 @@ def _exchange_all(
     return collected
 
 
-def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
+def spawn_endpoints(
+    config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
+) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
     setup = prepare_session(config.parties, config.universe, config.leader_override)
     loop = _ServeLoop()
     endpoints = []
     for client in setup.clients:
         for db in range(1, client.num_databases + 1):
-            endpoint = DatabaseEndpoint(config, client.party_id, db)
+            endpoint = DatabaseEndpoint(config, client.party_id, db, policy=policy)
             endpoint.start(loop)
             endpoints.append(endpoint)
     loop.start()
@@ -656,20 +563,18 @@ def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
 def run_networked_session(
     config: SessionConfig,
     endpoints: Optional[List[DatabaseEndpoint]] = None,
+    policy: RandomnessPolicy = FAITHFUL,
 ) -> SessionTranscript:
     """Run one session over TCP loopback endpoints.
 
     Without explicit endpoints (and without configured addresses) the runner
-    spawns one endpoint per client database, all served by one thread, and
-    tears them down afterwards.
+    spawns one endpoint per client database under policy, all served by one
+    thread, and tears them down afterwards.
     """
     setup = prepare_session(config.parties, config.universe, config.leader_override)
     if not setup.leader.data_set:
         # Nothing to exchange: the intersection is empty by inspection.
-        return transcript_from_run(
-            config,
-            run_protocol(config.parties, config.universe, config.seed, config.leader_override),
-        )
+        return run_memory_session(config, policy)
     session_id = session_id_for(config)
     owned: List[DatabaseEndpoint] = []
     try:
@@ -678,11 +583,9 @@ def run_networked_session(
             _check_external_addresses(config, setup, addresses)
         else:
             if endpoints is None:
-                endpoints = spawn_endpoints(config)
+                endpoints = spawn_endpoints(config, policy)
                 owned = endpoints
-            addresses = {
-                (ep.party_id, ep.database): ep.address for ep in endpoints
-            }
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
 
         plan = make_partition_plan(setup.leader, setup.clients)
         query_plan = generate_queries(plan, setup.field, config.universe, config.seed)
@@ -708,36 +611,37 @@ def run_networked_session(
                 raise ProtocolViolationError(f"unexpected frame {msg.type!r} in answer round")
             if len(msg.values) != 1 or msg.values[0] >= setup.field.modulus:
                 raise ProtocolViolationError("answer value out of field range")
-            answers.append(
-                _WireAnswer(
-                    client_id=msg.origin[0],
-                    database=msg.origin[1],
-                    partition=msg.partition,
-                    target_pos=msg.target,
-                    value=msg.values[0],
-                )
-            )
+            answers.append(AnswerMsg(*msg.origin, msg.partition, msg.target, msg.values[0]))
         result = decode(plan, answers, setup.field)
 
-        # Evidence log: the randomness traffic is the deterministic function
-        # of (config, seed) that the endpoints also computed; queries and
-        # answers are logged as observed.
-        _, shares = build_bundle(plan, setup.clients, setup.field, config.seed)
-        messages = (
-            shares_to_wire(shares, session_id)
-            + wire_queries
-            + sorted(collected, key=Message.sort_key)
-        )
-        return SessionTranscript(
-            session_id=session_id,
-            leader_id=plan.leader_id,
-            cost_table=setup.costs,
-            messages=tuple(messages),
-            result=result,
-        )
+        if endpoints is not None:
+            shares = _sent_shares(endpoints)
+        else:
+            # External endpoints keep their logs: route the same states here.
+            _, shares = build_bundle(plan, setup.clients, setup.field, config.seed, policy)
+        run = ProtocolRun(setup, plan, query_plan, tuple(shares), tuple(answers), result)
+        return transcript_from_run(config, run)
     finally:
         for ep in owned:
             ep.stop()
+
+
+def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[ShareMessage]:
+    """The shares the endpoints logged as sent, in canonical order, once all are done."""
+    # The loop ends every share connection within this time.
+    for endpoint in endpoints:
+        if not endpoint._shared.wait(CONNECT_RETRY_SECONDS + SOCKET_TIMEOUT_SECONDS):
+            raise TransportError(
+                f"shares from {(endpoint.party_id, endpoint.database)} still unsent"
+            )
+    errors = _endpoint_errors(endpoints)
+    if errors:
+        raise TransportError(f"a database endpoint failed: {errors[0]}") from errors[0]
+    sent = [msg for endpoint in endpoints for msg in endpoint.sent_log]
+    return sorted(
+        (share_from_wire(msg) for msg in sent if msg.phase == "randomness"),
+        key=ShareMessage.sort_key,
+    )
 
 
 def _check_external_addresses(config, setup, addresses) -> None:

@@ -98,7 +98,6 @@ class ProtocolRun:
     setup: SessionSetup
     plan: Optional[PartitionPlan]
     query_plan: Optional[QueryPlan]
-    bundle: Optional[RandomnessBundle]
     share_messages: Tuple[ShareMessage, ...]
     answers: Tuple[AnswerMsg, ...]
     result: IntersectionResult
@@ -125,7 +124,6 @@ def run_protocol(
             setup=setup,
             plan=None,
             query_plan=None,
-            bundle=None,
             share_messages=(),
             answers=(),
             result=empty,
@@ -139,7 +137,6 @@ def run_protocol(
         setup=setup,
         plan=plan,
         query_plan=query_plan,
-        bundle=bundle,
         share_messages=tuple(share_messages),
         answers=tuple(answers),
         result=result,

@@ -14,6 +14,10 @@ The free individual values travel to the last client's databases as share
 messages keyed by leader-set position (1..R). Positions, not element ids,
 cross party boundaries: clients only ever learn the public set size.
 
+Each client database draws, sends and installs its own values in a
+database.DatabaseState. build_bundle runs the phase in memory by routing
+shares between one such state per client database.
+
 A RandomnessPolicy can deliberately break each tier; the audit module uses
 these mutations as negative controls.
 """
@@ -45,13 +49,21 @@ FAITHFUL = RandomnessPolicy()
 
 @dataclass(frozen=True)
 class ShareMessage:
-    """One randomness-phase message between client databases."""
+    """One randomness-phase message between client databases.
+
+    A well-formed share holds one residue in values; database states reject
+    any other.
+    """
 
     kind: str  # "t_share" | "c_share"
     origin: Tuple[int, int]
     dest: Tuple[int, int]
     position: Optional[int]
-    value: int
+    values: Tuple[int, ...]
+
+    def sort_key(self) -> tuple:
+        """The transcript's order: t shares, then c shares, by origin, dest, position."""
+        return (self.kind != "t_share", self.origin, self.dest, self.position or 0)
 
 
 @dataclass
@@ -70,7 +82,7 @@ class RandomnessBundle:
     def local_slot(self, client_id: int, partition: int) -> int:
         try:
             return self.local[client_id][partition - 1]
-        except (KeyError, IndexError):
+        except (KeyError, IndexError, TypeError):  # TypeError: a query without a partition
             raise ProtocolViolationError(
                 f"no local randomness slot for client {client_id} partition {partition}"
             )
@@ -113,75 +125,6 @@ def gen_local(
     ]
 
 
-def gen_individual_free(
-    plan: PartitionPlan,
-    field: PrimeField,
-    seed: int,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> Tuple[Dict[Tuple[int, int], int], List[ShareMessage]]:
-    """Free individual values for every client except the correlating one.
-
-    Returns the values keyed by (client, position) plus the share messages
-    that carry them to the correlating client's matching databases.
-    """
-    corr = correlating_client(plan.client_ids)
-    values: Dict[Tuple[int, int], int] = {}
-    messages: List[ShareMessage] = []
-    for client_id in free_clients(plan.client_ids):
-        for position in range(1, plan.set_size + 1):
-            partition, database = plan.position_location(client_id, position)
-            if policy.zero_individual:
-                value = 0
-            else:
-                value = draw_value(seed, field.modulus, "t", client_id, database, partition)
-            values[(client_id, position)] = value
-            _, dest_db = plan.position_location(corr, position)
-            messages.append(
-                ShareMessage(
-                    kind="t_share",
-                    origin=(client_id, database),
-                    dest=(corr, dest_db),
-                    position=position,
-                    value=value,
-                )
-            )
-    return values, messages
-
-
-def correlate(
-    free_values: Dict[Tuple[int, int], int],
-    plan: PartitionPlan,
-    num_parties: int,
-    field: PrimeField,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> Dict[int, int]:
-    """Values for the correlating client, one per leader-set position.
-
-    Completes each position's sum across clients to L - (M - 1). With a
-    single client (two parties) the sum is empty and the value is L - 1.
-    """
-    corr = correlating_client(plan.client_ids)
-    others = free_clients(plan.client_ids)
-    if policy.zero_individual:
-        return {k: 0 for k in range(1, plan.set_size + 1)}
-    modulus = field.modulus
-    target = modulus - (num_parties - 1) + policy.correlation_offset
-    result: Dict[int, int] = {}
-    for position in range(1, plan.set_size + 1):
-        total = 0
-        for client_id in others:
-            key = (client_id, position)
-            if key not in free_values:
-                raise ProtocolViolationError(
-                    f"missing randomness share from client {client_id} "
-                    f"for position {position}"
-                )
-            total += free_values[key]
-        result[position] = (target - total) % modulus
-    assert corr not in others
-    return result
-
-
 def gen_global(
     field: PrimeField, seed: int, policy: RandomnessPolicy = FAITHFUL
 ) -> int:
@@ -201,43 +144,29 @@ def build_bundle(
     seed: int,
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Tuple[RandomnessBundle, List[ShareMessage]]:
-    """Assemble the full randomness bundle and its sharing traffic."""
-    num_parties = len(clients) + 1
-    corr = correlating_client(plan.client_ids)
+    """Run the randomness phase in memory: the router between database states.
+
+    Builds one state per client database, delivers every share they send in
+    the transcript's canonical order, and merges what each state installed
+    into one bundle. Returns the bundle and the shares in that order.
+    """
+    # The state module builds on this one's tiers and policy.
+    from .database import DatabaseState
+
+    states = {
+        (client.party_id, db): DatabaseState(plan.shape, client, db, field, seed, policy)
+        for client in clients
+        for db in range(1, client.num_databases + 1)
+    }
+    shares = sorted(
+        (share for state in states.values() for share in state.shares()),
+        key=ShareMessage.sort_key,
+    )
+    for share in shares:
+        states[share.dest].receive(share)
     bundle = RandomnessBundle()
-
-    for client_id in plan.client_ids:
-        bundle.local[client_id] = gen_local(
-            client_id, plan.eta[client_id], field, seed, policy
-        )
-        # Database 1 never adds individual randomness.
-        bundle.individual[(client_id, 1)] = {
-            ell: 0 for ell in range(1, plan.eta[client_id] + 1)
-        }
-
-    free_values, messages = gen_individual_free(plan, field, seed, policy)
-    corr_values = correlate(free_values, plan, num_parties, field, policy)
-
-    for (client_id, position), value in free_values.items():
-        partition, database = plan.position_location(client_id, position)
-        bundle.individual.setdefault((client_id, database), {})[partition] = value
-    for position, value in corr_values.items():
-        partition, database = plan.position_location(corr, position)
-        bundle.individual.setdefault((corr, database), {})[partition] = value
-
-    bundle.c = gen_global(field, seed, policy)
-    origin_client = min(plan.client_ids)
-    for client in sorted(clients, key=lambda p: p.party_id):
-        for database in range(1, client.num_databases + 1):
-            if (client.party_id, database) == (origin_client, 1):
-                continue
-            messages.append(
-                ShareMessage(
-                    kind="c_share",
-                    origin=(origin_client, 1),
-                    dest=(client.party_id, database),
-                    position=None,
-                    value=bundle.c,
-                )
-            )
-    return bundle, messages
+    for state in states.values():
+        bundle.local.update(state.bundle.local)
+        bundle.individual.update(state.bundle.individual)
+    bundle.c = states[plan.client_ids[0], 1].bundle.c
+    return bundle, shares

@@ -22,6 +22,7 @@ def labeled_rng(seed: int, *label) -> random.Random:
     return random.Random(f"{seed}|{tag}")
 
 
+@functools.lru_cache(maxsize=1 << 12)  # each database state redraws its client's local vector
 def draw_value(seed: int, modulus: int, *label) -> int:
     """One uniform value in [0, modulus-1] for the given label."""
     return labeled_rng(seed, *label).randrange(modulus)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError
 from .leader import CostTable, IntersectionResult
 from .protocol import ProtocolRun, run_protocol
-from .randomness import FAITHFUL, RandomnessPolicy
+from .randomness import FAITHFUL, RandomnessPolicy, ShareMessage
 from .wire import SESSION_ID_CHARS, Message, message_from_dict, render_body
 
 
@@ -111,23 +111,23 @@ def session_id_for(config: SessionConfig) -> str:
     return digest.hexdigest()[:SESSION_ID_CHARS]
 
 
-def shares_to_wire(share_messages, session_id: str) -> List[Message]:
-    """Canonically ordered wire form of the randomness-phase traffic."""
-    shares = [
-        Message(
-            type=share.kind,
-            session_id=session_id,
-            phase="randomness",
-            origin=share.origin,
-            dest=share.dest,
-            partition=None,
-            target=share.position,
-            values=(share.value,),
-        )
-        for share in share_messages
-    ]
-    shares.sort(key=lambda m: (m.type != "t_share", m.sort_key()))
-    return shares
+def share_to_wire(share: ShareMessage, session_id: str) -> Message:
+    """The wire form of one randomness-phase message."""
+    return Message(
+        type=share.kind,
+        session_id=session_id,
+        phase="randomness",
+        origin=share.origin,
+        dest=share.dest,
+        partition=None,
+        target=share.position,
+        values=share.values,
+    )
+
+
+def share_from_wire(msg: Message) -> ShareMessage:
+    """The randomness-phase message a t_share or c_share frame carries."""
+    return ShareMessage(msg.type, msg.origin, msg.dest, msg.target, msg.values)
 
 
 def queries_to_wire(leader_id: int, specs, session_id: str) -> List[Message]:
@@ -171,7 +171,7 @@ def transcript_from_run(config: SessionConfig, run: ProtocolRun) -> SessionTrans
     messages: List[Message] = []
     if run.plan is not None:
         leader_id = run.plan.leader_id
-        messages.extend(shares_to_wire(run.share_messages, session_id))
+        messages.extend(share_to_wire(share, session_id) for share in run.share_messages)
         messages.extend(queries_to_wire(leader_id, run.query_plan.all_queries(), session_id))
         messages.extend(answers_to_wire(leader_id, run.answers, session_id))
     return SessionTranscript(

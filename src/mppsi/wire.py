@@ -208,9 +208,10 @@ def decode_msg(frame: bytes) -> Message:
         raise ProtocolViolationError(
             f"frame length mismatch: declared {length}, got {len(body)}"
         )
+    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit.
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
     return message_from_dict(data)
 

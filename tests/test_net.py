@@ -11,8 +11,9 @@ import pytest
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.errors import ProtocolViolationError, TransportError
-from mppsi.model import PartyProfile
+from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
+from mppsi.randomness import RandomnessPolicy
 from mppsi.session import run_memory_session, session_id_for
 from mppsi.wire import Message, encode_msg
 
@@ -97,33 +98,32 @@ class TestEquivalence:
 
 
 class TestEndpointBehaviour:
-    def test_endpoint_logs_match_reconstructed_randomness_traffic(self):
+    def test_endpoint_logs_match_the_memory_randomness_section(self):
         config = DEMOS["sec7_2"].config
+        expected = [
+            (m.type, m.origin, m.dest, m.target, m.values)
+            for m in run_memory_session(config).messages_in_phase("randomness")
+        ]
         endpoints = spawn_endpoints(config)
         try:
-            transcript = run_networked_session(config, endpoints=endpoints)
-            expected = {
-                (m.type, m.origin, m.dest, m.target, m.values)
-                for m in transcript.messages_in_phase("randomness")
-            }
-            # Shares to idle databases are fire-and-forget; give their logs
-            # a moment to settle before comparing.
-            deadline = time.monotonic() + 5.0
-            while True:
-                sent = set()
-                received = set()
-                for ep in endpoints:
-                    for m in ep.sent_log:
-                        if m.phase == "randomness":
-                            sent.add((m.type, m.origin, m.dest, m.target, m.values))
-                    for m in ep.received_log:
-                        if m.phase == "randomness":
-                            received.add((m.type, m.origin, m.dest, m.target, m.values))
-                if (sent == expected and received == expected) or time.monotonic() > deadline:
-                    break
-                time.sleep(0.02)
-            assert sent == expected
-            assert received == expected
+            run_networked_session(config, endpoints=endpoints)
+            # The runner returns once every share is sent, and a share
+            # connection is done only when its receiver has read it all.
+            sent = []
+            received = []
+            for ep in endpoints:
+                sent += [
+                    (m.type, m.origin, m.dest, m.target, m.values)
+                    for m in ep.sent_log
+                    if m.phase == "randomness"
+                ]
+                received += [
+                    (m.type, m.origin, m.dest, m.target, m.values)
+                    for m in ep.received_log
+                    if m.phase == "randomness"
+                ]
+            assert sorted(sent) == sorted(expected)
+            assert sorted(received) == sorted(expected)
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -182,13 +182,14 @@ class TestEndpointBehaviour:
             net_mod.CONNECT_RETRY_SECONDS = old_retry
 
     def test_stop_wakes_accept_loops_at_once(self):
+        before = set(threading.enumerate())
         endpoints = spawn_endpoints(DEMOS["sec4"].config)
         assert len(endpoints) == 6
         start = time.perf_counter()
         for endpoint in endpoints:
             endpoint.stop()
         assert time.perf_counter() - start < 0.1
-        assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
+        assert set(threading.enumerate()) <= before
 
     def test_query_without_randomness_is_dropped_in_bounded_time(self, monkeypatch):
         import mppsi.net as net_mod
@@ -198,7 +199,7 @@ class TestEndpointBehaviour:
         # No begin_sharing: the endpoints never receive their randomness.
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if ep.database >= 2 and ep._c is None)
+            target = next(ep for ep in endpoints if not ep.state.ready)
             query = Message(
                 type="query",
                 session_id=session_id_for(config),
@@ -219,30 +220,36 @@ class TestEndpointBehaviour:
             for ep in endpoints:
                 ep.stop()
 
-    def test_spawned_endpoints_share_one_serve_thread(self):
+    def test_spawned_endpoints_and_session_start_one_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
         config = DEMOS["sec7_2"].config
         endpoints = spawn_endpoints(config)
         try:
             run_networked_session(config, endpoints=endpoints)
+            assert started == [endpoints[0]._loop.thread]
+            assert all(ep._loop is endpoints[0]._loop for ep in endpoints)
         finally:
             for ep in endpoints:
                 ep.stop()
-        loops = {ep._threads[0] for ep in endpoints}
-        assert len(loops) == 1
         for ep in endpoints:
             asked = [m for m in ep.received_log if m.type == "query"]
             answered = [m for m in ep.sent_log if m.type == "answer"]
             assert len(asked) == len(answered)
-            # The shared loop, plus at most one sender for randomness shares.
-            assert len(ep._threads) <= 2
-        assert not any(t.is_alive() for ep in endpoints for t in ep._threads)
+        assert not any(thread.is_alive() for thread in started)
 
     def test_query_value_equal_to_modulus_closes_the_connection(self):
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
             # No randomness arrives, so a valid query waits on its connection.
-            target = next(ep for ep in endpoints if ep.database >= 2 and ep._c is None)
+            target = next(ep for ep in endpoints if not ep.state.ready)
             modulus = target.field.modulus
 
             def query(first_value):
@@ -273,30 +280,49 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.c_origin)
+            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-            others = sorted(key for key in addresses if key != sender.c_origin)
+            others = sorted(key for key in addresses if key != sender.state.c_origin)
             missing = others[0]
             del addresses[missing]
             sender.begin_sharing(addresses)
-            sender._threads[-1].join(timeout=10)
-            assert not sender._threads[-1].is_alive()
-
-            def received():
-                return {
-                    (ep.party_id, ep.database)
-                    for ep in endpoints
-                    if any(m.type == "c_share" for m in ep.received_log)
-                }
-
-            deadline = time.monotonic() + 5.0
-            while received() != set(others[1:]) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert received() == set(others[1:])
+            # Set once every share connection is done: closed by its
+            # receiver after reading every frame, or failed.
+            assert sender._shared.wait(timeout=10)
+            received = {
+                (ep.party_id, ep.database)
+                for ep in endpoints
+                if any(m.type == "c_share" for m in ep.received_log)
+            }
+            assert received == set(others[1:])
             assert [str(missing) in str(error) for error in sender.errors] == [True]
         finally:
             for ep in endpoints:
                 ep.stop()
+
+    def test_refused_share_connection_is_retried_until_its_receiver_listens(self):
+        config = DEMOS["sec4"].config
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        sender = DatabaseEndpoint(config, 1, 1)
+        late = DatabaseEndpoint(config, 2, 3, port=port)
+        others = [DatabaseEndpoint(config, *key) for key in [(1, 2), (1, 3), (2, 1), (2, 2)]]
+        for endpoint in [sender] + others:
+            endpoint.start()
+        try:
+            addresses = {(ep.party_id, ep.database): ep.address for ep in others}
+            addresses[(2, 3)] = ("127.0.0.1", port)
+            sender.begin_sharing(addresses)
+            time.sleep(0.3)
+            late.start()
+            assert sender._shared.wait(timeout=5)
+            assert sender.errors == []
+            assert [m.type for m in late.received_log] == ["c_share"]
+        finally:
+            for endpoint in [sender, late] + others:
+                endpoint.stop()
 
     def test_leader_party_cannot_serve_endpoints(self):
         from mppsi.errors import ConfigError
@@ -304,6 +330,169 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         with pytest.raises(ConfigError):
             DatabaseEndpoint(config, 3, 1)
+
+
+POLICIES = {
+    "zero_local": RandomnessPolicy(zero_local=True),
+    "zero_individual": RandomnessPolicy(zero_individual=True),
+    "correlation_offset=1": RandomnessPolicy(correlation_offset=1),
+    "fixed_global=1": RandomnessPolicy(fixed_global=1),
+}
+
+
+class TestPoliciesOverTcp:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_transcript_equals_the_memory_transcript(self, name, policy_name):
+        config = DEMOS[name].config
+        policy = POLICIES[policy_name]
+        over_tcp = run_networked_session(config, policy=policy)
+        assert over_tcp.serialize() == run_memory_session(config, policy).serialize()
+        if policy.correlation_offset:
+            assert over_tcp.result.decoded != brute_force_intersection(config.parties)
+
+
+def share(config, kind, origin, dest, target, values):
+    return Message(
+        type=kind,
+        session_id=session_id_for(config),
+        phase="randomness",
+        origin=origin,
+        dest=dest,
+        partition=None,
+        target=target,
+        values=values,
+    )
+
+
+def send_and_expect_close(endpoint, msg):
+    with socket.create_connection(endpoint.address, timeout=5) as conn:
+        conn.settimeout(5)
+        conn.sendall(encode_msg(msg))
+        assert conn.recv(1) == b""
+
+
+# sec4: clients 1 and 2, each with three databases; client 2 completes the
+# correlation, and its database (2, 2) takes position 1's share from (1, 2).
+# L = 3 and the multiplier comes from (1, 1).
+BAD_SHARES = {
+    "no value": ("c_share", (1, 1), (1, 2), None, ()),
+    "two values": ("c_share", (1, 1), (1, 2), None, (1, 1)),
+    "multiplier from elsewhere": ("c_share", (9, 9), (1, 2), None, (1,)),
+    "multiplier from a client database": ("c_share", (2, 1), (1, 2), None, (1,)),
+    "t share from the other database": ("t_share", (1, 3), (2, 2), 1, (1,)),
+    "t share from the correlating client": ("t_share", (2, 3), (2, 2), 1, (1,)),
+    "t share from the leader": ("t_share", (3, 2), (2, 2), 1, (1,)),
+    "t share value equal to L": ("t_share", (1, 2), (2, 2), 1, (3,)),
+    "t share without a value": ("t_share", (1, 2), (2, 2), 1, ()),
+    "t share for a position held elsewhere": ("t_share", (1, 3), (2, 2), 2, (1,)),
+}
+
+
+class TestSharesFromTheWire:
+    @pytest.mark.parametrize("bad", sorted(BAD_SHARES))
+    def test_rejected_share_closes_its_connection_and_installs_nothing(self, bad):
+        config = DEMOS["sec4"].config
+        kind, origin, dest, target, values = BAD_SHARES[bad]
+        endpoints = spawn_endpoints(config)
+        try:
+            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == dest)
+            before = (victim.state.bundle.c, dict(victim.state.bundle.individual))
+            send_and_expect_close(victim, share(config, kind, origin, dest, target, values))
+            assert (victim.state.bundle.c, victim.state.bundle.individual) == before
+            assert victim.received_log == []
+            # The loop serves on, and the victim still takes the honest shares.
+            start = time.monotonic()
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert time.monotonic() - start < 1.0
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_query_without_a_partition_closes_only_its_connection(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            # (1, 1) draws the multiplier and needs no share, so it answers at once.
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            query = Message(
+                type="query",
+                session_id=session_id_for(config),
+                phase="query",
+                origin=(3, 0),
+                dest=(1, 1),
+                partition=None,
+                target=None,
+                values=(0,) * config.universe_size,
+            )
+            send_and_expect_close(target, query)
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_deeply_nested_frame_closes_only_its_connection(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            body = b"[" * 100_000
+            with socket.create_connection(endpoints[0].address, timeout=5) as conn:
+                conn.settimeout(5)
+                conn.sendall(len(body).to_bytes(4, "big") + body)
+                assert conn.recv(1) == b""
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_multiplier_is_taken_only_once(self):
+        config = DEMOS["sec4"].config
+        real_c = next(
+            m.values for m in run_memory_session(config).messages_in_phase("randomness")
+            if m.type == "c_share"
+        )
+        endpoints = spawn_endpoints(config)
+        try:
+            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 2))
+            first = share(config, "c_share", (1, 1), (1, 2), None, real_c)
+            with socket.create_connection(victim.address, timeout=5) as conn:
+                conn.sendall(encode_msg(first))
+                conn.shutdown(socket.SHUT_WR)
+                conn.settimeout(5)
+                assert conn.recv(1) == b""
+            assert victim.state.bundle.c == real_c[0]
+            other = 3 - real_c[0]  # the other nonzero residue mod 3
+            send_and_expect_close(victim, share(config, "c_share", (1, 1), (1, 2), None, (other,)))
+            assert victim.state.bundle.c == real_c[0]
+            assert victim.received_log == [first]
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_a_peer_that_never_reads_stalls_no_one(self):
+        config = DEMOS["sec4"].config
+        own = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
+        ]
+        flood = b"".join(map(encode_msg, own)) * 1000
+        endpoints = spawn_endpoints(config)
+        try:
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            with socket.create_connection(target.address, timeout=10) as peer:
+                written = 0
+                while written < 7_000_000:
+                    peer.sendall(flood)
+                    written += len(flood)
+                start = time.monotonic()
+                over_tcp = run_networked_session(config, endpoints=endpoints)
+                assert time.monotonic() - start < 1.0
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
 
 
 class RogueDatabase:
@@ -370,7 +559,7 @@ class TestEndpointErrorsReachTheRunner:
     def test_unsent_shares_fail_the_session_with_their_cause_at_once(self):
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
-        sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.c_origin)
+        sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
         share = sender.begin_sharing
         # The c sender alone lacks the address of (1, 2), which therefore
         # never gets its multiplier and never answers.
@@ -386,7 +575,7 @@ class TestEndpointErrorsReachTheRunner:
             for ep in endpoints:
                 ep.stop()
         assert "no address for database endpoint (1, 2)" in str(raised.value)
-        assert str(sender.c_origin) in str(raised.value)
+        assert str(sender.state.c_origin) in str(raised.value)
         assert raised.value.__cause__ is sender.errors[0]
 
     def test_a_round_failing_otherwise_names_the_endpoint_errors(self):

@@ -224,6 +224,13 @@ class TestFrameErrors:
         with pytest.raises(ProtocolViolationError):
             decode_msg(frame_with_body(b"not json"))
 
+    @pytest.mark.parametrize(
+        "body", [b"[" * 100_000, b'{"values": [' + b"1" * 5000 + b"]}"], ids=["nested", "digits"]
+    )
+    def test_payload_past_the_parser_limits(self, body):
+        with pytest.raises(ProtocolViolationError):
+            decode_msg(frame_with_body(body))
+
 
 class TestSplitFrames:
     MSG = Message("answer", "feed", "answer", (1, 2), (3, 0), 1, None, (4,))
