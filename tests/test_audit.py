@@ -120,11 +120,53 @@ class TestReliability:
         report = check_reliability(TWO_PARTY)
         assert report.passed and report.exhaustive_h
 
+    # The failure strings and counts below pin the enumeration order (s, then
+    # t, then c, innermost last, under each base-vector set) and the stop
+    # after five failures.
+
     def test_broken_correlation_fails(self):
         report = check_reliability(
             HOMOGENEOUS, policy=RandomnessPolicy(correlation_offset=1)
         )
-        assert not report.passed
+        assert (report.passed, report.cases, report.space) == (False, 5, 162)
+        assert report.exhaustive_randomness and report.exhaustive_h
+        assert report.failures == [
+            f"h=((0, 0, 0, 0),) s=(0, 0) t=(0, {t}) c={c}: decoded [], true [1]"
+            for t, c in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1))
+        ]
+
+    def test_broken_correlation_two_party_reports_every_failure(self):
+        report = check_reliability(
+            TWO_PARTY, policy=RandomnessPolicy(correlation_offset=1)
+        )
+        assert (report.passed, report.cases, report.space) == (False, 4, 2)
+        assert report.failures == [
+            f"h=(({h},),) s=({s},) t=() c=1: decoded [], true [1]"
+            for h in (0, 1)
+            for s in (0, 1)
+        ]
+
+    def test_broken_correlation_sampled_failures_span_base_vectors(self):
+        report = check_reliability(
+            HETEROGENEOUS,
+            bound=10**6,
+            h_samples=2,
+            sample_beyond_bound=3,
+            policy=RandomnessPolicy(correlation_offset=1),
+        )
+        assert (report.passed, report.cases, report.space) == (False, 5, 5**12 * 4)
+        assert not report.exhaustive_randomness and not report.exhaustive_h
+        h1 = "((0, 3, 3, 0, 2), (1, 0, 2, 1, 1), (2, 0, 4, 4, 3))"
+        h2 = "((0, 1, 4, 4, 1), (1, 0, 1, 3, 3), (3, 2, 3, 1, 4))"
+        draws = [
+            "s=(0, 3, 1, 2, 0, 3) t=(4, 4, 3, 0, 4, 2) c=3",
+            "s=(3, 2, 4, 2, 0, 2) t=(3, 4, 1, 4, 2, 4) c=3",
+            "s=(2, 0, 3, 2, 3, 4) t=(3, 2, 4, 4, 3, 3) c=3",
+        ]
+        assert report.failures == [
+            f"h={h} {draw}: decoded [], true [1, 4]"
+            for h, draw in [(h1, d) for d in draws] + [(h2, d) for d in draws[:2]]
+        ]
 
     def test_zeroed_individual_randomness_fails(self):
         report = check_reliability(
