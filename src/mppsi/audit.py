@@ -6,7 +6,11 @@ exact rationals; zero means zero. The checks are:
 * reliability: decoding equals direct set intersection for every enumerated
   randomness realization (and every base-vector realization when that space
   is small enough to enumerate; base vectors are otherwise sampled, which
-  loses nothing because the identity holds realization by realization);
+  loses nothing because the identity holds realization by realization).
+  The walk computes each level of the product only when it changes (inner
+  products per base-vector set, then + s, then + t, then c times that) and
+  decodes each full answer vector with leader.decode_vector, the kernel
+  behind the transports' decode_values;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -29,12 +33,12 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import answer_value, support_sum
 from .errors import BoundExceededError
 from .field import PrimeField
-from .leader import PartitionPlan, decode_values, generate_queries, make_partition_plan
+from .leader import PartitionPlan, decode_values, decode_vector, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, correlating_client, free_clients
@@ -121,10 +125,12 @@ def randomness_space_size(plan: PartitionPlan, field: PrimeField) -> int:
 class CompiledInstance:
     """Index maps that let the production kernels run over raw value tuples.
 
+    answer_layout follows plan.answer_keys, the order decode_vector reads.
     Inner products per query are constants of the base-vector realization, so
-    they are computed once per realization; each answer then goes through
-    answer_value and each decode through decode_values, the same functions
-    the transports use.
+    they are computed once per realization. The masking checks answer through
+    answer_value and decode through decode_values, as the transports do; the
+    reliability walk builds the same answer vectors level by level
+    (realization_answers) and decodes them with decode_vector.
     """
 
     setup: SessionSetup
@@ -134,9 +140,10 @@ class CompiledInstance:
     t_index: Dict[Tuple[int, int], int]
     n_s: int
     n_t: int
-    # (key, client, partition, target_pos, s_idx, t_ref); t_ref is None for
-    # database-1 answers, ("free", idx) or ("corr", position) otherwise.
-    answer_layout: List[Tuple[Tuple[int, int, Optional[int]], int, int, Optional[int], int, Optional[Tuple[str, int]]]]
+    # (key, client, partition, target_pos, s_idx, t_idx); t_idx indexes
+    # t + completion + (0,): free values, then the correlating client's value
+    # per position, then the zero every database-1 answer adds.
+    answer_layout: List[Tuple[Tuple[int, int, Optional[int]], int, int, Optional[int], int, int]]
     corr_free_indices: Dict[int, List[int]]
 
     @property
@@ -162,27 +169,15 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         for position in range(1, plan.set_size + 1):
             t_index[(client_id, position)] = len(t_index)
     layout = []
-    for client_id in plan.client_ids:
-        for ell in range(1, plan.eta[client_id] + 1):
-            layout.append(
-                ((client_id, ell, None), client_id, ell, None, s_index[(client_id, ell)], None)
-            )
-        for position in range(1, plan.set_size + 1):
-            partition, _ = plan.position_location(client_id, position)
-            if client_id == corr:
-                t_ref: Optional[Tuple[str, int]] = ("corr", position)
-            else:
-                t_ref = ("free", t_index[(client_id, position)])
-            layout.append(
-                (
-                    (client_id, partition, position),
-                    client_id,
-                    partition,
-                    position,
-                    s_index[(client_id, partition)],
-                    t_ref,
-                )
-            )
+    for key in plan.answer_keys:
+        client_id, partition, position = key
+        if position is None:
+            t_idx = -1
+        elif client_id == corr:
+            t_idx = len(t_index) + position - 1
+        else:
+            t_idx = t_index[(client_id, position)]
+        layout.append((key, client_id, partition, position, s_index[(client_id, partition)], t_idx))
     corr_free = {
         position: [t_index[(client_id, position)] for client_id in free]
         for position in range(1, plan.set_size + 1)
@@ -222,6 +217,25 @@ def query_inner_products(
     return ips
 
 
+def individual_values(
+    compiled: CompiledInstance, t_values: Sequence[int], policy: RandomnessPolicy
+) -> Tuple[int, ...]:
+    """t + completion + (0,), the values answer_layout's t_idx reads.
+
+    The correlating client completes each position's sum of individual
+    values to L - (M - 1), shifted by the policy's correlation offset.
+    """
+    modulus = compiled.field.modulus
+    num_parties = len(compiled.plan.client_ids) + 1
+    target = (modulus - (num_parties - 1) + policy.correlation_offset) % modulus
+    completion = [
+        0 if policy.zero_individual
+        else (target - sum(map(t_values.__getitem__, slots))) % modulus
+        for slots in compiled.corr_free_indices.values()
+    ]
+    return (*t_values, *completion, 0)
+
+
 def answers_for_realization(
     compiled: CompiledInstance,
     ips: Dict[Tuple[int, int, Optional[int]], int],
@@ -232,25 +246,41 @@ def answers_for_realization(
 ) -> Dict[Tuple[int, int, Optional[int]], int]:
     """All answer values for one randomness realization, via answer_value."""
     modulus = compiled.field.modulus
-    num_parties = len(compiled.plan.client_ids) + 1
-    if policy.zero_individual:
-        corr_t = {k: 0 for k in compiled.corr_free_indices}
-    else:
-        target = (modulus - (num_parties - 1) + policy.correlation_offset) % modulus
-        corr_t = {
-            position: (target - sum(t_values[i] for i in indices)) % modulus
-            for position, indices in compiled.corr_free_indices.items()
-        }
-    out: Dict[Tuple[int, int, Optional[int]], int] = {}
-    for key, _, _, _, s_idx, t_ref in compiled.answer_layout:
-        if t_ref is None:
-            t_val = 0
-        elif t_ref[0] == "free":
-            t_val = t_values[t_ref[1]]
-        else:
-            t_val = corr_t[t_ref[1]]
-        out[key] = answer_value(ips[key], s_values[s_idx], t_val, c_value, modulus)
-    return out
+    t_all = individual_values(compiled, t_values, policy)
+    return {
+        key: answer_value(ips[key], s_values[s_idx], t_all[t_idx], c_value, modulus)
+        for key, _, _, _, s_idx, t_idx in compiled.answer_layout
+    }
+
+
+def realization_answers(
+    compiled: CompiledInstance,
+    ips: Dict[Tuple[int, int, Optional[int]], int],
+    realizations: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...], int]],
+    policy: RandomnessPolicy = FAITHFUL,
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, List[int]]]:
+    """Each realization with its answers in plan.answer_keys order.
+
+    The values answers_for_realization gives, computed level by level:
+    consecutive enumerated realizations share their s and t, so ip + s is
+    recomputed only when s changes, the correlated completion and
+    ip + s + t only when s or t changes, and each c scales that vector.
+    """
+    modulus = compiled.field.modulus
+    layout = compiled.answer_layout
+    with_ip = [ips[entry[0]] for entry in layout]
+    s_slots = [entry[4] for entry in layout]
+    t_slots = [entry[5] for entry in layout]
+    s_seen = t_seen = None
+    for s_values, t_values, c_value in realizations:
+        if s_values != s_seen:
+            with_s = [ip + s_values[i] for ip, i in zip(with_ip, s_slots)]
+            s_seen, t_seen = s_values, None
+        if t_values != t_seen:
+            t_all = individual_values(compiled, t_values, policy)
+            with_t = [v + t_all[i] for v, i in zip(with_s, t_slots)]
+            t_seen = t_values
+        yield s_values, t_values, c_value, [c_value * v % modulus for v in with_t]
 
 
 def _h_space(compiled: CompiledInstance) -> int:
@@ -359,11 +389,10 @@ def check_reliability(
         tuples, space, exhaustive = _raw_realizations(
             compiled, policy, bound, sample_beyond_bound, seed
         )
-        for s_values, t_values, c_value in tuples:
-            answers = answers_for_realization(
-                compiled, ips, s_values, t_values, c_value, policy
-            )
-            decoded, _ = decode_values(plan, answers, modulus)
+        for s_values, t_values, c_value, answers in realization_answers(
+            compiled, ips, tuples, policy
+        ):
+            decoded, _ = decode_vector(plan, answers, modulus)
             cases += 1
             if decoded != expected:
                 failures.append(
@@ -756,8 +785,8 @@ def leader_privacy_mi(
         weight = prior * Fraction(1, h_space) * Fraction(1, bundle_space)
         own_profile = next(p for p in clients if p.party_id == client_id)
         delivered = [
-            (key, partition, target_pos)
-            for key, cid, partition, target_pos, _, _ in compiled.answer_layout
+            (key, partition, target_pos, t_idx)
+            for key, cid, partition, target_pos, _, t_idx in compiled.answer_layout
             if cid == client_id
             and (
                 (target_pos is None and database == 1)
@@ -779,7 +808,7 @@ def leader_privacy_mi(
                 h_vectors = tuple((0,) * universe.size for _ in range(kappa))
             ips = query_inner_products(compiled, h_vectors)
             query_view = []
-            for key, partition, target_pos in delivered:
+            for key, partition, target_pos, _ in delivered:
                 vec = list(h_vectors[partition - 1])
                 if target_pos is not None:
                     element = plan.leader_elements[target_pos - 1]
@@ -792,24 +821,11 @@ def leader_privacy_mi(
                         answers = answers_for_realization(
                             compiled, ips, s_values, t_values, c_value
                         )
-                        answer_view = tuple(answers[key] for key, _, _ in delivered)
-                        if database == 1 or client_id != correlating_client(plan.client_ids):
-                            own_t = tuple(
-                                t_values[compiled.t_index[(client_id, pos)]]
-                                for pos in plan.positions_of_database(client_id, database)
-                            ) if database >= 2 else ()
-                        else:
-                            target = (modulus - len(plan.client_ids)) % modulus
-                            own_t = tuple(
-                                (
-                                    target
-                                    - sum(
-                                        t_values[i]
-                                        for i in compiled.corr_free_indices[pos]
-                                    )
-                                ) % modulus
-                                for pos in plan.positions_of_database(client_id, database)
-                            )
+                        answer_view = tuple(answers[key] for key, *_ in delivered)
+                        t_all = individual_values(compiled, t_values, FAITHFUL)
+                        own_t = tuple(
+                            t_all[t_idx] for _, _, pos, t_idx in delivered if pos is not None
+                        )
                         own_s = tuple(s_values[i] for i in s_slots)
                         view = (
                             query_view_t,

@@ -7,6 +7,8 @@ each element of the chunk is targeted at one further database by adding 1 to
 the vector at that element's position. Decoding subtracts the database-1
 answer from each targeted answer and sums the differences per element across
 clients; an element is in the intersection exactly when that sum is zero.
+Each plan fixes one canonical answer order (answer_keys), and decode_vector,
+the one decode kernel, reads answer values laid out in that order.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -158,31 +160,29 @@ class PartitionPlan:
     partitions: Dict[int, List[List[int]]]
 
     def __post_init__(self) -> None:
-        # Decoding walks these key sets on every realization; derive them
-        # once per plan.
-        expected = set()
-        rows = []
+        # The canonical answer order: per client, its database-1 answers by
+        # partition, then its targeted answers by position. Decode rows refer
+        # to answers by their index in that order.
+        keys: List[Tuple[int, int, Optional[int]]] = []
+        pairs: List[List[Tuple[int, int]]] = [[] for _ in self.leader_elements]
         for client_id in self.shape.client_ids:
-            for ell in range(1, self.shape.eta[client_id] + 1):
-                expected.add((client_id, ell, None))
-        for position, element in enumerate(self.leader_elements, start=1):
-            row = []
-            for client_id in self.shape.client_ids:
+            first_base = len(keys)
+            keys += [(client_id, ell, None) for ell in range(1, self.shape.eta[client_id] + 1)]
+            for position, row in enumerate(pairs, start=1):
                 partition, _ = self.shape.position_location(client_id, position)
-                base_key = (client_id, partition, None)
-                target_key = (client_id, partition, position)
-                expected.add(target_key)
-                row.append((base_key, target_key))
-            rows.append((element, tuple(row)))
-        object.__setattr__(self, "_expected_keys", frozenset(expected))
-        object.__setattr__(self, "_decode_rows", tuple(rows))
+                row.append((first_base + partition - 1, len(keys)))
+                keys.append((client_id, partition, position))
+        rows = tuple(zip(self.leader_elements, map(tuple, pairs)))
+        object.__setattr__(self, "_answer_keys", tuple(keys))
+        object.__setattr__(self, "_decode_rows", rows)
 
     @property
-    def expected_answer_keys(self) -> frozenset:
-        return self._expected_keys
+    def answer_keys(self) -> Tuple[Tuple[int, int, Optional[int]], ...]:
+        return self._answer_keys
 
     @property
     def decode_rows(self) -> tuple:
+        """(element, ((base index, target index) per client)) per position."""
         return self._decode_rows
 
     @property
@@ -324,6 +324,27 @@ class IntersectionResult:
     download_cost_actual: int
 
 
+def decode_vector(
+    plan: PartitionPlan, values: Sequence[int], modulus: int
+) -> Tuple[frozenset, Dict[int, int]]:
+    """The decode kernel on answer values laid out in plan.answer_keys order.
+
+    Returns the decoded element set and the indicator value per leader-set
+    element: the sum over clients of targeted minus database-1 answer.
+    """
+    indicators: Dict[int, int] = {}
+    decoded = []
+    for element, pairs in plan.decode_rows:
+        total = 0
+        for base, target in pairs:
+            total += values[target] - values[base]
+        value = total % modulus
+        indicators[element] = value
+        if value == 0:
+            decoded.append(element)
+    return frozenset(decoded), indicators
+
+
 def decode_values(
     plan: PartitionPlan,
     answer_values: Dict[Tuple[int, int, Optional[int]], int],
@@ -331,27 +352,17 @@ def decode_values(
 ) -> Tuple[frozenset, Dict[int, int]]:
     """Core decoding on raw values keyed by (client, partition, target_pos).
 
-    Returns the decoded element set and the indicator value per leader-set
-    element. Raises on missing or unexpected answers.
+    Returns what decode_vector returns for the same values. Raises on missing
+    or unexpected answers.
     """
-    expected = plan.expected_answer_keys
-    if len(answer_values) != len(expected) or expected.difference(answer_values):
+    expected = frozenset(plan.answer_keys)
+    if answer_values.keys() != expected:
         got = set(answer_values)
         raise ProtocolViolationError(
-            f"answer set mismatch: missing {sorted(expected - got)}, "
-            f"unexpected {sorted(got - expected)}"
+            f"answer set mismatch: missing {sorted(expected - got, key=str)}, "
+            f"unexpected {sorted(got - expected, key=str)}"
         )
-    indicators: Dict[int, int] = {}
-    decoded = set()
-    for element, row in plan.decode_rows:
-        total = 0
-        for base_key, target_key in row:
-            total += answer_values[target_key] - answer_values[base_key]
-        value = total % modulus
-        indicators[element] = value
-        if value == 0:
-            decoded.add(element)
-    return frozenset(decoded), indicators
+    return decode_vector(plan, [answer_values[key] for key in plan.answer_keys], modulus)
 
 
 def decode(

@@ -8,7 +8,10 @@ from mppsi.audit import (
     DEFAULT_BOUND,
     AuditInstance,
     DistributionTable,
+    ReliabilityReport,
+    _h_realizations,
     _raw_realizations,
+    answers_for_realization,
     check_db1_uniformity,
     check_indicator_privacy,
     check_reliability,
@@ -18,11 +21,13 @@ from mppsi.audit import (
     database_view,
     leader_privacy_mi,
     leader_view,
+    query_inner_products,
     randomness_space_size,
+    realization_answers,
 )
 from mppsi.errors import BoundExceededError
 from mppsi.field import select_field_size
-from mppsi.leader import make_partition_plan
+from mppsi.leader import decode_values, decode_vector, make_partition_plan
 from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import FAITHFUL, RandomnessPolicy
 from mppsi.session import run_memory_session
@@ -177,6 +182,99 @@ class TestReliability:
     def test_bound_exceeded_without_sampling(self):
         with pytest.raises(BoundExceededError):
             check_reliability(HETEROGENEOUS, bound=10**4)
+
+
+# The benchmark's shape: three parties of two databases, K = 6, R = 3.
+M3_N2_K6_R3 = tuple(
+    AuditInstance(
+        profiles=tuple(profile(i + 1, sets[i], 2) for i in range(3)),
+        universe=Universe(6),
+        leader_override=1,
+    )
+    for sets in (
+        ({1, 2, 3}, {1, 2, 4, 5}, {1, 3, 6}),
+        ({2, 4, 6}, {2, 4, 5}, {1, 2, 4, 6}),
+        ({1, 5, 6}, {2, 3}, {1, 2, 3, 4, 5}),
+    )
+)
+
+POLICIES = (
+    FAITHFUL,
+    RandomnessPolicy(zero_local=True),
+    RandomnessPolicy(zero_individual=True),
+    RandomnessPolicy(correlation_offset=1),
+    RandomnessPolicy(fixed_global=1),
+)
+
+
+def oracle_reliability(
+    instance, policy, bound=DEFAULT_BOUND, h_samples=2, sample_beyond_bound=0
+):
+    """check_reliability realization by realization through the oracle path.
+
+    Every realization is answered by answers_for_realization and decoded by
+    the keyed decode_values, and realization_answers' vector, decoded set and
+    indicators must equal those, also past the report's stop after five
+    failures.
+    """
+    compiled = compile_instance(instance)
+    plan, modulus = compiled.plan, compiled.field.modulus
+    expected = instance.true_intersection()
+    h_list, h_exhaustive = _h_realizations(compiled, 0, h_samples, 729)
+    report, cases, failures = None, 0, []
+    for h_vectors in h_list:
+        ips = query_inner_products(compiled, h_vectors)
+        tuples, space, exhaustive = _raw_realizations(
+            compiled, policy, bound, sample_beyond_bound, 0
+        )
+        tuples = list(tuples)
+        walked = list(realization_answers(compiled, ips, tuples, policy))
+        assert [walk[:3] for walk in walked] == tuples
+        for (s, t, c), (*_, vector) in zip(tuples, walked):
+            answers = answers_for_realization(compiled, ips, s, t, c, policy)
+            assert vector == [answers[key] for key in plan.answer_keys]
+            decoded, indicators = decode_values(plan, answers, modulus)
+            assert decode_vector(plan, vector, modulus) == (decoded, indicators)
+            if report is not None:
+                continue
+            cases += 1
+            if decoded != expected:
+                failures.append(
+                    f"h={h_vectors} s={s} t={t} c={c}: "
+                    f"decoded {sorted(decoded)}, true {sorted(expected)}"
+                )
+                if len(failures) == 5:
+                    report = ReliabilityReport(
+                        False, cases, space, exhaustive, h_exhaustive, list(failures)
+                    )
+    return report or ReliabilityReport(
+        not failures, cases, space, exhaustive, h_exhaustive, failures
+    )
+
+
+class TestWalkAgreesWithOracle:
+    # Every policy samples the heterogeneous instance's randomness; each
+    # M3_N2_K6_R3 instance is walked over one base-vector set, which keeps
+    # the whole class at 339,520 realizations.
+    @pytest.mark.parametrize(
+        "policy",
+        POLICIES,
+        ids=["faithful", "zero_local", "zero_individual", "offset", "fixed_global"],
+    )
+    @pytest.mark.parametrize(
+        "instance, kwargs",
+        [
+            (HOMOGENEOUS, {}),
+            (TWO_PARTY, {}),
+            (HETEROGENEOUS, {"bound": 10**4, "sample_beyond_bound": 400}),
+        ]
+        + [(instance, {"h_samples": 1}) for instance in M3_N2_K6_R3],
+        ids=["homogeneous", "two-party", "heterogeneous-sampled", "m3-a", "m3-b", "m3-c"],
+    )
+    def test_answers_decodes_and_report(self, instance, kwargs, policy):
+        oracle = oracle_reliability(instance, policy, **kwargs)
+        assert oracle.exhaustive_randomness == (instance is not HETEROGENEOUS)
+        assert check_reliability(instance, policy=policy, **kwargs) == oracle
 
 
 class TestDb1Uniformity:

@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mppsi.errors import InfeasibleError, ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi.leader import (
     cost_table,
     decode,
+    decode_values,
+    decode_vector,
     download_cost,
     elect_leader,
     generate_queries,
@@ -266,6 +269,39 @@ class TestDecode:
         run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
         with pytest.raises(ProtocolViolationError):
             decode(run.plan, list(run.answers) + [run.answers[0]], run.setup.field)
+
+    def test_missing_base_and_targeted_answers_rejected(self):
+        # The missing keys (1, 1, None) and (1, 1, 1) differ only where None
+        # meets an int; the error message must still list them.
+        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
+        kept = [a for a in run.answers if (a.client_id, a.partition) != (1, 1)]
+        with pytest.raises(ProtocolViolationError, match=r"\(1, 1, None\)"):
+            decode(run.plan, kept, run.setup.field)
+
+    def test_foreign_answer_key_rejected(self):
+        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
+        values = {(a.client_id, a.partition, a.target_pos): a.value for a in run.answers}
+        client_id, partition, _ = key = next(k for k in values if k[2] is not None)
+        values[(client_id, partition, 99)] = values.pop(key)
+        assert len(values) == len(run.plan.answer_keys)
+        with pytest.raises(ProtocolViolationError, match="unexpected"):
+            decode_values(run.plan, values, run.setup.field.modulus)
+
+    @given(st.data())
+    def test_kernel_on_canonical_order_equals_keyed_decode(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=8))
+        leader = profile(1, data.draw(st.sets(st.integers(1, k), min_size=1)), 2)
+        clients = [
+            profile(i, data.draw(st.sets(st.integers(1, k))), data.draw(st.integers(2, 5)))
+            for i in range(2, data.draw(st.integers(2, 5)) + 1)
+        ]
+        plan = make_partition_plan(leader, clients)
+        modulus = data.draw(st.sampled_from((2, 3, 5, 7, 257)))
+        values = {
+            key: data.draw(st.integers(0, modulus - 1)) for key in plan.answer_keys
+        }
+        vector = [values[key] for key in plan.answer_keys]
+        assert decode_vector(plan, vector, modulus) == decode_values(plan, values, modulus)
 
     def test_decode_matches_brute_force_on_random_instances(self):
         rng = random.Random(31)
