@@ -1,7 +1,7 @@
 """Exhaustive verification of the protocol's exact claims at desk scale.
 
 Every check here enumerates a finite probability space outright and works in
-exact rationals; zero means zero. The checks are:
+exact rationals or integer counts; zero means zero. The checks are:
 
 * reliability: decoding equals direct set intersection for every enumerated
   randomness realization (and every base-vector realization when that space
@@ -23,6 +23,12 @@ exact rationals; zero means zero. The checks are:
   distributions, for the leader-set secret against a single database's view
   and for the non-intersection incidence columns against the leader's view.
 
+Reliability, the mutual-information checks and delivered_query_distribution
+enumerate one realization stream: base vectors from _all_h (or _drawn_h),
+(s, t, c) from _raw_realizations under the caller's policy, answer vectors
+from realization_answers. The masking checks fix all but the swept slots
+and answer through answers_for_realization, the transports' formula.
+
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
 that make it fail, demonstrating the checks have power.
 """
@@ -31,9 +37,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import answer_value, support_sum
 from .errors import BoundExceededError
@@ -47,6 +54,10 @@ from .session import SessionTranscript
 
 DEFAULT_BOUND = 10_000_000
 DEFAULT_H_ENUM_LIMIT = 729
+
+# One base vector per partition index, and one (s, t, c) randomness tuple.
+HVectors = Tuple[Tuple[int, ...], ...]
+Realization = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -72,10 +83,7 @@ class DistributionTable:
 
     @classmethod
     def uniform_over(cls, outcomes: Sequence) -> "DistributionTable":
-        n = len(outcomes)
-        return cls(tuple(sorted(
-            ((o, Fraction(1, n)) for o in outcomes), key=lambda item: repr(item[0])
-        )))
+        return cls.from_counts(dict.fromkeys(outcomes, 1))
 
     def as_dict(self) -> Dict:
         return dict(self.probs)
@@ -95,25 +103,8 @@ class AuditInstance:
     def setup(self) -> SessionSetup:
         return prepare_session(self.profiles, self.universe, self.leader_override)
 
-    def plan(self) -> PartitionPlan:
-        setup = self.setup()
-        return make_partition_plan(setup.leader, setup.clients)
-
     def true_intersection(self) -> FrozenSet[int]:
         return brute_force_intersection(self.profiles)
-
-
-# ---------------------------------------------------------------------------
-# Randomness-space enumeration
-# ---------------------------------------------------------------------------
-
-
-def randomness_space_size(plan: PartitionPlan, field: PrimeField) -> int:
-    """Joint outcomes of (local vectors, free individual values, multiplier)."""
-    modulus = field.modulus
-    n_s = sum(plan.eta[i] for i in plan.client_ids)
-    n_t = len(free_clients(plan.client_ids)) * plan.set_size
-    return modulus ** (n_s + n_t) * (modulus - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +120,8 @@ class CompiledInstance:
     Inner products per query are constants of the base-vector realization, so
     they are computed once per realization. The masking checks answer through
     answer_value and decode through decode_values, as the transports do; the
-    reliability walk builds the same answer vectors level by level
-    (realization_answers) and decodes them with decode_vector.
+    other checks build the same answer vectors level by level over the
+    shared realization stream (realization_answers).
     """
 
     setup: SessionSetup
@@ -151,6 +142,7 @@ class CompiledInstance:
         return self.setup.field
 
     def space_size(self) -> int:
+        """Joint outcomes of (local vectors, free individual values, multiplier)."""
         modulus = self.field.modulus
         return modulus ** (self.n_s + self.n_t) * (modulus - 1)
 
@@ -256,7 +248,7 @@ def answers_for_realization(
 def realization_answers(
     compiled: CompiledInstance,
     ips: Dict[Tuple[int, int, Optional[int]], int],
-    realizations: Iterable[Tuple[Tuple[int, ...], Tuple[int, ...], int]],
+    realizations: Iterable[Realization],
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, List[int]]]:
     """Each realization with its answers in plan.answer_keys order.
@@ -283,30 +275,53 @@ def realization_answers(
         yield s_values, t_values, c_value, [c_value * v % modulus for v in with_t]
 
 
+# ---------------------------------------------------------------------------
+# The realization stream
+# ---------------------------------------------------------------------------
+
+
+def _policy_ranges(
+    policy: RandomnessPolicy, modulus: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """The values the policy lets a local, an individual and the global slot take."""
+    return (
+        [0] if policy.zero_local else list(range(modulus)),
+        [0] if policy.zero_individual else list(range(modulus)),
+        list(range(1, modulus)) if policy.fixed_global is None
+        else [policy.fixed_global % modulus],
+    )
+
+
 def _h_space(compiled: CompiledInstance) -> int:
     kappa = max(compiled.plan.eta.values())
     return compiled.field.modulus ** (compiled.universe.size * kappa)
 
 
+def _all_h(compiled: CompiledInstance) -> Iterator[HVectors]:
+    """Every base-vector tuple, one vector per partition index."""
+    kappa = max(compiled.plan.eta.values())
+    vectors = list(
+        itertools.product(range(compiled.field.modulus), repeat=compiled.universe.size)
+    )
+    return itertools.product(vectors, repeat=kappa)
+
+
+def _drawn_h(compiled: CompiledInstance, seed: int, label: str, index: int) -> HVectors:
+    """The seeded base-vector tuple of one sampled context."""
+    modulus, size = compiled.field.modulus, compiled.universe.size
+    return tuple(
+        tuple(draw_vector(seed, modulus, size, label, index, ell))
+        for ell in range(1, max(compiled.plan.eta.values()) + 1)
+    )
+
+
 def _h_realizations(
     compiled: CompiledInstance, seed: int, samples: int, enum_limit: int
-) -> Tuple[List[Tuple[Tuple[int, ...], ...]], bool]:
+) -> Tuple[List[HVectors], bool]:
     """All base-vector tuples when the space is small, else seeded samples."""
-    kappa = max(compiled.plan.eta.values())
-    modulus = compiled.field.modulus
-    size = compiled.universe.size
     if _h_space(compiled) <= enum_limit:
-        vectors = list(itertools.product(range(modulus), repeat=size))
-        return [tuple(combo) for combo in itertools.product(vectors, repeat=kappa)], True
-    out = []
-    for index in range(samples):
-        out.append(
-            tuple(
-                tuple(draw_vector(seed, modulus, size, "audit-h", index, ell))
-                for ell in range(1, kappa + 1)
-            )
-        )
-    return out, False
+        return list(_all_h(compiled)), True
+    return [_drawn_h(compiled, seed, "audit-h", index) for index in range(samples)], False
 
 
 def _raw_realizations(
@@ -315,39 +330,75 @@ def _raw_realizations(
     bound: int,
     sample_beyond_bound: int,
     seed: int,
-) -> Tuple[Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]], int, bool]:
-    """Raw (s, t, c) tuples: exhaustive within the bound, else seeded samples."""
-    modulus = compiled.field.modulus
-    s_range = [0] if policy.zero_local else list(range(modulus))
-    t_range = [0] if policy.zero_individual else list(range(modulus))
-    if policy.fixed_global is not None:
-        c_range = [policy.fixed_global % modulus]
-    else:
-        c_range = list(range(1, modulus))
+) -> Tuple[Callable[[], Iterator[Realization]], int, bool]:
+    """Raw (s, t, c) tuples: exhaustive within the bound, else seeded samples.
+
+    The first item gives one base-vector set's realizations per call. The
+    samples continue one seeded stream from call to call, so each set gets
+    draws of its own.
+    """
+    s_range, t_range, c_range = _policy_ranges(policy, compiled.field.modulus)
     space = (
         len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
     )
     if space <= bound:
-        def exhaustive() -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+        def exhaustive() -> Iterator[Realization]:
             for s_values in itertools.product(s_range, repeat=compiled.n_s):
                 for t_values in itertools.product(t_range, repeat=compiled.n_t):
                     for c_value in c_range:
                         yield s_values, t_values, c_value
 
-        return exhaustive(), space, True
+        return exhaustive, space, True
     if sample_beyond_bound <= 0:
         raise BoundExceededError(
             f"randomness space has {space} outcomes, above the bound {bound}"
         )
+    rng = labeled_rng(seed, "audit-bundle-sample")
 
-    def sampled() -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
-        rng = labeled_rng(seed, "audit-bundle-sample")
+    def sampled() -> Iterator[Realization]:
         for _ in range(sample_beyond_bound):
             s_values = tuple(rng.choice(s_range) for _ in range(compiled.n_s))
             t_values = tuple(rng.choice(t_range) for _ in range(compiled.n_t))
             yield s_values, t_values, rng.choice(c_range)
 
-    return sampled(), space, False
+    return sampled, space, False
+
+
+def _with_leader(
+    clients: Sequence[PartyProfile], leader: PartyProfile, universe: Universe
+) -> CompiledInstance:
+    """The compiled instance of these clients with this party as the leader."""
+    profiles = tuple(sorted([*clients, leader], key=lambda p: p.party_id))
+    return compile_instance(AuditInstance(profiles, universe, leader.party_id))
+
+
+def _delivered(compiled: CompiledInstance, client_id: int, database: int) -> List[int]:
+    """Indices into answer_layout of the queries one database receives."""
+    plan = compiled.plan
+    return [
+        index
+        for index, (_, cid, _, target_pos, _, _) in enumerate(compiled.answer_layout)
+        if cid == client_id
+        and (1 if target_pos is None else plan.position_location(cid, target_pos)[1])
+        == database
+    ]
+
+
+def _query_vectors(
+    compiled: CompiledInstance, h_vectors: HVectors, delivered: Sequence[int]
+) -> Tuple[Tuple[int, ...], ...]:
+    """The delivered query vectors: each partition's base vector, plus 1 at
+    the target element of a targeted query."""
+    modulus = compiled.field.modulus
+    queries = []
+    for index in delivered:
+        _, _, partition, target_pos, _, _ = compiled.answer_layout[index]
+        vector = list(h_vectors[partition - 1])
+        if target_pos is not None:
+            element = compiled.plan.leader_elements[target_pos - 1]
+            vector[element - 1] = (vector[element - 1] + 1) % modulus
+        queries.append(tuple(vector))
+    return tuple(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +431,15 @@ def check_reliability(
     plan = compiled.plan
     modulus = compiled.field.modulus
     h_list, h_exhaustive = _h_realizations(compiled, seed, h_samples, h_enum_limit)
+    draws, space, exhaustive = _raw_realizations(
+        compiled, policy, bound, sample_beyond_bound, seed
+    )
     cases = 0
     failures: List[str] = []
-    exhaustive = True
-    space = 0
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        tuples, space, exhaustive = _raw_realizations(
-            compiled, policy, bound, sample_beyond_bound, seed
-        )
         for s_values, t_values, c_value, answers in realization_answers(
-            compiled, ips, tuples, policy
+            compiled, ips, draws(), policy
         ):
             decoded, _ = decode_vector(plan, answers, modulus)
             cases += 1
@@ -434,7 +483,7 @@ def check_db1_uniformity(
     compiled = compile_instance(instance)
     modulus = compiled.field.modulus
     plan = compiled.plan
-    s_range = [0] if policy.zero_local else list(range(modulus))
+    s_range, _, _ = _policy_ranges(policy, modulus)
     tables: Dict[object, DistributionTable] = {}
     passed = True
     detail = ""
@@ -443,14 +492,8 @@ def check_db1_uniformity(
         slots = [compiled.s_index[(client_id, ell)] for ell in range(1, eta + 1)]
         expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
         for ctx in range(contexts):
-            h_vectors = tuple(
-                tuple(draw_vector(seed, modulus, compiled.universe.size, "db1-h", ctx, ell))
-                for ell in range(1, max(plan.eta.values()) + 1)
-            )
-            ips = query_inner_products(compiled, h_vectors)
-            t_fixed = tuple(
-                draw_vector(seed, modulus, compiled.n_t, "db1-t", ctx)
-            ) if compiled.n_t else ()
+            ips = query_inner_products(compiled, _drawn_h(compiled, seed, "db1-h", ctx))
+            t_fixed = tuple(draw_vector(seed, modulus, compiled.n_t, "db1-t", ctx))
             for c_value in range(1, modulus):
                 counts: Dict[Tuple[int, ...], int] = {}
                 for sweep in itertools.product(s_range, repeat=eta):
@@ -491,7 +534,7 @@ def check_z_uniformity(
     tables: Dict[object, DistributionTable] = {}
     if not free:
         return UniformityReport(True, tables, "no non-correlating clients; vacuous")
-    t_range = [0] if policy.zero_individual else list(range(modulus))
+    _, t_range, _ = _policy_ranges(policy, modulus)
     expected = list(range(modulus))
     passed = True
     detail = ""
@@ -500,15 +543,9 @@ def check_z_uniformity(
             sweep_idx = compiled.t_index[(client_id, position)]
             partition, _ = plan.position_location(client_id, position)
             for ctx in range(contexts):
-                h_vectors = tuple(
-                    tuple(draw_vector(seed, modulus, compiled.universe.size, "z-h", ctx, ell))
-                    for ell in range(1, max(plan.eta.values()) + 1)
-                )
-                ips = query_inner_products(compiled, h_vectors)
+                ips = query_inner_products(compiled, _drawn_h(compiled, seed, "z-h", ctx))
                 s_fixed = tuple(draw_vector(seed, modulus, compiled.n_s, "z-s", ctx))
-                t_fixed = list(
-                    draw_vector(seed, modulus, compiled.n_t, "z-t", ctx)
-                )
+                t_fixed = draw_vector(seed, modulus, compiled.n_t, "z-t", ctx)
                 for c_value in range(1, modulus):
                     counts: Dict[int, int] = {}
                     for value in t_range:
@@ -533,19 +570,12 @@ def check_z_uniformity(
     return UniformityReport(passed, tables, detail)
 
 
-@dataclass
-class IndicatorReport:
-    passed: bool
-    tables: Dict[object, DistributionTable]
-    detail: str = ""
-
-
 def check_indicator_privacy(
     instance: AuditInstance,
     policy: RandomnessPolicy = FAITHFUL,
     seed: int = 0,
     contexts: int = 2,
-) -> IndicatorReport:
+) -> UniformityReport:
     """Indicators vanish on intersection elements and are uniform otherwise.
 
     For every leader-set element outside the intersection and every deficient
@@ -553,32 +583,20 @@ def check_indicator_privacy(
     same exact uniform table over the nonzero residues.
     """
     compiled = compile_instance(instance)
-    setup = compiled.setup
     plan = compiled.plan
     modulus = compiled.field.modulus
-    num_clients = len(plan.client_ids)
     truth = instance.true_intersection()
-    if policy.fixed_global is not None:
-        c_range = [policy.fixed_global % modulus]
-    else:
-        c_range = list(range(1, modulus))
+    _, _, c_range = _policy_ranges(policy, modulus)
     nonzero = list(range(1, modulus))
     tables: Dict[object, DistributionTable] = {}
     passed = True
     detail = ""
 
     def indicator_table(profiles_variant, element, ctx) -> DistributionTable:
-        variant = AuditInstance(
-            profiles=profiles_variant,
-            universe=instance.universe,
-            leader_override=plan.leader_id,
+        comp = compile_instance(
+            AuditInstance(profiles_variant, instance.universe, plan.leader_id)
         )
-        comp = compile_instance(variant)
-        h_vectors = tuple(
-            tuple(draw_vector(seed, modulus, comp.universe.size, "ind-h", ctx, ell))
-            for ell in range(1, max(comp.plan.eta.values()) + 1)
-        )
-        ips = query_inner_products(comp, h_vectors)
+        ips = query_inner_products(comp, _drawn_h(comp, seed, "ind-h", ctx))
         s_fixed = tuple(draw_vector(seed, modulus, comp.n_s, "ind-s", ctx))
         t_fixed = tuple(draw_vector(seed, modulus, comp.n_t, "ind-t", ctx))
         counts: Dict[int, int] = {}
@@ -589,8 +607,7 @@ def check_indicator_privacy(
             counts[value] = counts.get(value, 0) + 1
         return DistributionTable.from_counts(counts)
 
-    by_id = {p.party_id: p for p in instance.profiles}
-    for position, element in enumerate(plan.leader_elements, start=1):
+    for element in plan.leader_elements:
         if element in truth:
             for ctx in range(contexts):
                 table = indicator_table(instance.profiles, element, ctx)
@@ -602,7 +619,7 @@ def check_indicator_privacy(
         # Sweep every deficient column sum by rewriting which clients hold
         # the element; the indicator table must not depend on the sum.
         reference: Optional[DistributionTable] = None
-        for sigma in range(num_clients):
+        for sigma in range(len(plan.client_ids)):
             holders = plan.client_ids[:sigma]
             variant = []
             for profile in instance.profiles:
@@ -634,7 +651,7 @@ def check_indicator_privacy(
                         f"element {element}: indicator table differs across "
                         f"deficient column sums"
                     )
-    return IndicatorReport(passed, tables, detail)
+    return UniformityReport(passed, tables, detail)
 
 
 def delivered_query_distribution(
@@ -652,34 +669,11 @@ def delivered_query_distribution(
     equal cardinality; anything else would let the database tell leader sets
     apart.
     """
-    profiles = tuple(sorted(list(clients) + [leader], key=lambda p: p.party_id))
-    instance = AuditInstance(profiles, universe, leader_override=leader.party_id)
-    compiled = compile_instance(instance)
-    plan = compiled.plan
-    modulus = compiled.field.modulus
-    kappa = max(plan.eta.values())
-    h_space = modulus ** (universe.size * kappa)
-    _joint_space_guard(h_space, bound)
-    slots: List[Tuple[int, Optional[int]]] = []
-    if database == 1:
-        slots = [(ell, None) for ell in range(1, plan.eta[client_id] + 1)]
-    else:
-        for position in plan.positions_of_database(client_id, database):
-            partition, _ = plan.position_location(client_id, position)
-            slots.append((partition, plan.leader_elements[position - 1]))
-        slots.sort()
-    counts: Dict[Tuple, int] = {}
-    vectors = list(itertools.product(range(modulus), repeat=universe.size))
-    for h_combo in itertools.product(vectors, repeat=kappa):
-        outcome = []
-        for partition, element in slots:
-            vec = list(h_combo[partition - 1])
-            if element is not None:
-                vec[element - 1] = (vec[element - 1] + 1) % modulus
-            outcome.append(tuple(vec))
-        outcome_t = tuple(outcome)
-        counts[outcome_t] = counts.get(outcome_t, 0) + 1
-    return DistributionTable.from_counts(counts)
+    compiled = _with_leader(clients, leader, universe)
+    _joint_space_guard(_h_space(compiled), bound)
+    delivered = _delivered(compiled, client_id, database)
+    queries = (_query_vectors(compiled, h, delivered) for h in _all_h(compiled))
+    return DistributionTable.from_counts(Counter(queries))
 
 
 # ---------------------------------------------------------------------------
@@ -697,43 +691,25 @@ class MIResult:
     secret_outcomes: int
     view_outcomes: int
 
-    @classmethod
-    def from_joint(cls, joint: Dict[Tuple[object, object], Fraction]) -> "MIResult":
-        secret_marginal: Dict[object, Fraction] = {}
-        view_marginal: Dict[object, Fraction] = {}
-        for (secret, view), p in joint.items():
-            secret_marginal[secret] = secret_marginal.get(secret, Fraction(0)) + p
-            view_marginal[view] = view_marginal.get(view, Fraction(0)) + p
-        total = sum(joint.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"joint distribution sums to {total}, not 1")
-        is_zero = True
-        bits = 0.0
-        for (secret, view), p in joint.items():
-            if p == 0:
-                continue
-            product = secret_marginal[secret] * view_marginal[view]
-            if p != product:
-                is_zero = False
-            bits += float(p) * math.log2(float(p / product))
-        if is_zero:
-            bits = 0.0
-        return cls(
-            is_zero=is_zero,
-            bits=bits,
-            joint_outcomes=len(joint),
-            secret_outcomes=len(secret_marginal),
-            view_outcomes=len(view_marginal),
-        )
 
+def _mi_result(joint: Counter) -> MIResult:
+    """Mutual information of equally likely realizations counted by (secret, view).
 
-def mutual_information(joint: Dict[Tuple[object, object], Fraction]) -> MIResult:
-    """Exact mutual information of an enumerated joint distribution.
-
-    Independence (zero information) is decided exactly on the rationals;
-    the bits figure is a float report, nonzero only when independence fails.
+    Independence (zero information) is decided exactly in integers: every
+    count times the total equals the product of its two marginal counts.
+    The bits figure is a float report, nonzero only when independence fails.
     """
-    return MIResult.from_joint(joint)
+    secrets, views = Counter(), Counter()
+    for (secret, view), n in joint.items():
+        secrets[secret] += n
+        views[view] += n
+    total = sum(joint.values())
+    is_zero = all(n * total == secrets[s] * views[v] for (s, v), n in joint.items())
+    bits = 0.0 if is_zero else sum(
+        n / total * math.log2(n * total / (secrets[s] * views[v]))
+        for (s, v), n in joint.items()
+    )
+    return MIResult(is_zero, bits, len(joint), len(secrets), len(views))
 
 
 def _joint_space_guard(size: int, bound: int) -> None:
@@ -762,82 +738,47 @@ def leader_privacy_mi(
     Setting mask_queries=False sends unmasked unit-vector queries instead of
     the scheme's, a mutation that must leak.
     """
-    sizes = {len(s) for s in candidate_sets}
-    if len(sizes) != 1:
+    if len({len(s) for s in candidate_sets}) != 1:
         raise ValueError("candidate leader sets must share one public cardinality")
     if len(set(candidate_sets)) != len(candidate_sets):
         raise ValueError("candidate leader sets must be distinct")
-    joint: Dict[Tuple[object, object], Fraction] = {}
-    prior = Fraction(1, len(candidate_sets))
+    own_set = tuple(sorted(next(p for p in clients if p.party_id == client_id).data_set))
+    joint: Counter = Counter()
     for candidate in candidate_sets:
-        profiles = tuple(sorted(
-            list(clients) + [PartyProfile(leader_id, leader_databases, candidate)],
-            key=lambda p: p.party_id,
-        ))
-        instance = AuditInstance(profiles, universe, leader_override=leader_id)
-        compiled = compile_instance(instance)
-        modulus = compiled.field.modulus
-        plan = compiled.plan
-        kappa = max(plan.eta.values())
-        h_space = modulus ** (universe.size * kappa)
-        bundle_space = compiled.space_size()
-        _joint_space_guard(len(candidate_sets) * h_space * bundle_space, bound)
-        weight = prior * Fraction(1, h_space) * Fraction(1, bundle_space)
-        own_profile = next(p for p in clients if p.party_id == client_id)
-        delivered = [
-            (key, partition, target_pos, t_idx)
-            for key, cid, partition, target_pos, _, t_idx in compiled.answer_layout
-            if cid == client_id
-            and (
-                (target_pos is None and database == 1)
-                or (
-                    target_pos is not None
-                    and plan.position_location(client_id, target_pos)[1] == database
-                )
-            )
+        compiled = _with_leader(
+            clients, PartyProfile(leader_id, leader_databases, candidate), universe
+        )
+        _joint_space_guard(
+            len(candidate_sets) * _h_space(compiled) * compiled.space_size(), bound
+        )
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, bound, 0, 0)
+        layout = compiled.answer_layout
+        delivered = _delivered(compiled, client_id, database)
+        own_s_slots = [i for (cid, _), i in compiled.s_index.items() if cid == client_id]
+        own_t_slots = [layout[i][5] for i in delivered if layout[i][3] is not None]
+        secret = tuple(sorted(candidate))
+        # Unmasked, every base-vector tuple is replaced by zeros, so one
+        # stands for all: each view's count scales by the same factor.
+        h_list = _all_h(compiled) if mask_queries else [
+            ((0,) * universe.size,) * max(compiled.plan.eta.values())
         ]
-        s_slots = [
-            compiled.s_index[(client_id, ell)]
-            for ell in range(1, plan.eta[client_id] + 1)
-        ]
-        vectors = list(itertools.product(range(modulus), repeat=universe.size))
-        for h_combo in itertools.product(vectors, repeat=kappa):
-            if mask_queries:
-                h_vectors = h_combo
-            else:
-                h_vectors = tuple((0,) * universe.size for _ in range(kappa))
+        for h_vectors in h_list:
+            queries = _query_vectors(compiled, h_vectors, delivered)
             ips = query_inner_products(compiled, h_vectors)
-            query_view = []
-            for key, partition, target_pos, _ in delivered:
-                vec = list(h_vectors[partition - 1])
-                if target_pos is not None:
-                    element = plan.leader_elements[target_pos - 1]
-                    vec[element - 1] = (vec[element - 1] + 1) % modulus
-                query_view.append((partition, target_pos, tuple(vec)))
-            query_view_t = tuple(query_view)
-            for s_values in itertools.product(range(modulus), repeat=compiled.n_s):
-                for t_values in itertools.product(range(modulus), repeat=compiled.n_t):
-                    for c_value in range(1, modulus):
-                        answers = answers_for_realization(
-                            compiled, ips, s_values, t_values, c_value
-                        )
-                        answer_view = tuple(answers[key] for key, *_ in delivered)
-                        t_all = individual_values(compiled, t_values, FAITHFUL)
-                        own_t = tuple(
-                            t_all[t_idx] for _, _, pos, t_idx in delivered if pos is not None
-                        )
-                        own_s = tuple(s_values[i] for i in s_slots)
-                        view = (
-                            query_view_t,
-                            answer_view,
-                            tuple(sorted(own_profile.data_set)),
-                            own_s,
-                            own_t,
-                            c_value,
-                        )
-                        key2 = (tuple(sorted(candidate)), view)
-                        joint[key2] = joint.get(key2, Fraction(0)) + weight
-    return mutual_information(joint)
+            for s_values, t_values, c_value, answers in realization_answers(
+                compiled, ips, draws()
+            ):
+                t_all = individual_values(compiled, t_values, FAITHFUL)
+                view = (
+                    queries,
+                    tuple(answers[i] for i in delivered),
+                    own_set,
+                    tuple(s_values[i] for i in own_s_slots),
+                    tuple(t_all[i] for i in own_t_slots),
+                    c_value,
+                )
+                joint[secret, view] += 1
+    return _mi_result(joint)
 
 
 @dataclass
@@ -866,98 +807,54 @@ def client_privacy_mi(
     """Exact information the leader's view carries about hidden columns.
 
     client_shapes lists (party_id, databases) for every client; each client's
-    set ranges uniformly over all subsets of the universe.
+    set ranges uniformly over all subsets of the universe. The randomness
+    ranges over what the policy leaves free.
     """
-    client_ids = [cid for cid, _ in client_shapes]
+    elements = range(1, universe.size + 1)
     subsets = [
-        frozenset(
-            elem
-            for elem, keep in zip(range(1, universe.size + 1), combo)
-            if keep
-        )
-        for combo in itertools.product((0, 1), repeat=universe.size)
+        frozenset(elem for elem, keep in zip(elements, bits) if keep)
+        for bits in itertools.product((0, 1), repeat=universe.size)
     ]
-    # One compiled geometry serves every client-set combination: the plan
-    # depends only on the leader set and database counts.
-    profiles_probe = tuple(sorted(
-        [PartyProfile(cid, dbs, frozenset()) for cid, dbs in client_shapes]
-        + [leader],
-        key=lambda p: p.party_id,
-    ))
-    instance = AuditInstance(profiles_probe, universe, leader_override=leader.party_id)
-    compiled = compile_instance(instance)
-    modulus = compiled.field.modulus
-    plan = compiled.plan
-    kappa = max(plan.eta.values())
-    h_space = modulus ** (universe.size * kappa)
-    bundle_space = compiled.space_size()
-    combos = len(subsets) ** len(client_ids)
-    _joint_space_guard(combos * h_space * bundle_space, bound)
 
-    # Conditioning is per intersection outcome, and the weights within each
-    # cell are renormalized at the end, so a uniform weight per enumerated
-    # realization is all that is needed.
-    joints: Dict[FrozenSet[int], Dict[Tuple[object, object], Fraction]] = {}
-    vectors = list(itertools.product(range(modulus), repeat=universe.size))
-    layout_keys = [key for key, *_ in compiled.answer_layout]
-    c_values = (
-        [policy.fixed_global % modulus]
-        if policy.fixed_global is not None
-        else list(range(1, modulus))
-    )
-    for combo in itertools.product(subsets, repeat=len(client_ids)):
-        sets_by_id = dict(zip(client_ids, combo))
-        intersection = frozenset(leader.data_set)
-        for s in combo:
-            intersection &= s
-        outside = [
-            elem for elem in range(1, universe.size + 1) if elem not in intersection
-        ]
+    def compiled_for(sets: Sequence[FrozenSet[int]]) -> CompiledInstance:
+        clients = [PartyProfile(cid, dbs, s) for (cid, dbs), s in zip(client_shapes, sets)]
+        return _with_leader(clients, leader, universe)
+
+    # One geometry serves every client-set combination: the plan, and so
+    # the randomness slots, depend only on the leader set and database
+    # counts.
+    compiled = compiled_for([frozenset()] * len(client_shapes))
+    combos = len(subsets) ** len(client_shapes)
+    _joint_space_guard(combos * _h_space(compiled) * compiled.space_size(), bound)
+    draws, _, _ = _raw_realizations(compiled, policy, bound, 0, 0)
+    leader_set = tuple(sorted(leader.data_set))
+
+    # Conditioning is per intersection outcome; every realization of a
+    # cell is equally likely, so counting them is all that is needed.
+    joints: Dict[FrozenSet[int], Counter] = {}
+    for combo in itertools.product(subsets, repeat=len(client_shapes)):
+        intersection = frozenset(leader.data_set).intersection(*combo)
         secret = tuple(
-            (elem, tuple(1 if elem in sets_by_id[cid] else 0 for cid in client_ids))
-            for elem in outside
+            (elem, tuple(int(elem in s) for s in combo))
+            for elem in elements
+            if elem not in intersection
         )
-        profiles = tuple(sorted(
-            [
-                PartyProfile(cid, dbs, sets_by_id[cid])
-                for (cid, dbs) in client_shapes
-            ]
-            + [leader],
-            key=lambda p: p.party_id,
-        ))
-        variant = AuditInstance(profiles, universe, leader_override=leader.party_id)
-        comp = compile_instance(variant)
-        joint = joints.setdefault(intersection, {})
-        for h_combo in itertools.product(vectors, repeat=kappa):
-            ips = query_inner_products(comp, h_combo)
-            for s_values in itertools.product(range(modulus), repeat=comp.n_s):
-                for t_values in itertools.product(range(modulus), repeat=comp.n_t):
-                    for c_value in c_values:
-                        answers = answers_for_realization(
-                            comp, ips, s_values, t_values, c_value, policy
-                        )
-                        # The query tuple is a fixed bijection of the base
-                        # vectors here (the leader set is the conditioning
-                        # instance's own), so the base vectors stand in for
-                        # the delivered queries in the view.
-                        view = (
-                            tuple(sorted(leader.data_set)),
-                            h_combo,
-                            tuple(answers[key] for key in layout_keys),
-                        )
-                        key2 = (secret, view)
-                        joint[key2] = joint.get(key2, Fraction(0)) + Fraction(1)
-    per: Dict[FrozenSet[int], MIResult] = {}
-    bits_max = 0.0
-    all_zero = True
-    for intersection, joint in joints.items():
-        total = sum(joint.values(), Fraction(0))
-        normalized = {key: p / total for key, p in joint.items()}
-        result = mutual_information(normalized)
-        per[intersection] = result
-        bits_max = max(bits_max, result.bits)
-        all_zero = all_zero and result.is_zero
-    return ClientPrivacyReport(all_zero, per, bits_max)
+        comp = compiled_for(combo)
+        joint = joints.setdefault(intersection, Counter())
+        for h_vectors in _all_h(comp):
+            ips = query_inner_products(comp, h_vectors)
+            for *_, answers in realization_answers(comp, ips, draws(), policy):
+                # The query tuple is a fixed bijection of the base vectors
+                # here (the leader set is the conditioning instance's own),
+                # so the base vectors stand in for the delivered queries in
+                # the view.
+                joint[secret, (leader_set, h_vectors, tuple(answers))] += 1
+    per = {intersection: _mi_result(joint) for intersection, joint in joints.items()}
+    return ClientPrivacyReport(
+        all(result.is_zero for result in per.values()),
+        per,
+        max([0.0] + [result.bits for result in per.values()]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from mppsi.audit import (
     leader_privacy_mi,
     leader_view,
     query_inner_products,
-    randomness_space_size,
     realization_answers,
 )
 from mppsi.errors import BoundExceededError
 from mppsi.field import select_field_size
-from mppsi.leader import decode_values, decode_vector, make_partition_plan
+from mppsi.leader import decode_values, decode_vector
 from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import FAITHFUL, RandomnessPolicy
 from mppsi.session import run_memory_session
@@ -68,31 +67,27 @@ TWO_PARTY = AuditInstance(
 
 class TestEnumeration:
     def test_homogeneous_space_size(self):
-        setup = HOMOGENEOUS.setup()
-        plan = make_partition_plan(setup.leader, setup.clients)
+        compiled = compile_instance(HOMOGENEOUS)
         # Slot-count oracle: two local slots, two free individual slots, one
         # nonzero multiplier choice out of two.
-        modulus = setup.field.modulus
+        modulus = compiled.field.modulus
         expected = modulus**2 * modulus**2 * (modulus - 1)
         assert expected == 162
-        assert randomness_space_size(plan, setup.field) == expected
-        tuples, space, exhaustive = _raw_realizations(
-            compile_instance(HOMOGENEOUS), FAITHFUL, DEFAULT_BOUND, 0, 0
+        assert compiled.space_size() == expected
+        draws, space, exhaustive = _raw_realizations(
+            compiled, FAITHFUL, DEFAULT_BOUND, 0, 0
         )
-        realizations = list(tuples)
+        realizations = list(draws())
         assert exhaustive and space == expected
         # Every realization exactly once: the uniform weights sum to one.
         assert len(realizations) == len(set(realizations)) == expected
 
     def test_two_party_space_size(self):
-        setup = TWO_PARTY.setup()
-        plan = make_partition_plan(setup.leader, setup.clients)
-        assert setup.field.modulus == 2
-        assert randomness_space_size(plan, setup.field) == 2
-        tuples, space, _ = _raw_realizations(
-            compile_instance(TWO_PARTY), FAITHFUL, DEFAULT_BOUND, 0, 0
-        )
-        realizations = list(tuples)
+        compiled = compile_instance(TWO_PARTY)
+        assert compiled.field.modulus == 2
+        assert compiled.space_size() == 2
+        draws, space, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        realizations = list(draws())
         assert space == len(realizations) == 2
         assert all(c == 1 for _, _, c in realizations)
 
@@ -163,14 +158,22 @@ class TestReliability:
         assert not report.exhaustive_randomness and not report.exhaustive_h
         h1 = "((0, 3, 3, 0, 2), (1, 0, 2, 1, 1), (2, 0, 4, 4, 3))"
         h2 = "((0, 1, 4, 4, 1), (1, 0, 1, 3, 3), (3, 2, 3, 1, 4))"
-        draws = [
+        # One seeded stream serves both base-vector sets, so each set is
+        # paired with draws of its own.
+        draws_h1 = [
             "s=(0, 3, 1, 2, 0, 3) t=(4, 4, 3, 0, 4, 2) c=3",
             "s=(3, 2, 4, 2, 0, 2) t=(3, 4, 1, 4, 2, 4) c=3",
             "s=(2, 0, 3, 2, 3, 4) t=(3, 2, 4, 4, 3, 3) c=3",
         ]
+        draws_h2 = [
+            "s=(4, 1, 3, 1, 3, 4) t=(4, 2, 0, 2, 2, 1) c=4",
+            "s=(3, 2, 1, 0, 1, 2) t=(2, 4, 3, 3, 1, 2) c=4",
+        ]
+        assert not set(draws_h1) & set(draws_h2)
         assert report.failures == [
             f"h={h} {draw}: decoded [], true [1, 4]"
-            for h, draw in [(h1, d) for d in draws] + [(h2, d) for d in draws[:2]]
+            for h, draws in ((h1, draws_h1), (h2, draws_h2))
+            for draw in draws
         ]
 
     def test_zeroed_individual_randomness_fails(self):
@@ -221,13 +224,13 @@ def oracle_reliability(
     plan, modulus = compiled.plan, compiled.field.modulus
     expected = instance.true_intersection()
     h_list, h_exhaustive = _h_realizations(compiled, 0, h_samples, 729)
+    draws, space, exhaustive = _raw_realizations(
+        compiled, policy, bound, sample_beyond_bound, 0
+    )
     report, cases, failures = None, 0, []
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        tuples, space, exhaustive = _raw_realizations(
-            compiled, policy, bound, sample_beyond_bound, 0
-        )
-        tuples = list(tuples)
+        tuples = list(draws())
         walked = list(realization_answers(compiled, ips, tuples, policy))
         assert [walk[:3] for walk in walked] == tuples
         for (s, t, c), (*_, vector) in zip(tuples, walked):
@@ -454,6 +457,30 @@ class TestClientPrivacy:
         )
         assert not report.is_zero
         assert report.bits_max > 0
+
+    # Each zeroed tier is zero over the whole enumeration: no local vector
+    # hides the database-1 answers, and no individual value masks the
+    # targeted ones.
+
+    def test_zeroed_local_randomness_leaks(self):
+        report = client_privacy_mi(
+            leader=profile(3, {1}, 3),
+            client_shapes=[(1, 3), (2, 3)],
+            universe=Universe(2),
+            policy=RandomnessPolicy(zero_local=True),
+        )
+        assert not report.is_zero
+        assert abs(report.bits_max - 2.2697856487090378) < 1e-12
+
+    def test_zeroed_individual_randomness_leaks(self):
+        report = client_privacy_mi(
+            leader=profile(3, {1}, 3),
+            client_shapes=[(1, 3), (2, 3)],
+            universe=Universe(2),
+            policy=RandomnessPolicy(zero_individual=True),
+        )
+        assert not report.is_zero
+        assert abs(report.bits_max - 1.5849625007211898) < 1e-12
 
     def test_shared_multiplier_correlates_multiple_indicators(self):
         # Characterization: with two leader elements outside the

@@ -100,6 +100,30 @@ class TestAudit:
         assert names == {"reliability", "lemma1", "lemma2", "lemma3", "leader-mi", "client-mi"}
         assert all(item["passed"] for item in payload["checks"])
 
+    def test_audit_empty_leader_set(self, tmp_path, capsys):
+        # The elected leader holds nothing, so no query is sent and every
+        # check passes vacuously.
+        config = {
+            "universe_size": 3,
+            "parties": [
+                {"id": 1, "databases": 2, "set": []},
+                {"id": 2, "databases": 2, "set": [1, 2]},
+                {"id": 3, "databases": 2, "set": [1]},
+            ],
+            "seed": 1,
+        }
+        path = tmp_path / "empty-leader.json"
+        path.write_text(json.dumps(config))
+        assert main(["audit", "--config", str(path), "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [item["check"] for item in checks] == [
+            "reliability", "lemma1", "lemma2", "lemma3", "leader-mi", "client-mi"
+        ]
+        assert all(
+            item["passed"] and item["detail"] == "empty leader set; nothing is exchanged"
+            for item in checks
+        )
+
     def test_audit_bound_exceeded_reported_per_check(self, config_path, capsys):
         code = main(["audit", "--config", config_path, "--check", "client-mi", "--bound", "100"])
         assert code == 1
