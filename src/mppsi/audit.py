@@ -825,8 +825,8 @@ def client_privacy_mi(
     # counts.
     compiled = compiled_for([frozenset()] * len(client_shapes))
     combos = len(subsets) ** len(client_shapes)
-    _joint_space_guard(combos * _h_space(compiled) * compiled.space_size(), bound)
-    draws, _, _ = _raw_realizations(compiled, policy, bound, 0, 0)
+    draws, space, _ = _raw_realizations(compiled, policy, bound, 0, 0)
+    _joint_space_guard(combos * _h_space(compiled) * space, bound)
     leader_set = tuple(sorted(leader.data_set))
 
     # Conditioning is per intersection outcome; every realization of a

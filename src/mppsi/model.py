@@ -70,13 +70,17 @@ class IncidenceVector:
         return frozenset(j + 1 for j, b in enumerate(self.bits) if b == 1)
 
 
-def to_incidence(profile: PartyProfile, universe: Universe) -> IncidenceVector:
-    """Binary incidence vector of a party's set over the universe."""
+def _check_fits(profile: PartyProfile, universe: Universe) -> None:
     for elem in profile.data_set:
         if elem > universe.size:
             raise ConfigError(
                 f"party {profile.party_id}: element {elem} outside universe of size {universe.size}"
             )
+
+
+def to_incidence(profile: PartyProfile, universe: Universe) -> IncidenceVector:
+    """Binary incidence vector of a party's set over the universe."""
+    _check_fits(profile, universe)
     bits = [0] * universe.size
     for elem in profile.data_set:
         bits[elem - 1] = 1
@@ -99,4 +103,4 @@ def validate_profiles(profiles: Iterable[PartyProfile], universe: Universe) -> N
     if ids != list(range(1, len(ids) + 1)):
         raise ConfigError(f"party ids must be 1..{len(ids)} without gaps, got {ids}")
     for profile in profiles:
-        to_incidence(profile, universe)
+        _check_fits(profile, universe)

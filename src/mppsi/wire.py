@@ -8,6 +8,13 @@ field residues. Frames above 1 MiB (or empty) are invalid. render_body is
 the one renderer of a message: frame payloads and transcript entries are
 the same text.
 
+decode_msg mirrors render_body's one-digit case: when a payload ends in
+',"values":[d,...,d]}' with every d one ASCII digit (every frame of a
+session with L <= 10), json parses only the head before that member and
+the values are read in one bytes pass. Any other payload is parsed whole
+by json. Either way the same frames are accepted and equal messages
+returned.
+
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
 """
@@ -81,12 +88,22 @@ def _check_endpoint(raw, name: str) -> Tuple[int, int]:
 
 
 def message_from_dict(data: dict) -> Message:
+    return _checked_message(data, None)
+
+
+def _checked_message(data: dict, residues: Optional[Tuple[int, ...]]) -> Message:
+    """message_from_dict, given the values when they are proven residues 0..9.
+
+    With residues None the values are data["values"] and are type- and
+    sign-checked here.
+    """
     if not isinstance(data, dict):
         raise ProtocolViolationError(f"message payload must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(_FIELDS)
+    keys = set(data) if residues is None else set(data) | {"values"}
+    unknown = keys - set(_FIELDS)
     if unknown:
         raise ProtocolViolationError(f"unknown message fields: {sorted(unknown)}")
-    missing = set(_FIELDS) - set(data)
+    missing = set(_FIELDS) - keys
     if missing:
         raise ProtocolViolationError(f"missing message fields: {sorted(missing)}")
     msg_type = data["type"]
@@ -104,13 +121,15 @@ def message_from_dict(data: dict) -> Message:
             not isinstance(value, int) or isinstance(value, bool) or value < 1
         ):
             raise ProtocolViolationError(f"{name} must be a positive integer or null")
-    values = data["values"]
-    if (
-        not isinstance(values, list)
-        or not set(map(type, values)) <= {int}
-        or min(values, default=0) < 0
-    ):
-        raise ProtocolViolationError("values must be a list of non-negative integers")
+    if residues is None:
+        values = data["values"]
+        if (
+            not isinstance(values, list)
+            or not set(map(type, values)) <= {int}
+            or min(values, default=0) < 0
+        ):
+            raise ProtocolViolationError("values must be a list of non-negative integers")
+        residues = tuple(values)
     return Message(
         type=msg_type,
         session_id=data["session_id"],
@@ -119,12 +138,15 @@ def message_from_dict(data: dict) -> Message:
         dest=_check_endpoint(data["dest"], "dest"),
         partition=data["partition"],
         target=data["target"],
-        values=tuple(values),
+        values=residues,
     )
 
 
 # Maps residues 0..9 to their digit; every other byte value to NUL.
 _DIGITS = b"0123456789" + bytes(246)
+# The inverse on digits: b"0".."9" to residues 0..9.
+_RESIDUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_VALUES_MEMBER = b',"values":['
 
 
 def _values_text(values: Tuple[int, ...]) -> str:
@@ -208,12 +230,32 @@ def decode_msg(frame: bytes) -> Message:
         raise ProtocolViolationError(
             f"frame length mismatch: declared {length}, got {len(body)}"
         )
+    # One-digit values (render_body's fast case) are read in one bytes
+    # pass; every other payload is parsed whole.
+    start = body.rfind(_VALUES_MEMBER)
+    digits = body[start + len(_VALUES_MEMBER) : -2]
+    if (
+        start < 0
+        or not body.endswith(b"]}")
+        or len(digits) % 2 == 0
+        or not digits[::2].isdigit()
+        or digits[1::2].count(b",") != len(digits) // 2
+    ):
+        return message_from_dict(_parse_json(body))
+    # The head ends in "}", so it parses, if at all, to an object. The whole
+    # payload parses to that object with these values as "values" (the last
+    # member wins), unless the object has no member for the comma to follow;
+    # such a head lacks every field and is rejected below all the same.
+    data = _parse_json(body[:start] + b"}")
+    return _checked_message(data, tuple(digits[::2].translate(_RESIDUES)))
+
+
+def _parse_json(payload: bytes):
     # ValueError covers bad UTF-8, bad JSON and integers past the digit limit.
     try:
-        data = json.loads(body.decode("utf-8"))
+        return json.loads(payload.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
-    return message_from_dict(data)
 
 
 def split_frames(buffer: bytearray) -> List[bytes]:

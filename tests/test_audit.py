@@ -472,6 +472,20 @@ class TestClientPrivacy:
         assert not report.is_zero
         assert abs(report.bits_max - 2.2697856487090378) < 1e-12
 
+    def test_bound_counts_the_policy_space(self):
+        # 16 client-set pairs times zero_local's 54 base-vector and
+        # randomness outcomes is 864; the faithful space would give 7776.
+        shape = dict(
+            leader=profile(1, {1}, 3),
+            client_shapes=[(2, 3), (3, 3)],
+            universe=Universe(2),
+            policy=RandomnessPolicy(zero_local=True),
+        )
+        report = client_privacy_mi(bound=864, **shape)
+        assert abs(report.bits_max - 2.2697856487090378) < 1e-12
+        with pytest.raises(BoundExceededError, match="cover 864 outcomes"):
+            client_privacy_mi(bound=863, **shape)
+
     def test_zeroed_individual_randomness_leaks(self):
         report = client_privacy_mi(
             leader=profile(3, {1}, 3),

@@ -102,5 +102,9 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             validate_profiles([profile(1, set()), profile(3, set())], Universe(4))
 
+    def test_element_past_the_universe(self):
+        with pytest.raises(ConfigError, match=r"^party 2: element 5 outside universe of size 4$"):
+            validate_profiles([profile(1, {1}), profile(2, {2, 5})], Universe(4))
+
     def test_sorted_elements(self):
         assert profile(1, {4, 1, 3}).sorted_elements() == (1, 3, 4)

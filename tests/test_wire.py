@@ -1,10 +1,11 @@
 """Wire format: framing and message codec."""
 
 import json
+import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mppsi.errors import ProtocolViolationError
 from mppsi.leader import CostTable, IntersectionResult
@@ -90,6 +91,27 @@ def reference_body(msg: Message) -> str:
     return json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def reference_decode(frame: bytes) -> Message:
+    """The whole-body decoder: every payload through json.loads."""
+    if len(frame) < HEADER.size:
+        raise ProtocolViolationError(f"truncated frame header: {len(frame)} bytes")
+    (length,) = HEADER.unpack(frame[: HEADER.size])
+    if length == 0:
+        raise ProtocolViolationError("zero-length frame")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolViolationError(f"declared frame length {length} exceeds 1 MiB limit")
+    body = frame[HEADER.size :]
+    if len(body) != length:
+        raise ProtocolViolationError(
+            f"frame length mismatch: declared {length}, got {len(body)}"
+        )
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
+    return message_from_dict(data)
+
+
 def reference_transcript_layout(transcript: SessionTranscript) -> dict:
     """The dict whose sorted-key JSON a transcript file has always been."""
     return {
@@ -149,6 +171,155 @@ class TestRoundTrip:
             assert decoded == msg
             assert len(decoded.values) == 5
             assert all(0 <= v <= 4 for v in decoded.values)
+
+
+def outcome(decode, frame: bytes) -> tuple:
+    """("ok", message) or ("rejected",); any other exception propagates."""
+    try:
+        return ("ok", decode(frame))
+    except ProtocolViolationError:
+        return ("rejected",)
+
+
+# Bytes that move a payload on or off the one-digit path, or break it.
+MUTATION_CHUNKS = st.one_of(
+    st.sampled_from([bytes([b]) for b in b'09,[]{}": -.e\\\xff\xc3']),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A rendered payload with a few byte-level edits, most near its end."""
+    body = bytearray(render_body(draw(st.one_of(MESSAGES, ORACLE_MESSAGES))).encode("ascii"))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "values")))
+        if kind == "values":
+            start = body.rfind(b',"values":[')
+            if start >= 0:
+                tail = draw(st.text(alphabet="0123456789,- .", max_size=8)).encode("ascii")
+                body[start:] = b',"values":[' + tail + b"]}"
+            continue
+        if draw(st.booleans()):
+            pos = len(body) - draw(st.integers(0, min(len(body), 30)))
+        else:
+            pos = draw(st.integers(0, len(body)))
+        chunk = draw(MUTATION_CHUNKS)
+        if kind == "insert":
+            body[pos:pos] = chunk
+        elif kind == "delete":
+            del body[pos : pos + len(chunk)]
+        else:
+            body[pos : pos + len(chunk)] = chunk
+    return bytes(body)
+
+
+HEAD = (
+    b'{"dest":[1,2],"origin":[3,0],"partition":1,"phase":"query",'
+    b'"session_id":"s","target":null,"type":"query"'
+)
+
+# Payload and the values it decodes to, or None where it is rejected.
+PINNED_PAYLOADS = {
+    "one-digit": (HEAD + b',"values":[1,0,2]}', (1, 0, 2)),
+    "empty": (HEAD + b',"values":[]}', ()),
+    "trailing-comma": (HEAD + b',"values":[1,]}', None),
+    "leading-comma": (HEAD + b',"values":[,1]}', None),
+    "double-comma": (HEAD + b',"values":[1,,2]}', None),
+    "two-digit": (HEAD + b',"values":[1,10]}', (1, 10)),
+    "space": (HEAD + b',"values":[1, 2]}', (1, 2)),
+    "negative": (HEAD + b',"values":[-1]}', None),
+    "string": (HEAD + b',"values":["1"]}', None),
+    "float": (HEAD + b',"values":[1.0]}', None),
+    "duplicate-earlier": (b'{"values":[-1],' + HEAD[1:] + b',"values":[1,2]}', (1, 2)),
+    "duplicate-earlier-bad-last": (b'{"values":[1],' + HEAD[1:] + b',"values":[1,]}', None),
+    "values-not-last": (b'{"values":[1,2],' + HEAD[1:] + b"}", (1, 2)),
+    "values-before-dest": (
+        b'{"origin":[3,0],"partition":1,"phase":"query","session_id":"s","target":null,'
+        b'"type":"query","values":[1,2],"dest":[1,2]}',
+        (1, 2),
+    ),
+    "nested-object": (HEAD + b',"values":[1],"target":{"a":1,"values":[2]}', None),
+    "nested-object-closed": (HEAD + b',"target":{"a":1,"values":[2]}}', None),
+    "bare-brace": (b'{,"values":[1]}', None),
+    "bare-brace-space": (b'{ ,"values":[1]}', None),
+    "closed-head": (HEAD + b'},"values":[1]}', None),
+    "trailing-comma-member": (HEAD + b',"values":[1,2],}', None),
+    "trailing-space": (HEAD + b',"values":[1,2]} ', (1, 2)),
+    "leading-space": (b" " + HEAD + b',"values":[1,2]}', (1, 2)),
+    "bad-utf8-head": (HEAD.replace(b'"s"', b'"\xff"') + b',"values":[1]}', None),
+    "split-utf8-head": (HEAD + b',"x":"\xc3,"values":[1]}', None),
+    "utf8-bom": (b"\xef\xbb\xbf" + HEAD + b',"values":[1]}', None),
+    "deep-head": (b'{"target":' + b"[" * 100_000 + b',"values":[1]}', None),
+    "nested-duplicate-head": (
+        b'{"target":' + b"[" * 50 + b"]" * 50 + b"," + HEAD[1:] + b',"values":[1]}',
+        (1,),
+    ),
+    "nan-in-head": (HEAD.replace(b'"partition":1', b'"partition":NaN') + b',"values":[1]}', None),
+    "long-int-in-head": (
+        HEAD.replace(b'"partition":1', b'"partition":' + b"1" * 5000) + b',"values":[1]}',
+        None,
+    ),
+}
+
+
+class TestDecoderAgreesWithReference:
+    """decode_msg accepts exactly the frames the whole-body decoder accepts."""
+
+    @given(st.one_of(MESSAGES, ORACLE_MESSAGES))
+    def test_rendered_frames(self, msg):
+        frame = encode_msg(msg)
+        assert decode_msg(frame) == reference_decode(frame) == msg
+
+    @settings(max_examples=400)
+    @given(mutated_bodies())
+    def test_mutated_frames(self, body):
+        frame = frame_with_body(body)
+        assert outcome(decode_msg, frame) == outcome(reference_decode, frame)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
+    def test_pinned_payloads(self, name):
+        body, values = PINNED_PAYLOADS[name]
+        frame = frame_with_body(body)
+        result = outcome(decode_msg, frame)
+        assert result == outcome(reference_decode, frame)
+        if values is None:
+            assert result == ("rejected",)
+        else:
+            assert result[0] == "ok" and result[1].values == values
+
+
+class TestOneDigitPath:
+    @staticmethod
+    def json_input_lengths(monkeypatch, msg):
+        frame = encode_msg(msg)
+        lengths = []
+        loads = json.loads
+
+        def recording_loads(text, *args, **kwargs):
+            lengths.append(len(text))
+            return loads(text, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("mppsi.wire.json.loads", recording_loads)
+            assert decode_msg(frame) == msg
+        return lengths, len(frame) - HEADER.size
+
+    @staticmethod
+    def query(modulus):
+        rng = random.Random(modulus)
+        values = tuple(rng.randrange(modulus) for _ in range(1000))
+        return Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
+
+    def test_one_digit_values_skip_json(self, monkeypatch):
+        # K = 1000, L = 3: json sees only the head, never the 1999-byte values.
+        lengths, _ = self.json_input_lengths(monkeypatch, self.query(3))
+        assert len(lengths) == 1
+        assert lengths[0] < 2 * 1000 - 1
+
+    def test_two_digit_values_go_through_json(self, monkeypatch):
+        lengths, body_length = self.json_input_lengths(monkeypatch, self.query(11))
+        assert lengths == [body_length]
 
 
 class TestRenderBody:
