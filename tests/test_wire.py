@@ -300,9 +300,8 @@ class TestOneDigitPath:
             lengths.append(len(text))
             return loads(text, *args, **kwargs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr("mppsi.wire.json.loads", recording_loads)
-            assert decode_msg(frame) == msg
+        monkeypatch.setattr("mppsi.wire.json.loads", recording_loads)
+        assert decode_msg(frame) == msg
         return lengths, len(frame) - HEADER.size
 
     @staticmethod
