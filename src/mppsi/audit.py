@@ -10,7 +10,9 @@ exact rationals or integer counts; zero means zero. The checks are:
   The walk computes each level of the product only when it changes (inner
   products per base-vector set, then + s, then + t, then c times that) and
   decodes each full answer vector with leader.decode_vector, the kernel
-  behind the transports' decode_values;
+  behind the transports' decode_values. The t level is computed once per
+  distinct t tuple of a walk and kept until the walk ends: up to 3^12 rows,
+  about 215 MB, for an exhaustive stream under DEFAULT_BOUND;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -26,8 +28,9 @@ exact rationals or integer counts; zero means zero. The checks are:
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 (s, t, c) from _raw_realizations under the caller's policy, answer vectors
-from realization_answers. The masking checks fix all but the swept slots
-and answer through answers_for_realization, the transports' formula.
+from realization_answers. The masking checks fix all but the swept slots,
+at values the policy can produce and over its multiplier range, and answer
+through answers_for_realization, the transports' formula.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
 that make it fail, demonstrating the checks have power.
@@ -40,6 +43,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import answer_value, support_sum
@@ -255,22 +259,32 @@ def realization_answers(
 
     The values answers_for_realization gives, computed level by level:
     consecutive enumerated realizations share their s and t, so ip + s is
-    recomputed only when s changes, the correlated completion and
-    ip + s + t only when s or t changes, and each c scales that vector.
+    recomputed only when s changes, ip + s + t only when s or t changes, and
+    each c scales that vector. The t level (the correlated completion,
+    gathered into answer order) depends on t and the policy alone, so it is
+    computed once per distinct t tuple of this call and kept, as a tuple of
+    one residue per answer, until the walk ends. That is |t_range|^n_t rows
+    for an exhaustive stream (at most 3^12 = 531,441 under DEFAULT_BOUND,
+    about 215 MB extrapolated from a measured 59,049-row walk), and at most
+    one per sample for a sampled one.
     """
     modulus = compiled.field.modulus
     layout = compiled.answer_layout
     with_ip = [ips[entry[0]] for entry in layout]
     s_slots = [entry[4] for entry in layout]
     t_slots = [entry[5] for entry in layout]
+    t_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     s_seen = t_seen = None
     for s_values, t_values, c_value in realizations:
         if s_values != s_seen:
             with_s = [ip + s_values[i] for ip, i in zip(with_ip, s_slots)]
             s_seen, t_seen = s_values, None
         if t_values != t_seen:
-            t_all = individual_values(compiled, t_values, policy)
-            with_t = [v + t_all[i] for v, i in zip(with_s, t_slots)]
+            row = t_rows.get(t_values)
+            if row is None:
+                t_all = individual_values(compiled, t_values, policy)
+                row = t_rows[t_values] = tuple(map(t_all.__getitem__, t_slots))
+            with_t = list(map(add, with_s, row))
             t_seen = t_values
         yield s_values, t_values, c_value, [c_value * v % modulus for v in with_t]
 
@@ -290,6 +304,14 @@ def _policy_ranges(
         list(range(1, modulus)) if policy.fixed_global is None
         else [policy.fixed_global % modulus],
     )
+
+
+def _fixed_draw(
+    seed: int, modulus: int, length: int, label: str, ctx: int, zeroed: bool
+) -> Tuple[int, ...]:
+    """Seeded values for slots a masking check holds fixed: zeros where the
+    policy zeroes their tier, else a labeled draw from F_L."""
+    return (0,) * length if zeroed else tuple(draw_vector(seed, modulus, length, label, ctx))
 
 
 def _h_space(compiled: CompiledInstance) -> int:
@@ -483,7 +505,7 @@ def check_db1_uniformity(
     compiled = compile_instance(instance)
     modulus = compiled.field.modulus
     plan = compiled.plan
-    s_range, _, _ = _policy_ranges(policy, modulus)
+    s_range, _, c_range = _policy_ranges(policy, modulus)
     tables: Dict[object, DistributionTable] = {}
     passed = True
     detail = ""
@@ -493,8 +515,10 @@ def check_db1_uniformity(
         expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
         for ctx in range(contexts):
             ips = query_inner_products(compiled, _drawn_h(compiled, seed, "db1-h", ctx))
-            t_fixed = tuple(draw_vector(seed, modulus, compiled.n_t, "db1-t", ctx))
-            for c_value in range(1, modulus):
+            t_fixed = _fixed_draw(
+                seed, modulus, compiled.n_t, "db1-t", ctx, policy.zero_individual
+            )
+            for c_value in c_range:
                 counts: Dict[Tuple[int, ...], int] = {}
                 for sweep in itertools.product(s_range, repeat=eta):
                     s_values = [0] * compiled.n_s
@@ -534,7 +558,7 @@ def check_z_uniformity(
     tables: Dict[object, DistributionTable] = {}
     if not free:
         return UniformityReport(True, tables, "no non-correlating clients; vacuous")
-    _, t_range, _ = _policy_ranges(policy, modulus)
+    _, t_range, c_range = _policy_ranges(policy, modulus)
     expected = list(range(modulus))
     passed = True
     detail = ""
@@ -544,9 +568,13 @@ def check_z_uniformity(
             partition, _ = plan.position_location(client_id, position)
             for ctx in range(contexts):
                 ips = query_inner_products(compiled, _drawn_h(compiled, seed, "z-h", ctx))
-                s_fixed = tuple(draw_vector(seed, modulus, compiled.n_s, "z-s", ctx))
-                t_fixed = draw_vector(seed, modulus, compiled.n_t, "z-t", ctx)
-                for c_value in range(1, modulus):
+                s_fixed = _fixed_draw(
+                    seed, modulus, compiled.n_s, "z-s", ctx, policy.zero_local
+                )
+                t_fixed = _fixed_draw(
+                    seed, modulus, compiled.n_t, "z-t", ctx, policy.zero_individual
+                )
+                for c_value in c_range:
                     counts: Dict[int, int] = {}
                     for value in t_range:
                         t_values = list(t_fixed)
@@ -597,8 +625,8 @@ def check_indicator_privacy(
             AuditInstance(profiles_variant, instance.universe, plan.leader_id)
         )
         ips = query_inner_products(comp, _drawn_h(comp, seed, "ind-h", ctx))
-        s_fixed = tuple(draw_vector(seed, modulus, comp.n_s, "ind-s", ctx))
-        t_fixed = tuple(draw_vector(seed, modulus, comp.n_t, "ind-t", ctx))
+        s_fixed = _fixed_draw(seed, modulus, comp.n_s, "ind-s", ctx, policy.zero_local)
+        t_fixed = _fixed_draw(seed, modulus, comp.n_t, "ind-t", ctx, policy.zero_individual)
         counts: Dict[int, int] = {}
         for c_value in c_range:
             answers = answers_for_realization(comp, ips, s_fixed, t_fixed, c_value, policy)

@@ -1,5 +1,6 @@
 """Exact enumeration audits: reliability, masking lemmas, mutual information."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mppsi.audit import (
     client_privacy_mi,
     compile_instance,
     database_view,
+    individual_values,
     leader_privacy_mi,
     leader_view,
     query_inner_products,
@@ -62,6 +64,20 @@ TWO_PARTY = AuditInstance(
     profiles=(profile(1, {1}, 2), profile(2, {1}, 2)),
     universe=Universe(1),
     leader_override=2,
+)
+
+# L = 5 with n_s = 3 and n_t = 2: two free clients, so each t tuple's
+# completion sums two terms, and 12,500 exhaustive realizations per
+# base-vector set.
+FOUR_PARTY = AuditInstance(
+    profiles=(
+        profile(1, {1}, 2),
+        profile(2, {1}, 2),
+        profile(3, set(), 2),
+        profile(4, {1}, 2),
+    ),
+    universe=Universe(1),
+    leader_override=1,
 )
 
 
@@ -258,7 +274,7 @@ def oracle_reliability(
 class TestWalkAgreesWithOracle:
     # Every policy samples the heterogeneous instance's randomness; each
     # M3_N2_K6_R3 instance is walked over one base-vector set, which keeps
-    # the whole class at 339,520 realizations.
+    # the whole class at 483,145 realizations.
     @pytest.mark.parametrize(
         "policy",
         POLICIES,
@@ -269,15 +285,47 @@ class TestWalkAgreesWithOracle:
         [
             (HOMOGENEOUS, {}),
             (TWO_PARTY, {}),
+            (FOUR_PARTY, {}),
             (HETEROGENEOUS, {"bound": 10**4, "sample_beyond_bound": 400}),
         ]
         + [(instance, {"h_samples": 1}) for instance in M3_N2_K6_R3],
-        ids=["homogeneous", "two-party", "heterogeneous-sampled", "m3-a", "m3-b", "m3-c"],
+        ids=[
+            "homogeneous", "two-party", "four-party", "heterogeneous-sampled",
+            "m3-a", "m3-b", "m3-c",
+        ],
     )
     def test_answers_decodes_and_report(self, instance, kwargs, policy):
         oracle = oracle_reliability(instance, policy, **kwargs)
         assert oracle.exhaustive_randomness == (instance is not HETEROGENEOUS)
         assert check_reliability(instance, policy=policy, **kwargs) == oracle
+
+    def test_t_rows_belong_to_one_walk(self):
+        # Both walks see the same t tuples over the same compiled instance;
+        # rows kept from the faithful walk would give the shifted one the
+        # faithful completion.
+        compiled = compile_instance(FOUR_PARTY)
+        ips = query_inner_products(compiled, ((2,),))
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        tuples = list(draws())
+        for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
+            for s, t, c, vector in realization_answers(compiled, ips, tuples, policy):
+                answers = answers_for_realization(compiled, ips, s, t, c, policy)
+                assert vector == [answers[key] for key in compiled.plan.answer_keys]
+
+    def test_t_level_computed_once_per_t_tuple(self, monkeypatch):
+        calls = []
+
+        def counting(compiled, t_values, policy):
+            calls.append(t_values)
+            return individual_values(compiled, t_values, policy)
+
+        monkeypatch.setattr("mppsi.audit.individual_values", counting)
+        compiled = compile_instance(HOMOGENEOUS)
+        ips = query_inner_products(compiled, ((0, 0, 0, 0),))
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        walked = sum(1 for _ in realization_answers(compiled, ips, draws()))
+        assert walked == 162
+        assert sorted(calls) == sorted(itertools.product(range(3), repeat=2))
 
 
 class TestDb1Uniformity:
@@ -298,6 +346,13 @@ class TestDb1Uniformity:
             HOMOGENEOUS, policy=RandomnessPolicy(zero_local=True)
         )
         assert not report.passed
+
+    def test_fixed_multiplier_sweeps_only_its_value(self):
+        report = check_db1_uniformity(
+            HOMOGENEOUS, policy=RandomnessPolicy(fixed_global=2)
+        )
+        assert report.passed
+        assert {c_value for _, _, c_value in report.tables} == {2}
 
 
 class TestZUniformity:
@@ -354,6 +409,15 @@ class TestIndicatorPrivacy:
             HOMOGENEOUS, policy=RandomnessPolicy(fixed_global=1)
         )
         assert not report.passed
+
+    def test_zeroed_individual_randomness_breaks_intersection_indicator(self):
+        # With every individual value zeroed, no completion cancels the
+        # intersection element's column sum, so its indicator is nonzero.
+        report = check_indicator_privacy(
+            HOMOGENEOUS, policy=RandomnessPolicy(zero_individual=True)
+        )
+        assert not report.passed
+        assert report.detail == "element 1: indicator not always zero"
 
 
 class TestQueryTupleDistribution:

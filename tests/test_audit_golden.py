@@ -41,12 +41,12 @@ MASKING = {
     ("db1", "homogeneous", "zero_local"): "fd2896fbdc63afc1",
     ("db1", "homogeneous", "zero_individual"): "0a3b07c8f022bed5",
     ("db1", "homogeneous", "offset"): "0a3b07c8f022bed5",
-    ("db1", "homogeneous", "fixed_global"): "0a3b07c8f022bed5",
+    ("db1", "homogeneous", "fixed_global"): "f0c84394e8eca02c",
     ("db1", "heterogeneous", "faithful"): "79f833dbf87f52f3",
     ("db1", "heterogeneous", "zero_local"): "3e9713515a7863df",
     ("db1", "heterogeneous", "zero_individual"): "79f833dbf87f52f3",
     ("db1", "heterogeneous", "offset"): "79f833dbf87f52f3",
-    ("db1", "heterogeneous", "fixed_global"): "79f833dbf87f52f3",
+    ("db1", "heterogeneous", "fixed_global"): "7a1f053ecec883e1",
     ("db1", "two-party", "faithful"): "82c4c43f57f4bfcb",
     ("db1", "two-party", "zero_local"): "f4e571042cc4285f",
     ("db1", "two-party", "zero_individual"): "82c4c43f57f4bfcb",
@@ -56,12 +56,12 @@ MASKING = {
     ("z", "homogeneous", "zero_local"): "c569c3bd6c294929",
     ("z", "homogeneous", "zero_individual"): "29e700630b153352",
     ("z", "homogeneous", "offset"): "c569c3bd6c294929",
-    ("z", "homogeneous", "fixed_global"): "c569c3bd6c294929",
+    ("z", "homogeneous", "fixed_global"): "ec9cc970f3aecda6",
     ("z", "heterogeneous", "faithful"): "d329f62b46569ad6",
     ("z", "heterogeneous", "zero_local"): "d329f62b46569ad6",
     ("z", "heterogeneous", "zero_individual"): "0d1c14e92b903f5b",
     ("z", "heterogeneous", "offset"): "d329f62b46569ad6",
-    ("z", "heterogeneous", "fixed_global"): "d329f62b46569ad6",
+    ("z", "heterogeneous", "fixed_global"): "89b3ba3d3d4dfa96",
     ("z", "two-party", "faithful"): "97b851435763ef82",
     ("z", "two-party", "zero_local"): "97b851435763ef82",
     ("z", "two-party", "zero_individual"): "97b851435763ef82",
@@ -69,12 +69,12 @@ MASKING = {
     ("z", "two-party", "fixed_global"): "97b851435763ef82",
     ("indicator", "homogeneous", "faithful"): "2cb6776c378209b3",
     ("indicator", "homogeneous", "zero_local"): "2cb6776c378209b3",
-    ("indicator", "homogeneous", "zero_individual"): "a0df3445310bed80",
+    ("indicator", "homogeneous", "zero_individual"): "9d941e52eedb5140",
     ("indicator", "homogeneous", "offset"): "36b84abce941b89e",
     ("indicator", "homogeneous", "fixed_global"): "62c47cf00893499c",
     ("indicator", "heterogeneous", "faithful"): "85319cff2101e05e",
     ("indicator", "heterogeneous", "zero_local"): "85319cff2101e05e",
-    ("indicator", "heterogeneous", "zero_individual"): "522c03ee7e0f2ebe",
+    ("indicator", "heterogeneous", "zero_individual"): "989a86334992f772",
     ("indicator", "heterogeneous", "offset"): "c0ed206830387729",
     ("indicator", "heterogeneous", "fixed_global"): "dcadd698b8051b04",
     ("indicator", "two-party", "faithful"): "29eafa2529b78bb4",
