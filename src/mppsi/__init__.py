@@ -25,17 +25,10 @@ from .leader import (
     QueryPlan,
     decode,
     download_cost,
-    elect_leader,
     generate_queries,
     make_partition_plan,
 )
-from .model import (
-    IncidenceVector,
-    PartyProfile,
-    Universe,
-    brute_force_intersection,
-    to_incidence,
-)
+from .model import PartyProfile, Universe, brute_force_intersection
 from .randomness import RandomnessBundle, RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
 from .protocol import run_protocol
@@ -44,7 +37,6 @@ __all__ = [
     "BoundExceededError",
     "ConfigError",
     "CostTable",
-    "IncidenceVector",
     "InfeasibleError",
     "IntersectionResult",
     "MppsiError",
@@ -62,7 +54,6 @@ __all__ = [
     "brute_force_intersection",
     "decode",
     "download_cost",
-    "elect_leader",
     "generate_queries",
     "load_config",
     "make_partition_plan",
@@ -71,7 +62,6 @@ __all__ = [
     "run_protocol",
     "run_session",
     "select_field_size",
-    "to_incidence",
 ]
 
 __version__ = "0.1.0"

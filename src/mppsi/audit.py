@@ -10,7 +10,7 @@ exact rationals or integer counts; zero means zero. The checks are:
   The walk computes each level of the product only when it changes (inner
   products per base-vector set, then + s, then + t, then c times that) and
   decodes each full answer vector with leader.decode_vector, the kernel
-  behind the transports' decode_values. The t level is computed once per
+  behind the transports' decode. The t level is computed once per
   distinct t tuple of a walk and kept until the walk ends: up to 3^12 rows,
   about 215 MB, for an exhaustive stream under DEFAULT_BOUND;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
@@ -30,7 +30,11 @@ enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 (s, t, c) from _raw_realizations under the caller's policy, answer vectors
 from realization_answers. The masking checks fix all but the swept slots,
 at values the policy can produce and over its multiplier range, and answer
-through answers_for_realization, the transports' formula.
+each swept realization through answers_for_realization, one realization
+run through the same walk; check_indicator_privacy decodes with
+decode_vector. So every check answers through realization_answers and
+decodes through decode_vector, and the correlated completion is
+randomness.completion, the one the client databases run.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
 that make it fail, demonstrating the checks have power.
@@ -46,13 +50,13 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .client import answer_value, support_sum
+from .client import support_sum
 from .errors import BoundExceededError
 from .field import PrimeField
-from .leader import PartitionPlan, decode_values, decode_vector, make_partition_plan
+from .leader import PartitionPlan, decode_vector, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
-from .randomness import FAITHFUL, RandomnessPolicy, correlating_client, free_clients
+from .randomness import FAITHFUL, RandomnessPolicy, completion, correlating_client, free_clients
 from .seeding import draw_vector, labeled_rng
 from .session import SessionTranscript
 
@@ -122,10 +126,9 @@ class CompiledInstance:
 
     answer_layout follows plan.answer_keys, the order decode_vector reads.
     Inner products per query are constants of the base-vector realization, so
-    they are computed once per realization. The masking checks answer through
-    answer_value and decode through decode_values, as the transports do; the
-    other checks build the same answer vectors level by level over the
-    shared realization stream (realization_answers).
+    they are computed once per realization. Every check builds its answer
+    vectors from them level by level (realization_answers) and reads them by
+    index in that order.
     """
 
     setup: SessionSetup
@@ -218,35 +221,30 @@ def individual_values(
 ) -> Tuple[int, ...]:
     """t + completion + (0,), the values answer_layout's t_idx reads.
 
-    The correlating client completes each position's sum of individual
-    values to L - (M - 1), shifted by the policy's correlation offset.
+    The correlating client's value per position is randomness.completion of
+    the free values at that position.
     """
     modulus = compiled.field.modulus
-    num_parties = len(compiled.plan.client_ids) + 1
-    target = (modulus - (num_parties - 1) + policy.correlation_offset) % modulus
-    completion = [
-        0 if policy.zero_individual
-        else (target - sum(map(t_values.__getitem__, slots))) % modulus
+    num_clients = len(compiled.plan.client_ids)
+    completed = [
+        completion(map(t_values.__getitem__, slots), modulus, num_clients, policy)
         for slots in compiled.corr_free_indices.values()
     ]
-    return (*t_values, *completion, 0)
+    return (*t_values, *completed, 0)
 
 
 def answers_for_realization(
     compiled: CompiledInstance,
     ips: Dict[Tuple[int, int, Optional[int]], int],
-    s_values: Sequence[int],
-    t_values: Sequence[int],
+    s_values: Tuple[int, ...],
+    t_values: Tuple[int, ...],
     c_value: int,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Dict[Tuple[int, int, Optional[int]], int]:
-    """All answer values for one randomness realization, via answer_value."""
-    modulus = compiled.field.modulus
-    t_all = individual_values(compiled, t_values, policy)
-    return {
-        key: answer_value(ips[key], s_values[s_idx], t_all[t_idx], c_value, modulus)
-        for key, _, _, _, s_idx, t_idx in compiled.answer_layout
-    }
+) -> List[int]:
+    """All answer values for one randomness realization, in plan.answer_keys
+    order: that one realization run through realization_answers."""
+    realization = (s_values, t_values, c_value)
+    return next(realization_answers(compiled, ips, [realization], policy))[3]
 
 
 def realization_answers(
@@ -257,7 +255,7 @@ def realization_answers(
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, List[int]]]:
     """Each realization with its answers in plan.answer_keys order.
 
-    The values answers_for_realization gives, computed level by level:
+    Each answer is c * (ip + s + t) mod L, computed level by level:
     consecutive enumerated realizations share their s and t, so ip + s is
     recomputed only when s changes, ip + s + t only when s or t changes, and
     each c scales that vector. The t level (the correlated completion,
@@ -512,6 +510,7 @@ def check_db1_uniformity(
     for client_id in plan.client_ids:
         eta = plan.eta[client_id]
         slots = [compiled.s_index[(client_id, ell)] for ell in range(1, eta + 1)]
+        db1 = [plan.answer_keys.index((client_id, ell, None)) for ell in range(1, eta + 1)]
         expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
         for ctx in range(contexts):
             ips = query_inner_products(compiled, _drawn_h(compiled, seed, "db1-h", ctx))
@@ -525,11 +524,9 @@ def check_db1_uniformity(
                     for idx, value in zip(slots, sweep):
                         s_values[idx] = value
                     answers = answers_for_realization(
-                        compiled, ips, s_values, t_fixed, c_value, policy
+                        compiled, ips, tuple(s_values), t_fixed, c_value, policy
                     )
-                    outcome = tuple(
-                        answers[(client_id, ell, None)] for ell in range(1, eta + 1)
-                    )
+                    outcome = tuple(answers[i] for i in db1)
                     counts[outcome] = counts.get(outcome, 0) + 1
                 table = DistributionTable.from_counts(counts)
                 key = (client_id, ctx, c_value)
@@ -566,6 +563,8 @@ def check_z_uniformity(
         for position in range(1, plan.set_size + 1):
             sweep_idx = compiled.t_index[(client_id, position)]
             partition, _ = plan.position_location(client_id, position)
+            target = plan.answer_keys.index((client_id, partition, position))
+            base = plan.answer_keys.index((client_id, partition, None))
             for ctx in range(contexts):
                 ips = query_inner_products(compiled, _drawn_h(compiled, seed, "z-h", ctx))
                 s_fixed = _fixed_draw(
@@ -580,12 +579,9 @@ def check_z_uniformity(
                         t_values = list(t_fixed)
                         t_values[sweep_idx] = value
                         answers = answers_for_realization(
-                            compiled, ips, s_fixed, t_values, c_value, policy
+                            compiled, ips, s_fixed, tuple(t_values), c_value, policy
                         )
-                        z = (
-                            answers[(client_id, partition, position)]
-                            - answers[(client_id, partition, None)]
-                        ) % modulus
+                        z = (answers[target] - answers[base]) % modulus
                         counts[z] = counts.get(z, 0) + 1
                     table = DistributionTable.from_counts(counts)
                     tables[(client_id, position, ctx, c_value)] = table
@@ -630,7 +626,7 @@ def check_indicator_privacy(
         counts: Dict[int, int] = {}
         for c_value in c_range:
             answers = answers_for_realization(comp, ips, s_fixed, t_fixed, c_value, policy)
-            _, indicators = decode_values(comp.plan, answers, modulus)
+            _, indicators = decode_vector(comp.plan, answers, modulus)
             value = indicators[element]
             counts[value] = counts.get(value, 0) + 1
         return DistributionTable.from_counts(counts)

@@ -85,7 +85,7 @@ def answer_all(
                 f"query addressed to ({query.client_id},{query.database}) "
                 f"delivered to ({profile.party_id},{database})"
             )
-        s_slot = bundle.local_slot(profile.party_id, query.partition)
+        s_slot = bundle.local_slot(query.partition)
         if query.target_pos is None:
             if database != 1:
                 raise ProtocolViolationError(
@@ -93,7 +93,7 @@ def answer_all(
                 )
             t_slot = 0
         else:
-            t_slot = bundle.individual_slot(profile.party_id, database, query.partition)
+            t_slot = bundle.individual_slot(query.partition)
         q = query.vector
         if len(q) != universe.size:
             raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")

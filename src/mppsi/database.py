@@ -19,7 +19,7 @@ from .field import PrimeField
 from .leader import PlanShape, QuerySpec
 from .model import PartyProfile, Universe
 from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, ShareMessage
-from .randomness import correlating_client, free_clients, gen_global, gen_local
+from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_value
 
 
@@ -28,7 +28,7 @@ class DatabaseState:
 
     bundle holds only this database's own slots: its client's local vector,
     its individual values (explicit zeros at database 1), and the global
-    multiplier once it has one.
+    multiplier once it has one. Both transports answer from it.
     """
 
     def __init__(
@@ -51,15 +51,12 @@ class DatabaseState:
         self.c_origin = (shape.client_ids[0], 1)
         self.positions = shape.positions_of_database(party_id, database)
         eta = shape.eta[party_id]
+        self._t: Dict[int, int] = {}  # partition -> value added to its targeted answer
         self.bundle = RandomnessBundle(
-            local={party_id: gen_local(party_id, eta, field, seed, policy)},
+            local=gen_local(party_id, eta, field, seed, policy),
+            individual=dict.fromkeys(range(1, eta + 1), 0) if database == 1 else self._t,
             c=gen_global(field, seed, policy) if self.address == self.c_origin else None,
         )
-        self._t: Dict[int, int] = {}  # partition -> value added to its targeted answer
-        if database == 1:
-            self.bundle.individual[self.address] = dict.fromkeys(range(1, eta + 1), 0)
-        elif self.positions:
-            self.bundle.individual[self.address] = self._t
         # At the correlating client: position -> {free client: its share}.
         self._received: Dict[int, Dict[int, int]] = {}
         if party_id == self.correlator:
@@ -146,13 +143,11 @@ class DatabaseState:
         """Fill in the correlating client's values once every free share is in."""
         if self._missing:
             return
-        modulus = self.field.modulus
-        # M - 1 is the number of clients.
-        target = modulus - len(self.shape.client_ids) + self.policy.correlation_offset
+        num_clients = len(self.shape.client_ids)
         for position, received in self._received.items():
             partition, _ = self.shape.position_location(self.correlator, position)
-            self._t[partition] = (
-                0 if self.policy.zero_individual else (target - sum(received.values())) % modulus
+            self._t[partition] = completion(
+                received.values(), self.field.modulus, num_clients, self.policy
             )
 
     def answer(self, queries: Sequence[QuerySpec], universe: Universe) -> List[AnswerMsg]:

@@ -77,14 +77,6 @@ def cost_table(profiles: Sequence[PartyProfile]) -> CostTable:
     return CostTable(costs)
 
 
-def elect_leader(profiles: Sequence[PartyProfile]) -> Tuple[int, CostTable]:
-    """Pick the candidate with minimal download cost; ties go to the lowest id."""
-    if len(profiles) < 2:
-        raise InfeasibleError(f"need at least 2 parties, got {len(profiles)}")
-    table = cost_table(profiles)
-    return table.best(), table
-
-
 @dataclass(frozen=True)
 class PlanShape:
     """Chunk geometry per client, derived from public quantities only.

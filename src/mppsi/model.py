@@ -1,9 +1,9 @@
-"""Universe, party data sets, and incidence vectors.
+"""Universe and party data sets.
 
-Elements are the integers 1..K. A party's set is represented both as a
-sorted tuple of element ids and as a binary incidence vector over the
-universe; the protocol operates on the incidence vector, which is a
-sufficient statistic for the set once the universe is fixed.
+Elements are the integers 1..K. The protocol operates on a party's binary
+incidence vector over the universe, a sufficient statistic for the set once
+the universe is fixed; it is never built, since a binary inner product is
+the sum of the query's entries over the set (client.support_sum).
 """
 
 from __future__ import annotations
@@ -53,38 +53,12 @@ class PartyProfile:
         return tuple(sorted(self.data_set))
 
 
-@dataclass(frozen=True)
-class IncidenceVector:
-    """Length-K binary vector with bit j-1 set iff element j is in the set."""
-
-    bits: tuple
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("incidence bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def to_set(self) -> frozenset:
-        return frozenset(j + 1 for j, b in enumerate(self.bits) if b == 1)
-
-
 def _check_fits(profile: PartyProfile, universe: Universe) -> None:
     for elem in profile.data_set:
         if elem > universe.size:
             raise ConfigError(
                 f"party {profile.party_id}: element {elem} outside universe of size {universe.size}"
             )
-
-
-def to_incidence(profile: PartyProfile, universe: Universe) -> IncidenceVector:
-    """Binary incidence vector of a party's set over the universe."""
-    _check_fits(profile, universe)
-    bits = [0] * universe.size
-    for elem in profile.data_set:
-        bits[elem - 1] = 1
-    return IncidenceVector(tuple(bits))
 
 
 def brute_force_intersection(profiles: Sequence[PartyProfile]) -> frozenset:

@@ -46,8 +46,7 @@ from .client import AnswerMsg
 from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError, TransportError
-from .field import select_field_size
-from .leader import QuerySpec, cost_table, decode, generate_queries, make_partition_plan, make_plan_shape
+from .leader import QuerySpec, decode, generate_queries, make_partition_plan, make_plan_shape
 from .protocol import ProtocolRun, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, ShareMessage, build_bundle
 from .session import (
@@ -117,19 +116,17 @@ class DatabaseEndpoint:
         profile = by_id[party_id]
         if not 1 <= database <= profile.num_databases:
             raise ConfigError(f"party {party_id} has no database {database}")
-        self.field = select_field_size(len(config.parties))
-        self.leader_id = config.leader_override
-        if self.leader_id is None:
-            self.leader_id = cost_table(config.parties).best()
+        setup = prepare_session(config.parties, config.universe, config.leader_override)
+        self.field = setup.field
+        self.leader_id = setup.leader.party_id
         if party_id == self.leader_id:
             raise ConfigError("the leader party does not serve database endpoints")
-        clients = [p for p in config.parties if p.party_id != self.leader_id]
         # Public quantity: set cardinalities are known to everyone. An empty
         # leader set needs no randomness and gets no queries.
-        set_size = len(by_id[self.leader_id].data_set)
+        set_size = len(setup.leader.data_set)
         self.state: Optional[DatabaseState] = None
         if set_size:
-            shape = make_plan_shape(set_size, clients)
+            shape = make_plan_shape(set_size, setup.clients)
             self.state = DatabaseState(shape, profile, database, self.field, config.seed, policy)
 
     def start(self, loop: Optional[_ServeLoop] = None) -> None:

@@ -77,14 +77,15 @@ def collect_answers(
     query_plan: QueryPlan,
     clients: Sequence[PartyProfile],
     universe: Universe,
-    bundle: RandomnessBundle,
+    bundles: Dict[Tuple[int, int], RandomnessBundle],
     field: PrimeField,
 ) -> List[AnswerMsg]:
-    """Every database answers exactly the queries delivered to it."""
+    """Every database answers exactly the queries delivered to it, from its own bundle."""
     answers: List[AnswerMsg] = []
     for client in sorted(clients, key=lambda p: p.party_id):
         for database in range(1, plan.used_databases[client.party_id] + 1):
             delivered = query_plan.queries_for(client.party_id, database)
+            bundle = bundles[client.party_id, database]
             answers.extend(
                 answer_all(client, database, delivered, universe, bundle, field)
             )
@@ -129,9 +130,9 @@ def run_protocol(
             result=empty,
         )
     plan = make_partition_plan(setup.leader, setup.clients)
-    bundle, share_messages = build_bundle(plan, setup.clients, setup.field, seed, policy)
+    bundles, share_messages = build_bundle(plan, setup.clients, setup.field, seed, policy)
     query_plan = generate_queries(plan, setup.field, universe, seed)
-    answers = collect_answers(plan, query_plan, setup.clients, universe, bundle, setup.field)
+    answers = collect_answers(plan, query_plan, setup.clients, universe, bundles, setup.field)
     result = decode(plan, answers, setup.field)
     return ProtocolRun(
         setup=setup,

@@ -15,8 +15,10 @@ messages keyed by leader-set position (1..R). Positions, not element ids,
 cross party boundaries: clients only ever learn the public set size.
 
 Each client database draws, sends and installs its own values in a
-database.DatabaseState. build_bundle runs the phase in memory by routing
-shares between one such state per client database.
+database.DatabaseState, and answers from that state's RandomnessBundle.
+build_bundle runs the phase in memory by routing shares between one such
+state per client database. completion is the one place the correlating
+client's value is computed; the auditor calls it too.
 
 A RandomnessPolicy can deliberately break each tier; the audit module uses
 these mutations as negative controls.
@@ -25,7 +27,7 @@ these mutations as negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolViolationError
 from .field import PrimeField
@@ -68,33 +70,29 @@ class ShareMessage:
 
 @dataclass
 class RandomnessBundle:
-    """All randomness installed at client databases for one session.
+    """The randomness one client database holds for one session.
 
-    individual[(client, db)] maps a partition slot to the value that database
-    adds to its targeted answer for that partition; database 1 carries
-    explicit zeros. All values are residues in [0, L).
+    local[partition - 1] is its client's local value for that partition;
+    individual[partition] is the value it adds to its targeted answer for
+    that partition, with explicit zeros at database 1; c is the global
+    multiplier once installed. All values are residues in [0, L).
     """
 
-    local: Dict[int, List[int]] = dc_field(default_factory=dict)
-    individual: Dict[Tuple[int, int], Dict[int, int]] = dc_field(default_factory=dict)
+    local: List[int] = dc_field(default_factory=list)
+    individual: Dict[int, int] = dc_field(default_factory=dict)
     c: Optional[int] = None
 
-    def local_slot(self, client_id: int, partition: int) -> int:
+    def local_slot(self, partition: int) -> int:
         try:
-            return self.local[client_id][partition - 1]
-        except (KeyError, IndexError, TypeError):  # TypeError: a query without a partition
-            raise ProtocolViolationError(
-                f"no local randomness slot for client {client_id} partition {partition}"
-            )
+            return self.local[partition - 1]
+        except (IndexError, TypeError):  # TypeError: a query without a partition
+            raise ProtocolViolationError(f"no local randomness slot for partition {partition}")
 
-    def individual_slot(self, client_id: int, database: int, partition: int) -> int:
+    def individual_slot(self, partition: int) -> int:
         try:
-            return self.individual[(client_id, database)][partition]
+            return self.individual[partition]
         except KeyError:
-            raise ProtocolViolationError(
-                f"no individual randomness for client {client_id} "
-                f"database {database} partition {partition}"
-            )
+            raise ProtocolViolationError(f"no individual randomness for partition {partition}")
 
 
 def correlating_client(client_ids: Sequence[int]) -> int:
@@ -105,6 +103,20 @@ def correlating_client(client_ids: Sequence[int]) -> int:
 def free_clients(client_ids: Sequence[int]) -> List[int]:
     corr = correlating_client(client_ids)
     return sorted(i for i in client_ids if i != corr)
+
+
+def completion(
+    free_values: Iterable[int], modulus: int, num_clients: int, policy: RandomnessPolicy
+) -> int:
+    """The correlating client's individual value for one leader-set position.
+
+    Given the free clients' values for that position, it makes the position's
+    values sum to L - num_clients, that is L - (M - 1), shifted by the
+    policy's correlation offset; zero under zero_individual.
+    """
+    if policy.zero_individual:
+        return 0
+    return (modulus - num_clients + policy.correlation_offset - sum(free_values)) % modulus
 
 
 def gen_local(
@@ -143,12 +155,12 @@ def build_bundle(
     field: PrimeField,
     seed: int,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Tuple[RandomnessBundle, List[ShareMessage]]:
+) -> Tuple[Dict[Tuple[int, int], RandomnessBundle], List[ShareMessage]]:
     """Run the randomness phase in memory: the router between database states.
 
-    Builds one state per client database, delivers every share they send in
-    the transcript's canonical order, and merges what each state installed
-    into one bundle. Returns the bundle and the shares in that order.
+    Builds one state per client database and delivers every share they send
+    in the transcript's canonical order. Returns each database's own bundle,
+    keyed by its (client, database) address, and the shares in that order.
     """
     # The state module builds on this one's tiers and policy.
     from .database import DatabaseState
@@ -164,9 +176,4 @@ def build_bundle(
     )
     for share in shares:
         states[share.dest].receive(share)
-    bundle = RandomnessBundle()
-    for state in states.values():
-        bundle.local.update(state.bundle.local)
-        bundle.individual.update(state.bundle.individual)
-    bundle.c = states[plan.client_ids[0], 1].bundle.c
-    return bundle, shares
+    return {address: state.bundle for address, state in states.items()}, shares

@@ -12,7 +12,6 @@ from mppsi.audit import (
     ReliabilityReport,
     _h_realizations,
     _raw_realizations,
-    answers_for_realization,
     check_db1_uniformity,
     check_indicator_privacy,
     check_reliability,
@@ -26,6 +25,7 @@ from mppsi.audit import (
     query_inner_products,
     realization_answers,
 )
+from mppsi.client import answer_value
 from mppsi.errors import BoundExceededError
 from mppsi.field import select_field_size
 from mppsi.leader import decode_values, decode_vector
@@ -226,13 +226,24 @@ POLICIES = (
 )
 
 
+def reference_answers(compiled, ips, s_values, t_values, c_value, policy=FAITHFUL):
+    """All answer values of one realization, keyed by answer key: answer_value
+    applied to each answer on its own, with no level shared between answers."""
+    modulus = compiled.field.modulus
+    t_all = individual_values(compiled, t_values, policy)
+    return {
+        key: answer_value(ips[key], s_values[s_idx], t_all[t_idx], c_value, modulus)
+        for key, _, _, _, s_idx, t_idx in compiled.answer_layout
+    }
+
+
 def oracle_reliability(
     instance, policy, bound=DEFAULT_BOUND, h_samples=2, sample_beyond_bound=0
 ):
     """check_reliability realization by realization through the oracle path.
 
-    Every realization is answered by answers_for_realization and decoded by
-    the keyed decode_values, and realization_answers' vector, decoded set and
+    Every realization is answered by reference_answers and decoded by the
+    keyed decode_values, and realization_answers' vector, decoded set and
     indicators must equal those, also past the report's stop after five
     failures.
     """
@@ -250,7 +261,7 @@ def oracle_reliability(
         walked = list(realization_answers(compiled, ips, tuples, policy))
         assert [walk[:3] for walk in walked] == tuples
         for (s, t, c), (*_, vector) in zip(tuples, walked):
-            answers = answers_for_realization(compiled, ips, s, t, c, policy)
+            answers = reference_answers(compiled, ips, s, t, c, policy)
             assert vector == [answers[key] for key in plan.answer_keys]
             decoded, indicators = decode_values(plan, answers, modulus)
             assert decode_vector(plan, vector, modulus) == (decoded, indicators)
@@ -309,7 +320,7 @@ class TestWalkAgreesWithOracle:
         tuples = list(draws())
         for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
             for s, t, c, vector in realization_answers(compiled, ips, tuples, policy):
-                answers = answers_for_realization(compiled, ips, s, t, c, policy)
+                answers = reference_answers(compiled, ips, s, t, c, policy)
                 assert vector == [answers[key] for key in compiled.plan.answer_keys]
 
     def test_t_level_computed_once_per_t_tuple(self, monkeypatch):
@@ -326,6 +337,20 @@ class TestWalkAgreesWithOracle:
         walked = sum(1 for _ in realization_answers(compiled, ips, draws()))
         assert walked == 162
         assert sorted(calls) == sorted(itertools.product(range(3), repeat=2))
+
+    @pytest.mark.parametrize(
+        "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
+    )
+    def test_masking_checks_answer_through_the_walk(self, check, monkeypatch):
+        calls = []
+
+        def counting(compiled, ips, realizations, policy=FAITHFUL):
+            calls.append(compiled)
+            return realization_answers(compiled, ips, realizations, policy)
+
+        monkeypatch.setattr("mppsi.audit.realization_answers", counting)
+        assert check(HOMOGENEOUS).passed
+        assert calls
 
 
 class TestDb1Uniformity:

@@ -188,3 +188,39 @@ class TestExitCodes:
             assert main(["run", "--config", str(path)]) == 4
         finally:
             net_mod.CONNECT_RETRY_SECONDS = old_retry
+
+
+class TestServeDb:
+    # Both configs fail election, which the endpoint's constructor runs
+    # before any socket opens.
+    ONE_PARTY = {
+        "universe_size": 4,
+        "parties": [{"id": 1, "databases": 3, "set": [1, 2]}],
+        "seed": 7,
+    }
+    # Party 1 cannot lead: party 2 has a single database.
+    UNLEADABLE = {
+        "universe_size": 4,
+        "parties": [
+            {"id": 1, "databases": 3, "set": [1, 2]},
+            {"id": 2, "databases": 1, "set": [1, 3]},
+            {"id": 3, "databases": 3, "set": [1, 4]},
+        ],
+        "leader": 1,
+        "seed": 7,
+    }
+
+    @pytest.mark.parametrize("config", [ONE_PARTY, UNLEADABLE], ids=["one-party", "unleadable"])
+    def test_infeasible_session_fails_as_run_does(self, config, tmp_path, capsys, monkeypatch):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        # An endpoint that did start serves until interrupted; end it at once.
+        monkeypatch.setattr("time.sleep", interrupt)
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 3
+        run_error = capsys.readouterr().err
+        serve = ["serve-db", "--config", str(path), "--party", "1", "--db", "1", "--port", "0"]
+        assert main(serve) == 3
+        assert capsys.readouterr().err == run_error

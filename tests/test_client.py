@@ -21,7 +21,7 @@ def modular_answer(x, q, s, t, c, modulus):
 def answer(x, q, s, t, c, modulus):
     """One targeted answer through answer_all, for a binary incidence vector x."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    bundle = RandomnessBundle(local={1: [s]}, individual={(1, 2): {1: t}}, c=c)
+    bundle = RandomnessBundle(local=[s], individual={1: t}, c=c)
     spec = QuerySpec(
         client_id=1,
         database=2,
@@ -63,7 +63,7 @@ class TestAnswer:
 
     def test_length_mismatch(self):
         profile = PartyProfile(1, 2, frozenset({1}))
-        bundle = RandomnessBundle(local={1: [0]}, individual={(1, 1): {1: 0}}, c=1)
+        bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
         spec = QuerySpec(1, 1, 1, None, None, (1, 2))
         with pytest.raises(ValueError):
             answer_all(profile, 1, [spec], Universe(1), bundle, PrimeField(3))
@@ -117,49 +117,51 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
-    bundle, _ = build_bundle(plan, clients, field, seed=21)
+    bundles, _ = build_bundle(plan, clients, field, seed=21)
     qp = generate_queries(plan, field, Universe(universe), seed=21)
-    return clients, plan, field, bundle, qp
+    return clients, plan, field, bundles, qp
 
 
 class TestAnswerAll:
     def test_database_one_answer_formula(self):
-        clients, plan, field, bundle, qp = _session_pieces()
+        clients, plan, field, bundles, qp = _session_pieces()
         client = clients[0]
         queries = qp.queries_for(client.party_id, 1)
+        bundle = bundles[client.party_id, 1]
         msgs = answer_all(client, 1, queries, Universe(4), bundle, field)
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
         q = queries[0].vector
-        s = bundle.local[client.party_id][0]
+        s = bundle.local[0]
         expected = modular_answer(x, q, s, 0, bundle.c, field.modulus)
         assert msgs[0].value == expected
         assert msgs[0].target_pos is None
 
     def test_one_answer_per_query_with_tags_echoed(self):
-        clients, plan, field, bundle, qp = _session_pieces(client_dbs=(2, 2))
+        clients, plan, field, bundles, qp = _session_pieces(client_dbs=(2, 2))
         client = clients[0]
         queries = qp.queries_for(client.party_id, 1)
         assert len(queries) == 2  # one base vector per partition
-        msgs = answer_all(client, 1, queries, Universe(4), bundle, field)
+        msgs = answer_all(client, 1, queries, Universe(4), bundles[client.party_id, 1], field)
         assert [(m.partition, m.target_pos) for m in msgs] == [
             (q.partition, q.target_pos) for q in queries
         ]
 
     def test_no_queries_no_answers(self):
-        clients, plan, field, bundle, qp = _session_pieces()
-        assert answer_all(clients[0], 1, [], Universe(4), bundle, field) == []
+        clients, plan, field, bundles, qp = _session_pieces()
+        assert answer_all(clients[0], 1, [], Universe(4), bundles[1, 1], field) == []
 
     def test_determinism_is_exact(self):
-        clients, plan, field, bundle, qp = _session_pieces()
+        clients, plan, field, bundles, qp = _session_pieces()
         client = clients[1]
         queries = qp.queries_for(client.party_id, 2)
+        bundle = bundles[client.party_id, 2]
         first = answer_all(client, 2, queries, Universe(4), bundle, field)
         second = answer_all(client, 2, queries, Universe(4), bundle, field)
         assert first == second
 
     def test_unknown_partition_tag_rejected(self):
-        clients, plan, field, bundle, qp = _session_pieces()
+        clients, plan, field, bundles, qp = _session_pieces()
         client = clients[0]
         rogue = QuerySpec(
             client_id=client.party_id,
@@ -170,16 +172,16 @@ class TestAnswerAll:
             vector=(0, 0, 0, 0),
         )
         with pytest.raises(ProtocolViolationError):
-            answer_all(client, 1, [rogue], Universe(4), bundle, field)
+            answer_all(client, 1, [rogue], Universe(4), bundles[client.party_id, 1], field)
 
     def test_misaddressed_query_rejected(self):
-        clients, plan, field, bundle, qp = _session_pieces()
+        clients, plan, field, bundles, qp = _session_pieces()
         queries = qp.queries_for(1, 2)
         with pytest.raises(ProtocolViolationError):
-            answer_all(clients[1], 2, queries, Universe(4), bundle, field)
+            answer_all(clients[1], 2, queries, Universe(4), bundles[2, 2], field)
 
     def test_base_query_at_non_first_database_rejected(self):
-        clients, plan, field, bundle, qp = _session_pieces()
+        clients, plan, field, bundles, qp = _session_pieces()
         base = qp.queries_for(1, 1)[0]
         moved = QuerySpec(
             client_id=1,
@@ -190,4 +192,4 @@ class TestAnswerAll:
             vector=base.vector,
         )
         with pytest.raises(ProtocolViolationError):
-            answer_all(clients[0], 2, [moved], Universe(4), bundle, field)
+            answer_all(clients[0], 2, [moved], Universe(4), bundles[1, 2], field)

@@ -20,7 +20,7 @@ def modular_dot(xs, qs, modulus):
 def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    bundle = RandomnessBundle(local={1: [0]}, individual={(1, 1): {1: 0}}, c=1)
+    bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
     spec = QuerySpec(
         client_id=1,
         database=1,

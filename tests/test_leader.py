@@ -14,12 +14,11 @@ from mppsi.leader import (
     decode_values,
     decode_vector,
     download_cost,
-    elect_leader,
     generate_queries,
     make_partition_plan,
 )
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
-from mppsi.protocol import run_protocol
+from mppsi.protocol import prepare_session, run_protocol
 
 
 def profile(pid, elems, dbs):
@@ -44,9 +43,9 @@ class TestCostsAndElection:
     def test_homogeneous_tie_breaks_to_lowest_id(self):
         expected = oracle_cost(2, [3, 3])
         assert expected == 6
-        leader, table = elect_leader(HOMOGENEOUS)
-        assert table.costs == {1: 6, 2: 6, 3: 6}
-        assert leader == 1
+        setup = prepare_session(HOMOGENEOUS, Universe(4))
+        assert setup.costs.costs == {1: 6, 2: 6, 3: 6}
+        assert setup.leader.party_id == 1
 
     def test_heterogeneous_table_and_argmin(self):
         sizes = {p.party_id: len(p.data_set) for p in HETEROGENEOUS}
@@ -55,14 +54,14 @@ class TestCostsAndElection:
             t: oracle_cost(sizes[t], [dbs[i] for i in dbs if i != t]) for t in dbs
         }
         assert expected == {1: 17, 2: 14, 3: 15, 4: 15}
-        leader, table = elect_leader(HETEROGENEOUS)
-        assert table.costs == expected
-        assert leader == 2
+        setup = prepare_session(HETEROGENEOUS, Universe(5))
+        assert setup.costs.costs == expected
+        assert setup.leader.party_id == 2
 
     def test_candidate_facing_single_database_is_infeasible(self):
         parties = [profile(1, {1}, 1), profile(2, {2}, 1)]
         with pytest.raises(InfeasibleError):
-            elect_leader(parties)
+            prepare_session(parties, Universe(2))
 
     def test_nonempty_candidate_with_single_database_counterpart(self):
         parties = [profile(1, {1}, 1), profile(2, {1, 2}, 5)]

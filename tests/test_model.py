@@ -1,57 +1,14 @@
-"""Universe, party profiles, incidence vectors, brute-force intersection."""
+"""Universe, party profiles, brute-force intersection."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mppsi.errors import ConfigError
-from mppsi.model import (
-    IncidenceVector,
-    PartyProfile,
-    Universe,
-    brute_force_intersection,
-    to_incidence,
-    validate_profiles,
-)
+from mppsi.model import PartyProfile, Universe, brute_force_intersection, validate_profiles
 
 
 def profile(pid, elems, dbs=2):
     return PartyProfile(pid, dbs, frozenset(elems))
-
-
-class TestIncidence:
-    def test_two_of_four(self):
-        vec = to_incidence(profile(1, {1, 2}), Universe(4))
-        assert vec.bits == (1, 1, 0, 0)
-
-    def test_empty_set(self):
-        vec = to_incidence(profile(1, set()), Universe(4))
-        assert vec.bits == (0, 0, 0, 0)
-
-    def test_three_of_five(self):
-        vec = to_incidence(profile(4, {1, 4, 5}), Universe(5))
-        assert vec.bits == (1, 0, 0, 1, 1)
-
-    def test_element_outside_universe(self):
-        with pytest.raises(ConfigError):
-            to_incidence(profile(1, {7}), Universe(4))
-
-    def test_bits_validated(self):
-        with pytest.raises(ValueError):
-            IncidenceVector((0, 2, 1))
-
-    @given(
-        st.integers(min_value=1, max_value=8).flatmap(
-            lambda k: st.tuples(
-                st.just(k),
-                st.sets(st.integers(min_value=1, max_value=k)),
-            )
-        )
-    )
-    def test_round_trip_is_identity(self, case):
-        k, elems = case
-        vec = to_incidence(profile(1, elems), Universe(k))
-        assert vec.to_set() == frozenset(elems)
-        assert len(vec) == k
 
 
 class TestBruteForce:

@@ -11,9 +11,11 @@ import pytest
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.errors import ProtocolViolationError, TransportError
+from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
-from mppsi.randomness import RandomnessPolicy
+from mppsi.protocol import prepare_session
+from mppsi.randomness import RandomnessPolicy, build_bundle
 from mppsi.session import run_memory_session, session_id_for
 from mppsi.wire import Message, encode_msg
 
@@ -124,6 +126,21 @@ class TestEndpointBehaviour:
                 ]
             assert sorted(sent) == sorted(expected)
             assert sorted(received) == sorted(expected)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])
+    def test_endpoints_install_the_memory_bundles(self, name):
+        config = DEMOS[name].config
+        setup = prepare_session(config.parties, config.universe, config.leader_override)
+        plan = make_partition_plan(setup.leader, setup.clients)
+        expected, _ = build_bundle(plan, setup.clients, setup.field, config.seed)
+        endpoints = spawn_endpoints(config)
+        try:
+            run_networked_session(config, endpoints=endpoints)
+            installed = {(ep.party_id, ep.database): ep.state.bundle for ep in endpoints}
+            assert installed == expected
         finally:
             for ep in endpoints:
                 ep.stop()

@@ -6,8 +6,10 @@ from mppsi.field import select_field_size
 from mppsi.leader import generate_queries, make_partition_plan
 from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import (
+    FAITHFUL,
     RandomnessPolicy,
     build_bundle,
+    completion,
     correlating_client,
     free_clients,
     gen_global,
@@ -27,10 +29,10 @@ def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
     return plan, clients, field
 
 
-def t_at(bundle, plan, client_id, position):
+def t_at(bundles, plan, client_id, position):
     """The individual value a client's databases hold for a leader-set position."""
     partition, database = plan.position_location(client_id, position)
-    return bundle.individual[(client_id, database)][partition]
+    return bundles[client_id, database].individual[partition]
 
 
 class TestLocal:
@@ -71,9 +73,9 @@ class TestGlobal:
 class TestBundle:
     def test_database_one_carries_zeros(self):
         plan, clients, field = fixture()
-        bundle, _ = build_bundle(plan, clients, field, seed=4)
+        bundles, _ = build_bundle(plan, clients, field, seed=4)
         for client in clients:
-            slots = bundle.individual[(client.party_id, 1)]
+            slots = bundles[client.party_id, 1].individual
             assert all(v == 0 for v in slots.values())
 
     def test_correlation_sum_every_position_every_seed(self):
@@ -82,10 +84,10 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                bundle, _ = build_bundle(plan, clients, field, seed=seed)
+                bundles, _ = build_bundle(plan, clients, field, seed=seed)
                 for position in range(1, plan.set_size + 1):
                     total = sum(
-                        t_at(bundle, plan, cid, position) for cid in plan.client_ids
+                        t_at(bundles, plan, cid, position) for cid in plan.client_ids
                     ) % field.modulus
                     assert total == expected
 
@@ -93,24 +95,22 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        bundle, shares = build_bundle(plan, clients, field, seed=0)
+        bundles, shares = build_bundle(plan, clients, field, seed=0)
         assert field.modulus == 2
         for position in range(1, plan.set_size + 1):
-            assert t_at(bundle, plan, 1, position) == field.modulus - 1
+            assert t_at(bundles, plan, 1, position) == field.modulus - 1
         assert all(s.kind == "c_share" for s in shares)
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
         first, _ = build_bundle(plan, clients, field, seed=77)
         second, _ = build_bundle(plan, clients, field, seed=77)
-        assert first.local == second.local
-        assert first.individual == second.individual
-        assert first.c == second.c
+        assert first == second
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
-        bundles = [build_bundle(plan, clients, field, seed=s)[0] for s in range(8)]
-        locals_seen = {tuple(tuple(b.local[i]) for i in sorted(b.local)) for b in bundles}
+        runs = [build_bundle(plan, clients, field, seed=s)[0] for s in range(8)]
+        locals_seen = {tuple(tuple(b.local) for _, b in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
 
     def test_leader_never_appears_in_share_traffic(self):
@@ -132,7 +132,7 @@ class TestBundle:
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        bundle, _ = build_bundle(plan, clients, field, seed=13)
+        bundles, _ = build_bundle(plan, clients, field, seed=13)
         qp = generate_queries(plan, field, Universe(4), seed=13)
         for client in clients:
             specs = [
@@ -147,8 +147,15 @@ class TestBundle:
                     spec.partition,
                     spec.database,
                 )
-                slot = bundle.individual[(client.party_id, spec.database)][spec.partition]
-                assert slot == t_at(bundle, plan, client.party_id, spec.target_pos)
+                slot = bundles[client.party_id, spec.database].individual[spec.partition]
+                assert slot == t_at(bundles, plan, client.party_id, spec.target_pos)
+
+    def test_completion_closes_each_position_sum(self):
+        # L = 5 and three clients: free values 1 and 3 are completed to sum 5 - 3.
+        assert completion([1, 3], 5, 3, FAITHFUL) == 3
+        assert completion([1, 3], 5, 3, RandomnessPolicy(correlation_offset=1)) == 4
+        assert completion([1, 3], 5, 3, RandomnessPolicy(zero_individual=True)) == 0
+        assert completion([], 2, 1, FAITHFUL) == 1
 
     def test_free_clients_and_correlator_split(self):
         assert correlating_client((1, 2, 3)) == 3
@@ -172,41 +179,41 @@ class TestBundle:
 class TestPolicies:
     def test_zero_local(self):
         plan, clients, field = fixture()
-        bundle, _ = build_bundle(
+        bundles, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(zero_local=True)
         )
-        assert all(v == 0 for vec in bundle.local.values() for v in vec)
+        assert all(v == 0 for bundle in bundles.values() for v in bundle.local)
 
     def test_zero_individual_breaks_correlation(self):
         plan, clients, field = fixture()
-        bundle, _ = build_bundle(
+        bundles, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(zero_individual=True)
         )
         assert all(
-            t_at(bundle, plan, cid, position) == 0
+            t_at(bundles, plan, cid, position) == 0
             for cid in plan.client_ids
             for position in range(1, plan.set_size + 1)
         )
 
     def test_correlation_offset_shifts_sums(self):
         plan, clients, field = fixture()
-        bundle, _ = build_bundle(
+        bundles, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(correlation_offset=1)
         )
         num_parties = len(clients) + 1
         broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
         for position in range(1, plan.set_size + 1):
             total = sum(
-                t_at(bundle, plan, cid, position) for cid in plan.client_ids
+                t_at(bundles, plan, cid, position) for cid in plan.client_ids
             ) % field.modulus
             assert total == broken
 
     def test_fixed_global(self):
         plan, clients, field = fixture()
-        bundle, _ = build_bundle(
+        bundles, _ = build_bundle(
             plan, clients, field, seed=4, policy=RandomnessPolicy(fixed_global=1)
         )
-        assert bundle.c == 1
+        assert all(bundle.c == 1 for bundle in bundles.values())
 
     def test_fixed_global_zero_rejected(self):
         with pytest.raises(ValueError):
