@@ -26,7 +26,7 @@ from . import audit as audit_mod
 from .config import SessionConfig, load_config
 from .demo import DEMOS, format_report, run_demo
 from .errors import BoundExceededError, ConfigError, MppsiError
-from .leader import cost_table, make_partition_plan
+from .leader import make_partition_plan
 from .model import Universe
 from .protocol import prepare_session
 from .randomness import RandomnessPolicy
@@ -73,8 +73,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_cost(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    table = cost_table(config.parties)
-    chosen = config.leader_override if config.leader_override is not None else table.best()
+    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    table, chosen = setup.costs, setup.leader.party_id
     if args.json:
         print(
             json.dumps(

@@ -7,8 +7,10 @@ by the global multiplier. The incidence vector is binary, so the inner
 product is the sum of the query's entries at the coordinates of the party's
 own set, O(|P_i|) per answer rather than O(K), picked in one C-level call by
 support_sum; the auditor computes its inner products with the same function.
-The answer echoes the query's (partition, target position) tags so the
-leader can decode in any arrival order.
+Queries arrive and answers leave as wire.Message values. An answer echoes
+its query: origin and destination swapped, the same session, and the same
+(partition, target position) tags, so the leader can decode in any arrival
+order.
 
 A database uses nothing beyond its own copy of the party's set, its own
 randomness slots, and the queries delivered to it; the function signatures
@@ -17,26 +19,14 @@ here admit nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from .errors import ConfigError, ProtocolViolationError
 from .field import PrimeField
-from .leader import QuerySpec
 from .model import PartyProfile, Universe
 from .randomness import RandomnessBundle
-
-
-@dataclass(frozen=True)
-class AnswerMsg:
-    """One answer value, tagged for keyed (order-independent) decoding."""
-
-    client_id: int
-    database: int
-    partition: int
-    target_pos: Optional[int]
-    value: int
+from .wire import Message
 
 
 def answer_value(ip: int, s: int, t: int, c: int, modulus: int) -> int:
@@ -61,12 +51,12 @@ def support_sum(support: Sequence[int]) -> Callable[[Sequence[int]], int]:
 def answer_all(
     profile: PartyProfile,
     database: int,
-    queries: Sequence[QuerySpec],
+    queries: Sequence[Message],
     universe: Universe,
     bundle: RandomnessBundle,
     field: PrimeField,
-) -> List[AnswerMsg]:
-    """Answer every query delivered to one database, echoing its tags."""
+) -> List[Message]:
+    """Answer every query delivered to one database, echoing it."""
     if bundle.c is None:
         raise ProtocolViolationError("global multiplier not installed")
     if bundle.c == 0:
@@ -78,15 +68,13 @@ def answer_all(
             f"universe of size {universe.size}"
         )
     inner_product = support_sum(support)
-    answers: List[AnswerMsg] = []
+    address = (profile.party_id, database)
+    answers: List[Message] = []
     for query in queries:
-        if query.client_id != profile.party_id or query.database != database:
-            raise ProtocolViolationError(
-                f"query addressed to ({query.client_id},{query.database}) "
-                f"delivered to ({profile.party_id},{database})"
-            )
+        if query.dest != address:
+            raise ProtocolViolationError(f"query addressed to {query.dest} delivered to {address}")
         s_slot = bundle.local_slot(query.partition)
-        if query.target_pos is None:
+        if query.target is None:
             if database != 1:
                 raise ProtocolViolationError(
                     f"bare base query delivered to database {database}"
@@ -94,18 +82,20 @@ def answer_all(
             t_slot = 0
         else:
             t_slot = bundle.individual_slot(query.partition)
-        q = query.vector
+        q = query.values
         if len(q) != universe.size:
             raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")
+        value = answer_value(inner_product(q), s_slot, t_slot, bundle.c, field.modulus)
         answers.append(
-            AnswerMsg(
-                client_id=profile.party_id,
-                database=database,
+            Message(
+                type="answer",
+                session_id=query.session_id,
+                phase="answer",
+                origin=address,
+                dest=query.origin,
                 partition=query.partition,
-                target_pos=query.target_pos,
-                value=answer_value(
-                    inner_product(q), s_slot, t_slot, bundle.c, field.modulus
-                ),
+                target=query.target,
+                values=(value,),
             )
         )
     return answers

@@ -127,6 +127,9 @@ def _parse_addresses(raw) -> Dict[Tuple[int, int], Tuple[str, int]]:
         if not isinstance(value, str) or ":" not in value:
             raise ConfigError(f"addresses[{key!r}] must be 'host:port', got {value!r}")
         host, _, port_str = value.rpartition(":")
+        if not host:
+            # An empty host would bind every interface.
+            raise ConfigError(f"addresses[{key!r}]: empty host in {value!r}")
         try:
             port = int(port_str)
         except ValueError:

@@ -4,23 +4,25 @@ A DatabaseState is built from what one client database is entitled to: the
 public plan shape, its party's own set, its own labeled draws, and a
 RandomnessPolicy. It never touches a socket or a clock. Its four operations
 list the shares it sends, receive one share, report whether it is ready, and
-answer a batch of queries through client.answer_all. Both transports drive
-these states: randomness.build_bundle routes shares between them in memory,
-and each net.DatabaseEndpoint keeps one behind its serve loop.
+answer a batch of queries through client.answer_all; shares, queries and
+answers are all wire.Message values. Both transports drive these states:
+randomness.build_bundle routes shares between them in memory, and each
+net.DatabaseEndpoint keeps one behind its serve loop.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from .client import AnswerMsg, answer_all
+from .client import answer_all
 from .errors import ProtocolViolationError
 from .field import PrimeField
-from .leader import PlanShape, QuerySpec
+from .leader import PlanShape
 from .model import PartyProfile, Universe
-from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, ShareMessage
+from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_value
+from .wire import Message
 
 
 class DatabaseState:
@@ -38,9 +40,11 @@ class DatabaseState:
         database: int,
         field: PrimeField,
         seed: int,
+        session_id: str,
         policy: RandomnessPolicy = FAITHFUL,
     ):
         party_id = profile.party_id
+        self.session_id = session_id
         self.shape = shape
         self.profile = profile
         self.address = (party_id, database)
@@ -75,38 +79,50 @@ class DatabaseState:
         """Whether every value this database's answers need is installed."""
         return self.bundle.c is not None and len(self._t) == len(self.positions)
 
-    def shares(self) -> List[ShareMessage]:
+    def shares(self) -> List[Message]:
         """The randomness-phase messages this database sends."""
         party_id = self.address[0]
-        sent = []
+        sent = []  # (type, dest, position, value)
         for position in self.positions if party_id != self.correlator else ():
             dest = (self.correlator, self.shape.position_location(self.correlator, position)[1])
             value = self._t[self.shape.position_location(party_id, position)[0]]
-            sent.append(ShareMessage("t_share", self.address, dest, position, (value,)))
+            sent.append(("t_share", dest, position, value))
         if self.address == self.c_origin:
             sent.extend(
-                ShareMessage("c_share", self.address, (client, db), None, (self.bundle.c,))
+                ("c_share", (client, db), None, self.bundle.c)
                 for client in self.shape.client_ids
                 for db in range(1, self.shape.databases[client] + 1)
                 if (client, db) != self.address
             )
-        return sent
+        return [
+            Message(
+                type=kind,
+                session_id=self.session_id,
+                phase="randomness",
+                origin=self.address,
+                dest=dest,
+                partition=None,
+                target=position,
+                values=(value,),
+            )
+            for kind, dest, position, value in sent
+        ]
 
-    def receive(self, share: ShareMessage) -> None:
+    def receive(self, share: Message) -> None:
         """Install one share addressed to this database, or reject it whole.
 
         A share must carry exactly one residue below L. The multiplier is
         taken only from c_origin and only once; an individual value only for
-        a position this database completes, from the free-client database
-        holding it.
+        a position (the share's target) this database completes, from the
+        free-client database holding it.
         """
         modulus = self.field.modulus
         if len(share.values) != 1 or not 0 <= share.values[0] < modulus:
             raise ProtocolViolationError(
-                f"{share.kind} must carry one residue below {modulus}, got {list(share.values)}"
+                f"{share.type} must carry one residue below {modulus}, got {list(share.values)}"
             )
         (value,) = share.values
-        if share.kind == "c_share":
+        if share.type == "c_share":
             if share.origin != self.c_origin:
                 raise ProtocolViolationError(
                     f"global multiplier from {share.origin}, expected {self.c_origin}"
@@ -116,28 +132,28 @@ class DatabaseState:
             if value == 0:
                 raise ProtocolViolationError("global multiplier must be nonzero")
             self.bundle.c = value
-        elif share.kind == "t_share":
-            received = self._received.get(share.position)
+        elif share.type == "t_share":
+            received = self._received.get(share.target)
             if received is None:
                 raise ProtocolViolationError(
-                    f"share for position {share.position} not owned by database {self.address}"
+                    f"share for position {share.target} not owned by database {self.address}"
                 )
             sender = share.origin[0]
             if sender not in self.free or share.origin != (
-                sender, self.shape.position_location(sender, share.position)[1]
+                sender, self.shape.position_location(sender, share.target)[1]
             ):
                 raise ProtocolViolationError(
-                    f"share for position {share.position} from {share.origin}"
+                    f"share for position {share.target} from {share.origin}"
                 )
             if sender in received:
                 raise ProtocolViolationError(
-                    f"duplicate share for position {share.position} from {share.origin}"
+                    f"duplicate share for position {share.target} from {share.origin}"
                 )
             received[sender] = value
             self._missing -= 1
             self._complete()
         else:
-            raise ProtocolViolationError(f"unexpected message type {share.kind!r}")
+            raise ProtocolViolationError(f"unexpected message type {share.type!r}")
 
     def _complete(self) -> None:
         """Fill in the correlating client's values once every free share is in."""
@@ -150,7 +166,7 @@ class DatabaseState:
                 received.values(), self.field.modulus, num_clients, self.policy
             )
 
-    def answer(self, queries: Sequence[QuerySpec], universe: Universe) -> List[AnswerMsg]:
-        """Answer a batch of queries delivered to this database."""
+    def answer(self, queries: Sequence[Message], universe: Universe) -> List[Message]:
+        """Answer a batch of query messages delivered to this database."""
         database = self.address[1]
         return answer_all(self.profile, database, queries, universe, self.bundle, self.field)

@@ -8,7 +8,9 @@ the vector at that element's position. Decoding subtracts the database-1
 answer from each targeted answer and sums the differences per element across
 clients; an element is in the intersection exactly when that sum is zero.
 Each plan fixes one canonical answer order (answer_keys), and decode_vector,
-the one decode kernel, reads answer values laid out in that order.
+the one decode kernel, reads answer values laid out in that order. Queries
+and answers are wire.Message values; decode is the one check of an answer
+message's type, destination and value.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -26,6 +28,7 @@ from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
 from .model import PartyProfile, Universe
 from .seeding import draw_vector
+from .wire import Message
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -228,38 +231,19 @@ def make_partition_plan(
 
 
 @dataclass(frozen=True)
-class QuerySpec:
-    """One query vector for one database of one client.
+class QueryPlan:
+    """The drawn base vectors and every query message derived from them.
 
-    target_pos is the leader-set position served by the +1 bump, or None for
-    the bare base vector sent to database 1. target_element is leader-side
-    bookkeeping only and never leaves the leader.
+    queries[(client, database)] lists the queries delivered to that
+    database, by partition and then target position.
     """
 
-    client_id: int
-    database: int
-    partition: int
-    target_pos: Optional[int]
-    target_element: Optional[int]
-    vector: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """The drawn base vectors and every query derived from them."""
-
     h_vectors: Tuple[Tuple[int, ...], ...]
-    queries: Dict[int, List[QuerySpec]]
-
-    def queries_for(self, client_id: int, database: int) -> List[QuerySpec]:
-        return [q for q in self.queries.get(client_id, []) if q.database == database]
-
-    def all_queries(self) -> List[QuerySpec]:
-        return [q for specs in self.queries.values() for q in specs]
+    queries: Dict[Tuple[int, int], List[Message]]
 
 
 def generate_queries(
-    plan: PartitionPlan, field: PrimeField, universe: Universe, seed: int
+    plan: PartitionPlan, field: PrimeField, universe: Universe, seed: int, session_id: str
 ) -> QueryPlan:
     """Draw the base vectors and lay out every per-database query.
 
@@ -274,36 +258,31 @@ def generate_queries(
         tuple(draw_vector(seed, modulus, universe.size, "h", ell))
         for ell in range(1, kappa + 1)
     )
-    queries: Dict[int, List[QuerySpec]] = {}
-    for client_id in plan.client_ids:
-        specs: List[QuerySpec] = []
-        for ell in range(1, plan.eta[client_id] + 1):
-            specs.append(
-                QuerySpec(
-                    client_id=client_id,
-                    database=1,
-                    partition=ell,
-                    target_pos=None,
-                    target_element=None,
-                    vector=h_vectors[ell - 1],
-                )
+    leader = (plan.leader_id, 0)
+    queries: Dict[Tuple[int, int], List[Message]] = {}
+
+    def send(dest: Tuple[int, int], partition: int, target: Optional[int], vector) -> None:
+        queries.setdefault(dest, []).append(
+            Message(
+                type="query",
+                session_id=session_id,
+                phase="query",
+                origin=leader,
+                dest=dest,
+                partition=partition,
+                target=target,
+                values=vector,
             )
+        )
+
+    for client_id in plan.client_ids:
+        for ell in range(1, plan.eta[client_id] + 1):
+            send((client_id, 1), ell, None, h_vectors[ell - 1])
         for position, element in enumerate(plan.leader_elements, start=1):
             partition, database = plan.position_location(client_id, position)
-            base = h_vectors[partition - 1]
-            bumped = list(base)
+            bumped = list(h_vectors[partition - 1])
             bumped[element - 1] = (bumped[element - 1] + 1) % modulus
-            specs.append(
-                QuerySpec(
-                    client_id=client_id,
-                    database=database,
-                    partition=partition,
-                    target_pos=position,
-                    target_element=element,
-                    vector=tuple(bumped),
-                )
-            )
-        queries[client_id] = specs
+            send((client_id, database), partition, position, tuple(bumped))
     return QueryPlan(h_vectors=h_vectors, queries=queries)
 
 
@@ -359,22 +338,34 @@ def decode_values(
 
 def decode(
     plan: PartitionPlan,
-    answers: Sequence,
+    answers: Sequence[Message],
     field: PrimeField,
 ) -> IntersectionResult:
-    """Decode collected answers into the intersection.
+    """Decode collected answer messages into the intersection.
 
-    Answers are keyed by their echoed (client, partition, target_pos) tags,
-    so arrival order is irrelevant. Duplicate, missing, or unknown tags are
-    protocol violations.
+    Every message must be an answer to the leader carrying one residue below
+    L. Answers are keyed by their origin client and echoed (partition,
+    target) tags, so arrival order is irrelevant. Duplicate, missing, or
+    unknown tags are protocol violations.
     """
+    leader = (plan.leader_id, 0)
+    modulus = field.modulus
     values: Dict[Tuple[int, int, Optional[int]], int] = {}
     for answer in answers:
-        key = (answer.client_id, answer.partition, answer.target_pos)
+        if answer.type != "answer" or answer.dest != leader:
+            raise ProtocolViolationError(
+                f"{answer.type!r} from {answer.origin} to {answer.dest}, not an answer to {leader}"
+            )
+        if len(answer.values) != 1 or not 0 <= answer.values[0] < modulus:
+            raise ProtocolViolationError(
+                f"answer from {answer.origin} must carry one residue below {modulus}, "
+                f"got {list(answer.values)}"
+            )
+        key = (answer.origin[0], answer.partition, answer.target)
         if key in values:
             raise ProtocolViolationError(f"duplicate answer for {key}")
-        values[key] = answer.value
-    decoded, indicators = decode_values(plan, values, field.modulus)
+        values[key] = answer.values[0]
+    decoded, indicators = decode_values(plan, values, modulus)
     return IntersectionResult(
         decoded=decoded,
         indicators=indicators,

@@ -20,14 +20,19 @@ begin_sharing and stop wake the loop through a socket pair. Queries that
 arrive before an endpoint's randomness wait on their connection until it is
 installed. The leader runs its whole query round on the calling thread.
 
-A share connection is done when its receiver, having read every frame,
+Frames carry the wire.Message values that the states and the leader
+produce, and nothing is converted on the way: an endpoint hands a decoded
+share to its state's receive and a decoded query, checked to come from the
+leader, to its state's answer, and frames the answers that come back. A
+share connection is done when its receiver, having read every frame,
 closes it; its shares are then logged as sent. The runner waits until every
 in-process endpoint's shares are sent or have failed, and the randomness
-section of its transcript is the canonical order of what they logged as
-sent. For endpoints given only by address, whose logs it cannot see, that
-section comes from the same states routed by randomness.build_bundle.
-Queries and answers are logged as observed. For equal (config, seed) the
-transcript equals the in-memory transport's.
+section of its transcript is what they logged as sent, in
+randomness.share_order. For endpoints given only by address, whose logs it
+cannot see, that section comes from the same states routed by
+randomness.build_bundle. Queries and answers are logged as observed, and
+leader.decode checks every answer. For equal (config, seed) the transcript
+equals the in-memory transport's.
 """
 
 from __future__ import annotations
@@ -42,23 +47,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .client import AnswerMsg
 from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError, TransportError
-from .leader import QuerySpec, decode, generate_queries, make_partition_plan, make_plan_shape
+from .leader import decode, generate_queries, make_partition_plan, make_plan_shape
 from .protocol import ProtocolRun, prepare_session
-from .randomness import FAITHFUL, RandomnessPolicy, ShareMessage, build_bundle
-from .session import (
-    SessionTranscript,
-    answers_to_wire,
-    queries_to_wire,
-    run_memory_session,
-    session_id_for,
-    share_from_wire,
-    share_to_wire,
-    transcript_from_run,
-)
+from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
+from .session import SessionTranscript, run_memory_session, session_id_for, transcript_from_run
 from .wire import Message, decode_msg, encode_msg, split_frames
 
 CONNECT_RETRY_SECONDS = 5.0
@@ -127,7 +122,9 @@ class DatabaseEndpoint:
         self.state: Optional[DatabaseState] = None
         if set_size:
             shape = make_plan_shape(set_size, setup.clients)
-            self.state = DatabaseState(shape, profile, database, self.field, config.seed, policy)
+            self.state = DatabaseState(
+                shape, profile, database, self.field, config.seed, self.session_id, policy
+            )
 
     def start(self, loop: Optional[_ServeLoop] = None) -> None:
         """Listen, served by loop, or by a loop of its own when none is given.
@@ -167,7 +164,7 @@ class DatabaseEndpoint:
         """Have the serve loop send this database's randomness shares."""
         outgoing: Dict[Tuple[int, int], List[Message]] = {}
         for share in self.state.shares() if self.state is not None else ():
-            outgoing.setdefault(share.dest, []).append(share_to_wire(share, self.session_id))
+            outgoing.setdefault(share.dest, []).append(share)
         self._sending = len(outgoing)
         if not outgoing:
             self._shared.set()
@@ -199,9 +196,14 @@ class DatabaseEndpoint:
             if self.state is None:
                 raise ProtocolViolationError(f"{msg.type!r} frame for an empty leader set")
             if msg.type in ("t_share", "c_share"):
-                self.state.receive(share_from_wire(msg))
+                self.state.receive(msg)
                 self.received_log.append(msg)
             elif msg.type == "query":
+                # An answer goes back to its query's origin: only the leader's.
+                if msg.origin != (self.leader_id, 0):
+                    raise ProtocolViolationError(
+                        f"query from {msg.origin}, not from the leader ({self.leader_id}, 0)"
+                    )
                 if len(msg.values) != self.config.universe_size:
                     raise ProtocolViolationError(
                         f"query vector length {len(msg.values)} != universe "
@@ -215,14 +217,6 @@ class DatabaseEndpoint:
                 conn.waiting.append(msg)
             else:
                 raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
-
-    def _answer(self, queries: List[Message]) -> List[Message]:
-        specs = [
-            QuerySpec(self.party_id, self.database, msg.partition, msg.target, None, msg.values)
-            for msg in queries
-        ]
-        answers = self.state.answer(specs, self.config.universe)
-        return answers_to_wire(self.leader_id, answers, self.session_id)
 
 
 class _ServeLoop:
@@ -363,7 +357,7 @@ class _ServeLoop:
             endpoint, conn = key.data
             try:
                 if conn.waiting and endpoint.state.ready:
-                    answers = endpoint._answer(conn.waiting)
+                    answers = endpoint.state.answer(conn.waiting, endpoint.config.universe)
                     conn.waiting = []
                     conn.out += b"".join(map(encode_msg, answers))
                     conn.unlogged.extend(answers)
@@ -585,14 +579,10 @@ def run_networked_session(
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
 
         plan = make_partition_plan(setup.leader, setup.clients)
-        query_plan = generate_queries(plan, setup.field, config.universe, config.seed)
-        wire_queries = queries_to_wire(plan.leader_id, query_plan.all_queries(), session_id)
-        per_db: Dict[Tuple[int, int], List[Message]] = {}
-        for msg in wire_queries:
-            per_db.setdefault(msg.dest, []).append(msg)
+        query_plan = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
         exchanges = {
-            dest: _Exchange(dest, memoryview(b"".join(encode_msg(m) for m in msgs)), len(msgs))
-            for dest, msgs in per_db.items()
+            dest: _Exchange(dest, memoryview(b"".join(map(encode_msg, msgs))), len(msgs))
+            for dest, msgs in query_plan.queries.items()
         }
 
         # In-process endpoints start their randomness traffic only now, so
@@ -602,28 +592,30 @@ def run_networked_session(
                 ep.begin_sharing(addresses)
         collected = _query_round(addresses, exchanges, (plan.leader_id, 0), endpoints or ())
 
-        answers = []
         for msg in collected:
-            if msg.session_id != session_id or msg.type != "answer":
-                raise ProtocolViolationError(f"unexpected frame {msg.type!r} in answer round")
-            if len(msg.values) != 1 or msg.values[0] >= setup.field.modulus:
-                raise ProtocolViolationError("answer value out of field range")
-            answers.append(AnswerMsg(*msg.origin, msg.partition, msg.target, msg.values[0]))
-        result = decode(plan, answers, setup.field)
+            if msg.session_id != session_id:
+                raise ProtocolViolationError(
+                    f"answer for session {msg.session_id}, running {session_id}"
+                )
+        result = decode(plan, collected, setup.field)
 
         if endpoints is not None:
             shares = _sent_shares(endpoints)
         else:
             # External endpoints keep their logs: route the same states here.
-            _, shares = build_bundle(plan, setup.clients, setup.field, config.seed, policy)
-        run = ProtocolRun(setup, plan, query_plan, tuple(shares), tuple(answers), result)
-        return transcript_from_run(config, run)
+            _, shares = build_bundle(
+                plan, setup.clients, setup.field, config.seed, session_id, policy
+            )
+        run = ProtocolRun(
+            setup, session_id, plan, query_plan, tuple(shares), tuple(collected), result
+        )
+        return transcript_from_run(run)
     finally:
         for ep in owned:
             ep.stop()
 
 
-def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[ShareMessage]:
+def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[Message]:
     """The shares the endpoints logged as sent, in canonical order, once all are done."""
     # The loop ends every share connection within this time.
     for endpoint in endpoints:
@@ -635,10 +627,7 @@ def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[ShareMessage]:
     if errors:
         raise TransportError(f"a database endpoint failed: {errors[0]}") from errors[0]
     sent = [msg for endpoint in endpoints for msg in endpoint.sent_log]
-    return sorted(
-        (share_from_wire(msg) for msg in sent if msg.phase == "randomness"),
-        key=ShareMessage.sort_key,
-    )
+    return sorted((msg for msg in sent if msg.phase == "randomness"), key=share_order)
 
 
 def _check_external_addresses(config, setup, addresses) -> None:

@@ -2,17 +2,20 @@
 
 Runs a complete session as pure function calls: leader election (or
 override), partition planning, randomness setup, query generation, answer
-collection, and decoding. The in-memory and networked transports both dress
-this engine in messages; the audit module drives it directly under
-enumerated randomness.
+collection, and decoding. Its traffic is wire.Message values from the
+moment a database state or the leader makes them: the in-memory transport
+orders them into a transcript, and the networked transport frames the same
+messages. The audit module elects through prepare_session.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .client import AnswerMsg, answer_all
+from .client import answer_all
 from .errors import InfeasibleError
 from .field import PrimeField, select_field_size
 from .leader import (
@@ -26,7 +29,8 @@ from .leader import (
     make_partition_plan,
 )
 from .model import PartyProfile, Universe, validate_profiles
-from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, ShareMessage, build_bundle
+from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, build_bundle
+from .wire import SESSION_ID_CHARS, Message
 
 
 @dataclass(frozen=True)
@@ -72,23 +76,41 @@ def prepare_session(
     )
 
 
+def make_session_id(
+    profiles: Sequence[PartyProfile],
+    universe_size: int,
+    leader_override: Optional[int],
+    seed: int,
+) -> str:
+    """Deterministic session id from the transport-independent session core."""
+    core = {
+        "universe_size": universe_size,
+        "parties": [
+            {"id": p.party_id, "databases": p.num_databases, "set": sorted(p.data_set)}
+            for p in profiles
+        ],
+        "leader": leader_override,
+        "seed": seed,
+    }
+    text = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:SESSION_ID_CHARS]
+
+
 def collect_answers(
-    plan: PartitionPlan,
     query_plan: QueryPlan,
     clients: Sequence[PartyProfile],
     universe: Universe,
     bundles: Dict[Tuple[int, int], RandomnessBundle],
     field: PrimeField,
-) -> List[AnswerMsg]:
+) -> List[Message]:
     """Every database answers exactly the queries delivered to it, from its own bundle."""
-    answers: List[AnswerMsg] = []
-    for client in sorted(clients, key=lambda p: p.party_id):
-        for database in range(1, plan.used_databases[client.party_id] + 1):
-            delivered = query_plan.queries_for(client.party_id, database)
-            bundle = bundles[client.party_id, database]
-            answers.extend(
-                answer_all(client, database, delivered, universe, bundle, field)
-            )
+    by_id = {client.party_id: client for client in clients}
+    answers: List[Message] = []
+    for (client_id, database), delivered in query_plan.queries.items():
+        bundle = bundles[client_id, database]
+        answers.extend(
+            answer_all(by_id[client_id], database, delivered, universe, bundle, field)
+        )
     return answers
 
 
@@ -97,10 +119,11 @@ class ProtocolRun:
     """One full run: plan, drawn values, traffic, and decoded result."""
 
     setup: SessionSetup
+    session_id: str
     plan: Optional[PartitionPlan]
-    query_plan: Optional[QueryPlan]
-    share_messages: Tuple[ShareMessage, ...]
-    answers: Tuple[AnswerMsg, ...]
+    query_plan: QueryPlan
+    share_messages: Tuple[Message, ...]
+    answers: Tuple[Message, ...]
     result: IntersectionResult
 
 
@@ -117,25 +140,30 @@ def run_protocol(
     empty, so nothing is drawn and nothing is exchanged.
     """
     setup = prepare_session(profiles, universe, leader_override)
+    session_id = make_session_id(profiles, universe.size, leader_override, seed)
     if not setup.leader.data_set:
         empty = IntersectionResult(
             decoded=frozenset(), indicators={}, download_cost_actual=0
         )
         return ProtocolRun(
             setup=setup,
+            session_id=session_id,
             plan=None,
-            query_plan=None,
+            query_plan=QueryPlan(h_vectors=(), queries={}),
             share_messages=(),
             answers=(),
             result=empty,
         )
     plan = make_partition_plan(setup.leader, setup.clients)
-    bundles, share_messages = build_bundle(plan, setup.clients, setup.field, seed, policy)
-    query_plan = generate_queries(plan, setup.field, universe, seed)
-    answers = collect_answers(plan, query_plan, setup.clients, universe, bundles, setup.field)
+    bundles, share_messages = build_bundle(
+        plan, setup.clients, setup.field, seed, session_id, policy
+    )
+    query_plan = generate_queries(plan, setup.field, universe, seed, session_id)
+    answers = collect_answers(query_plan, setup.clients, universe, bundles, setup.field)
     result = decode(plan, answers, setup.field)
     return ProtocolRun(
         setup=setup,
+        session_id=session_id,
         plan=plan,
         query_plan=query_plan,
         share_messages=tuple(share_messages),

@@ -10,14 +10,16 @@ Before any query is sent, the client parties set up:
   L - (M - 1);
 * a single global nonzero multiplier applied to every answer.
 
-The free individual values travel to the last client's databases as share
-messages keyed by leader-set position (1..R). Positions, not element ids,
-cross party boundaries: clients only ever learn the public set size.
+The free individual values travel to the last client's databases as
+t_share wire.Message values whose target is a leader-set position (1..R),
+and the multiplier as c_share messages. Positions, not element ids, cross
+party boundaries: clients only ever learn the public set size.
 
 Each client database draws, sends and installs its own values in a
 database.DatabaseState, and answers from that state's RandomnessBundle.
 build_bundle runs the phase in memory by routing shares between one such
-state per client database. completion is the one place the correlating
+state per client database; share_order is the transcript's order of the
+shares. completion is the one place the correlating
 client's value is computed; the auditor calls it too.
 
 A RandomnessPolicy can deliberately break each tier; the audit module uses
@@ -34,6 +36,7 @@ from .field import PrimeField
 from .leader import PartitionPlan
 from .model import PartyProfile
 from .seeding import draw_nonzero, draw_value
+from .wire import Message
 
 
 @dataclass(frozen=True)
@@ -47,25 +50,6 @@ class RandomnessPolicy:
 
 
 FAITHFUL = RandomnessPolicy()
-
-
-@dataclass(frozen=True)
-class ShareMessage:
-    """One randomness-phase message between client databases.
-
-    A well-formed share holds one residue in values; database states reject
-    any other.
-    """
-
-    kind: str  # "t_share" | "c_share"
-    origin: Tuple[int, int]
-    dest: Tuple[int, int]
-    position: Optional[int]
-    values: Tuple[int, ...]
-
-    def sort_key(self) -> tuple:
-        """The transcript's order: t shares, then c shares, by origin, dest, position."""
-        return (self.kind != "t_share", self.origin, self.dest, self.position or 0)
 
 
 @dataclass
@@ -149,30 +133,38 @@ def gen_global(
     return draw_nonzero(seed, field.modulus, "c")
 
 
+def share_order(share: Message) -> tuple:
+    """The transcript's order of shares: t shares, then c shares, by origin, dest, position."""
+    return (share.type != "t_share", share.origin, share.dest, share.target or 0)
+
+
 def build_bundle(
     plan: PartitionPlan,
     clients: Sequence[PartyProfile],
     field: PrimeField,
     seed: int,
+    session_id: str,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Tuple[Dict[Tuple[int, int], RandomnessBundle], List[ShareMessage]]:
+) -> Tuple[Dict[Tuple[int, int], RandomnessBundle], List[Message]]:
     """Run the randomness phase in memory: the router between database states.
 
     Builds one state per client database and delivers every share they send
-    in the transcript's canonical order. Returns each database's own bundle,
-    keyed by its (client, database) address, and the shares in that order.
+    in share_order. Returns each database's own bundle, keyed by its
+    (client, database) address, and the shares in that order.
     """
     # The state module builds on this one's tiers and policy.
     from .database import DatabaseState
 
     states = {
-        (client.party_id, db): DatabaseState(plan.shape, client, db, field, seed, policy)
+        (client.party_id, db): DatabaseState(
+            plan.shape, client, db, field, seed, session_id, policy
+        )
         for client in clients
         for db in range(1, client.num_databases + 1)
     }
     shares = sorted(
         (share for state in states.values() for share in state.shares()),
-        key=ShareMessage.sort_key,
+        key=share_order,
     )
     for share in shares:
         states[share.dest].receive(share)

@@ -6,6 +6,11 @@ transcript records every message with its phase tag plus the cost table and
 the decoded result; with the in-memory transport it is a pure function of
 (config, seed) and serializes to byte-identical files across repeats.
 
+Every transcript entry is the wire.Message a database state or the leader
+produced, the same object a frame carries; transcript_from_run only puts a
+run's messages in transcript order (shares in randomness.share_order, then
+queries and answers by Message.sort_key).
+
 The leader never appears as origin or destination of a randomness-phase
 message; those flow only between client databases. Audits rely on the phase
 tags to reconstruct each party's legitimate view.
@@ -13,17 +18,16 @@ tags to reconstruct each party's legitimate view.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError
 from .leader import CostTable, IntersectionResult
-from .protocol import ProtocolRun, run_protocol
-from .randomness import FAITHFUL, RandomnessPolicy, ShareMessage
-from .wire import SESSION_ID_CHARS, Message, message_from_dict, render_body
+from .protocol import ProtocolRun, make_session_id, run_protocol
+from .randomness import FAITHFUL, RandomnessPolicy
+from .wire import Message, message_from_dict, render_body
 
 
 @dataclass(frozen=True)
@@ -97,88 +101,25 @@ def load_transcript(data: bytes) -> SessionTranscript:
 
 
 def session_id_for(config: SessionConfig) -> str:
-    """Deterministic session id from the transport-independent config core."""
-    core = {
-        "universe_size": config.universe_size,
-        "parties": [
-            {"id": p.party_id, "databases": p.num_databases, "set": sorted(p.data_set)}
-            for p in config.parties
-        ],
-        "leader": config.leader_override,
-        "seed": config.seed,
-    }
-    digest = hashlib.sha256(_compact_json(core).encode("utf-8"))
-    return digest.hexdigest()[:SESSION_ID_CHARS]
-
-
-def share_to_wire(share: ShareMessage, session_id: str) -> Message:
-    """The wire form of one randomness-phase message."""
-    return Message(
-        type=share.kind,
-        session_id=session_id,
-        phase="randomness",
-        origin=share.origin,
-        dest=share.dest,
-        partition=None,
-        target=share.position,
-        values=share.values,
+    """The session id of a config: run_protocol's, whatever the transport."""
+    return make_session_id(
+        config.parties, config.universe_size, config.leader_override, config.seed
     )
 
 
-def share_from_wire(msg: Message) -> ShareMessage:
-    """The randomness-phase message a t_share or c_share frame carries."""
-    return ShareMessage(msg.type, msg.origin, msg.dest, msg.target, msg.values)
-
-
-def queries_to_wire(leader_id: int, specs, session_id: str) -> List[Message]:
-    msgs = [
-        Message(
-            type="query",
-            session_id=session_id,
-            phase="query",
-            origin=(leader_id, 0),
-            dest=(spec.client_id, spec.database),
-            partition=spec.partition,
-            target=spec.target_pos,
-            values=spec.vector,
-        )
-        for spec in specs
-    ]
-    msgs.sort(key=Message.sort_key)
-    return msgs
-
-
-def answers_to_wire(leader_id: int, answers, session_id: str) -> List[Message]:
-    msgs = [
-        Message(
-            type="answer",
-            session_id=session_id,
-            phase="answer",
-            origin=(answer.client_id, answer.database),
-            dest=(leader_id, 0),
-            partition=answer.partition,
-            target=answer.target_pos,
-            values=(answer.value,),
-        )
-        for answer in answers
-    ]
-    msgs.sort(key=Message.sort_key)
-    return msgs
-
-
-def transcript_from_run(config: SessionConfig, run: ProtocolRun) -> SessionTranscript:
-    session_id = session_id_for(config)
-    messages: List[Message] = []
-    if run.plan is not None:
-        leader_id = run.plan.leader_id
-        messages.extend(share_to_wire(share, session_id) for share in run.share_messages)
-        messages.extend(queries_to_wire(leader_id, run.query_plan.all_queries(), session_id))
-        messages.extend(answers_to_wire(leader_id, run.answers, session_id))
+def transcript_from_run(run: ProtocolRun) -> SessionTranscript:
+    """The run's messages in transcript order, with its setup and result."""
+    queries = [q for sent in run.query_plan.queries.values() for q in sent]
+    messages = (
+        *run.share_messages,
+        *sorted(queries, key=Message.sort_key),
+        *sorted(run.answers, key=Message.sort_key),
+    )
     return SessionTranscript(
-        session_id=session_id,
+        session_id=run.session_id,
         leader_id=run.setup.leader.party_id,
         cost_table=run.setup.costs,
-        messages=tuple(messages),
+        messages=messages,
         result=run.result,
     )
 
@@ -194,7 +135,7 @@ def run_memory_session(
         leader_override=config.leader_override,
         policy=policy,
     )
-    return transcript_from_run(config, run)
+    return transcript_from_run(run)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:

@@ -63,6 +63,23 @@ class TestCost:
         assert payload["cost_table"] == {"1": 6, "2": 6, "3": 6}
         assert payload["leader"] == 3
 
+    def test_unleadable_override_fails_as_run_does(self, tmp_path, capsys):
+        # Party 1 cannot lead: party 2 has a single database.
+        config = dict(FIXTURE, leader=1)
+        config["parties"] = [
+            {"id": 1, "databases": 3, "set": [1, 2]},
+            {"id": 2, "databases": 1, "set": [1, 3]},
+            {"id": 3, "databases": 3, "set": [1, 4]},
+        ]
+        path = tmp_path / "unleadable.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 3
+        run_error = capsys.readouterr().err
+        assert "cannot lead" in run_error
+        assert main(["cost", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", run_error)
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])

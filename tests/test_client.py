@@ -8,9 +8,26 @@ import pytest
 from mppsi.client import answer_all, answer_value, support_sum
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
-from mppsi.leader import QuerySpec, generate_queries, make_partition_plan
+from mppsi.leader import generate_queries, make_partition_plan
 from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import RandomnessBundle, build_bundle
+from mppsi.wire import Message
+
+SESSION = "client-tests"
+
+
+def query(dest, partition, target, vector):
+    """A query message from the leader, party 9, to dest."""
+    return Message(
+        type="query",
+        session_id=SESSION,
+        phase="query",
+        origin=(9, 0),
+        dest=dest,
+        partition=partition,
+        target=target,
+        values=tuple(vector),
+    )
 
 
 def modular_answer(x, q, s, t, c, modulus):
@@ -22,16 +39,10 @@ def answer(x, q, s, t, c, modulus):
     """One targeted answer through answer_all, for a binary incidence vector x."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     bundle = RandomnessBundle(local=[s], individual={1: t}, c=c)
-    spec = QuerySpec(
-        client_id=1,
-        database=2,
-        partition=1,
-        target_pos=1,
-        target_element=None,
-        vector=tuple(q),
-    )
+    spec = query((1, 2), 1, 1, q)
     (msg,) = answer_all(profile, 2, [spec], Universe(len(x)), bundle, PrimeField(modulus))
-    return msg.value
+    (value,) = msg.values
+    return value
 
 
 class TestAnswer:
@@ -64,7 +75,7 @@ class TestAnswer:
     def test_length_mismatch(self):
         profile = PartyProfile(1, 2, frozenset({1}))
         bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
-        spec = QuerySpec(1, 1, 1, None, None, (1, 2))
+        spec = query((1, 1), 1, None, (1, 2))
         with pytest.raises(ValueError):
             answer_all(profile, 1, [spec], Universe(1), bundle, PrimeField(3))
 
@@ -117,8 +128,8 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
-    bundles, _ = build_bundle(plan, clients, field, seed=21)
-    qp = generate_queries(plan, field, Universe(universe), seed=21)
+    bundles, _ = build_bundle(plan, clients, field, seed=21, session_id=SESSION)
+    qp = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
     return clients, plan, field, bundles, qp
 
 
@@ -126,25 +137,38 @@ class TestAnswerAll:
     def test_database_one_answer_formula(self):
         clients, plan, field, bundles, qp = _session_pieces()
         client = clients[0]
-        queries = qp.queries_for(client.party_id, 1)
+        queries = qp.queries[client.party_id, 1]
         bundle = bundles[client.party_id, 1]
         msgs = answer_all(client, 1, queries, Universe(4), bundle, field)
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
-        q = queries[0].vector
+        q = queries[0].values
         s = bundle.local[0]
         expected = modular_answer(x, q, s, 0, bundle.c, field.modulus)
-        assert msgs[0].value == expected
-        assert msgs[0].target_pos is None
+        assert msgs[0].values == (expected,)
+        assert msgs[0].target is None
+
+    def test_answer_echoes_its_query(self):
+        clients, plan, field, bundles, qp = _session_pieces()
+        client = clients[1]
+        queries = qp.queries[client.party_id, 2]
+        msgs = answer_all(client, 2, queries, Universe(4), bundles[client.party_id, 2], field)
+        assert [
+            (m.type, m.phase, m.session_id, m.origin, m.dest, m.partition, m.target)
+            for m in msgs
+        ] == [
+            ("answer", "answer", q.session_id, q.dest, q.origin, q.partition, q.target)
+            for q in queries
+        ]
 
     def test_one_answer_per_query_with_tags_echoed(self):
         clients, plan, field, bundles, qp = _session_pieces(client_dbs=(2, 2))
         client = clients[0]
-        queries = qp.queries_for(client.party_id, 1)
+        queries = qp.queries[client.party_id, 1]
         assert len(queries) == 2  # one base vector per partition
         msgs = answer_all(client, 1, queries, Universe(4), bundles[client.party_id, 1], field)
-        assert [(m.partition, m.target_pos) for m in msgs] == [
-            (q.partition, q.target_pos) for q in queries
+        assert [(m.partition, m.target) for m in msgs] == [
+            (q.partition, q.target) for q in queries
         ]
 
     def test_no_queries_no_answers(self):
@@ -154,7 +178,7 @@ class TestAnswerAll:
     def test_determinism_is_exact(self):
         clients, plan, field, bundles, qp = _session_pieces()
         client = clients[1]
-        queries = qp.queries_for(client.party_id, 2)
+        queries = qp.queries[client.party_id, 2]
         bundle = bundles[client.party_id, 2]
         first = answer_all(client, 2, queries, Universe(4), bundle, field)
         second = answer_all(client, 2, queries, Universe(4), bundle, field)
@@ -163,33 +187,19 @@ class TestAnswerAll:
     def test_unknown_partition_tag_rejected(self):
         clients, plan, field, bundles, qp = _session_pieces()
         client = clients[0]
-        rogue = QuerySpec(
-            client_id=client.party_id,
-            database=1,
-            partition=99,
-            target_pos=None,
-            target_element=None,
-            vector=(0, 0, 0, 0),
-        )
+        rogue = query((client.party_id, 1), 99, None, (0, 0, 0, 0))
         with pytest.raises(ProtocolViolationError):
             answer_all(client, 1, [rogue], Universe(4), bundles[client.party_id, 1], field)
 
     def test_misaddressed_query_rejected(self):
         clients, plan, field, bundles, qp = _session_pieces()
-        queries = qp.queries_for(1, 2)
+        queries = qp.queries[1, 2]
         with pytest.raises(ProtocolViolationError):
             answer_all(clients[1], 2, queries, Universe(4), bundles[2, 2], field)
 
     def test_base_query_at_non_first_database_rejected(self):
         clients, plan, field, bundles, qp = _session_pieces()
-        base = qp.queries_for(1, 1)[0]
-        moved = QuerySpec(
-            client_id=1,
-            database=2,
-            partition=base.partition,
-            target_pos=None,
-            target_element=None,
-            vector=base.vector,
-        )
+        base = qp.queries[1, 1][0]
+        moved = query((1, 2), base.partition, None, base.values)
         with pytest.raises(ProtocolViolationError):
             answer_all(clients[0], 2, [moved], Universe(4), bundles[1, 2], field)

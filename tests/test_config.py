@@ -114,6 +114,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="party:db"):
             parse_config(as_json(variant(addresses={"one": "127.0.0.1:9000"})))
 
+    def test_empty_address_host(self):
+        # An empty host would have an endpoint bind every interface.
+        with pytest.raises(ConfigError, match="empty host"):
+            parse_config(as_json(variant(addresses={"1:1": ":9101"})))
+
     def test_bad_address_port(self):
         with pytest.raises(ConfigError, match="port"):
             parse_config(as_json(variant(addresses={"1:1": "127.0.0.1:notaport"})))

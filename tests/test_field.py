@@ -7,9 +7,9 @@ import pytest
 from mppsi.client import answer_all, answer_value
 from mppsi.errors import ConfigError
 from mppsi.field import PrimeField, is_prime, select_field_size
-from mppsi.leader import QuerySpec
 from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import RandomnessBundle
+from mppsi.wire import Message
 
 
 def modular_dot(xs, qs, modulus):
@@ -21,17 +21,11 @@ def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
-    spec = QuerySpec(
-        client_id=1,
-        database=1,
-        partition=1,
-        target_pos=None,
-        target_element=None,
-        vector=tuple(q),
-    )
+    spec = Message("query", "field-tests", "query", (2, 0), (1, 1), 1, None, tuple(q))
     size = len(x) if universe is None else universe
     (msg,) = answer_all(profile, 1, [spec], Universe(size), bundle, PrimeField(modulus))
-    return msg.value
+    (value,) = msg.values
+    return value
 
 
 def add(a, b, modulus):

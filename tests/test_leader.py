@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +21,15 @@ from mppsi.leader import (
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import prepare_session, run_protocol
 
+SESSION = "leader-tests"
+
 
 def profile(pid, elems, dbs):
     return PartyProfile(pid, dbs, frozenset(elems))
+
+
+def all_queries(qp):
+    return [q for sent in qp.queries.values() for q in sent]
 
 
 def oracle_cost(set_size, counterpart_dbs):
@@ -151,34 +158,45 @@ class TestQueryGeneration:
         leader, clients = HOMOGENEOUS[2], HOMOGENEOUS[:2]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(3)
-        qp = generate_queries(plan, field, Universe(4), seed=5)
+        qp = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
         h = qp.h_vectors[0]
         for client_id in (1, 2):
-            base = qp.queries_for(client_id, 1)
-            assert len(base) == 1 and base[0].vector == h
-            bump1 = qp.queries_for(client_id, 2)[0]
-            bump4 = qp.queries_for(client_id, 3)[0]
-            assert bump1.target_element == 1
-            assert bump4.target_element == 4
-            assert bump1.vector[0] == (h[0] + 1) % field.modulus
-            assert bump1.vector[1:] == h[1:]
-            assert bump4.vector[3] == (h[3] + 1) % field.modulus
-            assert bump4.vector[:3] == h[:3]
+            base = qp.queries[client_id, 1]
+            assert len(base) == 1 and base[0].values == h
+            (bump1,) = qp.queries[client_id, 2]
+            (bump4,) = qp.queries[client_id, 3]
+            assert plan.leader_elements[bump1.target - 1] == 1
+            assert plan.leader_elements[bump4.target - 1] == 4
+            assert bump1.values[0] == (h[0] + 1) % field.modulus
+            assert bump1.values[1:] == h[1:]
+            assert bump4.values[3] == (h[3] + 1) % field.modulus
+            assert bump4.values[:3] == h[:3]
+
+    def test_queries_are_messages_from_the_leader(self):
+        plan = make_partition_plan(HETEROGENEOUS[3], HETEROGENEOUS[:3])
+        qp = generate_queries(plan, select_field_size(4), Universe(5), seed=5, session_id=SESSION)
+        for dest, sent in qp.queries.items():
+            assert sent
+            for q in sent:
+                assert (q.type, q.phase, q.session_id) == ("query", "query", SESSION)
+                assert (q.origin, q.dest) == ((4, 0), dest)
 
     def test_two_base_vectors_when_databases_are_scarce(self):
         leader = profile(3, {1, 4}, 2)
         clients = [profile(1, {1, 2}, 2), profile(2, {1, 3}, 2)]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(3)
-        qp = generate_queries(plan, field, Universe(4), seed=5)
+        qp = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
         assert len(qp.h_vectors) == 2
         for client_id in (1, 2):
-            base = qp.queries_for(client_id, 1)
+            base = qp.queries[client_id, 1]
             assert [q.partition for q in base] == [1, 2]
-            assert base[0].vector == qp.h_vectors[0]
-            assert base[1].vector == qp.h_vectors[1]
-            targeted = qp.queries_for(client_id, 2)
-            assert [(q.partition, q.target_element) for q in targeted] == [(1, 1), (2, 4)]
+            assert base[0].values == qp.h_vectors[0]
+            assert base[1].values == qp.h_vectors[1]
+            targeted = qp.queries[client_id, 2]
+            assert [
+                (q.partition, plan.leader_elements[q.target - 1]) for q in targeted
+            ] == [(1, 1), (2, 4)]
 
     def test_short_final_partition_skips_databases(self):
         # Client with three databases and a three-element leader set: the
@@ -188,11 +206,12 @@ class TestQueryGeneration:
         clients = [profile(1, {1}, 3)]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(2)
-        qp = generate_queries(plan, field, Universe(5), seed=5)
-        db2 = qp.queries_for(1, 2)
-        db3 = qp.queries_for(1, 3)
-        assert [(q.partition, q.target_element) for q in db2] == [(1, 1), (2, 5)]
-        assert [(q.partition, q.target_element) for q in db3] == [(1, 4)]
+        qp = generate_queries(plan, field, Universe(5), seed=5, session_id=SESSION)
+        elements = plan.leader_elements
+        db2 = qp.queries[1, 2]
+        db3 = qp.queries[1, 3]
+        assert [(q.partition, elements[q.target - 1]) for q in db2] == [(1, 1), (2, 5)]
+        assert [(q.partition, elements[q.target - 1]) for q in db3] == [(1, 4)]
 
     def test_query_shape_invariant(self):
         rng = random.Random(23)
@@ -204,21 +223,23 @@ class TestQueryGeneration:
             leader = profile(m, leader_set, 2)
             plan = make_partition_plan(leader, profiles)
             field = select_field_size(m)
-            qp = generate_queries(plan, field, Universe(k), seed=rng.randint(0, 999))
-            for spec in qp.all_queries():
+            qp = generate_queries(
+                plan, field, Universe(k), seed=rng.randint(0, 999), session_id=SESSION
+            )
+            for spec in all_queries(qp):
                 base = qp.h_vectors[spec.partition - 1]
                 diffs = [
                     (i, (v - b) % field.modulus)
-                    for i, (v, b) in enumerate(zip(spec.vector, base))
+                    for i, (v, b) in enumerate(zip(spec.values, base))
                     if v != b
                 ]
-                if spec.target_pos is None:
+                if spec.target is None:
                     assert diffs == []
                 else:
                     assert len(diffs) == 1
                     index, delta = diffs[0]
                     assert delta == 1
-                    assert index + 1 == plan.leader_elements[spec.target_pos - 1]
+                    assert index + 1 == plan.leader_elements[spec.target - 1]
 
     def test_count_invariant_matches_cost_formula(self):
         rng = random.Random(29)
@@ -230,11 +251,29 @@ class TestQueryGeneration:
             leader = profile(m, leader_set, 2)
             plan = make_partition_plan(leader, clients)
             field = select_field_size(m)
-            qp = generate_queries(plan, field, Universe(k), seed=1)
+            qp = generate_queries(plan, field, Universe(k), seed=1, session_id=SESSION)
             for client in clients:
-                specs = qp.queries[client.party_id]
+                specs = [q for q in all_queries(qp) if q.dest[0] == client.party_id]
                 assert len(specs) == plan.eta[client.party_id] + plan.set_size
-            assert len(qp.all_queries()) == download_cost(leader, clients)
+            assert len(all_queries(qp)) == download_cost(leader, clients)
+
+
+# Each turns a run's answers (to leader 3, L = 3) into a list decode rejects,
+# with what the error names.
+BAD_ANSWERS = {
+    "wrong type": (
+        lambda a, L: [replace(a[0], type="query", phase="query")] + a[1:],
+        r"not an answer to \(3, 0\)",
+    ),
+    "two values": (lambda a, L: [replace(a[0], values=a[0].values * 2)] + a[1:], "one residue"),
+    "value equal to L": (lambda a, L: [replace(a[0], values=(L,))] + a[1:], "one residue"),
+    "dest other than the leader": (
+        lambda a, L: [replace(a[0], dest=(3, 1))] + a[1:],
+        r"not an answer to \(3, 0\)",
+    ),
+    "duplicate tag": (lambda a, L: a + a[:1], "duplicate"),
+    "missing tag": (lambda a, L: a[:-1], "missing"),
+}
 
 
 class TestDecode:
@@ -259,27 +298,25 @@ class TestDecode:
         assert again.decoded == run.result.decoded
         assert again.indicators == run.result.indicators
 
-    def test_missing_answer_rejected(self):
+    @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
+    def test_bad_answer_messages_rejected(self, bad):
         run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        with pytest.raises(ProtocolViolationError):
-            decode(run.plan, run.answers[:-1], run.setup.field)
-
-    def test_duplicate_answer_rejected(self):
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        with pytest.raises(ProtocolViolationError):
-            decode(run.plan, list(run.answers) + [run.answers[0]], run.setup.field)
+        mutate, named = BAD_ANSWERS[bad]
+        answers = mutate(list(run.answers), run.setup.field.modulus)
+        with pytest.raises(ProtocolViolationError, match=named):
+            decode(run.plan, answers, run.setup.field)
 
     def test_missing_base_and_targeted_answers_rejected(self):
         # The missing keys (1, 1, None) and (1, 1, 1) differ only where None
         # meets an int; the error message must still list them.
         run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        kept = [a for a in run.answers if (a.client_id, a.partition) != (1, 1)]
+        kept = [a for a in run.answers if (a.origin[0], a.partition) != (1, 1)]
         with pytest.raises(ProtocolViolationError, match=r"\(1, 1, None\)"):
             decode(run.plan, kept, run.setup.field)
 
     def test_foreign_answer_key_rejected(self):
         run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        values = {(a.client_id, a.partition, a.target_pos): a.value for a in run.answers}
+        values = {(a.origin[0], a.partition, a.target): a.values[0] for a in run.answers}
         client_id, partition, _ = key = next(k for k in values if k[2] is not None)
         values[(client_id, partition, 99)] = values.pop(key)
         assert len(values) == len(run.plan.answer_keys)

@@ -135,7 +135,9 @@ class TestEndpointBehaviour:
         config = DEMOS[name].config
         setup = prepare_session(config.parties, config.universe, config.leader_override)
         plan = make_partition_plan(setup.leader, setup.clients)
-        expected, _ = build_bundle(plan, setup.clients, setup.field, config.seed)
+        expected, _ = build_bundle(
+            plan, setup.clients, setup.field, config.seed, session_id_for(config)
+        )
         endpoints = spawn_endpoints(config)
         try:
             run_networked_session(config, endpoints=endpoints)
@@ -445,6 +447,31 @@ class TestSharesFromTheWire:
             )
             send_and_expect_close(target, query)
             over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_query_not_from_the_leader_closes_only_its_connection(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            # (1, 1) needs no share, so a leader's query would be answered at once.
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            query = Message(
+                type="query",
+                session_id=session_id_for(config),
+                phase="query",
+                origin=(2, 1),
+                dest=(1, 1),
+                partition=1,
+                target=None,
+                values=(0,) * config.universe_size,
+            )
+            send_and_expect_close(target, query)
+            assert target.sent_log == [] and target.received_log == []
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.result.decoded == brute_force_intersection(config.parties)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
             for ep in endpoints:

@@ -14,7 +14,11 @@ from mppsi.randomness import (
     free_clients,
     gen_global,
     gen_local,
+    share_order,
 )
+
+
+SESSION = "randomness-tests"
 
 
 def profile(pid, elems, dbs):
@@ -73,7 +77,7 @@ class TestGlobal:
 class TestBundle:
     def test_database_one_carries_zeros(self):
         plan, clients, field = fixture()
-        bundles, _ = build_bundle(plan, clients, field, seed=4)
+        bundles, _ = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
         for client in clients:
             slots = bundles[client.party_id, 1].individual
             assert all(v == 0 for v in slots.values())
@@ -84,7 +88,7 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                bundles, _ = build_bundle(plan, clients, field, seed=seed)
+                bundles, _ = build_bundle(plan, clients, field, seed=seed, session_id=SESSION)
                 for position in range(1, plan.set_size + 1):
                     total = sum(
                         t_at(bundles, plan, cid, position) for cid in plan.client_ids
@@ -95,27 +99,27 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        bundles, shares = build_bundle(plan, clients, field, seed=0)
+        bundles, shares = build_bundle(plan, clients, field, seed=0, session_id=SESSION)
         assert field.modulus == 2
         for position in range(1, plan.set_size + 1):
             assert t_at(bundles, plan, 1, position) == field.modulus - 1
-        assert all(s.kind == "c_share" for s in shares)
+        assert all(s.type == "c_share" for s in shares)
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
-        first, _ = build_bundle(plan, clients, field, seed=77)
-        second, _ = build_bundle(plan, clients, field, seed=77)
+        first, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
+        second, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
         assert first == second
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
-        runs = [build_bundle(plan, clients, field, seed=s)[0] for s in range(8)]
+        runs = [build_bundle(plan, clients, field, seed=s, session_id=SESSION)[0] for s in range(8)]
         locals_seen = {tuple(tuple(b.local) for _, b in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
 
     def test_leader_never_appears_in_share_traffic(self):
         plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4)
+        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
         leader_id = plan.leader_id
         for share in shares:
             assert share.origin[0] != leader_id
@@ -123,32 +127,47 @@ class TestBundle:
 
     def test_share_positions_inside_leader_set_range(self):
         plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4)
+        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
         for share in shares:
-            if share.kind == "t_share":
-                assert 1 <= share.position <= plan.set_size
+            if share.type == "t_share":
+                assert 1 <= share.target <= plan.set_size
+
+    def test_shares_are_randomness_messages_in_share_order(self):
+        plan, clients, field = fixture(num_clients=3)
+        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
+        assert shares == sorted(shares, key=share_order)
+        kinds = [s.type for s in shares]
+        assert kinds == sorted(kinds, key=lambda kind: kind != "t_share")
+        for share in shares:
+            assert (share.phase, share.session_id, share.partition) == ("randomness", SESSION, None)
+            assert len(share.values) == 1
 
     def test_element_alignment_against_query_plan(self):
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        bundles, _ = build_bundle(plan, clients, field, seed=13)
-        qp = generate_queries(plan, field, Universe(4), seed=13)
+        bundles, _ = build_bundle(plan, clients, field, seed=13, session_id=SESSION)
+        qp = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
-                q for q in qp.queries[client.party_id] if q.target_pos is not None
+                q
+                for (client_id, _), sent in qp.queries.items()
+                if client_id == client.party_id
+                for q in sent
+                if q.target is not None
             ]
             assert len(specs) == plan.set_size
             seen = set()
             for spec in specs:
-                assert spec.target_pos not in seen
-                seen.add(spec.target_pos)
-                assert plan.position_location(client.party_id, spec.target_pos) == (
+                assert spec.target not in seen
+                seen.add(spec.target)
+                database = spec.dest[1]
+                assert plan.position_location(client.party_id, spec.target) == (
                     spec.partition,
-                    spec.database,
+                    database,
                 )
-                slot = bundles[client.party_id, spec.database].individual[spec.partition]
-                assert slot == t_at(bundles, plan, client.party_id, spec.target_pos)
+                slot = bundles[client.party_id, database].individual[spec.partition]
+                assert slot == t_at(bundles, plan, client.party_id, spec.target)
 
     def test_completion_closes_each_position_sum(self):
         # L = 5 and three clients: free values 1 and 3 are completed to sum 5 - 3.
@@ -164,8 +183,8 @@ class TestBundle:
 
     def test_global_share_origin_is_lowest_client_first_database(self):
         plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4)
-        c_shares = [s for s in shares if s.kind == "c_share"]
+        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
+        c_shares = [s for s in shares if s.type == "c_share"]
         assert all(s.origin == (1, 1) for s in c_shares)
         dests = {s.dest for s in c_shares}
         expected = {
@@ -180,14 +199,16 @@ class TestPolicies:
     def test_zero_local(self):
         plan, clients, field = fixture()
         bundles, _ = build_bundle(
-            plan, clients, field, seed=4, policy=RandomnessPolicy(zero_local=True)
+            plan, clients, field, seed=4, session_id=SESSION,
+            policy=RandomnessPolicy(zero_local=True),
         )
         assert all(v == 0 for bundle in bundles.values() for v in bundle.local)
 
     def test_zero_individual_breaks_correlation(self):
         plan, clients, field = fixture()
         bundles, _ = build_bundle(
-            plan, clients, field, seed=4, policy=RandomnessPolicy(zero_individual=True)
+            plan, clients, field, seed=4, session_id=SESSION,
+            policy=RandomnessPolicy(zero_individual=True),
         )
         assert all(
             t_at(bundles, plan, cid, position) == 0
@@ -198,7 +219,8 @@ class TestPolicies:
     def test_correlation_offset_shifts_sums(self):
         plan, clients, field = fixture()
         bundles, _ = build_bundle(
-            plan, clients, field, seed=4, policy=RandomnessPolicy(correlation_offset=1)
+            plan, clients, field, seed=4, session_id=SESSION,
+            policy=RandomnessPolicy(correlation_offset=1),
         )
         num_parties = len(clients) + 1
         broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
@@ -211,7 +233,8 @@ class TestPolicies:
     def test_fixed_global(self):
         plan, clients, field = fixture()
         bundles, _ = build_bundle(
-            plan, clients, field, seed=4, policy=RandomnessPolicy(fixed_global=1)
+            plan, clients, field, seed=4, session_id=SESSION,
+            policy=RandomnessPolicy(fixed_global=1),
         )
         assert all(bundle.c == 1 for bundle in bundles.values())
 
