@@ -1,6 +1,7 @@
 """CLI subcommands and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +98,53 @@ class TestDemo:
         assert payload["passed"] is True
 
 
+AUDIT_SMALL = str(Path(__file__).resolve().parent.parent / "configs" / "audit-small.json")
+EMPTY_LEADER = {
+    "universe_size": 3,
+    "parties": [
+        {"id": 1, "databases": 2, "set": []},
+        {"id": 2, "databases": 2, "set": [1, 2]},
+        {"id": 3, "databases": 2, "set": [1]},
+    ],
+    "seed": 1,
+}
+VACUOUS = "empty leader set; nothing is exchanged"
+CHECK_NAMES = ("reliability", "lemma1", "lemma2", "lemma3", "leader-mi", "client-mi")
+
+# Config (None: the FIXTURE config) and extra arguments -> the pinned
+# (check, passed, detail) of every reported check, in order.
+PINNED_AUDITS = {
+    "audit-small": (AUDIT_SMALL, [], [
+        ("reliability", True, "486 realizations, randomness space 54, exhaustive=True"),
+        ("lemma1", True, "database-1 answers uniform"),
+        ("lemma2", True, "subtraction statistics uniform"),
+        ("lemma3", True, "indicator tables exact"),
+        ("leader-mi", True, "max leakage 0.0 bits over every database view"),
+        ("client-mi", True, "max leakage 0.0 bits across intersection outcomes"),
+    ]),
+    "empty-leader": (EMPTY_LEADER, [], [(name, True, VACUOUS) for name in CHECK_NAMES]),
+    "client-mi-bound": (None, ["--check", "client-mi", "--bound", "100"], [
+        ("client-mi", False,
+         "not run: randomness space has 162 outcomes, above the bound 100"),
+    ]),
+}
+
+
 class TestAudit:
+    @pytest.mark.parametrize("name", list(PINNED_AUDITS))
+    def test_audit_report_is_pinned(self, name, config_path, tmp_path, capsys):
+        config, extra, pinned = PINNED_AUDITS[name]
+        if config is None:
+            config = config_path
+        elif isinstance(config, dict):
+            path = tmp_path / "audit.json"
+            path.write_text(json.dumps(config))
+            config = str(path)
+        code = main(["audit", "--config", config, "--json", *extra])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["passed"], c["detail"]) for c in checks] == pinned
+        assert code == (0 if all(passed for _, passed, _ in pinned) else 1)
+
     def test_audit_small_instance(self, tmp_path, capsys):
         config = {
             "universe_size": 2,
