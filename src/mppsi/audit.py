@@ -28,11 +28,11 @@ exact rationals or integer counts; zero means zero. The checks are:
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 (s, t, c) from _raw_realizations under the caller's policy, answer vectors
-from realization_answers. The masking checks fix all but the swept slots,
-at values the policy can produce and over its multiplier range, and answer
-each swept realization through answers_for_realization, one realization
-run through the same walk; check_indicator_privacy decodes with
-decode_vector. So every check answers through realization_answers and
+from realization_answers. The masking checks share one core,
+_masking_tables: it draws each context's base vectors and fixed slots,
+sweeps the lemma's slots over the policy's ranges, and counts a statistic
+of the answers from answers_for_realization, one realization run through
+the same walk. So every check answers through realization_answers and
 decodes through decode_vector, and the correlated completion is
 randomness.completion, the one the client databases run.
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -157,15 +157,16 @@ class CompiledInstance:
 def compile_instance(instance: AuditInstance) -> CompiledInstance:
     setup = instance.setup()
     plan = make_partition_plan(setup.leader, setup.clients)
+    shape = plan.shape
     s_index: Dict[Tuple[int, int], int] = {}
-    for client_id in plan.client_ids:
-        for ell in range(1, plan.eta[client_id] + 1):
+    for client_id in shape.client_ids:
+        for ell in range(1, shape.eta[client_id] + 1):
             s_index[(client_id, ell)] = len(s_index)
-    free = free_clients(plan.client_ids)
-    corr = correlating_client(plan.client_ids)
+    free = free_clients(shape.client_ids)
+    corr = correlating_client(shape.client_ids)
     t_index: Dict[Tuple[int, int], int] = {}
     for client_id in free:
-        for position in range(1, plan.set_size + 1):
+        for position in range(1, shape.set_size + 1):
             t_index[(client_id, position)] = len(t_index)
     layout = []
     for key in plan.answer_keys:
@@ -179,7 +180,7 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         layout.append((key, client_id, partition, position, s_index[(client_id, partition)], t_idx))
     corr_free = {
         position: [t_index[(client_id, position)] for client_id in free]
-        for position in range(1, plan.set_size + 1)
+        for position in range(1, shape.set_size + 1)
     }
     return CompiledInstance(
         setup=setup,
@@ -225,7 +226,7 @@ def individual_values(
     the free values at that position.
     """
     modulus = compiled.field.modulus
-    num_clients = len(compiled.plan.client_ids)
+    num_clients = len(compiled.plan.shape.client_ids)
     completed = [
         completion(map(t_values.__getitem__, slots), modulus, num_clients, policy)
         for slots in compiled.corr_free_indices.values()
@@ -313,13 +314,13 @@ def _fixed_draw(
 
 
 def _h_space(compiled: CompiledInstance) -> int:
-    kappa = max(compiled.plan.eta.values())
+    kappa = max(compiled.plan.shape.eta.values())
     return compiled.field.modulus ** (compiled.universe.size * kappa)
 
 
 def _all_h(compiled: CompiledInstance) -> Iterator[HVectors]:
     """Every base-vector tuple, one vector per partition index."""
-    kappa = max(compiled.plan.eta.values())
+    kappa = max(compiled.plan.shape.eta.values())
     vectors = list(
         itertools.product(range(compiled.field.modulus), repeat=compiled.universe.size)
     )
@@ -331,7 +332,7 @@ def _drawn_h(compiled: CompiledInstance, seed: int, label: str, index: int) -> H
     modulus, size = compiled.field.modulus, compiled.universe.size
     return tuple(
         tuple(draw_vector(seed, modulus, size, label, index, ell))
-        for ell in range(1, max(compiled.plan.eta.values()) + 1)
+        for ell in range(1, max(compiled.plan.shape.eta.values()) + 1)
     )
 
 
@@ -394,12 +395,12 @@ def _with_leader(
 
 def _delivered(compiled: CompiledInstance, client_id: int, database: int) -> List[int]:
     """Indices into answer_layout of the queries one database receives."""
-    plan = compiled.plan
+    shape = compiled.plan.shape
     return [
         index
         for index, (_, cid, _, target_pos, _, _) in enumerate(compiled.answer_layout)
         if cid == client_id
-        and (1 if target_pos is None else plan.position_location(cid, target_pos)[1])
+        and (1 if target_pos is None else shape.position_location(cid, target_pos)[1])
         == database
     ]
 
@@ -489,6 +490,52 @@ class UniformityReport:
     detail: str = ""
 
 
+def _masking_tables(
+    compiled: CompiledInstance,
+    policy: RandomnessPolicy,
+    seed: int,
+    contexts: int,
+    label: str,
+    sweep: Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple]]],
+    c_groups: Sequence[Sequence[int]],
+    statistic: Callable[[List[int]], object],
+) -> Iterator[Tuple[int, Sequence[int], DistributionTable]]:
+    """The masking lemmas' core: per context, one table per multiplier group.
+
+    Each context is drawn once: its base vectors by _drawn_h, and the local
+    and individual values the lemma holds fixed by _fixed_draw, under label.
+    sweep maps those fixed values to the (s, t) pairs the lemma varies. A
+    group's table counts statistic over the answers, through
+    answers_for_realization, of every (s, t) pair with every c in the group.
+    """
+    modulus = compiled.field.modulus
+    for ctx in range(contexts):
+        ips = query_inner_products(compiled, _drawn_h(compiled, seed, f"{label}-h", ctx))
+        s_fixed = _fixed_draw(seed, modulus, compiled.n_s, f"{label}-s", ctx, policy.zero_local)
+        t_fixed = _fixed_draw(
+            seed, modulus, compiled.n_t, f"{label}-t", ctx, policy.zero_individual
+        )
+        pairs = list(sweep(s_fixed, t_fixed))
+        for group in c_groups:
+            counts = Counter(
+                statistic(answers_for_realization(compiled, ips, s, t, c, policy))
+                for s, t in pairs
+                for c in group
+            )
+            yield ctx, group, DistributionTable.from_counts(counts)
+
+
+def _uniformity_report(results: Iterable[tuple]) -> UniformityReport:
+    """Fold each table's (key, table, failure or None) into one report: it
+    passes when no table fails, and its detail is the first failure."""
+    tables: Dict[object, DistributionTable] = {}
+    detail: Optional[str] = None
+    for key, table, failure in results:
+        tables[key] = table
+        detail = detail or failure
+    return UniformityReport(detail is None, tables, detail or "")
+
+
 def check_db1_uniformity(
     instance: AuditInstance,
     policy: RandomnessPolicy = FAITHFUL,
@@ -504,40 +551,28 @@ def check_db1_uniformity(
     modulus = compiled.field.modulus
     plan = compiled.plan
     s_range, _, c_range = _policy_ranges(policy, modulus)
-    tables: Dict[object, DistributionTable] = {}
-    passed = True
-    detail = ""
-    for client_id in plan.client_ids:
-        eta = plan.eta[client_id]
-        slots = [compiled.s_index[(client_id, ell)] for ell in range(1, eta + 1)]
+    results = []
+    for client_id in plan.shape.client_ids:
+        eta = plan.shape.eta[client_id]
+        # A client's local slots are consecutive in s_index.
+        first = compiled.s_index[(client_id, 1)]
         db1 = [plan.answer_keys.index((client_id, ell, None)) for ell in range(1, eta + 1)]
         expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
-        for ctx in range(contexts):
-            ips = query_inner_products(compiled, _drawn_h(compiled, seed, "db1-h", ctx))
-            t_fixed = _fixed_draw(
-                seed, modulus, compiled.n_t, "db1-t", ctx, policy.zero_individual
-            )
-            for c_value in c_range:
-                counts: Dict[Tuple[int, ...], int] = {}
-                for sweep in itertools.product(s_range, repeat=eta):
-                    s_values = [0] * compiled.n_s
-                    for idx, value in zip(slots, sweep):
-                        s_values[idx] = value
-                    answers = answers_for_realization(
-                        compiled, ips, tuple(s_values), t_fixed, c_value, policy
-                    )
-                    outcome = tuple(answers[i] for i in db1)
-                    counts[outcome] = counts.get(outcome, 0) + 1
-                table = DistributionTable.from_counts(counts)
-                key = (client_id, ctx, c_value)
-                tables[key] = table
-                if not table.is_uniform_over(expected_outcomes):
-                    passed = False
-                    detail = detail or (
-                        f"client {client_id}: database-1 answers not uniform "
-                        f"(context {ctx}, multiplier {c_value})"
-                    )
-    return UniformityReport(passed, tables, detail)
+        for ctx, (c_value,), table in _masking_tables(
+            compiled, policy, seed, contexts, "db1",
+            lambda s, t: [
+                (s[:first] + sweep + s[first + eta:], t)
+                for sweep in itertools.product(s_range, repeat=eta)
+            ],
+            [[c] for c in c_range],
+            lambda answers: tuple(answers[i] for i in db1),
+        ):
+            uniform = table.is_uniform_over(expected_outcomes)
+            results.append(((client_id, ctx, c_value), table, None if uniform else (
+                f"client {client_id}: database-1 answers not uniform "
+                f"(context {ctx}, multiplier {c_value})"
+            )))
+    return _uniformity_report(results)
 
 
 def check_z_uniformity(
@@ -551,47 +586,30 @@ def check_z_uniformity(
     compiled = compile_instance(instance)
     modulus = compiled.field.modulus
     plan = compiled.plan
-    free = free_clients(plan.client_ids)
-    tables: Dict[object, DistributionTable] = {}
+    free = free_clients(plan.shape.client_ids)
     if not free:
-        return UniformityReport(True, tables, "no non-correlating clients; vacuous")
+        return UniformityReport(True, {}, "no non-correlating clients; vacuous")
     _, t_range, c_range = _policy_ranges(policy, modulus)
     expected = list(range(modulus))
-    passed = True
-    detail = ""
+    results = []
     for client_id in free:
-        for position in range(1, plan.set_size + 1):
-            sweep_idx = compiled.t_index[(client_id, position)]
-            partition, _ = plan.position_location(client_id, position)
+        for position in range(1, plan.shape.set_size + 1):
+            slot = compiled.t_index[(client_id, position)]
+            partition, _ = plan.shape.position_location(client_id, position)
             target = plan.answer_keys.index((client_id, partition, position))
             base = plan.answer_keys.index((client_id, partition, None))
-            for ctx in range(contexts):
-                ips = query_inner_products(compiled, _drawn_h(compiled, seed, "z-h", ctx))
-                s_fixed = _fixed_draw(
-                    seed, modulus, compiled.n_s, "z-s", ctx, policy.zero_local
-                )
-                t_fixed = _fixed_draw(
-                    seed, modulus, compiled.n_t, "z-t", ctx, policy.zero_individual
-                )
-                for c_value in c_range:
-                    counts: Dict[int, int] = {}
-                    for value in t_range:
-                        t_values = list(t_fixed)
-                        t_values[sweep_idx] = value
-                        answers = answers_for_realization(
-                            compiled, ips, s_fixed, tuple(t_values), c_value, policy
-                        )
-                        z = (answers[target] - answers[base]) % modulus
-                        counts[z] = counts.get(z, 0) + 1
-                    table = DistributionTable.from_counts(counts)
-                    tables[(client_id, position, ctx, c_value)] = table
-                    if not table.is_uniform_over(expected):
-                        passed = False
-                        detail = detail or (
-                            f"client {client_id}, position {position}: subtraction "
-                            f"statistic not uniform (context {ctx}, multiplier {c_value})"
-                        )
-    return UniformityReport(passed, tables, detail)
+            for ctx, (c_value,), table in _masking_tables(
+                compiled, policy, seed, contexts, "z",
+                lambda s, t: [(s, t[:slot] + (value,) + t[slot + 1:]) for value in t_range],
+                [[c] for c in c_range],
+                lambda answers: (answers[target] - answers[base]) % modulus,
+            ):
+                uniform = table.is_uniform_over(expected)
+                results.append(((client_id, position, ctx, c_value), table, None if uniform else (
+                    f"client {client_id}, position {position}: subtraction "
+                    f"statistic not uniform (context {ctx}, multiplier {c_value})"
+                )))
+    return _uniformity_report(results)
 
 
 def check_indicator_privacy(
@@ -607,75 +625,57 @@ def check_indicator_privacy(
     same exact uniform table over the nonzero residues.
     """
     compiled = compile_instance(instance)
-    plan = compiled.plan
+    setup, plan = compiled.setup, compiled.plan
+    client_ids = plan.shape.client_ids
     modulus = compiled.field.modulus
     truth = instance.true_intersection()
     _, _, c_range = _policy_ranges(policy, modulus)
     nonzero = list(range(1, modulus))
-    tables: Dict[object, DistributionTable] = {}
-    passed = True
-    detail = ""
+    results = []
 
-    def indicator_table(profiles_variant, element, ctx) -> DistributionTable:
-        comp = compile_instance(
-            AuditInstance(profiles_variant, instance.universe, plan.leader_id)
+    def indicator_tables(clients, element) -> Iterator[Tuple[int, object, DistributionTable]]:
+        """The element's indicator table per context, as the multiplier sweeps."""
+        comp = _with_leader(clients, setup.leader, instance.universe)
+        return _masking_tables(
+            comp, policy, seed, contexts, "ind", lambda s, t: [(s, t)], [c_range],
+            lambda answers: decode_vector(comp.plan, answers, modulus)[1][element],
         )
-        ips = query_inner_products(comp, _drawn_h(comp, seed, "ind-h", ctx))
-        s_fixed = _fixed_draw(seed, modulus, comp.n_s, "ind-s", ctx, policy.zero_local)
-        t_fixed = _fixed_draw(seed, modulus, comp.n_t, "ind-t", ctx, policy.zero_individual)
-        counts: Dict[int, int] = {}
-        for c_value in c_range:
-            answers = answers_for_realization(comp, ips, s_fixed, t_fixed, c_value, policy)
-            _, indicators = decode_vector(comp.plan, answers, modulus)
-            value = indicators[element]
-            counts[value] = counts.get(value, 0) + 1
-        return DistributionTable.from_counts(counts)
 
     for element in plan.leader_elements:
         if element in truth:
-            for ctx in range(contexts):
-                table = indicator_table(instance.profiles, element, ctx)
-                tables[(element, "intersection", ctx)] = table
-                if table.as_dict() != {0: Fraction(1)}:
-                    passed = False
-                    detail = detail or f"element {element}: indicator not always zero"
+            for ctx, _, table in indicator_tables(setup.clients, element):
+                zero = table.as_dict() == {0: Fraction(1)}
+                results.append(((element, "intersection", ctx), table, None if zero else (
+                    f"element {element}: indicator not always zero"
+                )))
             continue
         # Sweep every deficient column sum by rewriting which clients hold
         # the element; the indicator table must not depend on the sum.
         reference: Optional[DistributionTable] = None
-        for sigma in range(len(plan.client_ids)):
-            holders = plan.client_ids[:sigma]
-            variant = []
-            for profile in instance.profiles:
-                if profile.party_id == plan.leader_id:
-                    variant.append(profile)
-                    continue
-                elements = set(profile.data_set)
-                if profile.party_id in holders:
-                    elements.add(element)
-                else:
-                    elements.discard(element)
-                variant.append(
-                    PartyProfile(profile.party_id, profile.num_databases, frozenset(elements))
-                )
-            for ctx in range(contexts):
-                table = indicator_table(tuple(variant), element, ctx)
-                tables[(element, sigma, ctx)] = table
+        for sigma in range(len(client_ids)):
+            holders = client_ids[:sigma]
+            variant = [
+                replace(client, data_set=client.data_set | {element})
+                if client.party_id in holders
+                else replace(client, data_set=client.data_set - {element})
+                for client in setup.clients
+            ]
+            for ctx, _, table in indicator_tables(variant, element):
+                if reference is None:
+                    reference = table
+                failure = None
                 if policy.fixed_global is None and not table.is_uniform_over(nonzero):
-                    passed = False
-                    detail = detail or (
+                    failure = (
                         f"element {element}, column sum {sigma}: indicator not "
                         f"uniform over nonzero residues"
                     )
-                if reference is None:
-                    reference = table
                 elif table != reference:
-                    passed = False
-                    detail = detail or (
+                    failure = (
                         f"element {element}: indicator table differs across "
                         f"deficient column sums"
                     )
-    return UniformityReport(passed, tables, detail)
+                results.append(((element, sigma, ctx), table, failure))
+    return _uniformity_report(results)
 
 
 def delivered_query_distribution(
@@ -784,7 +784,7 @@ def leader_privacy_mi(
         # Unmasked, every base-vector tuple is replaced by zeros, so one
         # stands for all: each view's count scales by the same factor.
         h_list = _all_h(compiled) if mask_queries else [
-            ((0,) * universe.size,) * max(compiled.plan.eta.values())
+            ((0,) * universe.size,) * max(compiled.plan.shape.eta.values())
         ]
         for h_vectors in h_list:
             queries = _query_vectors(compiled, h_vectors, delivered)
@@ -886,30 +886,12 @@ def client_privacy_mi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ViewSpec:
-    """Which variables constitute a party's legitimate view.
-
-    kind "leader": the query and answer traffic plus the leader's own set
-    (its private input). kind "database": the frames one database sent or
-    received plus its party's set and its own randomness slots. Everything
-    observable is drawn from transcript fields, scoped by phase tags.
-    """
-
-    kind: str  # "leader" | "database"
-    client_id: Optional[int] = None
-    database: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("leader", "database"):
-            raise ValueError(f"unknown view kind {self.kind!r}")
-        if self.kind == "database" and (self.client_id is None or self.database is None):
-            raise ValueError("database views need client_id and database")
-
-    def extract(self, transcript: SessionTranscript) -> tuple:
-        if self.kind == "leader":
-            return leader_view(transcript)
-        return database_view(transcript, self.client_id, self.database)
+def _canonical(messages: Iterable) -> tuple:
+    """Messages as one order-free value: each message's fields sorted, then
+    the messages sorted."""
+    return (
+        tuple(sorted((tuple(sorted(m.to_dict().items(), key=str)) for m in messages), key=str)),
+    )
 
 
 def leader_view(transcript: SessionTranscript) -> tuple:
@@ -918,24 +900,10 @@ def leader_view(transcript: SessionTranscript) -> tuple:
     Randomness-phase messages are excluded by phase tag; the leader is never
     their origin or destination in a conforming transcript.
     """
-    msgs = [
-        m.to_dict()
-        for m in transcript.messages
-        if m.phase in ("query", "answer")
-    ]
-    return (
-        tuple(sorted((tuple(sorted(d.items(), key=str)) for d in msgs), key=str)),
-    )
+    return _canonical(m for m in transcript.messages if m.phase in ("query", "answer"))
 
 
 def database_view(transcript: SessionTranscript, party_id: int, database: int) -> tuple:
     """Traffic visible at one database: frames it sent or received."""
     dest = (party_id, database)
-    msgs = [
-        m.to_dict()
-        for m in transcript.messages
-        if m.dest == dest or m.origin == dest
-    ]
-    return (
-        tuple(sorted((tuple(sorted(d.items(), key=str)) for d in msgs), key=str)),
-    )
+    return _canonical(m for m in transcript.messages if m.dest == dest or m.origin == dest)

@@ -152,7 +152,7 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
         worst = 0.0
         all_zero = True
         for client in setup.clients:
-            for db in range(1, plan.used_databases[client.party_id] + 1):
+            for db in range(1, plan.shape.used_databases[client.party_id] + 1):
                 result = audit_mod.leader_privacy_mi(
                     clients=list(setup.clients),
                     leader_id=setup.leader.party_id,

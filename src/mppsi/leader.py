@@ -59,9 +59,6 @@ class CostTable:
         cost, pid = min(feasible)
         return pid
 
-    def as_dict(self) -> Dict[int, Optional[int]]:
-        return dict(self.costs)
-
 
 def download_cost(leader: PartyProfile, clients: Sequence[PartyProfile]) -> int:
     """Total answers the leader downloads across all clients."""
@@ -152,59 +149,9 @@ class PartitionPlan:
     leader_id: int
     leader_elements: Tuple[int, ...]
     shape: PlanShape
-    partitions: Dict[int, List[List[int]]]
-
-    def __post_init__(self) -> None:
-        # The canonical answer order: per client, its database-1 answers by
-        # partition, then its targeted answers by position. Decode rows refer
-        # to answers by their index in that order.
-        keys: List[Tuple[int, int, Optional[int]]] = []
-        pairs: List[List[Tuple[int, int]]] = [[] for _ in self.leader_elements]
-        for client_id in self.shape.client_ids:
-            first_base = len(keys)
-            keys += [(client_id, ell, None) for ell in range(1, self.shape.eta[client_id] + 1)]
-            for position, row in enumerate(pairs, start=1):
-                partition, _ = self.shape.position_location(client_id, position)
-                row.append((first_base + partition - 1, len(keys)))
-                keys.append((client_id, partition, position))
-        rows = tuple(zip(self.leader_elements, map(tuple, pairs)))
-        object.__setattr__(self, "_answer_keys", tuple(keys))
-        object.__setattr__(self, "_decode_rows", rows)
-
-    @property
-    def answer_keys(self) -> Tuple[Tuple[int, int, Optional[int]], ...]:
-        return self._answer_keys
-
-    @property
-    def decode_rows(self) -> tuple:
-        """(element, ((base index, target index) per client)) per position."""
-        return self._decode_rows
-
-    @property
-    def set_size(self) -> int:
-        return self.shape.set_size
-
-    @property
-    def client_ids(self) -> Tuple[int, ...]:
-        return self.shape.client_ids
-
-    @property
-    def chunk(self) -> Dict[int, int]:
-        return self.shape.chunk
-
-    @property
-    def eta(self) -> Dict[int, int]:
-        return self.shape.eta
-
-    @property
-    def used_databases(self) -> Dict[int, int]:
-        return self.shape.used_databases
-
-    def position_location(self, client_id: int, position: int) -> Tuple[int, int]:
-        return self.shape.position_location(client_id, position)
-
-    def positions_of_database(self, client_id: int, database: int) -> List[int]:
-        return self.shape.positions_of_database(client_id, database)
+    answer_keys: Tuple[Tuple[int, int, Optional[int]], ...]
+    # (element, ((base index, target index) per client)) per position.
+    decode_rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 
 
 def make_partition_plan(
@@ -215,18 +162,24 @@ def make_partition_plan(
     if not elements:
         raise ValueError("partition plan needs a nonempty leader set")
     shape = make_plan_shape(len(elements), clients)
-    partitions = {
-        client_id: [
-            list(elements[start : start + shape.chunk[client_id]])
-            for start in range(0, len(elements), shape.chunk[client_id])
-        ]
-        for client_id in shape.client_ids
-    }
+    # The canonical answer order: per client, its database-1 answers by
+    # partition, then its targeted answers by position. Decode rows refer
+    # to answers by their index in that order.
+    keys: List[Tuple[int, int, Optional[int]]] = []
+    pairs: List[List[Tuple[int, int]]] = [[] for _ in elements]
+    for client_id in shape.client_ids:
+        first_base = len(keys)
+        keys += [(client_id, ell, None) for ell in range(1, shape.eta[client_id] + 1)]
+        for position, row in enumerate(pairs, start=1):
+            partition, _ = shape.position_location(client_id, position)
+            row.append((first_base + partition - 1, len(keys)))
+            keys.append((client_id, partition, position))
     return PartitionPlan(
         leader_id=leader.party_id,
         leader_elements=elements,
         shape=shape,
-        partitions=partitions,
+        answer_keys=tuple(keys),
+        decode_rows=tuple(zip(elements, map(tuple, pairs))),
     )
 
 
@@ -252,7 +205,8 @@ def generate_queries(
     bare base vector per partition; each element of a partition is targeted
     at one further database by bumping its coordinate by one.
     """
-    kappa = max(plan.eta.values())
+    shape = plan.shape
+    kappa = max(shape.eta.values())
     modulus = field.modulus
     h_vectors = tuple(
         tuple(draw_vector(seed, modulus, universe.size, "h", ell))
@@ -275,11 +229,11 @@ def generate_queries(
             )
         )
 
-    for client_id in plan.client_ids:
-        for ell in range(1, plan.eta[client_id] + 1):
+    for client_id in shape.client_ids:
+        for ell in range(1, shape.eta[client_id] + 1):
             send((client_id, 1), ell, None, h_vectors[ell - 1])
         for position, element in enumerate(plan.leader_elements, start=1):
-            partition, database = plan.position_location(client_id, position)
+            partition, database = shape.position_location(client_id, position)
             bumped = list(h_vectors[partition - 1])
             bumped[element - 1] = (bumped[element - 1] + 1) % modulus
             send((client_id, database), partition, position, tuple(bumped))

@@ -695,28 +695,6 @@ class TestSampledGrid:
 
 
 class TestTranscriptViews:
-    def test_view_spec_validation(self):
-        from mppsi.audit import ViewSpec
-
-        with pytest.raises(ValueError):
-            ViewSpec(kind="bystander")
-        with pytest.raises(ValueError):
-            ViewSpec(kind="database")
-
-    def test_view_spec_dispatch(self):
-        from mppsi.audit import ViewSpec
-
-        config = SessionConfig(
-            universe_size=4,
-            parties=HOMOGENEOUS.profiles,
-            seed=3,
-            leader_override=3,
-        )
-        transcript = run_memory_session(config)
-        assert ViewSpec(kind="leader").extract(transcript) == leader_view(transcript)
-        spec = ViewSpec(kind="database", client_id=1, database=2)
-        assert spec.extract(transcript) == database_view(transcript, 1, 2)
-
     def test_leader_view_ignores_randomness_traffic(self):
         config = SessionConfig(
             universe_size=4,

@@ -100,27 +100,37 @@ class TestDownloadCost:
             download_cost(profile(2, {1}, 3), [profile(1, {1}, 1)])
 
 
+def chunks(plan, client_id):
+    """The client's chunks of the leader's elements, by partition, as
+    shape.position_location places each position."""
+    parts = {}
+    for position, element in enumerate(plan.leader_elements, start=1):
+        partition, _ = plan.shape.position_location(client_id, position)
+        parts.setdefault(partition, []).append(element)
+    return [parts[ell] for ell in sorted(parts)]
+
+
 class TestPartitionPlan:
     def test_heterogeneous_partitions(self):
         leader = HETEROGENEOUS[3]
         clients = HETEROGENEOUS[:3]
         plan = make_partition_plan(leader, clients)
         assert plan.leader_elements == (1, 4, 5)
-        assert plan.partitions[1] == [[1], [4], [5]]
-        assert plan.eta[1] == 3
-        assert plan.partitions[2] == [[1, 4], [5]]
-        assert plan.eta[2] == 2
+        assert chunks(plan, 1) == [[1], [4], [5]]
+        assert plan.shape.eta[1] == 3
+        assert chunks(plan, 2) == [[1, 4], [5]]
+        assert plan.shape.eta[2] == 2
         # Five databases exceed the set size + 1; only four are used.
-        assert plan.used_databases[3] == 4
-        assert plan.partitions[3] == [[1, 4, 5]]
-        assert plan.eta[3] == 1
+        assert plan.shape.used_databases[3] == 4
+        assert chunks(plan, 3) == [[1, 4, 5]]
+        assert plan.shape.eta[3] == 1
 
     def test_whole_set_in_one_partition(self):
         leader = profile(2, {2, 3, 5}, 2)
         clients = [profile(1, {1}, 4)]
         plan = make_partition_plan(leader, clients)
-        assert plan.eta[1] == 1
-        assert plan.partitions[1] == [[2, 3, 5]]
+        assert plan.shape.eta[1] == 1
+        assert chunks(plan, 1) == [[2, 3, 5]]
 
     def test_partitions_are_disjoint_cover(self):
         rng = random.Random(11)
@@ -133,8 +143,8 @@ class TestPartitionPlan:
             leader = profile(len(clients) + 1, leader_set, 2)
             plan = make_partition_plan(leader, clients)
             for client in clients:
-                parts = plan.partitions[client.party_id]
-                chunk = plan.chunk[client.party_id]
+                parts = chunks(plan, client.party_id)
+                chunk = plan.shape.chunk[client.party_id]
                 flattened = [e for part in parts for e in part]
                 assert flattened == sorted(leader_set)
                 assert all(len(part) == chunk for part in parts[:-1])
@@ -142,10 +152,10 @@ class TestPartitionPlan:
 
     def test_position_location_matches_partitions(self):
         plan = make_partition_plan(HETEROGENEOUS[3], HETEROGENEOUS[:3])
-        for client_id in plan.client_ids:
+        for client_id in plan.shape.client_ids:
             for position, element in enumerate(plan.leader_elements, start=1):
-                ell, db = plan.position_location(client_id, position)
-                part = plan.partitions[client_id][ell - 1]
+                ell, db = plan.shape.position_location(client_id, position)
+                part = chunks(plan, client_id)[ell - 1]
                 assert part[db - 2] == element
 
     def test_infeasible_client(self):
@@ -254,7 +264,7 @@ class TestQueryGeneration:
             qp = generate_queries(plan, field, Universe(k), seed=1, session_id=SESSION)
             for client in clients:
                 specs = [q for q in all_queries(qp) if q.dest[0] == client.party_id]
-                assert len(specs) == plan.eta[client.party_id] + plan.set_size
+                assert len(specs) == plan.shape.eta[client.party_id] + plan.shape.set_size
             assert len(all_queries(qp)) == download_cost(leader, clients)
 
 

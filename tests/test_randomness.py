@@ -35,7 +35,7 @@ def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
 
 def t_at(bundles, plan, client_id, position):
     """The individual value a client's databases hold for a leader-set position."""
-    partition, database = plan.position_location(client_id, position)
+    partition, database = plan.shape.position_location(client_id, position)
     return bundles[client_id, database].individual[partition]
 
 
@@ -89,9 +89,9 @@ class TestBundle:
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
                 bundles, _ = build_bundle(plan, clients, field, seed=seed, session_id=SESSION)
-                for position in range(1, plan.set_size + 1):
+                for position in range(1, plan.shape.set_size + 1):
                     total = sum(
-                        t_at(bundles, plan, cid, position) for cid in plan.client_ids
+                        t_at(bundles, plan, cid, position) for cid in plan.shape.client_ids
                     ) % field.modulus
                     assert total == expected
 
@@ -101,7 +101,7 @@ class TestBundle:
         plan, clients, field = fixture(num_clients=1, dbs=3)
         bundles, shares = build_bundle(plan, clients, field, seed=0, session_id=SESSION)
         assert field.modulus == 2
-        for position in range(1, plan.set_size + 1):
+        for position in range(1, plan.shape.set_size + 1):
             assert t_at(bundles, plan, 1, position) == field.modulus - 1
         assert all(s.type == "c_share" for s in shares)
 
@@ -130,7 +130,7 @@ class TestBundle:
         _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
         for share in shares:
             if share.type == "t_share":
-                assert 1 <= share.target <= plan.set_size
+                assert 1 <= share.target <= plan.shape.set_size
 
     def test_shares_are_randomness_messages_in_share_order(self):
         plan, clients, field = fixture(num_clients=3)
@@ -156,13 +156,13 @@ class TestBundle:
                 for q in sent
                 if q.target is not None
             ]
-            assert len(specs) == plan.set_size
+            assert len(specs) == plan.shape.set_size
             seen = set()
             for spec in specs:
                 assert spec.target not in seen
                 seen.add(spec.target)
                 database = spec.dest[1]
-                assert plan.position_location(client.party_id, spec.target) == (
+                assert plan.shape.position_location(client.party_id, spec.target) == (
                     spec.partition,
                     database,
                 )
@@ -212,8 +212,8 @@ class TestPolicies:
         )
         assert all(
             t_at(bundles, plan, cid, position) == 0
-            for cid in plan.client_ids
-            for position in range(1, plan.set_size + 1)
+            for cid in plan.shape.client_ids
+            for position in range(1, plan.shape.set_size + 1)
         )
 
     def test_correlation_offset_shifts_sums(self):
@@ -224,9 +224,9 @@ class TestPolicies:
         )
         num_parties = len(clients) + 1
         broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
-        for position in range(1, plan.set_size + 1):
+        for position in range(1, plan.shape.set_size + 1):
             total = sum(
-                t_at(bundles, plan, cid, position) for cid in plan.client_ids
+                t_at(bundles, plan, cid, position) for cid in plan.shape.client_ids
             ) % field.modulus
             assert total == broken
 
