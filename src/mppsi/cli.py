@@ -19,8 +19,9 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import audit as audit_mod
 from .config import SessionConfig, load_config
@@ -93,15 +94,14 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _leader_mi_candidates(leader_set, universe_size: int):
+def _leader_mi_candidates(leader_set, universe_size: int) -> Optional[List[frozenset]]:
+    """The leader's set and another of its size, or None when there is none."""
     size = len(leader_set)
     for combo in itertools.combinations(range(1, universe_size + 1), size):
         candidate = frozenset(combo)
         if candidate != leader_set:
             return [frozenset(leader_set), candidate]
-    raise ConfigError(
-        "leader-privacy check needs a second candidate set of the same size"
-    )
+    return None
 
 
 def _audit_checks(config: SessionConfig, args) -> List[Dict]:
@@ -113,41 +113,23 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
         leader_override=setup.leader.party_id,
     )
     bound = args.bound
-    wanted = args.check
-    results: List[Dict] = []
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        results.append({"check": name, "passed": passed, "detail": detail})
-
-    def guarded(name: str, runner) -> None:
-        try:
-            runner()
-        except BoundExceededError as exc:
-            record(name, False, f"not run: {exc}")
-
-    def _reliability() -> None:
+    # Each check returns (passed, detail).
+    def reliability() -> Tuple[bool, str]:
         report = audit_mod.check_reliability(instance, bound=bound, seed=config.seed)
-        record(
-            "reliability",
-            report.passed,
+        return report.passed, (
             f"{report.cases} realizations, randomness space {report.space}, "
-            f"exhaustive={report.exhaustive_randomness}",
+            f"exhaustive={report.exhaustive_randomness}"
         )
 
-    def _lemma1() -> None:
-        report = audit_mod.check_db1_uniformity(instance, seed=config.seed)
-        record("lemma1", report.passed, report.detail or "database-1 answers uniform")
+    def lemma(check, holds: str) -> Tuple[bool, str]:
+        report = check(instance, seed=config.seed)
+        return report.passed, report.detail or holds
 
-    def _lemma2() -> None:
-        report = audit_mod.check_z_uniformity(instance, seed=config.seed)
-        record("lemma2", report.passed, report.detail or "subtraction statistics uniform")
-
-    def _lemma3() -> None:
-        report = audit_mod.check_indicator_privacy(instance, seed=config.seed)
-        record("lemma3", report.passed, report.detail or "indicator tables exact")
-
-    def _leader_mi() -> None:
+    def leader_mi() -> Tuple[bool, str]:
         candidates = _leader_mi_candidates(setup.leader.data_set, config.universe_size)
+        if candidates is None:
+            return True, "the leader holds the whole universe; its public set size reveals it"
         plan = make_partition_plan(setup.leader, setup.clients)
         worst = 0.0
         all_zero = True
@@ -165,37 +147,38 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
                 )
                 all_zero = all_zero and result.is_zero
                 worst = max(worst, result.bits)
-        record("leader-mi", all_zero, f"max leakage {worst} bits over every database view")
+        return all_zero, f"max leakage {worst} bits over every database view"
 
-    def _client_mi() -> None:
+    def client_mi() -> Tuple[bool, str]:
         report = audit_mod.client_privacy_mi(
             leader=setup.leader,
             client_shapes=[(c.party_id, c.num_databases) for c in setup.clients],
             universe=universe,
             bound=bound,
         )
-        record(
-            "client-mi",
-            report.is_zero,
-            f"max leakage {report.bits_max} bits across intersection outcomes",
-        )
+        return report.is_zero, f"max leakage {report.bits_max} bits across intersection outcomes"
 
-    runners = {
-        "reliability": _reliability,
-        "lemma1": _lemma1,
-        "lemma2": _lemma2,
-        "lemma3": _lemma3,
-        "leader-mi": _leader_mi,
-        "client-mi": _client_mi,
+    checks = {
+        "reliability": reliability,
+        "lemma1": lambda: lemma(audit_mod.check_db1_uniformity, "database-1 answers uniform"),
+        "lemma2": lambda: lemma(audit_mod.check_z_uniformity, "subtraction statistics uniform"),
+        "lemma3": lambda: lemma(audit_mod.check_indicator_privacy, "indicator tables exact"),
+        "leader-mi": leader_mi,
+        "client-mi": client_mi,
     }
-    for name, runner in runners.items():
-        if wanted not in (name, "all"):
+    results: List[Dict] = []
+    for name, check in checks.items():
+        if args.check not in (name, "all"):
             continue
-        if setup.leader.data_set:
-            guarded(name, runner)
-        else:
+        if not setup.leader.data_set:
             # No query or answer is exchanged, so every claim holds vacuously.
-            record(name, True, "empty leader set; nothing is exchanged")
+            passed, detail = True, "empty leader set; nothing is exchanged"
+        else:
+            try:
+                passed, detail = check()
+            except BoundExceededError as exc:
+                passed, detail = False, f"not run: {exc}"
+        results.append({"check": name, "passed": passed, "detail": detail})
     return results
 
 
@@ -239,8 +222,6 @@ def _cmd_serve_db(args) -> int:
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:
         while True:
-            import time
-
             time.sleep(3600)
     except KeyboardInterrupt:
         endpoint.stop()

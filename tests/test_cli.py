@@ -188,6 +188,34 @@ class TestAudit:
             for item in checks
         )
 
+    def test_leader_holding_the_whole_universe(self, tmp_path, capsys):
+        # Only one set has the leader's size, so its public cardinality
+        # already gives it away: leader-mi passes with nothing to hide, and
+        # every other check reports as it does when run alone.
+        config = {
+            "universe_size": 2,
+            "parties": [
+                {"id": 1, "databases": 3, "set": [1, 2]},
+                {"id": 2, "databases": 3, "set": [1]},
+                {"id": 3, "databases": 3, "set": [1, 2]},
+            ],
+            "leader": 1,
+            "seed": 7,
+        }
+        path = tmp_path / "whole-universe.json"
+        path.write_text(json.dumps(config))
+        code = main(["audit", "--config", str(path), "--json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [item["check"] for item in checks] == list(CHECK_NAMES)
+        assert code == (0 if all(item["passed"] for item in checks) else 1)
+        for item in checks:
+            alone = main(["audit", "--config", str(path), "--json", "--check", item["check"]])
+            assert json.loads(capsys.readouterr().out)["checks"] == [item]
+            assert alone == (0 if item["passed"] else 1)
+        (leader_mi,) = [item for item in checks if item["check"] == "leader-mi"]
+        assert leader_mi["passed"]
+        assert "whole universe" in leader_mi["detail"]
+
     def test_audit_bound_exceeded_reported_per_check(self, config_path, capsys):
         code = main(["audit", "--config", config_path, "--check", "client-mi", "--bound", "100"])
         assert code == 1
