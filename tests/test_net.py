@@ -359,6 +359,35 @@ POLICIES = {
 }
 
 
+class TestExternalAddresses:
+    @pytest.mark.parametrize("name", ["sec4", "sec7_2"])
+    def test_session_with_endpoints_known_only_by_address(self, name):
+        # As serve-db runs them: one endpoint per client database, each on a
+        # loop of its own, sharing at start-up with the full address map.
+        # The runner is given only the addresses.
+        demo = DEMOS[name]
+        config = demo.config
+        setup = prepare_session(config.parties, config.universe, config.leader_override)
+        endpoints = [
+            DatabaseEndpoint(config, client.party_id, db)
+            for client in setup.clients
+            for db in range(1, client.num_databases + 1)
+        ]
+        try:
+            for ep in endpoints:
+                ep.start()
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            for ep in endpoints:
+                ep.begin_sharing(addresses)
+            addressed = replace(config, transport="net", addresses=addresses)
+            transcript = run_networked_session(addressed)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert transcript.result.decoded == demo.expected_decoded
+        assert transcript.serialize() == run_memory_session(config).serialize()
+
+
 class TestPoliciesOverTcp:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("name", sorted(DEMOS))
