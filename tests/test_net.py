@@ -627,6 +627,30 @@ class TestLeaderChecksAnswers:
             for ep in endpoints:
                 ep.stop()
 
+    def test_answer_must_carry_the_running_session_id(self):
+        # Every other database answers truly, so the round completes and
+        # only the session id of the rogue's one answer is wrong.
+        config = DEMOS["sec4"].config
+        victim = (1, 1)
+        (answer,) = [
+            m for m in run_memory_session(config).messages_in_phase("answer")
+            if m.origin == victim
+        ]
+        endpoints = spawn_endpoints(config)
+        rogue = RogueDatabase(replace(answer, session_id="0" * 16))
+        try:
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            for ep in endpoints:
+                ep.begin_sharing(addresses)
+            addresses[victim] = rogue.address
+            addressed = replace(config, transport="net", addresses=addresses)
+            with pytest.raises(ProtocolViolationError, match="answer for session 0000000000000000"):
+                run_networked_session(addressed)
+        finally:
+            rogue.close()
+            for ep in endpoints:
+                ep.stop()
+
 
 class TestEndpointErrorsReachTheRunner:
     def test_unsent_shares_fail_the_session_with_their_cause_at_once(self):
