@@ -31,7 +31,6 @@ from .leader import (
 from .model import PartyProfile, Universe, brute_force_intersection
 from .randomness import RandomnessBundle, RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
-from .protocol import run_protocol
 
 __all__ = [
     "BoundExceededError",
@@ -59,7 +58,6 @@ __all__ = [
     "make_partition_plan",
     "parse_config",
     "run_memory_session",
-    "run_protocol",
     "run_session",
     "select_field_size",
 ]

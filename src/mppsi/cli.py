@@ -49,8 +49,11 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     transcript = run_session(config)
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(transcript.serialize())
+        try:
+            with open(args.out, "wb") as handle:
+                handle.write(transcript.serialize())
+        except OSError as exc:
+            raise ConfigError(f"cannot write transcript {args.out}: {exc}") from exc
     payload = {
         "session_id": transcript.session_id,
         "leader": transcript.leader_id,

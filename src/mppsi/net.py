@@ -25,14 +25,15 @@ produce, and nothing is converted on the way: an endpoint hands a decoded
 share to its state's receive and a decoded query, checked to come from the
 leader, to its state's answer, and frames the answers that come back. A
 share connection is done when its receiver, having read every frame,
-closes it; its shares are then logged as sent. The runner waits until every
-in-process endpoint's shares are sent or have failed, and the randomness
-section of its transcript is what they logged as sent, in
+closes it; its shares are then logged as sent.
+
+The leader's side is session.run_leader; run_networked_session gives it the
+TCP exchange. That exchange waits until every in-process endpoint's shares
+are sent or have failed, and returns what they logged as sent, in
 randomness.share_order. For endpoints given only by address, whose logs it
-cannot see, that section comes from the same states routed by
-randomness.build_bundle. Queries and answers are logged as observed, and
-leader.decode checks every answer. For equal (config, seed) the transcript
-equals the in-memory transport's.
+cannot see, it returns the shares of the same states routed by
+randomness.build_bundle. For equal (config, seed) the transcript equals the
+in-memory transport's.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError, TransportError
-from .leader import decode, generate_queries, make_partition_plan, make_plan_shape
-from .protocol import ProtocolRun, prepare_session
+from .leader import make_plan_shape
+from .protocol import make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
-from .session import SessionTranscript, run_memory_session, session_id_for, transcript_from_run
+from .session import SessionTranscript, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
 
 CONNECT_RETRY_SECONDS = 5.0
@@ -92,7 +93,7 @@ class DatabaseEndpoint:
         self.config = config
         self.party_id = party_id
         self.database = database
-        self.session_id = session_id_for(config)
+        self.session_id = make_session_id(config)
         self.sent_log: List[Message] = []
         self.received_log: List[Message] = []
         self.errors: List[TransportError] = []  # shares this endpoint could not send
@@ -133,8 +134,12 @@ class DatabaseEndpoint:
         """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(16)
+        try:
+            sock.bind((self._host, self._port))
+            sock.listen(16)
+        except OSError as exc:
+            sock.close()
+            raise TransportError(f"cannot listen on {self._host}:{self._port}: {exc}") from exc
         sock.setblocking(False)
         self._sock = sock
         self._loop = loop if loop is not None else _ServeLoop()
@@ -562,57 +567,37 @@ def run_networked_session(
     spawns one endpoint per client database under policy, all served by one
     thread, and tears them down afterwards.
     """
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
-    if not setup.leader.data_set:
-        # Nothing to exchange: the intersection is empty by inspection.
-        return run_memory_session(config, policy)
-    session_id = session_id_for(config)
-    owned: List[DatabaseEndpoint] = []
-    try:
-        if endpoints is None and config.addresses:
-            addresses = dict(config.addresses)
-            _check_external_addresses(config, setup, addresses)
-        else:
-            if endpoints is None:
-                endpoints = spawn_endpoints(config, policy)
-                owned = endpoints
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
 
-        plan = make_partition_plan(setup.leader, setup.clients)
-        query_plan = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    def exchange(setup, plan, query_plan, session_id):
+        leader = (plan.leader_id, 0)
         exchanges = {
             dest: _Exchange(dest, memoryview(b"".join(map(encode_msg, msgs))), len(msgs))
             for dest, msgs in query_plan.queries.items()
         }
-
-        # In-process endpoints start their randomness traffic only now, so
-        # the leader's work above does not compete with theirs for the GIL.
-        if endpoints is not None:
-            for ep in endpoints:
-                ep.begin_sharing(addresses)
-        collected = _query_round(addresses, exchanges, (plan.leader_id, 0), endpoints or ())
-
-        for msg in collected:
-            if msg.session_id != session_id:
-                raise ProtocolViolationError(
-                    f"answer for session {msg.session_id}, running {session_id}"
-                )
-        result = decode(plan, collected, setup.field)
-
-        if endpoints is not None:
-            shares = _sent_shares(endpoints)
-        else:
+        if endpoints is None and config.addresses:
+            addresses = dict(config.addresses)
+            _check_external_addresses(setup, addresses)
+            answers = _query_round(addresses, exchanges, leader)
             # External endpoints keep their logs: route the same states here.
             _, shares = build_bundle(
                 plan, setup.clients, setup.field, config.seed, session_id, policy
             )
-        run = ProtocolRun(
-            setup, session_id, plan, query_plan, tuple(shares), tuple(collected), result
-        )
-        return transcript_from_run(run)
-    finally:
-        for ep in owned:
-            ep.stop()
+            return shares, answers
+        serving = spawn_endpoints(config, policy) if endpoints is None else endpoints
+        try:
+            addresses = {(ep.party_id, ep.database): ep.address for ep in serving}
+            # In-process endpoints start their randomness traffic only now, so
+            # the leader's work above does not compete with theirs for the GIL.
+            for ep in serving:
+                ep.begin_sharing(addresses)
+            answers = _query_round(addresses, exchanges, leader, serving)
+            return _sent_shares(serving), answers
+        finally:
+            if endpoints is None:
+                for ep in serving:
+                    ep.stop()
+
+    return run_leader(config, exchange)
 
 
 def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[Message]:
@@ -630,7 +615,7 @@ def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[Message]:
     return sorted((msg for msg in sent if msg.phase == "randomness"), key=share_order)
 
 
-def _check_external_addresses(config, setup, addresses) -> None:
+def _check_external_addresses(setup, addresses) -> None:
     for client in setup.clients:
         for db in range(1, client.num_databases + 1):
             if (client.party_id, db) not in addresses:

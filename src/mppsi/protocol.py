@@ -1,11 +1,11 @@
-"""Transport-free protocol engine.
+"""Transport-free pieces of a session: election, session id, in-memory answers.
 
-Runs a complete session as pure function calls: leader election (or
-override), partition planning, randomness setup, query generation, answer
-collection, and decoding. Its traffic is wire.Message values from the
-moment a database state or the leader makes them: the in-memory transport
-orders them into a transcript, and the networked transport frames the same
-messages. The audit module elects through prepare_session.
+prepare_session elects (or accepts) the leader and checks feasibility;
+the leader's driver, session.run_leader, the database endpoints and the
+audit module all elect through it. make_session_id is the one session-id
+function, of the config alone, so every transport and endpoint derives the
+same id. collect_answers is the in-memory answer round: every database
+answers the queries delivered to it from its own randomness bundle.
 """
 
 from __future__ import annotations
@@ -16,20 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .client import answer_all
+from .config import SessionConfig
 from .errors import InfeasibleError
 from .field import PrimeField, select_field_size
-from .leader import (
-    CostTable,
-    IntersectionResult,
-    PartitionPlan,
-    QueryPlan,
-    cost_table,
-    decode,
-    generate_queries,
-    make_partition_plan,
-)
+from .leader import CostTable, QueryPlan, cost_table
 from .model import PartyProfile, Universe, validate_profiles
-from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy, build_bundle
+from .randomness import RandomnessBundle
 from .wire import SESSION_ID_CHARS, Message
 
 
@@ -76,21 +68,16 @@ def prepare_session(
     )
 
 
-def make_session_id(
-    profiles: Sequence[PartyProfile],
-    universe_size: int,
-    leader_override: Optional[int],
-    seed: int,
-) -> str:
-    """Deterministic session id from the transport-independent session core."""
+def make_session_id(config: SessionConfig) -> str:
+    """The session id of a config: a digest of its transport-independent core."""
     core = {
-        "universe_size": universe_size,
+        "universe_size": config.universe_size,
         "parties": [
             {"id": p.party_id, "databases": p.num_databases, "set": sorted(p.data_set)}
-            for p in profiles
+            for p in config.parties
         ],
-        "leader": leader_override,
-        "seed": seed,
+        "leader": config.leader_override,
+        "seed": config.seed,
     }
     text = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:SESSION_ID_CHARS]
@@ -112,61 +99,3 @@ def collect_answers(
             answer_all(by_id[client_id], database, delivered, universe, bundle, field)
         )
     return answers
-
-
-@dataclass(frozen=True)
-class ProtocolRun:
-    """One full run: plan, drawn values, traffic, and decoded result."""
-
-    setup: SessionSetup
-    session_id: str
-    plan: Optional[PartitionPlan]
-    query_plan: QueryPlan
-    share_messages: Tuple[Message, ...]
-    answers: Tuple[Message, ...]
-    result: IntersectionResult
-
-
-def run_protocol(
-    profiles: Sequence[PartyProfile],
-    universe: Universe,
-    seed: int,
-    leader_override: Optional[int] = None,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> ProtocolRun:
-    """Run a complete session in memory, without any transport dressing.
-
-    An empty leader set short-circuits: the intersection is necessarily
-    empty, so nothing is drawn and nothing is exchanged.
-    """
-    setup = prepare_session(profiles, universe, leader_override)
-    session_id = make_session_id(profiles, universe.size, leader_override, seed)
-    if not setup.leader.data_set:
-        empty = IntersectionResult(
-            decoded=frozenset(), indicators={}, download_cost_actual=0
-        )
-        return ProtocolRun(
-            setup=setup,
-            session_id=session_id,
-            plan=None,
-            query_plan=QueryPlan(h_vectors=(), queries={}),
-            share_messages=(),
-            answers=(),
-            result=empty,
-        )
-    plan = make_partition_plan(setup.leader, setup.clients)
-    bundles, share_messages = build_bundle(
-        plan, setup.clients, setup.field, seed, session_id, policy
-    )
-    query_plan = generate_queries(plan, setup.field, universe, seed, session_id)
-    answers = collect_answers(query_plan, setup.clients, universe, bundles, setup.field)
-    result = decode(plan, answers, setup.field)
-    return ProtocolRun(
-        setup=setup,
-        session_id=session_id,
-        plan=plan,
-        query_plan=query_plan,
-        share_messages=tuple(share_messages),
-        answers=tuple(answers),
-        result=result,
-    )

@@ -1,10 +1,15 @@
-"""Session lifecycle and the deterministic in-memory transport.
+"""Session lifecycle: the leader's driver, transcripts, the in-memory transport.
 
 A session runs three phases in order: randomness sharing among client
 databases, one query round from the leader, and one answer round back. The
 transcript records every message with its phase tag plus the cost table and
 the decoded result; with the in-memory transport it is a pure function of
 (config, seed) and serializes to byte-identical files across repeats.
+
+run_leader is the leader's side of every session. A transport is only the
+exchange function it hands the queries to, which returns the shares and the
+answers: run_memory_session routes database states in memory, and
+net.run_networked_session frames the messages to TCP endpoints.
 
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
@@ -20,13 +25,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 from .config import SessionConfig
-from .errors import ConfigError
-from .leader import CostTable, IntersectionResult
-from .protocol import ProtocolRun, make_session_id, run_protocol
-from .randomness import FAITHFUL, RandomnessPolicy
+from .errors import ConfigError, ProtocolViolationError
+from .leader import (
+    CostTable,
+    IntersectionResult,
+    PartitionPlan,
+    QueryPlan,
+    decode,
+    generate_queries,
+    make_partition_plan,
+)
+from .protocol import SessionSetup, collect_answers, make_session_id, prepare_session
+from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from .wire import Message, message_from_dict, render_body
 
 
@@ -100,42 +113,75 @@ def load_transcript(data: bytes) -> SessionTranscript:
     )
 
 
-def session_id_for(config: SessionConfig) -> str:
-    """The session id of a config: run_protocol's, whatever the transport."""
-    return make_session_id(
-        config.parties, config.universe_size, config.leader_override, config.seed
-    )
+# Given the setup, the plan, the queries and the session id, an exchange
+# delivers the queries and returns the shares, in share_order, and the answers.
+Exchange = Callable[
+    [SessionSetup, PartitionPlan, QueryPlan, str], Tuple[Sequence[Message], Sequence[Message]]
+]
 
 
-def transcript_from_run(run: ProtocolRun) -> SessionTranscript:
+def transcript_from_run(
+    setup: SessionSetup,
+    session_id: str,
+    shares: Sequence[Message],
+    query_plan: QueryPlan,
+    answers: Sequence[Message],
+    result: IntersectionResult,
+) -> SessionTranscript:
     """The run's messages in transcript order, with its setup and result."""
-    queries = [q for sent in run.query_plan.queries.values() for q in sent]
+    queries = [q for sent in query_plan.queries.values() for q in sent]
     messages = (
-        *run.share_messages,
+        *shares,
         *sorted(queries, key=Message.sort_key),
-        *sorted(run.answers, key=Message.sort_key),
+        *sorted(answers, key=Message.sort_key),
     )
     return SessionTranscript(
-        session_id=run.session_id,
-        leader_id=run.setup.leader.party_id,
-        cost_table=run.setup.costs,
+        session_id=session_id,
+        leader_id=setup.leader.party_id,
+        cost_table=setup.costs,
         messages=messages,
-        result=run.result,
+        result=result,
     )
+
+
+def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
+    """Run the leader's side of one session, its traffic carried by exchange.
+
+    An empty leader set short-circuits: the intersection is necessarily
+    empty, so nothing is drawn and exchange is never called.
+    """
+    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    session_id = make_session_id(config)
+    if not setup.leader.data_set:
+        empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
+        return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)
+    plan = make_partition_plan(setup.leader, setup.clients)
+    query_plan = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    shares, answers = exchange(setup, plan, query_plan, session_id)
+    for msg in answers:
+        if msg.session_id != session_id:
+            raise ProtocolViolationError(
+                f"answer for session {msg.session_id}, running {session_id}"
+            )
+    result = decode(plan, answers, setup.field)
+    return transcript_from_run(setup, session_id, shares, query_plan, answers, result)
 
 
 def run_memory_session(
     config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
 ) -> SessionTranscript:
     """Run one session entirely in process, deterministically."""
-    run = run_protocol(
-        profiles=config.parties,
-        universe=config.universe,
-        seed=config.seed,
-        leader_override=config.leader_override,
-        policy=policy,
-    )
-    return transcript_from_run(run)
+
+    def exchange(setup, plan, query_plan, session_id):
+        bundles, shares = build_bundle(
+            plan, setup.clients, setup.field, config.seed, session_id, policy
+        )
+        answers = collect_answers(
+            query_plan, setup.clients, config.universe, bundles, setup.field
+        )
+        return shares, answers
+
+    return run_leader(config, exchange)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:

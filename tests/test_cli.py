@@ -1,6 +1,7 @@
 """CLI subcommands and exit codes."""
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -145,49 +146,6 @@ class TestAudit:
         assert [(c["check"], c["passed"], c["detail"]) for c in checks] == pinned
         assert code == (0 if all(passed for _, passed, _ in pinned) else 1)
 
-    def test_audit_small_instance(self, tmp_path, capsys):
-        config = {
-            "universe_size": 2,
-            "parties": [
-                {"id": 1, "databases": 3, "set": [1, 2]},
-                {"id": 2, "databases": 3, "set": [1]},
-                {"id": 3, "databases": 3, "set": [1]},
-            ],
-            "leader": 3,
-            "seed": 7,
-        }
-        path = tmp_path / "small.json"
-        path.write_text(json.dumps(config))
-        assert main(["audit", "--config", str(path), "--check", "all", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        names = {item["check"] for item in payload["checks"]}
-        assert names == {"reliability", "lemma1", "lemma2", "lemma3", "leader-mi", "client-mi"}
-        assert all(item["passed"] for item in payload["checks"])
-
-    def test_audit_empty_leader_set(self, tmp_path, capsys):
-        # The elected leader holds nothing, so no query is sent and every
-        # check passes vacuously.
-        config = {
-            "universe_size": 3,
-            "parties": [
-                {"id": 1, "databases": 2, "set": []},
-                {"id": 2, "databases": 2, "set": [1, 2]},
-                {"id": 3, "databases": 2, "set": [1]},
-            ],
-            "seed": 1,
-        }
-        path = tmp_path / "empty-leader.json"
-        path.write_text(json.dumps(config))
-        assert main(["audit", "--config", str(path), "--json"]) == 0
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [item["check"] for item in checks] == [
-            "reliability", "lemma1", "lemma2", "lemma3", "leader-mi", "client-mi"
-        ]
-        assert all(
-            item["passed"] and item["detail"] == "empty leader set; nothing is exchanged"
-            for item in checks
-        )
-
     def test_leader_holding_the_whole_universe(self, tmp_path, capsys):
         # Only one set has the leader's size, so its public cardinality
         # already gives it away: leader-mi passes with nothing to hide, and
@@ -232,6 +190,11 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json"]) == 2
 
+    def test_unwritable_transcript_is_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.json"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+        assert f"cannot write transcript {out}" in capsys.readouterr().err
+
     def test_infeasible_is_3(self, tmp_path, capsys):
         config = {
             "universe_size": 2,
@@ -256,8 +219,6 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 2
 
     def test_transport_error_is_4(self, tmp_path, capsys):
-        import socket
-
         import mppsi.net as net_mod
 
         probe = socket.socket()
@@ -316,3 +277,15 @@ class TestServeDb:
         serve = ["serve-db", "--config", str(path), "--party", "1", "--db", "1", "--port", "0"]
         assert main(serve) == 3
         assert capsys.readouterr().err == run_error
+
+    def test_port_in_use_is_a_transport_error(self, config_path, capsys, monkeypatch):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        # Should the endpoint start after all, end it at once.
+        monkeypatch.setattr("time.sleep", interrupt)
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = holder.getsockname()[1]
+            serve = ["serve-db", "--config", config_path, "--party", "1", "--db", "1"]
+            assert main([*serve, "--port", str(port)]) == 4
+        assert f"cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err

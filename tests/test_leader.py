@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from mppsi.config import SessionConfig
 from mppsi.errors import InfeasibleError, ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi.leader import (
@@ -19,13 +20,28 @@ from mppsi.leader import (
     make_partition_plan,
 )
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
-from mppsi.protocol import prepare_session, run_protocol
+from mppsi.protocol import prepare_session
+from mppsi.session import run_memory_session
 
 SESSION = "leader-tests"
 
 
 def profile(pid, elems, dbs):
     return PartyProfile(pid, dbs, frozenset(elems))
+
+
+def memory_run(profiles, k, seed, leader=None):
+    """A memory session's transcript, with its leader's plan and field."""
+    config = SessionConfig(
+        universe_size=k, parties=tuple(profiles), seed=seed, leader_override=leader
+    )
+    setup = prepare_session(config.parties, config.universe, leader)
+    plan = make_partition_plan(setup.leader, setup.clients)
+    return run_memory_session(config), plan, setup.field
+
+
+def answers_of(transcript):
+    return list(transcript.messages_in_phase("answer"))
 
 
 def all_queries(qp):
@@ -288,50 +304,51 @@ BAD_ANSWERS = {
 
 class TestDecode:
     def test_homogeneous_example(self):
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        assert run.result.decoded == {1}
-        assert run.result.indicators[4] != 0
-        assert run.result.download_cost_actual == 6
+        result = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)[0].result
+        assert result.decoded == {1}
+        assert result.indicators[4] != 0
+        assert result.download_cost_actual == 6
 
     def test_all_parties_share_everything(self):
         profiles = [profile(i, {1, 2, 3}, 3) for i in range(1, 4)]
-        run = run_protocol(profiles, Universe(3), seed=9)
-        assert run.result.decoded == {1, 2, 3}
-        assert all(v == 0 for v in run.result.indicators.values())
+        result = memory_run(profiles, 3, seed=9)[0].result
+        assert result.decoded == {1, 2, 3}
+        assert all(v == 0 for v in result.indicators.values())
 
     def test_order_invariance(self):
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        field = run.setup.field
-        shuffled = list(run.answers)
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
+        shuffled = answers_of(transcript)
         random.Random(0).shuffle(shuffled)
-        again = decode(run.plan, shuffled, field)
-        assert again.decoded == run.result.decoded
-        assert again.indicators == run.result.indicators
+        again = decode(plan, shuffled, field)
+        assert again.decoded == transcript.result.decoded
+        assert again.indicators == transcript.result.indicators
 
     @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
     def test_bad_answer_messages_rejected(self, bad):
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
         mutate, named = BAD_ANSWERS[bad]
-        answers = mutate(list(run.answers), run.setup.field.modulus)
+        answers = mutate(answers_of(transcript), field.modulus)
         with pytest.raises(ProtocolViolationError, match=named):
-            decode(run.plan, answers, run.setup.field)
+            decode(plan, answers, field)
 
     def test_missing_base_and_targeted_answers_rejected(self):
         # The missing keys (1, 1, None) and (1, 1, 1) differ only where None
         # meets an int; the error message must still list them.
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        kept = [a for a in run.answers if (a.origin[0], a.partition) != (1, 1)]
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
+        kept = [a for a in answers_of(transcript) if (a.origin[0], a.partition) != (1, 1)]
         with pytest.raises(ProtocolViolationError, match=r"\(1, 1, None\)"):
-            decode(run.plan, kept, run.setup.field)
+            decode(plan, kept, field)
 
     def test_foreign_answer_key_rejected(self):
-        run = run_protocol(HOMOGENEOUS, Universe(4), seed=3, leader_override=3)
-        values = {(a.origin[0], a.partition, a.target): a.values[0] for a in run.answers}
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
+        values = {
+            (a.origin[0], a.partition, a.target): a.values[0] for a in answers_of(transcript)
+        }
         client_id, partition, _ = key = next(k for k in values if k[2] is not None)
         values[(client_id, partition, 99)] = values.pop(key)
-        assert len(values) == len(run.plan.answer_keys)
+        assert len(values) == len(plan.answer_keys)
         with pytest.raises(ProtocolViolationError, match="unexpected"):
-            decode_values(run.plan, values, run.setup.field.modulus)
+            decode_values(plan, values, field.modulus)
 
     @given(st.data())
     def test_kernel_on_canonical_order_equals_keyed_decode(self, data):
@@ -364,5 +381,8 @@ class TestDecode:
                 )
                 for i in range(1, m + 1)
             ]
-            run = run_protocol(profiles, Universe(k), seed=rng.randint(0, 10**6))
-            assert run.result.decoded == brute_force_intersection(profiles)
+            config = SessionConfig(
+                universe_size=k, parties=tuple(profiles), seed=rng.randint(0, 10**6)
+            )
+            transcript = run_memory_session(config)
+            assert transcript.result.decoded == brute_force_intersection(profiles)

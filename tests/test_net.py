@@ -14,9 +14,9 @@ from mppsi.errors import ProtocolViolationError, TransportError
 from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
-from mppsi.protocol import prepare_session
+from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import RandomnessPolicy, build_bundle
-from mppsi.session import run_memory_session, session_id_for
+from mppsi.session import run_memory_session
 from mppsi.wire import Message, encode_msg
 
 
@@ -136,7 +136,7 @@ class TestEndpointBehaviour:
         setup = prepare_session(config.parties, config.universe, config.leader_override)
         plan = make_partition_plan(setup.leader, setup.clients)
         expected, _ = build_bundle(
-            plan, setup.clients, setup.field, config.seed, session_id_for(config)
+            plan, setup.clients, setup.field, config.seed, make_session_id(config)
         )
         endpoints = spawn_endpoints(config)
         try:
@@ -153,7 +153,7 @@ class TestEndpointBehaviour:
         try:
             target = endpoints[0]
             alien = replace(config, seed=config.seed + 1)
-            msg_session = session_id_for(alien)
+            msg_session = make_session_id(alien)
             rogue = Message(
                 type="query",
                 session_id=msg_session,
@@ -221,7 +221,7 @@ class TestEndpointBehaviour:
             target = next(ep for ep in endpoints if not ep.state.ready)
             query = Message(
                 type="query",
-                session_id=session_id_for(config),
+                session_id=make_session_id(config),
                 phase="query",
                 origin=(3, 0),
                 dest=(target.party_id, target.database),
@@ -274,7 +274,7 @@ class TestEndpointBehaviour:
             def query(first_value):
                 return Message(
                     type="query",
-                    session_id=session_id_for(config),
+                    session_id=make_session_id(config),
                     phase="query",
                     origin=(3, 0),
                     dest=(target.party_id, target.database),
@@ -403,7 +403,7 @@ class TestPoliciesOverTcp:
 def share(config, kind, origin, dest, target, values):
     return Message(
         type=kind,
-        session_id=session_id_for(config),
+        session_id=make_session_id(config),
         phase="randomness",
         origin=origin,
         dest=dest,
@@ -466,7 +466,7 @@ class TestSharesFromTheWire:
             target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             query = Message(
                 type="query",
-                session_id=session_id_for(config),
+                session_id=make_session_id(config),
                 phase="query",
                 origin=(3, 0),
                 dest=(1, 1),
@@ -489,7 +489,7 @@ class TestSharesFromTheWire:
             target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             query = Message(
                 type="query",
-                session_id=session_id_for(config),
+                session_id=make_session_id(config),
                 phase="query",
                 origin=(2, 1),
                 dest=(1, 1),
@@ -604,7 +604,7 @@ class TestLeaderChecksAnswers:
         leader = run_memory_session(config).leader_id
         reply = Message(
             type="answer",
-            session_id=session_id_for(config),
+            session_id=make_session_id(config),
             phase="answer",
             origin=other if forged == "origin" else victim,
             dest=(leader, 0) if forged == "origin" else (leader, 1),

@@ -9,7 +9,8 @@ from mppsi.demo import DEMOS
 from mppsi.errors import InfeasibleError
 from mppsi.leader import download_cost
 from mppsi.model import PartyProfile, brute_force_intersection
-from mppsi.session import run_memory_session, session_id_for
+from mppsi.protocol import make_session_id
+from mppsi.session import run_memory_session
 
 
 def config_of(parties, universe, seed=3, leader=None):
@@ -149,7 +150,7 @@ class TestDeterminism:
         from dataclasses import replace
 
         config = DEMOS["sec4"].config
-        assert session_id_for(config) == session_id_for(replace(config, transport="net"))
+        assert make_session_id(config) == make_session_id(replace(config, transport="net"))
 
 
 class TestEdgeCases:
