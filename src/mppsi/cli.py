@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -45,15 +46,31 @@ def _apply_overrides(config: SessionConfig, args) -> SessionConfig:
     return config
 
 
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write transcript {path}: {exc}")
+
+
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    transcript = run_session(config)
-    if args.out:
+    if not args.out:
+        transcript = run_session(config)
+    else:
+        # Opened before the session runs, so an unwritable path costs no
+        # session; removed again when the session or the write fails.
         try:
-            with open(args.out, "wb") as handle:
-                handle.write(transcript.serialize())
+            handle = open(args.out, "wb")
         except OSError as exc:
-            raise ConfigError(f"cannot write transcript {args.out}: {exc}") from exc
+            raise _unwritable(args.out, exc) from exc
+        try:
+            with handle:
+                transcript = run_session(config)
+                try:
+                    handle.write(transcript.serialize())
+                except OSError as exc:
+                    raise _unwritable(args.out, exc) from exc
+        except BaseException:
+            os.remove(args.out)
+            raise
     payload = {
         "session_id": transcript.session_id,
         "leader": transcript.leader_id,

@@ -95,7 +95,7 @@ def answer_all(
                 dest=query.origin,
                 partition=query.partition,
                 target=query.target,
-                values=(value,),
+                values=bytes((value,)),
             )
         )
     return answers

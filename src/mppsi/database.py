@@ -22,7 +22,7 @@ from .model import PartyProfile, Universe
 from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_value
-from .wire import Message
+from .wire import Message, values_text
 
 
 class DatabaseState:
@@ -103,7 +103,7 @@ class DatabaseState:
                 dest=dest,
                 partition=None,
                 target=position,
-                values=(value,),
+                values=bytes((value,)),
             )
             for kind, dest, position, value in sent
         ]
@@ -119,7 +119,8 @@ class DatabaseState:
         modulus = self.field.modulus
         if len(share.values) != 1 or not 0 <= share.values[0] < modulus:
             raise ProtocolViolationError(
-                f"{share.type} must carry one residue below {modulus}, got {list(share.values)}"
+                f"{share.type} must carry one residue below {modulus}, "
+                f"got [{values_text(share.values)}]"
             )
         (value,) = share.values
         if share.type == "c_share":

@@ -28,7 +28,7 @@ from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
 from .model import PartyProfile, Universe
 from .seeding import draw_vector
-from .wire import Message
+from .wire import Message, values_text
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -191,7 +191,7 @@ class QueryPlan:
     database, by partition and then target position.
     """
 
-    h_vectors: Tuple[Tuple[int, ...], ...]
+    h_vectors: Tuple[bytes, ...]
     queries: Dict[Tuple[int, int], List[Message]]
 
 
@@ -209,13 +209,12 @@ def generate_queries(
     kappa = max(shape.eta.values())
     modulus = field.modulus
     h_vectors = tuple(
-        tuple(draw_vector(seed, modulus, universe.size, "h", ell))
-        for ell in range(1, kappa + 1)
+        draw_vector(seed, modulus, universe.size, "h", ell) for ell in range(1, kappa + 1)
     )
     leader = (plan.leader_id, 0)
     queries: Dict[Tuple[int, int], List[Message]] = {}
 
-    def send(dest: Tuple[int, int], partition: int, target: Optional[int], vector) -> None:
+    def send(dest: Tuple[int, int], partition: int, target: Optional[int], vector: bytes) -> None:
         queries.setdefault(dest, []).append(
             Message(
                 type="query",
@@ -234,9 +233,9 @@ def generate_queries(
             send((client_id, 1), ell, None, h_vectors[ell - 1])
         for position, element in enumerate(plan.leader_elements, start=1):
             partition, database = shape.position_location(client_id, position)
-            bumped = list(h_vectors[partition - 1])
+            bumped = bytearray(h_vectors[partition - 1])
             bumped[element - 1] = (bumped[element - 1] + 1) % modulus
-            send((client_id, database), partition, position, tuple(bumped))
+            send((client_id, database), partition, position, bytes(bumped))
     return QueryPlan(h_vectors=h_vectors, queries=queries)
 
 
@@ -313,7 +312,7 @@ def decode(
         if len(answer.values) != 1 or not 0 <= answer.values[0] < modulus:
             raise ProtocolViolationError(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
-                f"got {list(answer.values)}"
+                f"got [{values_text(answer.values)}]"
             )
         key = (answer.origin[0], answer.partition, answer.target)
         if key in values:

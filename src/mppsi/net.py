@@ -114,6 +114,7 @@ class DatabaseEndpoint:
             raise ConfigError(f"party {party_id} has no database {database}")
         setup = prepare_session(config.parties, config.universe, config.leader_override)
         self.field = setup.field
+        self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
         self.leader_id = setup.leader.party_id
         if party_id == self.leader_id:
             raise ConfigError("the leader party does not serve database endpoints")
@@ -214,7 +215,7 @@ class DatabaseEndpoint:
                         f"query vector length {len(msg.values)} != universe "
                         f"{self.config.universe_size}"
                     )
-                if max(msg.values, default=0) >= self.field.modulus:
+                if msg.values.translate(None, self._residues):
                     raise ProtocolViolationError("query value out of field range")
                 self.received_log.append(msg)
                 if not conn.waiting:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import random
-import struct
 
 
 def labeled_rng(seed: int, *label) -> random.Random:
@@ -35,42 +34,37 @@ def draw_nonzero(seed: int, modulus: int, *label) -> int:
     return labeled_rng(seed, *label).randrange(1, modulus)
 
 
-def draw_vector(seed: int, modulus: int, length: int, *label) -> list:
+def draw_vector(seed: int, modulus: int, length: int, *label) -> bytes:
     """A vector of iid uniform values in [0, modulus-1] for the given label.
 
     The values are those of ``randrange(modulus)`` called once per
     coordinate, drawn by its rule in batches: with k = modulus.bit_length(),
     each successive 32-bit word of the labeled stream gives its top k bits,
     and a value >= modulus is rejected. A vector has a stream of its own, so
-    words drawn past the last kept value change nothing else.
+    words drawn past the last kept value change nothing else. The vector is
+    bytes, one value per byte, so the modulus is below 256: every field
+    select_field_size gives is.
     """
-    if not 1 <= modulus < 1 << 32:
-        raise ValueError(f"vector draws need a modulus in [1, 2**32), not {modulus}")
+    if not 1 <= modulus < 256:
+        raise ValueError(f"vector draws need a modulus in [1, 256), not {modulus}")
     rng = labeled_rng(seed, *label)
     bits = modulus.bit_length()
-    shift = 32 - bits
-    out: list = []
+    table, rejected = _byte_tables(modulus)
+    out = b""
     while len(out) < length:
         # The expected number of words still needed, plus a few; the
-        # first word generated is the least significant of the batch.
+        # first word generated is the least significant of the batch, and
+        # its top byte is the batch's byte 3.
         words = ((length - len(out)) << bits) // modulus + 16
         data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        if modulus < 256:
-            out.extend(data[3::4].translate(*_byte_tables(modulus)))
-        else:
-            out.extend(
-                value
-                for (word,) in struct.iter_unpack("<I", data)
-                if (value := word >> shift) < modulus
-            )
-    del out[length:]
-    return out
+        out += data[3::4].translate(table, rejected)
+    return out[:length]
 
 
 @functools.lru_cache(maxsize=None)
 def _byte_tables(modulus: int) -> tuple:
-    """For modulus < 256: the value each top byte of a word gives, and the
-    top bytes whose value is rejected."""
+    """The value each top byte of a word gives, and the top bytes whose
+    value is rejected."""
     shift = 8 - modulus.bit_length()
     table = bytes(byte >> shift if byte >> shift < modulus else 0 for byte in range(256))
     rejected = bytes(byte for byte in range(256) if byte >> shift >= modulus)

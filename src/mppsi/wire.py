@@ -3,17 +3,19 @@
 Every protocol message is one frame: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON. The JSON object carries exactly
 the fields {type, session_id, phase, origin, dest, partition, target,
-values}; unknown fields are rejected on decode. Values are plain decimal
-field residues. Frames above 1 MiB (or empty) are invalid. render_body is
-the one renderer of a message: frame payloads and transcript entries are
-the same text.
+values}; unknown fields are rejected on decode. Frames above 1 MiB (or
+empty) are invalid. render_body is the one renderer of a message: frame
+payloads and transcript entries are the same text.
 
-decode_msg mirrors render_body's one-digit case: when a payload ends in
-',"values":[d,...,d]}' with every d one ASCII digit (every frame of a
-session with L <= 10), json parses only the head before that member and
-the values are read in one bytes pass. Any other payload is parsed whole
-by json. Either way the same frames are accepted and equal messages
-returned.
+A message's values are field residues held as bytes, one byte per residue:
+L <= 251 (field.select_field_size), so every residue fits. On the wire they
+are a JSON list of plain decimal integers. decode_msg mirrors render_body's
+one-digit case: when a payload ends in ',"values":[d,...,d]}' with every d
+one ASCII digit (every frame of a session with L <= 10), json parses only
+the head before that member and the values are read in one bytes pass. Any
+other payload is parsed whole by json, and a value outside 0..255 is a
+protocol violation. Either way the same frames are accepted and equal
+messages returned.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -45,7 +47,7 @@ _FIELDS = ("type", "session_id", "phase", "origin", "dest", "partition", "target
 
 @dataclass(frozen=True)
 class Message:
-    """One protocol message, transport-neutral."""
+    """One protocol message, transport-neutral; values holds one residue per byte."""
 
     type: str
     session_id: str
@@ -54,7 +56,7 @@ class Message:
     dest: Tuple[int, int]
     partition: Optional[int]
     target: Optional[int]
-    values: Tuple[int, ...]
+    values: bytes
 
     def to_dict(self) -> dict:
         return {
@@ -91,11 +93,11 @@ def message_from_dict(data: dict) -> Message:
     return _checked_message(data, None)
 
 
-def _checked_message(data: dict, residues: Optional[Tuple[int, ...]]) -> Message:
+def _checked_message(data: dict, residues: Optional[bytes]) -> Message:
     """message_from_dict, given the values when they are proven residues 0..9.
 
-    With residues None the values are data["values"] and are type- and
-    sign-checked here.
+    With residues None the values are data["values"], checked here to be a
+    list of integers in 0..255.
     """
     if not isinstance(data, dict):
         raise ProtocolViolationError(f"message payload must be an object, got {type(data).__name__}")
@@ -123,13 +125,12 @@ def _checked_message(data: dict, residues: Optional[Tuple[int, ...]]) -> Message
             raise ProtocolViolationError(f"{name} must be a positive integer or null")
     if residues is None:
         values = data["values"]
-        if (
-            not isinstance(values, list)
-            or not set(map(type, values)) <= {int}
-            or min(values, default=0) < 0
-        ):
-            raise ProtocolViolationError("values must be a list of non-negative integers")
-        residues = tuple(values)
+        if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+            raise ProtocolViolationError("values must be a list of integers in 0..255")
+        try:
+            residues = bytes(values)
+        except ValueError:  # a value outside 0..255
+            raise ProtocolViolationError("values must be a list of integers in 0..255") from None
     return Message(
         type=msg_type,
         session_id=data["session_id"],
@@ -149,12 +150,10 @@ _RESIDUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 _VALUES_MEMBER = b',"values":['
 
 
-def _values_text(values: Tuple[int, ...]) -> str:
-    """The comma-separated decimal values, as json.dumps writes them."""
-    try:
-        digits = bytes(values).translate(_DIGITS)
-    except ValueError:  # a value outside 0..255
-        digits = b"\0"
+def values_text(values: bytes) -> str:
+    """The comma-separated decimal values, as json.dumps writes them and as
+    error messages show them."""
+    digits = values.translate(_DIGITS)
     if b"\0" in digits:
         return ",".join(map(str, values))
     text = bytearray(b"," * (2 * len(digits) - 1))
@@ -181,7 +180,7 @@ def render_body(msg: Message) -> str:
         f'"session_id":{_quote(msg.session_id)},'
         f'"target":{_tag_text(msg.target)},'
         f'"type":{_quote(msg.type)},'
-        f'"values":[{_values_text(msg.values)}]}}'
+        f'"values":[{values_text(msg.values)}]}}'
     )
 
 
@@ -202,7 +201,7 @@ def max_query_frame_bytes(
         dest=(num_parties, max_databases),
         partition=universe_size,
         target=universe_size,
-        values=(),
+        values=b"",
     )
     value_chars = len(str(modulus - 1))
     return len(render_body(widest)) + universe_size * (value_chars + 1) - 1
@@ -247,7 +246,7 @@ def decode_msg(frame: bytes) -> Message:
     # member wins), unless the object has no member for the comma to follow;
     # such a head lacks every field and is rejected below all the same.
     data = _parse_json(body[:start] + b"}")
-    return _checked_message(data, tuple(digits[::2].translate(_RESIDUES)))
+    return _checked_message(data, digits[::2].translate(_RESIDUES))
 
 
 def _parse_json(payload: bytes):

@@ -190,10 +190,26 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json"]) == 2
 
-    def test_unwritable_transcript_is_2(self, config_path, tmp_path, capsys):
+    def test_unwritable_transcript_is_2(self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mppsi.cli.run_session", lambda config: pytest.fail("session ran"))
         out = tmp_path / "missing" / "t.json"
         assert main(["run", "--config", config_path, "--out", str(out)]) == 2
         assert f"cannot write transcript {out}" in capsys.readouterr().err
+
+    def test_failed_session_leaves_no_transcript(self, tmp_path, capsys):
+        config = {
+            "universe_size": 2,
+            "parties": [
+                {"id": 1, "databases": 1, "set": [1]},
+                {"id": 2, "databases": 1, "set": [1]},
+            ],
+            "seed": 0,
+        }
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "t.json"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_infeasible_is_3(self, tmp_path, capsys):
         config = {
@@ -289,3 +305,37 @@ class TestServeDb:
             serve = ["serve-db", "--config", config_path, "--party", "1", "--db", "1"]
             assert main([*serve, "--port", str(port)]) == 4
         assert f"cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err
+
+
+def parties_config(count):
+    return {
+        "universe_size": 3,
+        "parties": [{"id": pid, "databases": 2, "set": [1, 2]} for pid in range(1, count + 1)],
+        "seed": 5,
+    }
+
+
+class TestFieldLimit:
+    """A message carries each residue in one byte, so at most 251 parties (L <= 251)."""
+
+    def test_largest_field_runs(self, tmp_path, capsys):
+        path = tmp_path / "parties-251.json"
+        path.write_text(json.dumps(parties_config(251)))
+        assert main(["run", "--config", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["decoded"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["cost"], ["serve-db", "--party", "2", "--db", "1", "--port", "0"]],
+        ids=["run", "cost", "serve-db"],
+    )
+    def test_more_parties_is_2(self, command, tmp_path, capsys, monkeypatch):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        # Should an endpoint start after all, end it at once.
+        monkeypatch.setattr("time.sleep", interrupt)
+        path = tmp_path / "parties-252.json"
+        path.write_text(json.dumps(parties_config(252)))
+        assert main([*command, "--config", str(path)]) == 2
+        assert "at most 251 parties" in capsys.readouterr().err

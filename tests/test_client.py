@@ -26,7 +26,7 @@ def query(dest, partition, target, vector):
         dest=dest,
         partition=partition,
         target=target,
-        values=tuple(vector),
+        values=bytes(vector),
     )
 
 
@@ -145,7 +145,7 @@ class TestAnswerAll:
         q = queries[0].values
         s = bundle.local[0]
         expected = modular_answer(x, q, s, 0, bundle.c, field.modulus)
-        assert msgs[0].values == (expected,)
+        assert msgs[0].values == bytes((expected,))
         assert msgs[0].target is None
 
     def test_answer_echoes_its_query(self):

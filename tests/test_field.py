@@ -21,7 +21,7 @@ def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
-    spec = Message("query", "field-tests", "query", (2, 0), (1, 1), 1, None, tuple(q))
+    spec = Message("query", "field-tests", "query", (2, 0), (1, 1), 1, None, bytes(q))
     size = len(x) if universe is None else universe
     (msg,) = answer_all(profile, 1, [spec], Universe(size), bundle, PrimeField(modulus))
     (value,) = msg.values
@@ -39,13 +39,18 @@ def mul(a, b, modulus):
 
 
 class TestFieldSelection:
-    @pytest.mark.parametrize("parties,expected", [(3, 3), (4, 5), (2, 2), (6, 7)])
+    @pytest.mark.parametrize("parties,expected", [(3, 3), (4, 5), (2, 2), (6, 7), (251, 251)])
     def test_smallest_prime_not_below_party_count(self, parties, expected):
         assert select_field_size(parties).modulus == expected
 
     def test_rejects_single_party(self):
         with pytest.raises(ConfigError):
             select_field_size(1)
+
+    def test_rejects_a_field_past_one_byte(self):
+        # 252 parties would need F_257, whose residues do not fit in a byte.
+        with pytest.raises(ConfigError, match="at most 251 parties"):
+            select_field_size(252)
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):

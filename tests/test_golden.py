@@ -9,7 +9,8 @@ import pytest
 from mppsi.config import SessionConfig, load_config
 from mppsi.demo import DEMOS
 from mppsi.model import PartyProfile
-from mppsi.session import run_memory_session
+from mppsi.net import run_networked_session
+from mppsi.session import load_transcript, run_memory_session
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,3 +96,22 @@ def test_eleven_field_session_digest_covers_two_digit_values():
     assert max(values) == 10
     assert any(v == 10 for m in transcript.messages_in_phase("query") for v in m.values)
     assert digest(transcript) == ELEVEN
+
+
+GOLDEN_CONFIGS = {
+    **{name: lambda name=name: DEMOS[name].config for name in GOLDEN},
+    "audit-small": lambda: load_config(str(CONFIGS / "audit-small.json")),
+    "wide": wide_config,
+    "eleven": eleven_config,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_every_message_carries_bytes(name):
+    config = GOLDEN_CONFIGS[name]()
+    memory = run_memory_session(config)
+    over_tcp = run_networked_session(config)
+    assert over_tcp.serialize() == memory.serialize()
+    for transcript in (memory, over_tcp, load_transcript(memory.serialize())):
+        assert transcript.messages
+        assert {type(m.values) for m in transcript.messages} == {bytes}

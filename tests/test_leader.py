@@ -292,7 +292,7 @@ BAD_ANSWERS = {
         r"not an answer to \(3, 0\)",
     ),
     "two values": (lambda a, L: [replace(a[0], values=a[0].values * 2)] + a[1:], "one residue"),
-    "value equal to L": (lambda a, L: [replace(a[0], values=(L,))] + a[1:], "one residue"),
+    "value equal to L": (lambda a, L: [replace(a[0], values=bytes((L,)))] + a[1:], "one residue"),
     "dest other than the leader": (
         lambda a, L: [replace(a[0], dest=(3, 1))] + a[1:],
         r"not an answer to \(3, 0\)",

@@ -17,7 +17,7 @@ from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import RandomnessPolicy, build_bundle
 from mppsi.session import run_memory_session
-from mppsi.wire import Message, encode_msg
+from mppsi.wire import HEADER, Message, encode_msg, render_body
 
 
 def message_multiset(transcript):
@@ -162,7 +162,7 @@ class TestEndpointBehaviour:
                 dest=(target.party_id, target.database),
                 partition=1,
                 target=None,
-                values=(0, 0, 0, 0),
+                values=bytes(4),
             )
             with socket.create_connection(target.address, timeout=5) as conn:
                 conn.settimeout(5)
@@ -227,7 +227,7 @@ class TestEndpointBehaviour:
                 dest=(target.party_id, target.database),
                 partition=1,
                 target=None,
-                values=(0,) * config.universe_size,
+                values=bytes(config.universe_size),
             )
             with socket.create_connection(target.address, timeout=5) as conn:
                 conn.settimeout(5)
@@ -280,7 +280,7 @@ class TestEndpointBehaviour:
                     dest=(target.party_id, target.database),
                     partition=1,
                     target=None,
-                    values=(first_value,) + (0,) * (config.universe_size - 1),
+                    values=bytes((first_value,)) + bytes(config.universe_size - 1),
                 )
 
             with socket.create_connection(target.address, timeout=5) as conn:
@@ -291,6 +291,43 @@ class TestEndpointBehaviour:
                 conn.settimeout(5)
                 conn.sendall(encode_msg(query(modulus)))
                 assert conn.recv(1) == b""
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_query_value_past_one_byte_closes_only_its_connection(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            # No randomness arrives yet, so a valid query waits on its connection.
+            target = next(ep for ep in endpoints if not ep.state.ready)
+            query = Message(
+                type="query",
+                session_id=make_session_id(config),
+                phase="query",
+                origin=(3, 0),
+                dest=(target.party_id, target.database),
+                partition=1,
+                target=None,
+                values=bytes(config.universe_size),
+            )
+            # The same query with its first value 256, which no message can hold.
+            zeros = ",".join("0" * config.universe_size)
+            body = render_body(query).replace(f"[{zeros}]", f"[256{zeros[1:]}]").encode("ascii")
+            assert b"[256,0," in body
+            with socket.create_connection(target.address, timeout=5) as waiting:
+                waiting.sendall(encode_msg(query))
+                with socket.create_connection(target.address, timeout=5) as bad:
+                    bad.settimeout(5)
+                    bad.sendall(HEADER.pack(len(body)) + body)
+                    assert bad.recv(1) == b""
+                waiting.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    waiting.recv(1)
+            assert target.received_log == [query]
+            # The loop serves on.
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -424,16 +461,16 @@ def send_and_expect_close(endpoint, msg):
 # correlation, and its database (2, 2) takes position 1's share from (1, 2).
 # L = 3 and the multiplier comes from (1, 1).
 BAD_SHARES = {
-    "no value": ("c_share", (1, 1), (1, 2), None, ()),
-    "two values": ("c_share", (1, 1), (1, 2), None, (1, 1)),
-    "multiplier from elsewhere": ("c_share", (9, 9), (1, 2), None, (1,)),
-    "multiplier from a client database": ("c_share", (2, 1), (1, 2), None, (1,)),
-    "t share from the other database": ("t_share", (1, 3), (2, 2), 1, (1,)),
-    "t share from the correlating client": ("t_share", (2, 3), (2, 2), 1, (1,)),
-    "t share from the leader": ("t_share", (3, 2), (2, 2), 1, (1,)),
-    "t share value equal to L": ("t_share", (1, 2), (2, 2), 1, (3,)),
-    "t share without a value": ("t_share", (1, 2), (2, 2), 1, ()),
-    "t share for a position held elsewhere": ("t_share", (1, 3), (2, 2), 2, (1,)),
+    "no value": ("c_share", (1, 1), (1, 2), None, b""),
+    "two values": ("c_share", (1, 1), (1, 2), None, b"\x01\x01"),
+    "multiplier from elsewhere": ("c_share", (9, 9), (1, 2), None, b"\x01"),
+    "multiplier from a client database": ("c_share", (2, 1), (1, 2), None, b"\x01"),
+    "t share from the other database": ("t_share", (1, 3), (2, 2), 1, b"\x01"),
+    "t share from the correlating client": ("t_share", (2, 3), (2, 2), 1, b"\x01"),
+    "t share from the leader": ("t_share", (3, 2), (2, 2), 1, b"\x01"),
+    "t share value equal to L": ("t_share", (1, 2), (2, 2), 1, b"\x03"),
+    "t share without a value": ("t_share", (1, 2), (2, 2), 1, b""),
+    "t share for a position held elsewhere": ("t_share", (1, 3), (2, 2), 2, b"\x01"),
 }
 
 
@@ -472,7 +509,7 @@ class TestSharesFromTheWire:
                 dest=(1, 1),
                 partition=None,
                 target=None,
-                values=(0,) * config.universe_size,
+                values=bytes(config.universe_size),
             )
             send_and_expect_close(target, query)
             over_tcp = run_networked_session(config, endpoints=endpoints)
@@ -495,7 +532,7 @@ class TestSharesFromTheWire:
                 dest=(1, 1),
                 partition=1,
                 target=None,
-                values=(0,) * config.universe_size,
+                values=bytes(config.universe_size),
             )
             send_and_expect_close(target, query)
             assert target.sent_log == [] and target.received_log == []
@@ -538,7 +575,8 @@ class TestSharesFromTheWire:
                 assert conn.recv(1) == b""
             assert victim.state.bundle.c == real_c[0]
             other = 3 - real_c[0]  # the other nonzero residue mod 3
-            send_and_expect_close(victim, share(config, "c_share", (1, 1), (1, 2), None, (other,)))
+            second = share(config, "c_share", (1, 1), (1, 2), None, bytes((other,)))
+            send_and_expect_close(victim, second)
             assert victim.state.bundle.c == real_c[0]
             assert victim.received_log == [first]
         finally:
@@ -610,7 +648,7 @@ class TestLeaderChecksAnswers:
             dest=(leader, 0) if forged == "origin" else (leader, 1),
             partition=1,
             target=None,
-            values=(0,),
+            values=b"\x00",
         )
         endpoints = spawn_endpoints(config)
         rogue = RogueDatabase(reply)

@@ -6,11 +6,11 @@ import pytest
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
-from mppsi.errors import InfeasibleError
+from mppsi.errors import InfeasibleError, ProtocolViolationError
 from mppsi.leader import download_cost
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.protocol import make_session_id
-from mppsi.session import run_memory_session
+from mppsi.session import load_transcript, run_memory_session
 
 
 def config_of(parties, universe, seed=3, leader=None):
@@ -121,8 +121,6 @@ class TestTranscriptShape:
 
 class TestDeterminism:
     def test_transcript_file_round_trip(self):
-        from mppsi.session import load_transcript
-
         original = run_memory_session(DEMOS["sec7_2"].config)
         loaded = load_transcript(original.serialize())
         assert loaded.session_id == original.session_id
@@ -131,6 +129,13 @@ class TestDeterminism:
         assert loaded.messages == original.messages
         assert loaded.result == original.result
         assert loaded.serialize() == original.serialize()
+
+    def test_transcript_value_past_one_byte_is_a_protocol_violation(self):
+        data = run_memory_session(DEMOS["sec7_2"].config).serialize()
+        edited = data.replace(b'"values":[', b'"values":[256,', 1)
+        assert edited != data
+        with pytest.raises(ProtocolViolationError, match="0..255"):
+            load_transcript(edited)
 
     def test_repeat_runs_serialize_identically(self):
         config = DEMOS["sec7_2"].config
@@ -154,6 +159,17 @@ class TestDeterminism:
 
 
 class TestEdgeCases:
+    def test_largest_field_session(self):
+        # 251 parties: L = 251, the largest prime whose residues fit in a byte.
+        parties = [(1, 2, {1, 2})] + [
+            (pid, 2, {1, 2} if pid % 7 else {1}) for pid in range(2, 252)
+        ]
+        config = config_of(parties, universe=3, seed=5, leader=1)
+        transcript = run_memory_session(config)
+        assert transcript.result.decoded == brute_force_intersection(config.parties) == {1}
+        assert max(v for m in transcript.messages for v in m.values) == 250
+        assert load_transcript(transcript.serialize()).messages == transcript.messages
+
     def test_empty_leader_set_short_circuits(self):
         config = config_of(
             [(1, 3, [1, 2]), (2, 3, [2, 3]), (3, 3, [])], 4, leader=3

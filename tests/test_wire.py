@@ -36,7 +36,7 @@ MESSAGES = st.one_of(
         dest=ENDPOINT,
         partition=st.integers(1, 5),
         target=st.one_of(st.none(), st.integers(1, 8)),
-        values=st.lists(st.integers(0, 6), max_size=8).map(tuple),
+        values=st.lists(st.integers(0, 6), max_size=8).map(bytes),
     ),
     st.builds(
         Message,
@@ -47,7 +47,7 @@ MESSAGES = st.one_of(
         dest=ENDPOINT,
         partition=st.integers(1, 5),
         target=st.one_of(st.none(), st.integers(1, 8)),
-        values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(tuple),
+        values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(bytes),
     ),
     st.builds(
         Message,
@@ -58,7 +58,7 @@ MESSAGES = st.one_of(
         dest=ENDPOINT,
         partition=st.none(),
         target=st.integers(1, 8),
-        values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(tuple),
+        values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(bytes),
     ),
 )
 
@@ -79,11 +79,11 @@ ORACLE_MESSAGES = st.builds(
     dest=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
     partition=TAG,
     target=TAG,
-    # Single-digit residues, two-digit ones (L >= 11) and large ints.
+    # Single-digit residues, two-digit ones (L >= 11) and every byte value.
     values=st.one_of(
         st.lists(st.integers(0, 9), max_size=40),
-        st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**80)), max_size=40),
-    ).map(tuple),
+        st.lists(st.one_of(st.integers(0, 12), st.integers(0, 255)), max_size=40),
+    ).map(bytes),
 )
 
 
@@ -221,23 +221,25 @@ HEAD = (
 
 # Payload and the values it decodes to, or None where it is rejected.
 PINNED_PAYLOADS = {
-    "one-digit": (HEAD + b',"values":[1,0,2]}', (1, 0, 2)),
-    "empty": (HEAD + b',"values":[]}', ()),
+    "one-digit": (HEAD + b',"values":[1,0,2]}', b"\x01\x00\x02"),
+    "empty": (HEAD + b',"values":[]}', b""),
     "trailing-comma": (HEAD + b',"values":[1,]}', None),
     "leading-comma": (HEAD + b',"values":[,1]}', None),
     "double-comma": (HEAD + b',"values":[1,,2]}', None),
-    "two-digit": (HEAD + b',"values":[1,10]}', (1, 10)),
-    "space": (HEAD + b',"values":[1, 2]}', (1, 2)),
+    "two-digit": (HEAD + b',"values":[1,10]}', b"\x01\x0a"),
+    "byte-max": (HEAD + b',"values":[255,10]}', b"\xff\x0a"),
+    "past-one-byte": (HEAD + b',"values":[10,256]}', None),
+    "space": (HEAD + b',"values":[1, 2]}', b"\x01\x02"),
     "negative": (HEAD + b',"values":[-1]}', None),
     "string": (HEAD + b',"values":["1"]}', None),
     "float": (HEAD + b',"values":[1.0]}', None),
-    "duplicate-earlier": (b'{"values":[-1],' + HEAD[1:] + b',"values":[1,2]}', (1, 2)),
+    "duplicate-earlier": (b'{"values":[-1],' + HEAD[1:] + b',"values":[1,2]}', b"\x01\x02"),
     "duplicate-earlier-bad-last": (b'{"values":[1],' + HEAD[1:] + b',"values":[1,]}', None),
-    "values-not-last": (b'{"values":[1,2],' + HEAD[1:] + b"}", (1, 2)),
+    "values-not-last": (b'{"values":[1,2],' + HEAD[1:] + b"}", b"\x01\x02"),
     "values-before-dest": (
         b'{"origin":[3,0],"partition":1,"phase":"query","session_id":"s","target":null,'
         b'"type":"query","values":[1,2],"dest":[1,2]}',
-        (1, 2),
+        b"\x01\x02",
     ),
     "nested-object": (HEAD + b',"values":[1],"target":{"a":1,"values":[2]}', None),
     "nested-object-closed": (HEAD + b',"target":{"a":1,"values":[2]}}', None),
@@ -245,15 +247,15 @@ PINNED_PAYLOADS = {
     "bare-brace-space": (b'{ ,"values":[1]}', None),
     "closed-head": (HEAD + b'},"values":[1]}', None),
     "trailing-comma-member": (HEAD + b',"values":[1,2],}', None),
-    "trailing-space": (HEAD + b',"values":[1,2]} ', (1, 2)),
-    "leading-space": (b" " + HEAD + b',"values":[1,2]}', (1, 2)),
+    "trailing-space": (HEAD + b',"values":[1,2]} ', b"\x01\x02"),
+    "leading-space": (b" " + HEAD + b',"values":[1,2]}', b"\x01\x02"),
     "bad-utf8-head": (HEAD.replace(b'"s"', b'"\xff"') + b',"values":[1]}', None),
     "split-utf8-head": (HEAD + b',"x":"\xc3,"values":[1]}', None),
     "utf8-bom": (b"\xef\xbb\xbf" + HEAD + b',"values":[1]}', None),
     "deep-head": (b'{"target":' + b"[" * 100_000 + b',"values":[1]}', None),
     "nested-duplicate-head": (
         b'{"target":' + b"[" * 50 + b"]" * 50 + b"," + HEAD[1:] + b',"values":[1]}',
-        (1,),
+        b"\x01",
     ),
     "nan-in-head": (HEAD.replace(b'"partition":1', b'"partition":NaN') + b',"values":[1]}', None),
     "long-int-in-head": (
@@ -286,7 +288,8 @@ class TestDecoderAgreesWithReference:
         if values is None:
             assert result == ("rejected",)
         else:
-            assert result[0] == "ok" and result[1].values == values
+            assert result[0] == "ok" and type(result[1].values) is bytes
+            assert result[1].values == values
 
 
 class TestOneDigitPath:
@@ -307,7 +310,7 @@ class TestOneDigitPath:
     @staticmethod
     def query(modulus):
         rng = random.Random(modulus)
-        values = tuple(rng.randrange(modulus) for _ in range(1000))
+        values = bytes(rng.randrange(modulus) for _ in range(1000))
         return Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
 
     def test_one_digit_values_skip_json(self, monkeypatch):
@@ -328,8 +331,9 @@ class TestRenderBody:
         assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("utf-8"))
 
     def test_multi_digit_values_are_joined(self):
-        msg = Message("query", "s", "query", (3, 0), (1, 2), 1, None, (10, 0, 9, 255, 256, 2**64))
-        assert render_body(msg).endswith('"values":[10,0,9,255,256,18446744073709551616]}')
+        values = bytes((10, 0, 9, 99, 100, 255))
+        msg = Message("query", "s", "query", (3, 0), (1, 2), 1, None, values)
+        assert render_body(msg).endswith('"values":[10,0,9,99,100,255]}')
         assert render_body(msg) == reference_body(msg)
 
     @given(TRANSCRIPTS)
@@ -351,7 +355,7 @@ class TestQueryFrameBound:
             dest=(parties, databases),
             partition=universe,
             target=universe,
-            values=(modulus - 1,) * universe,
+            values=bytes((modulus - 1,)) * universe,
         )
 
     @pytest.mark.parametrize(
@@ -403,7 +407,7 @@ class TestFrameErrors:
 
 
 class TestSplitFrames:
-    MSG = Message("answer", "feed", "answer", (1, 2), (3, 0), 1, None, (4,))
+    MSG = Message("answer", "feed", "answer", (1, 2), (3, 0), 1, None, b"\x04")
 
     def test_whole_frames_leave_and_a_partial_one_stays(self):
         frame = encode_msg(self.MSG)
@@ -474,6 +478,11 @@ class TestPayloadValidation:
     @pytest.mark.parametrize("value", [1.0, "1", None, [1]])
     def test_non_integer_values_rejected(self, value):
         with pytest.raises(ProtocolViolationError):
+            message_from_dict(valid_payload(values=[0, value, 2]))
+
+    @pytest.mark.parametrize("value", [256, 2**64])
+    def test_value_past_one_byte_rejected(self, value):
+        with pytest.raises(ProtocolViolationError, match="0..255"):
             message_from_dict(valid_payload(values=[0, value, 2]))
 
     def test_bad_endpoint_rejected(self):
