@@ -52,7 +52,7 @@ from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError, TransportError
 from .leader import make_plan_shape
-from .protocol import make_session_id, prepare_session
+from .protocol import SessionSetup, make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
 from .session import SessionTranscript, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
@@ -89,11 +89,12 @@ class DatabaseEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
         policy: RandomnessPolicy = FAITHFUL,
+        *,
+        _prepared: Optional[Tuple[SessionSetup, str]] = None,
     ):
         self.config = config
         self.party_id = party_id
         self.database = database
-        self.session_id = make_session_id(config)
         self.sent_log: List[Message] = []
         self.received_log: List[Message] = []
         self.errors: List[TransportError] = []  # shares this endpoint could not send
@@ -112,7 +113,14 @@ class DatabaseEndpoint:
         profile = by_id[party_id]
         if not 1 <= database <= profile.num_databases:
             raise ConfigError(f"party {party_id} has no database {database}")
-        setup = prepare_session(config.parties, config.universe, config.leader_override)
+        # _prepared: the config's setup and session id, when the caller has
+        # them already (spawn_endpoints derives them once for every endpoint).
+        if _prepared is None:
+            _prepared = (
+                prepare_session(config.parties, config.universe, config.leader_override),
+                make_session_id(config),
+            )
+        setup, self.session_id = _prepared
         self.field = setup.field
         self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
         self.leader_id = setup.leader.party_id
@@ -546,11 +554,14 @@ def spawn_endpoints(
 ) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
     setup = prepare_session(config.parties, config.universe, config.leader_override)
+    prepared = (setup, make_session_id(config))
     loop = _ServeLoop()
     endpoints = []
     for client in setup.clients:
         for db in range(1, client.num_databases + 1):
-            endpoint = DatabaseEndpoint(config, client.party_id, db, policy=policy)
+            endpoint = DatabaseEndpoint(
+                config, client.party_id, db, policy=policy, _prepared=prepared
+            )
             endpoint.start(loop)
             endpoints.append(endpoint)
     loop.start()

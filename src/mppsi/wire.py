@@ -9,13 +9,18 @@ payloads and transcript entries are the same text.
 
 A message's values are field residues held as bytes, one byte per residue:
 L <= 251 (field.select_field_size), so every residue fits. On the wire they
-are a JSON list of plain decimal integers. decode_msg mirrors render_body's
-one-digit case: when a payload ends in ',"values":[d,...,d]}' with every d
-one ASCII digit (every frame of a session with L <= 10), json parses only
-the head before that member and the values are read in one bytes pass. Any
-other payload is parsed whole by json, and a value outside 0..255 is a
-protocol violation. Either way the same frames are accepted and equal
-messages returned.
+are a JSON list of plain decimal integers. Message is a named tuple, so a
+message costs about what a tuple of its fields does to build.
+
+decode_msg has two paths. A payload that is exactly what render_body writes
+for one-digit values (every frame of a session with L <= 10 and a lowercase
+hex session id) is read by one anchored pattern over the head, which admits
+only sorted keys, integers of at most 9 digits with no leading zero, null
+or positive tags, a lowercase hex session id and a known type with its
+phase, and by one bytes pass over ',"values":[d,...,d]}'. Any other payload
+is parsed whole by json and checked field by field, and a value outside
+0..255 is a protocol violation. Either way the same frames are accepted and
+equal messages returned.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -24,10 +29,10 @@ message ever names a universe element.
 from __future__ import annotations
 
 import json
+import re
 import struct
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import ProtocolViolationError
 
@@ -42,12 +47,12 @@ PHASE_BY_TYPE = {
     "answer": "answer",
 }
 
-_FIELDS = ("type", "session_id", "phase", "origin", "dest", "partition", "target", "values")
+class Message(NamedTuple):
+    """One protocol message, transport-neutral; values holds one residue per byte.
 
-
-@dataclass(frozen=True)
-class Message:
-    """One protocol message, transport-neutral; values holds one residue per byte."""
+    A named tuple: immutable, hashable, equal field by field, and cheap to
+    build on the per-frame path.
+    """
 
     type: str
     session_id: str
@@ -90,22 +95,19 @@ def _check_endpoint(raw, name: str) -> Tuple[int, int]:
 
 
 def message_from_dict(data: dict) -> Message:
-    return _checked_message(data, None)
+    """The message a parsed JSON payload (or transcript entry) describes.
 
-
-def _checked_message(data: dict, residues: Optional[bytes]) -> Message:
-    """message_from_dict, given the values when they are proven residues 0..9.
-
-    With residues None the values are data["values"], checked here to be a
-    list of integers in 0..255.
+    Every field is checked: exactly the known fields, a known type with its
+    phase, a nonempty session id, [party, database] endpoints of naturals,
+    positive or null tags, and values a list of integers in 0..255.
     """
     if not isinstance(data, dict):
         raise ProtocolViolationError(f"message payload must be an object, got {type(data).__name__}")
-    keys = set(data) if residues is None else set(data) | {"values"}
-    unknown = keys - set(_FIELDS)
+    keys = set(data)
+    unknown = keys - set(Message._fields)
     if unknown:
         raise ProtocolViolationError(f"unknown message fields: {sorted(unknown)}")
-    missing = set(_FIELDS) - keys
+    missing = set(Message._fields) - keys
     if missing:
         raise ProtocolViolationError(f"missing message fields: {sorted(missing)}")
     msg_type = data["type"]
@@ -123,14 +125,13 @@ def _checked_message(data: dict, residues: Optional[bytes]) -> Message:
             not isinstance(value, int) or isinstance(value, bool) or value < 1
         ):
             raise ProtocolViolationError(f"{name} must be a positive integer or null")
-    if residues is None:
-        values = data["values"]
-        if not isinstance(values, list) or not set(map(type, values)) <= {int}:
-            raise ProtocolViolationError("values must be a list of integers in 0..255")
-        try:
-            residues = bytes(values)
-        except ValueError:  # a value outside 0..255
-            raise ProtocolViolationError("values must be a list of integers in 0..255") from None
+    values = data["values"]
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ProtocolViolationError("values must be a list of integers in 0..255")
+    try:
+        residues = bytes(values)
+    except ValueError:  # a value outside 0..255
+        raise ProtocolViolationError("values must be a list of integers in 0..255") from None
     return Message(
         type=msg_type,
         session_id=data["session_id"],
@@ -147,7 +148,18 @@ def _checked_message(data: dict, residues: Optional[bytes]) -> Message:
 _DIGITS = b"0123456789" + bytes(246)
 # The inverse on digits: b"0".."9" to residues 0..9.
 _RESIDUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_VALUES_MEMBER = b',"values":['
+# render_body's head up to the values: sorted keys, no spaces, naturals of at
+# most 9 digits with no leading zero, positive or null tags, a lowercase hex
+# session id and word-like type and phase.
+_NATURAL = rb"(0|[1-9][0-9]{0,8})"
+_TAG = rb"(null|[1-9][0-9]{0,8})"
+_CANONICAL_HEAD = re.compile(
+    rb'\{"dest":\[' + _NATURAL + rb"," + _NATURAL + rb'\],"origin":\[' + _NATURAL + rb","
+    + _NATURAL + rb'\],"partition":' + _TAG + rb',"phase":"([a-z_]+)","session_id":"([0-9a-f]+)",'
+    rb'"target":' + _TAG + rb',"type":"([a-z_]+)","values":\['
+)
+# (type, phase) as the head spells them, for every type with its own phase.
+_KINDS = {(t.encode("ascii"), p.encode("ascii")): (t, p) for t, p in PHASE_BY_TYPE.items()}
 
 
 def values_text(values: bytes) -> str:
@@ -170,8 +182,10 @@ def render_body(msg: Message) -> str:
 
     Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")),
     written directly: the keys in sorted order, strings ASCII-escaped, and
-    the values rendered in one pass.
+    the values rendered in one pass (one residue, as every answer and share
+    carries, by str alone).
     """
+    values = msg.values
     return (
         f'{{"dest":[{msg.dest[0]},{msg.dest[1]}],'
         f'"origin":[{msg.origin[0]},{msg.origin[1]}],'
@@ -180,7 +194,7 @@ def render_body(msg: Message) -> str:
         f'"session_id":{_quote(msg.session_id)},'
         f'"target":{_tag_text(msg.target)},'
         f'"type":{_quote(msg.type)},'
-        f'"values":[{values_text(msg.values)}]}}'
+        f'"values":[{str(values[0]) if len(values) == 1 else values_text(values)}]}}'
     )
 
 
@@ -229,24 +243,32 @@ def decode_msg(frame: bytes) -> Message:
         raise ProtocolViolationError(
             f"frame length mismatch: declared {length}, got {len(body)}"
         )
-    # One-digit values (render_body's fast case) are read in one bytes
-    # pass; every other payload is parsed whole.
-    start = body.rfind(_VALUES_MEMBER)
-    digits = body[start + len(_VALUES_MEMBER) : -2]
-    if (
-        start < 0
-        or not body.endswith(b"]}")
-        or len(digits) % 2 == 0
-        or not digits[::2].isdigit()
-        or digits[1::2].count(b",") != len(digits) // 2
-    ):
-        return message_from_dict(_parse_json(body))
-    # The head ends in "}", so it parses, if at all, to an object. The whole
-    # payload parses to that object with these values as "values" (the last
-    # member wins), unless the object has no member for the comma to follow;
-    # such a head lacks every field and is rejected below all the same.
-    data = _parse_json(body[:start] + b"}")
-    return _checked_message(data, digits[::2].translate(_RESIDUES))
+    # render_body's head with one-digit values is read by one match and one
+    # bytes pass; every other payload is parsed whole.
+    head = _CANONICAL_HEAD.match(body)
+    if head is not None and body.endswith(b"]}"):
+        d0, d1, o0, o1, partition, phase, session_id, target, msg_type = head.groups()
+        kind = _KINDS.get((msg_type, phase))
+        digits = body[head.end() : -2]
+        values = digits[::2]
+        # Every even byte a digit, so the len // 2 commas fill every odd one.
+        if (
+            kind is not None
+            and len(digits) % 2
+            and values.isdigit()
+            and digits.count(b",") == len(digits) // 2
+        ):
+            return Message(
+                kind[0],
+                session_id.decode("ascii"),
+                kind[1],
+                (int(o0), int(o1)),
+                (int(d0), int(d1)),
+                None if partition == b"null" else int(partition),
+                None if target == b"null" else int(target),
+                values.translate(_RESIDUES),
+            )
+    return message_from_dict(_parse_json(body))
 
 
 def _parse_json(payload: bytes):

@@ -1,6 +1,7 @@
 """Golden transcript digests: refactors must leave transcript bytes unchanged."""
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from mppsi.demo import DEMOS
 from mppsi.model import PartyProfile
 from mppsi.net import run_networked_session
 from mppsi.session import load_transcript, run_memory_session
+from mppsi.wire import decode_msg, encode_msg
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -115,3 +117,27 @@ def test_every_message_carries_bytes(name):
     for transcript in (memory, over_tcp, load_transcript(memory.serialize())):
         assert transcript.messages
         assert {type(m.values) for m in transcript.messages} == {bytes}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_frames_skip_json_unless_a_value_has_two_digits(name, monkeypatch):
+    # Every golden session but "eleven" (L = 11) has one-digit values only,
+    # so none of its frames, on either transport, reaches json.loads.
+    config = GOLDEN_CONFIGS[name]()
+    memory = run_memory_session(config)
+    two_digit = sum(max(m.values, default=0) > 9 for m in memory.messages)
+    assert (two_digit > 0) == (name == "eleven")
+    loads = json.loads
+    calls = []
+
+    def recording_loads(text, *args, **kwargs):
+        calls.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr("mppsi.wire.json.loads", recording_loads)
+    assert [decode_msg(encode_msg(m)) for m in memory.messages] == list(memory.messages)
+    assert len(calls) == two_digit
+    calls.clear()
+    over_tcp = run_networked_session(config)
+    assert len(calls) == two_digit
+    assert over_tcp.serialize() == memory.serialize()

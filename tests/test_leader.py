@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -288,13 +287,13 @@ class TestQueryGeneration:
 # with what the error names.
 BAD_ANSWERS = {
     "wrong type": (
-        lambda a, L: [replace(a[0], type="query", phase="query")] + a[1:],
+        lambda a, L: [a[0]._replace(type="query", phase="query")] + a[1:],
         r"not an answer to \(3, 0\)",
     ),
-    "two values": (lambda a, L: [replace(a[0], values=a[0].values * 2)] + a[1:], "one residue"),
-    "value equal to L": (lambda a, L: [replace(a[0], values=bytes((L,)))] + a[1:], "one residue"),
+    "two values": (lambda a, L: [a[0]._replace(values=a[0].values * 2)] + a[1:], "one residue"),
+    "value equal to L": (lambda a, L: [a[0]._replace(values=bytes((L,)))] + a[1:], "one residue"),
     "dest other than the leader": (
-        lambda a, L: [replace(a[0], dest=(3, 1))] + a[1:],
+        lambda a, L: [a[0]._replace(dest=(3, 1))] + a[1:],
         r"not an answer to \(3, 0\)",
     ),
     "duplicate tag": (lambda a, L: a + a[:1], "duplicate"),

@@ -675,7 +675,7 @@ class TestLeaderChecksAnswers:
             if m.origin == victim
         ]
         endpoints = spawn_endpoints(config)
-        rogue = RogueDatabase(replace(answer, session_id="0" * 16))
+        rogue = RogueDatabase(answer._replace(session_id="0" * 16))
         try:
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
             for ep in endpoints:

@@ -219,8 +219,55 @@ HEAD = (
     b'"session_id":"s","target":null,"type":"query"'
 )
 
+# HEAD as render_body writes it for a lowercase hex session id: the head the
+# one-match path reads.
+CANONICAL = HEAD.replace(b'"session_id":"s"', b'"session_id":"0a1b"')
+
 # Payload and the values it decodes to, or None where it is rejected.
 PINNED_PAYLOADS = {
+    "canonical": (CANONICAL + b',"values":[1,0,2]}', b"\x01\x00\x02"),
+    "canonical-trailing-comma": (CANONICAL + b',"values":[1,2,]}', None),
+    "canonical-leading-zero-dest": (
+        CANONICAL.replace(b'"dest":[1,2]', b'"dest":[01,2]') + b',"values":[1]}',
+        None,
+    ),
+    "canonical-nine-digit-partition": (
+        CANONICAL.replace(b'"partition":1', b'"partition":123456789') + b',"values":[1]}',
+        b"\x01",
+    ),
+    "canonical-ten-digit-partition": (
+        CANONICAL.replace(b'"partition":1', b'"partition":1234567890') + b',"values":[1]}',
+        b"\x01",
+    ),
+    "canonical-zero-partition": (
+        CANONICAL.replace(b'"partition":1', b'"partition":0') + b',"values":[1]}',
+        None,
+    ),
+    "canonical-true-target": (
+        CANONICAL.replace(b'"target":null', b'"target":true') + b',"values":[1]}',
+        None,
+    ),
+    "canonical-uppercase-session-id": (
+        CANONICAL.replace(b'"0a1b"', b'"0A1B"') + b',"values":[1]}',
+        b"\x01",
+    ),
+    "canonical-escaped-session-id": (
+        CANONICAL.replace(b'"0a1b"', b'"\\u0030a1b"') + b',"values":[1]}',
+        b"\x01",
+    ),
+    "canonical-empty-session-id": (CANONICAL.replace(b'"0a1b"', b'""') + b',"values":[1]}', None),
+    "canonical-unknown-type": (
+        CANONICAL.replace(b'"type":"query"', b'"type":"gossip"') + b',"values":[1]}',
+        None,
+    ),
+    "canonical-phase-type-mismatch": (
+        CANONICAL.replace(b'"phase":"query"', b'"phase":"answer"') + b',"values":[1]}',
+        None,
+    ),
+    "canonical-space-after-colon": (
+        CANONICAL.replace(b'"partition":1', b'"partition": 1') + b',"values":[1]}',
+        b"\x01",
+    ),
     "one-digit": (HEAD + b',"values":[1,0,2]}', b"\x01\x00\x02"),
     "empty": (HEAD + b',"values":[]}', b""),
     "trailing-comma": (HEAD + b',"values":[1,]}', None),
@@ -314,14 +361,50 @@ class TestOneDigitPath:
         return Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
 
     def test_one_digit_values_skip_json(self, monkeypatch):
-        # K = 1000, L = 3: json sees only the head, never the 1999-byte values.
+        # K = 1000, L = 3: the canonical head and the values are read without json.
         lengths, _ = self.json_input_lengths(monkeypatch, self.query(3))
-        assert len(lengths) == 1
-        assert lengths[0] < 2 * 1000 - 1
+        assert lengths == []
+
+    def test_non_canonical_head_goes_through_json(self, monkeypatch):
+        # One-digit values, but a session id that is not lowercase hex.
+        msg = self.query(3)._replace(session_id="F" * SESSION_ID_CHARS)
+        lengths, body_length = self.json_input_lengths(monkeypatch, msg)
+        assert lengths == [body_length]
 
     def test_two_digit_values_go_through_json(self, monkeypatch):
         lengths, body_length = self.json_input_lengths(monkeypatch, self.query(11))
         assert lengths == [body_length]
+
+
+class TestMessage:
+    MSG = Message("answer", "feed", "answer", (1, 2), (3, 0), 1, None, b"\x04")
+    OTHER = {
+        "type": "t_share",
+        "session_id": "beef",
+        "phase": "randomness",
+        "origin": (1, 3),
+        "dest": (3, 1),
+        "partition": 2,
+        "target": 1,
+        "values": b"\x05",
+    }
+
+    def test_fields_keep_their_names_and_order(self):
+        assert Message._fields == tuple(self.OTHER)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.MSG.values = b"\x05"
+
+    def test_hashable_and_equal_field_by_field(self):
+        twin = Message(**self.MSG._asdict())
+        assert twin is not self.MSG and twin == self.MSG
+        assert hash(twin) == hash(self.MSG)
+        assert len({self.MSG, twin}) == 1
+        for name, value in self.OTHER.items():
+            changed = self.MSG._replace(**{name: value})
+            assert changed != self.MSG, name
+            assert len({self.MSG, changed}) == 2, name
 
 
 class TestRenderBody:
