@@ -10,6 +10,7 @@ reliability and privacy guarantees.
 
 from .config import SessionConfig, load_config, parse_config
 from .errors import (
+    AuditPartError,
     BoundExceededError,
     ConfigError,
     InfeasibleError,
@@ -33,6 +34,7 @@ from .randomness import RandomnessBundle, RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
 
 __all__ = [
+    "AuditPartError",
     "BoundExceededError",
     "ConfigError",
     "CostTable",

@@ -12,7 +12,13 @@ exact rationals or integer counts; zero means zero. The checks are:
   decodes each full answer vector with leader.decode_vector, the kernel
   behind the transports' decode. The t level is computed once per
   distinct t tuple of a walk and kept until the walk ends: up to 3^12 rows,
-  about 215 MB, for an exhaustive stream under DEFAULT_BOUND;
+  about 215 MB, for an exhaustive stream under DEFAULT_BOUND, in each
+  process of a split walk. An exhaustive walk of SPLIT_MIN_REALIZATIONS or
+  more, in a one-thread process, cuts its base-vector sets into contiguous
+  parts, one per CPU in os.sched_getaffinity and at most one per set, and
+  walks every part but the first in a forked child. The parts merge in
+  order, so the report is the one-process walk's. A sampled stream is one
+  RNG running on from set to set, so it stays in one process;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -44,14 +50,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import support_sum
-from .errors import BoundExceededError
+from .errors import AuditPartError, BoundExceededError
 from .field import PrimeField
 from .leader import PartitionPlan, decode_vector, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
@@ -437,6 +446,78 @@ class ReliabilityReport:
     failures: List[str] = dc_field(default_factory=list)
 
 
+MAX_FAILURES = 5  # check_reliability stops at this many failures
+# An exhaustive walk of fewer realizations stays in one process: forking and
+# reaping a part takes about 3.5 ms on a 2-vCPU Xeon host, under 4% of such a
+# walk there, which is the most a split loses when the other CPUs are busy.
+SPLIT_MIN_REALIZATIONS = 20_000
+
+PartResult = Tuple[int, List[Tuple[int, str]]]  # cases, [(case number, detail)]
+
+
+def _walk_parts(h_list: List[HVectors], exhaustive: bool, space: int) -> List[List[HVectors]]:
+    """h_list whole, or cut into contiguous parts, one per CPU this process
+    may run on and at most one per set, for a large exhaustive walk in a
+    one-thread process: a fork copies only its caller's thread, so a lock
+    another thread holds would stay held in the child."""
+    large = exhaustive and len(h_list) * space >= SPLIT_MIN_REALIZATIONS
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (large and forkable and threading.active_count() == 1):
+        return [h_list]
+    count = min(len(os.sched_getaffinity(0)), len(h_list))
+    return [h_list[i * len(h_list) // count:(i + 1) * len(h_list) // count] for i in range(count)]
+
+
+def _in_parts(
+    walk: Callable[[List[HVectors]], PartResult], parts: List[List[HVectors]]
+) -> Iterator[PartResult]:
+    """walk(part) of each part, in order: the first walked here, each other
+    in a child made by os.fork, which pickles its result (or the exception
+    its walk raised) through a pipe and ends with os._exit. Closing the
+    generator, at the end, an early stop, an exception or an interrupt,
+    kills and reaps every child."""
+    pids: List[int] = []
+    reads: List[int] = []
+    try:
+        for part in parts[1:]:
+            import pickle  # Only a split loads these two, so processes that never
+            import signal  # split keep their memory footprint.
+            read_fd, write_fd = os.pipe()
+            reads.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            data = pickle.dumps((True, walk(part)))
+                        except BaseException as exc:  # every outcome goes back
+                            data = pickle.dumps((False, exc))
+                        with open(write_fd, "wb", closefd=False) as pipe:
+                            pipe.write(data)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        yield walk(parts[0])
+        for number, read_fd in enumerate(reads, 2):
+            try:
+                with open(read_fd, "rb", closefd=False) as pipe:
+                    ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                message = f"part {number} of {len(parts)} of the reliability walk sent no result"
+                raise AuditPartError(message) from exc
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for read_fd in reads:
+            os.close(read_fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def check_reliability(
     instance: AuditInstance,
     bound: int = DEFAULT_BOUND,
@@ -455,27 +536,39 @@ def check_reliability(
     draws, space, exhaustive = _raw_realizations(
         compiled, policy, bound, sample_beyond_bound, seed
     )
+
+    def walk(h_part: List[HVectors]) -> PartResult:
+        cases = 0
+        failures: List[Tuple[int, str]] = []
+        for h_vectors in h_part:
+            ips = query_inner_products(compiled, h_vectors)
+            for s_values, t_values, c_value, answers in realization_answers(
+                compiled, ips, draws(), policy
+            ):
+                decoded, _ = decode_vector(plan, answers, modulus)
+                cases += 1
+                if decoded != expected:
+                    failures.append((cases, (
+                        f"h={h_vectors} s={s_values} t={t_values} c={c_value}: "
+                        f"decoded {sorted(decoded)}, true {sorted(expected)}"
+                    )))
+                    if len(failures) == MAX_FAILURES:
+                        return cases, failures
+        return cases, failures
+
+    parts = _walk_parts(h_list, exhaustive, space)
     cases = 0
     failures: List[str] = []
-    for h_vectors in h_list:
-        ips = query_inner_products(compiled, h_vectors)
-        for s_values, t_values, c_value, answers in realization_answers(
-            compiled, ips, draws(), policy
-        ):
-            decoded, _ = decode_vector(plan, answers, modulus)
-            cases += 1
-            if decoded != expected:
-                failures.append(
-                    f"h={h_vectors} s={s_values} t={t_values} c={c_value}: "
-                    f"decoded {sorted(decoded)}, true {sorted(expected)}"
-                )
-                if len(failures) >= 5:
+    with closing(_in_parts(walk, parts)) as results:
+        for part_cases, part_failures in results:
+            for case, detail in part_failures:
+                failures.append(detail)
+                if len(failures) == MAX_FAILURES:
                     return ReliabilityReport(
-                        False, cases, space, exhaustive, h_exhaustive, failures
+                        False, cases + case, space, exhaustive, h_exhaustive, failures
                     )
-    return ReliabilityReport(
-        not failures, cases, space, exhaustive, h_exhaustive, failures
-    )
+            cases += part_cases
+    return ReliabilityReport(not failures, cases, space, exhaustive, h_exhaustive, failures)
 
 
 # ---------------------------------------------------------------------------

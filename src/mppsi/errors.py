@@ -38,3 +38,7 @@ class ProtocolViolationError(MppsiError):
 
 class BoundExceededError(MppsiError):
     """An exact enumeration would exceed the configured outcome bound."""
+
+
+class AuditPartError(MppsiError):
+    """A part of a split audit walk ended without sending its result."""

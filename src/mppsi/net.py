@@ -550,17 +550,26 @@ def _exchange_all(
 
 
 def spawn_endpoints(
-    config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
+    config: SessionConfig,
+    policy: RandomnessPolicy = FAITHFUL,
+    *,
+    _prepared: Optional[Tuple[SessionSetup, str]] = None,
 ) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
-    prepared = (setup, make_session_id(config))
+    # _prepared: the config's setup and session id, when the caller has them
+    # already (run_networked_session gets both from run_leader).
+    if _prepared is None:
+        _prepared = (
+            prepare_session(config.parties, config.universe, config.leader_override),
+            make_session_id(config),
+        )
+    setup = _prepared[0]
     loop = _ServeLoop()
     endpoints = []
     for client in setup.clients:
         for db in range(1, client.num_databases + 1):
             endpoint = DatabaseEndpoint(
-                config, client.party_id, db, policy=policy, _prepared=prepared
+                config, client.party_id, db, policy=policy, _prepared=_prepared
             )
             endpoint.start(loop)
             endpoints.append(endpoint)
@@ -595,7 +604,9 @@ def run_networked_session(
                 plan, setup.clients, setup.field, config.seed, session_id, policy
             )
             return shares, answers
-        serving = spawn_endpoints(config, policy) if endpoints is None else endpoints
+        serving = endpoints
+        if serving is None:
+            serving = spawn_endpoints(config, policy, _prepared=(setup, session_id))
         try:
             addresses = {(ep.party_id, ep.database): ep.address for ep in serving}
             # In-process endpoints start their randomness traffic only now, so

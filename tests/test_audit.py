@@ -1,12 +1,17 @@
 """Exact enumeration audits: reliability, masking lemmas, mutual information."""
 
 import itertools
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+from mppsi import audit
 from mppsi.audit import (
     DEFAULT_BOUND,
+    DEFAULT_H_ENUM_LIMIT,
     AuditInstance,
     DistributionTable,
     ReliabilityReport,
@@ -26,7 +31,7 @@ from mppsi.audit import (
     realization_answers,
 )
 from mppsi.client import answer_value
-from mppsi.errors import BoundExceededError
+from mppsi.errors import AuditPartError, BoundExceededError
 from mppsi.field import select_field_size
 from mppsi.leader import decode_values, decode_vector
 from mppsi.model import PartyProfile, Universe
@@ -351,6 +356,215 @@ class TestWalkAgreesWithOracle:
         monkeypatch.setattr("mppsi.audit.realization_answers", counting)
         assert check(HOMOGENEOUS).passed
         assert calls
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch):
+    """Let os.fork run, and count its calls in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def refuse_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def serial_reliability(monkeypatch, instance, **kwargs):
+    """check_reliability on one CPU, where it must not fork."""
+    with monkeypatch.context() as patch:
+        set_cpus(patch, 1)
+        refuse_fork(patch)
+        return check_reliability(instance, **kwargs)
+
+
+def on_h_set(monkeypatch, instance, index, action):
+    """Run action(h_vectors) before the inner products of h_list[index]."""
+    compiled = compile_instance(instance)
+    h_list, _ = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
+    real = audit.query_inner_products
+
+    def query_inner_products(compiled, h_vectors):
+        if h_vectors == h_list[index]:
+            action(h_vectors)
+        return real(compiled, h_vectors)
+
+    monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
+
+
+def fail_at_cases(monkeypatch, instance, bad_cases):
+    """Decode wrongly at these case numbers (1-based, in serial walk order)
+    of an instance whose base vectors are enumerated."""
+    compiled = compile_instance(instance)
+    h_list, exhaustive_h = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
+    assert exhaustive_h
+    per_set = compiled.space_size()
+    at = {}
+    real_ips, real_decode = audit.query_inner_products, audit.decode_vector
+
+    def query_inner_products(compiled, h_vectors):
+        at["case"] = h_list.index(h_vectors) * per_set
+        return real_ips(compiled, h_vectors)
+
+    def decode_vector(plan, answers, modulus):
+        at["case"] += 1
+        decoded, indicators = real_decode(plan, answers, modulus)
+        return (decoded | {0} if at["case"] in bad_cases else decoded), indicators
+
+    monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
+    monkeypatch.setattr(audit, "decode_vector", decode_vector)
+
+
+class TestSplitWalk:
+    """check_reliability split across forked children reports exactly what
+    the one-process walk reports, and leaves no child behind."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        POLICIES,
+        ids=["faithful", "zero_local", "zero_individual", "offset", "fixed_global"],
+    )
+    @pytest.mark.parametrize(
+        "instance",
+        [HOMOGENEOUS, TWO_PARTY, FOUR_PARTY],
+        ids=["homogeneous", "two-party", "four-party"],
+    )
+    def test_report_equals_the_serial_walk(self, instance, policy, monkeypatch):
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        sets = len(_h_realizations(compile_instance(instance), 0, 2, DEFAULT_H_ENUM_LIMIT)[0])
+        for h_samples in (2, 3, 5):
+            serial = serial_reliability(monkeypatch, instance, policy=policy, h_samples=h_samples)
+            for cpus in (2, 3):
+                with monkeypatch.context() as patch:
+                    set_cpus(patch, cpus)
+                    forks = count_forks(patch)
+                    split = check_reliability(instance, policy=policy, h_samples=h_samples)
+                assert split == serial
+                assert len(forks) == min(cpus, sets) - 1
+
+    def test_sampled_base_vectors_split_at_the_default_size(self, monkeypatch):
+        # The benchmark's shape: two sampled base-vector sets, each with
+        # 39,366 enumerated realizations, so the walk splits unpatched.
+        instance = M3_N2_K6_R3[0]
+        serial = serial_reliability(monkeypatch, instance, h_samples=3)
+        assert serial.passed and not serial.exhaustive_h and serial.cases == 3 * 39_366
+        for cpus in (2, 3):
+            with monkeypatch.context() as patch:
+                set_cpus(patch, cpus)
+                forks = count_forks(patch)
+                assert check_reliability(instance, h_samples=3) == serial
+            assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("where", ["first part", "across two parts", "last part"])
+    def test_fifth_failure_stops_the_merged_walk(self, where, cpus, monkeypatch):
+        # HOMOGENEOUS enumerates 81 base-vector sets of 162 realizations;
+        # part i of n starts at set 81 * i // n. Case 5 of bad is the stop.
+        part, offsets = {
+            "first part": (0, (2, 3, 4, 5, 6, 7)),
+            "across two parts": (1, (-2, -1, 0, 1, 2, 5)),
+            "last part": (cpus - 1, (10, 11, 13, 14, 16, 17)),
+        }[where]
+        start = 81 * part // cpus * 162 + 1
+        bad = {start + offset for offset in offsets}
+        fail_at_cases(monkeypatch, HOMOGENEOUS, bad)
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        serial = serial_reliability(monkeypatch, HOMOGENEOUS)
+        assert (serial.passed, serial.cases) == (False, sorted(bad)[4])
+        assert len(serial.failures) == 5
+        set_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert check_reliability(HOMOGENEOUS) == serial
+        assert len(forks) == cpus - 1
+
+    def test_sampled_randomness_one_cpu_and_other_threads_never_fork(self, monkeypatch):
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        refuse_fork(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        sampled = check_reliability(HETEROGENEOUS, bound=10**4, sample_beyond_bound=400)
+        assert sampled.passed and not sampled.exhaustive_randomness and sampled.cases == 800
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        try:
+            assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        set_cpus(monkeypatch, 1)
+        assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
+
+    def test_small_walk_stays_in_one_process(self, monkeypatch):
+        refuse_fork(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        assert check_reliability(HOMOGENEOUS).cases == 81 * 162 < audit.SPLIT_MIN_REALIZATIONS
+
+    def test_exception_in_a_child_reaches_the_caller(self, monkeypatch):
+        def fail(h_vectors):
+            raise ValueError(f"no inner products for {h_vectors} in process {os.getpid()}")
+
+        on_h_set(monkeypatch, HOMOGENEOUS, -1, fail)
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match=r"no inner products for \(\(2, 2, 2, 2\),\)") as info:
+            check_reliability(HOMOGENEOUS)
+        assert f"in process {os.getpid()}" not in str(info.value)
+
+    def test_child_ending_without_a_result_is_a_typed_error(self, monkeypatch):
+        on_h_set(monkeypatch, HOMOGENEOUS, -1, lambda h_vectors: os._exit(3))
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        set_cpus(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(AuditPartError, match="part 3 of 3 of the reliability walk sent no result"):
+            check_reliability(HOMOGENEOUS)
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("stop", ["early stop", "interrupt"])
+    def test_children_still_running_are_killed_and_reaped(self, stop, monkeypatch):
+        parent = os.getpid()
+
+        def hang_in_child(h_vectors):
+            if os.getpid() != parent:
+                time.sleep(600)
+
+        def hang_in_child_or_interrupt(h_vectors):
+            hang_in_child(h_vectors)
+            raise KeyboardInterrupt
+
+        # The children each walk from h_list[27] or h_list[54] and hang at
+        # their first set; the parent walks h_list[0] to h_list[26].
+        for index in (27, 54):
+            on_h_set(monkeypatch, HOMOGENEOUS, index, hang_in_child)
+        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
+        set_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        start = time.monotonic()
+        if stop == "early stop":
+            report = check_reliability(HOMOGENEOUS, policy=RandomnessPolicy(correlation_offset=1))
+            assert (report.passed, report.cases) == (False, 5)
+        else:
+            on_h_set(monkeypatch, HOMOGENEOUS, 1, hang_in_child_or_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                check_reliability(HOMOGENEOUS)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestDb1Uniformity:

@@ -98,6 +98,30 @@ class TestEquivalence:
         assert net.messages == ()
         assert net.result.decoded == frozenset()
 
+    def test_spawning_runner_elects_and_derives_the_session_id_once(self, monkeypatch):
+        # session.run_leader elects and derives the session id; the
+        # endpoints the runner spawns reuse both.
+        import mppsi.net
+        import mppsi.session
+
+        calls = {"prepare_session": 0, "make_session_id": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for module in (mppsi.net, mppsi.session):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        config = DEMOS["sec4"].config
+        data = run_networked_session(config).serialize()
+        assert calls == {"prepare_session": 1, "make_session_id": 1}
+        monkeypatch.undo()
+        assert data == run_memory_session(config).serialize()
+
 
 class TestEndpointBehaviour:
     def test_endpoint_logs_match_the_memory_randomness_section(self):
