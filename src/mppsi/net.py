@@ -1,39 +1,36 @@
 """Networked transport: one TCP endpoint per client database.
 
-Each database is an independently addressable endpoint; a party is only an
-administrative grouping. An endpoint is the database.DatabaseState that the
-in-memory transport routes between, built from the shared configuration,
-behind sockets. The randomness phase runs directly between client endpoints
-(individual-value shares to the correlating client's databases, the global
-multiplier broadcast from database 1 of the lowest client); the leader
-connects to each used database once, sends its queries, and reads the
-answers off the same connection, tolerating any interleaving across
-databases.
+Each database is an independently addressable endpoint, a party only an
+administrative grouping: the database.DatabaseState that the in-memory
+transport routes between, behind sockets. Client endpoints send each other
+their randomness shares (individual values to the correlating client's
+databases, the global multiplier from database 1 of the lowest client);
+the leader connects to each queried database once, sends its queries and
+reads the answers off the same connection, in any interleaving.
 
-Endpoints are served by a serve loop: one thread multiplexing their
-listening sockets, the connections they accept and those they open to send
-their shares. The endpoints of spawn_endpoints share one loop; an endpoint
-started alone gets a loop of its own. No socket call blocks the loop: share
-connections are opened by non-blocking connects, and shares and answers
-alike are queued on their connection and written when it is writable.
-begin_sharing and stop wake the loop through a socket pair. Queries that
-arrive before an endpoint's randomness wait on their connection until it is
-installed. The leader runs its whole query round on the calling thread.
+Both sides run on a serve loop: one thread multiplexing the endpoints'
+listening sockets, the connections they accept, and outgoing connections,
+which carry an endpoint's shares or the leader's queries. The endpoints of
+spawn_endpoints share one loop, and the leader's query round runs on it; an
+endpoint started alone gets a loop of its own, and so does a round whose
+databases are known only by address, until it ends. No socket call blocks
+the loop: connects are non-blocking and a refused one is retried, frames
+are queued until their connection is writable, and queries that arrive
+before an endpoint's randomness wait until it is installed.
 
-Frames carry the wire.Message values that the states and the leader
-produce, and nothing is converted on the way: an endpoint hands a decoded
-share to its state's receive and a decoded query, checked to come from the
-leader, to its state's answer, and frames the answers that come back. A
-share connection is done when its receiver, having read every frame,
-closes it; its shares are then logged as sent.
+Frames carry the wire.Message values of the states and the leader,
+unconverted. An outgoing connection counts the replies it expects: a share
+connection none, so it is done when its receiver, having read every frame,
+closes it; a query connection one answer per query, each from the database
+it reaches to the leader, so it is done at the last.
 
-The leader's side is session.run_leader; run_networked_session gives it the
-TCP exchange. That exchange waits until every in-process endpoint's shares
-are sent or have failed, and returns what they logged as sent, in
-randomness.share_order. For endpoints given only by address, whose logs it
-cannot see, it returns the shares of the same states routed by
-randomness.build_bundle. For equal (config, seed) the transcript equals the
-in-memory transport's.
+run_networked_session gives session.run_leader the TCP exchange. Its round
+also waits until each in-process endpoint's shares are sent or have failed,
+and fails at once, with the error as its cause, when one records an error.
+The exchange returns the shares they logged as sent, in
+randomness.share_order; for endpoints given only by address, the shares of
+the same states routed by randomness.build_bundle. For equal (config, seed)
+the transcript equals the in-memory transport's.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SessionConfig
 from .database import DatabaseState
-from .errors import ConfigError, ProtocolViolationError, TransportError
+from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
 from .leader import make_plan_shape
 from .protocol import SessionSetup, make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
@@ -59,23 +56,28 @@ from .wire import Message, decode_msg, encode_msg, split_frames
 
 CONNECT_RETRY_SECONDS = 5.0
 READY_TIMEOUT_SECONDS = 15.0
-ENDPOINT_POLL_SECONDS = 0.05
 SOCKET_TIMEOUT_SECONDS = 15.0
 RETRY_PAUSE_SECONDS = 0.05
 RECV_BYTES = 1 << 16
 
 
+def _prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
+    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    return setup, make_session_id(config)
+
+
 @dataclass
 class _Connection:
-    """An endpoint's side of one connection: accepted, or opened to send shares."""
+    """One connection on a serve loop: accepted by an endpoint, or outgoing."""
 
-    buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
     out: bytearray = field(default_factory=bytearray)  # queued for writing
-    unlogged: List[Message] = field(default_factory=list)  # queued, not yet delivered
-    waiting: List[Message] = field(default_factory=list)  # queries not yet answered
-    deadline: float = 0.0  # when waiting queries, or unfinished shares, give up
-    dest: Optional[Tuple[int, int]] = None  # where a share connection goes
+    deadline: float = 0.0  # when waiting queries, or an unfinished outgoing connection, give up
+    dest: Optional[Tuple[int, int]] = None  # where an outgoing connection goes
     address: Optional[Tuple[str, int]] = None  # the address of dest
+    expected: int = 0  # the replies an outgoing connection still expects: answers
+    unlogged: List[Message] = field(default_factory=list)  # queued, not yet delivered
+    buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
+    waiting: List[Message] = field(default_factory=list)  # queries not yet answered
 
 
 class DatabaseEndpoint:
@@ -115,12 +117,7 @@ class DatabaseEndpoint:
             raise ConfigError(f"party {party_id} has no database {database}")
         # _prepared: the config's setup and session id, when the caller has
         # them already (spawn_endpoints derives them once for every endpoint).
-        if _prepared is None:
-            _prepared = (
-                prepare_session(config.parties, config.universe, config.leader_override),
-                make_session_id(config),
-            )
-        setup, self.session_id = _prepared
+        setup, self.session_id = _prepared or _prepare(config)
         self.field = setup.field
         self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
         self.leader_id = setup.leader.party_id
@@ -176,6 +173,8 @@ class DatabaseEndpoint:
 
     def begin_sharing(self, addresses: Dict[Tuple[int, int], Tuple[str, int]]) -> None:
         """Have the serve loop send this database's randomness shares."""
+        if self._loop is None:
+            raise TransportError("endpoint not started")
         outgoing: Dict[Tuple[int, int], List[Message]] = {}
         for share in self.state.shares() if self.state is not None else ():
             outgoing.setdefault(share.dest, []).append(share)
@@ -184,11 +183,11 @@ class DatabaseEndpoint:
             self._shared.set()
             return
         deadline = time.monotonic() + CONNECT_RETRY_SECONDS
+        conns = []
         for dest, msgs in sorted(outgoing.items()):
             frames = bytearray(b"".join(map(encode_msg, msgs)))
-            conn = _Connection(out=frames, unlogged=msgs, deadline=deadline, dest=dest)
-            conn.address = addresses.get(dest)
-            self._loop.requests.put((self, conn))
+            conns.append(_Connection(frames, deadline, dest, addresses.get(dest), unlogged=msgs))
+        self._loop.requests.put((self, conns))
         self._loop.wake()
 
     def _read_frames(self, sock: socket.socket, conn: _Connection) -> None:
@@ -233,20 +232,34 @@ class DatabaseEndpoint:
                 raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
 
 
-class _ServeLoop:
-    """One thread serving the sockets of one or more database endpoints.
+@dataclass(eq=False)
+class _Round:
+    """The leader's query round on a serve loop: one connection per database."""
 
-    Only the loop thread touches the selector, the connections and the
-    endpoints' logs; other threads hand it work through requests and wake.
+    leader: Tuple[int, int]
+    open: int  # query connections not yet done
+    watched: Sequence[DatabaseEndpoint]  # in-process endpoints: their shares end it too
+    answers: List[Message] = field(default_factory=list)
+    error: Optional[MppsiError] = None
+    done: threading.Event = field(default_factory=threading.Event)
+
+
+class _ServeLoop:
+    """One thread serving database endpoints and the leader's query rounds.
+
+    Only the loop thread touches the selector, the connections, the rounds
+    and the endpoints' logs; other threads hand it work through requests and
+    wake. It runs until it serves neither endpoints nor rounds.
     """
 
     def __init__(self) -> None:
         self.selector = selectors.DefaultSelector()
         self.endpoints: List[DatabaseEndpoint] = []  # changed only by the loop once started
+        self.rounds: List[_Round] = []
         self.thread = threading.Thread(target=self._run, daemon=True)
-        # (endpoint, share connection) from begin_sharing
+        # (endpoint or round, its outgoing connections): shares, or queries
         self.requests: queue.SimpleQueue = queue.SimpleQueue()
-        self._retries: List[Tuple[float, DatabaseEndpoint, _Connection]] = []
+        self._retries: List[Tuple[float, DatabaseEndpoint | _Round, _Connection]] = []
         self._wake_lock = threading.Lock()  # the loop closes the waker while others may write
         self._wakeup, self._waker = socket.socketpair()
         self._wakeup.setblocking(False)
@@ -272,7 +285,7 @@ class _ServeLoop:
         selector = self.selector
         try:
             patience = None
-            while self.endpoints:
+            while True:
                 for key, mask in selector.select(patience):
                     if key.data is None:
                         self._take_requests()
@@ -281,9 +294,11 @@ class _ServeLoop:
                     else:
                         self._step(key, mask)
                 patience = self._tick()
+                if not (self.endpoints or self.rounds):
+                    break
         finally:
-            for endpoint in list(self.endpoints):
-                self._remove(endpoint)
+            for owner in self.endpoints + self.rounds:
+                self._remove(owner)
             selector.close()
             with self._wake_lock:
                 self._wakeup.close()
@@ -292,16 +307,21 @@ class _ServeLoop:
     def _take_requests(self) -> None:
         self._wakeup.recv(RECV_BYTES)
         while not self.requests.empty():
-            self._connect(*self.requests.get())
+            owner, conns = self.requests.get()
+            if isinstance(owner, _Round):
+                self.rounds.append(owner)
+            for conn in conns:
+                self._connect(owner, conn)
 
-    def _connect(self, endpoint: DatabaseEndpoint, conn: _Connection) -> None:
-        """Open a share connection; it is writable once connected or refused."""
+    def _connect(self, owner: DatabaseEndpoint | _Round, conn: _Connection) -> None:
+        """Open an outgoing connection; it is writable once connected or refused."""
         if conn.address is None:
-            self._finish(endpoint, conn, f"no address for database endpoint {conn.dest}")
+            missing = TransportError(f"no address for database endpoint {conn.dest}")
+            self._finish(owner, conn, missing)
             return
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
-        key = self.selector.register(sock, selectors.EVENT_WRITE, (endpoint, conn))
+        key = self.selector.register(sock, selectors.EVENT_WRITE, (owner, conn))
         try:
             sock.connect(conn.address)
         except BlockingIOError:
@@ -320,58 +340,82 @@ class _ServeLoop:
     def _step(self, key: selectors.SelectorKey, mask: int) -> None:
         """Serve one ready connection; on failure close it."""
         sock = key.fileobj
-        endpoint, conn = key.data
+        owner, conn = key.data
         try:
             if mask & selectors.EVENT_WRITE:
                 if conn.dest is not None:
-                    # A share connection: its connect may have been refused.
+                    # An outgoing connection: its connect may have been refused.
                     error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
                     if error:
                         raise OSError(error, os.strerror(error))
-                    conn.deadline = time.monotonic() + SOCKET_TIMEOUT_SECONDS
+                    # Queries wait at their database until its randomness is in.
+                    patience = READY_TIMEOUT_SECONDS if conn.expected else 0.0
+                    conn.deadline = time.monotonic() + SOCKET_TIMEOUT_SECONDS + patience
                 self._write(key)
             if mask & selectors.EVENT_READ:
                 if conn.dest is None:
-                    endpoint._read_frames(sock, conn)
-                elif sock.recv(1):
-                    raise ProtocolViolationError(f"{conn.dest} wrote on a share connection")
+                    owner._read_frames(sock, conn)
                 else:
-                    # The receiver closed the connection having read every frame.
-                    self._close(key)
+                    self._read_replies(key)
         except (ProtocolViolationError, TransportError, OSError) as exc:
             self._close(key, exc)
 
     def _write(self, key: selectors.SelectorKey) -> None:
         sock = key.fileobj
-        endpoint, conn = key.data
+        owner, conn = key.data
         del conn.out[: sock.send(conn.out)]
         if conn.out:
             return
-        if conn.dest is not None:
-            sock.shutdown(socket.SHUT_WR)  # then wait for the receiver to close
-        else:
-            endpoint.sent_log.extend(conn.unlogged)
+        if conn.dest is None:
+            owner.sent_log.extend(conn.unlogged)
             conn.unlogged = []
+        elif not conn.expected:  # a share connection; an endpoint drops a closed peer's answers
+            sock.shutdown(socket.SHUT_WR)  # then wait for the receiver to close
         self.selector.modify(sock, selectors.EVENT_READ, key.data)
 
+    def _read_replies(self, key: selectors.SelectorKey) -> None:
+        """Read an outgoing connection until it has every reply it expects."""
+        sock = key.fileobj
+        owner, conn = key.data
+        chunk = sock.recv(RECV_BYTES)
+        if not chunk:
+            if conn.expected:
+                raise TransportError(f"database {conn.dest} closed before answering")
+            self._close(key)  # the receiver closed it having read every frame
+            return
+        if not conn.expected:
+            raise ProtocolViolationError(f"{conn.dest} wrote on a share connection")
+        conn.buffer += chunk
+        for frame in split_frames(conn.buffer):
+            msg = decode_msg(frame)
+            if not conn.expected or msg.origin != conn.dest or msg.dest != owner.leader:
+                raise ProtocolViolationError(
+                    f"unexpected answer from {msg.origin} to {msg.dest} on "
+                    f"the connection to {conn.dest}"
+                )
+            owner.answers.append(msg)
+            conn.expected -= 1
+        if not conn.expected:
+            self._close(key)
+
     def _tick(self) -> Optional[float]:
-        """Retry refused connects, answer queries now ready, enforce deadlines.
+        """Retry refused connects, answer ready queries, enforce deadlines, end rounds.
 
         Returns how long the loop may block: until the next retry or deadline.
         """
         now = time.monotonic()
         due = [retry for retry in self._retries if retry[0] <= now]
         self._retries = [retry for retry in self._retries if retry[0] > now]
-        for _, endpoint, conn in due:
-            self._connect(endpoint, conn)
+        for _, owner, conn in due:
+            self._connect(owner, conn)
         times = [retry_at for retry_at, _, _ in self._retries]
         for key in list(self.selector.get_map().values()):
             if key.data is None or key.data[1] is None:
                 continue
-            endpoint, conn = key.data
+            owner, conn = key.data
             try:
-                if conn.waiting and endpoint.state.ready:
-                    answers = endpoint.state.answer(conn.waiting, endpoint.config.universe)
+                if conn.waiting and owner.state.ready:
+                    answers = owner.state.answer(conn.waiting, owner.config.universe)
                     conn.waiting = []
                     conn.out += b"".join(map(encode_msg, answers))
                     conn.unlogged.extend(answers)
@@ -386,6 +430,13 @@ class _ServeLoop:
                     times.append(conn.deadline)
             except (ProtocolViolationError, TransportError) as exc:
                 self._close(key, exc)
+        for rnd in list(self.rounds):
+            errors = _endpoint_errors(rnd.watched)
+            if errors and rnd.error is None:
+                rnd.error = TransportError(f"a database endpoint failed: {errors[0]}")
+                rnd.error.__cause__ = errors[0]
+            if rnd.error or not (rnd.open or any(ep._sending for ep in rnd.watched)):
+                self._remove(rnd)
         for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
             self._remove(endpoint)
         return max(0.0, min(times) - now) if times else None
@@ -393,160 +444,99 @@ class _ServeLoop:
     def _close(self, key: selectors.SelectorKey, cause=None) -> None:
         """Close a connection, failed when cause is given, which tells the peer.
 
-        A share connection that closes ends its shares, as sent or as failed.
+        An outgoing connection that closes is done, or failed for cause.
         """
         self.selector.unregister(key.fileobj)
         key.fileobj.close()
-        endpoint, conn = key.data
+        owner, conn = key.data
         if conn.dest is not None:
-            self._finish(endpoint, conn, cause)
+            self._finish(owner, conn, cause)
 
-    def _finish(self, endpoint: DatabaseEndpoint, conn: _Connection, cause=None) -> None:
-        """End a share connection: its shares are sent, or cause says why not.
+    def _finish(self, owner: DatabaseEndpoint | _Round, conn: _Connection, cause=None) -> None:
+        """End an outgoing connection: done, or failed for cause.
 
         A refused connect is tried again shortly, until the connection's
-        deadline: its receiver may not listen yet.
+        deadline: its receiver may not listen yet. A failed query connection
+        fails its round.
         """
         retry_at = time.monotonic() + RETRY_PAUSE_SECONDS
         if isinstance(cause, ConnectionRefusedError) and retry_at < conn.deadline:
-            self._retries.append((retry_at, endpoint, conn))
+            self._retries.append((retry_at, owner, conn))
+            return
+        if isinstance(owner, _Round):
+            if cause is not None and owner.error is None:
+                kind = type(cause) if isinstance(cause, MppsiError) else TransportError
+                owner.error = kind(f"queries to {conn.dest} not answered: {cause}")
+                owner.error.__cause__ = cause
+            owner.open -= 1
             return
         if cause is None:
-            endpoint.sent_log.extend(conn.unlogged)
+            owner.sent_log.extend(conn.unlogged)
         else:
-            sender = (endpoint.party_id, endpoint.database)
-            endpoint.errors.append(
+            sender = (owner.party_id, owner.database)
+            owner.errors.append(
                 TransportError(f"shares from {sender} to {conn.dest} not sent: {cause}")
             )
-        endpoint._sending -= 1
-        if not endpoint._sending:
-            endpoint._shared.set()
+        owner._sending -= 1
+        if not owner._sending:
+            owner._shared.set()
 
-    def _remove(self, endpoint: DatabaseEndpoint) -> None:
-        """Stop serving an endpoint: close its connections, forget its socket."""
+    def _remove(self, owner: DatabaseEndpoint | _Round) -> None:
+        """Stop serving an endpoint or a round: close its connections, forget it."""
         for key in list(self.selector.get_map().values()):
-            if key.data is not None and key.data[0] is endpoint:
+            if key.data is not None and key.data[0] is owner:
                 self.selector.unregister(key.fileobj)
                 if key.data[1] is not None:
                     key.fileobj.close()
-        self._retries = [retry for retry in self._retries if retry[1] is not endpoint]
-        self.endpoints.remove(endpoint)
-        endpoint._closed.set()
-
-
-def _connect_with_retry(address: Tuple[str, int]) -> socket.socket:
-    deadline = time.monotonic() + CONNECT_RETRY_SECONDS
-    while True:
-        try:
-            return socket.create_connection(address, timeout=SOCKET_TIMEOUT_SECONDS)
-        except OSError as exc:
-            if time.monotonic() >= deadline:
-                raise TransportError(f"cannot connect to {address}: {exc}") from exc
-            time.sleep(RETRY_PAUSE_SECONDS)
-
-
-@dataclass
-class _Exchange:
-    """The leader's side of one database connection in the query round."""
-
-    dest: Tuple[int, int]
-    outgoing: memoryview  # the query frames not yet written, in order
-    expected: int  # answers still to come
-    buffer: bytearray = field(default_factory=bytearray)
+        self._retries = [retry for retry in self._retries if retry[1] is not owner]
+        if isinstance(owner, _Round):
+            self.rounds.remove(owner)
+            owner.done.set()
+        else:
+            self.endpoints.remove(owner)
+            owner._closed.set()
 
 
 def _query_round(
     addresses: Dict[Tuple[int, int], Tuple[str, int]],
-    exchanges: Dict[Tuple[int, int], _Exchange],
+    queries: Dict[Tuple[int, int], Tuple[bytes, int]],
     leader: Tuple[int, int],
     endpoints: Sequence[DatabaseEndpoint] = (),
 ) -> List[Message]:
-    """Send every query and collect every answer on the calling thread.
+    """Send every query and collect every answer on a serve loop.
 
-    Each database gets one connection. Its queries are written as its socket
-    takes them and its answers read as they arrive, so no database waits on
-    another. An answer must come from the database its connection reaches
-    and be addressed to the leader.
-
-    While in-process endpoints serve the session, the round looks at their
-    recorded errors at least every ENDPOINT_POLL_SECONDS and fails with the
-    first one as its cause; a round that fails otherwise names them too.
+    queries maps each database to its query frames and their count. The
+    round runs on the in-process endpoints' loop, or on one of its own. It
+    also waits for their shares, and fails at once, with their error as its
+    cause, when one records one; a round that fails otherwise names their
+    errors.
     """
-    try:
-        return _exchange_all(addresses, exchanges, leader, endpoints)
-    except (TransportError, ProtocolViolationError) as exc:
-        errors = _endpoint_errors(endpoints)
-        if not errors or exc.__cause__ in errors:
-            raise
-        listed = "; ".join(str(error) for error in errors)
-        raise type(exc)(f"{exc} (endpoint errors: {listed})") from exc
+    deadline = time.monotonic() + CONNECT_RETRY_SECONDS
+    conns = [
+        _Connection(bytearray(frames), deadline, dest, addresses.get(dest), count)
+        for dest, (frames, count) in sorted(queries.items())
+    ]
+    rnd = _Round(leader, len(conns), endpoints)
+    loop = endpoints[0]._loop if endpoints else None
+    if loop is None:
+        loop = _ServeLoop()
+        loop.start()
+    loop.requests.put((rnd, conns))
+    loop.wake()
+    # Each connection ends by its deadlines within this time.
+    limit = CONNECT_RETRY_SECONDS + READY_TIMEOUT_SECONDS + SOCKET_TIMEOUT_SECONDS
+    if rnd.done.wait(limit) and rnd.error is None and not rnd.open:
+        return rnd.answers
+    error = rnd.error or TransportError("query round did not finish")
+    errors = _endpoint_errors(endpoints)
+    if errors and error.__cause__ not in errors:
+        listed = "; ".join(map(str, errors))
+        raise type(error)(f"{error} (endpoint errors: {listed})") from error
+    raise error
 
 
 def _endpoint_errors(endpoints: Sequence[DatabaseEndpoint]) -> List[TransportError]:
     return [error for endpoint in endpoints for error in endpoint.errors]
-
-
-def _exchange_all(
-    addresses: Dict[Tuple[int, int], Tuple[str, int]],
-    exchanges: Dict[Tuple[int, int], _Exchange],
-    leader: Tuple[int, int],
-    endpoints: Sequence[DatabaseEndpoint],
-) -> List[Message]:
-    selector = selectors.DefaultSelector()
-    conns: List[socket.socket] = []
-    collected: List[Message] = []
-    try:
-        for dest, exchange in sorted(exchanges.items()):
-            if dest not in addresses:
-                raise TransportError(f"no address for database endpoint {dest}")
-            conn = _connect_with_retry(addresses[dest])
-            conns.append(conn)
-            conn.setblocking(False)
-            selector.register(conn, selectors.EVENT_READ | selectors.EVENT_WRITE, exchange)
-        pending = sum(exchange.expected for exchange in exchanges.values())
-        deadline = time.monotonic() + READY_TIMEOUT_SECONDS + SOCKET_TIMEOUT_SECONDS
-        while pending:
-            wait = deadline - time.monotonic()
-            events = selector.select(min(wait, ENDPOINT_POLL_SECONDS) if endpoints else wait)
-            errors = _endpoint_errors(endpoints)
-            if errors:
-                raise TransportError(f"a database endpoint failed: {errors[0]}") from errors[0]
-            if not events:
-                if time.monotonic() < deadline:
-                    continue
-                raise TransportError("query round timed out")
-            for key, mask in events:
-                conn, exchange = key.fileobj, key.data
-                if mask & selectors.EVENT_WRITE and exchange.outgoing:
-                    exchange.outgoing = exchange.outgoing[conn.send(exchange.outgoing):]
-                    if not exchange.outgoing:
-                        selector.modify(conn, selectors.EVENT_READ, exchange)
-                if mask & selectors.EVENT_READ:
-                    chunk = conn.recv(RECV_BYTES)
-                    if not chunk:
-                        raise TransportError(f"database {exchange.dest} closed before answering")
-                    exchange.buffer += chunk
-                    for frame in split_frames(exchange.buffer):
-                        exchange.expected -= 1
-                        if exchange.expected < 0:
-                            raise ProtocolViolationError(
-                                f"database {exchange.dest} sent more answers than queries"
-                            )
-                        msg = decode_msg(frame)
-                        if msg.origin != exchange.dest or msg.dest != leader:
-                            raise ProtocolViolationError(
-                                f"answer from {msg.origin} to {msg.dest} arrived on "
-                                f"the connection to {exchange.dest}"
-                            )
-                        collected.append(msg)
-                        pending -= 1
-    except OSError as exc:
-        raise TransportError(f"query round failed: {exc}") from exc
-    finally:
-        selector.close()
-        for conn in conns:
-            conn.close()
-    return collected
 
 
 def spawn_endpoints(
@@ -558,11 +548,7 @@ def spawn_endpoints(
     """Start one in-process endpoint per client database (ephemeral ports)."""
     # _prepared: the config's setup and session id, when the caller has them
     # already (run_networked_session gets both from run_leader).
-    if _prepared is None:
-        _prepared = (
-            prepare_session(config.parties, config.universe, config.leader_override),
-            make_session_id(config),
-        )
+    _prepared = _prepared or _prepare(config)
     setup = _prepared[0]
     loop = _ServeLoop()
     endpoints = []
@@ -591,14 +577,14 @@ def run_networked_session(
 
     def exchange(setup, plan, query_plan, session_id):
         leader = (plan.leader_id, 0)
-        exchanges = {
-            dest: _Exchange(dest, memoryview(b"".join(map(encode_msg, msgs))), len(msgs))
+        queries = {
+            dest: (b"".join(map(encode_msg, msgs)), len(msgs))
             for dest, msgs in query_plan.queries.items()
         }
         if endpoints is None and config.addresses:
             addresses = dict(config.addresses)
             _check_external_addresses(setup, addresses)
-            answers = _query_round(addresses, exchanges, leader)
+            answers = _query_round(addresses, queries, leader)
             # External endpoints keep their logs: route the same states here.
             _, shares = build_bundle(
                 plan, setup.clients, setup.field, config.seed, session_id, policy
@@ -613,29 +599,15 @@ def run_networked_session(
             # the leader's work above does not compete with theirs for the GIL.
             for ep in serving:
                 ep.begin_sharing(addresses)
-            answers = _query_round(addresses, exchanges, leader, serving)
-            return _sent_shares(serving), answers
+            answers = _query_round(addresses, queries, leader, serving)
+            sent = [msg for ep in serving for msg in ep.sent_log if msg.phase == "randomness"]
+            return sorted(sent, key=share_order), answers
         finally:
             if endpoints is None:
                 for ep in serving:
                     ep.stop()
 
     return run_leader(config, exchange)
-
-
-def _sent_shares(endpoints: Sequence[DatabaseEndpoint]) -> List[Message]:
-    """The shares the endpoints logged as sent, in canonical order, once all are done."""
-    # The loop ends every share connection within this time.
-    for endpoint in endpoints:
-        if not endpoint._shared.wait(CONNECT_RETRY_SECONDS + SOCKET_TIMEOUT_SECONDS):
-            raise TransportError(
-                f"shares from {(endpoint.party_id, endpoint.database)} still unsent"
-            )
-    errors = _endpoint_errors(endpoints)
-    if errors:
-        raise TransportError(f"a database endpoint failed: {errors[0]}") from errors[0]
-    sent = [msg for endpoint in endpoints for msg in endpoint.sent_log]
-    return sorted((msg for msg in sent if msg.phase == "randomness"), key=share_order)
 
 
 def _check_external_addresses(setup, addresses) -> None:

@@ -404,6 +404,13 @@ class TestEndpointBehaviour:
             for endpoint in [sender, late] + others:
                 endpoint.stop()
 
+    @pytest.mark.parametrize("key", [(1, 1), (1, 2)])
+    def test_sharing_before_start_is_a_transport_error(self, key):
+        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, *key)
+        assert endpoint.state.shares()
+        with pytest.raises(TransportError, match="endpoint not started"):
+            endpoint.begin_sharing({})
+
     def test_leader_party_cannot_serve_endpoints(self):
         from mppsi.errors import ConfigError
 
@@ -447,6 +454,70 @@ class TestExternalAddresses:
                 ep.stop()
         assert transcript.result.decoded == demo.expected_decoded
         assert transcript.serialize() == run_memory_session(config).serialize()
+
+    def test_refused_query_connection_is_retried_until_its_database_listens(self):
+        config = DEMOS["sec4"].config
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        *keys, late_key = client_databases(config)
+        early = [DatabaseEndpoint(config, *key) for key in keys]
+        late = DatabaseEndpoint(config, *late_key, port=port)
+        for endpoint in early:
+            endpoint.start()
+        addresses = {(ep.party_id, ep.database): ep.address for ep in early}
+        addresses[late_key] = ("127.0.0.1", port)
+        for endpoint in early:
+            endpoint.begin_sharing(addresses)
+
+        def start_late():
+            late.start()
+            late.begin_sharing(addresses)
+
+        transcript = run_while_late(config, early + [late], addresses, start_late)
+        assert any(m.type == "query" for m in late.received_log)
+        assert transcript.serialize() == run_memory_session(config).serialize()
+
+    def test_queries_wait_at_their_databases_for_the_randomness(self):
+        config = DEMOS["sec4"].config
+        endpoints = [DatabaseEndpoint(config, *key) for key in client_databases(config)]
+        for endpoint in endpoints:
+            endpoint.start()
+        addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+
+        def share_late():
+            for endpoint in endpoints:
+                endpoint.begin_sharing(addresses)
+
+        transcript = run_while_late(config, endpoints, addresses, share_late)
+        assert transcript.serialize() == run_memory_session(config).serialize()
+
+
+def client_databases(config):
+    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    return [
+        (client.party_id, db)
+        for client in setup.clients
+        for db in range(1, client.num_databases + 1)
+    ]
+
+
+def run_while_late(config, endpoints, addresses, late):
+    """Run a session on endpoints known only by address; late runs 0.3 s in."""
+
+    def run_late():
+        time.sleep(0.3)
+        late()
+
+    starter = threading.Thread(target=run_late)
+    starter.start()
+    try:
+        return run_networked_session(replace(config, transport="net", addresses=addresses))
+    finally:
+        starter.join()
+        for endpoint in endpoints:
+            endpoint.stop()
 
 
 class TestPoliciesOverTcp:
@@ -742,9 +813,8 @@ class TestEndpointErrorsReachTheRunner:
 
         endpoint = DatabaseEndpoint(DEMOS["sec4"].config, 1, 1)
         endpoint.errors.append(TransportError("shares from (1, 1) to (2, 3) not sent: refused"))
-        exchange = net_mod._Exchange((2, 1), memoryview(b""), 1)
         with pytest.raises(TransportError) as raised:
-            net_mod._query_round({}, {(2, 1): exchange}, (3, 0), [endpoint])
+            net_mod._query_round({}, {(2, 1): (b"", 1)}, (3, 0), [endpoint])
         message = str(raised.value)
         assert "no address for database endpoint (2, 1)" in message
         assert "shares from (1, 1) to (2, 3) not sent: refused" in message
