@@ -86,16 +86,12 @@ def answer_all(
         if len(q) != universe.size:
             raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")
         value = answer_value(inner_product(q), s_slot, t_slot, bundle.c, field.modulus)
+        # Fields in order (type, session_id, phase, origin, dest, partition,
+        # target, values): keywords cost about twice as much per message.
         answers.append(
             Message(
-                type="answer",
-                session_id=query.session_id,
-                phase="answer",
-                origin=address,
-                dest=query.origin,
-                partition=query.partition,
-                target=query.target,
-                values=bytes((value,)),
+                "answer", query.session_id, "answer", address, query.origin,
+                query.partition, query.target, bytes((value,)),
             )
         )
     return answers

@@ -22,7 +22,7 @@ from .model import PartyProfile, Universe
 from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_value
-from .wire import Message, values_text
+from .wire import Message, render_values
 
 
 class DatabaseState:
@@ -94,16 +94,12 @@ class DatabaseState:
                 for db in range(1, self.shape.databases[client] + 1)
                 if (client, db) != self.address
             )
+        # Fields in order (type, session_id, phase, origin, dest, partition,
+        # target, values): keywords cost about twice as much per message.
         return [
             Message(
-                type=kind,
-                session_id=self.session_id,
-                phase="randomness",
-                origin=self.address,
-                dest=dest,
-                partition=None,
-                target=position,
-                values=bytes((value,)),
+                kind, self.session_id, "randomness", self.address, dest,
+                None, position, bytes((value,)),
             )
             for kind, dest, position, value in sent
         ]
@@ -120,7 +116,7 @@ class DatabaseState:
         if len(share.values) != 1 or not 0 <= share.values[0] < modulus:
             raise ProtocolViolationError(
                 f"{share.type} must carry one residue below {modulus}, "
-                f"got [{values_text(share.values)}]"
+                f"got [{render_values(share.values).decode('ascii')}]"
             )
         (value,) = share.values
         if share.type == "c_share":

@@ -28,7 +28,7 @@ from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
 from .model import PartyProfile, Universe
 from .seeding import draw_vector
-from .wire import Message, values_text
+from .wire import Message, render_values
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -215,17 +215,10 @@ def generate_queries(
     queries: Dict[Tuple[int, int], List[Message]] = {}
 
     def send(dest: Tuple[int, int], partition: int, target: Optional[int], vector: bytes) -> None:
+        # Fields in order (type, session_id, phase, origin, dest, partition,
+        # target, values): keywords cost about twice as much per message.
         queries.setdefault(dest, []).append(
-            Message(
-                type="query",
-                session_id=session_id,
-                phase="query",
-                origin=leader,
-                dest=dest,
-                partition=partition,
-                target=target,
-                values=vector,
-            )
+            Message("query", session_id, "query", leader, dest, partition, target, vector)
         )
 
     for client_id in shape.client_ids:
@@ -312,7 +305,7 @@ def decode(
         if len(answer.values) != 1 or not 0 <= answer.values[0] < modulus:
             raise ProtocolViolationError(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
-                f"got [{values_text(answer.values)}]"
+                f"got [{render_values(answer.values).decode('ascii')}]"
             )
         key = (answer.origin[0], answer.partition, answer.target)
         if key in values:

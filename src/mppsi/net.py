@@ -117,7 +117,9 @@ class DatabaseEndpoint:
             raise ConfigError(f"party {party_id} has no database {database}")
         # _prepared: the config's setup and session id, when the caller has
         # them already (spawn_endpoints derives them once for every endpoint).
-        setup, self.session_id = _prepared or _prepare(config)
+        # The endpoint keeps them for a runner given it with the same config.
+        self._prepared = _prepared or _prepare(config)
+        setup, self.session_id = self._prepared
         self.field = setup.field
         self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
         self.leader_id = setup.leader.party_id
@@ -185,7 +187,7 @@ class DatabaseEndpoint:
         deadline = time.monotonic() + CONNECT_RETRY_SECONDS
         conns = []
         for dest, msgs in sorted(outgoing.items()):
-            frames = bytearray(b"".join(map(encode_msg, msgs)))
+            frames = bytearray().join(map(encode_msg, msgs))
             conns.append(_Connection(frames, deadline, dest, addresses.get(dest), unlogged=msgs))
         self._loop.requests.put((self, conns))
         self._loop.wake()
@@ -417,7 +419,8 @@ class _ServeLoop:
                 if conn.waiting and owner.state.ready:
                     answers = owner.state.answer(conn.waiting, owner.config.universe)
                     conn.waiting = []
-                    conn.out += b"".join(map(encode_msg, answers))
+                    for answer in answers:
+                        conn.out += encode_msg(answer)
                     conn.unlogged.extend(answers)
                     self.selector.modify(
                         key.fileobj, selectors.EVENT_READ | selectors.EVENT_WRITE, key.data
@@ -499,7 +502,7 @@ class _ServeLoop:
 
 def _query_round(
     addresses: Dict[Tuple[int, int], Tuple[str, int]],
-    queries: Dict[Tuple[int, int], Tuple[bytes, int]],
+    queries: Dict[Tuple[int, int], Tuple[bytearray, int]],
     leader: Tuple[int, int],
     endpoints: Sequence[DatabaseEndpoint] = (),
 ) -> List[Message]:
@@ -513,7 +516,7 @@ def _query_round(
     """
     deadline = time.monotonic() + CONNECT_RETRY_SECONDS
     conns = [
-        _Connection(bytearray(frames), deadline, dest, addresses.get(dest), count)
+        _Connection(frames, deadline, dest, addresses.get(dest), count)
         for dest, (frames, count) in sorted(queries.items())
     ]
     rnd = _Round(leader, len(conns), endpoints)
@@ -572,13 +575,15 @@ def run_networked_session(
 
     Without explicit endpoints (and without configured addresses) the runner
     spawns one endpoint per client database under policy, all served by one
-    thread, and tears them down afterwards.
+    thread, and tears them down afterwards. Either way the session elects
+    and derives its session id once: given endpoints built from this config
+    lend the runner the setup and session id they carry.
     """
 
     def exchange(setup, plan, query_plan, session_id):
         leader = (plan.leader_id, 0)
         queries = {
-            dest: (b"".join(map(encode_msg, msgs)), len(msgs))
+            dest: (bytearray().join(map(encode_msg, msgs)), len(msgs))
             for dest, msgs in query_plan.queries.items()
         }
         if endpoints is None and config.addresses:
@@ -607,7 +612,8 @@ def run_networked_session(
                 for ep in serving:
                     ep.stop()
 
-    return run_leader(config, exchange)
+    prepared = endpoints[0]._prepared if endpoints and endpoints[0].config == config else None
+    return run_leader(config, exchange, _prepared=prepared)
 
 
 def _check_external_addresses(setup, addresses) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError, ProtocolViolationError
@@ -65,7 +65,9 @@ class SessionTranscript:
 
         Its keys in sorted order are cost_table, leader, messages, result and
         session_id, so the text is a head object, the message bodies exactly
-        as they travel in frames, and a tail object.
+        as they travel in frames, and a tail object. Each body is rendered
+        once, as bytes, and everything is joined once: a call allocates one
+        transcript-sized result.
         """
         head = _compact_json(
             {
@@ -85,8 +87,14 @@ class SessionTranscript:
                 "session_id": self.session_id,
             }
         )
-        bodies = ",".join(map(render_body, self.messages))
-        return f'{head[:-1]},"messages":[{bodies}],{tail[1:]}\n'.encode("ascii")
+        # One join of the head, the bodies with commas between, and the tail.
+        parts = [f'{head[:-1]},"messages":['.encode("ascii")]
+        for body in map(render_body, self.messages):
+            parts += (body, b",")
+        if self.messages:
+            parts.pop()  # the comma after the last body
+        parts.append(f"],{tail[1:]}\n".encode("ascii"))
+        return b"".join(parts)
 
 
 def _compact_json(data: dict) -> str:
@@ -144,14 +152,25 @@ def transcript_from_run(
     )
 
 
-def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
+def run_leader(
+    config: SessionConfig,
+    exchange: Exchange,
+    *,
+    _prepared: Optional[Tuple[SessionSetup, str]] = None,
+) -> SessionTranscript:
     """Run the leader's side of one session, its traffic carried by exchange.
 
     An empty leader set short-circuits: the intersection is necessarily
     empty, so nothing is drawn and exchange is never called.
     """
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
-    session_id = make_session_id(config)
+    # _prepared: the config's setup and session id, when the transport has
+    # them already (net's endpoints built from this config carry both).
+    if _prepared is None:
+        _prepared = (
+            prepare_session(config.parties, config.universe, config.leader_override),
+            make_session_id(config),
+        )
+    setup, session_id = _prepared
     if not setup.leader.data_set:
         empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)

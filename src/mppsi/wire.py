@@ -4,8 +4,8 @@ Every protocol message is one frame: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON. The JSON object carries exactly
 the fields {type, session_id, phase, origin, dest, partition, target,
 values}; unknown fields are rejected on decode. Frames above 1 MiB (or
-empty) are invalid. render_body is the one renderer of a message: frame
-payloads and transcript entries are the same text.
+empty) are invalid. render_body is the one renderer of a message: it writes
+ASCII bytes, and frame payloads and transcript entries are the same bytes.
 
 A message's values are field residues held as bytes, one byte per residue:
 L <= 251 (field.select_field_size), so every residue fits. On the wire they
@@ -162,40 +162,48 @@ _CANONICAL_HEAD = re.compile(
 _KINDS = {(t.encode("ascii"), p.encode("ascii")): (t, p) for t, p in PHASE_BY_TYPE.items()}
 
 
-def values_text(values: bytes) -> str:
-    """The comma-separated decimal values, as json.dumps writes them and as
-    error messages show them."""
+# Each residue 0..255 as its decimal digits.
+_DECIMAL = tuple(str(value).encode("ascii") for value in range(256))
+
+
+def render_values(values: bytes) -> bytes:
+    """The comma-separated decimal values, as json.dumps writes them.
+
+    Written straight from the residue bytes: nothing for no values, one
+    table entry for one value (every answer and share carries one), one
+    translate interleaved with commas when every value is one digit, and
+    the joined decimals of each value otherwise. The result is bytes-like
+    (a bytearray on the one-digit path); error messages decode it.
+    """
+    if not values:
+        return b""
+    if len(values) == 1:
+        return _DECIMAL[values[0]]
     digits = values.translate(_DIGITS)
     if b"\0" in digits:
-        return ",".join(map(str, values))
+        return b",".join(map(_DECIMAL.__getitem__, values))
     text = bytearray(b"," * (2 * len(digits) - 1))
     text[::2] = digits
-    return text.decode("ascii")
+    return text
 
 
-def _tag_text(tag: Optional[int]) -> str:
-    return "null" if tag is None else str(tag)
+def render_body(msg: Message) -> bytes:
+    """The JSON of a message as ASCII bytes: a frame's payload and a transcript entry.
 
-
-def render_body(msg: Message) -> str:
-    """The JSON text of a message: a frame's payload and a transcript entry.
-
-    Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":")),
-    written directly: the keys in sorted order, strings ASCII-escaped, and
-    the values rendered in one pass (one residue, as every answer and share
-    carries, by str alone).
+    Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
+    encoded, written directly: the head up to the values rendered once, with
+    the keys in sorted order and strings ASCII-escaped, then render_values
+    of the residue bytes, joined into one bytes object.
     """
-    values = msg.values
-    return (
-        f'{{"dest":[{msg.dest[0]},{msg.dest[1]}],'
-        f'"origin":[{msg.origin[0]},{msg.origin[1]}],'
-        f'"partition":{_tag_text(msg.partition)},'
-        f'"phase":{_quote(msg.phase)},'
-        f'"session_id":{_quote(msg.session_id)},'
-        f'"target":{_tag_text(msg.target)},'
-        f'"type":{_quote(msg.type)},'
-        f'"values":[{str(values[0]) if len(values) == 1 else values_text(values)}]}}'
+    msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
+    head = (
+        f'{{"dest":[{d0},{d1}],"origin":[{o0},{o1}],'
+        f'"partition":{"null" if partition is None else partition},'
+        f'"phase":{_quote(phase)},"session_id":{_quote(session_id)},'
+        f'"target":{"null" if target is None else target},'
+        f'"type":{_quote(msg_type)},"values":['
     )
+    return b"".join((head.encode("ascii"), render_values(values), b"]}"))
 
 
 def max_query_frame_bytes(
@@ -223,7 +231,7 @@ def max_query_frame_bytes(
 
 def encode_msg(msg: Message) -> bytes:
     """Serialize to one length-prefixed frame."""
-    body = render_body(msg).encode("ascii")
+    body = render_body(msg)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolViolationError(f"frame of {len(body)} bytes exceeds 1 MiB limit")
     return HEADER.pack(len(body)) + body

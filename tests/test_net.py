@@ -100,7 +100,8 @@ class TestEquivalence:
 
     def test_spawning_runner_elects_and_derives_the_session_id_once(self, monkeypatch):
         # session.run_leader elects and derives the session id; the
-        # endpoints the runner spawns reuse both.
+        # endpoints the runner spawns reuse both. Given endpoints spawned
+        # from the same config, the runner reuses the setup they carry.
         import mppsi.net
         import mppsi.session
 
@@ -119,8 +120,72 @@ class TestEquivalence:
         config = DEMOS["sec4"].config
         data = run_networked_session(config).serialize()
         assert calls == {"prepare_session": 1, "make_session_id": 1}
+        calls.update(prepare_session=0, make_session_id=0)
+        endpoints = spawn_endpoints(config)
+        try:
+            given = run_networked_session(config, endpoints).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert calls == {"prepare_session": 1, "make_session_id": 1}
         monkeypatch.undo()
-        assert data == run_memory_session(config).serialize()
+        expected = run_memory_session(config).serialize()
+        assert data == expected
+        assert given == expected
+
+    def test_endpoints_of_another_config_do_not_lend_their_setup(self):
+        # Endpoints spawned from one seed, a session run with another: the
+        # runner derives its own session id, and the endpoints close on the
+        # queries of a session they do not serve.
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            with pytest.raises(TransportError, match="not answered"):
+                run_networked_session(replace(config, seed=config.seed + 1), endpoints)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_round_waits_for_a_share_whose_receiver_closes_after_the_last_answer(
+        self, monkeypatch
+    ):
+        # A share is logged as sent only once its receiver closes the
+        # connection. One receiver here holds that close until the leader
+        # has its last answer, so the round must wait past that answer.
+        import mppsi.net
+
+        config = DEMOS["sec7_2"].config
+        expected = run_memory_session(config).messages_in_phase("randomness")
+        receiver = expected[0].dest
+        held = []  # the receiver's closes, held until the last answer
+        released = []  # how many closes were held at the last answer
+
+        read_frames = DatabaseEndpoint._read_frames
+
+        def holding(self, sock, conn):
+            try:
+                read_frames(self, sock, conn)
+            except TransportError:
+                if (self.party_id, self.database) != receiver or released:
+                    raise
+                self._loop.selector.unregister(sock)
+                held.append(sock)
+
+        read_replies = mppsi.net._ServeLoop._read_replies
+
+        def releasing(self, key):
+            read_replies(self, key)
+            owner = key.data[0]
+            if isinstance(owner, mppsi.net._Round) and not owner.open and not released:
+                released.append(len(held))
+                for sock in held:
+                    sock.close()
+
+        monkeypatch.setattr(DatabaseEndpoint, "_read_frames", holding)
+        monkeypatch.setattr(mppsi.net._ServeLoop, "_read_replies", releasing)
+        transcript = run_networked_session(config)
+        assert released and released[0] > 0
+        assert transcript.messages_in_phase("randomness") == expected
 
 
 class TestEndpointBehaviour:
@@ -336,8 +401,8 @@ class TestEndpointBehaviour:
                 values=bytes(config.universe_size),
             )
             # The same query with its first value 256, which no message can hold.
-            zeros = ",".join("0" * config.universe_size)
-            body = render_body(query).replace(f"[{zeros}]", f"[256{zeros[1:]}]").encode("ascii")
+            zeros = b",".join([b"0"] * config.universe_size)
+            body = render_body(query).replace(b"[" + zeros + b"]", b"[256" + zeros[1:] + b"]")
             assert b"[256,0," in body
             with socket.create_connection(target.address, timeout=5) as waiting:
                 waiting.sendall(encode_msg(query))

@@ -3,13 +3,14 @@
 import json
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mppsi.errors import ProtocolViolationError
 from mppsi.leader import CostTable, IntersectionResult
-from mppsi.session import SessionTranscript
+from mppsi.session import SessionTranscript, load_transcript, run_memory_session
 from mppsi.wire import (
     HEADER,
     MAX_FRAME_BYTES,
@@ -21,8 +22,10 @@ from mppsi.wire import (
     max_query_frame_bytes,
     message_from_dict,
     render_body,
+    render_values,
     split_frames,
 )
+from test_golden import eleven_config, wide_config
 
 ENDPOINT = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
@@ -131,6 +134,14 @@ def reference_transcript_layout(transcript: SessionTranscript) -> dict:
     }
 
 
+def reference_serialized(transcript: SessionTranscript) -> bytes:
+    """The sorted-key JSON line of a transcript's layout, as bytes."""
+    text = json.dumps(
+        reference_transcript_layout(transcript), sort_keys=True, separators=(",", ":")
+    )
+    return (text + "\n").encode("ascii")
+
+
 TRANSCRIPTS = st.builds(
     SessionTranscript,
     session_id=ANY_TEXT,
@@ -146,6 +157,9 @@ TRANSCRIPTS = st.builds(
         download_cost_actual=st.integers(0, 100),
     ),
 )
+
+
+EMPTY_RESULT = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
 
 
 def frame_with_body(body: bytes) -> bytes:
@@ -191,7 +205,7 @@ MUTATION_CHUNKS = st.one_of(
 @st.composite
 def mutated_bodies(draw):
     """A rendered payload with a few byte-level edits, most near its end."""
-    body = bytearray(render_body(draw(st.one_of(MESSAGES, ORACLE_MESSAGES))).encode("ascii"))
+    body = bytearray(render_body(draw(st.one_of(MESSAGES, ORACLE_MESSAGES))))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("insert", "delete", "replace", "values")))
         if kind == "values":
@@ -410,14 +424,14 @@ class TestMessage:
 class TestRenderBody:
     @given(ORACLE_MESSAGES)
     def test_body_equals_sorted_key_json(self, msg):
-        assert render_body(msg) == reference_body(msg)
+        assert render_body(msg) == reference_body(msg).encode("ascii")
         assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("utf-8"))
 
     def test_multi_digit_values_are_joined(self):
         values = bytes((10, 0, 9, 99, 100, 255))
         msg = Message("query", "s", "query", (3, 0), (1, 2), 1, None, values)
-        assert render_body(msg).endswith('"values":[10,0,9,99,100,255]}')
-        assert render_body(msg) == reference_body(msg)
+        assert render_body(msg).endswith(b'"values":[10,0,9,99,100,255]}')
+        assert render_body(msg) == reference_body(msg).encode("ascii")
 
     @given(TRANSCRIPTS)
     def test_transcript_equals_sorted_key_json_of_its_layout(self, transcript):
@@ -425,6 +439,57 @@ class TestRenderBody:
             reference_transcript_layout(transcript), sort_keys=True, separators=(",", ":")
         )
         assert transcript.serialize() == (expected + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "values,text",
+        [
+            (b"", b""),
+            (b"\x07", b"7"),
+            (b"\x0b", b"11"),
+            (b"\xff", b"255"),
+            (b"\x00\x09\x03", b"0,9,3"),
+            (b"\x00\x0a\xff\x01", b"0,10,255,1"),
+        ],
+    )
+    def test_values_render_as_decimals_between_commas(self, values, text):
+        assert render_values(values) == text
+
+    @pytest.mark.parametrize("kind", sorted(PHASE_BY_TYPE))
+    def test_empty_values_render_as_an_empty_list(self, kind):
+        msg = Message(kind, "0a1b", PHASE_BY_TYPE[kind], (3, 0), (1, 2), 1, None, b"")
+        assert render_body(msg).endswith(b',"values":[]}')
+        assert render_body(msg) == reference_body(msg).encode("ascii")
+        assert encode_msg(msg) == frame_with_body(render_body(msg))
+        assert decode_msg(encode_msg(msg)) == msg
+        transcript = SessionTranscript("s", 1, CostTable({1: 0}), (msg, msg), EMPTY_RESULT)
+        assert transcript.serialize() == reference_serialized(transcript)
+        assert b'"values":[]},{"dest"' in transcript.serialize()
+
+    def test_transcript_without_messages(self):
+        transcript = SessionTranscript("s", 2, CostTable({1: 3, 2: None}), (), EMPTY_RESULT)
+        data = transcript.serialize()
+        assert b'"messages":[]' in data
+        assert data == reference_serialized(transcript)
+        assert load_transcript(data) == transcript
+
+    def test_two_digit_residues_of_the_eleven_session(self):
+        transcript = run_memory_session(eleven_config())
+        assert any(len(m.values) > 1 and max(m.values) > 9 for m in transcript.messages)
+        assert any(m.values == b"\x0a" for m in transcript.messages_in_phase("answer"))
+        for msg in transcript.messages:
+            assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("ascii"))
+        assert transcript.serialize() == reference_serialized(transcript)
+
+    def test_serialize_peak_memory_stays_near_its_output(self):
+        # The rendered bodies and the one joined result: about twice the output.
+        transcript = run_memory_session(wide_config())
+        tracemalloc.start()
+        try:
+            data = transcript.serialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(data)
 
 
 class TestQueryFrameBound:
