@@ -40,7 +40,7 @@ from .leader import (
 )
 from .protocol import SessionSetup, collect_answers, make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
-from .wire import Message, message_from_dict, render_body
+from .wire import Message, decode_body, render_body
 
 
 @dataclass(frozen=True)
@@ -102,23 +102,40 @@ def _compact_json(data: dict) -> str:
 
 
 def load_transcript(data: bytes) -> SessionTranscript:
-    raw = json.loads(data.decode("utf-8"))
-    messages = tuple(message_from_dict(m) for m in raw["messages"])
-    table = CostTable({int(pid): cost for pid, cost in raw["cost_table"].items()})
-    result = IntersectionResult(
-        decoded=frozenset(raw["result"]["decoded"]),
-        indicators={
-            int(elem): value for elem, value in raw["result"]["indicators"].items()
-        },
-        download_cost_actual=raw["result"]["download_cost_actual"],
-    )
-    return SessionTranscript(
-        session_id=raw["session_id"],
-        leader_id=raw["leader"],
-        cost_table=table,
-        messages=messages,
-        result=result,
-    )
+    """The transcript that serialize wrote as data; any other bytes are a protocol violation.
+
+    The head and tail objects are read with json and each message body with
+    wire.decode_body. A file that does not re-serialize to exactly its own
+    bytes is rejected, so a loaded transcript is byte-stable.
+    """
+    start = data.find(b',"messages":[')
+    end = data.find(b'],"result":', start)
+    if start < 0 or end < 0:
+        raise ProtocolViolationError("not a transcript file: no messages list")
+    # Every body ends at its one "]}", so the bodies are the pieces between "]},".
+    section = data[start + len(b',"messages":[') : end]
+    pieces = section[:-2].split(b"]},") if section else ()
+    messages = tuple(decode_body(piece + b"]}") for piece in pieces)
+    try:
+        head = json.loads(data[:start] + b"}")
+        tail = json.loads(b"{" + data[end + 2 :])
+        transcript = SessionTranscript(
+            session_id=tail["session_id"],
+            leader_id=head["leader"],
+            cost_table=CostTable({int(pid): cost for pid, cost in head["cost_table"].items()}),
+            messages=messages,
+            result=IntersectionResult(
+                decoded=frozenset(tail["result"]["decoded"]),
+                indicators={int(e): v for e, v in tail["result"]["indicators"].items()},
+                download_cost_actual=tail["result"]["download_cost_actual"],
+            ),
+        )
+        stable = transcript.serialize() == data
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+        raise ProtocolViolationError(f"malformed transcript file: {exc}") from exc
+    if not stable:
+        raise ProtocolViolationError("transcript file does not re-serialize to its own bytes")
+    return transcript
 
 
 # Given the setup, the plan, the queries and the session id, an exchange

@@ -12,15 +12,18 @@ L <= 251 (field.select_field_size), so every residue fits. On the wire they
 are a JSON list of plain decimal integers. Message is a named tuple, so a
 message costs about what a tuple of its fields does to build.
 
-decode_msg has two paths. A payload that is exactly what render_body writes
-for one-digit values (every frame of a session with L <= 10 and a lowercase
-hex session id) is read by one anchored pattern over the head, which admits
-only sorted keys, integers of at most 9 digits with no leading zero, null
-or positive tags, a lowercase hex session id and a known type with its
-phase, and by one bytes pass over ',"values":[d,...,d]}'. Any other payload
-is parsed whole by json and checked field by field, and a value outside
-0..255 is a protocol violation. Either way the same frames are accepted and
-equal messages returned.
+There is one body grammar: exactly what render_body writes. decode_body
+reads it and decode_msg calls it after the frame's length checks. The head
+is read by one anchored pattern, which admits only sorted keys, no spaces,
+naturals of at most 9 digits with no leading zero, null or positive tags, a
+nonempty lowercase hex session id (all protocol.make_session_id writes) and
+a known type with its phase. One-digit values (every frame of a session with
+L <= 10) are read by one bytes pass over 'd,...,d'; wider ones by one lookup
+per comma-separated decimal in a table of 0..255, so a leading zero, a sign,
+a space, an empty item or a value past 255 is a protocol violation. Any
+other byte form of a message, even valid JSON of the same fields (spaces,
+reordered or duplicate keys, escaped or uppercase ids), is rejected, so a
+decoded message renders back to the bytes it was read from.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -28,7 +31,6 @@ message ever names a universe element.
 
 from __future__ import annotations
 
-import json
 import re
 import struct
 from json.encoder import encode_basestring_ascii as _quote
@@ -84,66 +86,6 @@ class Message(NamedTuple):
         )
 
 
-def _check_endpoint(raw, name: str) -> Tuple[int, int]:
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw)
-    ):
-        raise ProtocolViolationError(f"bad {name} endpoint: {raw!r}")
-    return (raw[0], raw[1])
-
-
-def message_from_dict(data: dict) -> Message:
-    """The message a parsed JSON payload (or transcript entry) describes.
-
-    Every field is checked: exactly the known fields, a known type with its
-    phase, a nonempty session id, [party, database] endpoints of naturals,
-    positive or null tags, and values a list of integers in 0..255.
-    """
-    if not isinstance(data, dict):
-        raise ProtocolViolationError(f"message payload must be an object, got {type(data).__name__}")
-    keys = set(data)
-    unknown = keys - set(Message._fields)
-    if unknown:
-        raise ProtocolViolationError(f"unknown message fields: {sorted(unknown)}")
-    missing = set(Message._fields) - keys
-    if missing:
-        raise ProtocolViolationError(f"missing message fields: {sorted(missing)}")
-    msg_type = data["type"]
-    if msg_type not in PHASE_BY_TYPE:
-        raise ProtocolViolationError(f"unknown message type: {msg_type!r}")
-    if data["phase"] != PHASE_BY_TYPE[msg_type]:
-        raise ProtocolViolationError(
-            f"type {msg_type!r} must carry phase {PHASE_BY_TYPE[msg_type]!r}, got {data['phase']!r}"
-        )
-    if not isinstance(data["session_id"], str) or not data["session_id"]:
-        raise ProtocolViolationError("session_id must be a nonempty string")
-    for name in ("partition", "target"):
-        value = data[name]
-        if value is not None and (
-            not isinstance(value, int) or isinstance(value, bool) or value < 1
-        ):
-            raise ProtocolViolationError(f"{name} must be a positive integer or null")
-    values = data["values"]
-    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
-        raise ProtocolViolationError("values must be a list of integers in 0..255")
-    try:
-        residues = bytes(values)
-    except ValueError:  # a value outside 0..255
-        raise ProtocolViolationError("values must be a list of integers in 0..255") from None
-    return Message(
-        type=msg_type,
-        session_id=data["session_id"],
-        phase=data["phase"],
-        origin=_check_endpoint(data["origin"], "origin"),
-        dest=_check_endpoint(data["dest"], "dest"),
-        partition=data["partition"],
-        target=data["target"],
-        values=residues,
-    )
-
-
 # Maps residues 0..9 to their digit; every other byte value to NUL.
 _DIGITS = b"0123456789" + bytes(246)
 # The inverse on digits: b"0".."9" to residues 0..9.
@@ -162,8 +104,9 @@ _CANONICAL_HEAD = re.compile(
 _KINDS = {(t.encode("ascii"), p.encode("ascii")): (t, p) for t, p in PHASE_BY_TYPE.items()}
 
 
-# Each residue 0..255 as its decimal digits.
+# Each residue 0..255 as its decimal digits, and the inverse table.
 _DECIMAL = tuple(str(value).encode("ascii") for value in range(256))
+_RESIDUE_OF = {text: value for value, text in enumerate(_DECIMAL)}
 
 
 def render_values(values: bytes) -> bytes:
@@ -251,40 +194,45 @@ def decode_msg(frame: bytes) -> Message:
         raise ProtocolViolationError(
             f"frame length mismatch: declared {length}, got {len(body)}"
         )
-    # render_body's head with one-digit values is read by one match and one
-    # bytes pass; every other payload is parsed whole.
+    return decode_body(body)
+
+
+def decode_body(body: bytes) -> Message:
+    """The message whose render_body is body; any other bytes are a protocol violation.
+
+    The head is read by one anchored match. One-digit values are read by one
+    translate; wider ones by splitting at the commas and looking each
+    decimal up in the table of the 256 residues.
+    """
     head = _CANONICAL_HEAD.match(body)
-    if head is not None and body.endswith(b"]}"):
-        d0, d1, o0, o1, partition, phase, session_id, target, msg_type = head.groups()
-        kind = _KINDS.get((msg_type, phase))
-        digits = body[head.end() : -2]
-        values = digits[::2]
-        # Every even byte a digit, so the len // 2 commas fill every odd one.
-        if (
-            kind is not None
-            and len(digits) % 2
-            and values.isdigit()
-            and digits.count(b",") == len(digits) // 2
-        ):
-            return Message(
-                kind[0],
-                session_id.decode("ascii"),
-                kind[1],
-                (int(o0), int(o1)),
-                (int(d0), int(d1)),
-                None if partition == b"null" else int(partition),
-                None if target == b"null" else int(target),
-                values.translate(_RESIDUES),
-            )
-    return message_from_dict(_parse_json(body))
-
-
-def _parse_json(payload: bytes):
-    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit.
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
+    if head is None or not body.endswith(b"]}"):
+        raise ProtocolViolationError("payload is not a message body as render_body writes it")
+    d0, d1, o0, o1, partition, phase, session_id, target, msg_type = head.groups()
+    kind = _KINDS.get((msg_type, phase))
+    if kind is None:
+        raise ProtocolViolationError(f"unknown message type {msg_type!r} with phase {phase!r}")
+    text = body[head.end() : -2]
+    digits = text[::2]
+    # Every even byte a digit, so the len // 2 commas fill every odd one.
+    if len(text) % 2 and digits.isdigit() and text.count(b",") == len(text) // 2:
+        values = digits.translate(_RESIDUES)
+    elif not text:
+        values = b""
+    else:
+        try:
+            values = bytes(map(_RESIDUE_OF.__getitem__, text.split(b",")))
+        except KeyError:
+            raise ProtocolViolationError("values must be a list of integers in 0..255") from None
+    return Message(
+        kind[0],
+        session_id.decode("ascii"),
+        kind[1],
+        (int(o0), int(o1)),
+        (int(d0), int(d1)),
+        None if partition == b"null" else int(partition),
+        None if target == b"null" else int(target),
+        values,
+    )
 
 
 def split_frames(buffer: bytearray) -> List[bytes]:

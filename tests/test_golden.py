@@ -114,6 +114,7 @@ def test_every_message_carries_bytes(name):
     memory = run_memory_session(config)
     over_tcp = run_networked_session(config)
     assert over_tcp.serialize() == memory.serialize()
+    assert load_transcript(memory.serialize()) == memory
     for transcript in (memory, over_tcp, load_transcript(memory.serialize())):
         assert transcript.messages
         assert {type(m.values) for m in transcript.messages} == {bytes}
@@ -121,8 +122,8 @@ def test_every_message_carries_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_frames_skip_json_unless_a_value_has_two_digits(name, monkeypatch):
-    # Every golden session but "eleven" (L = 11) has one-digit values only,
-    # so none of its frames, on either transport, reaches json.loads.
+    # No frame of any golden session reaches json.loads, on either transport:
+    # not "eleven"'s two-digit values (L = 11), nor any other's one-digit ones.
     config = GOLDEN_CONFIGS[name]()
     memory = run_memory_session(config)
     two_digit = sum(max(m.values, default=0) > 9 for m in memory.messages)
@@ -134,10 +135,8 @@ def test_frames_skip_json_unless_a_value_has_two_digits(name, monkeypatch):
         calls.append(len(text))
         return loads(text, *args, **kwargs)
 
-    monkeypatch.setattr("mppsi.wire.json.loads", recording_loads)
+    monkeypatch.setattr(json, "loads", recording_loads)
     assert [decode_msg(encode_msg(m)) for m in memory.messages] == list(memory.messages)
-    assert len(calls) == two_digit
-    calls.clear()
     over_tcp = run_networked_session(config)
-    assert len(calls) == two_digit
+    assert calls == []
     assert over_tcp.serialize() == memory.serialize()

@@ -1,6 +1,8 @@
 """Session lifecycle on the in-memory transport: phases, topology, determinism."""
 
+import json
 import random
+import re
 
 import pytest
 
@@ -135,6 +137,40 @@ class TestDeterminism:
         edited = data.replace(b'"values":[', b'"values":[256,', 1)
         assert edited != data
         with pytest.raises(ProtocolViolationError, match="0..255"):
+            load_transcript(edited)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data[:-3] + b"\xff" + data[-3:],
+            lambda data: data[: len(data) // 2],
+            lambda data: data.replace(b'"messages"', b'"messagez"'),
+            lambda data: b"[]",
+            lambda data: json.dumps(json.loads(data), indent=2).encode("ascii"),
+            lambda data: data.replace(b'"leader":', b'"leader": ', 1),
+            lambda data: data.replace(b'"leader"', b'"leadex"'),
+            lambda data: re.sub(rb'"cost_table":\{[^}]*\}', b'"cost_table":0', data),
+            lambda data: data.replace(b'"decoded":[1,', b'"decoded":[[1],'),
+            lambda data: data.replace(b'"leader":', b'"leader":' + b"[" * 100_000),
+        ],
+        ids=[
+            "bad-utf8",
+            "cut-off",
+            "messages-renamed",
+            "empty-list",
+            "pretty-printed",
+            "space-in-head",
+            "leader-renamed",
+            "cost-table-not-an-object",
+            "unhashable-decoded",
+            "deep-head",
+        ],
+    )
+    def test_malformed_transcript_is_a_protocol_violation(self, edit):
+        data = run_memory_session(DEMOS["sec7_2"].config).serialize()
+        edited = edit(data)
+        assert edited != data
+        with pytest.raises(ProtocolViolationError):
             load_transcript(edited)
 
     def test_repeat_runs_serialize_identically(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import struct
 import tracemalloc
 
@@ -20,7 +21,6 @@ from mppsi.wire import (
     decode_msg,
     encode_msg,
     max_query_frame_bytes,
-    message_from_dict,
     render_body,
     render_values,
     split_frames,
@@ -89,13 +89,73 @@ ORACLE_MESSAGES = st.builds(
     ).map(bytes),
 )
 
+# Every message a session can send: a lowercase hex session id, endpoints and
+# tags below 10^9, and residues anywhere in 0..255.
+BELOW_1E9 = st.integers(0, 10**9 - 1)
+CANONICAL_MESSAGES = st.builds(
+    lambda kind, **fields: Message(type=kind[0], phase=kind[1], **fields),
+    kind=st.sampled_from(sorted(PHASE_BY_TYPE.items())),
+    session_id=st.text(alphabet="0123456789abcdef", min_size=1, max_size=SESSION_ID_CHARS),
+    origin=st.tuples(BELOW_1E9, BELOW_1E9),
+    dest=st.tuples(BELOW_1E9, BELOW_1E9),
+    partition=st.one_of(st.none(), st.integers(1, 10**9 - 1)),
+    target=st.one_of(st.none(), st.integers(1, 10**9 - 1)),
+    values=st.one_of(st.lists(st.integers(0, 9), max_size=40).map(bytes), st.binary(max_size=40)),
+)
+
 
 def reference_body(msg: Message) -> str:
     return json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def reference_endpoint(raw, name: str) -> tuple:
+    if (
+        not isinstance(raw, list)
+        or len(raw) != 2
+        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw)
+    ):
+        raise ProtocolViolationError(f"bad {name} endpoint: {raw!r}")
+    return (raw[0], raw[1])
+
+
+def reference_message(data) -> Message:
+    """The message a parsed JSON payload describes, every field checked."""
+    if not isinstance(data, dict):
+        raise ProtocolViolationError(f"payload must be an object, got {type(data).__name__}")
+    if set(data) != set(Message._fields):
+        raise ProtocolViolationError(f"message fields {sorted(data)}")
+    msg_type = data["type"]
+    if msg_type not in PHASE_BY_TYPE or data["phase"] != PHASE_BY_TYPE[msg_type]:
+        raise ProtocolViolationError(f"type {msg_type!r} with phase {data['phase']!r}")
+    if not isinstance(data["session_id"], str) or not data["session_id"]:
+        raise ProtocolViolationError("session_id must be a nonempty string")
+    for name in ("partition", "target"):
+        value = data[name]
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 1
+        ):
+            raise ProtocolViolationError(f"{name} must be a positive integer or null")
+    values = data["values"]
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ProtocolViolationError("values must be a list of integers in 0..255")
+    try:
+        residues = bytes(values)
+    except ValueError:
+        raise ProtocolViolationError("values must be a list of integers in 0..255") from None
+    return Message(
+        type=msg_type,
+        session_id=data["session_id"],
+        phase=data["phase"],
+        origin=reference_endpoint(data["origin"], "origin"),
+        dest=reference_endpoint(data["dest"], "dest"),
+        partition=data["partition"],
+        target=data["target"],
+        values=residues,
+    )
+
+
 def reference_decode(frame: bytes) -> Message:
-    """The whole-body decoder: every payload through json.loads."""
+    """The JSON oracle: any JSON spelling of a valid message, through json.loads."""
     if len(frame) < HEADER.size:
         raise ProtocolViolationError(f"truncated frame header: {len(frame)} bytes")
     (length,) = HEADER.unpack(frame[: HEADER.size])
@@ -112,7 +172,7 @@ def reference_decode(frame: bytes) -> Message:
         data = json.loads(body.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
-    return message_from_dict(data)
+    return reference_message(data)
 
 
 def reference_transcript_layout(transcript: SessionTranscript) -> dict:
@@ -228,16 +288,15 @@ def mutated_bodies(draw):
     return bytes(body)
 
 
-HEAD = (
+# render_body's head for a lowercase hex session id, up to the values.
+CANONICAL = (
     b'{"dest":[1,2],"origin":[3,0],"partition":1,"phase":"query",'
-    b'"session_id":"s","target":null,"type":"query"'
+    b'"session_id":"0a1b","target":null,"type":"query"'
 )
 
-# HEAD as render_body writes it for a lowercase hex session id: the head the
-# one-match path reads.
-CANONICAL = HEAD.replace(b'"session_id":"s"', b'"session_id":"0a1b"')
-
-# Payload and the values it decodes to, or None where it is rejected.
+# Payload and the values it decodes to, or None where it is rejected. Every
+# accepted payload is exactly what render_body writes; any other spelling,
+# even valid JSON of the same message, is rejected.
 PINNED_PAYLOADS = {
     "canonical": (CANONICAL + b',"values":[1,0,2]}', b"\x01\x00\x02"),
     "canonical-trailing-comma": (CANONICAL + b',"values":[1,2,]}', None),
@@ -251,7 +310,7 @@ PINNED_PAYLOADS = {
     ),
     "canonical-ten-digit-partition": (
         CANONICAL.replace(b'"partition":1', b'"partition":1234567890') + b',"values":[1]}',
-        b"\x01",
+        None,
     ),
     "canonical-zero-partition": (
         CANONICAL.replace(b'"partition":1', b'"partition":0') + b',"values":[1]}',
@@ -263,11 +322,15 @@ PINNED_PAYLOADS = {
     ),
     "canonical-uppercase-session-id": (
         CANONICAL.replace(b'"0a1b"', b'"0A1B"') + b',"values":[1]}',
-        b"\x01",
+        None,
     ),
     "canonical-escaped-session-id": (
         CANONICAL.replace(b'"0a1b"', b'"\\u0030a1b"') + b',"values":[1]}',
-        b"\x01",
+        None,
+    ),
+    "canonical-non-hex-session-id": (
+        CANONICAL.replace(b'"0a1b"', b'"s"') + b',"values":[1]}',
+        None,
     ),
     "canonical-empty-session-id": (CANONICAL.replace(b'"0a1b"', b'""') + b',"values":[1]}', None),
     "canonical-unknown-type": (
@@ -280,114 +343,124 @@ PINNED_PAYLOADS = {
     ),
     "canonical-space-after-colon": (
         CANONICAL.replace(b'"partition":1', b'"partition": 1') + b',"values":[1]}',
-        b"\x01",
+        None,
     ),
-    "one-digit": (HEAD + b',"values":[1,0,2]}', b"\x01\x00\x02"),
-    "empty": (HEAD + b',"values":[]}', b""),
-    "trailing-comma": (HEAD + b',"values":[1,]}', None),
-    "leading-comma": (HEAD + b',"values":[,1]}', None),
-    "double-comma": (HEAD + b',"values":[1,,2]}', None),
-    "two-digit": (HEAD + b',"values":[1,10]}', b"\x01\x0a"),
-    "byte-max": (HEAD + b',"values":[255,10]}', b"\xff\x0a"),
-    "past-one-byte": (HEAD + b',"values":[10,256]}', None),
-    "space": (HEAD + b',"values":[1, 2]}', b"\x01\x02"),
-    "negative": (HEAD + b',"values":[-1]}', None),
-    "string": (HEAD + b',"values":["1"]}', None),
-    "float": (HEAD + b',"values":[1.0]}', None),
-    "duplicate-earlier": (b'{"values":[-1],' + HEAD[1:] + b',"values":[1,2]}', b"\x01\x02"),
-    "duplicate-earlier-bad-last": (b'{"values":[1],' + HEAD[1:] + b',"values":[1,]}', None),
-    "values-not-last": (b'{"values":[1,2],' + HEAD[1:] + b"}", b"\x01\x02"),
+    "one-digit": (CANONICAL + b',"values":[1,0,2]}', b"\x01\x00\x02"),
+    "empty": (CANONICAL + b',"values":[]}', b""),
+    "trailing-comma": (CANONICAL + b',"values":[1,]}', None),
+    "leading-comma": (CANONICAL + b',"values":[,1]}', None),
+    "double-comma": (CANONICAL + b',"values":[1,,2]}', None),
+    "two-digit": (CANONICAL + b',"values":[1,10]}', b"\x01\x0a"),
+    "byte-max": (CANONICAL + b',"values":[255,10]}', b"\xff\x0a"),
+    "past-one-byte": (CANONICAL + b',"values":[10,256]}', None),
+    "space": (CANONICAL + b',"values":[1, 2]}', None),
+    "negative": (CANONICAL + b',"values":[-1]}', None),
+    "string": (CANONICAL + b',"values":["1"]}', None),
+    "float": (CANONICAL + b',"values":[1.0]}', None),
+    "wide": (CANONICAL + b',"values":[10,255]}', b"\x0a\xff"),
+    "wide-leading-zero": (CANONICAL + b',"values":[01]}', None),
+    "wide-double-zero": (CANONICAL + b',"values":[00]}', None),
+    "wide-negative-zero": (CANONICAL + b',"values":[-0]}', None),
+    "wide-past-one-byte": (CANONICAL + b',"values":[256]}', None),
+    "wide-trailing-comma": (CANONICAL + b',"values":[10,]}', None),
+    "wide-leading-space": (CANONICAL + b',"values":[ 10]}', None),
+    "duplicate-earlier": (b'{"values":[-1],' + CANONICAL[1:] + b',"values":[1,2]}', None),
+    "duplicate-earlier-bad-last": (b'{"values":[1],' + CANONICAL[1:] + b',"values":[1,]}', None),
+    "values-not-last": (b'{"values":[1,2],' + CANONICAL[1:] + b"}", None),
     "values-before-dest": (
-        b'{"origin":[3,0],"partition":1,"phase":"query","session_id":"s","target":null,'
+        b'{"origin":[3,0],"partition":1,"phase":"query","session_id":"0a1b","target":null,'
         b'"type":"query","values":[1,2],"dest":[1,2]}',
-        b"\x01\x02",
+        None,
     ),
-    "nested-object": (HEAD + b',"values":[1],"target":{"a":1,"values":[2]}', None),
-    "nested-object-closed": (HEAD + b',"target":{"a":1,"values":[2]}}', None),
+    "nested-object": (CANONICAL + b',"values":[1],"target":{"a":1,"values":[2]}', None),
+    "nested-object-closed": (CANONICAL + b',"target":{"a":1,"values":[2]}}', None),
     "bare-brace": (b'{,"values":[1]}', None),
     "bare-brace-space": (b'{ ,"values":[1]}', None),
-    "closed-head": (HEAD + b'},"values":[1]}', None),
-    "trailing-comma-member": (HEAD + b',"values":[1,2],}', None),
-    "trailing-space": (HEAD + b',"values":[1,2]} ', b"\x01\x02"),
-    "leading-space": (b" " + HEAD + b',"values":[1,2]}', b"\x01\x02"),
-    "bad-utf8-head": (HEAD.replace(b'"s"', b'"\xff"') + b',"values":[1]}', None),
-    "split-utf8-head": (HEAD + b',"x":"\xc3,"values":[1]}', None),
-    "utf8-bom": (b"\xef\xbb\xbf" + HEAD + b',"values":[1]}', None),
+    "closed-head": (CANONICAL + b'},"values":[1]}', None),
+    "trailing-comma-member": (CANONICAL + b',"values":[1,2],}', None),
+    "trailing-space": (CANONICAL + b',"values":[1,2]} ', None),
+    "leading-space": (b" " + CANONICAL + b',"values":[1,2]}', None),
+    "bad-utf8-head": (CANONICAL.replace(b'"0a1b"', b'"\xff"') + b',"values":[1]}', None),
+    "split-utf8-head": (CANONICAL + b',"x":"\xc3,"values":[1]}', None),
+    "utf8-bom": (b"\xef\xbb\xbf" + CANONICAL + b',"values":[1]}', None),
     "deep-head": (b'{"target":' + b"[" * 100_000 + b',"values":[1]}', None),
     "nested-duplicate-head": (
-        b'{"target":' + b"[" * 50 + b"]" * 50 + b"," + HEAD[1:] + b',"values":[1]}',
-        b"\x01",
+        b'{"target":' + b"[" * 50 + b"]" * 50 + b"," + CANONICAL[1:] + b',"values":[1]}',
+        None,
     ),
-    "nan-in-head": (HEAD.replace(b'"partition":1', b'"partition":NaN') + b',"values":[1]}', None),
+    "nan-in-head": (
+        CANONICAL.replace(b'"partition":1', b'"partition":NaN') + b',"values":[1]}',
+        None,
+    ),
     "long-int-in-head": (
-        HEAD.replace(b'"partition":1', b'"partition":' + b"1" * 5000) + b',"values":[1]}',
+        CANONICAL.replace(b'"partition":1', b'"partition":' + b"1" * 5000) + b',"values":[1]}',
         None,
     ),
 }
 
 
-class TestDecoderAgreesWithReference:
-    """decode_msg accepts exactly the frames the whole-body decoder accepts."""
+def accepted(frame: bytes) -> Message:
+    """decode_msg(frame), checked to be the JSON oracle's message and to render to the body."""
+    msg = decode_msg(frame)
+    assert reference_decode(frame) == msg
+    assert render_body(msg) == frame[HEADER.size :]
+    return msg
 
-    @given(st.one_of(MESSAGES, ORACLE_MESSAGES))
+
+class TestDecoderAgreesWithReference:
+    """decode_msg accepts only what render_body writes, and the JSON oracle agrees."""
+
+    @given(CANONICAL_MESSAGES)
     def test_rendered_frames(self, msg):
+        assert accepted(encode_msg(msg)) == msg
+
+    @given(ORACLE_MESSAGES)
+    def test_other_session_ids_are_rejected(self, msg):
+        # Arbitrary text ids: only a nonempty lowercase hex one decodes.
         frame = encode_msg(msg)
-        assert decode_msg(frame) == reference_decode(frame) == msg
+        if re.fullmatch("[0-9a-f]+", msg.session_id):
+            assert accepted(frame) == msg
+        else:
+            assert outcome(decode_msg, frame) == ("rejected",)
 
     @settings(max_examples=400)
     @given(mutated_bodies())
     def test_mutated_frames(self, body):
         frame = frame_with_body(body)
-        assert outcome(decode_msg, frame) == outcome(reference_decode, frame)
+        if outcome(decode_msg, frame) != ("rejected",):
+            accepted(frame)
 
     @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
     def test_pinned_payloads(self, name):
         body, values = PINNED_PAYLOADS[name]
         frame = frame_with_body(body)
-        result = outcome(decode_msg, frame)
-        assert result == outcome(reference_decode, frame)
         if values is None:
-            assert result == ("rejected",)
+            assert outcome(decode_msg, frame) == ("rejected",)
         else:
-            assert result[0] == "ok" and type(result[1].values) is bytes
-            assert result[1].values == values
+            msg = accepted(frame)
+            assert type(msg.values) is bytes and msg.values == values
 
 
-class TestOneDigitPath:
-    @staticmethod
-    def json_input_lengths(monkeypatch, msg):
-        frame = encode_msg(msg)
-        lengths = []
+class TestValueWidths:
+    def test_no_value_width_reaches_json(self, monkeypatch):
+        # One-digit values (L <= 10), two and three digits, one value and none.
+        messages = []
+        for modulus in (2, 3, 10, 11, 101, 251):
+            rng = random.Random(modulus)
+            values = bytes(rng.randrange(modulus) for _ in range(1000))
+            query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
+            messages += [query, query._replace(values=values[:1]), query._replace(values=b"")]
+        frames = [encode_msg(msg) for msg in messages]
+        calls = []
         loads = json.loads
 
-        def recording_loads(text, *args, **kwargs):
-            lengths.append(len(text))
-            return loads(text, *args, **kwargs)
+        def recording_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
 
-        monkeypatch.setattr("mppsi.wire.json.loads", recording_loads)
-        assert decode_msg(frame) == msg
-        return lengths, len(frame) - HEADER.size
-
-    @staticmethod
-    def query(modulus):
-        rng = random.Random(modulus)
-        values = bytes(rng.randrange(modulus) for _ in range(1000))
-        return Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
-
-    def test_one_digit_values_skip_json(self, monkeypatch):
-        # K = 1000, L = 3: the canonical head and the values are read without json.
-        lengths, _ = self.json_input_lengths(monkeypatch, self.query(3))
-        assert lengths == []
-
-    def test_non_canonical_head_goes_through_json(self, monkeypatch):
-        # One-digit values, but a session id that is not lowercase hex.
-        msg = self.query(3)._replace(session_id="F" * SESSION_ID_CHARS)
-        lengths, body_length = self.json_input_lengths(monkeypatch, msg)
-        assert lengths == [body_length]
-
-    def test_two_digit_values_go_through_json(self, monkeypatch):
-        lengths, body_length = self.json_input_lengths(monkeypatch, self.query(11))
-        assert lengths == [body_length]
+        monkeypatch.setattr(json, "loads", recording_loads)
+        assert [decode_msg(frame) for frame in frames] == messages
+        assert calls == []
 
 
 class TestMessage:
@@ -580,7 +653,7 @@ class TestSplitFrames:
 def valid_payload(**overrides):
     payload = {
         "type": "query",
-        "session_id": "s",
+        "session_id": "0a1b",
         "phase": "query",
         "origin": [3, 0],
         "dest": [1, 2],
@@ -592,57 +665,69 @@ def valid_payload(**overrides):
     return payload
 
 
+def decode_payload(payload: dict) -> Message:
+    """decode_msg of the payload's sorted-key JSON: render_body's bytes, bar one bad field."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return decode_msg(frame_with_body(body))
+
+
 class TestPayloadValidation:
     def test_valid_payload_parses(self):
-        msg = message_from_dict(valid_payload())
+        msg = decode_payload(valid_payload())
         assert msg.origin == (3, 0)
+        assert msg.values == b"\x00\x01\x02"
 
     def test_unknown_type(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(type="gossip", phase="query"))
+            decode_payload(valid_payload(type="gossip", phase="query"))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(padding="xx"))
+            decode_payload(valid_payload(padding="xx"))
 
     def test_missing_field_rejected(self):
         payload = valid_payload()
         del payload["values"]
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(payload)
+            decode_payload(payload)
 
     def test_phase_must_match_type(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(phase="randomness"))
+            decode_payload(valid_payload(phase="randomness"))
+
+    def test_empty_session_id_rejected(self):
+        with pytest.raises(ProtocolViolationError):
+            decode_payload(valid_payload(session_id=""))
 
     def test_negative_value_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(values=[-1]))
+            decode_payload(valid_payload(values=[-1]))
 
     def test_bool_values_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(values=[True]))
+            decode_payload(valid_payload(values=[True]))
 
     @pytest.mark.parametrize("value", [1.0, "1", None, [1]])
     def test_non_integer_values_rejected(self, value):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(values=[0, value, 2]))
+            decode_payload(valid_payload(values=[0, value, 2]))
 
     @pytest.mark.parametrize("value", [256, 2**64])
     def test_value_past_one_byte_rejected(self, value):
         with pytest.raises(ProtocolViolationError, match="0..255"):
-            message_from_dict(valid_payload(values=[0, value, 2]))
+            decode_payload(valid_payload(values=[0, value, 2]))
 
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(origin=[1]))
+            decode_payload(valid_payload(origin=[1]))
 
     def test_zero_partition_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            message_from_dict(valid_payload(partition=0))
+            decode_payload(valid_payload(partition=0))
 
     def test_payload_is_plain_decimal_json(self):
-        raw = encode_msg(message_from_dict(valid_payload()))
+        msg = Message("query", "0a1b", "query", (3, 0), (1, 2), 1, None, b"\x00\x01\x02")
+        raw = encode_msg(msg)
         body = raw[4:]
         parsed = json.loads(body.decode("utf-8"))
         assert parsed["values"] == [0, 1, 2]
