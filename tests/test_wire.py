@@ -441,26 +441,37 @@ class TestDecoderAgreesWithReference:
             assert type(msg.values) is bytes and msg.values == values
 
 
+def assert_no_json_loads(monkeypatch, moduli):
+    """Queries of 1,000 values, one value and none, for each modulus, decode without json.loads."""
+    messages = []
+    for modulus in moduli:
+        rng = random.Random(modulus)
+        values = bytes(rng.randrange(modulus) for _ in range(1000))
+        query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
+        messages += [query, query._replace(values=values[:1]), query._replace(values=b"")]
+    frames = [encode_msg(msg) for msg in messages]
+    calls = []
+    loads = json.loads
+
+    def recording_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", recording_loads)
+    assert [decode_msg(frame) for frame in frames] == messages
+    assert calls == []
+
+
+class TestOneDigitPath:
+    def test_one_digit_values_skip_json(self, monkeypatch):
+        # L <= 10: every value is one ASCII digit.
+        assert_no_json_loads(monkeypatch, (2, 3, 10))
+
+
 class TestValueWidths:
-    def test_no_value_width_reaches_json(self, monkeypatch):
-        # One-digit values (L <= 10), two and three digits, one value and none.
-        messages = []
-        for modulus in (2, 3, 10, 11, 101, 251):
-            rng = random.Random(modulus)
-            values = bytes(rng.randrange(modulus) for _ in range(1000))
-            query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
-            messages += [query, query._replace(values=values[:1]), query._replace(values=b"")]
-        frames = [encode_msg(msg) for msg in messages]
-        calls = []
-        loads = json.loads
-
-        def recording_loads(*args, **kwargs):
-            calls.append(args)
-            return loads(*args, **kwargs)
-
-        monkeypatch.setattr(json, "loads", recording_loads)
-        assert [decode_msg(frame) for frame in frames] == messages
-        assert calls == []
+    def test_multi_digit_values_skip_json(self, monkeypatch):
+        # Two and three digits: the same grammar reads them, still without json.
+        assert_no_json_loads(monkeypatch, (11, 101, 251))
 
 
 class TestMessage:
