@@ -31,6 +31,11 @@ exact rationals or integer counts; zero means zero. The checks are:
   distributions, for the leader-set secret against a single database's view
   and for the non-intersection incidence columns against the leader's view.
 
+Every query here is one leader.lay_out_queries builds, as in a session:
+query_inner_products sums each client's support over them, and the
+delivered query tuples are their values. Base vectors are bytes; they become
+int tuples only in reliability failure text and delivered query outcomes.
+
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 (s, t, c) from _raw_realizations under the caller's policy, answer vectors
@@ -62,7 +67,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from .client import support_sum
 from .errors import AuditPartError, BoundExceededError
 from .field import PrimeField
-from .leader import PartitionPlan, decode_vector, make_partition_plan
+from .leader import PartitionPlan, QueryPlan, decode_vector, lay_out_queries, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, completion, correlating_client, free_clients
@@ -73,7 +78,7 @@ DEFAULT_BOUND = 10_000_000
 DEFAULT_H_ENUM_LIMIT = 729
 
 # One base vector per partition index, and one (s, t, c) randomness tuple.
-HVectors = Tuple[Tuple[int, ...], ...]
+HVectors = Tuple[bytes, ...]
 Realization = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
@@ -135,9 +140,9 @@ class CompiledInstance:
 
     answer_layout follows plan.answer_keys, the order decode_vector reads.
     Inner products per query are constants of the base-vector realization, so
-    they are computed once per realization. Every check builds its answer
-    vectors from them level by level (realization_answers) and reads them by
-    index in that order.
+    they are computed once per realization, as a list in that order. Every
+    check builds its answer vectors from them level by level
+    (realization_answers) and reads them by index in that order.
     """
 
     setup: SessionSetup
@@ -147,10 +152,10 @@ class CompiledInstance:
     t_index: Dict[Tuple[int, int], int]
     n_s: int
     n_t: int
-    # (key, client, partition, target_pos, s_idx, t_idx); t_idx indexes
-    # t + completion + (0,): free values, then the correlating client's value
-    # per position, then the zero every database-1 answer adds.
-    answer_layout: List[Tuple[Tuple[int, int, Optional[int]], int, int, Optional[int], int, int]]
+    # (s_idx, t_idx) per answer; t_idx indexes t + completion + (0,): free
+    # values, then the correlating client's value per position, then the
+    # zero every database-1 answer adds.
+    answer_layout: List[Tuple[int, int]]
     corr_free_indices: Dict[int, List[int]]
 
     @property
@@ -178,15 +183,14 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         for position in range(1, shape.set_size + 1):
             t_index[(client_id, position)] = len(t_index)
     layout = []
-    for key in plan.answer_keys:
-        client_id, partition, position = key
+    for client_id, partition, position in plan.answer_keys:
         if position is None:
             t_idx = -1
         elif client_id == corr:
             t_idx = len(t_index) + position - 1
         else:
             t_idx = t_index[(client_id, position)]
-        layout.append((key, client_id, partition, position, s_index[(client_id, partition)], t_idx))
+        layout.append((s_index[(client_id, partition)], t_idx))
     corr_free = {
         position: [t_index[(client_id, position)] for client_id in free]
         for position in range(1, shape.set_size + 1)
@@ -204,26 +208,31 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
     )
 
 
-def query_inner_products(
-    compiled: CompiledInstance, h_vectors: Sequence[Sequence[int]]
-) -> Dict[Tuple[int, int, Optional[int]], int]:
-    """Inner product of each query with its client's incidence vector."""
+def _lay_out(compiled: CompiledInstance, h_vectors: HVectors) -> QueryPlan:
+    """The leader's queries on these base vectors, as a session lays them out;
+    they are never sent, so they carry no session id."""
+    return lay_out_queries(compiled.plan, h_vectors, compiled.field.modulus, "")
+
+
+def _inner_products(compiled: CompiledInstance, sent: QueryPlan) -> List[int]:
+    """Inner product of each laid-out query with its client's incidence
+    vector, in plan.answer_keys order."""
     modulus = compiled.field.modulus
-    plan = compiled.plan
-    sets = {p.party_id: p.data_set for p in compiled.setup.clients}
     sums = {
-        client_id: support_sum(sorted(elem - 1 for elem in data_set))
-        for client_id, data_set in sets.items()
+        client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
+        for client in compiled.setup.clients
     }
     ips: Dict[Tuple[int, int, Optional[int]], int] = {}
-    for key, client_id, partition, target_pos, _, _ in compiled.answer_layout:
-        total = sums[client_id](h_vectors[partition - 1])
-        if target_pos is not None:
-            element = plan.leader_elements[target_pos - 1]
-            if element in sets[client_id]:
-                total += 1
-        ips[key] = total % modulus
-    return ips
+    for (client_id, _), queries in sent.queries.items():
+        for query in queries:
+            ips[client_id, query.partition, query.target] = sums[client_id](query.values) % modulus
+    return [ips[key] for key in compiled.plan.answer_keys]
+
+
+def query_inner_products(compiled: CompiledInstance, h_vectors: HVectors) -> List[int]:
+    """Inner product of each query the leader lays out on these base vectors
+    with its client's incidence vector, in plan.answer_keys order."""
+    return _inner_products(compiled, _lay_out(compiled, h_vectors))
 
 
 def individual_values(
@@ -245,7 +254,7 @@ def individual_values(
 
 def answers_for_realization(
     compiled: CompiledInstance,
-    ips: Dict[Tuple[int, int, Optional[int]], int],
+    ips: Sequence[int],
     s_values: Tuple[int, ...],
     t_values: Tuple[int, ...],
     c_value: int,
@@ -259,7 +268,7 @@ def answers_for_realization(
 
 def realization_answers(
     compiled: CompiledInstance,
-    ips: Dict[Tuple[int, int, Optional[int]], int],
+    ips: Sequence[int],
     realizations: Iterable[Realization],
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, List[int]]]:
@@ -277,15 +286,12 @@ def realization_answers(
     one per sample for a sampled one.
     """
     modulus = compiled.field.modulus
-    layout = compiled.answer_layout
-    with_ip = [ips[entry[0]] for entry in layout]
-    s_slots = [entry[4] for entry in layout]
-    t_slots = [entry[5] for entry in layout]
+    s_slots, t_slots = zip(*compiled.answer_layout)
     t_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     s_seen = t_seen = None
     for s_values, t_values, c_value in realizations:
         if s_values != s_seen:
-            with_s = [ip + s_values[i] for ip, i in zip(with_ip, s_slots)]
+            with_s = [ip + s_values[i] for ip, i in zip(ips, s_slots)]
             s_seen, t_seen = s_values, None
         if t_values != t_seen:
             row = t_rows.get(t_values)
@@ -319,7 +325,7 @@ def _fixed_draw(
 ) -> Tuple[int, ...]:
     """Seeded values for slots a masking check holds fixed: zeros where the
     policy zeroes their tier, else a labeled draw from F_L."""
-    return (0,) * length if zeroed else tuple(draw_vector(seed, modulus, length, label, ctx))
+    return tuple(bytes(length) if zeroed else draw_vector(seed, modulus, length, label, ctx))
 
 
 def _h_space(compiled: CompiledInstance) -> int:
@@ -330,9 +336,9 @@ def _h_space(compiled: CompiledInstance) -> int:
 def _all_h(compiled: CompiledInstance) -> Iterator[HVectors]:
     """Every base-vector tuple, one vector per partition index."""
     kappa = max(compiled.plan.shape.eta.values())
-    vectors = list(
-        itertools.product(range(compiled.field.modulus), repeat=compiled.universe.size)
-    )
+    vectors = list(map(bytes, itertools.product(
+        range(compiled.field.modulus), repeat=compiled.universe.size
+    )))
     return itertools.product(vectors, repeat=kappa)
 
 
@@ -340,7 +346,7 @@ def _drawn_h(compiled: CompiledInstance, seed: int, label: str, index: int) -> H
     """The seeded base-vector tuple of one sampled context."""
     modulus, size = compiled.field.modulus, compiled.universe.size
     return tuple(
-        tuple(draw_vector(seed, modulus, size, label, index, ell))
+        draw_vector(seed, modulus, size, label, index, ell)
         for ell in range(1, max(compiled.plan.shape.eta.values()) + 1)
     )
 
@@ -400,35 +406,6 @@ def _with_leader(
     """The compiled instance of these clients with this party as the leader."""
     profiles = tuple(sorted([*clients, leader], key=lambda p: p.party_id))
     return compile_instance(AuditInstance(profiles, universe, leader.party_id))
-
-
-def _delivered(compiled: CompiledInstance, client_id: int, database: int) -> List[int]:
-    """Indices into answer_layout of the queries one database receives."""
-    shape = compiled.plan.shape
-    return [
-        index
-        for index, (_, cid, _, target_pos, _, _) in enumerate(compiled.answer_layout)
-        if cid == client_id
-        and (1 if target_pos is None else shape.position_location(cid, target_pos)[1])
-        == database
-    ]
-
-
-def _query_vectors(
-    compiled: CompiledInstance, h_vectors: HVectors, delivered: Sequence[int]
-) -> Tuple[Tuple[int, ...], ...]:
-    """The delivered query vectors: each partition's base vector, plus 1 at
-    the target element of a targeted query."""
-    modulus = compiled.field.modulus
-    queries = []
-    for index in delivered:
-        _, _, partition, target_pos, _, _ = compiled.answer_layout[index]
-        vector = list(h_vectors[partition - 1])
-        if target_pos is not None:
-            element = compiled.plan.leader_elements[target_pos - 1]
-            vector[element - 1] = (vector[element - 1] + 1) % modulus
-        queries.append(tuple(vector))
-    return tuple(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +526,8 @@ def check_reliability(
                 cases += 1
                 if decoded != expected:
                     failures.append((cases, (
-                        f"h={h_vectors} s={s_values} t={t_values} c={c_value}: "
-                        f"decoded {sorted(decoded)}, true {sorted(expected)}"
+                        f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "
+                        f"c={c_value}: decoded {sorted(decoded)}, true {sorted(expected)}"
                     )))
                     if len(failures) == MAX_FAILURES:
                         return cases, failures
@@ -788,9 +765,11 @@ def delivered_query_distribution(
     """
     compiled = _with_leader(clients, leader, universe)
     _joint_space_guard(_h_space(compiled), bound)
-    delivered = _delivered(compiled, client_id, database)
-    queries = (_query_vectors(compiled, h, delivered) for h in _all_h(compiled))
-    return DistributionTable.from_counts(Counter(queries))
+    address = (client_id, database)
+    return DistributionTable.from_counts(Counter(
+        tuple(tuple(query.values) for query in _lay_out(compiled, h).queries.get(address, []))
+        for h in _all_h(compiled)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -870,18 +849,21 @@ def leader_privacy_mi(
         )
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, bound, 0, 0)
         layout = compiled.answer_layout
-        delivered = _delivered(compiled, client_id, database)
+        index = {key: i for i, key in enumerate(compiled.plan.answer_keys)}
         own_s_slots = [i for (cid, _), i in compiled.s_index.items() if cid == client_id]
-        own_t_slots = [layout[i][5] for i in delivered if layout[i][3] is not None]
         secret = tuple(sorted(candidate))
         # Unmasked, every base-vector tuple is replaced by zeros, so one
         # stands for all: each view's count scales by the same factor.
         h_list = _all_h(compiled) if mask_queries else [
-            ((0,) * universe.size,) * max(compiled.plan.shape.eta.values())
+            (bytes(universe.size),) * max(compiled.plan.shape.eta.values())
         ]
         for h_vectors in h_list:
-            queries = _query_vectors(compiled, h_vectors, delivered)
-            ips = query_inner_products(compiled, h_vectors)
+            sent = _lay_out(compiled, h_vectors)
+            received = sent.queries.get((client_id, database), [])
+            delivered = [index[client_id, q.partition, q.target] for q in received]
+            own_t_slots = [layout[i][1] for i, q in zip(delivered, received) if q.target]
+            queries = tuple(query.values for query in received)
+            ips = _inner_products(compiled, sent)
             for s_values, t_values, c_value, answers in realization_answers(
                 compiled, ips, draws()
             ):

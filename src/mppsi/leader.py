@@ -4,13 +4,15 @@ The elected leader splits its own (ordered) set, per client, into consecutive
 chunks sized to the client's database count. Each chunk is served by one
 random base vector: database 1 of the client receives the bare vector, and
 each element of the chunk is targeted at one further database by adding 1 to
-the vector at that element's position. Decoding subtracts the database-1
-answer from each targeted answer and sums the differences per element across
-clients; an element is in the intersection exactly when that sum is zero.
-Each plan fixes one canonical answer order (answer_keys), and decode_vector,
-the one decode kernel, reads answer values laid out in that order. Queries
-and answers are wire.Message values; decode is the one check of an answer
-message's type, destination and value.
+the vector at that element's position. lay_out_queries is the one builder
+of query vectors: generate_queries draws the base vectors for it, and the
+auditor calls it on the base vectors it enumerates. Decoding subtracts the
+database-1 answer from each targeted answer and sums the differences per
+element across clients; an element is in the intersection exactly when that
+sum is zero. Each plan fixes one canonical answer order (answer_keys), and
+decode_vector, the one decode kernel, reads answer values laid out in that
+order. Queries and answers are wire.Message values; decode is the one check
+of an answer message's type, destination and value.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -198,19 +200,24 @@ class QueryPlan:
 def generate_queries(
     plan: PartitionPlan, field: PrimeField, universe: Universe, seed: int, session_id: str
 ) -> QueryPlan:
-    """Draw the base vectors and lay out every per-database query.
+    """Draw one base vector per partition index and lay the queries out on them."""
+    h_vectors = tuple(
+        draw_vector(seed, field.modulus, universe.size, "h", ell)
+        for ell in range(1, max(plan.shape.eta.values()) + 1)
+    )
+    return lay_out_queries(plan, h_vectors, field.modulus, session_id)
 
-    Clients with fewer partitions share the leading base vectors, so the same
-    vector may serve several clients. Database 1 of a client receives one
-    bare base vector per partition; each element of a partition is targeted
-    at one further database by bumping its coordinate by one.
+
+def lay_out_queries(
+    plan: PartitionPlan, h_vectors: Tuple[bytes, ...], modulus: int, session_id: str
+) -> QueryPlan:
+    """Every per-database query, built from one given base vector per partition.
+
+    Clients with fewer partitions share the leading base vectors. Database 1
+    of a client gets each bare base vector of its partitions, and each element
+    is targeted at one further database by bumping its coordinate by one.
     """
     shape = plan.shape
-    kappa = max(shape.eta.values())
-    modulus = field.modulus
-    h_vectors = tuple(
-        draw_vector(seed, modulus, universe.size, "h", ell) for ell in range(1, kappa + 1)
-    )
     leader = (plan.leader_id, 0)
     queries: Dict[Tuple[int, int], List[Message]] = {}
 

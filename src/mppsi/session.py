@@ -106,7 +106,9 @@ def load_transcript(data: bytes) -> SessionTranscript:
 
     The head and tail objects are read with json and each message body with
     wire.decode_body. A file that does not re-serialize to exactly its own
-    bytes is rejected, so a loaded transcript is byte-stable.
+    bytes is rejected, so a loaded transcript is byte-stable. So is one whose
+    leader, costs (or nulls) and result are not all integers, whose leader has
+    no cost, or whose messages carry another session id.
     """
     start = data.find(b',"messages":[')
     end = data.find(b'],"result":', start)
@@ -135,6 +137,14 @@ def load_transcript(data: bytes) -> SessionTranscript:
         raise ProtocolViolationError(f"malformed transcript file: {exc}") from exc
     if not stable:
         raise ProtocolViolationError("transcript file does not re-serialize to its own bytes")
+    result, costs = transcript.result, transcript.cost_table.costs
+    # json reads true as a bool and NaN as a float; both re-serialize to themselves.
+    numbers = (transcript.leader_id, result.download_cost_actual, *result.decoded,
+               *result.indicators.values(), *(c for c in costs.values() if c is not None))
+    if not all(type(n) is int for n in numbers) or transcript.leader_id not in costs:
+        raise ProtocolViolationError("head or tail not integers, or the leader has no cost")
+    if any(m.session_id != transcript.session_id for m in messages):
+        raise ProtocolViolationError("a message carries a session id other than the transcript's")
     return transcript
 
 

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mppsi import audit
 from mppsi.audit import (
@@ -33,10 +34,11 @@ from mppsi.audit import (
 from mppsi.client import answer_value
 from mppsi.errors import AuditPartError, BoundExceededError
 from mppsi.field import select_field_size
-from mppsi.leader import decode_values, decode_vector
-from mppsi.model import PartyProfile, Universe
-from mppsi.randomness import FAITHFUL, RandomnessPolicy
-from mppsi.session import run_memory_session
+from mppsi.leader import decode_values, decode_vector, generate_queries
+from mppsi.model import PartyProfile, Universe, brute_force_intersection
+from mppsi.protocol import make_session_id, prepare_session
+from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
+from mppsi.session import load_transcript, run_memory_session
 from mppsi.config import SessionConfig
 
 
@@ -233,12 +235,13 @@ POLICIES = (
 
 def reference_answers(compiled, ips, s_values, t_values, c_value, policy=FAITHFUL):
     """All answer values of one realization, keyed by answer key: answer_value
-    applied to each answer on its own, with no level shared between answers."""
+    applied to each answer on its own, with no level shared between answers.
+    ips holds one inner product per answer, in plan.answer_keys order."""
     modulus = compiled.field.modulus
     t_all = individual_values(compiled, t_values, policy)
     return {
-        key: answer_value(ips[key], s_values[s_idx], t_all[t_idx], c_value, modulus)
-        for key, _, _, _, s_idx, t_idx in compiled.answer_layout
+        key: answer_value(ip, s_values[s_idx], t_all[t_idx], c_value, modulus)
+        for ip, key, (s_idx, t_idx) in zip(ips, compiled.plan.answer_keys, compiled.answer_layout)
     }
 
 
@@ -275,7 +278,7 @@ def oracle_reliability(
             cases += 1
             if decoded != expected:
                 failures.append(
-                    f"h={h_vectors} s={s} t={t} c={c}: "
+                    f"h={tuple(map(tuple, h_vectors))} s={s} t={t} c={c}: "
                     f"decoded {sorted(decoded)}, true {sorted(expected)}"
                 )
                 if len(failures) == 5:
@@ -320,7 +323,7 @@ class TestWalkAgreesWithOracle:
         # rows kept from the faithful walk would give the shifted one the
         # faithful completion.
         compiled = compile_instance(FOUR_PARTY)
-        ips = query_inner_products(compiled, ((2,),))
+        ips = query_inner_products(compiled, (bytes([2]),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
         tuples = list(draws())
         for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
@@ -337,7 +340,7 @@ class TestWalkAgreesWithOracle:
 
         monkeypatch.setattr("mppsi.audit.individual_values", counting)
         compiled = compile_instance(HOMOGENEOUS)
-        ips = query_inner_products(compiled, ((0, 0, 0, 0),))
+        ips = query_inner_products(compiled, (bytes(4),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
         walked = sum(1 for _ in realization_answers(compiled, ips, draws()))
         assert walked == 162
@@ -356,6 +359,64 @@ class TestWalkAgreesWithOracle:
         monkeypatch.setattr("mppsi.audit.realization_answers", counting)
         assert check(HOMOGENEOUS).passed
         assert calls
+
+
+@st.composite
+def session_configs(draw):
+    """M 2-5 parties of 2-4 databases over a universe of 1-12 elements, with
+    random sets (empty ones too) and an optional leader override."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 12))
+    parties = tuple(
+        PartyProfile(pid, draw(st.integers(2, 4)), frozenset(draw(st.sets(st.integers(1, k)))))
+        for pid in range(1, m + 1)
+    )
+    leader = draw(st.none() | st.integers(1, m))
+    return SessionConfig(k, parties, draw(st.integers(0, 2**32 - 1)), leader)
+
+
+def session_realization(config, policy):
+    """The audit's compiled instance, and the memory session's own base
+    vectors and (s, t, c) laid out in the instance's slot order."""
+    compiled = compile_instance(
+        AuditInstance(config.parties, config.universe, config.leader_override)
+    )
+    setup, plan, shape = compiled.setup, compiled.plan, compiled.plan.shape
+    session_id = make_session_id(config)
+    h = generate_queries(plan, setup.field, config.universe, config.seed, session_id).h_vectors
+    bundles, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id, policy)
+    s = tuple(bundles[client, 1].local[ell - 1] for client, ell in compiled.s_index)
+    t = []
+    for client, position in compiled.t_index:
+        partition, database = shape.position_location(client, position)
+        t.append(bundles[client, database].individual[partition])
+    return compiled, h, (s, tuple(t), bundles[shape.client_ids[0], 1].c)
+
+
+class TestRunnerAgreesWithAuditor:
+    """The auditor's answer walk, fed one memory session's own draws, gives
+    that session's answers: the lemmas are proved over the code that runs."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(session_configs())
+    def test_session_answers_equal_the_audited_realization(self, config):
+        for policy in POLICIES:
+            transcript = run_memory_session(config, policy)
+            if transcript.messages:  # an empty leader set draws nothing
+                compiled, h, realization = session_realization(config, policy)
+                ips = query_inner_products(compiled, h)
+                ((*_, walked),) = realization_answers(compiled, ips, [realization], policy)
+                sent = {
+                    (m.origin[0], m.partition, m.target): m.values[0]
+                    for m in transcript.messages_in_phase("answer")
+                }
+                assert walked == [sent[key] for key in compiled.plan.answer_keys]
+            if policy == FAITHFUL:
+                assert transcript.result.decoded == brute_force_intersection(config.parties)
+            assert transcript.download_cost_actual == transcript.cost_table.costs[
+                transcript.leader_id
+            ]
+            assert load_transcript(transcript.serialize()) == transcript
 
 
 def set_cpus(monkeypatch, count):
@@ -516,7 +577,8 @@ class TestSplitWalk:
 
     def test_exception_in_a_child_reaches_the_caller(self, monkeypatch):
         def fail(h_vectors):
-            raise ValueError(f"no inner products for {h_vectors} in process {os.getpid()}")
+            h_text = tuple(map(tuple, h_vectors))
+            raise ValueError(f"no inner products for {h_text} in process {os.getpid()}")
 
         on_h_set(monkeypatch, HOMOGENEOUS, -1, fail)
         monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
@@ -691,6 +753,23 @@ class TestQueryTupleDistribution:
             assert one == other
             assert len(one.probs) == 729
             assert all(p == Fraction(1, 729) for _, p in one.probs)
+
+    def test_one_base_vector_for_every_partition_is_not_uniform(self, monkeypatch):
+        # Negative control for the shared layout: serving both partitions
+        # from base vector 1 fixes the difference of database 2's two
+        # targeted queries, which names the leader's elements.
+        real = audit.lay_out_queries
+
+        def reuse_first(plan, h_vectors, modulus, session_id):
+            return real(plan, (h_vectors[0],) * len(h_vectors), modulus, session_id)
+
+        monkeypatch.setattr(audit, "lay_out_queries", reuse_first)
+        for database in (1, 2):
+            table = self._table({1, 3}, 1, database)
+            assert len(table.probs) == 27
+            assert not table.is_uniform_over(list(itertools.product(
+                itertools.product(range(3), repeat=3), repeat=2
+            )))
 
 
 class TestLeaderPrivacy:

@@ -173,6 +173,37 @@ class TestDeterminism:
         with pytest.raises(ProtocolViolationError):
             load_transcript(edited)
 
+    def test_transcript_of_another_session_id_is_a_protocol_violation(self):
+        transcript = run_memory_session(DEMOS["sec4"].config)
+        data = transcript.serialize()
+        own = f'"session_id":"{transcript.session_id}"}}\n'.encode("ascii")
+        assert data.endswith(own)
+        edited = data[: -len(own)] + b'"session_id":"0000000000000000"}\n'
+        with pytest.raises(ProtocolViolationError, match="other than the transcript's"):
+            load_transcript(edited)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"leader":3,', b'"leader":"x",'),
+            (b'"leader":3,', b'"leader":9,'),
+            (b'"leader":3,', b'"leader":true,'),
+            (b'"cost_table":{"1":6,', b'"cost_table":{"1":6.5,'),
+            (b'"download_cost_actual":6', b'"download_cost_actual":NaN'),
+            (b'"decoded":[1]', b'"decoded":[true]'),
+            (b'"indicators":{"1":0', b'"indicators":{"1":false'),
+        ],
+        ids=[
+            "leader-string", "leader-without-cost", "leader-bool", "cost-float",
+            "download-cost-nan", "decoded-bool", "indicator-bool",
+        ],
+    )
+    def test_non_integer_head_or_tail_is_a_protocol_violation(self, old, new):
+        data = run_memory_session(DEMOS["sec4"].config).serialize()
+        assert data.count(old) == 1
+        with pytest.raises(ProtocolViolationError, match="not integers|has no cost"):
+            load_transcript(data.replace(old, new))
+
     def test_repeat_runs_serialize_identically(self):
         config = DEMOS["sec7_2"].config
         blobs = {run_memory_session(config).serialize() for _ in range(5)}
