@@ -140,7 +140,8 @@ class CompiledInstance:
 
     answer_layout follows plan.answer_keys, the order decode_vector reads.
     Inner products per query are constants of the base-vector realization, so
-    they are computed once per realization, as a list in that order. Every
+    they are computed once per realization, as a list in that order, by each
+    client's support_sums function, built once per instance. Every
     check builds its answer vectors from them level by level
     (realization_answers) and reads them by index in that order.
     """
@@ -157,6 +158,8 @@ class CompiledInstance:
     # zero every database-1 answer adds.
     answer_layout: List[Tuple[int, int]]
     corr_free_indices: Dict[int, List[int]]
+    # client id -> the sum of a query's entries over that client's set
+    support_sums: Dict[int, Callable[[bytes], int]]
 
     @property
     def field(self) -> PrimeField:
@@ -205,6 +208,10 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         n_t=len(t_index),
         answer_layout=layout,
         corr_free_indices=corr_free,
+        support_sums={
+            client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
+            for client in setup.clients
+        },
     )
 
 
@@ -218,10 +225,7 @@ def _inner_products(compiled: CompiledInstance, sent: QueryPlan) -> List[int]:
     """Inner product of each laid-out query with its client's incidence
     vector, in plan.answer_keys order."""
     modulus = compiled.field.modulus
-    sums = {
-        client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
-        for client in compiled.setup.clients
-    }
+    sums = compiled.support_sums
     ips: Dict[Tuple[int, int, Optional[int]], int] = {}
     for (client_id, _), queries in sent.queries.items():
         for query in queries:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
-from .field import select_field_size
 from .model import PartyProfile, Universe
 from .wire import MAX_FRAME_BYTES, max_query_frame_bytes
 
@@ -171,16 +170,11 @@ def config_from_dict(data: dict) -> SessionConfig:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
     addresses = _parse_addresses(data["addresses"]) if "addresses" in data else {}
     if transport == "net" and len(parties) > 1:
-        frame = max_query_frame_bytes(
-            universe_size,
-            select_field_size(len(parties)).modulus,
-            len(parties),
-            max(p.num_databases for p in parties),
-        )
+        frame = max_query_frame_bytes(universe_size)
         if frame > MAX_FRAME_BYTES:
             raise ConfigError(
                 f"universe_size {universe_size} is too large for the net transport: "
-                f"a query frame can reach {frame} bytes, above the "
+                f"a query frame takes {frame} bytes, above the "
                 f"{MAX_FRAME_BYTES}-byte frame limit"
             )
     return SessionConfig(

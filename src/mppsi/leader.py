@@ -220,22 +220,24 @@ def lay_out_queries(
     shape = plan.shape
     leader = (plan.leader_id, 0)
     queries: Dict[Tuple[int, int], List[Message]] = {}
-
-    def send(dest: Tuple[int, int], partition: int, target: Optional[int], vector: bytes) -> None:
-        # Fields in order (type, session_id, phase, origin, dest, partition,
-        # target, values): keywords cost about twice as much per message.
-        queries.setdefault(dest, []).append(
-            Message("query", session_id, "query", leader, dest, partition, target, vector)
-        )
-
+    # Fields in order (type, session_id, phase, origin, dest, partition,
+    # target, values): keywords cost about twice as much per message.
     for client_id in shape.client_ids:
-        for ell in range(1, shape.eta[client_id] + 1):
-            send((client_id, 1), ell, None, h_vectors[ell - 1])
+        base = (client_id, 1)
+        queries[base] = [
+            Message("query", session_id, "query", leader, base, ell, None, vector)
+            for ell, vector in enumerate(h_vectors[: shape.eta[client_id]], start=1)
+        ]
         for position, element in enumerate(plan.leader_elements, start=1):
             partition, database = shape.position_location(client_id, position)
             bumped = bytearray(h_vectors[partition - 1])
             bumped[element - 1] = (bumped[element - 1] + 1) % modulus
-            send((client_id, database), partition, position, bytes(bumped))
+            dest = (client_id, database)
+            queries.setdefault(dest, []).append(
+                Message(
+                    "query", session_id, "query", leader, dest, partition, position, bytes(bumped)
+                )
+            )
     return QueryPlan(h_vectors=h_vectors, queries=queries)
 
 

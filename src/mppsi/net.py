@@ -18,11 +18,12 @@ the loop: connects are non-blocking and a refused one is retried, frames
 are queued until their connection is writable, and queries that arrive
 before an endpoint's randomness wait until it is installed.
 
-Frames carry the wire.Message values of the states and the leader,
-unconverted. An outgoing connection counts the replies it expects: a share
-connection none, so it is done when its receiver, having read every frame,
-closes it; a query connection one answer per query, each from the database
-it reaches to the leader, so it is done at the last.
+Frames are wire's binary frames: each carries one wire.Message of the
+states or the leader, its residue bytes as they are. An outgoing connection
+counts the replies it expects: a share connection none, so it is done when
+its receiver, having read every frame, closes it; a query connection one
+answer per query, each from the database it reaches to the leader, so it is
+done at the last.
 
 run_networked_session gives session.run_leader the TCP exchange. Its round
 also waits until each in-process endpoint's shares are sent or have failed,

@@ -14,7 +14,8 @@ net.run_networked_session frames the messages to TCP endpoints.
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
 run's messages in transcript order (shares in randomness.share_order, then
-queries and answers by Message.sort_key).
+queries and answers by Message.sort_key). A transcript file writes each one
+as its JSON body (wire.render_body), not as the binary frame it travels in.
 
 The leader never appears as origin or destination of a randomness-phase
 message; those flow only between client databases. Audits rely on the phase
@@ -29,6 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError, ProtocolViolationError
+from .field import select_field_size
 from .leader import (
     CostTable,
     IntersectionResult,
@@ -64,8 +66,8 @@ class SessionTranscript:
         """The transcript as one line of sorted-key JSON.
 
         Its keys in sorted order are cost_table, leader, messages, result and
-        session_id, so the text is a head object, the message bodies exactly
-        as they travel in frames, and a tail object. Each body is rendered
+        session_id, so the text is a head object, the messages' JSON bodies
+        (wire.render_body), and a tail object. Each body is rendered
         once, as bytes, and everything is joined once: a call allocates one
         transcript-sized result.
         """
@@ -108,7 +110,11 @@ def load_transcript(data: bytes) -> SessionTranscript:
     wire.decode_body. A file that does not re-serialize to exactly its own
     bytes is rejected, so a loaded transcript is byte-stable. So is one whose
     leader, costs (or nulls) and result are not all integers, whose leader has
-    no cost, or whose messages carry another session id.
+    no cost, or whose messages carry another session id. So is a result that
+    contradicts itself or its messages: an indicator outside [0, L), with L
+    the field of the cost table's parties; a decoded set other than the
+    elements whose indicator is zero; a download cost other than the number
+    of answers.
     """
     start = data.find(b',"messages":[')
     end = data.find(b'],"result":', start)
@@ -145,6 +151,19 @@ def load_transcript(data: bytes) -> SessionTranscript:
         raise ProtocolViolationError("head or tail not integers, or the leader has no cost")
     if any(m.session_id != transcript.session_id for m in messages):
         raise ProtocolViolationError("a message carries a session id other than the transcript's")
+    try:
+        modulus = select_field_size(len(costs)).modulus
+    except ConfigError as exc:
+        raise ProtocolViolationError(f"no field for a cost table of {len(costs)} parties") from exc
+    if not all(0 <= value < modulus for value in result.indicators.values()):
+        raise ProtocolViolationError(f"an indicator lies outside [0, {modulus})")
+    if result.decoded != {elem for elem, value in result.indicators.items() if value == 0}:
+        raise ProtocolViolationError("decoded is not the set of elements whose indicator is zero")
+    answers = sum(m.phase == "answer" for m in messages)
+    if result.download_cost_actual != answers:
+        raise ProtocolViolationError(
+            f"download cost {result.download_cost_actual}, but {answers} answers"
+        )
     return transcript
 
 

@@ -1,27 +1,39 @@
-"""Wire format: length-prefixed frames around small JSON text payloads.
+"""Wire format: binary frames of residue bytes; JSON bodies for transcripts only.
 
-Every protocol message is one frame: a 4-byte big-endian unsigned length
-followed by that many bytes of UTF-8 JSON. The JSON object carries exactly
-the fields {type, session_id, phase, origin, dest, partition, target,
-values}; unknown fields are rejected on decode. Frames above 1 MiB (or
-empty) are invalid. render_body is the one renderer of a message: it writes
-ASCII bytes, and frame payloads and transcript entries are the same bytes.
+Every protocol message is one frame. Its integers are big-endian:
+
+    length    u32       the bytes that follow, 1 .. 1 MiB
+    type      u8        1 t_share, 2 c_share, 3 query, 4 answer (PHASE_BY_TYPE
+                        gives the phase)
+    id_len    u8        the session id's length
+    id        id_len    the session id, nonempty lowercase hex ASCII
+    tags      6 x u32   origin party, origin database, dest party, dest
+                        database, partition, target; 0 is a null partition
+                        or target, so real ones are positive
+    values    the rest  the residues, one per byte, as the message holds them
+
+So a frame is 4 + 2 + len(id) + 24 + len(values) bytes. decode_msg rejects
+a bad length (zero, above 1 MiB, or not the bytes that follow), an unknown
+type code, a head cut short, an empty or non-lowercase-hex id and a tag
+above 999,999,999; encode_msg refuses a message that decode_msg would not
+return. So every frame decode_msg accepts is the one frame encode_msg writes
+for its message, and a message render_body can write.
 
 A message's values are field residues held as bytes, one byte per residue:
-L <= 251 (field.select_field_size), so every residue fits. On the wire they
-are a JSON list of plain decimal integers. Message is a named tuple, so a
-message costs about what a tuple of its fields does to build.
+L <= 251 (field.select_field_size), so every residue fits, and a frame
+carries them unchanged. Message is a named tuple, so a message costs about
+what a tuple of its fields does to build.
 
-There is one body grammar: exactly what render_body writes. decode_body
-reads it and decode_msg calls it after the frame's length checks. The head
-is read by one anchored pattern, which admits only sorted keys, no spaces,
-naturals of at most 9 digits with no leading zero, null or positive tags, a
-nonempty lowercase hex session id (all protocol.make_session_id writes) and
-a known type with its phase. One-digit values (every frame of a session with
-L <= 10) are read by one bytes pass over 'd,...,d'; wider ones by one lookup
-per comma-separated decimal in a table of 0..255, so a leading zero, a sign,
-a space, an empty item or a value past 255 is a protocol violation. Any
-other byte form of a message, even valid JSON of the same fields (spaces,
+Transcripts write messages as JSON bodies: render_body is their one
+renderer, and decode_body reads exactly what it writes. The head is read by
+one anchored pattern, which admits only sorted keys, no spaces, naturals of
+at most 9 digits with no leading zero, null or positive tags, a nonempty
+lowercase hex session id (all protocol.make_session_id writes) and a known
+type with its phase. One-digit values (every body of a session with L <= 10)
+are read by one bytes pass over 'd,...,d'; wider ones by one lookup per
+comma-separated decimal in a table of 0..255, so a leading zero, a sign, a
+space, an empty item or a value past 255 is a protocol violation. Any other
+byte form of a message, even valid JSON of the same fields (spaces,
 reordered or duplicate keys, escaped or uppercase ids), is rejected, so a
 decoded message renders back to the bytes it was read from.
 
@@ -41,6 +53,7 @@ from .errors import ProtocolViolationError
 MAX_FRAME_BYTES = 1 << 20
 HEADER = struct.Struct(">I")
 SESSION_ID_CHARS = 16
+MAX_TAG = 999_999_999  # the widest tag decode_body reads: nine digits
 
 PHASE_BY_TYPE = {
     "t_share": "randomness",
@@ -48,6 +61,16 @@ PHASE_BY_TYPE = {
     "query": "query",
     "answer": "answer",
 }
+
+# A frame's head: the length, type code and id length, then the id, then
+# the six tags.
+_START = struct.Struct(">IBB")
+_TAGS = struct.Struct(">6I")
+_HEAD_BYTES = _START.size - HEADER.size + _TAGS.size  # the head after the length, bar the id
+_TYPE_CODE = {msg_type: code for code, msg_type in enumerate(PHASE_BY_TYPE, start=1)}
+_KIND_OF_CODE = {code: (t, PHASE_BY_TYPE[t]) for t, code in _TYPE_CODE.items()}
+_HEX = b"0123456789abcdef"
+
 
 class Message(NamedTuple):
     """One protocol message, transport-neutral; values holds one residue per byte.
@@ -131,7 +154,7 @@ def render_values(values: bytes) -> bytes:
 
 
 def render_body(msg: Message) -> bytes:
-    """The JSON of a message as ASCII bytes: a frame's payload and a transcript entry.
+    """The JSON of a message as ASCII bytes: its entry in a transcript.
 
     Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
     encoded, written directly: the head up to the values rendered once, with
@@ -149,56 +172,88 @@ def render_body(msg: Message) -> bytes:
     return b"".join((head.encode("ascii"), render_values(values), b"]}"))
 
 
-def max_query_frame_bytes(
-    universe_size: int, modulus: int, num_parties: int, max_databases: int
-) -> int:
-    """Payload bytes of the widest query frame a session of this shape sends.
+def max_query_frame_bytes(universe_size: int) -> int:
+    """Payload bytes of every query frame of a session over a universe of this size.
 
-    Every value is L - 1 and every tag takes its widest value: party ids up
-    to M, databases up to the largest N_i, and partition and target up to K
-    (both are at most the leader's set size R <= K).
+    The type code and id length, a SESSION_ID_CHARS-char id, the six tags,
+    then one byte per value: 2 + SESSION_ID_CHARS + 24 + K.
     """
-    widest = Message(
-        type="query",
-        session_id="f" * SESSION_ID_CHARS,
-        phase="query",
-        origin=(num_parties, 0),
-        dest=(num_parties, max_databases),
-        partition=universe_size,
-        target=universe_size,
-        values=b"",
-    )
-    value_chars = len(str(modulus - 1))
-    return len(render_body(widest)) + universe_size * (value_chars + 1) - 1
+    return _HEAD_BYTES + SESSION_ID_CHARS + universe_size
 
 
 def encode_msg(msg: Message) -> bytes:
-    """Serialize to one length-prefixed frame."""
-    body = render_body(msg)
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolViolationError(f"frame of {len(body)} bytes exceeds 1 MiB limit")
-    return HEADER.pack(len(body)) + body
+    """The one length-prefixed frame of a message.
+
+    A message decode_msg would not return (an unknown type or a mismatched
+    phase, an id that is empty, too long or not lowercase hex, a tag that is
+    negative, zero where it may be null or above MAX_TAG) or a frame above
+    1 MiB is a protocol violation.
+    """
+    msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
+    tags = (o0, o1, d0, d1, partition or 0, target or 0)
+    sid = session_id.encode("ascii", "replace")
+    length = _HEAD_BYTES + len(sid) + len(values)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolViolationError(f"frame of {length} bytes exceeds 1 MiB limit")
+    if (
+        PHASE_BY_TYPE.get(msg_type) != phase
+        or not 0 < len(sid) < 256
+        or sid.translate(None, _HEX)
+        or min(tags) < 0
+        or max(tags) > MAX_TAG
+        or partition == 0
+        or target == 0
+    ):
+        raise ProtocolViolationError(f"message cannot be framed: {msg[:7]!r}")
+    start = _START.pack(length, _TYPE_CODE[msg_type], len(sid))
+    return b"".join((start, sid, _TAGS.pack(*tags), values))
 
 
 def decode_msg(frame: bytes) -> Message:
-    """Parse one full frame back into a Message."""
+    """The message of one full frame; any other bytes are a protocol violation."""
     if len(frame) < HEADER.size:
         raise ProtocolViolationError(f"truncated frame header: {len(frame)} bytes")
-    (length,) = HEADER.unpack(frame[: HEADER.size])
+    (length,) = HEADER.unpack_from(frame)
     if length == 0:
         raise ProtocolViolationError("zero-length frame")
     if length > MAX_FRAME_BYTES:
         raise ProtocolViolationError(f"declared frame length {length} exceeds 1 MiB limit")
-    body = frame[HEADER.size :]
-    if len(body) != length:
+    if len(frame) - HEADER.size != length:
         raise ProtocolViolationError(
-            f"frame length mismatch: declared {length}, got {len(body)}"
+            f"frame length mismatch: declared {length}, got {len(frame) - HEADER.size}"
         )
-    return decode_body(body)
+    if length < 2:
+        raise ProtocolViolationError(f"truncated message head: {length} bytes")
+    kind = _KIND_OF_CODE.get(frame[4])
+    if kind is None:
+        raise ProtocolViolationError(f"unknown message type code {frame[4]}")
+    tags_start = _START.size + frame[5]
+    values_start = tags_start + _TAGS.size
+    if len(frame) < values_start:
+        raise ProtocolViolationError(f"truncated message head: {length} bytes")
+    session_id = frame[_START.size : tags_start]
+    if not session_id or session_id.translate(None, _HEX):
+        raise ProtocolViolationError("session id must be nonempty lowercase hex")
+    tags = _TAGS.unpack_from(frame, tags_start)
+    if max(tags) > MAX_TAG:
+        raise ProtocolViolationError(f"tag above {MAX_TAG}: {tags}")
+    o0, o1, d0, d1, partition, target = tags
+    return Message(
+        kind[0],
+        session_id.decode("ascii"),
+        kind[1],
+        (o0, o1),
+        (d0, d1),
+        partition or None,
+        target or None,
+        frame[values_start:],
+    )
 
 
 def decode_body(body: bytes) -> Message:
     """The message whose render_body is body; any other bytes are a protocol violation.
+
+    This is the transcript grammar; frames are read by decode_msg.
 
     The head is read by one anchored match. One-digit values are read by one
     translate; wider ones by splitting at the commas and looking each
@@ -206,7 +261,7 @@ def decode_body(body: bytes) -> Message:
     """
     head = _CANONICAL_HEAD.match(body)
     if head is None or not body.endswith(b"]}"):
-        raise ProtocolViolationError("payload is not a message body as render_body writes it")
+        raise ProtocolViolationError("not a message body as render_body writes it")
     d0, d1, o0, o1, partition, phase, session_id, target, msg_type = head.groups()
     kind = _KINDS.get((msg_type, phase))
     if kind is None:

@@ -138,12 +138,14 @@ class TestNetFrameLimit:
             ],
         )
 
-    @pytest.mark.parametrize("num_parties,limit", [(3, 524_219), (11, 349_478)])
+    # A query frame is 2 + 16 + 24 + K bytes after its length, whatever the
+    # field and the party and database ids.
+    @pytest.mark.parametrize("num_parties,limit", [(3, 1_048_534), (11, 1_048_534)])
     def test_boundary(self, num_parties, limit):
         assert parse_config(as_json(self.config(limit, num_parties))).universe_size == limit
         with pytest.raises(ConfigError, match="frame limit"):
             parse_config(as_json(self.config(limit + 1, num_parties)))
 
     def test_memory_configs_unaffected(self):
-        config = parse_config(as_json(self.config(524_220, transport="memory")))
-        assert config.universe_size == 524_220
+        config = parse_config(as_json(self.config(1_048_535, transport="memory")))
+        assert config.universe_size == 1_048_535

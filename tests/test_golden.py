@@ -24,6 +24,15 @@ GOLDEN = {
 AUDIT_SMALL = "7047ac7fb628c2c121a24d4d28c1a917f6fca5946a8b97a9dae4f92b157ad39d"
 WIDE = "27343008bb205470866889c49a4af92ff33aba26e868bd2165bc774445ed3a81"
 ELEVEN = "b80c977668ba8e45848d5c9e1de371dfcd0ab3dee94ea6c5d8ce417e280595c6"
+# sha256 of each golden session's messages as binary frames, joined.
+FRAMES = {
+    "audit-small": "1e24afa8bf8de89e1ea08f7e048d0c5c456c3d50f683da623b84260e67ead946",
+    "eleven": "0d5115ba0666a2a1c414605f05b1bdd039febce2b2c06c52c14a55f19a442fdc",
+    "sec4": "655a8e29d079088125e8751af3e5d2b08af2e290a845f9a091959562764ac93c",
+    "sec7_1": "3c33953269c11c03e0cf30760030ff0eb15c838db8addd8d7754ecfd039facc3",
+    "sec7_2": "ec0aedc4c2a9aa5971b2d5aa9b7030b2dcf5cc323abd9303733de33c15757604",
+    "wide": "84be71c3c7088810433c6df581998eb1a2cac6bce7d98f7db595e1d8197a8171",
+}
 
 
 def digest(transcript) -> str:
@@ -140,3 +149,16 @@ def test_frames_skip_json_unless_a_value_has_two_digits(name, monkeypatch):
     over_tcp = run_networked_session(config)
     assert calls == []
     assert over_tcp.serialize() == memory.serialize()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_frames_are_pinned_and_sized_by_the_formula(name):
+    config = GOLDEN_CONFIGS[name]()
+    memory = run_memory_session(config)
+    frames = b"".join(map(encode_msg, memory.messages))
+    assert hashlib.sha256(frames).hexdigest() == FRAMES[name]
+    over_tcp = run_networked_session(config)
+    for transcript in (memory, over_tcp):
+        for m in transcript.messages:
+            # length, type code and id length, id, six tags, residue bytes
+            assert len(encode_msg(m)) == 4 + 2 + len(m.session_id) + 24 + len(m.values)

@@ -17,7 +17,7 @@ from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import RandomnessPolicy, build_bundle
 from mppsi.session import run_memory_session
-from mppsi.wire import HEADER, Message, encode_msg, render_body
+from mppsi.wire import HEADER, Message, encode_msg
 
 
 def message_multiset(transcript):
@@ -384,7 +384,7 @@ class TestEndpointBehaviour:
             for ep in endpoints:
                 ep.stop()
 
-    def test_query_value_past_one_byte_closes_only_its_connection(self):
+    def test_malformed_frame_closes_only_its_connection(self):
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
@@ -400,15 +400,16 @@ class TestEndpointBehaviour:
                 target=None,
                 values=bytes(config.universe_size),
             )
-            # The same query with its first value 256, which no message can hold.
-            zeros = b",".join([b"0"] * config.universe_size)
-            body = render_body(query).replace(b"[" + zeros + b"]", b"[256" + zeros[1:] + b"]")
-            assert b"[256,0," in body
+            # The same query's frame with its session id's length running
+            # past the end of the frame.
+            malformed = bytearray(encode_msg(query))
+            assert malformed[HEADER.size + 1] == len(query.session_id)
+            malformed[HEADER.size + 1] = 255
             with socket.create_connection(target.address, timeout=5) as waiting:
                 waiting.sendall(encode_msg(query))
                 with socket.create_connection(target.address, timeout=5) as bad:
                     bad.settimeout(5)
-                    bad.sendall(HEADER.pack(len(body)) + body)
+                    bad.sendall(malformed)
                     assert bad.recv(1) == b""
                 waiting.settimeout(0.3)
                 with pytest.raises(socket.timeout):

@@ -204,6 +204,29 @@ class TestDeterminism:
         with pytest.raises(ProtocolViolationError, match="not integers|has no cost"):
             load_transcript(data.replace(old, new))
 
+    # sec4's result: L = 3, decoded [1], indicators {1: 0, 4: 1}, six answers.
+    @pytest.mark.parametrize("decoded", [b"[]", b"[4]", b"[1,4]", b"[9]"])
+    def test_decoded_set_other_than_the_zero_indicators_is_a_protocol_violation(self, decoded):
+        data = run_memory_session(DEMOS["sec4"].config).serialize()
+        assert data.count(b'"decoded":[1]') == 1
+        with pytest.raises(ProtocolViolationError, match="indicator is zero"):
+            load_transcript(data.replace(b'"decoded":[1]', b'"decoded":' + decoded))
+
+    @pytest.mark.parametrize("value", [b"-1", b"3", b"-7"])
+    def test_indicator_outside_the_field_is_a_protocol_violation(self, value):
+        data = run_memory_session(DEMOS["sec4"].config).serialize()
+        assert data.count(b'"4":1}') == 1
+        with pytest.raises(ProtocolViolationError, match=r"outside \[0, 3\)"):
+            load_transcript(data.replace(b'"4":1}', b'"4":' + value + b"}"))
+
+    @pytest.mark.parametrize("cost", [b"0", b"5", b"7"])
+    def test_download_cost_other_than_the_answers_is_a_protocol_violation(self, cost):
+        data = run_memory_session(DEMOS["sec4"].config).serialize()
+        old = b'"download_cost_actual":6'
+        assert data.count(old) == 1
+        with pytest.raises(ProtocolViolationError, match="but 6 answers"):
+            load_transcript(data.replace(old, b'"download_cost_actual":' + cost))
+
     def test_repeat_runs_serialize_identically(self):
         config = DEMOS["sec7_2"].config
         blobs = {run_memory_session(config).serialize() for _ in range(5)}

@@ -1,4 +1,4 @@
-"""Wire format: framing and message codec."""
+"""Wire format: binary frames, and the JSON body grammar of transcripts."""
 
 import json
 import random
@@ -15,9 +15,11 @@ from mppsi.session import SessionTranscript, load_transcript, run_memory_session
 from mppsi.wire import (
     HEADER,
     MAX_FRAME_BYTES,
+    MAX_TAG,
     PHASE_BY_TYPE,
     SESSION_ID_CHARS,
     Message,
+    decode_body,
     decode_msg,
     encode_msg,
     max_query_frame_bytes,
@@ -154,24 +156,12 @@ def reference_message(data) -> Message:
     )
 
 
-def reference_decode(frame: bytes) -> Message:
-    """The JSON oracle: any JSON spelling of a valid message, through json.loads."""
-    if len(frame) < HEADER.size:
-        raise ProtocolViolationError(f"truncated frame header: {len(frame)} bytes")
-    (length,) = HEADER.unpack(frame[: HEADER.size])
-    if length == 0:
-        raise ProtocolViolationError("zero-length frame")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolViolationError(f"declared frame length {length} exceeds 1 MiB limit")
-    body = frame[HEADER.size :]
-    if len(body) != length:
-        raise ProtocolViolationError(
-            f"frame length mismatch: declared {length}, got {len(body)}"
-        )
+def reference_decode(body: bytes) -> Message:
+    """The JSON oracle: any JSON spelling of a valid message body, through json.loads."""
     try:
         data = json.loads(body.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ProtocolViolationError(f"undecodable frame payload: {exc}") from exc
+        raise ProtocolViolationError(f"undecodable message body: {exc}") from exc
     return reference_message(data)
 
 
@@ -226,10 +216,73 @@ def frame_with_body(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
+def raw_frame(code=3, session_id=b"0a1b", tags=(3, 0, 1, 2, 1, 0), values=b"\0\1\2", id_len=None):
+    """A frame laid out field by field, whether or not it is valid."""
+    id_len = len(session_id) if id_len is None else id_len
+    return frame_with_body(
+        bytes((code, id_len)) + session_id + struct.pack(">6I", *tags) + values
+    )
+
+
+def frame_size(msg: Message) -> int:
+    """The documented frame size: length, type and id length, id, six tags, values."""
+    return 4 + 2 + len(msg.session_id) + 24 + len(msg.values)
+
+
+# Frames near the layout: valid and invalid type codes, ids of any bytes and
+# declared lengths, tags around the limits, and cuts anywhere.
+TAG_WORDS = st.one_of(
+    st.integers(0, 9), st.sampled_from([MAX_TAG, MAX_TAG + 1]), st.integers(0, 2**32 - 1)
+)
+
+
+@st.composite
+def near_frames(draw):
+    session_id = draw(
+        st.one_of(
+            st.text(alphabet="0123456789abcdef", max_size=SESSION_ID_CHARS).map(str.encode),
+            st.binary(max_size=SESSION_ID_CHARS),
+        )
+    )
+    frame = raw_frame(
+        code=draw(st.integers(0, 6)),
+        session_id=session_id,
+        tags=draw(
+            st.one_of(
+                st.lists(st.integers(0, MAX_TAG), min_size=6, max_size=6),
+                st.lists(TAG_WORDS, min_size=6, max_size=6),
+            )
+        ),
+        values=draw(st.binary(max_size=40)),
+        id_len=draw(st.one_of(st.none(), st.integers(0, 255))),
+    )
+    cut = draw(st.one_of(st.none(), st.integers(HEADER.size, len(frame))))
+    return frame if cut is None else frame_with_body(frame[HEADER.size : cut])
+
+
 class TestRoundTrip:
     @given(MESSAGES)
     def test_encode_decode_identity(self, msg):
         assert decode_msg(encode_msg(msg)) == msg
+
+    @given(CANONICAL_MESSAGES)
+    def test_every_message_a_session_can_send_round_trips(self, msg):
+        frame = encode_msg(msg)
+        assert len(frame) == frame_size(msg)
+        assert frame.endswith(msg.values)
+        assert decode_msg(frame) == msg
+
+    @settings(max_examples=400)
+    @given(st.one_of(CANONICAL_MESSAGES.map(encode_msg), near_frames()))
+    def test_every_accepted_frame_is_the_one_frame_of_its_message(self, frame):
+        result = outcome(decode_msg, frame)
+        if result == ("rejected",):
+            return
+        msg = result[1]
+        assert type(msg.values) is bytes
+        assert encode_msg(msg) == frame
+        # Every message a frame carries can be written to a transcript.
+        assert decode_body(render_body(msg)) == msg
 
     def test_query_vector_bounds_from_heterogeneous_fixture(self):
         # Universe of five, field of five: every query frame carries five
@@ -247,10 +300,10 @@ class TestRoundTrip:
             assert all(0 <= v <= 4 for v in decoded.values)
 
 
-def outcome(decode, frame: bytes) -> tuple:
-    """("ok", message) or ("rejected",); any other exception propagates."""
+def outcome(codec, data) -> tuple:
+    """("ok", codec(data)) or ("rejected",); any other exception propagates."""
     try:
-        return ("ok", decode(frame))
+        return ("ok", codec(data))
     except ProtocolViolationError:
         return ("rejected",)
 
@@ -399,50 +452,52 @@ PINNED_PAYLOADS = {
 }
 
 
-def accepted(frame: bytes) -> Message:
-    """decode_msg(frame), checked to be the JSON oracle's message and to render to the body."""
-    msg = decode_msg(frame)
-    assert reference_decode(frame) == msg
-    assert render_body(msg) == frame[HEADER.size :]
+def accepted(body: bytes) -> Message:
+    """decode_body(body), checked to be the JSON oracle's message and to render to body."""
+    msg = decode_body(body)
+    assert reference_decode(body) == msg
+    assert render_body(msg) == body
     return msg
 
 
 class TestDecoderAgreesWithReference:
-    """decode_msg accepts only what render_body writes, and the JSON oracle agrees."""
+    """decode_body accepts only what render_body writes, and the JSON oracle agrees."""
 
     @given(CANONICAL_MESSAGES)
     def test_rendered_frames(self, msg):
-        assert accepted(encode_msg(msg)) == msg
+        assert accepted(render_body(msg)) == msg
 
     @given(ORACLE_MESSAGES)
     def test_other_session_ids_are_rejected(self, msg):
-        # Arbitrary text ids: only a nonempty lowercase hex one decodes.
-        frame = encode_msg(msg)
+        # Arbitrary text ids: only a nonempty lowercase hex one decodes, and
+        # only such a message can be framed.
+        body = render_body(msg)
         if re.fullmatch("[0-9a-f]+", msg.session_id):
-            assert accepted(frame) == msg
+            assert accepted(body) == msg
+            assert decode_msg(encode_msg(msg)) == msg
         else:
-            assert outcome(decode_msg, frame) == ("rejected",)
+            assert outcome(decode_body, body) == ("rejected",)
+            assert outcome(encode_msg, msg) == ("rejected",)
 
     @settings(max_examples=400)
     @given(mutated_bodies())
     def test_mutated_frames(self, body):
-        frame = frame_with_body(body)
-        if outcome(decode_msg, frame) != ("rejected",):
-            accepted(frame)
+        if outcome(decode_body, body) != ("rejected",):
+            accepted(body)
 
     @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
     def test_pinned_payloads(self, name):
         body, values = PINNED_PAYLOADS[name]
-        frame = frame_with_body(body)
         if values is None:
-            assert outcome(decode_msg, frame) == ("rejected",)
+            assert outcome(decode_body, body) == ("rejected",)
         else:
-            msg = accepted(frame)
+            msg = accepted(body)
             assert type(msg.values) is bytes and msg.values == values
 
 
 def assert_no_json_loads(monkeypatch, moduli):
-    """Queries of 1,000 values, one value and none, for each modulus, decode without json.loads."""
+    """Queries of 1,000 values, one value and none, for each modulus, decode without
+    json.loads, from frames and from transcript bodies alike."""
     messages = []
     for modulus in moduli:
         rng = random.Random(modulus)
@@ -450,6 +505,7 @@ def assert_no_json_loads(monkeypatch, moduli):
         query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
         messages += [query, query._replace(values=values[:1]), query._replace(values=b"")]
     frames = [encode_msg(msg) for msg in messages]
+    bodies = [render_body(msg) for msg in messages]
     calls = []
     loads = json.loads
 
@@ -459,6 +515,7 @@ def assert_no_json_loads(monkeypatch, moduli):
 
     monkeypatch.setattr(json, "loads", recording_loads)
     assert [decode_msg(frame) for frame in frames] == messages
+    assert [decode_body(body) for body in bodies] == messages
     assert calls == []
 
 
@@ -509,7 +566,6 @@ class TestRenderBody:
     @given(ORACLE_MESSAGES)
     def test_body_equals_sorted_key_json(self, msg):
         assert render_body(msg) == reference_body(msg).encode("ascii")
-        assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("utf-8"))
 
     def test_multi_digit_values_are_joined(self):
         values = bytes((10, 0, 9, 99, 100, 255))
@@ -543,7 +599,8 @@ class TestRenderBody:
         msg = Message(kind, "0a1b", PHASE_BY_TYPE[kind], (3, 0), (1, 2), 1, None, b"")
         assert render_body(msg).endswith(b',"values":[]}')
         assert render_body(msg) == reference_body(msg).encode("ascii")
-        assert encode_msg(msg) == frame_with_body(render_body(msg))
+        assert decode_body(render_body(msg)) == msg
+        assert len(encode_msg(msg)) == frame_size(msg) == 34
         assert decode_msg(encode_msg(msg)) == msg
         transcript = SessionTranscript("s", 1, CostTable({1: 0}), (msg, msg), EMPTY_RESULT)
         assert transcript.serialize() == reference_serialized(transcript)
@@ -561,7 +618,8 @@ class TestRenderBody:
         assert any(len(m.values) > 1 and max(m.values) > 9 for m in transcript.messages)
         assert any(m.values == b"\x0a" for m in transcript.messages_in_phase("answer"))
         for msg in transcript.messages:
-            assert encode_msg(msg) == frame_with_body(reference_body(msg).encode("ascii"))
+            assert render_body(msg) == reference_body(msg).encode("ascii")
+            assert encode_msg(msg).endswith(msg.values)
         assert transcript.serialize() == reference_serialized(transcript)
 
     def test_serialize_peak_memory_stays_near_its_output(self):
@@ -595,17 +653,17 @@ class TestQueryFrameBound:
         [(1, 2, 2, 2), (37, 3, 3, 3), (1000, 5, 4, 12), (349_478, 11, 11, 9)],
     )
     def test_bound_is_the_widest_encoded_payload(self, universe, modulus, parties, databases):
+        # Neither the field nor the party and database ids widen a frame.
         frame = encode_msg(self.widest(universe, modulus, parties, databases))
-        assert len(frame) - HEADER.size == max_query_frame_bytes(
-            universe, modulus, parties, databases
-        )
+        assert len(frame) - HEADER.size == max_query_frame_bytes(universe)
+        assert max_query_frame_bytes(universe) == 2 + SESSION_ID_CHARS + 24 + universe
 
     def test_one_coordinate_past_the_bound_does_not_encode(self):
-        assert max_query_frame_bytes(524_219, 7, 7, 9) <= MAX_FRAME_BYTES
-        assert max_query_frame_bytes(524_220, 7, 7, 9) > MAX_FRAME_BYTES
-        encode_msg(self.widest(524_219, 7, 7, 9))
+        assert max_query_frame_bytes(1_048_534) == MAX_FRAME_BYTES
+        assert max_query_frame_bytes(1_048_535) > MAX_FRAME_BYTES
+        encode_msg(self.widest(1_048_534, 7, 7, 9))
         with pytest.raises(ProtocolViolationError):
-            encode_msg(self.widest(524_220, 7, 7, 9))
+            encode_msg(self.widest(1_048_535, 7, 7, 9))
 
 
 class TestFrameErrors:
@@ -636,6 +694,73 @@ class TestFrameErrors:
     def test_payload_past_the_parser_limits(self, body):
         with pytest.raises(ProtocolViolationError):
             decode_msg(frame_with_body(body))
+        with pytest.raises(ProtocolViolationError):
+            decode_body(body)
+
+
+def with_tag(index: int, value: int) -> bytes:
+    tags = [3, 0, 1, 2, 1, 0]
+    tags[index] = value
+    return raw_frame(tags=tuple(tags))
+
+
+# Frames decode_msg rejects, next to raw_frame(), which it accepts.
+REJECTED_FRAMES = {
+    "type-code-0": raw_frame(code=0),
+    "type-code-5": raw_frame(code=5),
+    "empty-id": raw_frame(session_id=b""),
+    "uppercase-id": raw_frame(session_id=b"0A1B"),
+    "non-hex-id": raw_frame(session_id=b"0g1b"),
+    "non-ascii-id": raw_frame(session_id=b"0a\xc3\xa9"),
+    "id-length-past-the-end": raw_frame(id_len=255),
+    "truncated-head": frame_with_body(raw_frame(values=b"")[HEADER.size : -1]),
+    "type-code-only": frame_with_body(b"\x03"),
+    **{
+        f"tag-{name}-1e9": with_tag(index, MAX_TAG + 1)
+        for index, name in enumerate(
+            ("origin-party", "origin-db", "dest-party", "dest-db", "partition", "target")
+        )
+    },
+    "zero-length": struct.pack(">I", 0),
+    "length-over-1MiB": struct.pack(">I", MAX_FRAME_BYTES + 1) + raw_frame()[HEADER.size :],
+    "length-short-of-the-frame": struct.pack(">I", 30) + raw_frame()[HEADER.size :],
+}
+
+
+class TestFrameRejections:
+    def test_the_unedited_frame_is_accepted(self):
+        msg = Message("query", "0a1b", "query", (3, 0), (1, 2), 1, None, b"\0\1\2")
+        assert decode_msg(raw_frame()) == msg
+        assert encode_msg(msg) == raw_frame() == (
+            b"\0\0\0\x21" b"\x03\x04" b"0a1b"
+            + bytes.fromhex("00000003" "00000000" "00000001" "00000002" "00000001" "00000000")
+            + b"\0\1\2"
+        )
+        assert decode_msg(with_tag(5, MAX_TAG)).target == MAX_TAG
+
+    @pytest.mark.parametrize("name", list(REJECTED_FRAMES))
+    def test_rejected(self, name):
+        assert outcome(decode_msg, REJECTED_FRAMES[name]) == ("rejected",)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("phase", "answer"),
+            ("type", "gossip"),
+            ("session_id", ""),
+            ("session_id", "0A1B"),
+            ("session_id", "0a\u00e9"),
+            ("session_id", "a" * 256),
+            ("origin", (-1, 0)),
+            ("dest", (1, MAX_TAG + 1)),
+            ("partition", 0),
+            ("target", 0),
+            ("target", MAX_TAG + 1),
+        ],
+    )
+    def test_a_message_no_frame_carries_does_not_encode(self, field, value):
+        msg = decode_msg(raw_frame())._replace(**{field: value})
+        assert outcome(encode_msg, msg) == ("rejected",)
 
 
 class TestSplitFrames:
@@ -677,9 +802,9 @@ def valid_payload(**overrides):
 
 
 def decode_payload(payload: dict) -> Message:
-    """decode_msg of the payload's sorted-key JSON: render_body's bytes, bar one bad field."""
+    """decode_body of the payload's sorted-key JSON: render_body's bytes, bar one bad field."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return decode_msg(frame_with_body(body))
+    return decode_body(body)
 
 
 class TestPayloadValidation:
@@ -738,7 +863,5 @@ class TestPayloadValidation:
 
     def test_payload_is_plain_decimal_json(self):
         msg = Message("query", "0a1b", "query", (3, 0), (1, 2), 1, None, b"\x00\x01\x02")
-        raw = encode_msg(msg)
-        body = raw[4:]
-        parsed = json.loads(body.decode("utf-8"))
+        parsed = json.loads(render_body(msg).decode("utf-8"))
         assert parsed["values"] == [0, 1, 2]
