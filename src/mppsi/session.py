@@ -42,7 +42,7 @@ from .leader import (
 )
 from .protocol import SessionSetup, collect_answers, make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
-from .wire import Message, decode_body, render_body
+from .wire import Message, encode_msg, render_body
 
 
 @dataclass(frozen=True)
@@ -103,39 +103,45 @@ def _compact_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _message_of(body: dict) -> Message:
+    """The message of a transcript body's eight fields, if a frame can carry it."""
+    try:
+        # iter: bytes(n) of a number n would be n zero bytes.
+        values = bytes(iter(body["values"]))
+    except ValueError:
+        raise ProtocolViolationError("values must be a list of integers in 0..255") from None
+    origin, dest = tuple(body["origin"]), tuple(body["dest"])
+    msg = Message(**{**body, "origin": origin, "dest": dest, "values": values})
+    encode_msg(msg)
+    return msg
+
+
 def load_transcript(data: bytes) -> SessionTranscript:
     """The transcript that serialize wrote as data; any other bytes are a protocol violation.
 
-    The head and tail objects are read with json and each message body with
-    wire.decode_body. A file that does not re-serialize to exactly its own
-    bytes is rejected, so a loaded transcript is byte-stable. So is one whose
-    leader, costs (or nulls) and result are not all integers, whose leader has
-    no cost, or whose messages carry another session id. So is a result that
-    contradicts itself or its messages: an indicator outside [0, L), with L
-    the field of the cost table's parties; a decoded set other than the
-    elements whose indicator is zero; a download cost other than the number
-    of answers.
+    The file is read with json, and each message from its body's eight
+    fields. A message encode_msg cannot frame is rejected, and so is a file
+    that does not re-serialize to exactly its own bytes, so a loaded
+    transcript is byte-stable and every spelling but render_body's is
+    refused. So is one whose leader, costs (or nulls) and result are not all
+    integers, whose leader has no cost, or whose messages carry another
+    session id. So is a result that contradicts itself or its messages: an
+    indicator outside [0, L), with L the field of the cost table's parties; a
+    decoded set other than the elements whose indicator is zero; a download
+    cost other than the number of answers.
     """
-    start = data.find(b',"messages":[')
-    end = data.find(b'],"result":', start)
-    if start < 0 or end < 0:
-        raise ProtocolViolationError("not a transcript file: no messages list")
-    # Every body ends at its one "]}", so the bodies are the pieces between "]},".
-    section = data[start + len(b',"messages":[') : end]
-    pieces = section[:-2].split(b"]},") if section else ()
-    messages = tuple(decode_body(piece + b"]}") for piece in pieces)
     try:
-        head = json.loads(data[:start] + b"}")
-        tail = json.loads(b"{" + data[end + 2 :])
+        file = json.loads(data)
+        messages = tuple(map(_message_of, file["messages"]))
         transcript = SessionTranscript(
-            session_id=tail["session_id"],
-            leader_id=head["leader"],
-            cost_table=CostTable({int(pid): cost for pid, cost in head["cost_table"].items()}),
+            session_id=file["session_id"],
+            leader_id=file["leader"],
+            cost_table=CostTable({int(pid): cost for pid, cost in file["cost_table"].items()}),
             messages=messages,
             result=IntersectionResult(
-                decoded=frozenset(tail["result"]["decoded"]),
-                indicators={int(e): v for e, v in tail["result"]["indicators"].items()},
-                download_cost_actual=tail["result"]["download_cost_actual"],
+                decoded=frozenset(file["result"]["decoded"]),
+                indicators={int(e): v for e, v in file["result"]["indicators"].items()},
+                download_cost_actual=file["result"]["download_cost_actual"],
             ),
         )
         stable = transcript.serialize() == data

@@ -17,25 +17,17 @@ a bad length (zero, above 1 MiB, or not the bytes that follow), an unknown
 type code, a head cut short, an empty or non-lowercase-hex id and a tag
 above 999,999,999; encode_msg refuses a message that decode_msg would not
 return. So every frame decode_msg accepts is the one frame encode_msg writes
-for its message, and a message render_body can write.
+for its message.
 
 A message's values are field residues held as bytes, one byte per residue:
 L <= 251 (field.select_field_size), so every residue fits, and a frame
 carries them unchanged. Message is a named tuple, so a message costs about
 what a tuple of its fields does to build.
 
-Transcripts write messages as JSON bodies: render_body is their one
-renderer, and decode_body reads exactly what it writes. The head is read by
-one anchored pattern, which admits only sorted keys, no spaces, naturals of
-at most 9 digits with no leading zero, null or positive tags, a nonempty
-lowercase hex session id (all protocol.make_session_id writes) and a known
-type with its phase. One-digit values (every body of a session with L <= 10)
-are read by one bytes pass over 'd,...,d'; wider ones by one lookup per
-comma-separated decimal in a table of 0..255, so a leading zero, a sign, a
-space, an empty item or a value past 255 is a protocol violation. Any other
-byte form of a message, even valid JSON of the same fields (spaces,
-reordered or duplicate keys, escaped or uppercase ids), is rejected, so a
-decoded message renders back to the bytes it was read from.
+Transcripts write messages as JSON bodies, and render_body is their one
+renderer. session.load_transcript reads a body with json and keeps its
+message only when encode_msg can frame it, so the frame rule above is also
+the transcript's rule for a valid message.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -43,7 +35,6 @@ message ever names a universe element.
 
 from __future__ import annotations
 
-import re
 import struct
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, NamedTuple, Optional, Tuple
@@ -53,7 +44,7 @@ from .errors import ProtocolViolationError
 MAX_FRAME_BYTES = 1 << 20
 HEADER = struct.Struct(">I")
 SESSION_ID_CHARS = 16
-MAX_TAG = 999_999_999  # the widest tag decode_body reads: nine digits
+MAX_TAG = 999_999_999  # the widest tag a frame carries: nine decimal digits
 
 PHASE_BY_TYPE = {
     "t_share": "randomness",
@@ -111,25 +102,8 @@ class Message(NamedTuple):
 
 # Maps residues 0..9 to their digit; every other byte value to NUL.
 _DIGITS = b"0123456789" + bytes(246)
-# The inverse on digits: b"0".."9" to residues 0..9.
-_RESIDUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-# render_body's head up to the values: sorted keys, no spaces, naturals of at
-# most 9 digits with no leading zero, positive or null tags, a lowercase hex
-# session id and word-like type and phase.
-_NATURAL = rb"(0|[1-9][0-9]{0,8})"
-_TAG = rb"(null|[1-9][0-9]{0,8})"
-_CANONICAL_HEAD = re.compile(
-    rb'\{"dest":\[' + _NATURAL + rb"," + _NATURAL + rb'\],"origin":\[' + _NATURAL + rb","
-    + _NATURAL + rb'\],"partition":' + _TAG + rb',"phase":"([a-z_]+)","session_id":"([0-9a-f]+)",'
-    rb'"target":' + _TAG + rb',"type":"([a-z_]+)","values":\['
-)
-# (type, phase) as the head spells them, for every type with its own phase.
-_KINDS = {(t.encode("ascii"), p.encode("ascii")): (t, p) for t, p in PHASE_BY_TYPE.items()}
-
-
-# Each residue 0..255 as its decimal digits, and the inverse table.
+# Each residue 0..255 as its decimal digits.
 _DECIMAL = tuple(str(value).encode("ascii") for value in range(256))
-_RESIDUE_OF = {text: value for value, text in enumerate(_DECIMAL)}
 
 
 def render_values(values: bytes) -> bytes:
@@ -186,27 +160,31 @@ def encode_msg(msg: Message) -> bytes:
 
     A message decode_msg would not return (an unknown type or a mismatched
     phase, an id that is empty, too long or not lowercase hex, a tag that is
-    negative, zero where it may be null or above MAX_TAG) or a frame above
-    1 MiB is a protocol violation.
+    negative, zero where it may be null or above MAX_TAG, a field of the wrong
+    type) or a frame above 1 MiB is a protocol violation.
     """
-    msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
-    tags = (o0, o1, d0, d1, partition or 0, target or 0)
-    sid = session_id.encode("ascii", "replace")
-    length = _HEAD_BYTES + len(sid) + len(values)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolViolationError(f"frame of {length} bytes exceeds 1 MiB limit")
-    if (
-        PHASE_BY_TYPE.get(msg_type) != phase
-        or not 0 < len(sid) < 256
-        or sid.translate(None, _HEX)
-        or min(tags) < 0
-        or max(tags) > MAX_TAG
-        or partition == 0
-        or target == 0
-    ):
-        raise ProtocolViolationError(f"message cannot be framed: {msg[:7]!r}")
-    start = _START.pack(length, _TYPE_CODE[msg_type], len(sid))
-    return b"".join((start, sid, _TAGS.pack(*tags), values))
+    try:
+        msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
+        tags = (o0, o1, d0, d1, partition or 0, target or 0)
+        sid = session_id.encode("ascii", "replace")
+        length = _HEAD_BYTES + len(sid) + len(values)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolViolationError(f"frame of {length} bytes exceeds 1 MiB limit")
+        if (
+            PHASE_BY_TYPE.get(msg_type) != phase
+            or not 0 < len(sid) < 256
+            or sid.translate(None, _HEX)
+            or min(tags) < 0
+            or max(tags) > MAX_TAG
+            or partition == 0
+            or target == 0
+        ):
+            raise ProtocolViolationError(f"message cannot be framed: {msg[:7]!r}")
+        start = _START.pack(length, _TYPE_CODE[msg_type], len(sid))
+        return b"".join((start, sid, _TAGS.pack(*tags), values))
+    except (AttributeError, TypeError, ValueError, struct.error) as exc:
+        # A field of the wrong type: a float or str tag, a non-str id, values not bytes.
+        raise ProtocolViolationError(f"message cannot be framed: {exc}") from exc
 
 
 def decode_msg(frame: bytes) -> Message:
@@ -247,46 +225,6 @@ def decode_msg(frame: bytes) -> Message:
         partition or None,
         target or None,
         frame[values_start:],
-    )
-
-
-def decode_body(body: bytes) -> Message:
-    """The message whose render_body is body; any other bytes are a protocol violation.
-
-    This is the transcript grammar; frames are read by decode_msg.
-
-    The head is read by one anchored match. One-digit values are read by one
-    translate; wider ones by splitting at the commas and looking each
-    decimal up in the table of the 256 residues.
-    """
-    head = _CANONICAL_HEAD.match(body)
-    if head is None or not body.endswith(b"]}"):
-        raise ProtocolViolationError("not a message body as render_body writes it")
-    d0, d1, o0, o1, partition, phase, session_id, target, msg_type = head.groups()
-    kind = _KINDS.get((msg_type, phase))
-    if kind is None:
-        raise ProtocolViolationError(f"unknown message type {msg_type!r} with phase {phase!r}")
-    text = body[head.end() : -2]
-    digits = text[::2]
-    # Every even byte a digit, so the len // 2 commas fill every odd one.
-    if len(text) % 2 and digits.isdigit() and text.count(b",") == len(text) // 2:
-        values = digits.translate(_RESIDUES)
-    elif not text:
-        values = b""
-    else:
-        try:
-            values = bytes(map(_RESIDUE_OF.__getitem__, text.split(b",")))
-        except KeyError:
-            raise ProtocolViolationError("values must be a list of integers in 0..255") from None
-    return Message(
-        kind[0],
-        session_id.decode("ascii"),
-        kind[1],
-        (int(o0), int(o1)),
-        (int(d0), int(d1)),
-        None if partition == b"null" else int(partition),
-        None if target == b"null" else int(target),
-        values,
     )
 
 

@@ -130,9 +130,10 @@ def test_every_message_carries_bytes(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_frames_skip_json_unless_a_value_has_two_digits(name, monkeypatch):
-    # No frame of any golden session reaches json.loads, on either transport:
-    # not "eleven"'s two-digit values (L = 11), nor any other's one-digit ones.
+def test_frames_never_reach_json(name, monkeypatch):
+    # Binary frames never reach json.loads, on either transport, at any value
+    # width: "eleven"'s two-digit values (L = 11) as well as every other
+    # session's one-digit ones.
     config = GOLDEN_CONFIGS[name]()
     memory = run_memory_session(config)
     two_digit = sum(max(m.values, default=0) > 9 for m in memory.messages)

@@ -1,4 +1,4 @@
-"""Wire format: binary frames, and the JSON body grammar of transcripts."""
+"""Wire format: binary frames, and the JSON message bodies that transcripts load."""
 
 import json
 import random
@@ -19,7 +19,6 @@ from mppsi.wire import (
     PHASE_BY_TYPE,
     SESSION_ID_CHARS,
     Message,
-    decode_body,
     decode_msg,
     encode_msg,
     max_query_frame_bytes,
@@ -212,6 +211,30 @@ TRANSCRIPTS = st.builds(
 EMPTY_RESULT = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
 
 
+def transcript_of(body: bytes, session_id: str = "0a1b", answers: int = 0) -> bytes:
+    """A one-message transcript file around body, its head and tail agreeing with it.
+
+    The cost table {"1":0,"2":null}, leader 1, and an empty result whose
+    download cost is the body's answer count; session_id is the body's own.
+    """
+    result = {"decoded": [], "download_cost_actual": answers, "indicators": {}}
+    tail = json.dumps(
+        {"result": result, "session_id": session_id}, sort_keys=True, separators=(",", ":")
+    )
+    return (
+        b'{"cost_table":{"1":0,"2":null},"leader":1,"messages":['
+        + body
+        + b"],"
+        + tail[1:].encode("ascii")
+        + b"\n"
+    )
+
+
+def agreeing(msg: Message) -> tuple:
+    """The session id and answer count of a transcript that agrees with msg."""
+    return msg.session_id, int(msg.type == "answer")
+
+
 def frame_with_body(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
@@ -281,8 +304,8 @@ class TestRoundTrip:
         msg = result[1]
         assert type(msg.values) is bytes
         assert encode_msg(msg) == frame
-        # Every message a frame carries can be written to a transcript.
-        assert decode_body(render_body(msg)) == msg
+        # Every message a frame carries can be written to a transcript and loaded.
+        assert loaded(render_body(msg), *agreeing(msg)) == msg
 
     def test_query_vector_bounds_from_heterogeneous_fixture(self):
         # Universe of five, field of five: every query frame carries five
@@ -298,6 +321,17 @@ class TestRoundTrip:
             assert decoded == msg
             assert len(decoded.values) == 5
             assert all(0 <= v <= 4 for v in decoded.values)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 10, 11, 101, 251])
+    def test_queries_of_every_field_width_round_trip(self, modulus):
+        # 1,000 values, one value and none: frames carry them as they are, and
+        # transcripts load their bodies back, from one-digit residues to three.
+        rng = random.Random(modulus)
+        values = bytes(rng.randrange(modulus) for _ in range(1000))
+        query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
+        for msg in (query, query._replace(values=values[:1]), query._replace(values=b"")):
+            assert decode_msg(encode_msg(msg)) == msg
+            assert loaded(render_body(msg), *agreeing(msg)) == msg
 
 
 def outcome(codec, data) -> tuple:
@@ -317,8 +351,10 @@ MUTATION_CHUNKS = st.one_of(
 
 @st.composite
 def mutated_bodies(draw):
-    """A rendered payload with a few byte-level edits, most near its end."""
-    body = bytearray(render_body(draw(st.one_of(MESSAGES, ORACLE_MESSAGES))))
+    """A rendered payload with a few byte-level edits, most near its end, and the
+    session id and answer count of its unedited message."""
+    msg = draw(st.one_of(MESSAGES, ORACLE_MESSAGES))
+    body = bytearray(render_body(msg))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("insert", "delete", "replace", "values")))
         if kind == "values":
@@ -338,7 +374,7 @@ def mutated_bodies(draw):
             del body[pos : pos + len(chunk)]
         else:
             body[pos : pos + len(chunk)] = chunk
-    return bytes(body)
+    return (bytes(body), *agreeing(msg))
 
 
 # render_body's head for a lowercase hex session id, up to the values.
@@ -347,9 +383,9 @@ CANONICAL = (
     b'"session_id":"0a1b","target":null,"type":"query"'
 )
 
-# Payload and the values it decodes to, or None where it is rejected. Every
-# accepted payload is exactly what render_body writes; any other spelling,
-# even valid JSON of the same message, is rejected.
+# Payload and the values it loads as, or None where its transcript_of is
+# rejected. Every accepted payload is exactly what render_body writes; any
+# other spelling, even valid JSON of the same message, is rejected.
 PINNED_PAYLOADS = {
     "canonical": (CANONICAL + b',"values":[1,0,2]}', b"\x01\x00\x02"),
     "canonical-trailing-comma": (CANONICAL + b',"values":[1,2,]}', None),
@@ -417,6 +453,9 @@ PINNED_PAYLOADS = {
     "wide-past-one-byte": (CANONICAL + b',"values":[256]}', None),
     "wide-trailing-comma": (CANONICAL + b',"values":[10,]}', None),
     "wide-leading-space": (CANONICAL + b',"values":[ 10]}', None),
+    # Not a list: bytes() of a number would be that many zero bytes.
+    "number": (CANONICAL + b',"values":3}', None),
+    "huge-number": (CANONICAL + b',"values":' + b"9" * 18 + b"}", None),
     "duplicate-earlier": (b'{"values":[-1],' + CANONICAL[1:] + b',"values":[1,2]}', None),
     "duplicate-earlier-bad-last": (b'{"values":[1],' + CANONICAL[1:] + b',"values":[1,]}', None),
     "values-not-last": (b'{"values":[1,2],' + CANONICAL[1:] + b"}", None),
@@ -452,83 +491,48 @@ PINNED_PAYLOADS = {
 }
 
 
-def accepted(body: bytes) -> Message:
-    """decode_body(body), checked to be the JSON oracle's message and to render to body."""
-    msg = decode_body(body)
+def loaded(body: bytes, session_id: str = "0a1b", answers: int = 0) -> Message:
+    """The one message of transcript_of(body), checked to be the JSON oracle's
+    message and to render to body."""
+    (msg,) = load_transcript(transcript_of(body, session_id, answers)).messages
     assert reference_decode(body) == msg
     assert render_body(msg) == body
     return msg
 
 
-class TestDecoderAgreesWithReference:
-    """decode_body accepts only what render_body writes, and the JSON oracle agrees."""
+class TestLoaderAgreesWithReference:
+    """load_transcript accepts only the bodies render_body writes, and the JSON oracle agrees."""
 
     @given(CANONICAL_MESSAGES)
-    def test_rendered_frames(self, msg):
-        assert accepted(render_body(msg)) == msg
+    def test_rendered_bodies(self, msg):
+        assert loaded(render_body(msg), *agreeing(msg)) == msg
 
     @given(ORACLE_MESSAGES)
     def test_other_session_ids_are_rejected(self, msg):
-        # Arbitrary text ids: only a nonempty lowercase hex one decodes, and
-        # only such a message can be framed.
+        # Arbitrary text ids, each in a transcript of its own id: only a
+        # nonempty lowercase hex one loads, and only such a message can be framed.
         body = render_body(msg)
         if re.fullmatch("[0-9a-f]+", msg.session_id):
-            assert accepted(body) == msg
+            assert loaded(body, *agreeing(msg)) == msg
             assert decode_msg(encode_msg(msg)) == msg
         else:
-            assert outcome(decode_body, body) == ("rejected",)
+            assert outcome(load_transcript, transcript_of(body, *agreeing(msg))) == ("rejected",)
             assert outcome(encode_msg, msg) == ("rejected",)
 
     @settings(max_examples=400)
     @given(mutated_bodies())
-    def test_mutated_frames(self, body):
-        if outcome(decode_body, body) != ("rejected",):
-            accepted(body)
+    def test_mutated_bodies(self, mutated):
+        if outcome(load_transcript, transcript_of(*mutated)) != ("rejected",):
+            loaded(*mutated)
 
     @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
     def test_pinned_payloads(self, name):
         body, values = PINNED_PAYLOADS[name]
         if values is None:
-            assert outcome(decode_body, body) == ("rejected",)
+            assert outcome(load_transcript, transcript_of(body)) == ("rejected",)
         else:
-            msg = accepted(body)
+            msg = loaded(body)
             assert type(msg.values) is bytes and msg.values == values
-
-
-def assert_no_json_loads(monkeypatch, moduli):
-    """Queries of 1,000 values, one value and none, for each modulus, decode without
-    json.loads, from frames and from transcript bodies alike."""
-    messages = []
-    for modulus in moduli:
-        rng = random.Random(modulus)
-        values = bytes(rng.randrange(modulus) for _ in range(1000))
-        query = Message("query", "f" * SESSION_ID_CHARS, "query", (3, 0), (1, 2), 4, 9, values)
-        messages += [query, query._replace(values=values[:1]), query._replace(values=b"")]
-    frames = [encode_msg(msg) for msg in messages]
-    bodies = [render_body(msg) for msg in messages]
-    calls = []
-    loads = json.loads
-
-    def recording_loads(*args, **kwargs):
-        calls.append(args)
-        return loads(*args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", recording_loads)
-    assert [decode_msg(frame) for frame in frames] == messages
-    assert [decode_body(body) for body in bodies] == messages
-    assert calls == []
-
-
-class TestOneDigitPath:
-    def test_one_digit_values_skip_json(self, monkeypatch):
-        # L <= 10: every value is one ASCII digit.
-        assert_no_json_loads(monkeypatch, (2, 3, 10))
-
-
-class TestValueWidths:
-    def test_multi_digit_values_skip_json(self, monkeypatch):
-        # Two and three digits: the same grammar reads them, still without json.
-        assert_no_json_loads(monkeypatch, (11, 101, 251))
 
 
 class TestMessage:
@@ -599,7 +603,7 @@ class TestRenderBody:
         msg = Message(kind, "0a1b", PHASE_BY_TYPE[kind], (3, 0), (1, 2), 1, None, b"")
         assert render_body(msg).endswith(b',"values":[]}')
         assert render_body(msg) == reference_body(msg).encode("ascii")
-        assert decode_body(render_body(msg)) == msg
+        assert loaded(render_body(msg), "0a1b", int(kind == "answer")) == msg
         assert len(encode_msg(msg)) == frame_size(msg) == 34
         assert decode_msg(encode_msg(msg)) == msg
         transcript = SessionTranscript("s", 1, CostTable({1: 0}), (msg, msg), EMPTY_RESULT)
@@ -684,18 +688,16 @@ class TestFrameErrors:
         with pytest.raises(ProtocolViolationError):
             decode_msg(struct.pack(">I", len(body) + 4) + body)
 
-    def test_non_json_payload(self):
+    def test_text_payload(self):
         with pytest.raises(ProtocolViolationError):
             decode_msg(frame_with_body(b"not json"))
 
     @pytest.mark.parametrize(
         "body", [b"[" * 100_000, b'{"values": [' + b"1" * 5000 + b"]}"], ids=["nested", "digits"]
     )
-    def test_payload_past_the_parser_limits(self, body):
+    def test_json_payload(self, body):
         with pytest.raises(ProtocolViolationError):
             decode_msg(frame_with_body(body))
-        with pytest.raises(ProtocolViolationError):
-            decode_body(body)
 
 
 def with_tag(index: int, value: int) -> bytes:
@@ -756,6 +758,11 @@ class TestFrameRejections:
             ("partition", 0),
             ("target", 0),
             ("target", MAX_TAG + 1),
+            ("partition", 1.0),
+            ("origin", (3, 0.0)),
+            ("target", "1"),
+            ("session_id", 5),
+            ("values", [0, 1, 2]),
         ],
     )
     def test_a_message_no_frame_carries_does_not_encode(self, field, value):
@@ -802,9 +809,11 @@ def valid_payload(**overrides):
 
 
 def decode_payload(payload: dict) -> Message:
-    """decode_body of the payload's sorted-key JSON: render_body's bytes, bar one bad field."""
+    """The message of the payload's sorted-key JSON (render_body's bytes, bar one
+    bad field) in its transcript_of."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return decode_body(body)
+    (msg,) = load_transcript(transcript_of(body)).messages
+    return msg
 
 
 class TestPayloadValidation:
