@@ -112,7 +112,8 @@ def _message_of(body: dict) -> Message:
         raise ProtocolViolationError("values must be a list of integers in 0..255") from None
     origin, dest = tuple(body["origin"]), tuple(body["dest"])
     msg = Message(**{**body, "origin": origin, "dest": dest, "values": values})
-    encode_msg(msg)
+    # The head only: values are bytes already, and may be longer than a frame.
+    encode_msg(msg._replace(values=b""))
     return msg
 
 
@@ -120,15 +121,16 @@ def load_transcript(data: bytes) -> SessionTranscript:
     """The transcript that serialize wrote as data; any other bytes are a protocol violation.
 
     The file is read with json, and each message from its body's eight
-    fields. A message encode_msg cannot frame is rejected, and so is a file
-    that does not re-serialize to exactly its own bytes, so a loaded
-    transcript is byte-stable and every spelling but render_body's is
-    refused. So is one whose leader, costs (or nulls) and result are not all
-    integers, whose leader has no cost, or whose messages carry another
-    session id. So is a result that contradicts itself or its messages: an
-    indicator outside [0, L), with L the field of the cost table's parties; a
-    decoded set other than the elements whose indicator is zero; a download
-    cost other than the number of answers.
+    fields. A message whose head encode_msg cannot frame is rejected (its
+    values may be longer than a frame), and so is a file that does not
+    re-serialize to exactly its own bytes, so a loaded transcript is
+    byte-stable and every spelling but render_body's is refused. So is one
+    whose leader, costs (or nulls) and result are not all integers, whose
+    leader has no cost, or whose messages carry another session id. So is a
+    result that contradicts itself or its messages: an indicator outside
+    [0, L), with L the field of the cost table's parties; a decoded set other
+    than the elements whose indicator is zero; a download cost other than the
+    number of answers.
     """
     try:
         file = json.loads(data)

@@ -26,8 +26,8 @@ what a tuple of its fields does to build.
 
 Transcripts write messages as JSON bodies, and render_body is their one
 renderer. session.load_transcript reads a body with json and keeps its
-message only when encode_msg can frame it, so the frame rule above is also
-the transcript's rule for a valid message.
+message only when encode_msg can frame its head, so the frame rule above,
+bar the 1 MiB limit, is also the transcript's rule for a valid message.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -161,7 +161,8 @@ def encode_msg(msg: Message) -> bytes:
     A message decode_msg would not return (an unknown type or a mismatched
     phase, an id that is empty, too long or not lowercase hex, a tag that is
     negative, zero where it may be null or above MAX_TAG, a field of the wrong
-    type) or a frame above 1 MiB is a protocol violation.
+    type) or a frame above 1 MiB is a protocol violation, even when this
+    process built the message.
     """
     try:
         msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg

@@ -491,6 +491,16 @@ PINNED_PAYLOADS = {
 }
 
 
+# The transcript session id of the pinned payloads whose own id is not
+# "0a1b": each is wrapped in a transcript of its own id, so only the frame
+# rule can reject it.
+PINNED_SESSION_IDS = {
+    "canonical-uppercase-session-id": "0A1B",
+    "canonical-non-hex-session-id": "s",
+    "canonical-empty-session-id": "",
+}
+
+
 def loaded(body: bytes, session_id: str = "0a1b", answers: int = 0) -> Message:
     """The one message of transcript_of(body), checked to be the JSON oracle's
     message and to render to body."""
@@ -528,11 +538,20 @@ class TestLoaderAgreesWithReference:
     @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
     def test_pinned_payloads(self, name):
         body, values = PINNED_PAYLOADS[name]
-        if values is None:
+        if name in PINNED_SESSION_IDS:
+            with pytest.raises(ProtocolViolationError, match="cannot be framed"):
+                load_transcript(transcript_of(body, PINNED_SESSION_IDS[name]))
+        elif values is None:
             assert outcome(load_transcript, transcript_of(body)) == ("rejected",)
         else:
             msg = loaded(body)
             assert type(msg.values) is bytes and msg.values == values
+
+    def test_a_query_longer_than_a_frame_loads(self):
+        # A memory session's query is not framed, so its length is not bounded by one.
+        msg = Message("query", "0a1b", "query", (3, 0), (1, 2), 1, None, bytes(MAX_FRAME_BYTES))
+        assert outcome(encode_msg, msg) == ("rejected",)
+        assert loaded(render_body(msg)) == msg
 
 
 class TestMessage:
@@ -810,9 +829,9 @@ def valid_payload(**overrides):
 
 def decode_payload(payload: dict) -> Message:
     """The message of the payload's sorted-key JSON (render_body's bytes, bar one
-    bad field) in its transcript_of."""
+    bad field) in a transcript_of the payload's own session id."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    (msg,) = load_transcript(transcript_of(body)).messages
+    (msg,) = load_transcript(transcript_of(body, payload["session_id"])).messages
     return msg
 
 
@@ -841,7 +860,7 @@ class TestPayloadValidation:
             decode_payload(valid_payload(phase="randomness"))
 
     def test_empty_session_id_rejected(self):
-        with pytest.raises(ProtocolViolationError):
+        with pytest.raises(ProtocolViolationError, match="cannot be framed"):
             decode_payload(valid_payload(session_id=""))
 
     def test_negative_value_rejected(self):
