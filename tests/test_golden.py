@@ -33,6 +33,53 @@ FRAMES = {
     "sec7_2": "ec0aedc4c2a9aa5971b2d5aa9b7030b2dcf5cc323abd9303733de33c15757604",
     "wide": "84be71c3c7088810433c6df581998eb1a2cac6bce7d98f7db595e1d8197a8171",
 }
+# sha256 of each golden session's frames of one message type, joined, and of
+# its result as the transcript's compact JSON writes it. A change to one
+# randomness tier moves only the types that carry it.
+BY_TYPE = {
+    "audit-small": {
+        "t_share": "d5060cccc55df2506365ae71b579d42c935a456ce1a0a6971d711f6018ea7879",
+        "c_share": "273b7ff5e8c00109fc1675d0bc7230e002105f15b3b048d594500912208151fd",
+        "query": "c8414ca1e2fc7ce966d1cc7380a3648fadb399eb691c3da17062eb2e96917a50",
+        "answer": "879ac69bbed50dea65b8728ff3e44d1515d82ebc2b60b311a7740301e9afbf31",
+        "result": "426586d7e597176f2229e982fdb997e0acb99e1a69e388bb1e93ffb1a48f0725",
+    },
+    "eleven": {
+        "t_share": "101825eaf1ee26603f368173fd36ce20a9cb0c92c5a19e5af8f6d4e41cb05bff",
+        "c_share": "68b4fafcf8abfede8b75b84370d1fb8f33da07df1b4db35019ef63ad4f231fc8",
+        "query": "78296a174fdce0710dc54dea5daa5cedee7e0884d75e8532ed3d4b5555017460",
+        "answer": "d1087a225807594d928eb1f43a56230bf2af78ea1d544efbdaeb5dd613786001",
+        "result": "caebbd40e7c56bdce6d292d9d516a847b370537e1a9c81a52b7fdbb41c9499e1",
+    },
+    "sec4": {
+        "t_share": "86df976e7bf641ea8645bac86a0cf1a09ca286b6b85a06d37ae8e9c4b14d9cd9",
+        "c_share": "ef9ccd74f024b5b35bc1877a151efe2ca8c7d6e30cc422086fbdb887f3cb34cc",
+        "query": "59bf56998e296a9b7619071bdd6e9c7b9fcccc62faa57ef9fa513627dd78dca7",
+        "answer": "cd0e16e2493af7ce7e772cc51f872b0ce9ad31d0ee842872d20bf5c4b07a9aba",
+        "result": "e7df01d2a6867c05f609360570c51c3c169ee2e3bc1c772e941f0eacca1d910f",
+    },
+    "sec7_1": {
+        "t_share": "6674d448365887d85f808654a62cee431f081a16de1b8a71f769ae1465b58a38",
+        "c_share": "082d71a51add0694bd31002ba34efc2dd4e5a7867b871ce1eedaa518182464ea",
+        "query": "259079c23b26f544074f3c0b853181972f935758e6cbc40884edd5738d5998b4",
+        "answer": "227a50be4ebf4b3780bb3ea8a52c9a34f4efa71be74c84eac669738d6589ac85",
+        "result": "2cb4f3e3810121edd7e78c8af514042e63947f254167343343df15f5995741a7",
+    },
+    "sec7_2": {
+        "t_share": "d088aaa5ebef9bc95ecf7f89affeef640b3be4d62990b9b509f1da409c9b4fe0",
+        "c_share": "c1557276912a43c768468ec8b059a3061db2dfbd732466b9f5c7fd29bf3e1334",
+        "query": "17948cb6a7fc2e7a3eef111a144ed0c3e0f51bd0b92e9fe046f642f368322d08",
+        "answer": "4ac2cb775bdfc08e87afc6c544701579c5e18b2daf03b897815588cde9f4e2d6",
+        "result": "e87a8981f9bca87fde72ea997710585a7f6e33e03a6b4ee882c3ee065e641459",
+    },
+    "wide": {
+        "t_share": "ea62cc8e6ce8071554a19345664c58654fb90d3d7d3a4993a445cef238b6e6cd",
+        "c_share": "ac3dee8946570c5bcbd4ed15b9e00d5801f9f33770f2342fa534e31b72c11ff7",
+        "query": "4c6565b96ef9ef972c7fd5b86b860138ded96ff75cd3395c946ffb8d249cfb57",
+        "answer": "e466b5427e1166c6b04b766cbc2fd545943205a5f20970cf2849553ac4099dcc",
+        "result": "e14db85bf60ca7da7159d6921e7e516e42ecbd621e462e1d74abdd26e83774ec",
+    },
+}
 
 
 def digest(transcript) -> str:
@@ -163,3 +210,26 @@ def test_frames_are_pinned_and_sized_by_the_formula(name):
         for m in transcript.messages:
             # length, type code and id length, id, six tags, residue bytes
             assert len(encode_msg(m)) == 4 + 2 + len(m.session_id) + 24 + len(m.values)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_each_message_type_and_the_result_are_pinned(name):
+    transcript = run_memory_session(GOLDEN_CONFIGS[name]())
+    got = {
+        kind: hashlib.sha256(
+            b"".join(encode_msg(m) for m in transcript.messages if m.type == kind)
+        ).hexdigest()
+        for kind in ("t_share", "c_share", "query", "answer")
+    }
+    result = transcript.result
+    result_json = json.dumps(
+        {
+            "decoded": sorted(result.decoded),
+            "indicators": {str(elem): value for elem, value in result.indicators.items()},
+            "download_cost_actual": result.download_cost_actual,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    got["result"] = hashlib.sha256(result_json.encode("ascii")).hexdigest()
+    assert got == BY_TYPE[name]
