@@ -2,10 +2,14 @@
 
 A DatabaseState is built from what one client database is entitled to: the
 public plan shape, its party's own set, its own labeled draws, and a
-RandomnessPolicy. It never touches a socket or a clock. Its four operations
-list the shares it sends, receive one share, report whether it is ready, and
-answer a batch of queries through client.answer_all; shares, queries and
-answers are all wire.Message values. Both transports drive these states:
+RandomnessPolicy. It draws each of its tiers as one labeled stream: its
+client's local vector ("s/<client>"), its individual values when it is a
+free-client database holding a position ("t/<client>/<database>", one slot
+per partition), and the multiplier at the database that sends it ("c"). It
+never touches a socket or a clock. Its four operations list the shares it
+sends, receive one share, report whether it is ready, and answer a batch of
+queries through client.answer_all; shares, queries and answers are all
+wire.Message values. Both transports drive these states:
 randomness.build_bundle routes shares between them in memory, and each
 net.DatabaseEndpoint keeps one behind its serve loop.
 """
@@ -21,7 +25,7 @@ from .leader import PlanShape
 from .model import PartyProfile, Universe
 from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
-from .seeding import draw_value
+from .seeding import draw_vector
 from .wire import Message, render_values
 
 
@@ -29,8 +33,10 @@ class DatabaseState:
     """The randomness and answering state of one client database.
 
     bundle holds only this database's own slots: its client's local vector,
-    its individual values (explicit zeros at database 1), and the global
-    multiplier once it has one. Both transports answer from it.
+    its individual values (explicit zeros at database 1; at a free-client
+    database, the slots of its own "t" vector at the partitions of its
+    positions), and the global multiplier once it has one. Both transports
+    answer from it.
     """
 
     def __init__(
@@ -65,12 +71,14 @@ class DatabaseState:
         self._received: Dict[int, Dict[int, int]] = {}
         if party_id == self.correlator:
             self._received = {position: {} for position in self.positions}
-        else:
+        elif self.positions:
+            # One labeled vector per free database, indexed by partition.
+            draws = bytes(eta) if policy.zero_individual else draw_vector(
+                seed, field.modulus, eta, "t", party_id, database
+            )
             for position in self.positions:
                 partition, _ = shape.position_location(party_id, position)
-                self._t[partition] = 0 if policy.zero_individual else draw_value(
-                    seed, field.modulus, "t", party_id, database, partition
-                )
+                self._t[partition] = draws[partition - 1]
         self._missing = len(self._received) * len(self.free)
         self._complete()
 

@@ -3,12 +3,14 @@
 Before any query is sent, the client parties set up:
 
 * a local vector per client (one slot per partition), shared by all of that
-  client's databases and added to every answer;
+  client's databases and added to every answer: one labeled vector draw,
+  "s/<client>", that each of the client's databases makes for itself;
 * an individual value per targeted answer, zero at database 1, drawn freely
   by every client except the last one, and completed at the last client so
   that for each leader-set position the values across clients sum to
-  L - (M - 1);
-* a single global nonzero multiplier applied to every answer.
+  L - (M - 1); a free database draws its values as one labeled vector,
+  "t/<client>/<database>", indexed by partition;
+* a single global nonzero multiplier applied to every answer, labeled "c".
 
 The free individual values travel to the last client's databases as
 t_share wire.Message values whose target is a leader-set position (1..R),
@@ -35,7 +37,7 @@ from .errors import ProtocolViolationError
 from .field import PrimeField
 from .leader import PartitionPlan
 from .model import PartyProfile
-from .seeding import draw_nonzero, draw_value
+from .seeding import draw_nonzero, draw_vector
 from .wire import Message
 
 
@@ -110,15 +112,16 @@ def gen_local(
     seed: int,
     policy: RandomnessPolicy = FAITHFUL,
 ) -> List[int]:
-    """The client's local vector: one uniform slot per partition."""
+    """The client's local vector: one uniform slot per partition.
+
+    The eta slots are one labeled vector draw, "s/<client_id>", so every
+    database of the client draws the same vector for itself.
+    """
     if eta < 1:
         raise ValueError(f"local vector needs at least one slot, got {eta}")
     if policy.zero_local:
         return [0] * eta
-    return [
-        draw_value(seed, field.modulus, "s", client_id, ell)
-        for ell in range(1, eta + 1)
-    ]
+    return list(draw_vector(seed, field.modulus, eta, "s", client_id))
 
 
 def gen_global(

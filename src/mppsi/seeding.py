@@ -1,8 +1,11 @@
 """Deterministic labeled randomness derivation.
 
 Every random draw in a session is produced by a generator seeded from the
-session seed plus a textual label naming the draw (query vector index,
-randomness slot, global multiplier). Distinct labels give independent
+session seed plus a textual label naming the stream: "h/<partition>" for a
+base vector, "s/<client>" for a client's local vector, "t/<client>/<database>"
+for a free-client database's individual values and "c" for the global
+multiplier. Each stream gives one whole vector (draw_vector) or the one
+nonzero multiplier (draw_nonzero). Distinct labels give independent
 streams, the same (seed, label) pair always reproduces the same values, and
 any endpoint can derive exactly the draws it owns without coordination.
 """
@@ -19,12 +22,6 @@ def labeled_rng(seed: int, *label) -> random.Random:
     # String seeds hash through sha512 inside random.Random, so the stream
     # is stable across processes and platforms.
     return random.Random(f"{seed}|{tag}")
-
-
-@functools.lru_cache(maxsize=1 << 12)  # each database state redraws its client's local vector
-def draw_value(seed: int, modulus: int, *label) -> int:
-    """One uniform value in [0, modulus-1] for the given label."""
-    return labeled_rng(seed, *label).randrange(modulus)
 
 
 def draw_nonzero(seed: int, modulus: int, *label) -> int:

@@ -17,66 +17,66 @@ from mppsi.wire import decode_msg, encode_msg
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    "sec4": "162712321ae84a2ba13f93dc9989e746ac34cfb4350b786bda8fcef62e7d8cbf",
-    "sec7_1": "29a5ca9f2ccda9c4a1c909b0d4f658d6116b3e262fb2146176700f965caa3dcd",
-    "sec7_2": "3f4ff84d1b6429f9f4aa46d8406c258a649e74597a9b65166e1a1490e35c1b7e",
+    "sec4": "0d8cd4c19b53eff4ac7dd391cd2aff54d5323018e96160490f038e9c910c62ec",
+    "sec7_1": "1c294477fd46964033d03e215eba61ca1a25d62994707ea56ffb8c425b33c72e",
+    "sec7_2": "12e7ae95e76b60a065e6a751cdf3ce852448b0fa24ff14d793f924b9d966f4f6",
 }
-AUDIT_SMALL = "7047ac7fb628c2c121a24d4d28c1a917f6fca5946a8b97a9dae4f92b157ad39d"
-WIDE = "27343008bb205470866889c49a4af92ff33aba26e868bd2165bc774445ed3a81"
-ELEVEN = "b80c977668ba8e45848d5c9e1de371dfcd0ab3dee94ea6c5d8ce417e280595c6"
+AUDIT_SMALL = "21488cb97a52bb3356f89152abda8a87f7ede20bb6ef739da5b730d439be3df8"
+WIDE = "b24753458b59b3b1f7af55adf5cb54c9b31965851c0230a89e594d8e9a6799d3"
+ELEVEN = "487d4ad74a5379041f3ce8db1ad7b56bba790466a321788b86d4e019d6a9672d"
 # sha256 of each golden session's messages as binary frames, joined.
 FRAMES = {
-    "audit-small": "1e24afa8bf8de89e1ea08f7e048d0c5c456c3d50f683da623b84260e67ead946",
-    "eleven": "0d5115ba0666a2a1c414605f05b1bdd039febce2b2c06c52c14a55f19a442fdc",
-    "sec4": "655a8e29d079088125e8751af3e5d2b08af2e290a845f9a091959562764ac93c",
-    "sec7_1": "3c33953269c11c03e0cf30760030ff0eb15c838db8addd8d7754ecfd039facc3",
-    "sec7_2": "ec0aedc4c2a9aa5971b2d5aa9b7030b2dcf5cc323abd9303733de33c15757604",
-    "wide": "84be71c3c7088810433c6df581998eb1a2cac6bce7d98f7db595e1d8197a8171",
+    "audit-small": "8b98079fbee39c822a793db622d808332315254c07f4f111b39a34cfd41b882a",
+    "eleven": "7c0c7efa98c711295fe957a60a1ba8b23604d95d8883ae52f3a26b77d1c53e7c",
+    "sec4": "12f7a20e0cc9915db20d6fe191206f52861e7b323708f881aa9c370fee217a9c",
+    "sec7_1": "123d18ba2e20f50b85fe8d8362248631637b06f6f38598e490844442f27478ae",
+    "sec7_2": "f518575c3f59696eedd80e9e5e1aebf5bbc19295a1f7657dd4d2fe96c7627e58",
+    "wide": "b80531f0fedc7d9384d939ba881a08bafe7896526e0d5c05feff07368df77b8c",
 }
 # sha256 of each golden session's frames of one message type, joined, and of
 # its result as the transcript's compact JSON writes it. A change to one
 # randomness tier moves only the types that carry it.
 BY_TYPE = {
     "audit-small": {
-        "t_share": "d5060cccc55df2506365ae71b579d42c935a456ce1a0a6971d711f6018ea7879",
+        "t_share": "8e6263dce2890ce861b432218586319f48f519d622593158e04edb514a1044ff",
         "c_share": "273b7ff5e8c00109fc1675d0bc7230e002105f15b3b048d594500912208151fd",
         "query": "c8414ca1e2fc7ce966d1cc7380a3648fadb399eb691c3da17062eb2e96917a50",
-        "answer": "879ac69bbed50dea65b8728ff3e44d1515d82ebc2b60b311a7740301e9afbf31",
+        "answer": "a9f527274261b92de7f93b2d6e6dff79b021587c077c54d81a0bfe4bdde58d27",
         "result": "426586d7e597176f2229e982fdb997e0acb99e1a69e388bb1e93ffb1a48f0725",
     },
     "eleven": {
-        "t_share": "101825eaf1ee26603f368173fd36ce20a9cb0c92c5a19e5af8f6d4e41cb05bff",
+        "t_share": "a88315782274edb34d636274cfa4bb9516ce33006804524a7fa88d12c8ed389f",
         "c_share": "68b4fafcf8abfede8b75b84370d1fb8f33da07df1b4db35019ef63ad4f231fc8",
         "query": "78296a174fdce0710dc54dea5daa5cedee7e0884d75e8532ed3d4b5555017460",
-        "answer": "d1087a225807594d928eb1f43a56230bf2af78ea1d544efbdaeb5dd613786001",
+        "answer": "0d820fdf506f61599f99ae325a568f36391175722ac6d37958f163190806f82d",
         "result": "caebbd40e7c56bdce6d292d9d516a847b370537e1a9c81a52b7fdbb41c9499e1",
     },
     "sec4": {
-        "t_share": "86df976e7bf641ea8645bac86a0cf1a09ca286b6b85a06d37ae8e9c4b14d9cd9",
+        "t_share": "1dd91fc1414663b21c1de54200971467d63097b42e5476434f583393ce979e0d",
         "c_share": "ef9ccd74f024b5b35bc1877a151efe2ca8c7d6e30cc422086fbdb887f3cb34cc",
         "query": "59bf56998e296a9b7619071bdd6e9c7b9fcccc62faa57ef9fa513627dd78dca7",
-        "answer": "cd0e16e2493af7ce7e772cc51f872b0ce9ad31d0ee842872d20bf5c4b07a9aba",
+        "answer": "74a8339b7a30373609e9cbb792b65c3e10cbda7f1a9c12841f2f693aad90a509",
         "result": "e7df01d2a6867c05f609360570c51c3c169ee2e3bc1c772e941f0eacca1d910f",
     },
     "sec7_1": {
-        "t_share": "6674d448365887d85f808654a62cee431f081a16de1b8a71f769ae1465b58a38",
+        "t_share": "1f044fd0a9f96e103d65640bfc5ed9201518cba1d16f0d5a6f7f23b05bd51435",
         "c_share": "082d71a51add0694bd31002ba34efc2dd4e5a7867b871ce1eedaa518182464ea",
         "query": "259079c23b26f544074f3c0b853181972f935758e6cbc40884edd5738d5998b4",
-        "answer": "227a50be4ebf4b3780bb3ea8a52c9a34f4efa71be74c84eac669738d6589ac85",
+        "answer": "aa5ed15abcfc9225ee6fbed9ff40b630414691a2765ff8d84572039112c9e567",
         "result": "2cb4f3e3810121edd7e78c8af514042e63947f254167343343df15f5995741a7",
     },
     "sec7_2": {
-        "t_share": "d088aaa5ebef9bc95ecf7f89affeef640b3be4d62990b9b509f1da409c9b4fe0",
+        "t_share": "f883241029716d397b2c14657d76b3c8c3d5071f2e6537860c0618b33f2425fd",
         "c_share": "c1557276912a43c768468ec8b059a3061db2dfbd732466b9f5c7fd29bf3e1334",
         "query": "17948cb6a7fc2e7a3eef111a144ed0c3e0f51bd0b92e9fe046f642f368322d08",
-        "answer": "4ac2cb775bdfc08e87afc6c544701579c5e18b2daf03b897815588cde9f4e2d6",
+        "answer": "76a80e6bb8f8a4b162e680e4af1884317dc3dc362eb1d6ab2736d515a11f3431",
         "result": "e87a8981f9bca87fde72ea997710585a7f6e33e03a6b4ee882c3ee065e641459",
     },
     "wide": {
-        "t_share": "ea62cc8e6ce8071554a19345664c58654fb90d3d7d3a4993a445cef238b6e6cd",
+        "t_share": "7ce1d94b7bde9d20a27599d0b22ac104b0c777a733e247a6e852d16630e4cf64",
         "c_share": "ac3dee8946570c5bcbd4ed15b9e00d5801f9f33770f2342fa534e31b72c11ff7",
         "query": "4c6565b96ef9ef972c7fd5b86b860138ded96ff75cd3395c946ffb8d249cfb57",
-        "answer": "e466b5427e1166c6b04b766cbc2fd545943205a5f20970cf2849553ac4099dcc",
+        "answer": "38b3c9fcf1a5f56c82102649484407b99ca11d92829109b98e5b23a00e327015",
         "result": "e14db85bf60ca7da7159d6921e7e516e42ecbd621e462e1d74abdd26e83774ec",
     },
 }

@@ -1,10 +1,15 @@
 """Randomness tiers: local vectors, correlated individual values, multiplier."""
 
+from collections import Counter
+
 import pytest
 
+from mppsi import seeding
 from mppsi.field import select_field_size
 from mppsi.leader import generate_queries, make_partition_plan
 from mppsi.model import PartyProfile, Universe
+from mppsi.net import run_networked_session
+from mppsi.protocol import prepare_session
 from mppsi.randomness import (
     FAITHFUL,
     RandomnessPolicy,
@@ -16,6 +21,8 @@ from mppsi.randomness import (
     gen_local,
     share_order,
 )
+from mppsi.session import run_memory_session
+from test_golden import wide_config
 
 
 SESSION = "randomness-tests"
@@ -56,6 +63,54 @@ class TestLocal:
     def test_zero_slots_rejected(self):
         with pytest.raises(ValueError):
             gen_local(1, 0, select_field_size(3), seed=0)
+
+
+class TestSlotCoverage:
+    SEEDS = range(60)
+
+    def bundles(self, seed):
+        # Three clients over F_5; each client's databases 2 and 3 hold two
+        # positions each, in partitions 1 and 2.
+        plan, clients, field = fixture(num_clients=3, dbs=3, leader_set=(1, 2, 3, 4))
+        bundles, _ = build_bundle(plan, clients, field, seed, SESSION)
+        return bundles, field
+
+    def test_free_database_values_cover_the_field(self):
+        seen = set()
+        for seed in self.SEEDS:
+            bundles, field = self.bundles(seed)
+            assert sorted(bundles[1, 2].individual) == [1, 2]
+            seen.update(bundles[1, 2].individual.values())
+        assert seen == set(range(field.modulus))
+
+    def test_databases_of_one_client_draw_their_own_vectors(self):
+        pairs = [
+            (bundles[2, 2].individual, bundles[2, 3].individual)
+            for bundles, _ in map(self.bundles, self.SEEDS)
+        ]
+        assert any(second != third for second, third in pairs)
+
+
+@pytest.mark.parametrize("transport", ("memory", "tcp"))
+def test_one_labeled_stream_per_database_and_tier(transport, monkeypatch):
+    # A session draws each tier as whole labeled vectors: a local vector per
+    # client database ("s"), an individual vector per free-client database
+    # holding a position ("t"), the multiplier ("c") and one base vector per
+    # partition index ("h").
+    config = wide_config()
+    setup = prepare_session(config.parties, config.universe)
+    shape = make_partition_plan(setup.leader, setup.clients).shape
+    tiers = Counter()
+    labeled_rng = seeding.labeled_rng
+
+    def counting_rng(seed, *label):
+        tiers[label[0]] += 1
+        return labeled_rng(seed, *label)
+
+    monkeypatch.setattr(seeding, "labeled_rng", counting_rng)
+    run = run_memory_session if transport == "memory" else run_networked_session
+    run(config)
+    assert dict(tiers) == {"s": 12, "t": 6, "c": 1, "h": max(shape.eta.values())}
 
 
 class TestGlobal:

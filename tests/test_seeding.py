@@ -1,8 +1,8 @@
-"""Labeled draws: the batched vector rule, and the single-value draws."""
+"""Labeled draws: the batched vector rule, and the nonzero single-value draw."""
 
 import pytest
 
-from mppsi.seeding import draw_nonzero, draw_value, draw_vector, labeled_rng
+from mppsi.seeding import draw_nonzero, draw_vector, labeled_rng
 
 MODULI = (2, 3, 5, 7, 11, 13, 251, 256, 257, 263)
 # The moduli a vector can be drawn for: one value per byte.
@@ -80,12 +80,9 @@ def test_vector_rejects_a_modulus_past_one_byte(modulus):
 
 @pytest.mark.parametrize("modulus", MODULI)
 def test_single_values_stay_in_range(modulus):
-    values = [draw_value(seed, modulus, "s", seed) for seed in range(300)]
-    assert min(values) >= 0 and max(values) < modulus
     nonzero = [draw_nonzero(seed, modulus, "c", seed) for seed in range(300)]
     assert min(nonzero) >= 1 and max(nonzero) < modulus
     if modulus <= 13:
-        assert set(values) == set(range(modulus))
         assert set(nonzero) == set(range(1, modulus))
 
 
