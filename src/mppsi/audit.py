@@ -966,17 +966,14 @@ def client_privacy_mi(
 
 
 def _canonical(messages: Iterable) -> tuple:
-    """Messages as one order-free value: each message's fields sorted, then
-    the messages sorted."""
-    return (
-        tuple(sorted((tuple(sorted(m.to_dict().items(), key=str)) for m in messages), key=str)),
-    )
+    """Messages as one order-free value: the messages sorted."""
+    return (tuple(sorted(messages, key=str)),)
 
 
 def leader_view(transcript: SessionTranscript) -> tuple:
     """What the leader legitimately holds: query and answer traffic only.
 
-    Randomness-phase messages are excluded by phase tag; the leader is never
+    Randomness-phase messages are excluded by phase; the leader is never
     their origin or destination in a conforming transcript.
     """
     return _canonical(m for m in transcript.messages if m.phase in ("query", "answer"))

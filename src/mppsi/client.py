@@ -86,11 +86,11 @@ def answer_all(
         if len(q) != universe.size:
             raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")
         value = answer_value(inner_product(q), s_slot, t_slot, bundle.c, field.modulus)
-        # Fields in order (type, session_id, phase, origin, dest, partition,
-        # target, values): keywords cost about twice as much per message.
+        # Fields in order (type, session_id, origin, dest, partition, target,
+        # values): keywords cost about twice as much per message.
         answers.append(
             Message(
-                "answer", query.session_id, "answer", address, query.origin,
+                "answer", query.session_id, address, query.origin,
                 query.partition, query.target, bytes((value,)),
             )
         )

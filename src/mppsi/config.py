@@ -169,13 +169,13 @@ def config_from_dict(data: dict) -> SessionConfig:
     if transport not in TRANSPORTS:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
     addresses = _parse_addresses(data["addresses"]) if "addresses" in data else {}
-    if transport == "net" and len(parties) > 1:
+    # Every message is a frame, in a transcript file as on the wire.
+    if len(parties) > 1:
         frame = max_query_frame_bytes(universe_size)
         if frame > MAX_FRAME_BYTES:
             raise ConfigError(
-                f"universe_size {universe_size} is too large for the net transport: "
-                f"a query frame takes {frame} bytes, above the "
-                f"{MAX_FRAME_BYTES}-byte frame limit"
+                f"universe_size {universe_size} is too large: a query frame takes "
+                f"{frame} bytes, above the {MAX_FRAME_BYTES}-byte frame limit"
             )
     return SessionConfig(
         universe_size=universe_size,

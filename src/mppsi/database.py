@@ -26,7 +26,7 @@ from .model import PartyProfile, Universe
 from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_vector
-from .wire import Message, render_values
+from .wire import Message
 
 
 class DatabaseState:
@@ -102,13 +102,10 @@ class DatabaseState:
                 for db in range(1, self.shape.databases[client] + 1)
                 if (client, db) != self.address
             )
-        # Fields in order (type, session_id, phase, origin, dest, partition,
-        # target, values): keywords cost about twice as much per message.
+        # Fields in order (type, session_id, origin, dest, partition, target,
+        # values): keywords cost about twice as much per message.
         return [
-            Message(
-                kind, self.session_id, "randomness", self.address, dest,
-                None, position, bytes((value,)),
-            )
+            Message(kind, self.session_id, self.address, dest, None, position, bytes((value,)))
             for kind, dest, position, value in sent
         ]
 
@@ -124,7 +121,7 @@ class DatabaseState:
         if len(share.values) != 1 or not 0 <= share.values[0] < modulus:
             raise ProtocolViolationError(
                 f"{share.type} must carry one residue below {modulus}, "
-                f"got [{render_values(share.values).decode('ascii')}]"
+                f"got {list(share.values)}"
             )
         (value,) = share.values
         if share.type == "c_share":

@@ -30,7 +30,7 @@ from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
 from .model import PartyProfile, Universe
 from .seeding import draw_vector
-from .wire import Message, render_values
+from .wire import Message
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -220,12 +220,12 @@ def lay_out_queries(
     shape = plan.shape
     leader = (plan.leader_id, 0)
     queries: Dict[Tuple[int, int], List[Message]] = {}
-    # Fields in order (type, session_id, phase, origin, dest, partition,
-    # target, values): keywords cost about twice as much per message.
+    # Fields in order (type, session_id, origin, dest, partition, target,
+    # values): keywords cost about twice as much per message.
     for client_id in shape.client_ids:
         base = (client_id, 1)
         queries[base] = [
-            Message("query", session_id, "query", leader, base, ell, None, vector)
+            Message("query", session_id, leader, base, ell, None, vector)
             for ell, vector in enumerate(h_vectors[: shape.eta[client_id]], start=1)
         ]
         for position, element in enumerate(plan.leader_elements, start=1):
@@ -234,9 +234,7 @@ def lay_out_queries(
             bumped[element - 1] = (bumped[element - 1] + 1) % modulus
             dest = (client_id, database)
             queries.setdefault(dest, []).append(
-                Message(
-                    "query", session_id, "query", leader, dest, partition, position, bytes(bumped)
-                )
+                Message("query", session_id, leader, dest, partition, position, bytes(bumped))
             )
     return QueryPlan(h_vectors=h_vectors, queries=queries)
 
@@ -314,7 +312,7 @@ def decode(
         if len(answer.values) != 1 or not 0 <= answer.values[0] < modulus:
             raise ProtocolViolationError(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
-                f"got [{render_values(answer.values).decode('ascii')}]"
+                f"got {list(answer.values)}"
             )
         key = (answer.origin[0], answer.partition, answer.target)
         if key in values:

@@ -2,9 +2,10 @@
 
 A session runs three phases in order: randomness sharing among client
 databases, one query round from the leader, and one answer round back. The
-transcript records every message with its phase tag plus the cost table and
-the decoded result; with the in-memory transport it is a pure function of
-(config, seed) and serializes to byte-identical files across repeats.
+transcript records every message (its phase follows from its type) plus the
+cost table and the decoded result; with the in-memory transport it is a pure
+function of (config, seed) and serializes to byte-identical files across
+repeats.
 
 run_leader is the leader's side of every session. A transport is only the
 exchange function it hands the queries to, which returns the shares and the
@@ -14,17 +15,22 @@ net.run_networked_session frames the messages to TCP endpoints.
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
 run's messages in transcript order (shares in randomness.share_order, then
-queries and answers by Message.sort_key). A transcript file writes each one
-as its JSON body (wire.render_body), not as the binary frame it travels in.
+queries and answers by Message.sort_key). A transcript file is one line of
+sorted-key JSON whose "messages" list holds each message as the base64 text
+of its binary frame (wire.encode_msg), so the file and the wire share one
+encoding and one rule for a valid message. The file stays a JSON object so
+its head (cost table, leader) and tail (result, session id) stay readable
+with json alone.
 
 The leader never appears as origin or destination of a randomness-phase
-message; those flow only between client databases. Audits rely on the phase
-tags to reconstruct each party's legitimate view.
+message; those flow only between client databases. Audits rely on each
+message's phase to reconstruct each party's legitimate view.
 """
 
 from __future__ import annotations
 
 import json
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -42,7 +48,7 @@ from .leader import (
 )
 from .protocol import SessionSetup, collect_answers, make_session_id, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
-from .wire import Message, encode_msg, render_body
+from .wire import Message, decode_msg, encode_msg
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,8 @@ class SessionTranscript:
         """The transcript as one line of sorted-key JSON.
 
         Its keys in sorted order are cost_table, leader, messages, result and
-        session_id, so the text is a head object, the messages' JSON bodies
-        (wire.render_body), and a tail object. Each body is rendered
-        once, as bytes, and everything is joined once: a call allocates one
-        transcript-sized result.
+        session_id, so the text is a head object, each message as the quoted
+        base64 text of its frame (wire.encode_msg), and a tail object.
         """
         head = _compact_json(
             {
@@ -89,52 +93,49 @@ class SessionTranscript:
                 "session_id": self.session_id,
             }
         )
-        # One join of the head, the bodies with commas between, and the tail.
-        parts = [f'{head[:-1]},"messages":['.encode("ascii")]
-        for body in map(render_body, self.messages):
-            parts += (body, b",")
-        if self.messages:
-            parts.pop()  # the comma after the last body
-        parts.append(f"],{tail[1:]}\n".encode("ascii"))
-        return b"".join(parts)
+        start = f'{head[:-1]},"messages":['.encode("ascii")
+        end = f"],{tail[1:]}\n".encode("ascii")
+        entries = list(map(b64encode, map(encode_msg, self.messages)))
+        if not entries:
+            return start + end
+        # One join: copying a transcript-sized result twice costs more than
+        # the base64 of every frame.
+        entries[0] = start + b'"' + entries[0]
+        entries[-1] += b'"' + end
+        return b'","'.join(entries)
 
 
 def _compact_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _message_of(body: dict) -> Message:
-    """The message of a transcript body's eight fields, if a frame can carry it."""
-    try:
-        # iter: bytes(n) of a number n would be n zero bytes.
-        values = bytes(iter(body["values"]))
-    except ValueError:
-        raise ProtocolViolationError("values must be a list of integers in 0..255") from None
-    origin, dest = tuple(body["origin"]), tuple(body["dest"])
-    msg = Message(**{**body, "origin": origin, "dest": dest, "values": values})
-    # The head only: values are bytes already, and may be longer than a frame.
-    encode_msg(msg._replace(values=b""))
-    return msg
+_PHASES = ("randomness", "query", "answer")
 
 
 def load_transcript(data: bytes) -> SessionTranscript:
     """The transcript that serialize wrote as data; any other bytes are a protocol violation.
 
-    The file is read with json, and each message from its body's eight
-    fields. A message whose head encode_msg cannot frame is rejected (its
-    values may be longer than a frame), and so is a file that does not
+    The file is read with json, and each message from its entry, the base64
+    text of one frame, by wire.decode_msg: an entry that is not strict base64
+    of a frame decode_msg accepts is rejected, and so is a file that does not
     re-serialize to exactly its own bytes, so a loaded transcript is
-    byte-stable and every spelling but render_body's is refused. So is one
-    whose leader, costs (or nulls) and result are not all integers, whose
-    leader has no cost, or whose messages carry another session id. So is a
-    result that contradicts itself or its messages: an indicator outside
+    byte-stable. So is one whose leader, costs (or nulls) and result are not
+    all integers, whose leader has no cost, or whose messages carry another
+    session id. So is one whose messages are out of transcript order: phases
+    other than randomness, then query, then answer, or queries or answers
+    not in strictly increasing Message.sort_key order (so none repeats). The
+    order of the shares (randomness.share_order) needs the partition plan,
+    which a transcript does not hold, so it is not checked here. So, last, is
+    a result that contradicts itself or its messages: an indicator outside
     [0, L), with L the field of the cost table's parties; a decoded set other
     than the elements whose indicator is zero; a download cost other than the
     number of answers.
     """
     try:
         file = json.loads(data)
-        messages = tuple(map(_message_of, file["messages"]))
+        messages = tuple(
+            decode_msg(b64decode(entry, validate=True)) for entry in file["messages"]
+        )
         transcript = SessionTranscript(
             session_id=file["session_id"],
             leader_id=file["leader"],
@@ -159,6 +160,13 @@ def load_transcript(data: bytes) -> SessionTranscript:
         raise ProtocolViolationError("head or tail not integers, or the leader has no cost")
     if any(m.session_id != transcript.session_id for m in messages):
         raise ProtocolViolationError("a message carries a session id other than the transcript's")
+    phases = [m.phase for m in messages]
+    if phases != sorted(phases, key=_PHASES.index):
+        raise ProtocolViolationError("messages out of phase order: randomness, query, answer")
+    for phase in ("query", "answer"):
+        keys = [m.sort_key() for m in messages if m.phase == phase]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ProtocolViolationError(f"{phase} messages out of sort_key order, or repeated")
     try:
         modulus = select_field_size(len(costs)).modulus
     except ConfigError as exc:
@@ -167,7 +175,7 @@ def load_transcript(data: bytes) -> SessionTranscript:
         raise ProtocolViolationError(f"an indicator lies outside [0, {modulus})")
     if result.decoded != {elem for elem, value in result.indicators.items() if value == 0}:
         raise ProtocolViolationError("decoded is not the set of elements whose indicator is zero")
-    answers = sum(m.phase == "answer" for m in messages)
+    answers = phases.count("answer")
     if result.download_cost_actual != answers:
         raise ProtocolViolationError(
             f"download cost {result.download_cost_actual}, but {answers} answers"

@@ -1,4 +1,4 @@
-"""Wire format: binary frames of residue bytes; JSON bodies for transcripts only.
+"""Wire format: binary frames of residue bytes, on the wire and in transcripts.
 
 Every protocol message is one frame. Its integers are big-endian:
 
@@ -22,12 +22,11 @@ for its message.
 A message's values are field residues held as bytes, one byte per residue:
 L <= 251 (field.select_field_size), so every residue fits, and a frame
 carries them unchanged. Message is a named tuple, so a message costs about
-what a tuple of its fields does to build.
+what a tuple of its fields does to build; its phase follows from its type.
 
-Transcripts write messages as JSON bodies, and render_body is their one
-renderer. session.load_transcript reads a body with json and keeps its
-message only when encode_msg can frame its head, so the frame rule above,
-bar the 1 MiB limit, is also the transcript's rule for a valid message.
+A transcript file holds each message as the base64 text of this same frame
+(session.SessionTranscript.serialize), so the frame rule above is also the
+transcript's rule for a valid message.
 
 Field values cross the wire as leader-set positions and residues only; no
 message ever names a universe element.
@@ -36,7 +35,6 @@ message ever names a universe element.
 from __future__ import annotations
 
 import struct
-from json.encoder import encode_basestring_ascii as _quote
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import ProtocolViolationError
@@ -59,7 +57,7 @@ _START = struct.Struct(">IBB")
 _TAGS = struct.Struct(">6I")
 _HEAD_BYTES = _START.size - HEADER.size + _TAGS.size  # the head after the length, bar the id
 _TYPE_CODE = {msg_type: code for code, msg_type in enumerate(PHASE_BY_TYPE, start=1)}
-_KIND_OF_CODE = {code: (t, PHASE_BY_TYPE[t]) for t, code in _TYPE_CODE.items()}
+_TYPE_OF_CODE = {code: msg_type for msg_type, code in _TYPE_CODE.items()}
 _HEX = b"0123456789abcdef"
 
 
@@ -72,24 +70,15 @@ class Message(NamedTuple):
 
     type: str
     session_id: str
-    phase: str
     origin: Tuple[int, int]
     dest: Tuple[int, int]
     partition: Optional[int]
     target: Optional[int]
     values: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "session_id": self.session_id,
-            "phase": self.phase,
-            "origin": list(self.origin),
-            "dest": list(self.dest),
-            "partition": self.partition,
-            "target": self.target,
-            "values": list(self.values),
-        }
+    @property
+    def phase(self) -> str:
+        return PHASE_BY_TYPE[self.type]
 
     def sort_key(self) -> tuple:
         return (
@@ -98,52 +87,6 @@ class Message(NamedTuple):
             self.partition if self.partition is not None else 0,
             self.target if self.target is not None else 0,
         )
-
-
-# Maps residues 0..9 to their digit; every other byte value to NUL.
-_DIGITS = b"0123456789" + bytes(246)
-# Each residue 0..255 as its decimal digits.
-_DECIMAL = tuple(str(value).encode("ascii") for value in range(256))
-
-
-def render_values(values: bytes) -> bytes:
-    """The comma-separated decimal values, as json.dumps writes them.
-
-    Written straight from the residue bytes: nothing for no values, one
-    table entry for one value (every answer and share carries one), one
-    translate interleaved with commas when every value is one digit, and
-    the joined decimals of each value otherwise. The result is bytes-like
-    (a bytearray on the one-digit path); error messages decode it.
-    """
-    if not values:
-        return b""
-    if len(values) == 1:
-        return _DECIMAL[values[0]]
-    digits = values.translate(_DIGITS)
-    if b"\0" in digits:
-        return b",".join(map(_DECIMAL.__getitem__, values))
-    text = bytearray(b"," * (2 * len(digits) - 1))
-    text[::2] = digits
-    return text
-
-
-def render_body(msg: Message) -> bytes:
-    """The JSON of a message as ASCII bytes: its entry in a transcript.
-
-    Equal to json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
-    encoded, written directly: the head up to the values rendered once, with
-    the keys in sorted order and strings ASCII-escaped, then render_values
-    of the residue bytes, joined into one bytes object.
-    """
-    msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
-    head = (
-        f'{{"dest":[{d0},{d1}],"origin":[{o0},{o1}],'
-        f'"partition":{"null" if partition is None else partition},'
-        f'"phase":{_quote(phase)},"session_id":{_quote(session_id)},'
-        f'"target":{"null" if target is None else target},'
-        f'"type":{_quote(msg_type)},"values":['
-    )
-    return b"".join((head.encode("ascii"), render_values(values), b"]}"))
 
 
 def max_query_frame_bytes(universe_size: int) -> int:
@@ -158,21 +101,22 @@ def max_query_frame_bytes(universe_size: int) -> int:
 def encode_msg(msg: Message) -> bytes:
     """The one length-prefixed frame of a message.
 
-    A message decode_msg would not return (an unknown type or a mismatched
-    phase, an id that is empty, too long or not lowercase hex, a tag that is
-    negative, zero where it may be null or above MAX_TAG, a field of the wrong
-    type) or a frame above 1 MiB is a protocol violation, even when this
-    process built the message.
+    A message decode_msg would not return (an unknown type, an id that is
+    empty, too long or not lowercase hex, a tag that is negative, zero where
+    it may be null or above MAX_TAG, a field of the wrong type) or a frame
+    above 1 MiB is a protocol violation, even when this process built the
+    message.
     """
     try:
-        msg_type, session_id, phase, (o0, o1), (d0, d1), partition, target, values = msg
+        msg_type, session_id, (o0, o1), (d0, d1), partition, target, values = msg
+        code = _TYPE_CODE.get(msg_type)
         tags = (o0, o1, d0, d1, partition or 0, target or 0)
         sid = session_id.encode("ascii", "replace")
         length = _HEAD_BYTES + len(sid) + len(values)
         if length > MAX_FRAME_BYTES:
             raise ProtocolViolationError(f"frame of {length} bytes exceeds 1 MiB limit")
         if (
-            PHASE_BY_TYPE.get(msg_type) != phase
+            code is None
             or not 0 < len(sid) < 256
             or sid.translate(None, _HEX)
             or min(tags) < 0
@@ -180,8 +124,8 @@ def encode_msg(msg: Message) -> bytes:
             or partition == 0
             or target == 0
         ):
-            raise ProtocolViolationError(f"message cannot be framed: {msg[:7]!r}")
-        start = _START.pack(length, _TYPE_CODE[msg_type], len(sid))
+            raise ProtocolViolationError(f"message cannot be framed: {msg[:6]!r}")
+        start = _START.pack(length, code, len(sid))
         return b"".join((start, sid, _TAGS.pack(*tags), values))
     except (AttributeError, TypeError, ValueError, struct.error) as exc:
         # A field of the wrong type: a float or str tag, a non-str id, values not bytes.
@@ -203,8 +147,8 @@ def decode_msg(frame: bytes) -> Message:
         )
     if length < 2:
         raise ProtocolViolationError(f"truncated message head: {length} bytes")
-    kind = _KIND_OF_CODE.get(frame[4])
-    if kind is None:
+    msg_type = _TYPE_OF_CODE.get(frame[4])
+    if msg_type is None:
         raise ProtocolViolationError(f"unknown message type code {frame[4]}")
     tags_start = _START.size + frame[5]
     values_start = tags_start + _TAGS.size
@@ -218,9 +162,8 @@ def decode_msg(frame: bytes) -> Message:
         raise ProtocolViolationError(f"tag above {MAX_TAG}: {tags}")
     o0, o1, d0, d1, partition, target = tags
     return Message(
-        kind[0],
+        msg_type,
         session_id.decode("ascii"),
-        kind[1],
         (o0, o1),
         (d0, d1),
         partition or None,

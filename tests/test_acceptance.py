@@ -287,12 +287,8 @@ def test_criterion_8_transport_equivalence():
             )
             mem = run_memory_session(config)
             net = run_networked_session(config)
-            mem_msgs = sorted(
-                tuple(sorted(x.to_dict().items(), key=str)) for x in mem.messages
-            )
-            net_msgs = sorted(
-                tuple(sorted(x.to_dict().items(), key=str)) for x in net.messages
-            )
+            mem_msgs = sorted(mem.messages, key=str)
+            net_msgs = sorted(net.messages, key=str)
             assert mem_msgs == net_msgs, f"config {index} transcripts diverge"
             assert mem.result.decoded == net.result.decoded
             assert (

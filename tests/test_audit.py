@@ -1016,6 +1016,5 @@ class TestTranscriptViews:
         )
         transcript = run_memory_session(config)
         (view_msgs,) = database_view(transcript, 1, 2)
-        for msg in view_msgs:
-            fields = dict(msg)
-            assert ("dest", [1, 2]) in msg or ("origin", [1, 2]) in msg
+        own = [m for m in transcript.messages if (1, 2) in (m.dest, m.origin)]
+        assert own and list(view_msgs) == sorted(own, key=str)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from mppsi.cli import main
+from mppsi.config import load_config
+from mppsi.session import load_transcript, run_memory_session
 
 FIXTURE = {
     "universe_size": 4,
@@ -41,6 +43,15 @@ class TestRun:
         raw = json.loads(out.read_bytes())
         assert raw["result"]["decoded"] == [1]
         assert len(raw["messages"]) == 19
+        assert load_transcript(out.read_bytes()) == run_memory_session(load_config(config_path))
+
+    def test_networked_run_writes_the_memory_transcript(self, config_path, tmp_path):
+        memory, over_tcp = tmp_path / "memory.json", tmp_path / "net.json"
+        assert main(["run", "--config", config_path, "--out", str(memory)]) == 0
+        assert main(
+            ["run", "--config", config_path, "--transport", "net", "--out", str(over_tcp)]
+        ) == 0
+        assert over_tcp.read_bytes() == memory.read_bytes()
 
     def test_networked_run(self, config_path, capsys):
         assert main(["run", "--config", config_path, "--transport", "net", "--json"]) == 0
@@ -195,6 +206,16 @@ class TestExitCodes:
         out = tmp_path / "missing" / "t.json"
         assert main(["run", "--config", config_path, "--out", str(out)]) == 2
         assert f"cannot write transcript {out}" in capsys.readouterr().err
+
+    def test_universe_past_the_frame_limit_is_2_on_either_transport(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("mppsi.cli.run_session", lambda config: pytest.fail("session ran"))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(FIXTURE, universe_size=1_048_535)))
+        for transport in ("mem", "net"):
+            assert main(["run", "--config", str(path), "--transport", transport]) == 2
+            assert "frame limit" in capsys.readouterr().err
 
     def test_failed_session_leaves_no_transcript(self, tmp_path, capsys):
         config = {

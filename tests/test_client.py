@@ -21,7 +21,6 @@ def query(dest, partition, target, vector):
     return Message(
         type="query",
         session_id=SESSION,
-        phase="query",
         origin=(9, 0),
         dest=dest,
         partition=partition,

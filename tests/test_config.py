@@ -124,8 +124,12 @@ class TestParse:
             parse_config(as_json(variant(addresses={"1:1": "127.0.0.1:notaport"})))
 
 
-class TestNetFrameLimit:
-    """Net configs whose widest query frame exceeds the 1 MiB wire limit fail at load."""
+class TestFrameLimit:
+    """Configs whose widest query frame exceeds the 1 MiB frame limit fail at load.
+
+    Every message is a frame, in a transcript file as on the wire, so the
+    bound holds on both transports.
+    """
 
     def config(self, universe_size, num_parties=3, transport="net"):
         return variant(
@@ -146,6 +150,9 @@ class TestNetFrameLimit:
         with pytest.raises(ConfigError, match="frame limit"):
             parse_config(as_json(self.config(limit + 1, num_parties)))
 
-    def test_memory_configs_unaffected(self):
-        config = parse_config(as_json(self.config(1_048_535, transport="memory")))
-        assert config.universe_size == 1_048_535
+    def test_memory_configs_share_the_bound(self):
+        limit = 1_048_534
+        config = parse_config(as_json(self.config(limit, transport="memory")))
+        assert config.universe_size == limit
+        with pytest.raises(ConfigError, match="frame limit"):
+            parse_config(as_json(self.config(limit + 1, transport="memory")))

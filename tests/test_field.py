@@ -21,7 +21,7 @@ def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
-    spec = Message("query", "field-tests", "query", (2, 0), (1, 1), 1, None, bytes(q))
+    spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
     size = len(x) if universe is None else universe
     (msg,) = answer_all(profile, 1, [spec], Universe(size), bundle, PrimeField(modulus))
     (value,) = msg.values

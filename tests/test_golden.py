@@ -17,13 +17,13 @@ from mppsi.wire import decode_msg, encode_msg
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    "sec4": "0d8cd4c19b53eff4ac7dd391cd2aff54d5323018e96160490f038e9c910c62ec",
-    "sec7_1": "1c294477fd46964033d03e215eba61ca1a25d62994707ea56ffb8c425b33c72e",
-    "sec7_2": "12e7ae95e76b60a065e6a751cdf3ce852448b0fa24ff14d793f924b9d966f4f6",
+    "sec4": "a875f732319547acc3f64cd3548a1a522139f3946733360421120481976fa0a5",
+    "sec7_1": "dd67809da3df54a8915b10076b892c1f3101fc8225574d1adedc33ef897d3bf5",
+    "sec7_2": "523936eec8eb8cb88f583354cb240e621beed803d22d149726d400b50d456f27",
 }
-AUDIT_SMALL = "21488cb97a52bb3356f89152abda8a87f7ede20bb6ef739da5b730d439be3df8"
-WIDE = "b24753458b59b3b1f7af55adf5cb54c9b31965851c0230a89e594d8e9a6799d3"
-ELEVEN = "487d4ad74a5379041f3ce8db1ad7b56bba790466a321788b86d4e019d6a9672d"
+AUDIT_SMALL = "0e6869f1e79e8ef200f98592705d77cbbe529d7a611afe5b27eda57922b3d1b8"
+WIDE = "7704bbdcd05037a1f7976ecef0c6473f9ce4339f8c1de0d38ed0ae0058f27fbf"
+ELEVEN = "8c22e4fc8f9aa5ce948ca8dc8d53a477e4263728b35339ebfd57156096da6d30"
 # sha256 of each golden session's messages as binary frames, joined.
 FRAMES = {
     "audit-small": "8b98079fbee39c822a793db622d808332315254c07f4f111b39a34cfd41b882a",

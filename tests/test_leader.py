@@ -287,7 +287,7 @@ class TestQueryGeneration:
 # with what the error names.
 BAD_ANSWERS = {
     "wrong type": (
-        lambda a, L: [a[0]._replace(type="query", phase="query")] + a[1:],
+        lambda a, L: [a[0]._replace(type="query")] + a[1:],
         r"not an answer to \(3, 0\)",
     ),
     "two values": (lambda a, L: [a[0]._replace(values=a[0].values * 2)] + a[1:], "one residue"),

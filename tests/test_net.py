@@ -21,9 +21,7 @@ from mppsi.wire import HEADER, Message, encode_msg
 
 
 def message_multiset(transcript):
-    return sorted(
-        tuple(sorted(m.to_dict().items(), key=str)) for m in transcript.messages
-    )
+    return sorted(transcript.messages, key=str)
 
 
 class TestEquivalence:
@@ -246,7 +244,6 @@ class TestEndpointBehaviour:
             rogue = Message(
                 type="query",
                 session_id=msg_session,
-                phase="query",
                 origin=(3, 0),
                 dest=(target.party_id, target.database),
                 partition=1,
@@ -311,7 +308,6 @@ class TestEndpointBehaviour:
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
-                phase="query",
                 origin=(3, 0),
                 dest=(target.party_id, target.database),
                 partition=1,
@@ -364,7 +360,6 @@ class TestEndpointBehaviour:
                 return Message(
                     type="query",
                     session_id=make_session_id(config),
-                    phase="query",
                     origin=(3, 0),
                     dest=(target.party_id, target.database),
                     partition=1,
@@ -393,7 +388,6 @@ class TestEndpointBehaviour:
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
-                phase="query",
                 origin=(3, 0),
                 dest=(target.party_id, target.database),
                 partition=1,
@@ -602,7 +596,6 @@ def share(config, kind, origin, dest, target, values):
     return Message(
         type=kind,
         session_id=make_session_id(config),
-        phase="randomness",
         origin=origin,
         dest=dest,
         partition=None,
@@ -665,7 +658,6 @@ class TestSharesFromTheWire:
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
-                phase="query",
                 origin=(3, 0),
                 dest=(1, 1),
                 partition=None,
@@ -688,7 +680,6 @@ class TestSharesFromTheWire:
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
-                phase="query",
                 origin=(2, 1),
                 dest=(1, 1),
                 partition=1,
@@ -804,7 +795,6 @@ class TestLeaderChecksAnswers:
         reply = Message(
             type="answer",
             session_id=make_session_id(config),
-            phase="answer",
             origin=other if forged == "origin" else victim,
             dest=(leader, 0) if forged == "origin" else (leader, 1),
             partition=1,

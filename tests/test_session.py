@@ -24,6 +24,12 @@ def config_of(parties, universe, seed=3, leader=None):
     )
 
 
+def swap(entries, index):
+    """entries with the one at index and the next exchanged."""
+    entries[index], entries[index + 1] = entries[index + 1], entries[index]
+    return entries
+
+
 def random_config(rng, max_m=4, max_k=6, max_n=5):
     m = rng.randint(2, max_m)
     k = rng.randint(1, max_k)
@@ -132,11 +138,48 @@ class TestDeterminism:
         assert loaded.result == original.result
         assert loaded.serialize() == original.serialize()
 
-    def test_transcript_value_past_one_byte_is_a_protocol_violation(self):
-        data = run_memory_session(DEMOS["sec7_2"].config).serialize()
-        edited = data.replace(b'"values":[', b'"values":[256,', 1)
+    # Each moves or repeats one message of sec7_2's transcript (shares, then
+    # queries, then answers), with what the loader names.
+    @pytest.mark.parametrize(
+        "move, error",
+        [
+            (lambda entries, first: swap(entries, first["answer"]), "answer .* sort_key order"),
+            (lambda entries, first: swap(entries, first["query"]), "query .* sort_key order"),
+            (
+                lambda entries, first: entries + [entries.pop(first["query"])],
+                "out of phase order",
+            ),
+            (
+                lambda entries, first: entries + [entries.pop(first["randomness"])],
+                "out of phase order",
+            ),
+            (
+                lambda entries, first: entries[: first["answer"]] + entries[first["answer"] - 1 :],
+                "query .* sort_key order, or repeated",
+            ),
+            (lambda entries, first: entries + entries[-1:], "answer .* sort_key order, or repeated"),
+        ],
+        ids=[
+            "two-answers-swapped",
+            "two-queries-swapped",
+            "query-after-the-answers",
+            "share-after-the-answers",
+            "last-query-repeated",
+            "last-answer-repeated",
+        ],
+    )
+    def test_messages_out_of_transcript_order_are_a_protocol_violation(self, move, error):
+        transcript = run_memory_session(DEMOS["sec7_2"].config)
+        data = transcript.serialize()
+        head, rest = data.split(b'"messages":[', 1)
+        entries, tail = rest.split(b"]", 1)
+        first = {}
+        for index, msg in enumerate(transcript.messages):
+            first.setdefault(msg.phase, index)
+        moved = move(entries.split(b","), first)
+        edited = head + b'"messages":[' + b",".join(moved) + b"]" + tail
         assert edited != data
-        with pytest.raises(ProtocolViolationError, match="0..255"):
+        with pytest.raises(ProtocolViolationError, match=error):
             load_transcript(edited)
 
     @pytest.mark.parametrize(
@@ -152,6 +195,11 @@ class TestDeterminism:
             lambda data: re.sub(rb'"cost_table":\{[^}]*\}', b'"cost_table":0', data),
             lambda data: data.replace(b'"decoded":[1,', b'"decoded":[[1],'),
             lambda data: data.replace(b'"leader":', b'"leader":' + b"[" * 100_000),
+            lambda data: re.sub(rb'"messages":\[[^\]]*\]', b'"messages":"AAAA"', data),
+            lambda data: re.sub(rb'"messages":\[[^\]]*\]', b'"messages":{}', data),
+            lambda data: data.replace(b'","', b'", "', 1),
+            lambda data: data.replace(b'"messages":["', b'"messages":[0,"', 1),
+            lambda data: data.replace(b'"messages":["A', b'"messages":["\\u0041', 1),
         ],
         ids=[
             "bad-utf8",
@@ -164,6 +212,11 @@ class TestDeterminism:
             "cost-table-not-an-object",
             "unhashable-decoded",
             "deep-head",
+            "messages-a-string",
+            "messages-an-object",
+            "space-between-entries",
+            "number-entry",
+            "escaped-letter-in-an-entry",
         ],
     )
     def test_malformed_transcript_is_a_protocol_violation(self, edit):
