@@ -3,13 +3,15 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.errors import InfeasibleError, ProtocolViolationError
-from mppsi.leader import download_cost
+from mppsi.field import MAX_PARTIES
+from mppsi.leader import CostTable, download_cost
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.protocol import make_session_id
 from mppsi.session import load_transcript, run_memory_session
@@ -138,6 +140,15 @@ class TestDeterminism:
         assert loaded.result == original.result
         assert loaded.serialize() == original.serialize()
 
+    def test_transcript_value_past_one_byte_is_a_protocol_violation(self):
+        # A frame carries each value in one byte, so no file spells 256, and
+        # a transcript holding such a value is not written at all.
+        transcript = run_memory_session(DEMOS["sec7_2"].config)
+        first, *rest = transcript.messages
+        edited = replace(transcript, messages=(first._replace(values=[256]), *rest))
+        with pytest.raises(ProtocolViolationError, match="cannot be framed"):
+            edited.serialize()
+
     # Each moves or repeats one message of sec7_2's transcript (shares, then
     # queries, then answers), with what the loader names.
     @pytest.mark.parametrize(
@@ -256,6 +267,16 @@ class TestDeterminism:
         assert data.count(old) == 1
         with pytest.raises(ProtocolViolationError, match="not integers|has no cost"):
             load_transcript(data.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "parties", [(3,), tuple(range(1, MAX_PARTIES + 2))], ids=["one-party", "past-max-parties"]
+    )
+    def test_cost_table_without_a_field_is_a_protocol_violation(self, parties):
+        transcript = run_memory_session(DEMOS["sec4"].config)
+        edited = replace(transcript, cost_table=CostTable(dict.fromkeys(parties, 6)))
+        error = f"no field for a cost table of {len(parties)} parties"
+        with pytest.raises(ProtocolViolationError, match=error):
+            load_transcript(edited.serialize())
 
     # sec4's result: L = 3, decoded [1], indicators {1: 0, 4: 1}, six answers.
     @pytest.mark.parametrize("decoded", [b"[]", b"[4]", b"[1,4]", b"[9]"])
