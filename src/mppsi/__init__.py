@@ -30,7 +30,7 @@ from .leader import (
     make_partition_plan,
 )
 from .model import PartyProfile, Universe, brute_force_intersection
-from .randomness import RandomnessBundle, RandomnessPolicy, build_bundle
+from .randomness import RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "PrimeField",
     "ProtocolViolationError",
     "QueryPlan",
-    "RandomnessBundle",
     "RandomnessPolicy",
     "SessionConfig",
     "SessionTranscript",

@@ -12,9 +12,12 @@ its query: origin and destination swapped, the same session, and the same
 (partition, target position) tags, so the leader can decode in any arrival
 order.
 
-A database uses nothing beyond its own copy of the party's set, its own
-randomness slots, and the queries delivered to it; the function signatures
-here admit nothing else.
+answer_all is the one answer function of both transports:
+protocol.collect_answers calls it in memory, and each TCP endpoint's serve
+loop calls it once the endpoint's state is ready. A database uses nothing
+beyond its database.DatabaseState (its own copy of the party's set and its
+own randomness) and the queries delivered to it; answer_all admits nothing
+else.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, List, Sequence
 
+from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError
-from .field import PrimeField
-from .model import PartyProfile, Universe
-from .randomness import RandomnessBundle
+from .model import Universe
 from .wire import Message
 
 
@@ -49,18 +51,19 @@ def support_sum(support: Sequence[int]) -> Callable[[Sequence[int]], int]:
 
 
 def answer_all(
-    profile: PartyProfile,
-    database: int,
-    queries: Sequence[Message],
-    universe: Universe,
-    bundle: RandomnessBundle,
-    field: PrimeField,
+    state: DatabaseState, queries: Sequence[Message], universe: Universe
 ) -> List[Message]:
-    """Answer every query delivered to one database, echoing it."""
-    if bundle.c is None:
+    """Answer every query delivered to one database from its state, echoing it.
+
+    A query must be addressed to the database and carry K values; its
+    partition must have a local value, and a targeted query (one with a
+    target position) an individual value, at this database; only database 1
+    answers a bare base query. Anything else is a protocol violation.
+    """
+    c, modulus = state.c, state.field.modulus
+    if c is None:
         raise ProtocolViolationError("global multiplier not installed")
-    if bundle.c == 0:
-        raise ValueError("global multiplier must be nonzero")
+    profile, address = state.profile, state.address
     support = sorted(elem - 1 for elem in profile.data_set)
     if support and support[-1] >= universe.size:
         raise ConfigError(
@@ -68,24 +71,33 @@ def answer_all(
             f"universe of size {universe.size}"
         )
     inner_product = support_sum(support)
-    address = (profile.party_id, database)
+    local, individual = state.local, state.individual
     answers: List[Message] = []
     for query in queries:
         if query.dest != address:
             raise ProtocolViolationError(f"query addressed to {query.dest} delivered to {address}")
-        s_slot = bundle.local_slot(query.partition)
+        partition = query.partition
+        if partition not in range(1, len(local) + 1):  # None too: a query without one
+            raise ProtocolViolationError(f"no local randomness slot for partition {partition}")
+        s_slot = local[partition - 1]
         if query.target is None:
-            if database != 1:
+            if address[1] != 1:
                 raise ProtocolViolationError(
-                    f"bare base query delivered to database {database}"
+                    f"bare base query delivered to database {address[1]}"
                 )
             t_slot = 0
+        elif partition in individual:
+            t_slot = individual[partition]
         else:
-            t_slot = bundle.individual_slot(query.partition)
+            raise ProtocolViolationError(
+                f"no individual randomness for partition {partition} at database {address}"
+            )
         q = query.values
         if len(q) != universe.size:
-            raise ValueError(f"length mismatch: {len(q)} vs {universe.size}")
-        value = answer_value(inner_product(q), s_slot, t_slot, bundle.c, field.modulus)
+            raise ProtocolViolationError(
+                f"query vector length {len(q)} != universe {universe.size}"
+            )
+        value = answer_value(inner_product(q), s_slot, t_slot, c, modulus)
         # Fields in order (type, session_id, origin, dest, partition, target,
         # values): keywords cost about twice as much per message.
         answers.append(

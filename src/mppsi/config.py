@@ -51,32 +51,6 @@ class SessionConfig:
     def universe(self) -> Universe:
         return Universe(self.universe_size)
 
-    def to_dict(self) -> dict:
-        data: dict = {
-            "universe_size": self.universe_size,
-            "parties": [
-                {
-                    "id": p.party_id,
-                    "databases": p.num_databases,
-                    "set": sorted(p.data_set),
-                }
-                for p in self.parties
-            ],
-            "seed": self.seed,
-            "transport": self.transport,
-        }
-        if self.leader_override is not None:
-            data["leader"] = self.leader_override
-        if self.addresses:
-            data["addresses"] = {
-                f"{party}:{db}": f"{host}:{port}"
-                for (party, db), (host, port) in sorted(self.addresses.items())
-            }
-        return data
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def _require_int(value, what: str, minimum: int, maximum: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):

@@ -6,24 +6,23 @@ RandomnessPolicy. It draws each of its tiers as one labeled stream: its
 client's local vector ("s/<client>"), its individual values when it is a
 free-client database holding a position ("t/<client>/<database>", one slot
 per partition), and the multiplier at the database that sends it ("c"). It
-never touches a socket or a clock. Its four operations list the shares it
-sends, receive one share, report whether it is ready, and answer a batch of
-queries through client.answer_all; shares, queries and answers are all
-wire.Message values. Both transports drive these states:
-randomness.build_bundle routes shares between them in memory, and each
-net.DatabaseEndpoint keeps one behind its serve loop.
+never touches a socket or a clock. It lists the shares it sends, receives
+one share, and reports whether it is ready; client.answer_all answers a
+batch of queries from it. Shares, queries and answers are all wire.Message
+values. Both transports drive these states: randomness.build_bundle routes
+shares between them in memory, and each net.DatabaseEndpoint keeps one
+behind its serve loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional
 
-from .client import answer_all
 from .errors import ProtocolViolationError
 from .field import PrimeField
 from .leader import PlanShape
-from .model import PartyProfile, Universe
-from .randomness import FAITHFUL, RandomnessBundle, RandomnessPolicy
+from .model import PartyProfile
+from .randomness import FAITHFUL, RandomnessPolicy
 from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
 from .seeding import draw_vector
 from .wire import Message
@@ -32,11 +31,12 @@ from .wire import Message
 class DatabaseState:
     """The randomness and answering state of one client database.
 
-    bundle holds only this database's own slots: its client's local vector,
-    its individual values (explicit zeros at database 1; at a free-client
-    database, the slots of its own "t" vector at the partitions of its
-    positions), and the global multiplier once it has one. Both transports
-    answer from it.
+    It holds only this database's own values, all residues in [0, L):
+    local[partition - 1] is its client's local value for that partition;
+    individual[partition] is the value it adds to its targeted answer for
+    that partition, only at the partitions of its own positions (none at
+    database 1, which gets no targeted query); c is the global multiplier
+    once it has one. Both transports answer from it.
     """
 
     def __init__(
@@ -61,11 +61,10 @@ class DatabaseState:
         self.c_origin = (shape.client_ids[0], 1)
         self.positions = shape.positions_of_database(party_id, database)
         eta = shape.eta[party_id]
-        self._t: Dict[int, int] = {}  # partition -> value added to its targeted answer
-        self.bundle = RandomnessBundle(
-            local=gen_local(party_id, eta, field, seed, policy),
-            individual=dict.fromkeys(range(1, eta + 1), 0) if database == 1 else self._t,
-            c=gen_global(field, seed, policy) if self.address == self.c_origin else None,
+        self.local: List[int] = gen_local(party_id, eta, field, seed, policy)
+        self.individual: Dict[int, int] = {}
+        self.c: Optional[int] = (
+            gen_global(field, seed, policy) if self.address == self.c_origin else None
         )
         # At the correlating client: position -> {free client: its share}.
         self._received: Dict[int, Dict[int, int]] = {}
@@ -78,14 +77,14 @@ class DatabaseState:
             )
             for position in self.positions:
                 partition, _ = shape.position_location(party_id, position)
-                self._t[partition] = draws[partition - 1]
+                self.individual[partition] = draws[partition - 1]
         self._missing = len(self._received) * len(self.free)
         self._complete()
 
     @property
     def ready(self) -> bool:
         """Whether every value this database's answers need is installed."""
-        return self.bundle.c is not None and len(self._t) == len(self.positions)
+        return self.c is not None and len(self.individual) == len(self.positions)
 
     def shares(self) -> List[Message]:
         """The randomness-phase messages this database sends."""
@@ -93,11 +92,11 @@ class DatabaseState:
         sent = []  # (type, dest, position, value)
         for position in self.positions if party_id != self.correlator else ():
             dest = (self.correlator, self.shape.position_location(self.correlator, position)[1])
-            value = self._t[self.shape.position_location(party_id, position)[0]]
+            value = self.individual[self.shape.position_location(party_id, position)[0]]
             sent.append(("t_share", dest, position, value))
         if self.address == self.c_origin:
             sent.extend(
-                ("c_share", (client, db), None, self.bundle.c)
+                ("c_share", (client, db), None, self.c)
                 for client in self.shape.client_ids
                 for db in range(1, self.shape.databases[client] + 1)
                 if (client, db) != self.address
@@ -129,11 +128,11 @@ class DatabaseState:
                 raise ProtocolViolationError(
                     f"global multiplier from {share.origin}, expected {self.c_origin}"
                 )
-            if self.bundle.c is not None:
+            if self.c is not None:
                 raise ProtocolViolationError("global multiplier already installed")
             if value == 0:
                 raise ProtocolViolationError("global multiplier must be nonzero")
-            self.bundle.c = value
+            self.c = value
         elif share.type == "t_share":
             received = self._received.get(share.target)
             if received is None:
@@ -164,11 +163,6 @@ class DatabaseState:
         num_clients = len(self.shape.client_ids)
         for position, received in self._received.items():
             partition, _ = self.shape.position_location(self.correlator, position)
-            self._t[partition] = completion(
+            self.individual[partition] = completion(
                 received.values(), self.field.modulus, num_clients, self.policy
             )
-
-    def answer(self, queries: Sequence[Message], universe: Universe) -> List[Message]:
-        """Answer a batch of query messages delivered to this database."""
-        database = self.address[1]
-        return answer_all(self.profile, database, queries, universe, self.bundle, self.field)

@@ -2,11 +2,12 @@
 
 Each database is an independently addressable endpoint, a party only an
 administrative grouping: the database.DatabaseState that the in-memory
-transport routes between, behind sockets. Client endpoints send each other
-their randomness shares (individual values to the correlating client's
-databases, the global multiplier from database 1 of the lowest client);
-the leader connects to each queried database once, sends its queries and
-reads the answers off the same connection, in any interleaving.
+transport routes between, behind sockets, answering its queries through
+client.answer_all as the in-memory transport does. Client endpoints send
+each other their randomness shares (individual values to the correlating
+client's databases, the global multiplier from database 1 of the lowest
+client); the leader connects to each queried database once, sends its
+queries and reads the answers off the same connection, in any interleaving.
 
 Both sides run on a serve loop: one thread multiplexing the endpoints'
 listening sockets, the connections they accept, and outgoing connections,
@@ -46,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .client import answer_all
 from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
@@ -418,7 +420,7 @@ class _ServeLoop:
             owner, conn = key.data
             try:
                 if conn.waiting and owner.state.ready:
-                    answers = owner.state.answer(conn.waiting, owner.config.universe)
+                    answers = answer_all(owner.state, conn.waiting, owner.config.universe)
                     conn.waiting = []
                     for answer in answers:
                         conn.out += encode_msg(answer)

@@ -5,7 +5,8 @@ the leader's driver, session.run_leader, the database endpoints and the
 audit module all elect through it. make_session_id is the one session-id
 function, of the config alone, so every transport and endpoint derives the
 same id. collect_answers is the in-memory answer round: every database
-answers the queries delivered to it from its own randomness bundle.
+answers the queries delivered to it from its own database.DatabaseState,
+through client.answer_all, the function a TCP endpoint answers with too.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .client import answer_all
 from .config import SessionConfig
+from .database import DatabaseState
 from .errors import InfeasibleError
 from .field import PrimeField, select_field_size
 from .leader import CostTable, QueryPlan, cost_table
 from .model import PartyProfile, Universe, validate_profiles
-from .randomness import RandomnessBundle
 from .wire import SESSION_ID_CHARS, Message
 
 
@@ -85,17 +86,11 @@ def make_session_id(config: SessionConfig) -> str:
 
 def collect_answers(
     query_plan: QueryPlan,
-    clients: Sequence[PartyProfile],
+    states: Dict[Tuple[int, int], DatabaseState],
     universe: Universe,
-    bundles: Dict[Tuple[int, int], RandomnessBundle],
-    field: PrimeField,
 ) -> List[Message]:
-    """Every database answers exactly the queries delivered to it, from its own bundle."""
-    by_id = {client.party_id: client for client in clients}
+    """Every database answers exactly the queries delivered to it, from its own state."""
     answers: List[Message] = []
-    for (client_id, database), delivered in query_plan.queries.items():
-        bundle = bundles[client_id, database]
-        answers.extend(
-            answer_all(by_id[client_id], database, delivered, universe, bundle, field)
-        )
+    for address, delivered in query_plan.queries.items():
+        answers.extend(answer_all(states[address], delivered, universe))
     return answers

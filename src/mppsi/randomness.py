@@ -5,11 +5,12 @@ Before any query is sent, the client parties set up:
 * a local vector per client (one slot per partition), shared by all of that
   client's databases and added to every answer: one labeled vector draw,
   "s/<client>", that each of the client's databases makes for itself;
-* an individual value per targeted answer, zero at database 1, drawn freely
-  by every client except the last one, and completed at the last client so
-  that for each leader-set position the values across clients sum to
-  L - (M - 1); a free database draws its values as one labeled vector,
-  "t/<client>/<database>", indexed by partition;
+* an individual value per targeted answer, so none at database 1, which
+  gets no targeted query: drawn freely by every client except the last
+  one, and completed at the last client so that for each leader-set
+  position the values across clients sum to L - (M - 1); a free database
+  draws its values as one labeled vector, "t/<client>/<database>", indexed
+  by partition;
 * a single global nonzero multiplier applied to every answer, labeled "c".
 
 The free individual values travel to the last client's databases as
@@ -18,11 +19,11 @@ and the multiplier as c_share messages. Positions, not element ids, cross
 party boundaries: clients only ever learn the public set size.
 
 Each client database draws, sends and installs its own values in a
-database.DatabaseState, and answers from that state's RandomnessBundle.
-build_bundle runs the phase in memory by routing shares between one such
-state per client database; share_order is the transcript's order of the
-shares. completion is the one place the correlating
-client's value is computed; the auditor calls it too.
+database.DatabaseState, the one object that holds them and answers from
+them. build_bundle runs the phase in memory by routing shares between one
+such state per client database; share_order is the transcript's order of
+the shares. completion is the one place the correlating client's value is
+computed; the auditor calls it too.
 
 A RandomnessPolicy can deliberately break each tier; the audit module uses
 these mutations as negative controls.
@@ -30,15 +31,17 @@ these mutations as negative controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ProtocolViolationError
 from .field import PrimeField
 from .leader import PartitionPlan
 from .model import PartyProfile
 from .seeding import draw_nonzero, draw_vector
 from .wire import Message
+
+if TYPE_CHECKING:
+    from .database import DatabaseState
 
 
 @dataclass(frozen=True)
@@ -52,33 +55,6 @@ class RandomnessPolicy:
 
 
 FAITHFUL = RandomnessPolicy()
-
-
-@dataclass
-class RandomnessBundle:
-    """The randomness one client database holds for one session.
-
-    local[partition - 1] is its client's local value for that partition;
-    individual[partition] is the value it adds to its targeted answer for
-    that partition, with explicit zeros at database 1; c is the global
-    multiplier once installed. All values are residues in [0, L).
-    """
-
-    local: List[int] = dc_field(default_factory=list)
-    individual: Dict[int, int] = dc_field(default_factory=dict)
-    c: Optional[int] = None
-
-    def local_slot(self, partition: int) -> int:
-        try:
-            return self.local[partition - 1]
-        except (IndexError, TypeError):  # TypeError: a query without a partition
-            raise ProtocolViolationError(f"no local randomness slot for partition {partition}")
-
-    def individual_slot(self, partition: int) -> int:
-        try:
-            return self.individual[partition]
-        except KeyError:
-            raise ProtocolViolationError(f"no individual randomness for partition {partition}")
 
 
 def correlating_client(client_ids: Sequence[int]) -> int:
@@ -148,12 +124,12 @@ def build_bundle(
     seed: int,
     session_id: str,
     policy: RandomnessPolicy = FAITHFUL,
-) -> Tuple[Dict[Tuple[int, int], RandomnessBundle], List[Message]]:
+) -> Tuple[Dict[Tuple[int, int], DatabaseState], List[Message]]:
     """Run the randomness phase in memory: the router between database states.
 
     Builds one state per client database and delivers every share they send
-    in share_order. Returns each database's own bundle, keyed by its
-    (client, database) address, and the shares in that order.
+    in share_order. Returns the states, keyed by their (client, database)
+    address, and the shares in that order.
     """
     # The state module builds on this one's tiers and policy.
     from .database import DatabaseState
@@ -171,4 +147,4 @@ def build_bundle(
     )
     for share in shares:
         states[share.dest].receive(share)
-    return {address: state.bundle for address, state in states.items()}, shares
+    return states, shares

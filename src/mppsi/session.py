@@ -125,11 +125,12 @@ def load_transcript(data: bytes) -> SessionTranscript:
     other than randomness, then query, then answer, or queries or answers
     not in strictly increasing Message.sort_key order (so none repeats). The
     order of the shares (randomness.share_order) needs the partition plan,
-    which a transcript does not hold, so it is not checked here. So, last, is
-    a result that contradicts itself or its messages: an indicator outside
-    [0, L), with L the field of the cost table's parties; a decoded set other
-    than the elements whose indicator is zero; a download cost other than the
-    number of answers.
+    which a transcript does not hold, so it is not checked here. So is one
+    with a message value outside [0, L), with L the field of the cost
+    table's parties. So, last, is a result that contradicts itself or its
+    messages: an indicator outside [0, L); a decoded set other than the
+    elements whose indicator is zero; a download cost other than the number
+    of answers.
     """
     try:
         file = json.loads(data)
@@ -171,6 +172,9 @@ def load_transcript(data: bytes) -> SessionTranscript:
         modulus = select_field_size(len(costs)).modulus
     except ConfigError as exc:
         raise ProtocolViolationError(f"no field for a cost table of {len(costs)} parties") from exc
+    residues = bytes(range(modulus))
+    if any(m.values.translate(None, residues) for m in messages):
+        raise ProtocolViolationError(f"a message carries a value outside [0, {modulus})")
     if not all(0 <= value < modulus for value in result.indicators.values()):
         raise ProtocolViolationError(f"an indicator lies outside [0, {modulus})")
     if result.decoded != {elem for elem, value in result.indicators.items() if value == 0}:
@@ -254,13 +258,10 @@ def run_memory_session(
     """Run one session entirely in process, deterministically."""
 
     def exchange(setup, plan, query_plan, session_id):
-        bundles, shares = build_bundle(
+        states, shares = build_bundle(
             plan, setup.clients, setup.field, config.seed, session_id, policy
         )
-        answers = collect_answers(
-            query_plan, setup.clients, config.universe, bundles, setup.field
-        )
-        return shares, answers
+        return shares, collect_answers(query_plan, states, config.universe)
 
     return run_leader(config, exchange)
 

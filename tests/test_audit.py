@@ -384,13 +384,13 @@ def session_realization(config, policy):
     setup, plan, shape = compiled.setup, compiled.plan, compiled.plan.shape
     session_id = make_session_id(config)
     h = generate_queries(plan, setup.field, config.universe, config.seed, session_id).h_vectors
-    bundles, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id, policy)
-    s = tuple(bundles[client, 1].local[ell - 1] for client, ell in compiled.s_index)
+    states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id, policy)
+    s = tuple(states[client, 1].local[ell - 1] for client, ell in compiled.s_index)
     t = []
     for client, position in compiled.t_index:
         partition, database = shape.position_location(client, position)
-        t.append(bundles[client, database].individual[partition])
-    return compiled, h, (s, tuple(t), bundles[shape.client_ids[0], 1].c)
+        t.append(states[client, database].individual[partition])
+    return compiled, h, (s, tuple(t), states[shape.client_ids[0], 1].c)
 
 
 class TestRunnerAgreesWithAuditor:

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from mppsi.client import answer_all, answer_value, support_sum
+from mppsi.database import DatabaseState
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
-from mppsi.leader import generate_queries, make_partition_plan
+from mppsi.leader import generate_queries, make_partition_plan, make_plan_shape
 from mppsi.model import PartyProfile, Universe
-from mppsi.randomness import RandomnessBundle, build_bundle
+from mppsi.randomness import build_bundle
 from mppsi.wire import Message
 
 SESSION = "client-tests"
@@ -34,12 +35,24 @@ def modular_answer(x, q, s, t, c, modulus):
     return (c * (sum(a * b for a, b in zip(x, q)) + s + t)) % modulus
 
 
+def state_holding(profile, database, s, t, c, modulus):
+    """The state of one of profile's databases, its randomness set to s, t and c.
+
+    The profile is the only client of a one-element leader set, so the
+    state has one partition, and database 2 one position in it.
+    """
+    shape = make_plan_shape(1, [profile])
+    state = DatabaseState(shape, profile, database, PrimeField(modulus), 0, SESSION)
+    state.local, state.c = [s], c
+    state.individual = {1: t} if database == 2 else {}
+    return state
+
+
 def answer(x, q, s, t, c, modulus):
     """One targeted answer through answer_all, for a binary incidence vector x."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    bundle = RandomnessBundle(local=[s], individual={1: t}, c=c)
-    spec = query((1, 2), 1, 1, q)
-    (msg,) = answer_all(profile, 2, [spec], Universe(len(x)), bundle, PrimeField(modulus))
+    state = state_holding(profile, 2, s, t, c, modulus)
+    (msg,) = answer_all(state, [query((1, 2), 1, 1, q)], Universe(len(x)))
     (value,) = msg.values
     return value
 
@@ -72,15 +85,10 @@ class TestAnswer:
                             )
 
     def test_length_mismatch(self):
-        profile = PartyProfile(1, 2, frozenset({1}))
-        bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
+        state = state_holding(PartyProfile(1, 2, frozenset({1})), 1, 0, 0, 1, 3)
         spec = query((1, 1), 1, None, (1, 2))
-        with pytest.raises(ValueError):
-            answer_all(profile, 1, [spec], Universe(1), bundle, PrimeField(3))
-
-    def test_zero_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            answer((1,), (1,), 0, 0, 0, 3)
+        with pytest.raises(ProtocolViolationError, match="length 2 != universe 1"):
+            answer_all(state, [spec], Universe(1))
 
     def test_linearity_of_query_difference(self):
         # Subtracting two answers with shared randomness isolates the inner
@@ -127,31 +135,30 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
-    bundles, _ = build_bundle(plan, clients, field, seed=21, session_id=SESSION)
+    states, _ = build_bundle(plan, clients, field, seed=21, session_id=SESSION)
     qp = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
-    return clients, plan, field, bundles, qp
+    return clients, plan, field, states, qp
 
 
 class TestAnswerAll:
     def test_database_one_answer_formula(self):
-        clients, plan, field, bundles, qp = _session_pieces()
+        clients, plan, field, states, qp = _session_pieces()
         client = clients[0]
         queries = qp.queries[client.party_id, 1]
-        bundle = bundles[client.party_id, 1]
-        msgs = answer_all(client, 1, queries, Universe(4), bundle, field)
+        state = states[client.party_id, 1]
+        msgs = answer_all(state, queries, Universe(4))
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
         q = queries[0].values
-        s = bundle.local[0]
-        expected = modular_answer(x, q, s, 0, bundle.c, field.modulus)
+        s = state.local[0]
+        expected = modular_answer(x, q, s, 0, state.c, field.modulus)
         assert msgs[0].values == bytes((expected,))
         assert msgs[0].target is None
 
     def test_answer_echoes_its_query(self):
-        clients, plan, field, bundles, qp = _session_pieces()
-        client = clients[1]
-        queries = qp.queries[client.party_id, 2]
-        msgs = answer_all(client, 2, queries, Universe(4), bundles[client.party_id, 2], field)
+        clients, plan, field, states, qp = _session_pieces()
+        queries = qp.queries[clients[1].party_id, 2]
+        msgs = answer_all(states[clients[1].party_id, 2], queries, Universe(4))
         assert [
             (m.type, m.phase, m.session_id, m.origin, m.dest, m.partition, m.target)
             for m in msgs
@@ -161,44 +168,52 @@ class TestAnswerAll:
         ]
 
     def test_one_answer_per_query_with_tags_echoed(self):
-        clients, plan, field, bundles, qp = _session_pieces(client_dbs=(2, 2))
-        client = clients[0]
-        queries = qp.queries[client.party_id, 1]
+        clients, plan, field, states, qp = _session_pieces(client_dbs=(2, 2))
+        queries = qp.queries[clients[0].party_id, 1]
         assert len(queries) == 2  # one base vector per partition
-        msgs = answer_all(client, 1, queries, Universe(4), bundles[client.party_id, 1], field)
+        msgs = answer_all(states[clients[0].party_id, 1], queries, Universe(4))
         assert [(m.partition, m.target) for m in msgs] == [
             (q.partition, q.target) for q in queries
         ]
 
     def test_no_queries_no_answers(self):
-        clients, plan, field, bundles, qp = _session_pieces()
-        assert answer_all(clients[0], 1, [], Universe(4), bundles[1, 1], field) == []
+        clients, plan, field, states, qp = _session_pieces()
+        assert answer_all(states[1, 1], [], Universe(4)) == []
 
     def test_determinism_is_exact(self):
-        clients, plan, field, bundles, qp = _session_pieces()
-        client = clients[1]
-        queries = qp.queries[client.party_id, 2]
-        bundle = bundles[client.party_id, 2]
-        first = answer_all(client, 2, queries, Universe(4), bundle, field)
-        second = answer_all(client, 2, queries, Universe(4), bundle, field)
-        assert first == second
+        clients, plan, field, states, qp = _session_pieces()
+        queries = qp.queries[clients[1].party_id, 2]
+        state = states[clients[1].party_id, 2]
+        assert answer_all(state, queries, Universe(4)) == answer_all(state, queries, Universe(4))
 
     def test_unknown_partition_tag_rejected(self):
-        clients, plan, field, bundles, qp = _session_pieces()
-        client = clients[0]
-        rogue = query((client.party_id, 1), 99, None, (0, 0, 0, 0))
-        with pytest.raises(ProtocolViolationError):
-            answer_all(client, 1, [rogue], Universe(4), bundles[client.party_id, 1], field)
+        # Partition 0 would index the last local slot from the end.
+        clients, plan, field, states, qp = _session_pieces()
+        for partition in (0, 99):
+            rogue = query((clients[0].party_id, 1), partition, None, (0, 0, 0, 0))
+            with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
+                answer_all(states[clients[0].party_id, 1], [rogue], Universe(4))
 
     def test_misaddressed_query_rejected(self):
-        clients, plan, field, bundles, qp = _session_pieces()
+        clients, plan, field, states, qp = _session_pieces()
         queries = qp.queries[1, 2]
         with pytest.raises(ProtocolViolationError):
-            answer_all(clients[1], 2, queries, Universe(4), bundles[2, 2], field)
+            answer_all(states[2, 2], queries, Universe(4))
 
     def test_base_query_at_non_first_database_rejected(self):
-        clients, plan, field, bundles, qp = _session_pieces()
+        clients, plan, field, states, qp = _session_pieces()
         base = qp.queries[1, 1][0]
         moved = query((1, 2), base.partition, None, base.values)
         with pytest.raises(ProtocolViolationError):
-            answer_all(clients[0], 2, [moved], Universe(4), bundles[1, 2], field)
+            answer_all(states[1, 2], [moved], Universe(4))
+
+    def test_targeted_query_at_database_one_rejected(self):
+        # Database 1 holds no individual values: a targeted query moved to
+        # it has no t to add, so it is refused rather than answered with 0.
+        clients, plan, field, states, qp = _session_pieces()
+        assert states[1, 1].individual == {}
+        targeted = qp.queries[1, 2][0]
+        moved = targeted._replace(dest=(1, 1))
+        with pytest.raises(ProtocolViolationError, match="no individual randomness"):
+            answer_all(states[1, 1], [moved], Universe(4))
+        assert answer_all(states[1, 2], [targeted], Universe(4))

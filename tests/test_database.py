@@ -36,6 +36,11 @@ def honest_shares(states):
     return sorted((s for state in states.values() for s in state.shares()), key=share_order)
 
 
+def held(states):
+    """What each database state holds: its (local, individual, c) by address."""
+    return {address: (s.local, s.individual, s.c) for address, s in states.items()}
+
+
 def share(kind, origin, dest, target, values):
     return Message(kind, make_session_id(CONFIG), origin, dest, None, target, values)
 
@@ -89,10 +94,10 @@ class TestReceive:
             if (sent.type, sent.dest) in first:
                 states[sent.dest].receive(sent)
         victim = states[fields[2]]
-        before = (victim.bundle.c, dict(victim.bundle.individual), victim.ready)
+        before = (victim.c, dict(victim.individual), victim.ready)
         with pytest.raises(ProtocolViolationError, match=error):
             victim.receive(share(*fields))
-        assert (victim.bundle.c, victim.bundle.individual, victim.ready) == before
+        assert (victim.c, victim.individual, victim.ready) == before
 
     def test_honest_shares_make_every_database_ready_with_the_routers_bundles(self):
         states = sec4_states()
@@ -102,8 +107,8 @@ class TestReceive:
         assert all(state.ready for state in states.values())
         setup = sec4_setup()
         plan = make_partition_plan(setup.leader, setup.clients)
-        bundles, shares = build_bundle(
+        routed, shares = build_bundle(
             plan, setup.clients, setup.field, CONFIG.seed, make_session_id(CONFIG)
         )
         assert shares == honest_shares(sec4_states())
-        assert {address: state.bundle for address, state in states.items()} == bundles
+        assert held(states) == held(routed)

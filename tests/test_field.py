@@ -5,10 +5,11 @@ import itertools
 import pytest
 
 from mppsi.client import answer_all, answer_value
-from mppsi.errors import ConfigError
+from mppsi.database import DatabaseState
+from mppsi.errors import ConfigError, ProtocolViolationError
 from mppsi.field import PrimeField, is_prime, select_field_size
+from mppsi.leader import make_plan_shape
 from mppsi.model import PartyProfile, Universe
-from mppsi.randomness import RandomnessBundle
 from mppsi.wire import Message
 
 
@@ -20,10 +21,13 @@ def modular_dot(xs, qs, modulus):
 def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    bundle = RandomnessBundle(local=[0], individual={1: 0}, c=1)
+    state = DatabaseState(
+        make_plan_shape(1, [profile]), profile, 1, PrimeField(modulus), 0, "field-tests"
+    )
+    state.local, state.c = [0], 1
     spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
     size = len(x) if universe is None else universe
-    (msg,) = answer_all(profile, 1, [spec], Universe(size), bundle, PrimeField(modulus))
+    (msg,) = answer_all(state, [spec], Universe(size))
     (value,) = msg.values
     return value
 
@@ -105,7 +109,7 @@ class TestInnerProduct:
                         assert sparse_dot(x, q, modulus) == modular_dot(x, q, modulus)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolViolationError):
             sparse_dot((1,), (1, 2), 3, universe=1)
 
 

@@ -228,8 +228,14 @@ class TestEndpointBehaviour:
         endpoints = spawn_endpoints(config)
         try:
             run_networked_session(config, endpoints=endpoints)
-            installed = {(ep.party_id, ep.database): ep.state.bundle for ep in endpoints}
-            assert installed == expected
+            installed = {
+                (ep.party_id, ep.database): (ep.state.local, ep.state.individual, ep.state.c)
+                for ep in endpoints
+            }
+            assert installed == {
+                address: (state.local, state.individual, state.c)
+                for address, state in expected.items()
+            }
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -636,9 +642,9 @@ class TestSharesFromTheWire:
         endpoints = spawn_endpoints(config)
         try:
             victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == dest)
-            before = (victim.state.bundle.c, dict(victim.state.bundle.individual))
+            before = (victim.state.c, dict(victim.state.individual))
             send_and_expect_close(victim, share(config, kind, origin, dest, target, values))
-            assert (victim.state.bundle.c, victim.state.bundle.individual) == before
+            assert (victim.state.c, victim.state.individual) == before
             assert victim.received_log == []
             # The loop serves on, and the victim still takes the honest shares.
             start = time.monotonic()
@@ -667,6 +673,24 @@ class TestSharesFromTheWire:
             send_and_expect_close(target, query)
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_targeted_query_to_database_one_closes_only_its_connection(self):
+        # Database 1 holds no individual values, so a targeted query moved to
+        # it is refused rather than answered with t = 0.
+        config = DEMOS["sec4"].config
+        memory = run_memory_session(config)
+        targeted = next(m for m in memory.messages_in_phase("query") if m.dest == (1, 2))
+        endpoints = spawn_endpoints(config)
+        try:
+            # (1, 1) draws the multiplier and needs no share, so it is ready at
+            # once: the close comes from the refusal, not from a wait.
+            first = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            send_and_expect_close(first, targeted._replace(dest=(1, 1)))
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == memory.serialize()
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -725,11 +749,11 @@ class TestSharesFromTheWire:
                 conn.shutdown(socket.SHUT_WR)
                 conn.settimeout(5)
                 assert conn.recv(1) == b""
-            assert victim.state.bundle.c == real_c[0]
+            assert victim.state.c == real_c[0]
             other = 3 - real_c[0]  # the other nonzero residue mod 3
             second = share(config, "c_share", (1, 1), (1, 2), None, bytes((other,)))
             send_and_expect_close(victim, second)
-            assert victim.state.bundle.c == real_c[0]
+            assert victim.state.c == real_c[0]
             assert victim.received_log == [first]
         finally:
             for ep in endpoints:

@@ -40,10 +40,15 @@ def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
     return plan, clients, field
 
 
-def t_at(bundles, plan, client_id, position):
+def t_at(states, plan, client_id, position):
     """The individual value a client's databases hold for a leader-set position."""
     partition, database = plan.shape.position_location(client_id, position)
-    return bundles[client_id, database].individual[partition]
+    return states[client_id, database].individual[partition]
+
+
+def held(states):
+    """What each database state holds: its (local, individual, c) by address."""
+    return {address: (s.local, s.individual, s.c) for address, s in states.items()}
 
 
 class TestLocal:
@@ -68,25 +73,25 @@ class TestLocal:
 class TestSlotCoverage:
     SEEDS = range(60)
 
-    def bundles(self, seed):
+    def states(self, seed):
         # Three clients over F_5; each client's databases 2 and 3 hold two
         # positions each, in partitions 1 and 2.
         plan, clients, field = fixture(num_clients=3, dbs=3, leader_set=(1, 2, 3, 4))
-        bundles, _ = build_bundle(plan, clients, field, seed, SESSION)
-        return bundles, field
+        states, _ = build_bundle(plan, clients, field, seed, SESSION)
+        return states, field
 
     def test_free_database_values_cover_the_field(self):
         seen = set()
         for seed in self.SEEDS:
-            bundles, field = self.bundles(seed)
-            assert sorted(bundles[1, 2].individual) == [1, 2]
-            seen.update(bundles[1, 2].individual.values())
+            states, field = self.states(seed)
+            assert sorted(states[1, 2].individual) == [1, 2]
+            seen.update(states[1, 2].individual.values())
         assert seen == set(range(field.modulus))
 
     def test_databases_of_one_client_draw_their_own_vectors(self):
         pairs = [
-            (bundles[2, 2].individual, bundles[2, 3].individual)
-            for bundles, _ in map(self.bundles, self.SEEDS)
+            (states[2, 2].individual, states[2, 3].individual)
+            for states, _ in map(self.states, self.SEEDS)
         ]
         assert any(second != third for second, third in pairs)
 
@@ -130,12 +135,16 @@ class TestGlobal:
 
 
 class TestBundle:
-    def test_database_one_carries_zeros(self):
-        plan, clients, field = fixture()
-        bundles, _ = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
-        for client in clients:
-            slots = bundles[client.party_id, 1].individual
-            assert all(v == 0 for v in slots.values())
+    def test_database_one_holds_no_individual_values(self):
+        # Database 1 gets only bare base queries, so it holds no t values;
+        # every other database holds one per partition of its positions.
+        plan, clients, field = fixture(num_clients=3)
+        states, _ = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
+        for (client_id, database), state in states.items():
+            positions = plan.shape.positions_of_database(client_id, database)
+            partitions = {plan.shape.position_location(client_id, k)[0] for k in positions}
+            assert set(state.individual) == partitions
+            assert bool(partitions) == (database != 1)
 
     def test_correlation_sum_every_position_every_seed(self):
         for num_clients in (1, 2, 3):
@@ -143,10 +152,10 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                bundles, _ = build_bundle(plan, clients, field, seed=seed, session_id=SESSION)
+                states, _ = build_bundle(plan, clients, field, seed=seed, session_id=SESSION)
                 for position in range(1, plan.shape.set_size + 1):
                     total = sum(
-                        t_at(bundles, plan, cid, position) for cid in plan.shape.client_ids
+                        t_at(states, plan, cid, position) for cid in plan.shape.client_ids
                     ) % field.modulus
                     assert total == expected
 
@@ -154,22 +163,22 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        bundles, shares = build_bundle(plan, clients, field, seed=0, session_id=SESSION)
+        states, shares = build_bundle(plan, clients, field, seed=0, session_id=SESSION)
         assert field.modulus == 2
         for position in range(1, plan.shape.set_size + 1):
-            assert t_at(bundles, plan, 1, position) == field.modulus - 1
+            assert t_at(states, plan, 1, position) == field.modulus - 1
         assert all(s.type == "c_share" for s in shares)
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
         first, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
         second, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
-        assert first == second
+        assert held(first) == held(second)
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
         runs = [build_bundle(plan, clients, field, seed=s, session_id=SESSION)[0] for s in range(8)]
-        locals_seen = {tuple(tuple(b.local) for _, b in sorted(run.items())) for run in runs}
+        locals_seen = {tuple(tuple(s.local) for _, s in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
 
     def test_leader_never_appears_in_share_traffic(self):
@@ -201,7 +210,7 @@ class TestBundle:
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        bundles, _ = build_bundle(plan, clients, field, seed=13, session_id=SESSION)
+        states, _ = build_bundle(plan, clients, field, seed=13, session_id=SESSION)
         qp = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
@@ -221,8 +230,8 @@ class TestBundle:
                     spec.partition,
                     database,
                 )
-                slot = bundles[client.party_id, database].individual[spec.partition]
-                assert slot == t_at(bundles, plan, client.party_id, spec.target)
+                slot = states[client.party_id, database].individual[spec.partition]
+                assert slot == t_at(states, plan, client.party_id, spec.target)
 
     def test_completion_closes_each_position_sum(self):
         # L = 5 and three clients: free values 1 and 3 are completed to sum 5 - 3.
@@ -253,27 +262,27 @@ class TestBundle:
 class TestPolicies:
     def test_zero_local(self):
         plan, clients, field = fixture()
-        bundles, _ = build_bundle(
+        states, _ = build_bundle(
             plan, clients, field, seed=4, session_id=SESSION,
             policy=RandomnessPolicy(zero_local=True),
         )
-        assert all(v == 0 for bundle in bundles.values() for v in bundle.local)
+        assert all(v == 0 for state in states.values() for v in state.local)
 
     def test_zero_individual_breaks_correlation(self):
         plan, clients, field = fixture()
-        bundles, _ = build_bundle(
+        states, _ = build_bundle(
             plan, clients, field, seed=4, session_id=SESSION,
             policy=RandomnessPolicy(zero_individual=True),
         )
         assert all(
-            t_at(bundles, plan, cid, position) == 0
+            t_at(states, plan, cid, position) == 0
             for cid in plan.shape.client_ids
             for position in range(1, plan.shape.set_size + 1)
         )
 
     def test_correlation_offset_shifts_sums(self):
         plan, clients, field = fixture()
-        bundles, _ = build_bundle(
+        states, _ = build_bundle(
             plan, clients, field, seed=4, session_id=SESSION,
             policy=RandomnessPolicy(correlation_offset=1),
         )
@@ -281,17 +290,17 @@ class TestPolicies:
         broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
         for position in range(1, plan.shape.set_size + 1):
             total = sum(
-                t_at(bundles, plan, cid, position) for cid in plan.shape.client_ids
+                t_at(states, plan, cid, position) for cid in plan.shape.client_ids
             ) % field.modulus
             assert total == broken
 
     def test_fixed_global(self):
         plan, clients, field = fixture()
-        bundles, _ = build_bundle(
+        states, _ = build_bundle(
             plan, clients, field, seed=4, session_id=SESSION,
             policy=RandomnessPolicy(fixed_global=1),
         )
-        assert all(bundle.c == 1 for bundle in bundles.values())
+        assert all(state.c == 1 for state in states.values())
 
     def test_fixed_global_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,20 @@ class TestDeterminism:
         with pytest.raises(ProtocolViolationError, match=r"outside \[0, 3\)"):
             load_transcript(data.replace(b'"4":1}', b'"4":' + value + b"}"))
 
+    # sec4: L = 3. Each edit sets one value of the first message of its
+    # type to a byte that frames but is no residue.
+    @pytest.mark.parametrize("kind, value", [("query", 250), ("t_share", 200)])
+    def test_message_value_outside_the_field_is_a_protocol_violation(self, kind, value):
+        transcript = run_memory_session(DEMOS["sec4"].config)
+        messages = list(transcript.messages)
+        index = next(i for i, m in enumerate(messages) if m.type == kind)
+        values = bytearray(messages[index].values)
+        values[0] = value
+        messages[index] = messages[index]._replace(values=bytes(values))
+        edited = replace(transcript, messages=tuple(messages)).serialize()
+        with pytest.raises(ProtocolViolationError, match=r"message .* outside \[0, 3\)"):
+            load_transcript(edited)
+
     @pytest.mark.parametrize("cost", [b"0", b"5", b"7"])
     def test_download_cost_other_than_the_answers_is_a_protocol_violation(self, cost):
         data = run_memory_session(DEMOS["sec4"].config).serialize()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mppsi.errors import ProtocolViolationError
+from mppsi.field import MAX_PARTIES
 from mppsi.leader import CostTable, IntersectionResult
 from mppsi.session import SessionTranscript, load_transcript, run_memory_session
 from mppsi.wire import (
@@ -145,12 +146,14 @@ def outcome(codec, data) -> tuple:
 def transcript_of(*messages: Message, session_id: str = "0a1b") -> SessionTranscript:
     """A transcript of messages whose head and tail agree with them.
 
-    The cost table {1: 0, 2: None}, leader 1, and an empty result whose
-    download cost is the messages' answer count.
+    Leader 1 of a cost table of MAX_PARTIES parties, {1: 0} and None for the
+    rest, whose field L = 251 holds every value below 251 a frame carries,
+    and an empty result whose download cost is the messages' answer count.
     """
     answers = sum(m.type == "answer" for m in messages)
     result = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=answers)
-    return SessionTranscript(session_id, 1, CostTable({1: 0, 2: None}), messages, result)
+    costs = CostTable({1: 0, **dict.fromkeys(range(2, MAX_PARTIES + 1))})
+    return SessionTranscript(session_id, 1, costs, messages, result)
 
 
 def loaded(msg: Message) -> Message:
@@ -201,8 +204,13 @@ class TestRoundTrip:
         msg = result[1]
         assert type(msg.values) is bytes
         assert encode_msg(msg) == frame
-        # Every message a frame carries can be written to a transcript and loaded.
-        assert loaded(msg) == msg
+        # Every message a frame carries can be written to a transcript, and
+        # loads exactly when its values are residues of the widest field.
+        if all(value < MAX_PARTIES for value in msg.values):
+            assert loaded(msg) == msg
+        else:
+            with pytest.raises(ProtocolViolationError, match=r"outside \[0, 251\)"):
+                loaded(msg)
 
     @given(
         st.builds(
@@ -334,12 +342,16 @@ class TestTranscriptFile:
     @given(st.lists(CANONICAL_MESSAGES, max_size=8))
     def test_every_file_in_transcript_order_loads(self, messages):
         # Shares first, then queries and answers each by strictly increasing
-        # sort_key: the loader's order rule accepts every such file.
+        # sort_key: the loader's order rule accepts every such file whose
+        # values are residues of its field, L = 251.
         rank = {"query": 1, "answer": 2}
         shares = [m for m in messages if m.phase == "randomness"]
         rest = {(rank[m.phase], m.sort_key()): m for m in messages if m.phase in rank}
         in_order = shares + [rest[key] for key in sorted(rest)]
-        transcript = transcript_of(*(m._replace(session_id="0a1b") for m in in_order))
+        transcript = transcript_of(*(
+            m._replace(session_id="0a1b", values=bytes(v % MAX_PARTIES for v in m.values))
+            for m in in_order
+        ))
         assert load_transcript(transcript.serialize()) == transcript
 
     def test_transcript_without_messages(self):
@@ -399,6 +411,7 @@ ENTRY_EDITS = {
     "answer-in-place-of-the-query": (lambda e: entry_of(raw_frame(code=4)), False),
     "longer-session-id": (lambda e: entry_of(raw_frame(session_id=b"0a1b0")), False),
     "other-values": (lambda e: entry_of(raw_frame(values=b"\4\4")), True),
+    "value-past-the-field": (lambda e: entry_of(raw_frame(values=b"\0\xfb")), False),
     "no-values": (lambda e: entry_of(raw_frame(values=b"")), True),
     "null-partition-and-target": (lambda e: entry_of(raw_frame(tags=(3, 0, 1, 2, 0, 0))), True),
     "largest-tags": (lambda e: entry_of(raw_frame(tags=(MAX_TAG,) * 6)), True),
