@@ -1,7 +1,9 @@
 """Pinned audit verdicts: refactors of the auditor must leave them unchanged.
 
-The masking checks' reports are pinned by a digest of their verdict, detail
-and every table, the delivered query-tuple distributions by a digest of
+The reliability reports are pinned field by field, with a digest of their
+failure strings (which carry the enumeration order and, for a sampled
+stream, the seeded draws), the masking checks' reports by a digest of their
+verdict, detail and every table, the delivered query-tuple distributions by a digest of
 their tables, and the mutual-information results field by field (bits to
 1e-12, since the summation order of a float sum is not part of the result).
 """
@@ -12,6 +14,7 @@ import pytest
 
 from mppsi.audit import (
     check_db1_uniformity,
+    check_reliability,
     check_indicator_privacy,
     check_z_uniformity,
     client_privacy_mi,
@@ -21,7 +24,7 @@ from mppsi.audit import (
 from mppsi.model import Universe
 from mppsi.randomness import FAITHFUL, RandomnessPolicy
 
-from test_audit import HETEROGENEOUS, HOMOGENEOUS, POLICIES, TWO_PARTY, profile
+from test_audit import FOUR_PARTY, HETEROGENEOUS, HOMOGENEOUS, POLICIES, TWO_PARTY, profile
 
 INSTANCES = {
     "homogeneous": HOMOGENEOUS,
@@ -33,6 +36,40 @@ CHECKS = {
     "db1": check_db1_uniformity,
     "z": check_z_uniformity,
     "indicator": check_indicator_privacy,
+}
+
+# Reliability instances, with the check_reliability arguments each runs
+# under; the heterogeneous one samples its randomness.
+RELIABILITY_INSTANCES = {
+    "homogeneous": (HOMOGENEOUS, {}),
+    "two-party": (TWO_PARTY, {}),
+    "four-party": (FOUR_PARTY, {}),
+    "heterogeneous-sampled": (HETEROGENEOUS, {"bound": 10**4, "sample_beyond_bound": 400}),
+}
+
+# (instance, policy) -> (passed, cases, space, exhaustive_randomness,
+# exhaustive_h, digest of the failure strings).
+RELIABILITY = {
+    ("homogeneous", "faithful"): (True, 13122, 162, True, True, "4f53cda18c2baa0c"),
+    ("homogeneous", "zero_local"): (True, 1458, 18, True, True, "4f53cda18c2baa0c"),
+    ("homogeneous", "zero_individual"): (False, 5, 18, True, True, "ba3a889e6eba6c56"),
+    ("homogeneous", "offset"): (False, 5, 162, True, True, "19666cb3f9cb2c97"),
+    ("homogeneous", "fixed_global"): (True, 6561, 81, True, True, "4f53cda18c2baa0c"),
+    ("two-party", "faithful"): (True, 4, 2, True, True, "4f53cda18c2baa0c"),
+    ("two-party", "zero_local"): (True, 2, 1, True, True, "4f53cda18c2baa0c"),
+    ("two-party", "zero_individual"): (False, 4, 2, True, True, "6c9ee78e48507c56"),
+    ("two-party", "offset"): (False, 4, 2, True, True, "6c9ee78e48507c56"),
+    ("two-party", "fixed_global"): (True, 4, 2, True, True, "4f53cda18c2baa0c"),
+    ("four-party", "faithful"): (True, 62500, 12500, True, True, "4f53cda18c2baa0c"),
+    ("four-party", "zero_local"): (True, 500, 100, True, True, "4f53cda18c2baa0c"),
+    ("four-party", "zero_individual"): (True, 2500, 500, True, True, "4f53cda18c2baa0c"),
+    ("four-party", "offset"): (False, 5, 12500, True, True, "8a65162cd23ea96a"),
+    ("four-party", "fixed_global"): (True, 15625, 3125, True, True, "4f53cda18c2baa0c"),
+    ("heterogeneous-sampled", "faithful"): (True, 800, 976562500, False, False, "4f53cda18c2baa0c"),
+    ("heterogeneous-sampled", "zero_local"): (True, 800, 62500, False, False, "4f53cda18c2baa0c"),
+    ("heterogeneous-sampled", "zero_individual"): (False, 5, 62500, False, False, "37f667a2d094d118"),
+    ("heterogeneous-sampled", "offset"): (False, 5, 976562500, False, False, "d2b628179915d563"),
+    ("heterogeneous-sampled", "fixed_global"): (True, 800, 244140625, False, False, "4f53cda18c2baa0c"),
 }
 
 # (check, instance, policy) -> digest of (passed, detail, sorted tables).
@@ -157,6 +194,17 @@ def assert_mi(result, pinned):
     assert [
         result.joint_outcomes, result.secret_outcomes, result.view_outcomes
     ] == outcomes
+
+
+@pytest.mark.parametrize("policy_name, policy", list(zip(POLICY_NAMES, POLICIES)))
+@pytest.mark.parametrize("instance_name", list(RELIABILITY_INSTANCES))
+def test_reliability_reports(instance_name, policy_name, policy):
+    instance, kwargs = RELIABILITY_INSTANCES[instance_name]
+    report = check_reliability(instance, policy=policy, **kwargs)
+    assert (
+        report.passed, report.cases, report.space, report.exhaustive_randomness,
+        report.exhaustive_h, digest(report.failures),
+    ) == RELIABILITY[(instance_name, policy_name)]
 
 
 @pytest.mark.parametrize("policy_name, policy", list(zip(POLICY_NAMES, POLICIES)))
