@@ -7,12 +7,16 @@ exact rationals or integer counts; zero means zero. The checks are:
   randomness realization (and every base-vector realization when that space
   is small enough to enumerate; base vectors are otherwise sampled, which
   loses nothing because the identity holds realization by realization).
-  The walk computes each level of the product only when it changes (inner
-  products per base-vector set, then + s, then + t, then c times that) and
-  decodes each full answer vector with leader.decode_vector, the kernel
-  behind the transports' decode. The t level is computed once per
+  The randomness stream comes in levels: one local tuple s with its groups,
+  each an individual tuple t with the multipliers c it runs under (an
+  exhaustive stream: one level per s, every t, the whole c range; a sampled
+  one: one level per sample, one t and one c). The walk runs each level's
+  work once per level (inner products per base-vector set, + s per level,
+  + t per group) and per realization only builds the answer vector, one
+  bytes.translate by c's table, and decodes it with leader.decode_vector,
+  the kernel behind the transports' decode. The t row is computed once per
   distinct t tuple of a walk and kept until the walk ends: up to 3^12 rows,
-  about 215 MB, for an exhaustive stream under DEFAULT_BOUND, in each
+  about 125 MB, for an exhaustive stream under DEFAULT_BOUND, in each
   process of a split walk. An exhaustive walk of SPLIT_MIN_REALIZATIONS or
   more, in a one-thread process, cuts its base-vector sets into contiguous
   parts, one per CPU in os.sched_getaffinity and at most one per set, and
@@ -38,8 +42,8 @@ int tuples only in reliability failure text and delivered query outcomes.
 
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
-(s, t, c) from _raw_realizations under the caller's policy, answer vectors
-from realization_answers. The masking checks share one core,
+levels of (s, t, c) from _raw_realizations under the caller's policy, answer
+vectors from realization_answers. The masking checks share one core,
 _masking_tables: it draws each context's base vectors and fixed slots,
 sweeps the lemma's slots over the policy's ranges, and counts a statistic
 of the answers from answers_for_realization, one realization run through
@@ -53,6 +57,7 @@ that make it fail, demonstrating the checks have power.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -61,7 +66,6 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from operator import add
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import support_sum
@@ -77,9 +81,11 @@ from .session import SessionTranscript
 DEFAULT_BOUND = 10_000_000
 DEFAULT_H_ENUM_LIMIT = 729
 
-# One base vector per partition index, and one (s, t, c) randomness tuple.
+# One base vector per partition index, and one level of the randomness
+# stream: a local tuple s with its groups, each an individual tuple t and
+# the multipliers c it runs under.
 HVectors = Tuple[bytes, ...]
-Realization = Tuple[Tuple[int, ...], Tuple[int, ...], int]
+Level = Tuple[Tuple[int, ...], Iterable[Tuple[Tuple[int, ...], Sequence[int]]]]
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ class AuditInstance:
 class CompiledInstance:
     """Index maps that let the production kernels run over raw value tuples.
 
-    answer_layout follows plan.answer_keys, the order decode_vector reads.
+    s_slots and t_slots follow plan.answer_keys, the order decode_vector reads.
     Inner products per query are constants of the base-vector realization, so
     they are computed once per realization, as a list in that order, by each
     client's support_sums function, built once per instance. Every
@@ -153,10 +159,11 @@ class CompiledInstance:
     t_index: Dict[Tuple[int, int], int]
     n_s: int
     n_t: int
-    # (s_idx, t_idx) per answer; t_idx indexes t + completion + (0,): free
-    # values, then the correlating client's value per position, then the
-    # zero every database-1 answer adds.
-    answer_layout: List[Tuple[int, int]]
+    # Per answer, its index into s, and its index into t + completion + (0,):
+    # free values, then the correlating client's value per position, then
+    # the zero every database-1 answer adds.
+    s_slots: Tuple[int, ...]
+    t_slots: Tuple[int, ...]
     corr_free_indices: Dict[int, List[int]]
     # client id -> the sum of a query's entries over that client's set
     support_sums: Dict[int, Callable[[bytes], int]]
@@ -185,15 +192,15 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
     for client_id in free:
         for position in range(1, shape.set_size + 1):
             t_index[(client_id, position)] = len(t_index)
-    layout = []
+    s_slots, t_slots = [], []
     for client_id, partition, position in plan.answer_keys:
+        s_slots.append(s_index[(client_id, partition)])
         if position is None:
-            t_idx = -1
+            t_slots.append(-1)
         elif client_id == corr:
-            t_idx = len(t_index) + position - 1
+            t_slots.append(len(t_index) + position - 1)
         else:
-            t_idx = t_index[(client_id, position)]
-        layout.append((s_index[(client_id, partition)], t_idx))
+            t_slots.append(t_index[(client_id, position)])
     corr_free = {
         position: [t_index[(client_id, position)] for client_id in free]
         for position in range(1, shape.set_size + 1)
@@ -206,7 +213,8 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         t_index=t_index,
         n_s=len(s_index),
         n_t=len(t_index),
-        answer_layout=layout,
+        s_slots=tuple(s_slots),
+        t_slots=tuple(t_slots),
         corr_free_indices=corr_free,
         support_sums={
             client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
@@ -242,7 +250,7 @@ def query_inner_products(compiled: CompiledInstance, h_vectors: HVectors) -> Lis
 def individual_values(
     compiled: CompiledInstance, t_values: Sequence[int], policy: RandomnessPolicy
 ) -> Tuple[int, ...]:
-    """t + completion + (0,), the values answer_layout's t_idx reads.
+    """t + completion + (0,), the values t_slots index.
 
     The correlating client's value per position is randomness.completion of
     the free values at that position.
@@ -250,7 +258,7 @@ def individual_values(
     modulus = compiled.field.modulus
     num_clients = len(compiled.plan.shape.client_ids)
     completed = [
-        completion(map(t_values.__getitem__, slots), modulus, num_clients, policy)
+        completion([t_values[i] for i in slots], modulus, num_clients, policy)
         for slots in compiled.corr_free_indices.values()
     ]
     return (*t_values, *completed, 0)
@@ -263,48 +271,70 @@ def answers_for_realization(
     t_values: Tuple[int, ...],
     c_value: int,
     policy: RandomnessPolicy = FAITHFUL,
-) -> List[int]:
-    """All answer values for one randomness realization, in plan.answer_keys
-    order: that one realization run through realization_answers."""
-    realization = (s_values, t_values, c_value)
-    return next(realization_answers(compiled, ips, [realization], policy))[3]
+) -> bytes:
+    """All answer values for one randomness realization, as bytes in
+    plan.answer_keys order: that one realization run through
+    realization_answers."""
+    level = (s_values, [(t_values, (c_value,))])
+    return next(realization_answers(compiled, ips, [level], policy))[3]
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_tables(modulus: int) -> Tuple[bytes, ...]:
+    """Per multiplier c in [0, L), the bytes.translate table taking each
+    byte v to c * v mod L."""
+    return tuple(bytes(c * v % modulus for v in range(256)) for c in range(modulus))
 
 
 def realization_answers(
     compiled: CompiledInstance,
     ips: Sequence[int],
-    realizations: Iterable[Realization],
+    levels: Iterable[Level],
     policy: RandomnessPolicy = FAITHFUL,
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, List[int]]]:
-    """Each realization with its answers in plan.answer_keys order.
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
+    """Each realization of the levels, in order, with its answers in
+    plan.answer_keys order as bytes, one residue per byte.
 
-    Each answer is c * (ip + s + t) mod L, computed level by level:
-    consecutive enumerated realizations share their s and t, so ip + s is
-    recomputed only when s changes, ip + s + t only when s or t changes, and
-    each c scales that vector. The t level (the correlated completion,
-    gathered into answer order) depends on t and the policy alone, so it is
-    computed once per distinct t tuple of this call and kept, as a tuple of
-    one residue per answer, until the walk ends. That is |t_range|^n_t rows
-    for an exhaustive stream (at most 3^12 = 531,441 under DEFAULT_BOUND,
-    about 215 MB extrapolated from a measured 59,049-row walk), and at most
-    one per sample for a sampled one.
+    Each answer is c * (ip + s + t) mod L, computed level by level: ip + s
+    once per level, ip + s + t once per group, and per multiplier c one
+    bytes.translate of that vector through c's table. Both addends are held
+    as one int with a byte per answer, residues below L, so in a field up
+    to L = 127 one int addition adds every answer (no byte carries, as two
+    residues sum below 256); a wider field adds answer by answer, mod L.
+    The t row (the correlated completion, gathered into answer order)
+    depends on t and the policy alone, so it is computed once per distinct
+    t tuple of this call and kept until the walk ends. That is
+    |t_range|^n_t rows for an exhaustive stream (at most 3^12 = 531,441
+    under DEFAULT_BOUND, about 125 MB extrapolated from a measured
+    59,049-row walk), and at most one per sample for a sampled one.
+    c must be a residue in [0, L).
     """
     modulus = compiled.field.modulus
-    s_slots, t_slots = zip(*compiled.answer_layout)
-    t_rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    s_seen = t_seen = None
-    for s_values, t_values, c_value in realizations:
-        if s_values != s_seen:
-            with_s = [ip + s_values[i] for ip, i in zip(ips, s_slots)]
-            s_seen, t_seen = s_values, None
-        if t_values != t_seen:
+    s_slots, t_slots = compiled.s_slots, compiled.t_slots
+    size = len(s_slots)
+    tables = _scale_tables(modulus)
+    narrow = modulus <= 128
+    t_rows: Dict[Tuple[int, ...], int] = {}
+    for s_values, t_groups in levels:
+        with_s = int.from_bytes(
+            bytes([(ip + s_values[i]) % modulus for ip, i in zip(ips, s_slots)]), "big"
+        )
+        for t_values, c_values in t_groups:
             row = t_rows.get(t_values)
             if row is None:
                 t_all = individual_values(compiled, t_values, policy)
-                row = t_rows[t_values] = tuple(map(t_all.__getitem__, t_slots))
-            with_t = list(map(add, with_s, row))
-            t_seen = t_values
-        yield s_values, t_values, c_value, [c_value * v % modulus for v in with_t]
+                row = t_rows[t_values] = int.from_bytes(
+                    bytes([t_all[i] for i in t_slots]), "big"
+                )
+            if narrow:
+                with_t = (with_s + row).to_bytes(size, "big")
+            else:
+                with_t = bytes(
+                    (a + b) % modulus
+                    for a, b in zip(with_s.to_bytes(size, "big"), row.to_bytes(size, "big"))
+                )
+            for c_value in c_values:
+                yield s_values, t_values, c_value, with_t.translate(tables[c_value])
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +388,12 @@ def _drawn_h(compiled: CompiledInstance, seed: int, label: str, index: int) -> H
 def _h_realizations(
     compiled: CompiledInstance, seed: int, samples: int, enum_limit: int
 ) -> Tuple[List[HVectors], bool]:
-    """All base-vector tuples when the space is small, else seeded samples."""
+    """All base-vector tuples when the space is small, else seeded samples:
+    at least one, or a walk would pass having checked nothing."""
     if _h_space(compiled) <= enum_limit:
         return list(_all_h(compiled)), True
+    if samples < 1:
+        raise ValueError(f"sampled base vectors need at least one sample, got {samples}")
     return [_drawn_h(compiled, seed, "audit-h", index) for index in range(samples)], False
 
 
@@ -370,23 +403,28 @@ def _raw_realizations(
     bound: int,
     sample_beyond_bound: int,
     seed: int,
-) -> Tuple[Callable[[], Iterator[Realization]], int, bool]:
-    """Raw (s, t, c) tuples: exhaustive within the bound, else seeded samples.
+) -> Tuple[Callable[[], Iterator[Level]], int, bool]:
+    """Levels of raw (s, t, c) values: exhaustive within the bound, else
+    seeded samples.
 
-    The first item gives one base-vector set's realizations per call. The
-    samples continue one seeded stream from call to call, so each set gets
-    draws of its own.
+    The first item gives one base-vector set's levels per call. An
+    exhaustive call yields one level per s tuple, in itertools.product
+    order, whose groups are every t tuple (made lazily, in the same order)
+    with the whole c range. A sampled call yields one level per sample with
+    one group and one c, drawn in the order s, t, c; the samples continue
+    one seeded stream from call to call, so each set gets draws of its own.
     """
     s_range, t_range, c_range = _policy_ranges(policy, compiled.field.modulus)
     space = (
         len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
     )
     if space <= bound:
-        def exhaustive() -> Iterator[Realization]:
+        c_values = tuple(c_range)
+
+        def exhaustive() -> Iterator[Level]:
             for s_values in itertools.product(s_range, repeat=compiled.n_s):
-                for t_values in itertools.product(t_range, repeat=compiled.n_t):
-                    for c_value in c_range:
-                        yield s_values, t_values, c_value
+                t_tuples = itertools.product(t_range, repeat=compiled.n_t)
+                yield s_values, zip(t_tuples, itertools.repeat(c_values))
 
         return exhaustive, space, True
     if sample_beyond_bound <= 0:
@@ -395,11 +433,11 @@ def _raw_realizations(
         )
     rng = labeled_rng(seed, "audit-bundle-sample")
 
-    def sampled() -> Iterator[Realization]:
+    def sampled() -> Iterator[Level]:
         for _ in range(sample_beyond_bound):
             s_values = tuple(rng.choice(s_range) for _ in range(compiled.n_s))
             t_values = tuple(rng.choice(t_range) for _ in range(compiled.n_t))
-            yield s_values, t_values, rng.choice(c_range)
+            yield s_values, [(t_values, (rng.choice(c_range),))]
 
     return sampled, space, False
 
@@ -599,6 +637,12 @@ def _masking_tables(
             yield ctx, group, DistributionTable.from_counts(counts)
 
 
+def _require_contexts(contexts: int) -> None:
+    """A masking check of no context would pass having checked nothing."""
+    if contexts < 1:
+        raise ValueError(f"a masking check needs at least one context, got {contexts}")
+
+
 def _uniformity_report(results: Iterable[tuple]) -> UniformityReport:
     """Fold each table's (key, table, failure or None) into one report: it
     passes when no table fails, and its detail is the first failure."""
@@ -621,6 +665,7 @@ def check_db1_uniformity(
     The conditional is taken per client against every fixed combination of
     base vectors (sampled contexts), individual values, and multiplier value.
     """
+    _require_contexts(contexts)
     compiled = compile_instance(instance)
     modulus = compiled.field.modulus
     plan = compiled.plan
@@ -657,6 +702,7 @@ def check_z_uniformity(
 ) -> UniformityReport:
     """Per-element subtraction statistics of non-correlating clients must be
     uniform as their free individual value sweeps; vacuous with two parties."""
+    _require_contexts(contexts)
     compiled = compile_instance(instance)
     modulus = compiled.field.modulus
     plan = compiled.plan
@@ -698,6 +744,7 @@ def check_indicator_privacy(
     column sum, the indicator's distribution over the multiplier must be the
     same exact uniform table over the nonzero residues.
     """
+    _require_contexts(contexts)
     compiled = compile_instance(instance)
     setup, plan = compiled.setup, compiled.plan
     client_ids = plan.shape.client_ids
@@ -852,7 +899,6 @@ def leader_privacy_mi(
             len(candidate_sets) * _h_space(compiled) * compiled.space_size(), bound
         )
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, bound, 0, 0)
-        layout = compiled.answer_layout
         index = {key: i for i, key in enumerate(compiled.plan.answer_keys)}
         own_s_slots = [i for (cid, _), i in compiled.s_index.items() if cid == client_id]
         secret = tuple(sorted(candidate))
@@ -865,7 +911,7 @@ def leader_privacy_mi(
             sent = _lay_out(compiled, h_vectors)
             received = sent.queries.get((client_id, database), [])
             delivered = [index[client_id, q.partition, q.target] for q in received]
-            own_t_slots = [layout[i][1] for i, q in zip(delivered, received) if q.target]
+            own_t_slots = [compiled.t_slots[i] for i, q in zip(delivered, received) if q.target]
             queries = tuple(query.values for query in received)
             ips = _inner_products(compiled, sent)
             for s_values, t_values, c_value, answers in realization_answers(

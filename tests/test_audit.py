@@ -27,6 +27,7 @@ from mppsi.audit import (
     database_view,
     individual_values,
     leader_privacy_mi,
+    answers_for_realization,
     leader_view,
     query_inner_products,
     realization_answers,
@@ -38,12 +39,18 @@ from mppsi.leader import decode_values, decode_vector, generate_queries
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
+from mppsi.seeding import labeled_rng
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.config import SessionConfig
 
 
 def profile(pid, elems, dbs):
     return PartyProfile(pid, dbs, frozenset(elems))
+
+
+def flatten(levels):
+    """The (s, t, c) realizations of a stream of levels, in walk order."""
+    return [(s, t, c) for s, groups in levels for t, c_values in groups for c in c_values]
 
 
 HOMOGENEOUS = AuditInstance(
@@ -100,7 +107,7 @@ class TestEnumeration:
         draws, space, exhaustive = _raw_realizations(
             compiled, FAITHFUL, DEFAULT_BOUND, 0, 0
         )
-        realizations = list(draws())
+        realizations = flatten(draws())
         assert exhaustive and space == expected
         # Every realization exactly once: the uniform weights sum to one.
         assert len(realizations) == len(set(realizations)) == expected
@@ -110,13 +117,51 @@ class TestEnumeration:
         assert compiled.field.modulus == 2
         assert compiled.space_size() == 2
         draws, space, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
-        realizations = list(draws())
+        realizations = flatten(draws())
         assert space == len(realizations) == 2
         assert all(c == 1 for _, _, c in realizations)
 
     def test_bound_exceeded(self):
         with pytest.raises(BoundExceededError):
             _raw_realizations(compile_instance(HOMOGENEOUS), FAITHFUL, 10, 0, 0)
+
+    @pytest.mark.parametrize(
+        "instance",
+        [HOMOGENEOUS, TWO_PARTY, FOUR_PARTY],
+        ids=["homogeneous", "two-party", "four-party"],
+    )
+    @pytest.mark.parametrize(
+        "policy", [FAITHFUL, RandomnessPolicy(zero_local=True)], ids=["faithful", "zero_local"]
+    )
+    def test_exhaustive_levels_flatten_to_product_order(self, instance, policy):
+        compiled = compile_instance(instance)
+        s_range, t_range, c_range = audit._policy_ranges(policy, compiled.field.modulus)
+        draws, _, _ = _raw_realizations(compiled, policy, DEFAULT_BOUND, 0, 0)
+        assert flatten(draws()) == list(itertools.product(
+            itertools.product(s_range, repeat=compiled.n_s),
+            itertools.product(t_range, repeat=compiled.n_t),
+            c_range,
+        ))
+
+    def test_sampled_levels_flatten_to_the_seeded_draw_sequence(self):
+        # One level per sample, with one t and one c, drawn s, then t, then
+        # c from one seeded RNG that runs on from call to call.
+        compiled = compile_instance(HETEROGENEOUS)
+        draws, _, exhaustive = _raw_realizations(compiled, FAITHFUL, 10**4, 7, 3)
+        assert not exhaustive
+        rng = labeled_rng(3, "audit-bundle-sample")
+        modulus = compiled.field.modulus
+        values, nonzero = list(range(modulus)), list(range(1, modulus))
+        for _ in range(2):
+            levels = [(s, list(groups)) for s, groups in draws()]
+            assert [len(groups) for _, groups in levels] == [1] * 7
+            assert [len(groups[0][1]) for _, groups in levels] == [1] * 7
+            expected = []
+            for _ in range(7):
+                s = tuple(rng.choice(values) for _ in range(compiled.n_s))
+                t = tuple(rng.choice(values) for _ in range(compiled.n_t))
+                expected.append((s, t, rng.choice(nonzero)))
+            assert flatten(levels) == expected
 
     def test_distribution_table_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -209,6 +254,38 @@ class TestReliability:
         with pytest.raises(BoundExceededError):
             check_reliability(HETEROGENEOUS, bound=10**4)
 
+    def test_sampled_base_vectors_need_a_sample(self):
+        # M3_N2_K6_R3 samples its base vectors; with no sample the walk
+        # would pass having checked no case.
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_reliability(M3_N2_K6_R3[0], h_samples=0)
+
+    def test_enumerated_base_vectors_ignore_the_sample_count(self):
+        assert check_reliability(TWO_PARTY, h_samples=0) == check_reliability(TWO_PARTY)
+
+    @pytest.mark.parametrize(
+        "instance, kwargs",
+        [
+            (HOMOGENEOUS, {}),
+            (HOMOGENEOUS, {"policy": RandomnessPolicy(correlation_offset=1)}),
+            (HETEROGENEOUS, {"bound": 10**4, "sample_beyond_bound": 400}),
+        ],
+        ids=["homogeneous", "homogeneous-offset", "heterogeneous-sampled"],
+    )
+    def test_one_decode_per_case(self, instance, kwargs, monkeypatch):
+        decodes = []
+        real = audit.decode_vector
+
+        def counting(plan, answers, modulus):
+            decodes.append(None)
+            return real(plan, answers, modulus)
+
+        monkeypatch.setattr(audit, "decode_vector", counting)
+        refuse_fork(monkeypatch)
+        report = check_reliability(instance, **kwargs)
+        assert report.cases > 0
+        assert len(decodes) == report.cases
+
 
 # The benchmark's shape: three parties of two databases, K = 6, R = 3.
 M3_N2_K6_R3 = tuple(
@@ -241,7 +318,9 @@ def reference_answers(compiled, ips, s_values, t_values, c_value, policy=FAITHFU
     t_all = individual_values(compiled, t_values, policy)
     return {
         key: answer_value(ip, s_values[s_idx], t_all[t_idx], c_value, modulus)
-        for ip, key, (s_idx, t_idx) in zip(ips, compiled.plan.answer_keys, compiled.answer_layout)
+        for ip, key, s_idx, t_idx in zip(
+            ips, compiled.plan.answer_keys, compiled.s_slots, compiled.t_slots
+        )
     }
 
 
@@ -265,12 +344,13 @@ def oracle_reliability(
     report, cases, failures = None, 0, []
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        tuples = list(draws())
-        walked = list(realization_answers(compiled, ips, tuples, policy))
+        levels = [(s, list(groups)) for s, groups in draws()]
+        tuples = flatten(levels)
+        walked = list(realization_answers(compiled, ips, levels, policy))
         assert [walk[:3] for walk in walked] == tuples
         for (s, t, c), (*_, vector) in zip(tuples, walked):
             answers = reference_answers(compiled, ips, s, t, c, policy)
-            assert vector == [answers[key] for key in plan.answer_keys]
+            assert list(vector) == [answers[key] for key in plan.answer_keys]
             decoded, indicators = decode_values(plan, answers, modulus)
             assert decode_vector(plan, vector, modulus) == (decoded, indicators)
             if report is not None:
@@ -318,6 +398,35 @@ class TestWalkAgreesWithOracle:
         assert oracle.exhaustive_randomness == (instance is not HETEROGENEOUS)
         assert check_reliability(instance, policy=policy, **kwargs) == oracle
 
+    @pytest.mark.parametrize(
+        "instance", [HOMOGENEOUS, FOUR_PARTY], ids=["homogeneous", "four-party"]
+    )
+    def test_zero_multiplier_fails_as_the_oracle_does(self, instance):
+        # fixed_global = L leaves c = 0 as the only multiplier: every answer
+        # and indicator is 0, so every leader element decodes.
+        modulus = compile_instance(instance).field.modulus
+        policy = RandomnessPolicy(fixed_global=modulus)
+        assert audit._policy_ranges(policy, modulus)[2] == [0]
+        oracle = oracle_reliability(instance, policy)
+        assert not oracle.passed and len(oracle.failures) == 5
+        assert check_reliability(instance, policy=policy) == oracle
+
+    def test_wide_field_reduces_sums_before_scaling(self):
+        # 131 parties give F_131, where ip + s + t does not fit a byte
+        # unreduced.
+        instance = AuditInstance(
+            tuple(profile(pid, {1}, 2) for pid in range(1, 132)), Universe(1), 1
+        )
+        compiled = compile_instance(instance)
+        assert compiled.field.modulus == 131
+        ips = query_inner_products(compiled, (bytes([130]),))
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, 10, 3, 0)
+        levels = [(s, list(groups)) for s, groups in draws()]
+        for s, t, c, vector in realization_answers(compiled, ips, levels):
+            answers = reference_answers(compiled, ips, s, t, c)
+            assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
+        assert check_reliability(instance, bound=10, sample_beyond_bound=3, h_samples=1).passed
+
     def test_t_rows_belong_to_one_walk(self):
         # Both walks see the same t tuples over the same compiled instance;
         # rows kept from the faithful walk would give the shifted one the
@@ -325,11 +434,11 @@ class TestWalkAgreesWithOracle:
         compiled = compile_instance(FOUR_PARTY)
         ips = query_inner_products(compiled, (bytes([2]),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
-        tuples = list(draws())
+        levels = [(s, list(groups)) for s, groups in draws()]
         for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
-            for s, t, c, vector in realization_answers(compiled, ips, tuples, policy):
+            for s, t, c, vector in realization_answers(compiled, ips, levels, policy):
                 answers = reference_answers(compiled, ips, s, t, c, policy)
-                assert vector == [answers[key] for key in compiled.plan.answer_keys]
+                assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
 
     def test_t_level_computed_once_per_t_tuple(self, monkeypatch):
         calls = []
@@ -352,9 +461,9 @@ class TestWalkAgreesWithOracle:
     def test_masking_checks_answer_through_the_walk(self, check, monkeypatch):
         calls = []
 
-        def counting(compiled, ips, realizations, policy=FAITHFUL):
+        def counting(compiled, ips, levels, policy=FAITHFUL):
             calls.append(compiled)
-            return realization_answers(compiled, ips, realizations, policy)
+            return realization_answers(compiled, ips, levels, policy)
 
         monkeypatch.setattr("mppsi.audit.realization_answers", counting)
         assert check(HOMOGENEOUS).passed
@@ -405,12 +514,12 @@ class TestRunnerAgreesWithAuditor:
             if transcript.messages:  # an empty leader set draws nothing
                 compiled, h, realization = session_realization(config, policy)
                 ips = query_inner_products(compiled, h)
-                ((*_, walked),) = realization_answers(compiled, ips, [realization], policy)
+                walked = answers_for_realization(compiled, ips, *realization, policy)
                 sent = {
                     (m.origin[0], m.partition, m.target): m.values[0]
                     for m in transcript.messages_in_phase("answer")
                 }
-                assert walked == [sent[key] for key in compiled.plan.answer_keys]
+                assert list(walked) == [sent[key] for key in compiled.plan.answer_keys]
             if policy == FAITHFUL:
                 assert transcript.result.decoded == brute_force_intersection(config.parties)
             assert transcript.download_cost_actual == transcript.cost_table.costs[
@@ -669,6 +778,16 @@ class TestZUniformity:
         report = check_z_uniformity(TWO_PARTY)
         assert report.passed
         assert report.tables == {}
+
+
+@pytest.mark.parametrize(
+    "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
+)
+@pytest.mark.parametrize("instance", [HOMOGENEOUS, TWO_PARTY], ids=["homogeneous", "two-party"])
+def test_masking_check_needs_a_context(check, instance):
+    # With no context a masking check would pass with no table.
+    with pytest.raises(ValueError, match="at least one context"):
+        check(instance, contexts=0)
 
     def test_zeroed_individual_randomness_fails(self):
         report = check_z_uniformity(
