@@ -298,9 +298,10 @@ def realization_answers(
     Each answer is c * (ip + s + t) mod L, computed level by level: ip + s
     once per level, ip + s + t once per group, and per multiplier c one
     bytes.translate of that vector through c's table. Both addends are held
-    as one int with a byte per answer, residues below L, so in a field up
-    to L = 127 one int addition adds every answer (no byte carries, as two
-    residues sum below 256); a wider field adds answer by answer, mod L.
+    as one int with a byte per answer, residues below L. Where two residues
+    sum below 256 (2(L - 1) < 256, so every prime L up to 127), one int
+    addition adds every answer with no byte carry, and c's table reduces the
+    unreduced sums; a wider field adds answer by answer, mod L.
     The t row (the correlated completion, gathered into answer order)
     depends on t and the policy alone, so it is computed once per distinct
     t tuple of this call and kept until the walk ends. That is
@@ -313,7 +314,7 @@ def realization_answers(
     s_slots, t_slots = compiled.s_slots, compiled.t_slots
     size = len(s_slots)
     tables = _scale_tables(modulus)
-    narrow = modulus <= 128
+    narrow = 2 * (modulus - 1) < 256
     t_rows: Dict[Tuple[int, ...], int] = {}
     for s_values, t_groups in levels:
         with_s = int.from_bytes(
@@ -610,7 +611,7 @@ def _masking_tables(
     label: str,
     sweep: Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple]]],
     c_groups: Sequence[Sequence[int]],
-    statistic: Callable[[List[int]], object],
+    statistic: Callable[[bytes], object],
 ) -> Iterator[Tuple[int, Sequence[int], DistributionTable]]:
     """The masking lemmas' core: per context, one table per multiplier group.
 

@@ -779,6 +779,12 @@ class TestZUniformity:
         assert report.passed
         assert report.tables == {}
 
+    def test_zeroed_individual_randomness_fails(self):
+        report = check_z_uniformity(
+            HOMOGENEOUS, policy=RandomnessPolicy(zero_individual=True)
+        )
+        assert not report.passed
+
 
 @pytest.mark.parametrize(
     "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
@@ -788,12 +794,6 @@ def test_masking_check_needs_a_context(check, instance):
     # With no context a masking check would pass with no table.
     with pytest.raises(ValueError, match="at least one context"):
         check(instance, contexts=0)
-
-    def test_zeroed_individual_randomness_fails(self):
-        report = check_z_uniformity(
-            HOMOGENEOUS, policy=RandomnessPolicy(zero_individual=True)
-        )
-        assert not report.passed
 
 
 class TestIndicatorPrivacy:
