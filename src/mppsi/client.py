@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Callable, List, Sequence
 
 from .database import DatabaseState
-from .errors import ConfigError, ProtocolViolationError
+from .errors import ProtocolViolationError
 from .model import Universe
 from .wire import Message
 
@@ -64,13 +64,8 @@ def answer_all(
     if c is None:
         raise ProtocolViolationError("global multiplier not installed")
     profile, address = state.profile, state.address
-    support = sorted(elem - 1 for elem in profile.data_set)
-    if support and support[-1] >= universe.size:
-        raise ConfigError(
-            f"party {profile.party_id}: element {support[-1] + 1} outside "
-            f"universe of size {universe.size}"
-        )
-    inner_product = support_sum(support)
+    # protocol.prepare_session has checked the set against the universe.
+    inner_product = support_sum(sorted(elem - 1 for elem in profile.data_set))
     local, individual = state.local, state.individual
     answers: List[Message] = []
     for query in queries:

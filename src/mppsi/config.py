@@ -87,26 +87,34 @@ def _parse_party(raw, index: int, universe_size: int) -> PartyProfile:
     return PartyProfile(party_id=party_id, num_databases=databases, data_set=frozenset(elements))
 
 
-def _parse_addresses(raw) -> Dict[Tuple[int, int], Tuple[str, int]]:
+def _decimal(text: str) -> bool:
+    """Whether text is plain ASCII decimal: no sign, space, underscore or other digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _parse_addresses(raw, parties) -> Dict[Tuple[int, int], Tuple[str, int]]:
     if not isinstance(raw, dict):
         raise ConfigError("addresses must be an object of 'party:db' -> 'host:port'")
+    databases = {p.party_id: p.num_databases for p in parties}
     result: Dict[Tuple[int, int], Tuple[str, int]] = {}
     for key, value in raw.items():
-        try:
-            party_str, db_str = key.split(":")
-            endpoint = (int(party_str), int(db_str))
-        except (ValueError, AttributeError):
-            raise ConfigError(f"addresses key {key!r} is not 'party:db'")
+        party_str, _, db_str = str(key).partition(":")
+        if not (_decimal(party_str) and _decimal(db_str)):
+            raise ConfigError(f"addresses key {key!r} is not 'party:db' in decimal")
+        endpoint = (int(party_str), int(db_str))
+        if not 1 <= endpoint[1] <= databases.get(endpoint[0], 0):
+            raise ConfigError(f"addresses key {key!r} names no configured database")
+        if endpoint in result:
+            raise ConfigError(f"addresses key {key!r} names database {endpoint} again")
         if not isinstance(value, str) or ":" not in value:
             raise ConfigError(f"addresses[{key!r}] must be 'host:port', got {value!r}")
         host, _, port_str = value.rpartition(":")
         if not host:
             # An empty host would bind every interface.
             raise ConfigError(f"addresses[{key!r}]: empty host in {value!r}")
-        try:
-            port = int(port_str)
-        except ValueError:
+        if not _decimal(port_str):
             raise ConfigError(f"addresses[{key!r}]: bad port {port_str!r}")
+        port = int(port_str)
         if not 0 < port < 65536:
             raise ConfigError(f"addresses[{key!r}]: port {port} out of range")
         result[endpoint] = (host, port)
@@ -142,7 +150,7 @@ def config_from_dict(data: dict) -> SessionConfig:
     transport = data.get("transport", "memory")
     if transport not in TRANSPORTS:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    addresses = _parse_addresses(data["addresses"]) if "addresses" in data else {}
+    addresses = _parse_addresses(data["addresses"], parties) if "addresses" in data else {}
     # Every message is a frame, in a transcript file as on the wire.
     if len(parties) > 1:
         frame = max_query_frame_bytes(universe_size)

@@ -30,9 +30,9 @@ run_networked_session gives session.run_leader the TCP exchange. Its round
 also waits until each in-process endpoint's shares are sent or have failed,
 and fails at once, with the error as its cause, when one records an error.
 The exchange returns the shares they logged as sent, in
-randomness.share_order; for endpoints given only by address, the shares of
-the same states routed by randomness.build_bundle. For equal (config, seed)
-the transcript equals the in-memory transport's.
+randomness.share_order, so for equal (config, seed) the transcript equals the
+in-memory transport's. Endpoints given only by address keep their shares:
+the leader never sees one, and its transcript has no randomness section.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
 from .leader import make_plan_shape
-from .protocol import SessionSetup, make_session_id, prepare_session
-from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
+from .protocol import SessionSetup, prepare
+from .randomness import FAITHFUL, RandomnessPolicy, share_order
 from .session import SessionTranscript, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
 
@@ -62,11 +62,6 @@ READY_TIMEOUT_SECONDS = 15.0
 SOCKET_TIMEOUT_SECONDS = 15.0
 RETRY_PAUSE_SECONDS = 0.05
 RECV_BYTES = 1 << 16
-
-
-def _prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
-    return setup, make_session_id(config)
 
 
 @dataclass
@@ -121,7 +116,7 @@ class DatabaseEndpoint:
         # _prepared: the config's setup and session id, when the caller has
         # them already (spawn_endpoints derives them once for every endpoint).
         # The endpoint keeps them for a runner given it with the same config.
-        self._prepared = _prepared or _prepare(config)
+        self._prepared = _prepared or prepare(config)
         setup, self.session_id = self._prepared
         self.field = setup.field
         self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
@@ -221,11 +216,6 @@ class DatabaseEndpoint:
                 if msg.origin != (self.leader_id, 0):
                     raise ProtocolViolationError(
                         f"query from {msg.origin}, not from the leader ({self.leader_id}, 0)"
-                    )
-                if len(msg.values) != self.config.universe_size:
-                    raise ProtocolViolationError(
-                        f"query vector length {len(msg.values)} != universe "
-                        f"{self.config.universe_size}"
                     )
                 if msg.values.translate(None, self._residues):
                     raise ProtocolViolationError("query value out of field range")
@@ -554,7 +544,7 @@ def spawn_endpoints(
     """Start one in-process endpoint per client database (ephemeral ports)."""
     # _prepared: the config's setup and session id, when the caller has them
     # already (run_networked_session gets both from run_leader).
-    _prepared = _prepared or _prepare(config)
+    _prepared = _prepared or prepare(config)
     setup = _prepared[0]
     loop = _ServeLoop()
     endpoints = []
@@ -590,14 +580,9 @@ def run_networked_session(
             for dest, msgs in query_plan.queries.items()
         }
         if endpoints is None and config.addresses:
-            addresses = dict(config.addresses)
-            _check_external_addresses(setup, addresses)
-            answers = _query_round(addresses, queries, leader)
-            # External endpoints keep their logs: route the same states here.
-            _, shares = build_bundle(
-                plan, setup.clients, setup.field, config.seed, session_id, policy
-            )
-            return shares, answers
+            _check_external_addresses(setup, config.addresses)
+            # The shares pass only between those endpoints.
+            return (), _query_round(config.addresses, queries, leader)
         serving = endpoints
         if serving is None:
             serving = spawn_endpoints(config, policy, _prepared=(setup, session_id))

@@ -4,9 +4,11 @@ prepare_session elects (or accepts) the leader and checks feasibility;
 the leader's driver, session.run_leader, the database endpoints and the
 audit module all elect through it. make_session_id is the one session-id
 function, of the config alone, so every transport and endpoint derives the
-same id. collect_answers is the in-memory answer round: every database
-answers the queries delivered to it from its own database.DatabaseState,
-through client.answer_all, the function a TCP endpoint answers with too.
+same id. prepare runs both for a config: the leader's driver and the
+database endpoints prepare through it. collect_answers is the in-memory
+answer round: every database answers the queries delivered to it from its
+own database.DatabaseState, through client.answer_all, the function a TCP
+endpoint answers with too.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ def make_session_id(config: SessionConfig) -> str:
     }
     text = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:SESSION_ID_CHARS]
+
+
+def prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
+    """The config's setup and session id."""
+    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    return setup, make_session_id(config)
 
 
 def collect_answers(

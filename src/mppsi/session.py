@@ -46,7 +46,7 @@ from .leader import (
     generate_queries,
     make_partition_plan,
 )
-from .protocol import SessionSetup, collect_answers, make_session_id, prepare_session
+from .protocol import SessionSetup, collect_answers, prepare
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from .wire import Message, decode_msg, encode_msg
 
@@ -188,7 +188,8 @@ def load_transcript(data: bytes) -> SessionTranscript:
 
 
 # Given the setup, the plan, the queries and the session id, an exchange
-# delivers the queries and returns the shares, in share_order, and the answers.
+# delivers the queries and returns the shares it saw, in share_order (none
+# when they passed only between databases it does not run), and the answers.
 Exchange = Callable[
     [SessionSetup, PartitionPlan, QueryPlan, str], Tuple[Sequence[Message], Sequence[Message]]
 ]
@@ -231,12 +232,7 @@ def run_leader(
     """
     # _prepared: the config's setup and session id, when the transport has
     # them already (net's endpoints built from this config carry both).
-    if _prepared is None:
-        _prepared = (
-            prepare_session(config.parties, config.universe, config.leader_override),
-            make_session_id(config),
-        )
-    setup, session_id = _prepared
+    setup, session_id = _prepared or prepare(config)
     if not setup.leader.data_set:
         empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)

@@ -194,6 +194,15 @@ class TestAnswerAll:
             with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
                 answer_all(states[clients[0].party_id, 1], [rogue], Universe(4))
 
+    def test_answer_before_the_multiplier_is_installed_rejected(self):
+        # Database 2 gets its multiplier from database 1 as a share.
+        profile = PartyProfile(1, 2, frozenset({1}))
+        shape = make_plan_shape(1, [profile])
+        state = DatabaseState(shape, profile, 2, PrimeField(3), 0, SESSION)
+        assert state.c is None
+        with pytest.raises(ProtocolViolationError, match="global multiplier not installed"):
+            answer_all(state, [query((1, 2), 1, 1, (0, 0))], Universe(2))
+
     def test_misaddressed_query_rejected(self):
         clients, plan, field, states, qp = _session_pieces()
         queries = qp.queries[1, 2]

@@ -121,6 +121,33 @@ class TestParse:
         with pytest.raises(ConfigError, match="port"):
             parse_config(as_json(variant(addresses={"1:1": "127.0.0.1:notaport"})))
 
+    def test_two_keys_for_one_database(self):
+        # Both read as (1, 1); neither entry may silently replace the other.
+        addresses = {"1:1": "127.0.0.1:9101", "01:1": "127.0.0.1:9102"}
+        with pytest.raises(ConfigError, match=r"names database \(1, 1\) again"):
+            parse_config(as_json(variant(addresses=addresses)))
+
+    @pytest.mark.parametrize("key", ["-1:1", " 1:1", "1:+1", "1_0:1", "\u0661:1", "1:1:1", "1"])
+    def test_address_key_not_plain_decimal(self, key):
+        with pytest.raises(ConfigError, match="party:db"):
+            parse_config(as_json(variant(addresses={key: "127.0.0.1:9101"})))
+
+    @pytest.mark.parametrize("key", ["9:9", "4:1", "1:0", "1:4"])
+    def test_address_key_naming_no_configured_database(self, key):
+        with pytest.raises(ConfigError, match="names no configured database"):
+            parse_config(as_json(variant(addresses={key: "127.0.0.1:9101"})))
+
+    @pytest.mark.parametrize("port", ["1_0", " 10", "+10", "\u0661\u0660", ""])
+    def test_address_port_not_plain_decimal(self, port):
+        with pytest.raises(ConfigError, match="bad port"):
+            parse_config(as_json(variant(addresses={"1:1": f"127.0.0.1:{port}"})))
+
+    def test_hosts_and_ports_may_be_shared(self):
+        # One address for every database parses: the runner finds no one there.
+        addresses = {f"{p}:{d}": "127.0.0.1:9101" for p in (1, 2) for d in (1, 2, 3)}
+        config = parse_config(as_json(variant(addresses=addresses)))
+        assert set(config.addresses.values()) == {("127.0.0.1", 9101)}
+
 
 class TestFrameLimit:
     """Configs whose widest query frame exceeds the 1 MiB frame limit fail at load.

@@ -85,6 +85,10 @@ class TestCostsAndElection:
         with pytest.raises(InfeasibleError):
             prepare_session(parties, Universe(2))
 
+    def test_leader_override_naming_no_party_is_infeasible(self):
+        with pytest.raises(InfeasibleError, match="leader override names unknown party 9"):
+            prepare_session(HOMOGENEOUS, Universe(4), leader_override=9)
+
     def test_nonempty_candidate_with_single_database_counterpart(self):
         parties = [profile(1, {1}, 1), profile(2, {1, 2}, 5)]
         table = cost_table(parties)

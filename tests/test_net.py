@@ -1,6 +1,7 @@
 """Networked transport: loopback endpoints, equivalence with the simulator."""
 
 import random
+import re
 import socket
 import threading
 import time
@@ -10,13 +11,14 @@ import pytest
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
-from mppsi.errors import ProtocolViolationError, TransportError
+from mppsi.database import DatabaseState
+from mppsi.errors import ConfigError, ProtocolViolationError, TransportError
 from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import RandomnessPolicy, build_bundle
-from mppsi.session import run_memory_session
+from mppsi.session import load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, encode_msg
 
 
@@ -97,11 +99,11 @@ class TestEquivalence:
         assert net.result.decoded == frozenset()
 
     def test_spawning_runner_elects_and_derives_the_session_id_once(self, monkeypatch):
-        # session.run_leader elects and derives the session id; the
-        # endpoints the runner spawns reuse both. Given endpoints spawned
-        # from the same config, the runner reuses the setup they carry.
-        import mppsi.net
-        import mppsi.session
+        # session.run_leader elects and derives the session id, through
+        # protocol.prepare; the endpoints the runner spawns reuse both. Given
+        # endpoints spawned from the same config, the runner reuses the setup
+        # they carry.
+        import mppsi.protocol
 
         calls = {"prepare_session": 0, "make_session_id": 0}
 
@@ -112,9 +114,10 @@ class TestEquivalence:
 
             return wrapper
 
-        for module in (mppsi.net, mppsi.session):
-            for name in calls:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in calls:
+            monkeypatch.setattr(
+                mppsi.protocol, name, counting(name, getattr(mppsi.protocol, name))
+            )
         config = DEMOS["sec4"].config
         data = run_networked_session(config).serialize()
         assert calls == {"prepare_session": 1, "make_session_id": 1}
@@ -494,6 +497,12 @@ POLICIES = {
 
 
 class TestExternalAddresses:
+    """The runner given only addresses: the shares stay with the endpoints.
+
+    Its process builds no database state, and its transcript is the memory
+    transcript without the randomness section.
+    """
+
     @pytest.mark.parametrize("name", ["sec4", "sec7_2"])
     def test_session_with_endpoints_known_only_by_address(self, name):
         # As serve-db runs them: one endpoint per client database, each on a
@@ -501,25 +510,19 @@ class TestExternalAddresses:
         # The runner is given only the addresses.
         demo = DEMOS[name]
         config = demo.config
-        setup = prepare_session(config.parties, config.universe, config.leader_override)
-        endpoints = [
-            DatabaseEndpoint(config, client.party_id, db)
-            for client in setup.clients
-            for db in range(1, client.num_databases + 1)
-        ]
+        endpoints = [DatabaseEndpoint(config, *key) for key in client_databases(config)]
         try:
             for ep in endpoints:
                 ep.start()
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
             for ep in endpoints:
                 ep.begin_sharing(addresses)
-            addressed = replace(config, transport="net", addresses=addresses)
-            transcript = run_networked_session(addressed)
+            transcript = run_by_address(config, addresses)
         finally:
             for ep in endpoints:
                 ep.stop()
         assert transcript.result.decoded == demo.expected_decoded
-        assert transcript.serialize() == run_memory_session(config).serialize()
+        assert_memory_transcript_without_shares(transcript, config)
 
     def test_refused_query_connection_is_retried_until_its_database_listens(self):
         config = DEMOS["sec4"].config
@@ -543,7 +546,7 @@ class TestExternalAddresses:
 
         transcript = run_while_late(config, early + [late], addresses, start_late)
         assert any(m.type == "query" for m in late.received_log)
-        assert transcript.serialize() == run_memory_session(config).serialize()
+        assert_memory_transcript_without_shares(transcript, config)
 
     def test_queries_wait_at_their_databases_for_the_randomness(self):
         config = DEMOS["sec4"].config
@@ -557,7 +560,15 @@ class TestExternalAddresses:
                 endpoint.begin_sharing(addresses)
 
         transcript = run_while_late(config, endpoints, addresses, share_late)
-        assert transcript.serialize() == run_memory_session(config).serialize()
+        assert_memory_transcript_without_shares(transcript, config)
+
+    def test_addresses_must_cover_every_client_database(self):
+        config = DEMOS["sec4"].config
+        keys = client_databases(config)
+        # Nothing listens there: the runner fails before it connects.
+        addresses = {key: ("127.0.0.1", 9) for key in keys[:-1]}
+        with pytest.raises(ConfigError, match=re.escape("database (2,3)")):
+            run_by_address(config, addresses)
 
 
 def client_databases(config):
@@ -567,6 +578,31 @@ def client_databases(config):
         for client in setup.clients
         for db in range(1, client.num_databases + 1)
     ]
+
+
+def run_by_address(config, addresses):
+    """Run a session on endpoints known only by address; it builds no database state."""
+    built = []
+    init = DatabaseState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DatabaseState, "__init__", counting)
+        transcript = run_networked_session(replace(config, transport="net", addresses=addresses))
+    assert built == []
+    return transcript
+
+
+def assert_memory_transcript_without_shares(transcript, config):
+    memory = run_memory_session(config)
+    assert memory.messages_in_phase("randomness")
+    queries_and_answers = memory.messages_in_phase("query") + memory.messages_in_phase("answer")
+    data = transcript.serialize()
+    assert data == replace(memory, messages=queries_and_answers).serialize()
+    assert load_transcript(data) == transcript
 
 
 def run_while_late(config, endpoints, addresses, late):
@@ -579,7 +615,7 @@ def run_while_late(config, endpoints, addresses, late):
     starter = threading.Thread(target=run_late)
     starter.start()
     try:
-        return run_networked_session(replace(config, transport="net", addresses=addresses))
+        return run_by_address(config, addresses)
     finally:
         starter.join()
         for endpoint in endpoints:
@@ -780,6 +816,167 @@ class TestSharesFromTheWire:
         finally:
             for ep in endpoints:
                 ep.stop()
+
+
+def closing_causes(monkeypatch):
+    """The errors the serve loops close connections for, in order, from now on.
+
+    A peer that closes its end is left out: that is how a connection to an
+    endpoint ends.
+    """
+    import mppsi.net
+
+    causes = []
+    close = mppsi.net._ServeLoop._close
+
+    def recording(self, key, cause=None):
+        if cause is not None and str(cause) != "peer closed the connection":
+            causes.append(cause)
+        close(self, key, cause)
+
+    monkeypatch.setattr(mppsi.net._ServeLoop, "_close", recording)
+    return causes
+
+
+def closes_alone(endpoint, msg, causes):
+    """Send msg to endpoint beside an idle connection; the error its connection closed on.
+
+    Only msg's connection closes: the idle one stays open.
+    """
+    with socket.create_connection(endpoint.address, timeout=5) as idle:
+        send_and_expect_close(endpoint, msg)
+        (cause,) = causes
+        idle.settimeout(0.3)
+        with pytest.raises(socket.timeout):
+            idle.recv(1)
+    causes.clear()
+    return cause
+
+
+def leader_query(config, dest, length):
+    return Message(
+        type="query",
+        session_id=make_session_id(config),
+        origin=(3, 0),
+        dest=dest,
+        partition=1,
+        target=None,
+        values=bytes(length),
+    )
+
+
+class TestEndpointRejections:
+    def test_unknown_party_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown party 9"):
+            DatabaseEndpoint(DEMOS["sec4"].config, 9, 1)
+
+    @pytest.mark.parametrize("database", [0, 4])
+    def test_unknown_database_is_a_config_error(self, database):
+        with pytest.raises(ConfigError, match=f"party 1 has no database {database}"):
+            DatabaseEndpoint(DEMOS["sec4"].config, 1, database)
+
+    def test_address_before_start_is_a_transport_error(self):
+        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, 1, 1)
+        with pytest.raises(TransportError, match="endpoint not started"):
+            endpoint.address
+
+    # sec4: the leader is party 3; (1, 1) draws the multiplier and needs no
+    # share, so it answers a query at once.
+    REJECTED_FRAMES = {
+        "addressed to another database": (
+            lambda config: leader_query(config, (1, 2), config.universe_size),
+            r"frame for \(1, 2\) delivered to \(1,1\)",
+        ),
+        "an answer": (
+            lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
+                type="answer", origin=(1, 2), values=b"\x00"
+            ),
+            "unexpected 'answer' frame",
+        ),
+        "a query of the wrong length": (
+            lambda config: leader_query(config, (1, 1), config.universe_size + 1),
+            "query vector length 5 != universe 4",
+        ),
+    }
+
+    @pytest.mark.parametrize("rejected", sorted(REJECTED_FRAMES))
+    def test_rejected_frame_closes_only_its_connection(self, rejected, monkeypatch):
+        config = DEMOS["sec4"].config
+        make, match = self.REJECTED_FRAMES[rejected]
+        endpoints = spawn_endpoints(config)
+        try:
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            causes = closing_causes(monkeypatch)
+            cause = closes_alone(target, make(config), causes)
+            assert type(cause) is ProtocolViolationError
+            assert re.search(match, str(cause))
+            # The loop serves on.
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_any_frame_for_an_empty_leader_set_closes_only_its_connection(self, monkeypatch):
+        config = SessionConfig(
+            universe_size=3,
+            parties=(PartyProfile(1, 2, frozenset({1})), PartyProfile(2, 2, frozenset())),
+            seed=1,
+            leader_override=2,
+        )
+        endpoints = spawn_endpoints(config)
+        try:
+            assert [ep.state for ep in endpoints] == [None, None]
+            causes = closing_causes(monkeypatch)
+            # Twice: the loop serves on.
+            for _ in range(2):
+                query = leader_query(config, (1, 1), config.universe_size)._replace(origin=(2, 0))
+                cause = closes_alone(endpoints[0], query, causes)
+                assert type(cause) is ProtocolViolationError
+                assert "'query' frame for an empty leader set" in str(cause)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_a_peer_writing_on_a_share_connection_fails_only_that_share(self, monkeypatch):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        writer = socket.create_server(("127.0.0.1", 0))
+
+        def write_back():
+            conn, _ = writer.accept()
+            with conn:
+                conn.sendall(b"\x00")
+                conn.settimeout(5)
+                while conn.recv(1 << 16):
+                    pass
+
+        thread = threading.Thread(target=write_back, daemon=True)
+        thread.start()
+        try:
+            causes = closing_causes(monkeypatch)
+            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
+            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            others = sorted(key for key in addresses if key != sender.state.c_origin)
+            addresses[others[0]] = writer.getsockname()[:2]
+            sender.begin_sharing(addresses)
+            assert sender._shared.wait(timeout=10)
+            written = [c for c in causes if type(c) is ProtocolViolationError]
+            assert [str(c) for c in written] == [f"{others[0]} wrote on a share connection"]
+            (error,) = sender.errors
+            assert "wrote on a share connection" in str(error)
+            received = {
+                (ep.party_id, ep.database)
+                for ep in endpoints
+                if any(m.type == "c_share" for m in ep.received_log)
+            }
+            assert received == set(others[1:])
+        finally:
+            writer.close()
+            thread.join(timeout=5)
+            for ep in endpoints:
+                ep.stop()
+        assert not thread.is_alive()
 
 
 class RogueDatabase:

@@ -9,12 +9,12 @@ import pytest
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
-from mppsi.errors import InfeasibleError, ProtocolViolationError
+from mppsi.errors import ConfigError, InfeasibleError, ProtocolViolationError
 from mppsi.field import MAX_PARTIES
 from mppsi.leader import CostTable, download_cost
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.protocol import make_session_id
-from mppsi.session import load_transcript, run_memory_session
+from mppsi.session import load_transcript, run_memory_session, run_session
 
 
 def config_of(parties, universe, seed=3, leader=None):
@@ -373,6 +373,12 @@ class TestEdgeCases:
         config = config_of([(1, 1, [1]), (2, 3, [1]), (3, 3, [1])], 2, leader=2)
         with pytest.raises(InfeasibleError):
             run_memory_session(config)
+
+    def test_unknown_transport_is_a_config_error(self):
+        # parse_config admits only the known transports; replace does not check.
+        config = replace(DEMOS["sec4"].config, transport="carrier-pigeon")
+        with pytest.raises(ConfigError, match="unknown transport 'carrier-pigeon'"):
+            run_session(config)
 
     def test_election_avoids_blocked_candidates(self):
         # Party 1 has one database, so only party 1 itself can lead.
