@@ -13,16 +13,19 @@ exact rationals or integer counts; zero means zero. The checks are:
   one: one level per sample, one t and one c). The walk runs each level's
   work once per level (inner products per base-vector set, + s per level,
   + t per group) and per realization only builds the answer vector, one
-  bytes.translate by c's table, and decodes it with leader.decode_vector,
-  the kernel behind the transports' decode. The t row is computed once per
-  distinct t tuple of a walk and kept until the walk ends: up to 3^12 rows,
-  about 125 MB, for an exhaustive stream under DEFAULT_BOUND, in each
-  process of a split walk. An exhaustive walk of SPLIT_MIN_REALIZATIONS or
-  more, in a one-thread process, cuts its base-vector sets into contiguous
-  parts, one per CPU in os.sched_getaffinity and at most one per set, and
-  walks every part but the first in a forked child. The parts merge in
-  order, so the report is the one-process walk's. A sampled stream is one
-  RNG running on from set to set, so it stays in one process;
+  bytes.translate by c's table. It decodes each level's vectors, joined,
+  in one call of leader.decode_indicators, the kernel behind the
+  transports' decode, and reads a level again realization by realization
+  only when its zero pattern is not the intersection's. The t row is
+  computed once per distinct t tuple of a walk and kept until the walk
+  ends: up to 3^12 rows, about 125 MB, for an exhaustive stream under
+  DEFAULT_BOUND, in each process of a split walk. An exhaustive walk of
+  SPLIT_MIN_REALIZATIONS or more, in a one-thread process, cuts its
+  base-vector sets into contiguous parts, one per CPU in
+  os.sched_getaffinity and at most one per set, and walks every part but
+  the first in a forked child. The parts merge in order, so the report is
+  the one-process walk's. A sampled stream is one RNG running on from set
+  to set, so it stays in one process;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -43,12 +46,13 @@ int tuples only in reliability failure text and delivered query outcomes.
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 levels of (s, t, c) from _raw_realizations under the caller's policy, answer
-vectors from realization_answers. The masking checks share one core,
+vectors from _level_answers, which realization_answers gives one
+realization at a time. The masking checks share one core,
 _masking_tables: it draws each context's base vectors and fixed slots,
 sweeps the lemma's slots over the policy's ranges, and counts a statistic
 of the answers from answers_for_realization, one realization run through
-the same walk. So every check answers through realization_answers and
-decodes through decode_vector, and the correlated completion is
+the same walk. So every check answers through _level_answers and decodes
+through decode_indicators, and the correlated completion is
 randomness.completion, the one the client databases run.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
@@ -71,7 +75,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from .client import support_sum
 from .errors import AuditPartError, BoundExceededError
 from .field import PrimeField
-from .leader import PartitionPlan, QueryPlan, decode_vector, lay_out_queries, make_partition_plan
+from .leader import (
+    IS_ZERO, PartitionPlan, QueryPlan, decode_indicators, lay_out_queries, make_partition_plan
+)
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, completion, correlating_client, free_clients
@@ -144,7 +150,7 @@ class AuditInstance:
 class CompiledInstance:
     """Index maps that let the production kernels run over raw value tuples.
 
-    s_slots and t_slots follow plan.answer_keys, the order decode_vector reads.
+    s_slots and t_slots follow plan.answer_keys, the order decode_indicators reads.
     Inner products per query are constants of the base-vector realization, so
     they are computed once per realization, as a list in that order, by each
     client's support_sums function, built once per instance. Every
@@ -293,7 +299,23 @@ def realization_answers(
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
     """Each realization of the levels, in order, with its answers in
-    plan.answer_keys order as bytes, one residue per byte.
+    plan.answer_keys order as bytes, one residue per byte: _level_answers
+    one realization at a time."""
+    for s_values, groups, vectors in _level_answers(compiled, ips, levels, policy):
+        realizations = ((t, c) for t, c_values in groups for c in c_values)
+        for (t_values, c_value), answers in zip(realizations, vectors):
+            yield s_values, t_values, c_value, answers
+
+
+def _level_answers(
+    compiled: CompiledInstance,
+    ips: Sequence[int],
+    levels: Iterable[Level],
+    policy: RandomnessPolicy,
+) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[Tuple[int, ...], Sequence[int]]], List[bytes]]]:
+    """Each level of the stream, in order, as (s, its groups as (t, its
+    multipliers c) pairs, the answers of every realization), the answers
+    as realization_answers gives them, in (t, c) order.
 
     Each answer is c * (ip + s + t) mod L, computed level by level: ip + s
     once per level, ip + s + t once per group, and per multiplier c one
@@ -307,8 +329,9 @@ def realization_answers(
     t tuple of this call and kept until the walk ends. That is
     |t_range|^n_t rows for an exhaustive stream (at most 3^12 = 531,441
     under DEFAULT_BOUND, about 125 MB extrapolated from a measured
-    59,049-row walk), and at most one per sample for a sampled one.
-    c must be a residue in [0, L).
+    59,049-row walk), and at most one per sample for a sampled one. A
+    level's answers are one list, |t_range|^n_t * |c_range| vectors for
+    an exhaustive stream. c must be a residue in [0, L).
     """
     modulus = compiled.field.modulus
     s_slots, t_slots = compiled.s_slots, compiled.t_slots
@@ -320,7 +343,9 @@ def realization_answers(
         with_s = int.from_bytes(
             bytes([(ip + s_values[i]) % modulus for ip, i in zip(ips, s_slots)]), "big"
         )
-        for t_values, c_values in t_groups:
+        groups = list(t_groups)
+        sums = []
+        for t_values, _ in groups:
             row = t_rows.get(t_values)
             if row is None:
                 t_all = individual_values(compiled, t_values, policy)
@@ -334,8 +359,12 @@ def realization_answers(
                     (a + b) % modulus
                     for a, b in zip(with_s.to_bytes(size, "big"), row.to_bytes(size, "big"))
                 )
-            for c_value in c_values:
-                yield s_values, t_values, c_value, with_t.translate(tables[c_value])
+            sums.append(with_t)
+        yield s_values, groups, [
+            with_t.translate(tables[c])
+            for with_t, (_, c_values) in zip(sums, groups)
+            for c in c_values
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +496,13 @@ class ReliabilityReport:
 
 
 MAX_FAILURES = 5  # check_reliability stops at this many failures
-# An exhaustive walk of fewer realizations stays in one process: forking and
-# reaping a part takes about 3.5 ms on a 2-vCPU Xeon host, under 4% of such a
-# walk there, which is the most a split loses when the other CPUs are busy.
-SPLIT_MIN_REALIZATIONS = 20_000
+# An exhaustive walk of fewer realizations stays in one process. On a 2-vCPU
+# Xeon host, forking and reaping a part takes about 3.8 ms, and a split into
+# two parts loses 7-9 ms when every CPU is busy. Walks of 6,561 to 62,500
+# realizations take 26-35 ms in one process there, so that loss is a quarter
+# of them or more; the 78,732 of the audit-exhaustive benchmark take 85 ms,
+# of which a split saves 36 ms when the other CPU is idle.
+SPLIT_MIN_REALIZATIONS = 70_000
 
 PartResult = Tuple[int, List[Tuple[int, str]]]  # cases, [(case number, detail)]
 
@@ -557,23 +589,35 @@ def check_reliability(
         compiled, policy, bound, sample_beyond_bound, seed
     )
 
+    elements = plan.leader_elements
+    # 1 per element in the intersection: what every realization must decode.
+    zero_pattern = bytes(element in expected for element in elements)
+
     def walk(h_part: List[HVectors]) -> PartResult:
         cases = 0
         failures: List[Tuple[int, str]] = []
         for h_vectors in h_part:
             ips = query_inner_products(compiled, h_vectors)
-            for s_values, t_values, c_value, answers in realization_answers(
-                compiled, ips, draws(), policy
-            ):
-                decoded, _ = decode_vector(plan, answers, modulus)
-                cases += 1
-                if decoded != expected:
-                    failures.append((cases, (
-                        f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "
-                        f"c={c_value}: decoded {sorted(decoded)}, true {sorted(expected)}"
-                    )))
-                    if len(failures) == MAX_FAILURES:
-                        return cases, failures
+            for s_values, groups, vectors in _level_answers(compiled, ips, draws(), policy):
+                zeros = decode_indicators(plan, b"".join(vectors), modulus).translate(IS_ZERO)
+                if zeros == zero_pattern * len(vectors):
+                    cases += len(vectors)
+                    continue
+                # Some realization of the level failed: read it one at a time.
+                realizations = ((t, c) for t, c_values in groups for c in c_values)
+                for start, (t_values, c_value) in zip(
+                    range(0, len(zeros), len(elements)), realizations
+                ):
+                    cases += 1
+                    row = zeros[start:start + len(elements)]
+                    if row != zero_pattern:
+                        failures.append((cases, (
+                            f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "
+                            f"c={c_value}: decoded {list(itertools.compress(elements, row))}, "
+                            f"true {sorted(expected)}"
+                        )))
+                        if len(failures) == MAX_FAILURES:
+                            return cases, failures
         return cases, failures
 
     parts = _walk_parts(h_list, exhaustive, space)
@@ -758,9 +802,10 @@ def check_indicator_privacy(
     def indicator_tables(clients, element) -> Iterator[Tuple[int, object, DistributionTable]]:
         """The element's indicator table per context, as the multiplier sweeps."""
         comp = _with_leader(clients, setup.leader, instance.universe)
+        lane = comp.plan.leader_elements.index(element)
         return _masking_tables(
             comp, policy, seed, contexts, "ind", lambda s, t: [(s, t)], [c_range],
-            lambda answers: decode_vector(comp.plan, answers, modulus)[1][element],
+            lambda answers: decode_indicators(comp.plan, answers, modulus)[lane],
         )
 
     for element in plan.leader_elements:

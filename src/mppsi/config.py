@@ -169,6 +169,17 @@ def config_from_dict(data: dict) -> SessionConfig:
     )
 
 
+def _object(pairs) -> dict:
+    """One JSON object as a dict; a key written twice in it is an error,
+    where json.loads alone would keep the last value."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config key {key!r} is written twice in one object")
+        data[key] = value
+    return data
+
+
 def parse_config(text) -> SessionConfig:
     """Parse a config from bytes or str, with positional JSON diagnostics."""
     if isinstance(text, bytes):
@@ -177,7 +188,7 @@ def parse_config(text) -> SessionConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

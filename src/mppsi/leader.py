@@ -10,9 +10,11 @@ auditor calls it on the base vectors it enumerates. Decoding subtracts the
 database-1 answer from each targeted answer and sums the differences per
 element across clients; an element is in the intersection exactly when that
 sum is zero. Each plan fixes one canonical answer order (answer_keys), and
-decode_vector, the one decode kernel, reads answer values laid out in that
-order. Queries and answers are wire.Message values; decode is the one check
-of an answer message's type, destination and value.
+decode_indicators, the one decode kernel, reads any number of answer
+vectors laid out in that order and joined end to end: a session's decode
+passes one, the auditor's reliability walk a whole level of its
+enumeration. Queries and answers are wire.Message values; decode is the one
+check of an answer message's type, destination and value.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -23,6 +25,11 @@ databases can derive it themselves.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,8 +159,10 @@ class PartitionPlan:
     leader_elements: Tuple[int, ...]
     shape: PlanShape
     answer_keys: Tuple[Tuple[int, int, Optional[int]], ...]
-    # (element, ((base index, target index) per client)) per position.
-    decode_rows: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+    # Indices into one answer vector followed by its negation: per client,
+    # each element's targeted answer; then per client, the negation of the
+    # database-1 answer it is measured against.
+    decode_blocks: Tuple[Tuple[int, ...], ...]
 
 
 def make_partition_plan(
@@ -165,23 +174,31 @@ def make_partition_plan(
         raise ValueError("partition plan needs a nonempty leader set")
     shape = make_plan_shape(len(elements), clients)
     # The canonical answer order: per client, its database-1 answers by
-    # partition, then its targeted answers by position. Decode rows refer
+    # partition, then its targeted answers by position. Decode blocks refer
     # to answers by their index in that order.
     keys: List[Tuple[int, int, Optional[int]]] = []
-    pairs: List[List[Tuple[int, int]]] = [[] for _ in elements]
+    negated = sum(eta + len(elements) for eta in shape.eta.values())
+    targets: List[Tuple[int, ...]] = []
+    bases: List[Tuple[int, ...]] = []
     for client_id in shape.client_ids:
         first_base = len(keys)
         keys += [(client_id, ell, None) for ell in range(1, shape.eta[client_id] + 1)]
-        for position, row in enumerate(pairs, start=1):
-            partition, _ = shape.position_location(client_id, position)
-            row.append((first_base + partition - 1, len(keys)))
-            keys.append((client_id, partition, position))
+        partitions = [
+            shape.position_location(client_id, position)[0]
+            for position in range(1, len(elements) + 1)
+        ]
+        bases.append(tuple(negated + first_base + partition - 1 for partition in partitions))
+        targets.append(tuple(range(len(keys), len(keys) + len(elements))))
+        keys += [
+            (client_id, partition, position)
+            for position, partition in enumerate(partitions, start=1)
+        ]
     return PartitionPlan(
         leader_id=leader.party_id,
         leader_elements=elements,
         shape=shape,
         answer_keys=tuple(keys),
-        decode_rows=tuple(zip(elements, map(tuple, pairs))),
+        decode_blocks=(*targets, *bases),
     )
 
 
@@ -248,45 +265,98 @@ class IntersectionResult:
     download_cost_actual: int
 
 
-def decode_vector(
-    plan: PartitionPlan, values: Sequence[int], modulus: int
-) -> Tuple[frozenset, Dict[int, int]]:
-    """The decode kernel on answer values laid out in plan.answer_keys order.
+# bytes.translate table: 1 where a residue is zero, else 0.
+IS_ZERO = bytes([1]) + bytes(255)
 
-    Returns the decoded element set and the indicator value per leader-set
-    element: the sum over clients of targeted minus database-1 answer.
+
+@functools.lru_cache(maxsize=None)
+def _lanes(clients: int, modulus: int) -> Tuple[str, bytes, bytes]:
+    """The struct code of a lane wide enough for the sum of 2 * clients
+    residues, and the bytes.translate tables of -v mod L and v mod L."""
+    most = 2 * clients * (modulus - 1)
+    lane = next(code for code in "BHI" if most < 256 ** struct.calcsize(code))
+    return (
+        lane,
+        bytes(-value % modulus for value in range(256)),
+        bytes(value % modulus for value in range(256)),
+    )
+
+
+def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> bytes:
+    """The decode kernel: indicator residues of n >= 1 answer vectors.
+
+    answers is the vectors joined end to end, each in plan.answer_keys
+    order, one residue per byte. Returns n * R residues, each vector's in
+    plan.leader_elements order: per element, the sum over clients of its
+    targeted minus its database-1 answer, mod L, which is zero exactly when
+    the element is in the intersection. One vector's decode blocks are one
+    itemgetter gather over its answers followed by their negations; for
+    more vectors, each index of a block is one strided slice, which takes
+    that answer (or negation) from every vector. The blocks are added as
+    ints holding a lane per indicator, one byte while 2(M - 1)(L - 1) < 256
+    and wider otherwise, so no lane carries; each lane is reduced mod L
+    once, and the element-major lanes are laid out vector by vector.
     """
-    indicators: Dict[int, int] = {}
-    decoded = []
-    for element, pairs in plan.decode_rows:
-        total = 0
-        for base, target in pairs:
-            total += values[target] - values[base]
-        value = total % modulus
-        indicators[element] = value
-        if value == 0:
-            decoded.append(element)
-    return frozenset(decoded), indicators
+    size, elements = len(plan.answer_keys), len(plan.leader_elements)
+    count, rest = divmod(len(answers), size)
+    if count < 1 or rest:
+        raise ValueError(f"{len(answers)} answers are not whole vectors of {size}")
+    lane, negate, residues = _lanes(len(plan.decode_blocks) // 2, modulus)
+    width = struct.calcsize(lane)
+    negated = answers.translate(negate)
+    if count == 1:
+        gather = operator.itemgetter(*itertools.chain(*plan.decode_blocks))
+        gathered = bytes(gather(answers + negated))
+        blocks = [gathered[start:start + elements] for start in range(0, len(gathered), elements)]
+    else:
+        blocks = [
+            b"".join([
+                answers[index::size] if index < size else negated[index - size::size]
+                for index in indices
+            ])
+            for indices in plan.decode_blocks
+        ]
+    total = 0
+    for gathered in blocks:
+        if width > 1:
+            spread = bytearray(width * len(gathered))
+            spread[0 if sys.byteorder == "little" else width - 1::width] = gathered
+            gathered = spread
+        total += int.from_bytes(gathered, sys.byteorder)
+    lanes = total.to_bytes(width * count * elements, sys.byteorder)
+    if width == 1:
+        reduced = lanes.translate(residues)
+    else:
+        reduced = bytes(map(modulus.__rmod__, memoryview(lanes).cast(lane)))
+    if count == 1:
+        return reduced
+    indicators = bytearray(count * elements)
+    for element in range(elements):
+        indicators[element::elements] = reduced[element * count:(element + 1) * count]
+    return bytes(indicators)
 
 
 def decode_values(
     plan: PartitionPlan,
     answer_values: Dict[Tuple[int, int, Optional[int]], int],
     modulus: int,
-) -> Tuple[frozenset, Dict[int, int]]:
-    """Core decoding on raw values keyed by (client, partition, target_pos).
-
-    Returns what decode_vector returns for the same values. Raises on missing
-    or unexpected answers.
+) -> bytes:
+    """decode_indicators of one answer vector keyed by (client, partition,
+    target_pos), each value a residue below L. Raises on missing or
+    unexpected answers.
     """
-    expected = frozenset(plan.answer_keys)
-    if answer_values.keys() != expected:
-        got = set(answer_values)
+    try:
+        vector: Optional[bytes] = bytes(map(answer_values.__getitem__, plan.answer_keys))
+    except KeyError:
+        vector = None
+    # With every key of the plan there, no other key is exactly when the counts agree.
+    if vector is None or len(vector) != len(answer_values):
+        expected, got = frozenset(plan.answer_keys), set(answer_values)
         raise ProtocolViolationError(
             f"answer set mismatch: missing {sorted(expected - got, key=str)}, "
             f"unexpected {sorted(got - expected, key=str)}"
         )
-    return decode_vector(plan, [answer_values[key] for key in plan.answer_keys], modulus)
+    return decode_indicators(plan, vector, modulus)
 
 
 def decode(
@@ -318,9 +388,9 @@ def decode(
         if key in values:
             raise ProtocolViolationError(f"duplicate answer for {key}")
         values[key] = answer.values[0]
-    decoded, indicators = decode_values(plan, values, modulus)
+    indicators = decode_values(plan, values, modulus)
     return IntersectionResult(
-        decoded=decoded,
-        indicators=indicators,
+        decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),
+        indicators=dict(zip(plan.leader_elements, indicators)),
         download_cost_actual=len(values),
     )

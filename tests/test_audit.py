@@ -35,13 +35,15 @@ from mppsi.audit import (
 from mppsi.client import answer_value
 from mppsi.errors import AuditPartError, BoundExceededError
 from mppsi.field import select_field_size
-from mppsi.leader import decode_values, decode_vector, generate_queries
+from mppsi.leader import decode_indicators, generate_queries
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from mppsi.seeding import labeled_rng
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.config import SessionConfig
+
+from test_leader import reference_indicators
 
 
 def profile(pid, elems, dbs):
@@ -273,18 +275,23 @@ class TestReliability:
         ids=["homogeneous", "homogeneous-offset", "heterogeneous-sampled"],
     )
     def test_one_decode_per_case(self, instance, kwargs, monkeypatch):
-        decodes = []
-        real = audit.decode_vector
+        # Every realization is decoded exactly once: each kernel call decodes
+        # one level's vectors, and a failing walk stops inside its last one.
+        counts = []
+        real = audit.decode_indicators
 
         def counting(plan, answers, modulus):
-            decodes.append(None)
+            counts.append(len(answers) // len(plan.answer_keys))
             return real(plan, answers, modulus)
 
-        monkeypatch.setattr(audit, "decode_vector", counting)
+        monkeypatch.setattr(audit, "decode_indicators", counting)
         refuse_fork(monkeypatch)
         report = check_reliability(instance, **kwargs)
         assert report.cases > 0
-        assert len(decodes) == report.cases
+        if report.passed:
+            assert sum(counts) == report.cases
+        else:
+            assert sum(counts) - counts[-1] < report.cases <= sum(counts)
 
 
 # The benchmark's shape: three parties of two databases, K = 6, R = 3.
@@ -330,9 +337,9 @@ def oracle_reliability(
     """check_reliability realization by realization through the oracle path.
 
     Every realization is answered by reference_answers and decoded by the
-    keyed decode_values, and realization_answers' vector, decoded set and
-    indicators must equal those, also past the report's stop after five
-    failures.
+    keyed reference_indicators, and realization_answers' vector and the
+    kernel's indicators of it must equal those, also past the report's stop
+    after five failures.
     """
     compiled = compile_instance(instance)
     plan, modulus = compiled.plan, compiled.field.modulus
@@ -351,8 +358,9 @@ def oracle_reliability(
         for (s, t, c), (*_, vector) in zip(tuples, walked):
             answers = reference_answers(compiled, ips, s, t, c, policy)
             assert list(vector) == [answers[key] for key in plan.answer_keys]
-            decoded, indicators = decode_values(plan, answers, modulus)
-            assert decode_vector(plan, vector, modulus) == (decoded, indicators)
+            indicators = reference_indicators(plan, answers, modulus)
+            assert decode_indicators(plan, vector, modulus) == bytes(indicators.values())
+            decoded = frozenset(element for element, value in indicators.items() if value == 0)
             if report is not None:
                 continue
             cases += 1
@@ -576,25 +584,30 @@ def on_h_set(monkeypatch, instance, index, action):
 
 def fail_at_cases(monkeypatch, instance, bad_cases):
     """Decode wrongly at these case numbers (1-based, in serial walk order)
-    of an instance whose base vectors are enumerated."""
+    of an instance whose base vectors are enumerated: the first indicator
+    lane of each such realization flips between zero and nonzero."""
     compiled = compile_instance(instance)
     h_list, exhaustive_h = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
     assert exhaustive_h
     per_set = compiled.space_size()
+    lanes = len(compiled.plan.leader_elements)
     at = {}
-    real_ips, real_decode = audit.query_inner_products, audit.decode_vector
+    real_ips, real_decode = audit.query_inner_products, audit.decode_indicators
 
     def query_inner_products(compiled, h_vectors):
         at["case"] = h_list.index(h_vectors) * per_set
         return real_ips(compiled, h_vectors)
 
-    def decode_vector(plan, answers, modulus):
-        at["case"] += 1
-        decoded, indicators = real_decode(plan, answers, modulus)
-        return (decoded | {0} if at["case"] in bad_cases else decoded), indicators
+    def decode_indicators(plan, answers, modulus):
+        indicators = bytearray(real_decode(plan, answers, modulus))
+        for start in range(0, len(indicators), lanes):
+            at["case"] += 1
+            if at["case"] in bad_cases:
+                indicators[start] = 0 if indicators[start] else 1
+        return bytes(indicators)
 
     monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
-    monkeypatch.setattr(audit, "decode_vector", decode_vector)
+    monkeypatch.setattr(audit, "decode_indicators", decode_indicators)
 
 
 class TestSplitWalk:

@@ -127,6 +127,20 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"names database \(1, 1\) again"):
             parse_config(as_json(variant(addresses=addresses)))
 
+    def test_seed_written_twice(self):
+        text = as_json(FIXTURE).replace(b'"seed": 7', b'"seed": 1, "seed": 7')
+        assert text.count(b'"seed"') == 2
+        with pytest.raises(ConfigError, match="'seed' is written twice"):
+            parse_config(text)
+
+    def test_address_key_written_twice(self):
+        # json.loads alone would keep the second address and drop the first.
+        text = as_json(variant(addresses={"1:1": "127.0.0.1:9101"})).replace(
+            b'"1:1": "127.0.0.1:9101"', b'"1:1": "127.0.0.1:9101", "1:1": "127.0.0.1:9102"'
+        )
+        with pytest.raises(ConfigError, match="'1:1' is written twice"):
+            parse_config(text)
+
     @pytest.mark.parametrize("key", ["-1:1", " 1:1", "1:+1", "1_0:1", "\u0661:1", "1:1:1", "1"])
     def test_address_key_not_plain_decimal(self, key):
         with pytest.raises(ConfigError, match="party:db"):

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 from mppsi.config import SessionConfig
 from mppsi.errors import InfeasibleError, ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
+from mppsi import leader as leader_module
 from mppsi.leader import (
     cost_table,
     decode,
+    decode_indicators,
     decode_values,
-    decode_vector,
     download_cost,
     generate_queries,
     make_partition_plan,
@@ -353,21 +354,14 @@ class TestDecode:
         with pytest.raises(ProtocolViolationError, match="unexpected"):
             decode_values(plan, values, field.modulus)
 
-    @given(st.data())
-    def test_kernel_on_canonical_order_equals_keyed_decode(self, data):
-        k = data.draw(st.integers(min_value=1, max_value=8))
-        leader = profile(1, data.draw(st.sets(st.integers(1, k), min_size=1)), 2)
-        clients = [
-            profile(i, data.draw(st.sets(st.integers(1, k))), data.draw(st.integers(2, 5)))
-            for i in range(2, data.draw(st.integers(2, 5)) + 1)
-        ]
-        plan = make_partition_plan(leader, clients)
-        modulus = data.draw(st.sampled_from((2, 3, 5, 7, 257)))
+    def test_answer_key_beside_every_planned_one_rejected(self):
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
         values = {
-            key: data.draw(st.integers(0, modulus - 1)) for key in plan.answer_keys
+            (a.origin[0], a.partition, a.target): a.values[0] for a in answers_of(transcript)
         }
-        vector = [values[key] for key in plan.answer_keys]
-        assert decode_vector(plan, vector, modulus) == decode_values(plan, values, modulus)
+        values[(1, 1, 99)] = 0
+        with pytest.raises(ProtocolViolationError, match=r"unexpected \[\(1, 1, 99\)\]"):
+            decode_values(plan, values, field.modulus)
 
     def test_decode_matches_brute_force_on_random_instances(self):
         rng = random.Random(31)
@@ -389,3 +383,87 @@ class TestDecode:
             )
             transcript = run_memory_session(config)
             assert transcript.result.decoded == brute_force_intersection(profiles)
+
+
+def reference_indicators(plan, values, modulus):
+    """Each leader element's indicator from answer values keyed by (client,
+    partition, target position), one element and one client at a time:
+    per client, the targeted answer minus its partition's database-1
+    answer, summed over clients, mod L. It reads no index table of the
+    plan, only its shape."""
+    indicators = {}
+    for position, element in enumerate(plan.leader_elements, start=1):
+        total = 0
+        for client_id in plan.shape.client_ids:
+            partition, _ = plan.shape.position_location(client_id, position)
+            total += values[client_id, partition, position] - values[client_id, partition, None]
+        indicators[element] = total % modulus
+    return indicators
+
+
+def reference_decode(plan, vectors, modulus):
+    """decode_indicators' result for these vectors, each in answer_keys
+    order, by reference_indicators."""
+    return b"".join(
+        bytes(reference_indicators(plan, dict(zip(plan.answer_keys, vector)), modulus).values())
+        for vector in vectors
+    )
+
+
+def extreme_vector(plan, modulus):
+    """Every targeted answer L - 1 and every database-1 answer 1: the
+    largest lane sum the kernel can meet, 2(M - 1)(L - 1)."""
+    return bytes(modulus - 1 if target else 1 for _, _, target in plan.answer_keys)
+
+
+class TestDecodeKernel:
+    """decode_indicators over n joined vectors is the n single decodes joined,
+    and equals the keyed per-element reference, in every lane width."""
+
+    @given(st.data())
+    def test_joined_vectors_decode_as_single_ones(self, data):
+        size = data.draw(st.integers(1, 8))
+        elements = data.draw(st.sets(st.integers(1, 12), min_size=size, max_size=size))
+        leader = profile(1, elements, 2)
+        clients = [
+            profile(pid, (), data.draw(st.integers(2, 4)))
+            for pid in range(2, data.draw(st.integers(2, 6)) + 1)
+        ]
+        plan = make_partition_plan(leader, clients)
+        modulus = data.draw(st.sampled_from((2, 3, 5, 7, 11, 127, 131, 251)))
+        answers = len(plan.answer_keys)
+        vector = st.lists(st.integers(0, modulus - 1), min_size=answers, max_size=answers)
+        vectors = [bytes(data.draw(vector)) for _ in range(data.draw(st.integers(1, 5)))]
+        if data.draw(st.booleans()):
+            vectors.append(extreme_vector(plan, modulus))
+        joined = decode_indicators(plan, b"".join(vectors), modulus)
+        assert joined == b"".join(decode_indicators(plan, vector, modulus) for vector in vectors)
+        assert joined == reference_decode(plan, vectors, modulus)
+
+    @pytest.mark.parametrize(
+        "parties, leader_set, lane",
+        [(3, {1, 3, 4}, "B"), (131, {1}, "H"), (131, {1, 3, 4}, "H"), (251, {1, 3, 4}, "I")],
+        ids=["F_3", "F_131-one-element", "F_131", "F_251"],
+    )
+    def test_every_lane_width(self, parties, leader_set, lane):
+        # 131 parties holding {1}, the leader too, is the F_131 instance of
+        # test_audit.py::test_wide_field_reduces_sums_before_scaling; 251
+        # parties give the largest field and the largest lane sum.
+        modulus = select_field_size(parties).modulus
+        clients = [profile(pid, {1}, 2) for pid in range(2, parties + 1)]
+        plan = make_partition_plan(profile(1, leader_set, 2), clients)
+        size = len(plan.answer_keys)
+        assert leader_module._lanes(len(plan.decode_blocks) // 2, modulus)[0] == lane
+        rng = random.Random(parties)
+        vectors = [bytes(rng.randrange(modulus) for _ in range(size)) for _ in range(3)]
+        vectors.insert(1, extreme_vector(plan, modulus))
+        joined = decode_indicators(plan, b"".join(vectors), modulus)
+        assert joined == reference_decode(plan, vectors, modulus)
+        assert joined == b"".join(decode_indicators(plan, vector, modulus) for vector in vectors)
+
+    @pytest.mark.parametrize("length", [0, 5, 15])
+    def test_partial_vectors_rejected(self, length):
+        plan = make_partition_plan(profile(1, {1, 2}, 2), [profile(2, (), 3), profile(3, (), 2)])
+        assert len(plan.answer_keys) == 7
+        with pytest.raises(ValueError, match="not whole vectors of 7"):
+            decode_indicators(plan, bytes(length), 3)
