@@ -13,19 +13,19 @@ exact rationals or integer counts; zero means zero. The checks are:
   one: one level per sample, one t and one c). The walk runs each level's
   work once per level (inner products per base-vector set, + s per level,
   + t per group) and per realization only builds the answer vector, one
-  bytes.translate by c's table. It decodes each level's vectors, joined,
-  in one call of leader.decode_indicators, the kernel behind the
-  transports' decode, and reads a level again realization by realization
-  only when its zero pattern is not the intersection's. The t row is
-  computed once per distinct t tuple of a walk and kept until the walk
-  ends: up to 3^12 rows, about 125 MB, for an exhaustive stream under
-  DEFAULT_BOUND, in each process of a split walk. An exhaustive walk of
-  SPLIT_MIN_REALIZATIONS or more, in a one-thread process, cuts its
-  base-vector sets into contiguous parts, one per CPU in
-  os.sched_getaffinity and at most one per set, and walks every part but
-  the first in a forked child. The parts merge in order, so the report is
-  the one-process walk's. A sampled stream is one RNG running on from set
-  to set, so it stays in one process;
+  bytes.translate by c's table. It decodes the vectors in batches of about
+  DECODE_BATCH, running across levels, each joined and decoded in one call
+  of leader.decode_indicators, the kernel behind the transports' decode,
+  and reads a batch again realization by realization only when its zero
+  pattern is not the intersection's. The t row is computed once per
+  distinct t tuple of a base-vector set and kept until the set is walked
+  (see _answer_batches for how many that is), in each process of a split
+  walk. An exhaustive walk of SPLIT_MIN_REALIZATIONS or more, in a
+  one-thread process, cuts its base-vector sets into contiguous parts, one
+  per CPU in os.sched_getaffinity and at most one per set, and walks every
+  part but the first in a forked child. The parts merge in order, so the
+  report is the one-process walk's. A sampled stream is one RNG running on
+  from set to set, so it stays in one process;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -46,12 +46,12 @@ int tuples only in reliability failure text and delivered query outcomes.
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 levels of (s, t, c) from _raw_realizations under the caller's policy, answer
-vectors from _level_answers, which realization_answers gives one
+vectors from _answer_batches, which realization_answers gives one
 realization at a time. The masking checks share one core,
 _masking_tables: it draws each context's base vectors and fixed slots,
 sweeps the lemma's slots over the policy's ranges, and counts a statistic
 of the answers from answers_for_realization, one realization run through
-the same walk. So every check answers through _level_answers and decodes
+the same walk. So every check answers through _answer_batches and decodes
 through decode_indicators, and the correlated completion is
 randomness.completion, the one the client databases run.
 
@@ -155,7 +155,7 @@ class CompiledInstance:
     they are computed once per realization, as a list in that order, by each
     client's support_sums function, built once per instance. Every
     check builds its answer vectors from them level by level
-    (realization_answers) and reads them by index in that order.
+    (_answer_batches) and reads them by index in that order.
     """
 
     setup: SessionSetup
@@ -299,23 +299,35 @@ def realization_answers(
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
     """Each realization of the levels, in order, with its answers in
-    plan.answer_keys order as bytes, one residue per byte: _level_answers
+    plan.answer_keys order as bytes, one residue per byte: _answer_batches
     one realization at a time."""
-    for s_values, groups, vectors in _level_answers(compiled, ips, levels, policy):
-        realizations = ((t, c) for t, c_values in groups for c in c_values)
-        for (t_values, c_value), answers in zip(realizations, vectors):
+    for groups, vectors in _answer_batches(compiled, ips, levels, policy):
+        realizations = ((s, t, c) for s, t, c_values in groups for c in c_values)
+        for (s_values, t_values, c_value), answers in zip(realizations, vectors):
             yield s_values, t_values, c_value, answers
 
 
-def _level_answers(
+# Answer vectors per decode_indicators call of the reliability walk: enough
+# that the call's fixed cost is spread thin (the audit-exhaustive walk takes
+# as long at 1,024 as at 4,096), and a fixed count, so a batch's memory
+# depends on the vector length alone, not on the policy or bound.
+DECODE_BATCH = 1024
+
+# A batch's groups, each (s, t, its multipliers c), and the answers of every
+# realization of them, in order.
+Batch = Tuple[List[Tuple[Tuple[int, ...], Tuple[int, ...], Sequence[int]]], List[bytes]]
+
+
+def _answer_batches(
     compiled: CompiledInstance,
     ips: Sequence[int],
     levels: Iterable[Level],
     policy: RandomnessPolicy,
-) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[Tuple[int, ...], Sequence[int]]], List[bytes]]]:
-    """Each level of the stream, in order, as (s, its groups as (t, its
-    multipliers c) pairs, the answers of every realization), the answers
-    as realization_answers gives them, in (t, c) order.
+) -> Iterator[Batch]:
+    """The answers of every realization of the levels, in order, in batches
+    that run across levels: a batch closes at the first group that brings it
+    to DECODE_BATCH vectors, so it holds fewer than DECODE_BATCH + L, and
+    the last batch holds what is left.
 
     Each answer is c * (ip + s + t) mod L, computed level by level: ip + s
     once per level, ip + s + t once per group, and per multiplier c one
@@ -326,12 +338,13 @@ def _level_answers(
     unreduced sums; a wider field adds answer by answer, mod L.
     The t row (the correlated completion, gathered into answer order)
     depends on t and the policy alone, so it is computed once per distinct
-    t tuple of this call and kept until the walk ends. That is
-    |t_range|^n_t rows for an exhaustive stream (at most 3^12 = 531,441
-    under DEFAULT_BOUND, about 125 MB extrapolated from a measured
-    59,049-row walk), and at most one per sample for a sampled one. A
-    level's answers are one list, |t_range|^n_t * |c_range| vectors for
-    an exhaustive stream. c must be a residue in [0, L).
+    t tuple of this call and kept until the call ends: at most one per
+    sample for a sampled stream, and |t_range|^n_t rows for an exhaustive
+    one. Under DEFAULT_BOUND that is at most 3^12 = 531,441 rows where s
+    is drawn: the 9,565,938 realizations of one base-vector set of three
+    parties with 13 databases each and a leader set of 12 (n_s = 2,
+    n_t = 12, F_3) peak at 147 MB RSS, from 21 MB before the walk. Where
+    s is zeroed it can be 3^14 rows. c must be a residue in [0, L).
     """
     modulus = compiled.field.modulus
     s_slots, t_slots = compiled.s_slots, compiled.t_slots
@@ -339,13 +352,13 @@ def _level_answers(
     tables = _scale_tables(modulus)
     narrow = 2 * (modulus - 1) < 256
     t_rows: Dict[Tuple[int, ...], int] = {}
+    groups: List[Tuple[Tuple[int, ...], Tuple[int, ...], Sequence[int]]] = []
+    vectors: List[bytes] = []
     for s_values, t_groups in levels:
         with_s = int.from_bytes(
             bytes([(ip + s_values[i]) % modulus for ip, i in zip(ips, s_slots)]), "big"
         )
-        groups = list(t_groups)
-        sums = []
-        for t_values, _ in groups:
+        for t_values, c_values in t_groups:
             row = t_rows.get(t_values)
             if row is None:
                 t_all = individual_values(compiled, t_values, policy)
@@ -359,12 +372,14 @@ def _level_answers(
                     (a + b) % modulus
                     for a, b in zip(with_s.to_bytes(size, "big"), row.to_bytes(size, "big"))
                 )
-            sums.append(with_t)
-        yield s_values, groups, [
-            with_t.translate(tables[c])
-            for with_t, (_, c_values) in zip(sums, groups)
-            for c in c_values
-        ]
+            groups.append((s_values, t_values, c_values))
+            for c in c_values:
+                vectors.append(with_t.translate(tables[c]))
+            if len(vectors) >= DECODE_BATCH:
+                yield groups, vectors
+                groups, vectors = [], []
+    if vectors:
+        yield groups, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +511,13 @@ class ReliabilityReport:
 
 
 MAX_FAILURES = 5  # check_reliability stops at this many failures
-# An exhaustive walk of fewer realizations stays in one process. On a 2-vCPU
-# Xeon host, forking and reaping a part takes about 3.8 ms, and a split into
-# two parts loses 7-9 ms when every CPU is busy. Walks of 6,561 to 62,500
-# realizations take 26-35 ms in one process there, so that loss is a quarter
-# of them or more; the 78,732 of the audit-exhaustive benchmark take 85 ms,
-# of which a split saves 36 ms when the other CPU is idle.
+# An exhaustive walk of fewer realizations stays in one process. On a shared
+# 2-vCPU Xeon host, forking and reaping a part takes about 3.8 ms. Walks of
+# 6,561 to 62,500 realizations take 20-33 ms in one process there, and a
+# split saves 2-12 ms of them with the other CPU idle, while with both CPUs
+# busy it has lost 7-9 ms in some runs and saved time in others. The 78,732
+# of the audit-exhaustive benchmark take about 60 ms, of which a split saves
+# about 19 ms with the other CPU idle.
 SPLIT_MIN_REALIZATIONS = 70_000
 
 PartResult = Tuple[int, List[Tuple[int, str]]]  # cases, [(case number, detail)]
@@ -598,14 +614,14 @@ def check_reliability(
         failures: List[Tuple[int, str]] = []
         for h_vectors in h_part:
             ips = query_inner_products(compiled, h_vectors)
-            for s_values, groups, vectors in _level_answers(compiled, ips, draws(), policy):
+            for groups, vectors in _answer_batches(compiled, ips, draws(), policy):
                 zeros = decode_indicators(plan, b"".join(vectors), modulus).translate(IS_ZERO)
                 if zeros == zero_pattern * len(vectors):
                     cases += len(vectors)
                     continue
-                # Some realization of the level failed: read it one at a time.
-                realizations = ((t, c) for t, c_values in groups for c in c_values)
-                for start, (t_values, c_value) in zip(
+                # Some realization of the batch failed: read it one at a time.
+                realizations = ((s, t, c) for s, t, c_values in groups for c in c_values)
+                for start, (s_values, t_values, c_value) in zip(
                     range(0, len(zeros), len(elements)), realizations
                 ):
                     cases += 1

@@ -12,9 +12,9 @@ element across clients; an element is in the intersection exactly when that
 sum is zero. Each plan fixes one canonical answer order (answer_keys), and
 decode_indicators, the one decode kernel, reads any number of answer
 vectors laid out in that order and joined end to end: a session's decode
-passes one, the auditor's reliability walk a whole level of its
-enumeration. Queries and answers are wire.Message values; decode is the one
-check of an answer message's type, destination and value.
+passes one, the auditor's reliability walk a batch of its enumeration
+(audit.DECODE_BATCH). Queries and answers are wire.Message values; decode
+is the one check of an answer message's type, destination and value.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import struct
 import sys
 from dataclasses import dataclass
@@ -289,13 +288,12 @@ def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> byte
     order, one residue per byte. Returns n * R residues, each vector's in
     plan.leader_elements order: per element, the sum over clients of its
     targeted minus its database-1 answer, mod L, which is zero exactly when
-    the element is in the intersection. One vector's decode blocks are one
-    itemgetter gather over its answers followed by their negations; for
-    more vectors, each index of a block is one strided slice, which takes
-    that answer (or negation) from every vector. The blocks are added as
-    ints holding a lane per indicator, one byte while 2(M - 1)(L - 1) < 256
-    and wider otherwise, so no lane carries; each lane is reduced mod L
-    once, and the element-major lanes are laid out vector by vector.
+    the element is in the intersection. Each index of a decode block is one
+    strided slice, which takes that answer (or its negation) from every
+    vector. The blocks are added as ints holding a lane per indicator, one
+    byte while 2(M - 1)(L - 1) < 256 and wider otherwise, so no lane
+    carries; each lane is reduced mod L once, and the element-major lanes
+    are laid out vector by vector.
     """
     size, elements = len(plan.answer_keys), len(plan.leader_elements)
     count, rest = divmod(len(answers), size)
@@ -304,18 +302,14 @@ def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> byte
     lane, negate, residues = _lanes(len(plan.decode_blocks) // 2, modulus)
     width = struct.calcsize(lane)
     negated = answers.translate(negate)
-    if count == 1:
-        gather = operator.itemgetter(*itertools.chain(*plan.decode_blocks))
-        gathered = bytes(gather(answers + negated))
-        blocks = [gathered[start:start + elements] for start in range(0, len(gathered), elements)]
-    else:
-        blocks = [
-            b"".join([
-                answers[index::size] if index < size else negated[index - size::size]
-                for index in indices
-            ])
-            for indices in plan.decode_blocks
-        ]
+    # answers[i::size] is answer i of every vector.
+    blocks = [
+        b"".join([
+            answers[index::size] if index < size else negated[index - size::size]
+            for index in indices
+        ])
+        for indices in plan.decode_blocks
+    ]
     total = 0
     for gathered in blocks:
         if width > 1:
@@ -328,7 +322,7 @@ def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> byte
         reduced = lanes.translate(residues)
     else:
         reduced = bytes(map(modulus.__rmod__, memoryview(lanes).cast(lane)))
-    if count == 1:
+    if count == 1:  # one vector's lanes are already in element order
         return reduced
     indicators = bytearray(count * elements)
     for element in range(elements):
@@ -345,17 +339,14 @@ def decode_values(
     target_pos), each value a residue below L. Raises on missing or
     unexpected answers.
     """
-    try:
-        vector: Optional[bytes] = bytes(map(answer_values.__getitem__, plan.answer_keys))
-    except KeyError:
-        vector = None
-    # With every key of the plan there, no other key is exactly when the counts agree.
-    if vector is None or len(vector) != len(answer_values):
-        expected, got = frozenset(plan.answer_keys), set(answer_values)
+    expected = frozenset(plan.answer_keys)
+    if answer_values.keys() != expected:
+        got = set(answer_values)
         raise ProtocolViolationError(
             f"answer set mismatch: missing {sorted(expected - got, key=str)}, "
             f"unexpected {sorted(got - expected, key=str)}"
         )
+    vector = bytes([answer_values[key] for key in plan.answer_keys])
     return decode_indicators(plan, vector, modulus)
 
 

@@ -276,7 +276,8 @@ class TestReliability:
     )
     def test_one_decode_per_case(self, instance, kwargs, monkeypatch):
         # Every realization is decoded exactly once: each kernel call decodes
-        # one level's vectors, and a failing walk stops inside its last one.
+        # one batch, of fewer than DECODE_BATCH + L vectors, and a failing
+        # walk stops inside its last one.
         counts = []
         real = audit.decode_indicators
 
@@ -288,10 +289,46 @@ class TestReliability:
         refuse_fork(monkeypatch)
         report = check_reliability(instance, **kwargs)
         assert report.cases > 0
+        assert max(counts) < audit.DECODE_BATCH + compile_instance(instance).field.modulus
         if report.passed:
             assert sum(counts) == report.cases
         else:
             assert sum(counts) - counts[-1] < report.cases <= sum(counts)
+
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    @pytest.mark.parametrize(
+        "instance, policy",
+        [
+            (HOMOGENEOUS, FAITHFUL),
+            (HOMOGENEOUS, RandomnessPolicy(correlation_offset=1)),
+            (HOMOGENEOUS, "top"),
+            (FOUR_PARTY, RandomnessPolicy(zero_local=True)),
+            (FOUR_PARTY, "top"),
+        ],
+        ids=["homogeneous", "homogeneous-offset", "homogeneous-top", "four-party-zero-local",
+             "four-party-top"],
+    )
+    def test_batch_size_leaves_the_report_unchanged(self, instance, policy, batch, monkeypatch):
+        # "top" is break_correlation_at_top, whose failures fall inside
+        # levels. A batch closes at the group that fills it, whether or not
+        # its level is done, so a level is cut across batches of at most
+        # batch + L - 1 vectors.
+        if policy == "top":
+            break_correlation_at_top(monkeypatch)
+            policy = FAITHFUL
+        refuse_fork(monkeypatch)
+        default = check_reliability(instance, policy=policy)
+        counts = []
+        real = audit.decode_indicators
+
+        def counting(plan, answers, modulus):
+            counts.append(len(answers) // len(plan.answer_keys))
+            return real(plan, answers, modulus)
+
+        monkeypatch.setattr(audit, "decode_indicators", counting)
+        monkeypatch.setattr(audit, "DECODE_BATCH", batch)
+        assert check_reliability(instance, policy=policy) == default
+        assert max(counts) < batch + compile_instance(instance).field.modulus
 
 
 # The benchmark's shape: three parties of two databases, K = 6, R = 3.
@@ -315,6 +352,22 @@ POLICIES = (
     RandomnessPolicy(correlation_offset=1),
     RandomnessPolicy(fixed_global=1),
 )
+
+
+def break_correlation_at_top(monkeypatch):
+    """Make the auditor's completion one off wherever a position's first free
+    value is L - 1. The correlation then breaks for some t tuples of a level
+    and holds for the others, so a walk's first failure falls inside a
+    level, where every POLICIES failure falls at a level's first
+    realization."""
+    real = audit.completion
+
+    def completion(free_values, modulus, num_clients, policy):
+        free_values = list(free_values)
+        off = bool(free_values) and free_values[0] == modulus - 1
+        return (real(free_values, modulus, num_clients, policy) + off) % modulus
+
+    monkeypatch.setattr(audit, "completion", completion)
 
 
 def reference_answers(compiled, ips, s_values, t_values, c_value, policy=FAITHFUL):
@@ -418,6 +471,17 @@ class TestWalkAgreesWithOracle:
         oracle = oracle_reliability(instance, policy)
         assert not oracle.passed and len(oracle.failures) == 5
         assert check_reliability(instance, policy=policy) == oracle
+
+    @pytest.mark.parametrize(
+        "instance", [HOMOGENEOUS, FOUR_PARTY], ids=["homogeneous", "four-party"]
+    )
+    def test_failures_inside_levels_as_the_oracle_does(self, instance, monkeypatch):
+        # Realizations pass before the first failure, so a walk that checked
+        # only a level's or a batch's first realization would miss them.
+        break_correlation_at_top(monkeypatch)
+        oracle = oracle_reliability(instance, FAITHFUL)
+        assert not oracle.passed and len(oracle.failures) == 5 < oracle.cases
+        assert check_reliability(instance) == oracle
 
     def test_wide_field_reduces_sums_before_scaling(self):
         # 131 parties give F_131, where ip + s + t does not fit a byte

@@ -24,7 +24,9 @@ from mppsi.audit import (
 from mppsi.model import Universe
 from mppsi.randomness import FAITHFUL, RandomnessPolicy
 
-from test_audit import FOUR_PARTY, HETEROGENEOUS, HOMOGENEOUS, POLICIES, TWO_PARTY, profile
+from test_audit import (
+    FOUR_PARTY, HETEROGENEOUS, HOMOGENEOUS, POLICIES, TWO_PARTY, break_correlation_at_top, profile
+)
 
 INSTANCES = {
     "homogeneous": HOMOGENEOUS,
@@ -70,6 +72,17 @@ RELIABILITY = {
     ("heterogeneous-sampled", "zero_individual"): (False, 5, 62500, False, False, "37f667a2d094d118"),
     ("heterogeneous-sampled", "offset"): (False, 5, 976562500, False, False, "d2b628179915d563"),
     ("heterogeneous-sampled", "fixed_global"): (True, 800, 244140625, False, False, "4f53cda18c2baa0c"),
+}
+
+# instance -> the report's fields as in RELIABILITY, with the auditor's
+# completion broken for some t tuples only (break_correlation_at_top), so
+# that the exhaustive walks fail inside a level, after realizations that
+# pass. Taken from the walk that decoded one realization at a time.
+RELIABILITY_INSIDE_LEVELS = {
+    "homogeneous": (False, 17, 162, True, True, "c75c4f59c4231521"),
+    "two-party": (True, 4, 2, True, True, "4f53cda18c2baa0c"),
+    "four-party": (False, 85, 12500, True, True, "4c49081fb7a49fe5"),
+    "heterogeneous-sampled": (False, 7, 976562500, False, False, "d96185b310abfbc9"),
 }
 
 # (check, instance, policy) -> digest of (passed, detail, sorted tables).
@@ -205,6 +218,17 @@ def test_reliability_reports(instance_name, policy_name, policy):
         report.passed, report.cases, report.space, report.exhaustive_randomness,
         report.exhaustive_h, digest(report.failures),
     ) == RELIABILITY[(instance_name, policy_name)]
+
+
+@pytest.mark.parametrize("instance_name", list(RELIABILITY_INSTANCES))
+def test_reliability_reports_with_failures_inside_levels(instance_name, monkeypatch):
+    instance, kwargs = RELIABILITY_INSTANCES[instance_name]
+    break_correlation_at_top(monkeypatch)
+    report = check_reliability(instance, **kwargs)
+    assert (
+        report.passed, report.cases, report.space, report.exhaustive_randomness,
+        report.exhaustive_h, digest(report.failures),
+    ) == RELIABILITY_INSIDE_LEVELS[instance_name]
 
 
 @pytest.mark.parametrize("policy_name, policy", list(zip(POLICY_NAMES, POLICIES)))
