@@ -9,23 +9,28 @@ exact rationals or integer counts; zero means zero. The checks are:
   loses nothing because the identity holds realization by realization).
   The randomness stream comes in levels: one local tuple s with its groups,
   each an individual tuple t with the multipliers c it runs under (an
-  exhaustive stream: one level per s, every t, the whole c range; a sampled
-  one: one level per sample, one t and one c). The walk runs each level's
-  work once per level (inner products per base-vector set, + s per level,
-  + t per group) and per realization only builds the answer vector, one
-  bytes.translate by c's table. It decodes the vectors in batches of about
-  DECODE_BATCH, running across levels, each joined and decoded in one call
-  of leader.decode_indicators, the kernel behind the transports' decode,
-  and reads a batch again realization by realization only when its zero
-  pattern is not the intersection's. The t row is computed once per
-  distinct t tuple of a base-vector set and kept until the set is walked
-  (see _answer_batches for how many that is), in each process of a split
-  walk. An exhaustive walk of SPLIT_MIN_REALIZATIONS or more, in a
-  one-thread process, cuts its base-vector sets into contiguous parts, one
-  per CPU in os.sched_getaffinity and at most one per set, and walks every
-  part but the first in a forked child. The parts merge in order, so the
-  report is the one-process walk's. A sampled stream is one RNG running on
-  from set to set, so it stays in one process;
+  exhaustive stream: one level per s whose groups are one AllTGroups, every
+  t with the whole c range; a sampled one: one level per sample, one t and
+  one c). The walk builds answers a t-block at a time: the t rows (t and
+  its correlated completion, in answer order) of about DECODE_BATCH / |c|
+  consecutive groups held as one int. An exhaustive stream's blocks are
+  built once per check where a later level reads them again, and lazily,
+  one at a time, where none does (zero_local). Per level and block, one
+  multiply-add and one to_bytes give ip + s + t for every group of the
+  block; per multiplier, one bytes.translate scales the block. Each batch
+  of about DECODE_BATCH vectors, running across levels, is decoded in one
+  call of leader.decode_indicators, the kernel behind the transports'
+  decode. Its vectors are in block order (multiplier, then group), and the
+  pass path compares its zero pattern with the intersection's, which does
+  not depend on that order. Only a batch that differs is read back in the
+  stream's order (group, then multiplier), so case numbers and failure
+  text are those of a walk one realization at a time. An exhaustive walk
+  of SPLIT_MIN_REALIZATIONS or more, in a one-thread process, cuts its
+  base-vector sets into contiguous parts, one per CPU in
+  os.sched_getaffinity and at most one per set, and walks every part but
+  the first in a forked child. The parts merge in order, so the report is
+  the one-process walk's. A sampled stream is one RNG running on from set
+  to set, so it stays in one process;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -46,13 +51,13 @@ int tuples only in reliability failure text and delivered query outcomes.
 Reliability, the mutual-information checks and delivered_query_distribution
 enumerate one realization stream: base vectors from _all_h (or _drawn_h),
 levels of (s, t, c) from _raw_realizations under the caller's policy, answer
-vectors from _answer_batches, which realization_answers gives one
-realization at a time. The masking checks share one core,
-_masking_tables: it draws each context's base vectors and fixed slots,
-sweeps the lemma's slots over the policy's ranges, and counts a statistic
-of the answers from answers_for_realization, one realization run through
-the same walk. So every check answers through _answer_batches and decodes
-through decode_indicators, and the correlated completion is
+vectors from _answer_batches, which realization_answers reads back one
+realization at a time in the stream's order. The masking checks share one
+core, _masking_tables: it draws each context's base vectors and fixed
+slots, sweeps the lemma's slots over the policy's ranges, and counts a
+statistic of the answers from answers_for_realization, one realization run
+through the same kernel. So every check answers through _answer_batches
+and decodes through decode_indicators, and the correlated completion is
 randomness.completion, the one the client databases run.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
@@ -64,6 +69,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from collections import Counter
@@ -91,7 +97,7 @@ DEFAULT_H_ENUM_LIMIT = 729
 # stream: a local tuple s with its groups, each an individual tuple t and
 # the multipliers c it runs under.
 HVectors = Tuple[bytes, ...]
-Level = Tuple[Tuple[int, ...], Iterable[Tuple[Tuple[int, ...], Sequence[int]]]]
+Level = Tuple[Tuple[int, ...], Sequence[Tuple[Tuple[int, ...], Sequence[int]]]]
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,8 @@ class CompiledInstance:
     # the zero every database-1 answer adds.
     s_slots: Tuple[int, ...]
     t_slots: Tuple[int, ...]
+    # Per local slot, an int with a 1 in the byte of each answer it masks.
+    s_masks: Tuple[int, ...]
     corr_free_indices: Dict[int, List[int]]
     # client id -> the sum of a query's entries over that client's set
     support_sums: Dict[int, Callable[[bytes], int]]
@@ -198,9 +206,11 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
     for client_id in free:
         for position in range(1, shape.set_size + 1):
             t_index[(client_id, position)] = len(t_index)
-    s_slots, t_slots = [], []
-    for client_id, partition, position in plan.answer_keys:
+    size = len(plan.answer_keys)
+    s_slots, t_slots, s_masks = [], [], [0] * len(s_index)
+    for index, (client_id, partition, position) in enumerate(plan.answer_keys):
         s_slots.append(s_index[(client_id, partition)])
+        s_masks[s_slots[-1]] |= 1 << 8 * (size - 1 - index)
         if position is None:
             t_slots.append(-1)
         elif client_id == corr:
@@ -221,6 +231,7 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         n_t=len(t_index),
         s_slots=tuple(s_slots),
         t_slots=tuple(t_slots),
+        s_masks=tuple(s_masks),
         corr_free_indices=corr_free,
         support_sums={
             client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
@@ -279,10 +290,11 @@ def answers_for_realization(
     policy: RandomnessPolicy = FAITHFUL,
 ) -> bytes:
     """All answer values for one randomness realization, as bytes in
-    plan.answer_keys order: that one realization run through
-    realization_answers."""
-    level = (s_values, [(t_values, (c_value,))])
-    return next(realization_answers(compiled, ips, [level], policy))[3]
+    plan.answer_keys order: that one realization, a level of one group and
+    one multiplier, run through _answer_batches, whose one batch holds its
+    one vector."""
+    (batch,) = _answer_batches(compiled, ips, [(s_values, [(t_values, (c_value,))])], policy)
+    return batch[0][-1][0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,12 +311,13 @@ def realization_answers(
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
     """Each realization of the levels, in order, with its answers in
-    plan.answer_keys order as bytes, one residue per byte: _answer_batches
-    one realization at a time."""
-    for groups, vectors in _answer_batches(compiled, ips, levels, policy):
-        realizations = ((s, t, c) for s, t, c_values in groups for c in c_values)
-        for (s_values, t_values, c_value), answers in zip(realizations, vectors):
-            yield s_values, t_values, c_value, answers
+    plan.answer_keys order as bytes, one residue per byte: the batches of
+    _answer_batches read back in stream order."""
+    size = len(compiled.s_slots)
+    for batch in _answer_batches(compiled, ips, levels, policy):
+        vectors = _joined(batch)
+        for s_values, t_values, c_value, index in _in_stream_order(batch):
+            yield s_values, t_values, c_value, vectors[index * size:(index + 1) * size]
 
 
 # Answer vectors per decode_indicators call of the reliability walk: enough
@@ -313,9 +326,91 @@ def realization_answers(
 # depends on the vector length alone, not on the policy or bound.
 DECODE_BATCH = 1024
 
-# A batch's groups, each (s, t, its multipliers c), and the answers of every
-# realization of them, in order.
-Batch = Tuple[List[Tuple[Tuple[int, ...], Tuple[int, ...], Sequence[int]]], List[bytes]]
+# A t-block: consecutive groups of a level that share their multipliers, as
+# (first group's index, group count, the multipliers, the groups' t rows as
+# one int, one row after another). A piece: a t-block under one level's s,
+# as (s, the level's groups, first index, group count, the multipliers, per
+# multiplier the block's answer vectors joined).
+TBlock = Tuple[int, int, Sequence[int], int]
+Piece = Tuple[Tuple[int, ...], Sequence, int, int, Sequence[int], List[bytes]]
+
+
+def _t_blocks(
+    compiled: CompiledInstance, groups: Sequence, policy: RandomnessPolicy
+) -> Iterator[TBlock]:
+    """The t-blocks of a level's groups, in order and made lazily: each
+    run of groups under the same multipliers c, cut every
+    ceil(DECODE_BATCH / |c|) groups. A group's row is its t values and
+    their completion (individual_values) gathered into answer order, a
+    byte per answer."""
+    t_slots = compiled.t_slots
+    start, rows, run_c, limit = 0, [], None, 0
+    for index, (t_values, c_values) in enumerate(groups):
+        if rows and (len(rows) == limit or (c_values is not run_c and c_values != run_c)):
+            yield start, len(rows), run_c, int.from_bytes(b"".join(rows), "big")
+            rows = []
+        if not rows:
+            start, run_c, limit = index, c_values, -(-DECODE_BATCH // len(c_values))
+        t_all = individual_values(compiled, t_values, policy)
+        rows.append(bytes([t_all[i] for i in t_slots]))
+    if rows:
+        yield start, len(rows), run_c, int.from_bytes(b"".join(rows), "big")
+
+
+class AllTGroups(Sequence):
+    """The groups of each level of an exhaustive stream: every t tuple, in
+    itertools.product order, with the whole c range.
+
+    One object serves every level of a check, so it builds the t-blocks
+    (blocks) once per check, plan and policy, and keeps them where a later
+    level reads them again: with keep set, as when a base-vector set has
+    more than one level. Without it (one level, as under zero_local) each
+    walk builds them lazily and drops them, holding one at a time.
+    """
+
+    def __init__(self, t_range: Sequence[int], n_t: int, c_values: Tuple[int, ...], keep: bool):
+        self.t_range, self.n_t, self.c_values, self.keep = t_range, n_t, c_values, keep
+        self._key: Optional[tuple] = None
+        self._kept: List[TBlock] = []
+        self._making: Iterator[TBlock] = iter(())
+
+    def __len__(self) -> int:
+        return len(self.t_range) ** self.n_t
+
+    def __getitem__(self, index: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        if not 0 <= index < len(self):
+            raise IndexError(f"group {index} of {len(self)}")
+        digits = []
+        for _ in range(self.n_t):
+            index, digit = divmod(index, len(self.t_range))
+            digits.append(self.t_range[digit])
+        return tuple(reversed(digits)), self.c_values
+
+    def __iter__(self) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        return zip(
+            itertools.product(self.t_range, repeat=self.n_t), itertools.repeat(self.c_values)
+        )
+
+    def blocks(self, compiled: CompiledInstance, policy: RandomnessPolicy) -> Iterator[TBlock]:
+        """_t_blocks of these groups. A row depends on the plan and policy
+        alone, so kept blocks serve every instance of the plan; they are
+        kept as they are first made, so a walk that stops early leaves the
+        rest to the next."""
+        if not self.keep:
+            yield from _t_blocks(compiled, self, policy)
+            return
+        key = (compiled.plan, policy, DECODE_BATCH)
+        if key != self._key:
+            self._key, self._kept, self._making = key, [], _t_blocks(compiled, self, policy)
+        index = 0
+        while True:
+            if index == len(self._kept):
+                block = next(self._making, None)
+                if block is None:
+                    return
+                self._kept.append(block)
+            yield self._kept[index]
+            index += 1
 
 
 def _answer_batches(
@@ -323,63 +418,90 @@ def _answer_batches(
     ips: Sequence[int],
     levels: Iterable[Level],
     policy: RandomnessPolicy,
-) -> Iterator[Batch]:
-    """The answers of every realization of the levels, in order, in batches
-    that run across levels: a batch closes at the first group that brings it
-    to DECODE_BATCH vectors, so it holds fewer than DECODE_BATCH + L, and
-    the last batch holds what is left.
+) -> Iterator[List[Piece]]:
+    """The answers of every realization of the levels, a t-block at a time,
+    in batches of pieces that run across levels.
 
-    Each answer is c * (ip + s + t) mod L, computed level by level: ip + s
-    once per level, ip + s + t once per group, and per multiplier c one
-    bytes.translate of that vector through c's table. Both addends are held
-    as one int with a byte per answer, residues below L. Where two residues
-    sum below 256 (2(L - 1) < 256, so every prime L up to 127), one int
-    addition adds every answer with no byte carry, and c's table reduces the
-    unreduced sums; a wider field adds answer by answer, mod L.
-    The t row (the correlated completion, gathered into answer order)
-    depends on t and the policy alone, so it is computed once per distinct
-    t tuple of this call and kept until the call ends: at most one per
-    sample for a sampled stream, and |t_range|^n_t rows for an exhaustive
-    one. Under DEFAULT_BOUND that is at most 3^12 = 531,441 rows where s
-    is drawn: the 9,565,938 realizations of one base-vector set of three
-    parties with 13 databases each and a leader set of 12 (n_s = 2,
-    n_t = 12, F_3) peak at 147 MB RSS, from 21 MB before the walk. Where
-    s is zeroed it can be 3^14 rows. c must be a residue in [0, L).
+    Each answer is c * (ip + s + t) mod L. Per level, the row ip + s is
+    made once. Per t-block, that row times a repeater (an int with a 1 in
+    the last byte of every row) plus the block's t rows is ip + s + t for
+    every group of the block: one multiply-add and one to_bytes. Per
+    multiplier c, one bytes.translate through c's table scales the whole
+    block. Rows hold a byte per answer. Where three residues sum below 256
+    (3(L - 1) < 256, every prime L up to 83), the sums stay unreduced,
+    ip + s is ip plus each local value times its answer mask (s_masks),
+    and c's table reduces them; a wider field adds answer by answer,
+    mod L.
+
+    A piece's vectors are in decode order, multiplier by multiplier and
+    then group by group; _in_stream_order maps them back to the stream's
+    order, group by group and then multiplier by multiplier. A batch closes
+    before a piece that would take it past DECODE_BATCH vectors, so it
+    holds at most DECODE_BATCH, or one piece of fewer than DECODE_BATCH +
+    L. An exhaustive stream's t-blocks are built once per check
+    (AllTGroups.blocks); other groups' as their level is walked. c must
+    be a residue in [0, L).
     """
     modulus = compiled.field.modulus
-    s_slots, t_slots = compiled.s_slots, compiled.t_slots
-    size = len(s_slots)
+    size = len(compiled.s_slots)
     tables = _scale_tables(modulus)
-    narrow = 2 * (modulus - 1) < 256
-    t_rows: Dict[Tuple[int, ...], int] = {}
-    groups: List[Tuple[Tuple[int, ...], Tuple[int, ...], Sequence[int]]] = []
-    vectors: List[bytes] = []
-    for s_values, t_groups in levels:
-        with_s = int.from_bytes(
-            bytes([(ip + s_values[i]) % modulus for ip, i in zip(ips, s_slots)]), "big"
-        )
-        for t_values, c_values in t_groups:
-            row = t_rows.get(t_values)
-            if row is None:
-                t_all = individual_values(compiled, t_values, policy)
-                row = t_rows[t_values] = int.from_bytes(
-                    bytes([t_all[i] for i in t_slots]), "big"
-                )
+    narrow = 3 * (modulus - 1) < 256
+    ip_row = int.from_bytes(bytes(ips), "big")
+    repeaters = {1: 1}  # by row count
+    batch: List[Piece] = []
+    vectors = 0
+    for s_values, groups in levels:
+        if narrow:
+            with_s = ip_row + sum(map(operator.mul, s_values, compiled.s_masks))
+        else:
+            with_s = bytes(
+                [(ip + s_values[i]) % modulus for ip, i in zip(ips, compiled.s_slots)]
+            )
+        if isinstance(groups, AllTGroups):
+            blocks = groups.blocks(compiled, policy)
+        else:
+            blocks = _t_blocks(compiled, groups, policy)
+        for start, rows, c_values, t_block in blocks:
             if narrow:
-                with_t = (with_s + row).to_bytes(size, "big")
+                repeater = repeaters.get(rows)
+                if repeater is None:
+                    repeater = repeaters[rows] = int.from_bytes(
+                        (bytes(size - 1) + b"\x01") * rows, "big"
+                    )
+                block = (with_s * repeater + t_block).to_bytes(rows * size, "big")
             else:
-                with_t = bytes(
+                block = bytes([
                     (a + b) % modulus
-                    for a, b in zip(with_s.to_bytes(size, "big"), row.to_bytes(size, "big"))
-                )
-            groups.append((s_values, t_values, c_values))
-            for c in c_values:
-                vectors.append(with_t.translate(tables[c]))
-            if len(vectors) >= DECODE_BATCH:
-                yield groups, vectors
-                groups, vectors = [], []
-    if vectors:
-        yield groups, vectors
+                    for a, b in zip(with_s * rows, t_block.to_bytes(rows * size, "big"))
+                ])
+            count = rows * len(c_values)
+            if batch and vectors + count > DECODE_BATCH:
+                yield batch
+                batch, vectors = [], 0
+            scaled = [block.translate(tables[c]) for c in c_values]
+            batch.append((s_values, groups, start, rows, c_values, scaled))
+            vectors += count
+    if batch:
+        yield batch
+
+
+def _joined(batch: List[Piece]) -> bytes:
+    """A batch's answer vectors joined end to end, in decode order."""
+    return b"".join([scaled for piece in batch for scaled in piece[-1]])
+
+
+def _in_stream_order(
+    batch: List[Piece],
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, int]]:
+    """Each realization (s, t, c) of a batch in stream order, with the
+    index of its answer vector in the batch's decode order."""
+    offset = 0
+    for s_values, groups, start, rows, c_values, _ in batch:
+        for row in range(rows):
+            t_values = groups[start + row][0]
+            for k, c_value in enumerate(c_values):
+                yield s_values, t_values, c_value, offset + k * rows + row
+        offset += rows * len(c_values)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +576,10 @@ def _raw_realizations(
 
     The first item gives one base-vector set's levels per call. An
     exhaustive call yields one level per s tuple, in itertools.product
-    order, whose groups are every t tuple (made lazily, in the same order)
-    with the whole c range. A sampled call yields one level per sample with
-    one group and one c, drawn in the order s, t, c; the samples continue
+    order, whose groups are one AllTGroups, the same object on every level
+    of every call: every t tuple, in the same order, with the whole c
+    range. A sampled call yields one level per sample with one group and
+    one c, drawn in the order s, t, c; the samples continue
     one seeded stream from call to call, so each set gets draws of its own.
     """
     s_range, t_range, c_range = _policy_ranges(policy, compiled.field.modulus)
@@ -464,12 +587,12 @@ def _raw_realizations(
         len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
     )
     if space <= bound:
-        c_values = tuple(c_range)
+        levels = len(s_range) ** compiled.n_s
+        groups = AllTGroups(t_range, compiled.n_t, tuple(c_range), keep=levels > 1)
 
         def exhaustive() -> Iterator[Level]:
             for s_values in itertools.product(s_range, repeat=compiled.n_s):
-                t_tuples = itertools.product(t_range, repeat=compiled.n_t)
-                yield s_values, zip(t_tuples, itertools.repeat(c_values))
+                yield s_values, groups
 
         return exhaustive, space, True
     if sample_beyond_bound <= 0:
@@ -512,12 +635,11 @@ class ReliabilityReport:
 
 MAX_FAILURES = 5  # check_reliability stops at this many failures
 # An exhaustive walk of fewer realizations stays in one process. On a shared
-# 2-vCPU Xeon host, forking and reaping a part takes about 3.8 ms. Walks of
-# 6,561 to 62,500 realizations take 20-33 ms in one process there, and a
-# split saves 2-12 ms of them with the other CPU idle, while with both CPUs
-# busy it has lost 7-9 ms in some runs and saved time in others. The 78,732
-# of the audit-exhaustive benchmark take about 60 ms, of which a split saves
-# about 19 ms with the other CPU idle.
+# 2-vCPU Xeon host, forking and reaping a part takes about 1.6 ms. With the
+# other CPU idle, walks of 13,122 and 62,500 realizations take about 4 ms in
+# one process and 1-1.5 ms more when split, while the 78,732 of the
+# audit-exhaustive benchmark take about 8.4 ms, of which a split saves about
+# 1.4 ms. With the other CPU busy, a split loses about 5 ms at each size.
 SPLIT_MIN_REALIZATIONS = 70_000
 
 PartResult = Tuple[int, List[Tuple[int, str]]]  # cases, [(case number, detail)]
@@ -606,6 +728,7 @@ def check_reliability(
     )
 
     elements = plan.leader_elements
+    lanes, size = len(elements), len(plan.answer_keys)
     # 1 per element in the intersection: what every realization must decode.
     zero_pattern = bytes(element in expected for element in elements)
 
@@ -614,18 +737,17 @@ def check_reliability(
         failures: List[Tuple[int, str]] = []
         for h_vectors in h_part:
             ips = query_inner_products(compiled, h_vectors)
-            for groups, vectors in _answer_batches(compiled, ips, draws(), policy):
-                zeros = decode_indicators(plan, b"".join(vectors), modulus).translate(IS_ZERO)
-                if zeros == zero_pattern * len(vectors):
-                    cases += len(vectors)
+            for batch in _answer_batches(compiled, ips, draws(), policy):
+                vectors = _joined(batch)
+                count = len(vectors) // size
+                zeros = decode_indicators(plan, vectors, modulus).translate(IS_ZERO)
+                if zeros == zero_pattern * count:  # the pass path: order does not matter
+                    cases += count
                     continue
-                # Some realization of the batch failed: read it one at a time.
-                realizations = ((s, t, c) for s, t, c_values in groups for c in c_values)
-                for start, (s_values, t_values, c_value) in zip(
-                    range(0, len(zeros), len(elements)), realizations
-                ):
+                # Some realization of the batch failed: read it in stream order.
+                for s_values, t_values, c_value, index in _in_stream_order(batch):
                     cases += 1
-                    row = zeros[start:start + len(elements)]
+                    row = zeros[index * lanes:(index + 1) * lanes]
                     if row != zero_pattern:
                         failures.append((cases, (
                             f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "

@@ -205,6 +205,29 @@ class TestReliability:
             for t, c in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1))
         ]
 
+    @pytest.mark.parametrize("batch", [1, 7, audit.DECODE_BATCH])
+    def test_failures_across_multipliers_come_in_stream_order(self, batch, monkeypatch):
+        # Element 4 of the leader's {1, 4} is outside the intersection. Only
+        # c = L - 1 = 2 maps every answer to 0, so only it decodes 4: the
+        # second realization of each group fails. A block's vectors are
+        # decoded multiplier by multiplier, yet the failures are read back
+        # in stream order (t, then c).
+        real = audit._scale_tables(3)
+        monkeypatch.setattr(audit, "_scale_tables", lambda modulus: (*real[:2], bytes(256)))
+        monkeypatch.setattr(audit, "DECODE_BATCH", batch)
+        refuse_fork(monkeypatch)
+        report = check_reliability(HOMOGENEOUS)
+        assert (report.passed, report.cases) == (False, 10)
+        failing = [((0, 0), t, 2) for t in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))]
+        compiled = compile_instance(HOMOGENEOUS)
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        stream = flatten(draws())
+        assert [stream.index(realization) + 1 for realization in failing] == [2, 4, 6, 8, 10]
+        assert report.failures == [
+            f"h=((0, 0, 0, 0),) s={s} t={t} c={c}: decoded [1, 4], true [1]"
+            for s, t, c in failing
+        ]
+
     def test_broken_correlation_two_party_reports_every_failure(self):
         report = check_reliability(
             TWO_PARTY, policy=RandomnessPolicy(correlation_offset=1)
@@ -499,6 +522,31 @@ class TestWalkAgreesWithOracle:
             assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
         assert check_reliability(instance, bound=10, sample_beyond_bound=3, h_samples=1).passed
 
+    @pytest.mark.parametrize("parties", [83, 89, 127])
+    def test_largest_sums_on_each_side_of_unreduced_rows(self, parties):
+        # Rows stay unreduced while 3(L - 1) < 256, up to F_83. In F_89 and
+        # F_127 three residues can pass 255, so the walk adds answer by
+        # answer. With h = L - 2 a targeted answer's inner product is L - 1,
+        # and s = t = L - 1 make it 3(L - 1). The level's two groups run
+        # under different multipliers, so each is a t-block of its own.
+        instance = AuditInstance(
+            tuple(profile(pid, {1}, 2) for pid in range(1, parties + 1)), Universe(1), 1
+        )
+        compiled = compile_instance(instance)
+        top = compiled.field.modulus - 1
+        assert top + 1 == parties
+        ips = query_inner_products(compiled, (bytes([top - 1]),))
+        assert top in ips
+        levels = [(
+            (top,) * compiled.n_s,
+            [((top,) * compiled.n_t, (1, top)), ((0,) * compiled.n_t, (2,))],
+        )]
+        walked = list(realization_answers(compiled, ips, levels))
+        assert [walk[:3] for walk in walked] == flatten(levels)
+        for s, t, c, vector in walked:
+            answers = reference_answers(compiled, ips, s, t, c)
+            assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
+
     def test_t_rows_belong_to_one_walk(self):
         # Both walks see the same t tuples over the same compiled instance;
         # rows kept from the faithful walk would give the shifted one the
@@ -528,16 +576,56 @@ class TestWalkAgreesWithOracle:
         assert sorted(calls) == sorted(itertools.product(range(3), repeat=2))
 
     @pytest.mark.parametrize(
+        "instance, policy, sets",
+        [
+            (HOMOGENEOUS, FAITHFUL, 1),
+            (FOUR_PARTY, FAITHFUL, 1),
+            (FOUR_PARTY, RandomnessPolicy(zero_local=True), 5),
+        ],
+        ids=["homogeneous", "four-party", "four-party-zero-local"],
+    )
+    def test_t_rows_built_once_per_check(self, instance, policy, sets, monkeypatch):
+        # Every level of every base-vector set reads the same t tuples, so
+        # a check builds each row once. Under zero_local a set is one level
+        # and no later level reads its rows again, so none is kept: each of
+        # FOUR_PARTY's five sets builds them afresh.
+        calls = []
+
+        def counting(compiled, t_values, policy):
+            calls.append(t_values)
+            return individual_values(compiled, t_values, policy)
+
+        monkeypatch.setattr(audit, "individual_values", counting)
+        refuse_fork(monkeypatch)
+        compiled = compile_instance(instance)
+        report = check_reliability(instance, policy=policy)
+        assert report.passed and report.exhaustive_h
+        t_tuples = list(itertools.product(range(compiled.field.modulus), repeat=compiled.n_t))
+        assert sorted(calls) == sorted(t_tuples * sets)
+
+    def test_exhaustive_groups_index_as_they_iterate(self):
+        compiled = compile_instance(FOUR_PARTY)
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        (_, groups), *rest = draws()
+        assert all(level_groups is groups for _, level_groups in rest)
+        assert [groups[index] for index in range(len(groups))] == list(groups)
+        assert len(groups) == 25
+        with pytest.raises(IndexError):
+            groups[25]
+
+    @pytest.mark.parametrize(
         "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
     )
     def test_masking_checks_answer_through_the_walk(self, check, monkeypatch):
+        # Each one-realization answer is one level through the walk's kernel.
         calls = []
+        real = audit._answer_batches
 
-        def counting(compiled, ips, levels, policy=FAITHFUL):
+        def counting(compiled, ips, levels, policy):
             calls.append(compiled)
-            return realization_answers(compiled, ips, levels, policy)
+            return real(compiled, ips, levels, policy)
 
-        monkeypatch.setattr("mppsi.audit.realization_answers", counting)
+        monkeypatch.setattr(audit, "_answer_batches", counting)
         assert check(HOMOGENEOUS).passed
         assert calls
 
@@ -649,28 +737,38 @@ def on_h_set(monkeypatch, instance, index, action):
 def fail_at_cases(monkeypatch, instance, bad_cases):
     """Decode wrongly at these case numbers (1-based, in serial walk order)
     of an instance whose base vectors are enumerated: the first indicator
-    lane of each such realization flips between zero and nonzero."""
+    lane of each such realization flips between zero and nonzero. A batch
+    decodes its vectors in its own order, so each one's case number is read
+    from the batch being decoded."""
     compiled = compile_instance(instance)
     h_list, exhaustive_h = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
     assert exhaustive_h
     per_set = compiled.space_size()
     lanes = len(compiled.plan.leader_elements)
     at = {}
-    real_ips, real_decode = audit.query_inner_products, audit.decode_indicators
+    real_ips, real_batches = audit.query_inner_products, audit._answer_batches
+    real_decode = audit.decode_indicators
 
     def query_inner_products(compiled, h_vectors):
         at["case"] = h_list.index(h_vectors) * per_set
         return real_ips(compiled, h_vectors)
 
+    def answer_batches(*args):
+        for batch in real_batches(*args):
+            at["batch"] = batch
+            yield batch
+
     def decode_indicators(plan, answers, modulus):
         indicators = bytearray(real_decode(plan, answers, modulus))
-        for start in range(0, len(indicators), lanes):
+        for *_, index in audit._in_stream_order(at["batch"]):
             at["case"] += 1
             if at["case"] in bad_cases:
+                start = index * lanes
                 indicators[start] = 0 if indicators[start] else 1
         return bytes(indicators)
 
     monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
+    monkeypatch.setattr(audit, "_answer_batches", answer_batches)
     monkeypatch.setattr(audit, "decode_indicators", decode_indicators)
 
 
