@@ -10,7 +10,6 @@ reliability and privacy guarantees.
 
 from .config import SessionConfig, load_config, parse_config
 from .errors import (
-    AuditPartError,
     BoundExceededError,
     ConfigError,
     InfeasibleError,
@@ -34,7 +33,6 @@ from .randomness import RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
 
 __all__ = [
-    "AuditPartError",
     "BoundExceededError",
     "ConfigError",
     "CostTable",

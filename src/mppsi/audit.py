@@ -24,13 +24,7 @@ exact rationals or integer counts; zero means zero. The checks are:
   pass path compares its zero pattern with the intersection's, which does
   not depend on that order. Only a batch that differs is read back in the
   stream's order (group, then multiplier), so case numbers and failure
-  text are those of a walk one realization at a time. An exhaustive walk
-  of SPLIT_MIN_REALIZATIONS or more, in a one-thread process, cuts its
-  base-vector sets into contiguous parts, one per CPU in
-  os.sched_getaffinity and at most one per set, and walks every part but
-  the first in a forked child. The parts merge in order, so the report is
-  the one-process walk's. A sampled stream is one RNG running on from set
-  to set, so it stays in one process;
+  text are those of a walk one realization at a time;
 * database-1 masking: the tuple of database-1 answers of a client is exactly
   uniform as that client's local vector sweeps its range, for any fixed rest;
 * subtraction masking: for every client except the correlating one, each
@@ -70,16 +64,13 @@ import functools
 import itertools
 import math
 import operator
-import os
-import threading
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .client import support_sum
-from .errors import AuditPartError, BoundExceededError
+from .errors import BoundExceededError
 from .field import PrimeField
 from .leader import (
     IS_ZERO, PartitionPlan, QueryPlan, decode_indicators, lay_out_queries, make_partition_plan
@@ -634,78 +625,6 @@ class ReliabilityReport:
 
 
 MAX_FAILURES = 5  # check_reliability stops at this many failures
-# An exhaustive walk of fewer realizations stays in one process. On a shared
-# 2-vCPU Xeon host, forking and reaping a part takes about 1.6 ms. With the
-# other CPU idle, walks of 13,122 and 62,500 realizations take about 4 ms in
-# one process and 1-1.5 ms more when split, while the 78,732 of the
-# audit-exhaustive benchmark take about 8.4 ms, of which a split saves about
-# 1.4 ms. With the other CPU busy, a split loses about 5 ms at each size.
-SPLIT_MIN_REALIZATIONS = 70_000
-
-PartResult = Tuple[int, List[Tuple[int, str]]]  # cases, [(case number, detail)]
-
-
-def _walk_parts(h_list: List[HVectors], exhaustive: bool, space: int) -> List[List[HVectors]]:
-    """h_list whole, or cut into contiguous parts, one per CPU this process
-    may run on and at most one per set, for a large exhaustive walk in a
-    one-thread process: a fork copies only its caller's thread, so a lock
-    another thread holds would stay held in the child."""
-    large = exhaustive and len(h_list) * space >= SPLIT_MIN_REALIZATIONS
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    if not (large and forkable and threading.active_count() == 1):
-        return [h_list]
-    count = min(len(os.sched_getaffinity(0)), len(h_list))
-    return [h_list[i * len(h_list) // count:(i + 1) * len(h_list) // count] for i in range(count)]
-
-
-def _in_parts(
-    walk: Callable[[List[HVectors]], PartResult], parts: List[List[HVectors]]
-) -> Iterator[PartResult]:
-    """walk(part) of each part, in order: the first walked here, each other
-    in a child made by os.fork, which pickles its result (or the exception
-    its walk raised) through a pipe and ends with os._exit. Closing the
-    generator, at the end, an early stop, an exception or an interrupt,
-    kills and reaps every child."""
-    pids: List[int] = []
-    reads: List[int] = []
-    try:
-        for part in parts[1:]:
-            import pickle  # Only a split loads these two, so processes that never
-            import signal  # split keep their memory footprint.
-            read_fd, write_fd = os.pipe()
-            reads.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        try:
-                            data = pickle.dumps((True, walk(part)))
-                        except BaseException as exc:  # every outcome goes back
-                            data = pickle.dumps((False, exc))
-                        with open(write_fd, "wb", closefd=False) as pipe:
-                            pipe.write(data)
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        yield walk(parts[0])
-        for number, read_fd in enumerate(reads, 2):
-            try:
-                with open(read_fd, "rb", closefd=False) as pipe:
-                    ok, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError) as exc:
-                message = f"part {number} of {len(parts)} of the reliability walk sent no result"
-                raise AuditPartError(message) from exc
-            if not ok:
-                raise value
-            yield value
-    finally:
-        for read_fd in reads:
-            os.close(read_fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def check_reliability(
@@ -732,44 +651,31 @@ def check_reliability(
     # 1 per element in the intersection: what every realization must decode.
     zero_pattern = bytes(element in expected for element in elements)
 
-    def walk(h_part: List[HVectors]) -> PartResult:
-        cases = 0
-        failures: List[Tuple[int, str]] = []
-        for h_vectors in h_part:
-            ips = query_inner_products(compiled, h_vectors)
-            for batch in _answer_batches(compiled, ips, draws(), policy):
-                vectors = _joined(batch)
-                count = len(vectors) // size
-                zeros = decode_indicators(plan, vectors, modulus).translate(IS_ZERO)
-                if zeros == zero_pattern * count:  # the pass path: order does not matter
-                    cases += count
-                    continue
-                # Some realization of the batch failed: read it in stream order.
-                for s_values, t_values, c_value, index in _in_stream_order(batch):
-                    cases += 1
-                    row = zeros[index * lanes:(index + 1) * lanes]
-                    if row != zero_pattern:
-                        failures.append((cases, (
-                            f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "
-                            f"c={c_value}: decoded {list(itertools.compress(elements, row))}, "
-                            f"true {sorted(expected)}"
-                        )))
-                        if len(failures) == MAX_FAILURES:
-                            return cases, failures
-        return cases, failures
-
-    parts = _walk_parts(h_list, exhaustive, space)
     cases = 0
     failures: List[str] = []
-    with closing(_in_parts(walk, parts)) as results:
-        for part_cases, part_failures in results:
-            for case, detail in part_failures:
-                failures.append(detail)
-                if len(failures) == MAX_FAILURES:
-                    return ReliabilityReport(
-                        False, cases + case, space, exhaustive, h_exhaustive, failures
+    for h_vectors in h_list:
+        ips = query_inner_products(compiled, h_vectors)
+        for batch in _answer_batches(compiled, ips, draws(), policy):
+            vectors = _joined(batch)
+            count = len(vectors) // size
+            zeros = decode_indicators(plan, vectors, modulus).translate(IS_ZERO)
+            if zeros == zero_pattern * count:  # the pass path: order does not matter
+                cases += count
+                continue
+            # Some realization of the batch failed: read it in stream order.
+            for s_values, t_values, c_value, index in _in_stream_order(batch):
+                cases += 1
+                row = zeros[index * lanes:(index + 1) * lanes]
+                if row != zero_pattern:
+                    failures.append(
+                        f"h={tuple(map(tuple, h_vectors))} s={s_values} t={t_values} "
+                        f"c={c_value}: decoded {list(itertools.compress(elements, row))}, "
+                        f"true {sorted(expected)}"
                     )
-            cases += part_cases
+                    if len(failures) == MAX_FAILURES:
+                        return ReliabilityReport(
+                            False, cases, space, exhaustive, h_exhaustive, failures
+                        )
     return ReliabilityReport(not failures, cases, space, exhaustive, h_exhaustive, failures)
 
 

@@ -38,7 +38,3 @@ class ProtocolViolationError(MppsiError):
 
 class BoundExceededError(MppsiError):
     """An exact enumeration would exceed the configured outcome bound."""
-
-
-class AuditPartError(MppsiError):
-    """A part of a split audit walk ended without sending its result."""

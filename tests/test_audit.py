@@ -1,9 +1,6 @@
 """Exact enumeration audits: reliability, masking lemmas, mutual information."""
 
 import itertools
-import os
-import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -33,7 +30,7 @@ from mppsi.audit import (
     realization_answers,
 )
 from mppsi.client import answer_value
-from mppsi.errors import AuditPartError, BoundExceededError
+from mppsi.errors import BoundExceededError
 from mppsi.field import select_field_size
 from mppsi.leader import decode_indicators, generate_queries
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
@@ -94,6 +91,20 @@ FOUR_PARTY = AuditInstance(
     ),
     universe=Universe(1),
     leader_override=1,
+)
+
+# The benchmark's shape: three parties of two databases, K = 6, R = 3.
+M3_N2_K6_R3 = tuple(
+    AuditInstance(
+        profiles=tuple(profile(i + 1, sets[i], 2) for i in range(3)),
+        universe=Universe(6),
+        leader_override=1,
+    )
+    for sets in (
+        ({1, 2, 3}, {1, 2, 4, 5}, {1, 3, 6}),
+        ({2, 4, 6}, {2, 4, 5}, {1, 2, 4, 6}),
+        ({1, 5, 6}, {2, 3}, {1, 2, 3, 4, 5}),
+    )
 )
 
 
@@ -170,6 +181,44 @@ class TestEnumeration:
             DistributionTable(((0, Fraction(1, 2)),))
 
 
+def fail_at_cases(monkeypatch, instance, bad_cases):
+    """Decode wrongly at these case numbers (1-based, in walk order)
+    of an instance whose base vectors are enumerated: the first indicator
+    lane of each such realization flips between zero and nonzero. A batch
+    decodes its vectors in its own order, so each one's case number is read
+    from the batch being decoded."""
+    compiled = compile_instance(instance)
+    h_list, exhaustive_h = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
+    assert exhaustive_h
+    per_set = compiled.space_size()
+    lanes = len(compiled.plan.leader_elements)
+    at = {}
+    real_ips, real_batches = audit.query_inner_products, audit._answer_batches
+    real_decode = audit.decode_indicators
+
+    def query_inner_products(compiled, h_vectors):
+        at["case"] = h_list.index(h_vectors) * per_set
+        return real_ips(compiled, h_vectors)
+
+    def answer_batches(*args):
+        for batch in real_batches(*args):
+            at["batch"] = batch
+            yield batch
+
+    def decode_indicators(plan, answers, modulus):
+        indicators = bytearray(real_decode(plan, answers, modulus))
+        for *_, index in audit._in_stream_order(at["batch"]):
+            at["case"] += 1
+            if at["case"] in bad_cases:
+                start = index * lanes
+                indicators[start] = 0 if indicators[start] else 1
+        return bytes(indicators)
+
+    monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
+    monkeypatch.setattr(audit, "_answer_batches", answer_batches)
+    monkeypatch.setattr(audit, "decode_indicators", decode_indicators)
+
+
 class TestReliability:
     def test_homogeneous_exhaustive(self):
         report = check_reliability(HOMOGENEOUS, h_samples=2)
@@ -189,6 +238,12 @@ class TestReliability:
     def test_two_party(self):
         report = check_reliability(TWO_PARTY)
         assert report.passed and report.exhaustive_h
+
+    def test_benchmark_shape(self):
+        # Sampled base-vector sets, each with 39,366 enumerated realizations.
+        report = check_reliability(M3_N2_K6_R3[0], h_samples=3)
+        assert report.passed and report.exhaustive_randomness and not report.exhaustive_h
+        assert report.cases == 3 * 39_366
 
     # The failure strings and counts below pin the enumeration order (s, then
     # t, then c, innermost last, under each base-vector set) and the stop
@@ -215,7 +270,6 @@ class TestReliability:
         real = audit._scale_tables(3)
         monkeypatch.setattr(audit, "_scale_tables", lambda modulus: (*real[:2], bytes(256)))
         monkeypatch.setattr(audit, "DECODE_BATCH", batch)
-        refuse_fork(monkeypatch)
         report = check_reliability(HOMOGENEOUS)
         assert (report.passed, report.cases) == (False, 10)
         failing = [((0, 0), t, 2) for t in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))]
@@ -226,6 +280,33 @@ class TestReliability:
         assert report.failures == [
             f"h=((0, 0, 0, 0),) s={s} t={t} c={c}: decoded [1, 4], true [1]"
             for s, t, c in failing
+        ]
+
+    @pytest.mark.parametrize(
+        "first, offsets",
+        [
+            (1, (2, 3, 4, 5, 6, 7)),
+            (40 * 162 + 1, (-2, -1, 0, 1, 2, 5)),
+            (80 * 162 + 1, (10, 11, 13, 14, 16, 17)),
+        ],
+        ids=["early", "across a set boundary", "late"],
+    )
+    def test_fifth_failure_stops_the_walk(self, first, offsets, monkeypatch):
+        # HOMOGENEOUS enumerates 81 base-vector sets of 162 realizations.
+        # Case 5 of bad is the stop, and each failure names its own
+        # realization, on either side of a set boundary.
+        bad = sorted(first + offset for offset in offsets)
+        fail_at_cases(monkeypatch, HOMOGENEOUS, set(bad))
+        report = check_reliability(HOMOGENEOUS)
+        assert (report.passed, report.cases) == (False, bad[4])
+        compiled = compile_instance(HOMOGENEOUS)
+        h_list, _ = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
+        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
+        stream = flatten(draws())
+        assert [failure.split(": decoded")[0] for failure in report.failures] == [
+            f"h={tuple(map(tuple, h_list[(case - 1) // 162]))} s={s} t={t} c={c}"
+            for case in bad[:5]
+            for s, t, c in [stream[(case - 1) % 162]]
         ]
 
     def test_broken_correlation_two_party_reports_every_failure(self):
@@ -294,8 +375,9 @@ class TestReliability:
             (HOMOGENEOUS, {}),
             (HOMOGENEOUS, {"policy": RandomnessPolicy(correlation_offset=1)}),
             (HETEROGENEOUS, {"bound": 10**4, "sample_beyond_bound": 400}),
+            (M3_N2_K6_R3[0], {}),
         ],
-        ids=["homogeneous", "homogeneous-offset", "heterogeneous-sampled"],
+        ids=["homogeneous", "homogeneous-offset", "heterogeneous-sampled", "benchmark walk"],
     )
     def test_one_decode_per_case(self, instance, kwargs, monkeypatch):
         # Every realization is decoded exactly once: each kernel call decodes
@@ -309,7 +391,6 @@ class TestReliability:
             return real(plan, answers, modulus)
 
         monkeypatch.setattr(audit, "decode_indicators", counting)
-        refuse_fork(monkeypatch)
         report = check_reliability(instance, **kwargs)
         assert report.cases > 0
         assert max(counts) < audit.DECODE_BATCH + compile_instance(instance).field.modulus
@@ -339,7 +420,6 @@ class TestReliability:
         if policy == "top":
             break_correlation_at_top(monkeypatch)
             policy = FAITHFUL
-        refuse_fork(monkeypatch)
         default = check_reliability(instance, policy=policy)
         counts = []
         real = audit.decode_indicators
@@ -353,20 +433,6 @@ class TestReliability:
         assert check_reliability(instance, policy=policy) == default
         assert max(counts) < batch + compile_instance(instance).field.modulus
 
-
-# The benchmark's shape: three parties of two databases, K = 6, R = 3.
-M3_N2_K6_R3 = tuple(
-    AuditInstance(
-        profiles=tuple(profile(i + 1, sets[i], 2) for i in range(3)),
-        universe=Universe(6),
-        leader_override=1,
-    )
-    for sets in (
-        ({1, 2, 3}, {1, 2, 4, 5}, {1, 3, 6}),
-        ({2, 4, 6}, {2, 4, 5}, {1, 2, 4, 6}),
-        ({1, 5, 6}, {2, 3}, {1, 2, 3, 4, 5}),
-    )
-)
 
 POLICIES = (
     FAITHFUL,
@@ -596,7 +662,6 @@ class TestWalkAgreesWithOracle:
             return individual_values(compiled, t_values, policy)
 
         monkeypatch.setattr(audit, "individual_values", counting)
-        refuse_fork(monkeypatch)
         compiled = compile_instance(instance)
         report = check_reliability(instance, policy=policy)
         assert report.passed and report.exhaustive_h
@@ -686,231 +751,6 @@ class TestRunnerAgreesWithAuditor:
                 transcript.leader_id
             ]
             assert load_transcript(transcript.serialize()) == transcript
-
-
-def set_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def count_forks(monkeypatch):
-    """Let os.fork run, and count its calls in this process."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def refuse_fork(monkeypatch):
-    def fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", fork)
-
-
-def serial_reliability(monkeypatch, instance, **kwargs):
-    """check_reliability on one CPU, where it must not fork."""
-    with monkeypatch.context() as patch:
-        set_cpus(patch, 1)
-        refuse_fork(patch)
-        return check_reliability(instance, **kwargs)
-
-
-def on_h_set(monkeypatch, instance, index, action):
-    """Run action(h_vectors) before the inner products of h_list[index]."""
-    compiled = compile_instance(instance)
-    h_list, _ = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
-    real = audit.query_inner_products
-
-    def query_inner_products(compiled, h_vectors):
-        if h_vectors == h_list[index]:
-            action(h_vectors)
-        return real(compiled, h_vectors)
-
-    monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
-
-
-def fail_at_cases(monkeypatch, instance, bad_cases):
-    """Decode wrongly at these case numbers (1-based, in serial walk order)
-    of an instance whose base vectors are enumerated: the first indicator
-    lane of each such realization flips between zero and nonzero. A batch
-    decodes its vectors in its own order, so each one's case number is read
-    from the batch being decoded."""
-    compiled = compile_instance(instance)
-    h_list, exhaustive_h = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
-    assert exhaustive_h
-    per_set = compiled.space_size()
-    lanes = len(compiled.plan.leader_elements)
-    at = {}
-    real_ips, real_batches = audit.query_inner_products, audit._answer_batches
-    real_decode = audit.decode_indicators
-
-    def query_inner_products(compiled, h_vectors):
-        at["case"] = h_list.index(h_vectors) * per_set
-        return real_ips(compiled, h_vectors)
-
-    def answer_batches(*args):
-        for batch in real_batches(*args):
-            at["batch"] = batch
-            yield batch
-
-    def decode_indicators(plan, answers, modulus):
-        indicators = bytearray(real_decode(plan, answers, modulus))
-        for *_, index in audit._in_stream_order(at["batch"]):
-            at["case"] += 1
-            if at["case"] in bad_cases:
-                start = index * lanes
-                indicators[start] = 0 if indicators[start] else 1
-        return bytes(indicators)
-
-    monkeypatch.setattr(audit, "query_inner_products", query_inner_products)
-    monkeypatch.setattr(audit, "_answer_batches", answer_batches)
-    monkeypatch.setattr(audit, "decode_indicators", decode_indicators)
-
-
-class TestSplitWalk:
-    """check_reliability split across forked children reports exactly what
-    the one-process walk reports, and leaves no child behind."""
-
-    @pytest.mark.parametrize(
-        "policy",
-        POLICIES,
-        ids=["faithful", "zero_local", "zero_individual", "offset", "fixed_global"],
-    )
-    @pytest.mark.parametrize(
-        "instance",
-        [HOMOGENEOUS, TWO_PARTY, FOUR_PARTY],
-        ids=["homogeneous", "two-party", "four-party"],
-    )
-    def test_report_equals_the_serial_walk(self, instance, policy, monkeypatch):
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        sets = len(_h_realizations(compile_instance(instance), 0, 2, DEFAULT_H_ENUM_LIMIT)[0])
-        for h_samples in (2, 3, 5):
-            serial = serial_reliability(monkeypatch, instance, policy=policy, h_samples=h_samples)
-            for cpus in (2, 3):
-                with monkeypatch.context() as patch:
-                    set_cpus(patch, cpus)
-                    forks = count_forks(patch)
-                    split = check_reliability(instance, policy=policy, h_samples=h_samples)
-                assert split == serial
-                assert len(forks) == min(cpus, sets) - 1
-
-    def test_sampled_base_vectors_split_at_the_default_size(self, monkeypatch):
-        # The benchmark's shape: two sampled base-vector sets, each with
-        # 39,366 enumerated realizations, so the walk splits unpatched.
-        instance = M3_N2_K6_R3[0]
-        serial = serial_reliability(monkeypatch, instance, h_samples=3)
-        assert serial.passed and not serial.exhaustive_h and serial.cases == 3 * 39_366
-        for cpus in (2, 3):
-            with monkeypatch.context() as patch:
-                set_cpus(patch, cpus)
-                forks = count_forks(patch)
-                assert check_reliability(instance, h_samples=3) == serial
-            assert len(forks) == cpus - 1
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("where", ["first part", "across two parts", "last part"])
-    def test_fifth_failure_stops_the_merged_walk(self, where, cpus, monkeypatch):
-        # HOMOGENEOUS enumerates 81 base-vector sets of 162 realizations;
-        # part i of n starts at set 81 * i // n. Case 5 of bad is the stop.
-        part, offsets = {
-            "first part": (0, (2, 3, 4, 5, 6, 7)),
-            "across two parts": (1, (-2, -1, 0, 1, 2, 5)),
-            "last part": (cpus - 1, (10, 11, 13, 14, 16, 17)),
-        }[where]
-        start = 81 * part // cpus * 162 + 1
-        bad = {start + offset for offset in offsets}
-        fail_at_cases(monkeypatch, HOMOGENEOUS, bad)
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        serial = serial_reliability(monkeypatch, HOMOGENEOUS)
-        assert (serial.passed, serial.cases) == (False, sorted(bad)[4])
-        assert len(serial.failures) == 5
-        set_cpus(monkeypatch, cpus)
-        forks = count_forks(monkeypatch)
-        assert check_reliability(HOMOGENEOUS) == serial
-        assert len(forks) == cpus - 1
-
-    def test_sampled_randomness_one_cpu_and_other_threads_never_fork(self, monkeypatch):
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        refuse_fork(monkeypatch)
-        set_cpus(monkeypatch, 2)
-        sampled = check_reliability(HETEROGENEOUS, bound=10**4, sample_beyond_bound=400)
-        assert sampled.passed and not sampled.exhaustive_randomness and sampled.cases == 800
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, daemon=True)
-        thread.start()
-        try:
-            assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        set_cpus(monkeypatch, 1)
-        assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert check_reliability(FOUR_PARTY).cases == 5 * 12_500
-
-    def test_small_walk_stays_in_one_process(self, monkeypatch):
-        refuse_fork(monkeypatch)
-        set_cpus(monkeypatch, 2)
-        assert check_reliability(HOMOGENEOUS).cases == 81 * 162 < audit.SPLIT_MIN_REALIZATIONS
-
-    def test_exception_in_a_child_reaches_the_caller(self, monkeypatch):
-        def fail(h_vectors):
-            h_text = tuple(map(tuple, h_vectors))
-            raise ValueError(f"no inner products for {h_text} in process {os.getpid()}")
-
-        on_h_set(monkeypatch, HOMOGENEOUS, -1, fail)
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        set_cpus(monkeypatch, 2)
-        with pytest.raises(ValueError, match=r"no inner products for \(\(2, 2, 2, 2\),\)") as info:
-            check_reliability(HOMOGENEOUS)
-        assert f"in process {os.getpid()}" not in str(info.value)
-
-    def test_child_ending_without_a_result_is_a_typed_error(self, monkeypatch):
-        on_h_set(monkeypatch, HOMOGENEOUS, -1, lambda h_vectors: os._exit(3))
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        set_cpus(monkeypatch, 3)
-        start = time.monotonic()
-        with pytest.raises(AuditPartError, match="part 3 of 3 of the reliability walk sent no result"):
-            check_reliability(HOMOGENEOUS)
-        assert time.monotonic() - start < 30
-
-    @pytest.mark.parametrize("stop", ["early stop", "interrupt"])
-    def test_children_still_running_are_killed_and_reaped(self, stop, monkeypatch):
-        parent = os.getpid()
-
-        def hang_in_child(h_vectors):
-            if os.getpid() != parent:
-                time.sleep(600)
-
-        def hang_in_child_or_interrupt(h_vectors):
-            hang_in_child(h_vectors)
-            raise KeyboardInterrupt
-
-        # The children each walk from h_list[27] or h_list[54] and hang at
-        # their first set; the parent walks h_list[0] to h_list[26].
-        for index in (27, 54):
-            on_h_set(monkeypatch, HOMOGENEOUS, index, hang_in_child)
-        monkeypatch.setattr(audit, "SPLIT_MIN_REALIZATIONS", 0)
-        set_cpus(monkeypatch, 3)
-        forks = count_forks(monkeypatch)
-        start = time.monotonic()
-        if stop == "early stop":
-            report = check_reliability(HOMOGENEOUS, policy=RandomnessPolicy(correlation_offset=1))
-            assert (report.passed, report.cases) == (False, 5)
-        else:
-            on_h_set(monkeypatch, HOMOGENEOUS, 1, hang_in_child_or_interrupt)
-            with pytest.raises(KeyboardInterrupt):
-                check_reliability(HOMOGENEOUS)
-        assert time.monotonic() - start < 30
-        assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestDb1Uniformity:
