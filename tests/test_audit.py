@@ -108,6 +108,15 @@ M3_N2_K6_R3 = tuple(
 )
 
 
+POLICIES = (
+    FAITHFUL,
+    RandomnessPolicy(zero_local=True),
+    RandomnessPolicy(zero_individual=True),
+    RandomnessPolicy(correlation_offset=1),
+    RandomnessPolicy(fixed_global=1),
+)
+
+
 class TestEnumeration:
     def test_homogeneous_space_size(self):
         compiled = compile_instance(HOMOGENEOUS)
@@ -239,6 +248,19 @@ class TestReliability:
         report = check_reliability(TWO_PARTY)
         assert report.passed and report.exhaustive_h
 
+    @pytest.mark.parametrize(
+        "instance, sets, space",
+        [(HOMOGENEOUS, 81, 162), (TWO_PARTY, 2, 2), (FOUR_PARTY, 5, 12_500)],
+        ids=["homogeneous", "two-party", "four-party"],
+    )
+    def test_exhaustive_walk_checks_every_realization(self, instance, sets, space):
+        compiled = compile_instance(instance)
+        h_list, _ = _h_realizations(compiled, 0, 2, DEFAULT_H_ENUM_LIMIT)
+        assert (len(h_list), compiled.space_size()) == (sets, space)
+        report = check_reliability(instance)
+        assert report.passed and report.exhaustive_h and report.exhaustive_randomness
+        assert (report.space, report.cases) == (space, sets * space)
+
     def test_benchmark_shape(self):
         # Sampled base-vector sets, each with 39,366 enumerated realizations.
         report = check_reliability(M3_N2_K6_R3[0], h_samples=3)
@@ -291,12 +313,15 @@ class TestReliability:
         ],
         ids=["early", "across a set boundary", "late"],
     )
-    def test_fifth_failure_stops_the_walk(self, first, offsets, monkeypatch):
+    @pytest.mark.parametrize("batch", [1, 7, audit.DECODE_BATCH])
+    def test_fifth_failure_stops_the_walk(self, batch, first, offsets, monkeypatch):
         # HOMOGENEOUS enumerates 81 base-vector sets of 162 realizations.
         # Case 5 of bad is the stop, and each failure names its own
-        # realization, on either side of a set boundary.
+        # realization, on either side of a set boundary, whether batches
+        # end inside levels or span them.
         bad = sorted(first + offset for offset in offsets)
         fail_at_cases(monkeypatch, HOMOGENEOUS, set(bad))
+        monkeypatch.setattr(audit, "DECODE_BATCH", batch)
         report = check_reliability(HOMOGENEOUS)
         assert (report.passed, report.cases) == (False, bad[4])
         compiled = compile_instance(HOMOGENEOUS)
@@ -366,8 +391,23 @@ class TestReliability:
         with pytest.raises(ValueError, match="at least one sample"):
             check_reliability(M3_N2_K6_R3[0], h_samples=0)
 
-    def test_enumerated_base_vectors_ignore_the_sample_count(self):
-        assert check_reliability(TWO_PARTY, h_samples=0) == check_reliability(TWO_PARTY)
+    @pytest.mark.parametrize(
+        "policy",
+        POLICIES,
+        ids=["faithful", "zero_local", "zero_individual", "offset", "fixed_global"],
+    )
+    @pytest.mark.parametrize(
+        "instance",
+        [HOMOGENEOUS, TWO_PARTY, FOUR_PARTY],
+        ids=["homogeneous", "two-party", "four-party"],
+    )
+    def test_enumerated_base_vectors_ignore_the_sample_count(self, instance, policy):
+        # Passing and failing walks alike: every sample count walks every
+        # base-vector set, in the same order, to the same stop.
+        default = check_reliability(instance, policy=policy)
+        assert default.exhaustive_h
+        for h_samples in (0, 2, 3, 5):
+            assert check_reliability(instance, policy=policy, h_samples=h_samples) == default
 
     @pytest.mark.parametrize(
         "instance, kwargs",
@@ -432,15 +472,6 @@ class TestReliability:
         monkeypatch.setattr(audit, "DECODE_BATCH", batch)
         assert check_reliability(instance, policy=policy) == default
         assert max(counts) < batch + compile_instance(instance).field.modulus
-
-
-POLICIES = (
-    FAITHFUL,
-    RandomnessPolicy(zero_local=True),
-    RandomnessPolicy(zero_individual=True),
-    RandomnessPolicy(correlation_offset=1),
-    RandomnessPolicy(fixed_global=1),
-)
 
 
 def break_correlation_at_top(monkeypatch):
