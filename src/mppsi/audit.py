@@ -42,17 +42,17 @@ query_inner_products sums each client's support over them, and the
 delivered query tuples are their values. Base vectors are bytes; they become
 int tuples only in reliability failure text and delivered query outcomes.
 
-Reliability, the mutual-information checks and delivered_query_distribution
-enumerate one realization stream: base vectors from _all_h (or _drawn_h),
-levels of (s, t, c) from _raw_realizations under the caller's policy, answer
-vectors from _answer_batches, which realization_answers reads back one
-realization at a time in the stream's order. The masking checks share one
-core, _masking_tables: it draws each context's base vectors and fixed
-slots, sweeps the lemma's slots over the policy's ranges, and counts a
-statistic of the answers from answers_for_realization, one realization run
-through the same kernel. So every check answers through _answer_batches
-and decodes through decode_indicators, and the correlated completion is
-randomness.completion, the one the client databases run.
+Reliability, the masking and the mutual-information checks enumerate one
+realization stream: base vectors from _all_h (or _drawn_h), levels of
+(s, t, c), and answer vectors from _answer_batches. Reliability and the MI
+checks take their levels from _raw_realizations under the caller's policy;
+the masking checks' core, _masking_tables, makes each multiplier group's
+sweep of a context's lemma slots one stream of levels. The masking and MI
+checks read the batches back through answers_for_realization, one
+realization at a time in stream order; reliability decodes whole batches
+and reads back only one that fails. So every check answers through
+_answer_batches and decodes through decode_indicators, and the correlated
+completion is randomness.completion, the one the client databases run.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
 that make it fail, demonstrating the checks have power.
@@ -272,22 +272,6 @@ def individual_values(
     return (*t_values, *completed, 0)
 
 
-def answers_for_realization(
-    compiled: CompiledInstance,
-    ips: Sequence[int],
-    s_values: Tuple[int, ...],
-    t_values: Tuple[int, ...],
-    c_value: int,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> bytes:
-    """All answer values for one randomness realization, as bytes in
-    plan.answer_keys order: that one realization, a level of one group and
-    one multiplier, run through _answer_batches, whose one batch holds its
-    one vector."""
-    (batch,) = _answer_batches(compiled, ips, [(s_values, [(t_values, (c_value,))])], policy)
-    return batch[0][-1][0]
-
-
 @functools.lru_cache(maxsize=None)
 def _scale_tables(modulus: int) -> Tuple[bytes, ...]:
     """Per multiplier c in [0, L), the bytes.translate table taking each
@@ -295,15 +279,15 @@ def _scale_tables(modulus: int) -> Tuple[bytes, ...]:
     return tuple(bytes(c * v % modulus for v in range(256)) for c in range(modulus))
 
 
-def realization_answers(
+def answers_for_realization(
     compiled: CompiledInstance,
     ips: Sequence[int],
     levels: Iterable[Level],
     policy: RandomnessPolicy = FAITHFUL,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
-    """Each realization of the levels, in order, with its answers in
-    plan.answer_keys order as bytes, one residue per byte: the batches of
-    _answer_batches read back in stream order."""
+    """Each realization (s, t, c) of the levels with its answers, in stream
+    order: the batches of _answer_batches read back, answers as bytes in
+    plan.answer_keys order, one residue per byte."""
     size = len(compiled.s_slots)
     for batch in _answer_batches(compiled, ips, levels, policy):
         vectors = _joined(batch)
@@ -706,8 +690,9 @@ def _masking_tables(
     Each context is drawn once: its base vectors by _drawn_h, and the local
     and individual values the lemma holds fixed by _fixed_draw, under label.
     sweep maps those fixed values to the (s, t) pairs the lemma varies. A
-    group's table counts statistic over the answers, through
-    answers_for_realization, of every (s, t) pair with every c in the group.
+    group's sweep is one stream, a level per (s, t) pair with the group's
+    multipliers, and its table counts statistic over the answers that one
+    answers_for_realization call reads back.
     """
     modulus = compiled.field.modulus
     for ctx in range(contexts):
@@ -718,10 +703,10 @@ def _masking_tables(
         )
         pairs = list(sweep(s_fixed, t_fixed))
         for group in c_groups:
+            levels = [(s, [(t, group)]) for s, t in pairs]
             counts = Counter(
-                statistic(answers_for_realization(compiled, ips, s, t, c, policy))
-                for s, t in pairs
-                for c in group
+                statistic(answers)
+                for *_, answers in answers_for_realization(compiled, ips, levels, policy)
             )
             yield ctx, group, DistributionTable.from_counts(counts)
 
@@ -1004,7 +989,7 @@ def leader_privacy_mi(
             own_t_slots = [compiled.t_slots[i] for i, q in zip(delivered, received) if q.target]
             queries = tuple(query.values for query in received)
             ips = _inner_products(compiled, sent)
-            for s_values, t_values, c_value, answers in realization_answers(
+            for s_values, t_values, c_value, answers in answers_for_realization(
                 compiled, ips, draws()
             ):
                 t_all = individual_values(compiled, t_values, FAITHFUL)
@@ -1082,7 +1067,7 @@ def client_privacy_mi(
         joint = joints.setdefault(intersection, Counter())
         for h_vectors in _all_h(comp):
             ips = query_inner_products(comp, h_vectors)
-            for *_, answers in realization_answers(comp, ips, draws(), policy):
+            for *_, answers in answers_for_realization(comp, ips, draws(), policy):
                 # The query tuple is a fixed bijection of the base vectors
                 # here (the leader set is the conditioning instance's own),
                 # so the base vectors stand in for the delivered queries in

@@ -30,7 +30,7 @@ import itertools
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
@@ -162,12 +162,6 @@ class PartitionPlan:
     # each element's targeted answer; then per client, the negation of the
     # database-1 answer it is measured against.
     decode_blocks: Tuple[Tuple[int, ...], ...]
-
-    @functools.cached_property
-    def answer_key_set(self) -> FrozenSet[Tuple[int, int, Optional[int]]]:
-        """answer_keys as a set, built on first use and kept with the plan:
-        the key set decode_values checks every keyed answer set against."""
-        return frozenset(self.answer_keys)
 
 
 def make_partition_plan(
@@ -345,7 +339,7 @@ def decode_values(
     target_pos), each value a residue below L. Raises on missing or
     unexpected answers.
     """
-    expected = plan.answer_key_set
+    expected = frozenset(plan.answer_keys)
     if answer_values.keys() != expected:
         got = set(answer_values)
         raise ProtocolViolationError(

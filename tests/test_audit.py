@@ -27,7 +27,6 @@ from mppsi.audit import (
     answers_for_realization,
     leader_view,
     query_inner_products,
-    realization_answers,
 )
 from mppsi.client import answer_value
 from mppsi.errors import BoundExceededError
@@ -510,7 +509,7 @@ def oracle_reliability(
     """check_reliability realization by realization through the oracle path.
 
     Every realization is answered by reference_answers and decoded by the
-    keyed reference_indicators, and realization_answers' vector and the
+    keyed reference_indicators, and answers_for_realization's vector and the
     kernel's indicators of it must equal those, also past the report's stop
     after five failures.
     """
@@ -526,7 +525,7 @@ def oracle_reliability(
         ips = query_inner_products(compiled, h_vectors)
         levels = [(s, list(groups)) for s, groups in draws()]
         tuples = flatten(levels)
-        walked = list(realization_answers(compiled, ips, levels, policy))
+        walked = list(answers_for_realization(compiled, ips, levels, policy))
         assert [walk[:3] for walk in walked] == tuples
         for (s, t, c), (*_, vector) in zip(tuples, walked):
             answers = reference_answers(compiled, ips, s, t, c, policy)
@@ -614,7 +613,7 @@ class TestWalkAgreesWithOracle:
         ips = query_inner_products(compiled, (bytes([130]),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, 10, 3, 0)
         levels = [(s, list(groups)) for s, groups in draws()]
-        for s, t, c, vector in realization_answers(compiled, ips, levels):
+        for s, t, c, vector in answers_for_realization(compiled, ips, levels):
             answers = reference_answers(compiled, ips, s, t, c)
             assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
         assert check_reliability(instance, bound=10, sample_beyond_bound=3, h_samples=1).passed
@@ -638,7 +637,7 @@ class TestWalkAgreesWithOracle:
             (top,) * compiled.n_s,
             [((top,) * compiled.n_t, (1, top)), ((0,) * compiled.n_t, (2,))],
         )]
-        walked = list(realization_answers(compiled, ips, levels))
+        walked = list(answers_for_realization(compiled, ips, levels))
         assert [walk[:3] for walk in walked] == flatten(levels)
         for s, t, c, vector in walked:
             answers = reference_answers(compiled, ips, s, t, c)
@@ -653,7 +652,7 @@ class TestWalkAgreesWithOracle:
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
         levels = [(s, list(groups)) for s, groups in draws()]
         for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
-            for s, t, c, vector in realization_answers(compiled, ips, levels, policy):
+            for s, t, c, vector in answers_for_realization(compiled, ips, levels, policy):
                 answers = reference_answers(compiled, ips, s, t, c, policy)
                 assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
 
@@ -668,7 +667,7 @@ class TestWalkAgreesWithOracle:
         compiled = compile_instance(HOMOGENEOUS)
         ips = query_inner_products(compiled, (bytes(4),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
-        walked = sum(1 for _ in realization_answers(compiled, ips, draws()))
+        walked = sum(1 for _ in answers_for_realization(compiled, ips, draws()))
         assert walked == 162
         assert sorted(calls) == sorted(itertools.product(range(3), repeat=2))
 
@@ -770,7 +769,9 @@ class TestRunnerAgreesWithAuditor:
             if transcript.messages:  # an empty leader set draws nothing
                 compiled, h, realization = session_realization(config, policy)
                 ips = query_inner_products(compiled, h)
-                walked = answers_for_realization(compiled, ips, *realization, policy)
+                s, t, c = realization
+                level = (s, [(t, (c,))])
+                ((*_, walked),) = answers_for_realization(compiled, ips, [level], policy)
                 sent = {
                     (m.origin[0], m.partition, m.target): m.values[0]
                     for m in transcript.messages_in_phase("answer")
@@ -840,6 +841,29 @@ def test_masking_check_needs_a_context(check, instance):
     # With no context a masking check would pass with no table.
     with pytest.raises(ValueError, match="at least one context"):
         check(instance, contexts=0)
+
+
+@pytest.mark.parametrize(
+    "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
+)
+@pytest.mark.parametrize(
+    "policy",
+    [FAITHFUL, RandomnessPolicy(correlation_offset=1)],
+    ids=["faithful", "correlation_offset"],
+)
+def test_masking_check_reads_back_once_per_table(check, policy, monkeypatch):
+    # Each table's sweep is one stream of levels, read back in one call,
+    # not one call per realization.
+    calls = []
+    read_back = audit.answers_for_realization
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return read_back(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "answers_for_realization", counting)
+    report = check(HOMOGENEOUS, policy=policy)
+    assert len(calls) == len(report.tables)
 
 
 class TestIndicatorPrivacy:
