@@ -25,8 +25,8 @@ exact rationals or integer counts; zero means zero. The checks are:
   not depend on that order. Only a batch that differs is read back in the
   stream's order (group, then multiplier), so case numbers and failure
   text are those of a walk one realization at a time;
-* database-1 masking: the tuple of database-1 answers of a client is exactly
-  uniform as that client's local vector sweeps its range, for any fixed rest;
+* database-1 masking: a client's database-1 answer tuple is exactly uniform
+  as its local vector sweeps its range, the rest drawn per context;
 * subtraction masking: for every client except the correlating one, each
   per-element subtraction statistic is exactly uniform as its free
   individual value sweeps the field;
@@ -688,11 +688,11 @@ def _masking_tables(
     """The masking lemmas' core: per context, one table per multiplier group.
 
     Each context is drawn once: its base vectors by _drawn_h, and the local
-    and individual values the lemma holds fixed by _fixed_draw, under label.
-    sweep maps those fixed values to the (s, t) pairs the lemma varies. A
-    group's sweep is one stream, a level per (s, t) pair with the group's
-    multipliers, and its table counts statistic over the answers that one
-    answers_for_realization call reads back.
+    and individual values the lemma holds fixed by _fixed_draw, under label;
+    drawn, not zero, so a completion wrong only at some t meets the sweeps.
+    sweep maps them to the (s, t) pairs the lemma varies. A group's sweep is
+    one stream, a level per (s, t) pair with the group's multipliers, and
+    its table counts statistic over what answers_for_realization reads back.
     """
     modulus = compiled.field.modulus
     for ctx in range(contexts):

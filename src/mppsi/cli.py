@@ -29,8 +29,6 @@ from .config import SessionConfig, load_config
 from .demo import DEMOS, format_report, run_demo
 from .errors import BoundExceededError, ConfigError, MppsiError
 from .leader import make_partition_plan
-from .model import Universe
-from .protocol import prepare_session
 from .randomness import RandomnessPolicy
 from .session import run_session
 
@@ -94,7 +92,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_cost(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    setup = config.prepared[0]
     table, chosen = setup.costs, setup.leader.party_id
     if args.json:
         print(
@@ -125,8 +123,8 @@ def _leader_mi_candidates(leader_set, universe_size: int) -> Optional[List[froze
 
 
 def _audit_checks(config: SessionConfig, args) -> List[Dict]:
-    universe = Universe(config.universe_size)
-    setup = prepare_session(config.parties, universe, config.leader_override)
+    universe = config.universe
+    setup = config.prepared[0]
     instance = audit_mod.AuditInstance(
         profiles=config.parties,
         universe=universe,

@@ -21,6 +21,7 @@ inside the universe. Validation failures carry field-level diagnostics.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
@@ -50,6 +51,13 @@ class SessionConfig:
     @property
     def universe(self) -> Universe:
         return Universe(self.universe_size)
+
+    @functools.cached_property
+    def prepared(self):
+        """protocol.prepare(self), once per config object; protocol imports this module."""
+        from .protocol import prepare
+
+        return prepare(self)
 
 
 def _require_int(value, what: str, minimum: int, maximum: Optional[int] = None) -> int:

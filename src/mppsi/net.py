@@ -26,7 +26,8 @@ its receiver, having read every frame, closes it; a query connection one
 answer per query, each from the database it reaches to the leader, so it is
 done at the last.
 
-run_networked_session gives session.run_leader the TCP exchange. Its round
+run_networked_session gives session.run_leader the TCP exchange; the runner and
+every endpoint read their setup and session id from config.prepared. Its round
 also waits until each in-process endpoint's shares are sent or have failed,
 and fails at once, with the error as its cause, when one records an error.
 The exchange returns the shares they logged as sent, in
@@ -52,7 +53,6 @@ from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
 from .leader import make_plan_shape
-from .protocol import SessionSetup, prepare
 from .randomness import FAITHFUL, RandomnessPolicy, share_order
 from .session import SessionTranscript, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
@@ -89,8 +89,6 @@ class DatabaseEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
         policy: RandomnessPolicy = FAITHFUL,
-        *,
-        _prepared: Optional[Tuple[SessionSetup, str]] = None,
     ):
         self.config = config
         self.party_id = party_id
@@ -113,11 +111,7 @@ class DatabaseEndpoint:
         profile = by_id[party_id]
         if not 1 <= database <= profile.num_databases:
             raise ConfigError(f"party {party_id} has no database {database}")
-        # _prepared: the config's setup and session id, when the caller has
-        # them already (spawn_endpoints derives them once for every endpoint).
-        # The endpoint keeps them for a runner given it with the same config.
-        self._prepared = _prepared or prepare(config)
-        setup, self.session_id = self._prepared
+        setup, self.session_id = config.prepared
         self.field = setup.field
         self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
         self.leader_id = setup.leader.party_id
@@ -536,23 +530,14 @@ def _endpoint_errors(endpoints: Sequence[DatabaseEndpoint]) -> List[TransportErr
 
 
 def spawn_endpoints(
-    config: SessionConfig,
-    policy: RandomnessPolicy = FAITHFUL,
-    *,
-    _prepared: Optional[Tuple[SessionSetup, str]] = None,
+    config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
 ) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
-    # _prepared: the config's setup and session id, when the caller has them
-    # already (run_networked_session gets both from run_leader).
-    _prepared = _prepared or prepare(config)
-    setup = _prepared[0]
     loop = _ServeLoop()
     endpoints = []
-    for client in setup.clients:
+    for client in config.prepared[0].clients:
         for db in range(1, client.num_databases + 1):
-            endpoint = DatabaseEndpoint(
-                config, client.party_id, db, policy=policy, _prepared=_prepared
-            )
+            endpoint = DatabaseEndpoint(config, client.party_id, db, policy=policy)
             endpoint.start(loop)
             endpoints.append(endpoint)
     loop.start()
@@ -568,9 +553,9 @@ def run_networked_session(
 
     Without explicit endpoints (and without configured addresses) the runner
     spawns one endpoint per client database under policy, all served by one
-    thread, and tears them down afterwards. Either way the session elects
-    and derives its session id once: given endpoints built from this config
-    lend the runner the setup and session id they carry.
+    thread, and tears them down afterwards. The runner and endpoints built
+    from this config object read one config.prepared, so the session elects
+    and derives its session id once.
     """
 
     def exchange(setup, plan, query_plan, session_id):
@@ -585,7 +570,7 @@ def run_networked_session(
             return (), _query_round(config.addresses, queries, leader)
         serving = endpoints
         if serving is None:
-            serving = spawn_endpoints(config, policy, _prepared=(setup, session_id))
+            serving = spawn_endpoints(config, policy)
         try:
             addresses = {(ep.party_id, ep.database): ep.address for ep in serving}
             # In-process endpoints start their randomness traffic only now, so
@@ -600,8 +585,7 @@ def run_networked_session(
                 for ep in serving:
                     ep.stop()
 
-    prepared = endpoints[0]._prepared if endpoints and endpoints[0].config == config else None
-    return run_leader(config, exchange, _prepared=prepared)
+    return run_leader(config, exchange)
 
 
 def _check_external_addresses(setup, addresses) -> None:

@@ -4,11 +4,12 @@ prepare_session elects (or accepts) the leader and checks feasibility;
 the leader's driver, session.run_leader, the database endpoints and the
 audit module all elect through it. make_session_id is the one session-id
 function, of the config alone, so every transport and endpoint derives the
-same id. prepare runs both for a config: the leader's driver and the
-database endpoints prepare through it. collect_answers is the in-memory
-answer round: every database answers the queries delivered to it from its
-own database.DatabaseState, through client.answer_all, the function a TCP
-endpoint answers with too.
+same id. prepare runs both for a config, once per config object: the
+config's cached SessionConfig.prepared calls it, and the leader's driver,
+the database endpoints and the CLI read that. collect_answers is the
+in-memory answer round: every database answers the queries delivered to it
+from its own database.DatabaseState, through client.answer_all, the
+function a TCP endpoint answers with too.
 """
 
 from __future__ import annotations

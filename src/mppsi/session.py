@@ -7,10 +7,11 @@ cost table and the decoded result; with the in-memory transport it is a pure
 function of (config, seed) and serializes to byte-identical files across
 repeats.
 
-run_leader is the leader's side of every session. A transport is only the
-exchange function it hands the queries to, which returns the shares and the
-answers: run_memory_session routes database states in memory, and
-net.run_networked_session frames the messages to TCP endpoints.
+run_leader is the leader's side of every session, set up by config.prepared
+as net's endpoints are. A transport is only the exchange function it hands
+the queries to, which returns the shares and the answers: run_memory_session
+routes database states in memory, and net.run_networked_session frames the
+messages to TCP endpoints.
 
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .config import SessionConfig
 from .errors import ConfigError, ProtocolViolationError
@@ -46,7 +47,7 @@ from .leader import (
     generate_queries,
     make_partition_plan,
 )
-from .protocol import SessionSetup, collect_answers, prepare
+from .protocol import SessionSetup, collect_answers
 from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from .wire import Message, decode_msg, encode_msg
 
@@ -219,20 +220,13 @@ def transcript_from_run(
     )
 
 
-def run_leader(
-    config: SessionConfig,
-    exchange: Exchange,
-    *,
-    _prepared: Optional[Tuple[SessionSetup, str]] = None,
-) -> SessionTranscript:
+def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
     """Run the leader's side of one session, its traffic carried by exchange.
 
-    An empty leader set short-circuits: the intersection is necessarily
-    empty, so nothing is drawn and exchange is never called.
+    config.prepared gives the setup and session id. An empty leader set short-circuits:
+    the intersection is necessarily empty, so nothing is drawn and exchange is never called.
     """
-    # _prepared: the config's setup and session id, when the transport has
-    # them already (net's endpoints built from this config carry both).
-    setup, session_id = _prepared or prepare(config)
+    setup, session_id = config.prepared
     if not setup.leader.data_set:
         empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)

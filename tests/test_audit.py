@@ -909,6 +909,16 @@ class TestIndicatorPrivacy:
         assert not report.passed
         assert report.detail == "element 1: indicator not always zero"
 
+    def test_completion_wrong_for_some_t_fails(self, monkeypatch):
+        # The drawn individual values a sweep holds fixed reach a t tuple
+        # whose completion is wrong; values held at zero would not.
+        break_correlation_at_top(monkeypatch)
+        report = check_indicator_privacy(HETEROGENEOUS)
+        assert not report.passed
+        assert report.detail == (
+            "element 5, column sum 2: indicator not uniform over nonzero residues"
+        )
+
 
 class TestQueryTupleDistribution:
     CLIENTS = [profile(1, {1, 3}, 2), profile(2, {2}, 2)]

@@ -1,11 +1,13 @@
 """Config schema parsing and validation diagnostics."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from mppsi.config import parse_config
-from mppsi.errors import ConfigError
+from mppsi.errors import ConfigError, InfeasibleError
+from mppsi.protocol import make_session_id, prepare
 
 FIXTURE = {
     "universe_size": 4,
@@ -195,3 +197,33 @@ class TestFrameLimit:
         assert config.universe_size == limit
         with pytest.raises(ConfigError, match="frame limit"):
             parse_config(as_json(self.config(limit + 1, transport="memory")))
+
+
+class TestPrepared:
+    """SessionConfig.prepared: protocol.prepare, cached on the config object."""
+
+    def test_cached_on_the_object(self):
+        config = parse_config(as_json(FIXTURE))
+        assert config.prepared is config.prepared
+        assert config.prepared == prepare(config)
+
+    def test_cache_is_not_part_of_the_value(self):
+        config = parse_config(as_json(FIXTURE))
+        config.prepared
+        copy = replace(config)
+        assert "prepared" not in vars(copy)
+        assert config == copy
+        assert repr(config) == repr(copy)
+
+    def test_each_config_gets_its_own_session_id(self):
+        config = parse_config(as_json(FIXTURE))
+        other = replace(config, seed=8)
+        assert other.prepared[1] == make_session_id(other) != config.prepared[1]
+
+    def test_infeasible_config_raises_on_every_access(self):
+        parties = json.loads(json.dumps(FIXTURE["parties"]))
+        parties[0]["databases"] = 1
+        config = parse_config(as_json(variant(parties=parties)))
+        for _ in range(2):
+            with pytest.raises(InfeasibleError, match="party 3 cannot lead"):
+                config.prepared

@@ -99,10 +99,11 @@ class TestEquivalence:
         assert net.result.decoded == frozenset()
 
     def test_spawning_runner_elects_and_derives_the_session_id_once(self, monkeypatch):
-        # session.run_leader elects and derives the session id, through
-        # protocol.prepare; the endpoints the runner spawns reuse both. Given
-        # endpoints spawned from the same config, the runner reuses the setup
-        # they carry.
+        # session.run_leader and the endpoints read config.prepared, which
+        # runs protocol.prepare once per config object: once when the runner
+        # spawns its endpoints, once when it is given endpoints spawned from
+        # the same config. Each half builds its own config, as a config
+        # prepared before holds its setup and counts no call.
         import mppsi.protocol
 
         calls = {"prepare_session": 0, "make_session_id": 0}
@@ -118,10 +119,11 @@ class TestEquivalence:
             monkeypatch.setattr(
                 mppsi.protocol, name, counting(name, getattr(mppsi.protocol, name))
             )
-        config = DEMOS["sec4"].config
+        config = replace(DEMOS["sec4"].config)
         data = run_networked_session(config).serialize()
         assert calls == {"prepare_session": 1, "make_session_id": 1}
         calls.update(prepare_session=0, make_session_id=0)
+        config = replace(DEMOS["sec4"].config)
         endpoints = spawn_endpoints(config)
         try:
             given = run_networked_session(config, endpoints).serialize()
@@ -133,6 +135,19 @@ class TestEquivalence:
         expected = run_memory_session(config).serialize()
         assert data == expected
         assert given == expected
+
+    def test_endpoints_of_an_equal_config_object_serve_the_session(self):
+        # The endpoints prepare their own copy of the config, the runner the
+        # original: both derive the same setup and session id.
+        config = DEMOS["sec7_2"].config
+        endpoints = spawn_endpoints(replace(config))
+        try:
+            data = run_networked_session(config, endpoints).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert endpoints[0].config is not config
+        assert data == run_memory_session(config).serialize()
 
     def test_endpoints_of_another_config_do_not_lend_their_setup(self):
         # Endpoints spawned from one seed, a session run with another: the
