@@ -46,7 +46,7 @@ class SessionConfig:
     seed: int
     leader_override: Optional[int] = None
     transport: str = "memory"
-    addresses: Dict[Tuple[int, int], Tuple[str, int]] = dc_field(default_factory=dict)
+    addresses: Dict[Tuple[int, int], Tuple[str, int]] = dc_field(default_factory=dict, hash=False)
 
     @property
     def universe(self) -> Universe:

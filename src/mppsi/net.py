@@ -30,10 +30,11 @@ run_networked_session gives session.run_leader the TCP exchange; the runner and
 every endpoint read their setup and session id from config.prepared. Its round
 also waits until each in-process endpoint's shares are sent or have failed,
 and fails at once, with the error as its cause, when one records an error.
-The exchange returns the shares they logged as sent, in
-randomness.share_order, so for equal (config, seed) the transcript equals the
-in-memory transport's. Endpoints given only by address keep their shares:
-the leader never sees one, and its transcript has no randomness section.
+So once it returns, what those endpoints sent is their states' shares(), and
+the exchange returns these in randomness.share_order, as build_bundle does:
+for equal (config, seed) the transcript equals the in-memory transport's.
+Endpoints given only by address keep their shares: the leader never sees
+one, and its transcript has no randomness section.
 """
 
 from __future__ import annotations
@@ -73,13 +74,12 @@ class _Connection:
     dest: Optional[Tuple[int, int]] = None  # where an outgoing connection goes
     address: Optional[Tuple[str, int]] = None  # the address of dest
     expected: int = 0  # the replies an outgoing connection still expects: answers
-    unlogged: List[Message] = field(default_factory=list)  # queued, not yet delivered
     buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
     waiting: List[Message] = field(default_factory=list)  # queries not yet answered
 
 
 class DatabaseEndpoint:
-    """One client database serving a single session over TCP: its state behind sockets."""
+    """One client database serving its config's sessions over TCP: its state behind sockets."""
 
     def __init__(
         self,
@@ -93,13 +93,11 @@ class DatabaseEndpoint:
         self.config = config
         self.party_id = party_id
         self.database = database
-        self.sent_log: List[Message] = []
-        self.received_log: List[Message] = []
         self.errors: List[TransportError] = []  # shares this endpoint could not send
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
         self._shared = threading.Event()  # set once every share is sent or has failed
-        self._sending = 0  # share connections not yet done, counted down by the loop
+        self._sending: Optional[int] = None  # share connections not yet done; None before sharing
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[_ServeLoop] = None
         self._host = host
@@ -166,9 +164,11 @@ class DatabaseEndpoint:
             self._sock.close()
 
     def begin_sharing(self, addresses: Dict[Tuple[int, int], Tuple[str, int]]) -> None:
-        """Have the serve loop send this database's randomness shares."""
+        """Have the serve loop send this database's shares, once: a receiver refuses a copy."""
         if self._loop is None:
             raise TransportError("endpoint not started")
+        if self._sending is not None:
+            return
         outgoing: Dict[Tuple[int, int], List[Message]] = {}
         for share in self.state.shares() if self.state is not None else ():
             outgoing.setdefault(share.dest, []).append(share)
@@ -180,7 +180,7 @@ class DatabaseEndpoint:
         conns = []
         for dest, msgs in sorted(outgoing.items()):
             frames = bytearray().join(map(encode_msg, msgs))
-            conns.append(_Connection(frames, deadline, dest, addresses.get(dest), unlogged=msgs))
+            conns.append(_Connection(frames, deadline, dest, addresses.get(dest)))
         self._loop.requests.put((self, conns))
         self._loop.wake()
 
@@ -204,7 +204,6 @@ class DatabaseEndpoint:
                 raise ProtocolViolationError(f"{msg.type!r} frame for an empty leader set")
             if msg.type in ("t_share", "c_share"):
                 self.state.receive(msg)
-                self.received_log.append(msg)
             elif msg.type == "query":
                 # An answer goes back to its query's origin: only the leader's.
                 if msg.origin != (self.leader_id, 0):
@@ -213,7 +212,6 @@ class DatabaseEndpoint:
                     )
                 if msg.values.translate(None, self._residues):
                     raise ProtocolViolationError("query value out of field range")
-                self.received_log.append(msg)
                 if not conn.waiting:
                     conn.deadline = time.monotonic() + READY_TIMEOUT_SECONDS
                 conn.waiting.append(msg)
@@ -236,9 +234,9 @@ class _Round:
 class _ServeLoop:
     """One thread serving database endpoints and the leader's query rounds.
 
-    Only the loop thread touches the selector, the connections, the rounds
-    and the endpoints' logs; other threads hand it work through requests and
-    wake. It runs until it serves neither endpoints nor rounds.
+    Only the loop thread touches the selector, the connections and the
+    rounds; other threads hand it work through requests and wake. It runs
+    until it serves neither endpoints nor rounds.
     """
 
     def __init__(self) -> None:
@@ -350,15 +348,12 @@ class _ServeLoop:
             self._close(key, exc)
 
     def _write(self, key: selectors.SelectorKey) -> None:
-        sock = key.fileobj
-        owner, conn = key.data
+        sock, conn = key.fileobj, key.data[1]
         del conn.out[: sock.send(conn.out)]
         if conn.out:
             return
-        if conn.dest is None:
-            owner.sent_log.extend(conn.unlogged)
-            conn.unlogged = []
-        elif not conn.expected:  # a share connection; an endpoint drops a closed peer's answers
+        if conn.dest is not None and not conn.expected:
+            # A share connection; an endpoint drops a closed peer's answers.
             sock.shutdown(socket.SHUT_WR)  # then wait for the receiver to close
         self.selector.modify(sock, selectors.EVENT_READ, key.data)
 
@@ -408,7 +403,6 @@ class _ServeLoop:
                     conn.waiting = []
                     for answer in answers:
                         conn.out += encode_msg(answer)
-                    conn.unlogged.extend(answers)
                     self.selector.modify(
                         key.fileobj, selectors.EVENT_READ | selectors.EVENT_WRITE, key.data
                     )
@@ -460,9 +454,7 @@ class _ServeLoop:
                 owner.error.__cause__ = cause
             owner.open -= 1
             return
-        if cause is None:
-            owner.sent_log.extend(conn.unlogged)
-        else:
+        if cause is not None:
             sender = (owner.party_id, owner.database)
             owner.errors.append(
                 TransportError(f"shares from {sender} to {conn.dest} not sent: {cause}")
@@ -578,8 +570,8 @@ def run_networked_session(
             for ep in serving:
                 ep.begin_sharing(addresses)
             answers = _query_round(addresses, queries, leader, serving)
-            sent = [msg for ep in serving for msg in ep.sent_log if msg.phase == "randomness"]
-            return sorted(sent, key=share_order), answers
+            shares = [share for ep in serving if ep.state for share in ep.state.shares()]
+            return sorted(shares, key=share_order), answers
         finally:
             if endpoints is None:
                 for ep in serving:

@@ -48,7 +48,7 @@ from .leader import (
     make_partition_plan,
 )
 from .protocol import SessionSetup, collect_answers
-from .randomness import FAITHFUL, RandomnessPolicy, build_bundle
+from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
 from .wire import Message, decode_msg, encode_msg
 
 
@@ -123,12 +123,11 @@ def load_transcript(data: bytes) -> SessionTranscript:
     byte-stable. So is one whose leader, costs (or nulls) and result are not
     all integers, whose leader has no cost, or whose messages carry another
     session id. So is one whose messages are out of transcript order: phases
-    other than randomness, then query, then answer, or queries or answers
-    not in strictly increasing Message.sort_key order (so none repeats). The
-    order of the shares (randomness.share_order) needs the partition plan,
-    which a transcript does not hold, so it is not checked here. So is one
-    with a message value outside [0, L), with L the field of the cost
-    table's parties. So, last, is a result that contradicts itself or its
+    other than randomness, then query, then answer, shares not in strictly
+    increasing randomness.share_order, or queries or answers not in strictly
+    increasing Message.sort_key order (so none repeats). So is one with a
+    message value outside [0, L), with L the field of the cost table's
+    parties. So, last, is a result that contradicts itself or its
     messages: an indicator outside [0, L); a decoded set other than the
     elements whose indicator is zero; a download cost other than the number
     of answers.
@@ -165,10 +164,13 @@ def load_transcript(data: bytes) -> SessionTranscript:
     phases = [m.phase for m in messages]
     if phases != sorted(phases, key=_PHASES.index):
         raise ProtocolViolationError("messages out of phase order: randomness, query, answer")
-    for phase in ("query", "answer"):
-        keys = [m.sort_key() for m in messages if m.phase == phase]
+    orders = {"randomness": share_order, "query": Message.sort_key, "answer": Message.sort_key}
+    for phase, order in orders.items():
+        keys = [order(m) for m in messages if m.phase == phase]
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ProtocolViolationError(f"{phase} messages out of sort_key order, or repeated")
+            raise ProtocolViolationError(
+                f"{phase} messages out of {order.__name__} order, or repeated"
+            )
     try:
         modulus = select_field_size(len(costs)).modulus
     except ConfigError as exc:

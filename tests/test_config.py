@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from mppsi.config import parse_config
+from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError, InfeasibleError
 from mppsi.protocol import make_session_id, prepare
 
@@ -227,3 +228,23 @@ class TestPrepared:
         for _ in range(2):
             with pytest.raises(InfeasibleError, match="party 3 cannot lead"):
                 config.prepared
+
+
+class TestHash:
+    """A config hashes by every field but its addresses, which equality still compares."""
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_every_demo_config_hashes(self, name):
+        config = DEMOS[name].config
+        assert hash(config) == hash(replace(config))
+
+    def test_a_config_with_addresses_hashes(self):
+        config = parse_config(as_json(variant(addresses={"1:1": "127.0.0.1:9000"})))
+        unaddressed = replace(config, addresses={})
+        assert hash(config) == hash(unaddressed)
+        assert config != unaddressed
+
+    def test_equal_configs_are_one_set_member(self):
+        config = DEMOS["sec4"].config
+        assert len({config, replace(config)}) == 1
+        assert len({config, replace(config), replace(config, seed=8)}) == 2

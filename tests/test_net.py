@@ -17,7 +17,7 @@ from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
-from mppsi.randomness import RandomnessPolicy, build_bundle
+from mppsi.randomness import RandomnessPolicy, build_bundle, share_order
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, encode_msg
 
@@ -165,9 +165,9 @@ class TestEquivalence:
     def test_round_waits_for_a_share_whose_receiver_closes_after_the_last_answer(
         self, monkeypatch
     ):
-        # A share is logged as sent only once its receiver closes the
-        # connection. One receiver here holds that close until the leader
-        # has its last answer, so the round must wait past that answer.
+        # A share connection is done only once its receiver closes it. One
+        # receiver here holds that close until the leader has its last
+        # answer, so the round must wait past that answer.
         import mppsi.net
 
         config = DEMOS["sec7_2"].config
@@ -205,36 +205,6 @@ class TestEquivalence:
 
 
 class TestEndpointBehaviour:
-    def test_endpoint_logs_match_the_memory_randomness_section(self):
-        config = DEMOS["sec7_2"].config
-        expected = [
-            (m.type, m.origin, m.dest, m.target, m.values)
-            for m in run_memory_session(config).messages_in_phase("randomness")
-        ]
-        endpoints = spawn_endpoints(config)
-        try:
-            run_networked_session(config, endpoints=endpoints)
-            # The runner returns once every share is sent, and a share
-            # connection is done only when its receiver has read it all.
-            sent = []
-            received = []
-            for ep in endpoints:
-                sent += [
-                    (m.type, m.origin, m.dest, m.target, m.values)
-                    for m in ep.sent_log
-                    if m.phase == "randomness"
-                ]
-                received += [
-                    (m.type, m.origin, m.dest, m.target, m.values)
-                    for m in ep.received_log
-                    if m.phase == "randomness"
-                ]
-            assert sorted(sent) == sorted(expected)
-            assert sorted(received) == sorted(expected)
-        finally:
-            for ep in endpoints:
-                ep.stop()
-
     @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])
     def test_endpoints_install_the_memory_bundles(self, name):
         config = DEMOS[name].config
@@ -257,6 +227,31 @@ class TestEndpointBehaviour:
         finally:
             for ep in endpoints:
                 ep.stop()
+
+    def test_two_sessions_on_one_set_of_endpoints_receive_each_share_once(self, monkeypatch):
+        # The endpoints send their shares in the first session only; each
+        # transcript still has them all, from the endpoints' states.
+        config = DEMOS["sec4"].config
+        expected = run_memory_session(config)
+        received = []
+        receive = DatabaseState.receive
+
+        def counting(self, share):
+            received.append(share)
+            receive(self, share)
+
+        monkeypatch.setattr(DatabaseState, "receive", counting)
+        endpoints = spawn_endpoints(config)
+        try:
+            transcripts = [run_networked_session(config, endpoints) for _ in range(2)]
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert [t.serialize() for t in transcripts] == [expected.serialize()] * 2
+        shares = expected.messages_in_phase("randomness")
+        assert len(shares) == len(received) == 7
+        assert sorted(received, key=share_order) == list(shares)
+        assert all(ep.errors == [] for ep in endpoints)
 
     def test_cross_session_frames_are_rejected(self):
         config = DEMOS["sec4"].config
@@ -360,16 +355,18 @@ class TestEndpointBehaviour:
         config = DEMOS["sec7_2"].config
         endpoints = spawn_endpoints(config)
         try:
-            run_networked_session(config, endpoints=endpoints)
+            transcript = run_networked_session(config, endpoints=endpoints)
             assert started == [endpoints[0]._loop.thread]
             assert all(ep._loop is endpoints[0]._loop for ep in endpoints)
         finally:
             for ep in endpoints:
                 ep.stop()
-        for ep in endpoints:
-            asked = [m for m in ep.received_log if m.type == "query"]
-            answered = [m for m in ep.sent_log if m.type == "answer"]
-            assert len(asked) == len(answered)
+        # Every query has its answer.
+        asked = [(m.dest, m.partition, m.target) for m in transcript.messages_in_phase("query")]
+        answered = [
+            (m.origin, m.partition, m.target) for m in transcript.messages_in_phase("answer")
+        ]
+        assert asked == answered
         assert not any(thread.is_alive() for thread in started)
 
     def test_query_value_equal_to_modulus_closes_the_connection(self):
@@ -432,7 +429,6 @@ class TestEndpointBehaviour:
                 waiting.settimeout(0.3)
                 with pytest.raises(socket.timeout):
                     waiting.recv(1)
-            assert target.received_log == [query]
             # The loop serves on.
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
@@ -456,7 +452,7 @@ class TestEndpointBehaviour:
             received = {
                 (ep.party_id, ep.database)
                 for ep in endpoints
-                if any(m.type == "c_share" for m in ep.received_log)
+                if ep is not sender and ep.state.c is not None
             }
             assert received == set(others[1:])
             assert [str(missing) in str(error) for error in sender.errors] == [True]
@@ -483,7 +479,7 @@ class TestEndpointBehaviour:
             late.start()
             assert sender._shared.wait(timeout=5)
             assert sender.errors == []
-            assert [m.type for m in late.received_log] == ["c_share"]
+            assert late.state.c == sender.state.c
         finally:
             for endpoint in [sender, late] + others:
                 endpoint.stop()
@@ -560,7 +556,7 @@ class TestExternalAddresses:
             late.begin_sharing(addresses)
 
         transcript = run_while_late(config, early + [late], addresses, start_late)
-        assert any(m.type == "query" for m in late.received_log)
+        assert any(m.origin == late_key for m in transcript.messages_in_phase("answer"))
         assert_memory_transcript_without_shares(transcript, config)
 
     def test_queries_wait_at_their_databases_for_the_randomness(self):
@@ -696,7 +692,6 @@ class TestSharesFromTheWire:
             before = (victim.state.c, dict(victim.state.individual))
             send_and_expect_close(victim, share(config, kind, origin, dest, target, values))
             assert (victim.state.c, victim.state.individual) == before
-            assert victim.received_log == []
             # The loop serves on, and the victim still takes the honest shares.
             start = time.monotonic()
             over_tcp = run_networked_session(config, endpoints=endpoints)
@@ -762,7 +757,6 @@ class TestSharesFromTheWire:
                 values=bytes(config.universe_size),
             )
             send_and_expect_close(target, query)
-            assert target.sent_log == [] and target.received_log == []
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.result.decoded == brute_force_intersection(config.parties)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
@@ -805,7 +799,6 @@ class TestSharesFromTheWire:
             second = share(config, "c_share", (1, 1), (1, 2), None, bytes((other,)))
             send_and_expect_close(victim, second)
             assert victim.state.c == real_c[0]
-            assert victim.received_log == [first]
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -983,7 +976,7 @@ class TestEndpointRejections:
             received = {
                 (ep.party_id, ep.database)
                 for ep in endpoints
-                if any(m.type == "c_share" for m in ep.received_log)
+                if ep is not sender and ep.state.c is not None
             }
             assert received == set(others[1:])
         finally:

@@ -157,6 +157,10 @@ class TestDeterminism:
             (lambda entries, first: swap(entries, first["answer"]), "answer .* sort_key order"),
             (lambda entries, first: swap(entries, first["query"]), "query .* sort_key order"),
             (
+                lambda entries, first: swap(entries, first["randomness"]),
+                "randomness .* share_order order",
+            ),
+            (
                 lambda entries, first: entries + [entries.pop(first["query"])],
                 "out of phase order",
             ),
@@ -169,14 +173,20 @@ class TestDeterminism:
                 "query .* sort_key order, or repeated",
             ),
             (lambda entries, first: entries + entries[-1:], "answer .* sort_key order, or repeated"),
+            (
+                lambda entries, first: entries[:1] + entries,
+                "randomness .* share_order order, or repeated",
+            ),
         ],
         ids=[
             "two-answers-swapped",
             "two-queries-swapped",
+            "two-shares-swapped",
             "query-after-the-answers",
             "share-after-the-answers",
             "last-query-repeated",
             "last-answer-repeated",
+            "first-share-repeated",
         ],
     )
     def test_messages_out_of_transcript_order_are_a_protocol_violation(self, move, error):
@@ -191,6 +201,18 @@ class TestDeterminism:
         edited = head + b'"messages":[' + b",".join(moved) + b"]" + tail
         assert edited != data
         with pytest.raises(ProtocolViolationError, match=error):
+            load_transcript(edited)
+
+    def test_a_t_share_swapped_with_a_c_share_is_a_protocol_violation(self):
+        # sec4's first share is a t share and its seventh the last c share:
+        # swapped, every phase stays in place.
+        transcript = run_memory_session(DEMOS["sec4"].config)
+        shares = list(transcript.messages_in_phase("randomness"))
+        assert [m.type for m in shares[::6]] == ["t_share", "c_share"]
+        shares[0], shares[6] = shares[6], shares[0]
+        rest = transcript.messages[len(shares):]
+        edited = replace(transcript, messages=(*shares, *rest)).serialize()
+        with pytest.raises(ProtocolViolationError, match="randomness .* share_order order"):
             load_transcript(edited)
 
     @pytest.mark.parametrize(

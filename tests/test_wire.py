@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import MAX_PARTIES
 from mppsi.leader import CostTable, IntersectionResult
+from mppsi.randomness import share_order
 from mppsi.session import SessionTranscript, load_transcript, run_memory_session
 from mppsi.wire import (
     HEADER,
@@ -341,13 +342,16 @@ class TestTranscriptFile:
 
     @given(st.lists(CANONICAL_MESSAGES, max_size=8))
     def test_every_file_in_transcript_order_loads(self, messages):
-        # Shares first, then queries and answers each by strictly increasing
-        # sort_key: the loader's order rule accepts every such file whose
-        # values are residues of its field, L = 251.
-        rank = {"query": 1, "answer": 2}
-        shares = [m for m in messages if m.phase == "randomness"]
-        rest = {(rank[m.phase], m.sort_key()): m for m in messages if m.phase in rank}
-        in_order = shares + [rest[key] for key in sorted(rest)]
+        # Shares by strictly increasing share_order, then queries and answers
+        # each by strictly increasing sort_key: the loader's order rule
+        # accepts every such file whose values are residues of its field,
+        # L = 251.
+        rank = {"randomness": 0, "query": 1, "answer": 2}
+        keyed = {
+            (rank[m.phase], share_order(m) if rank[m.phase] == 0 else m.sort_key()): m
+            for m in messages
+        }
+        in_order = [keyed[key] for key in sorted(keyed)]
         transcript = transcript_of(*(
             m._replace(session_id="0a1b", values=bytes(v % MAX_PARTIES for v in m.values))
             for m in in_order
@@ -364,7 +368,7 @@ class TestTranscriptFile:
     def test_messages_without_values(self, kind):
         msg = Message(kind, "0a1b", (3, 0), (1, 2), 1, None, b"")
         assert len(encode_msg(msg)) == frame_size(msg) == 34
-        transcript = transcript_of(msg, msg._replace(partition=2))
+        transcript = transcript_of(msg, msg._replace(target=2))
         assert load_transcript(transcript.serialize()) == transcript
 
     def test_serialize_peak_memory_stays_near_its_output(self):
