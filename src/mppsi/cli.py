@@ -2,12 +2,17 @@
 
 Subcommands:
 
-* run: execute a session from a config file and report the decoded
-  intersection (optionally writing the transcript file);
+* run: execute a session from a config file and print its report
+  (optionally writing the transcript file);
 * cost: print the per-candidate download-cost table and the elected leader;
 * audit: run the exact enumeration checks against the configured instance;
-* demo: run a built-in fixture and check its expected numbers;
+* demo: run a built-in fixture and print its report with a check of each
+  expected number;
 * serve-db: run one database endpoint for the networked transport.
+
+run and demo print one report, SessionTranscript.report plus any checks:
+with --json one sorted-key JSON line, else text whose cost table has the
+lines cost prints.
 
 Exit codes: 0 success, 1 check failure or internal error, 2 config error,
 3 infeasible instance, 4 transport error, 5 protocol violation.
@@ -26,10 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import audit as audit_mod
 from .config import SessionConfig, load_config
-from .demo import DEMOS, format_report, run_demo
+from .demo import DEMOS, run_demo
 from .errors import BoundExceededError, ConfigError, MppsiError
 from .leader import make_partition_plan
-from .randomness import RandomnessPolicy
 from .session import run_session
 
 
@@ -69,47 +73,51 @@ def _cmd_run(args) -> int:
         except BaseException:
             os.remove(args.out)
             raise
-    payload = {
-        "session_id": transcript.session_id,
-        "leader": transcript.leader_id,
-        "cost_table": {
-            str(pid): cost for pid, cost in sorted(transcript.cost_table.costs.items())
-        },
-        "decoded": sorted(transcript.result.decoded),
-        "download_cost_actual": transcript.download_cost_actual,
-        "messages": len(transcript.messages),
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"leader: party {transcript.leader_id}")
-        print(f"decoded intersection: {sorted(transcript.result.decoded)}")
-        print(f"download cost: {transcript.download_cost_actual}")
-        if args.out:
-            print(f"transcript written to {args.out}")
+    _print_report(transcript.report(), args.json)
+    if args.out and not args.json:
+        print(f"transcript written to {args.out}")
     return 0
 
 
 def _cmd_cost(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     setup = config.prepared[0]
-    table, chosen = setup.costs, setup.leader.party_id
+    chosen = setup.leader.party_id
+    table = {str(pid): cost for pid, cost in sorted(setup.costs.costs.items())}
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "cost_table": {str(p): c for p, c in sorted(table.costs.items())},
-                    "leader": chosen,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({"cost_table": table, "leader": chosen}, sort_keys=True))
     else:
-        for pid, cost in sorted(table.costs.items()):
-            note = " (infeasible)" if cost is None else ""
-            mark = " <- leader" if pid == chosen else ""
-            print(f"party {pid}: {cost}{note}{mark}")
+        print("\n".join(_cost_lines(table, chosen)))
     return 0
+
+
+def _cost_lines(table: Dict[str, Optional[int]], leader: int) -> List[str]:
+    """One line per party of a cost table, marking the infeasible and the leader."""
+    return [
+        f"party {pid}: {cost}"
+        + (" (infeasible)" if cost is None else "")
+        + (" <- leader" if pid == str(leader) else "")
+        for pid, cost in table.items()
+    ]
+
+
+def _print_report(report: Dict, as_json: bool) -> None:
+    """Print a session report, and a demo's name and checks if it has them."""
+    if as_json:
+        print(json.dumps(report, sort_keys=True))
+        return
+    if "name" in report:
+        print(f"demo {report['name']}: {report['title']}")
+    print(f"leader: party {report['leader']}")
+    print("cost table:")
+    for line in _cost_lines(report["cost_table"], report["leader"]):
+        print(f"  {line}")
+    print("messages: " + ", ".join(f"{p} {n}" for p, n in report["messages"].items()))
+    print(f"decoded intersection: {report['decoded']}")
+    print(f"download cost: {report['download_cost_actual']}")
+    for check in report.get("checks", ()):
+        status = "ok" if check["passed"] else "FAIL"
+        print(f"[{status}] {check['name']}: {check['detail']}")
 
 
 def _leader_mi_candidates(leader_set, universe_size: int) -> Optional[List[frozenset]]:
@@ -214,11 +222,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_demo(args) -> int:
     report = run_demo(args.name, seed=args.seed)
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(format_report(report))
-    return 0 if report.passed else 1
+    _print_report(report, args.json)
+    return 0 if report["passed"] else 1
 
 
 def _cmd_serve_db(args) -> int:

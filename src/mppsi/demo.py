@@ -4,26 +4,27 @@ Three fixture instances exercise the three interesting regimes: enough
 databases for a single partition everywhere, too few databases (several base
 vectors per client), and heterogeneous database counts with a forced leader
 whose cost table shows a cheaper candidate existed.
+
+A demo is a run of its fixture's config: run_demo returns the session's
+report (SessionTranscript.report) with one check per expected report field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 from .config import SessionConfig
 from .model import PartyProfile
-from .session import SessionTranscript, run_memory_session
+from .session import run_memory_session
 
 
 @dataclass(frozen=True)
 class DemoFixture:
-    name: str
     title: str
     config: SessionConfig
-    expected_decoded: FrozenSet[int]
-    expected_cost: int
-    expected_cost_table: Dict[int, int]
+    # Report fields and the values the fixture's run must report.
+    expected: Dict[str, object]
 
 
 def _cfg(universe, parties, leader, seed) -> SessionConfig:
@@ -39,7 +40,6 @@ def _cfg(universe, parties, leader, seed) -> SessionConfig:
 
 DEMOS: Dict[str, DemoFixture] = {
     "sec4": DemoFixture(
-        name="sec4",
         title="three parties, three databases each, one shared element",
         config=_cfg(
             4,
@@ -47,12 +47,10 @@ DEMOS: Dict[str, DemoFixture] = {
             leader=3,
             seed=7,
         ),
-        expected_decoded=frozenset({1}),
-        expected_cost=6,
-        expected_cost_table={1: 6, 2: 6, 3: 6},
+        expected={"decoded": [1], "download_cost_actual": 6,
+                  "cost_table": {"1": 6, "2": 6, "3": 6}},
     ),
     "sec7_1": DemoFixture(
-        name="sec7_1",
         title="three parties, two databases per client (several base vectors)",
         config=_cfg(
             4,
@@ -60,12 +58,10 @@ DEMOS: Dict[str, DemoFixture] = {
             leader=3,
             seed=7,
         ),
-        expected_decoded=frozenset({1}),
-        expected_cost=8,
-        expected_cost_table={1: 8, 2: 8, 3: 8},
+        expected={"decoded": [1], "download_cost_actual": 8,
+                  "cost_table": {"1": 8, "2": 8, "3": 8}},
     ),
     "sec7_2": DemoFixture(
-        name="sec7_2",
         title="four parties, heterogeneous database counts, forced leader",
         config=_cfg(
             5,
@@ -78,97 +74,27 @@ DEMOS: Dict[str, DemoFixture] = {
             leader=4,
             seed=7,
         ),
-        expected_decoded=frozenset({1, 4}),
-        expected_cost=15,
         # Party 2 is actually the cheapest candidate; the fixture forces
         # party 4 to lead and the table keeps that visible.
-        expected_cost_table={1: 17, 2: 14, 3: 15, 4: 15},
+        expected={"decoded": [1, 4], "download_cost_actual": 15,
+                  "cost_table": {"1": 17, "2": 14, "3": 15, "4": 15}},
     ),
 }
 
 
-@dataclass
-class DemoReport:
-    fixture: DemoFixture
-    transcript: SessionTranscript
-    checks: Tuple[Tuple[str, bool, str], ...]
+def run_demo(name: str, seed: Optional[int] = None) -> dict:
+    """The fixture's session report, with its name, title and checks.
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.fixture.name,
-            "title": self.fixture.title,
-            "leader": self.transcript.leader_id,
-            "cost_table": {
-                str(pid): cost
-                for pid, cost in sorted(self.transcript.cost_table.costs.items())
-            },
-            "decoded": sorted(self.transcript.result.decoded),
-            "download_cost_actual": self.transcript.download_cost_actual,
-            "messages": {
-                phase: len(self.transcript.messages_in_phase(phase))
-                for phase in ("randomness", "query", "answer")
-            },
-            "checks": [
-                {"name": name, "passed": ok, "detail": detail}
-                for name, ok, detail in self.checks
-            ],
-            "passed": self.passed,
-        }
-
-
-def run_demo(name: str, seed: Optional[int] = None) -> DemoReport:
-    if name not in DEMOS:
-        raise KeyError(f"unknown demo {name!r}; choose from {sorted(DEMOS)}")
+    Each expected field gives one check that the report holds its value;
+    the demo passes when every check does.
+    """
     fixture = DEMOS[name]
-    config = fixture.config
-    if seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=seed)
-    transcript = run_memory_session(config)
-    checks = (
-        (
-            "decoded intersection",
-            transcript.result.decoded == fixture.expected_decoded,
-            f"expected {sorted(fixture.expected_decoded)}, "
-            f"got {sorted(transcript.result.decoded)}",
-        ),
-        (
-            "download cost",
-            transcript.download_cost_actual == fixture.expected_cost,
-            f"expected {fixture.expected_cost}, got {transcript.download_cost_actual}",
-        ),
-        (
-            "cost table",
-            transcript.cost_table.costs == fixture.expected_cost_table,
-            f"expected {fixture.expected_cost_table}, got {transcript.cost_table.costs}",
-        ),
-    )
-    return DemoReport(fixture=fixture, transcript=transcript, checks=checks)
-
-
-def format_report(report: DemoReport) -> str:
-    lines = [
-        f"demo {report.fixture.name}: {report.fixture.title}",
-        f"  leader: party {report.transcript.leader_id}",
-        "  cost table: "
-        + ", ".join(
-            f"party {pid}: {cost}"
-            for pid, cost in sorted(report.transcript.cost_table.costs.items())
-        ),
-        "  messages: "
-        + ", ".join(
-            f"{phase} {len(report.transcript.messages_in_phase(phase))}"
-            for phase in ("randomness", "query", "answer")
-        ),
-        f"  decoded intersection: {sorted(report.transcript.result.decoded)}",
-        f"  download cost: {report.transcript.download_cost_actual}",
+    config = fixture.config if seed is None else replace(fixture.config, seed=seed)
+    report = run_memory_session(config).report()
+    checks = [
+        {"name": key, "passed": report[key] == value,
+         "detail": f"expected {value}, got {report[key]}"}
+        for key, value in fixture.expected.items()
     ]
-    for name, ok, detail in report.checks:
-        status = "ok" if ok else "FAIL"
-        lines.append(f"  [{status}] {name}: {detail}")
-    return "\n".join(lines)
+    passed = all(check["passed"] for check in checks)
+    return {**report, "name": name, "title": fixture.title, "checks": checks, "passed": passed}

@@ -69,6 +69,22 @@ class SessionTranscript:
     def messages_in_phase(self, phase: str) -> Tuple[Message, ...]:
         return tuple(m for m in self.messages if m.phase == phase)
 
+    def report(self) -> dict:
+        """What a user checks of the session, read from the transcript alone.
+
+        The session id, the leader, the cost table (party id as text, cost or
+        None, in party order), the decoded set, the actual download cost and
+        the message count per phase; a loaded transcript reports the same.
+        """
+        return {
+            "session_id": self.session_id,
+            "leader": self.leader_id,
+            "cost_table": {str(p): c for p, c in sorted(self.cost_table.costs.items())},
+            "decoded": sorted(self.result.decoded),
+            "download_cost_actual": self.download_cost_actual,
+            "messages": {phase: len(self.messages_in_phase(phase)) for phase in _PHASES},
+        }
+
     def serialize(self) -> bytes:
         """The transcript as one line of sorted-key JSON.
 

@@ -80,29 +80,29 @@ def oracle_best_leader(profiles):
 def test_criterion_1_golden_homogeneous():
     with Criterion(1, "demo sec4 decodes {1} at cost 6", 1.0):
         report = run_demo("sec4")
-        assert report.transcript.result.decoded == frozenset({1})
-        assert report.transcript.download_cost_actual == 6
-        assert report.passed
+        assert report["decoded"] == [1]
+        assert report["download_cost_actual"] == 6
+        assert report["passed"]
 
 
 def test_criterion_2_golden_scarce_databases():
     with Criterion(2, "demo sec7_1 decodes {1} at cost 8", 1.0):
         report = run_demo("sec7_1")
-        assert report.transcript.result.decoded == frozenset({1})
-        assert report.transcript.download_cost_actual == 8
-        assert report.passed
+        assert report["decoded"] == [1]
+        assert report["download_cost_actual"] == 8
+        assert report["passed"]
 
 
 def test_criterion_3_golden_heterogeneous():
     with Criterion(3, "demo sec7_2 decodes {1,4} at cost 15; table shows 14", 1.0):
         report = run_demo("sec7_2")
-        assert report.transcript.result.decoded == frozenset({1, 4})
-        assert report.transcript.download_cost_actual == 15
+        assert report["decoded"] == [1, 4]
+        assert report["download_cost_actual"] == 15
         # The forced leader costs 15 while the table documents that party 2
         # would have cost 14.
-        assert report.transcript.cost_table.costs[2] == 14
-        assert report.transcript.leader_id == 4
-        assert report.passed
+        assert report["cost_table"]["2"] == 14
+        assert report["leader"] == 4
+        assert report["passed"]
 
 
 def test_criterion_4_cost_bound_consistency():

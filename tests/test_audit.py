@@ -919,6 +919,19 @@ class TestIndicatorPrivacy:
             "element 5, column sum 2: indicator not uniform over nonzero residues"
         )
 
+    def test_each_context_draws_its_own_held_t_values(self, monkeypatch):
+        # At seed 5 only context 1's held t values meet the broken
+        # completion, so a check that gave every context context 0's draw
+        # would pass.
+        break_correlation_at_top(monkeypatch)
+        report = check_indicator_privacy(HETEROGENEOUS, seed=5)
+        assert not report.passed
+        assert report.detail == (
+            "element 5, column sum 2: indicator not uniform over nonzero residues"
+        )
+        assert report.tables[(5, 2, 0)].is_uniform_over([1, 2, 3, 4])
+        assert not report.tables[(5, 2, 1)].is_uniform_over([1, 2, 3, 4])
+
 
 class TestQueryTupleDistribution:
     CLIENTS = [profile(1, {1, 3}, 2), profile(2, {2}, 2)]

@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 import socket
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from mppsi.cli import main
 from mppsi.config import load_config
+from mppsi.demo import DEMOS
 from mppsi.session import load_transcript, run_memory_session
 
 FIXTURE = {
@@ -44,6 +46,28 @@ class TestRun:
         assert raw["result"]["decoded"] == [1]
         assert len(raw["messages"]) == 19
         assert load_transcript(out.read_bytes()) == run_memory_session(load_config(config_path))
+
+    def test_json_is_the_report_of_the_written_transcript(self, config_path, tmp_path, capsys):
+        out = tmp_path / "transcript.json"
+        assert main(["run", "--config", config_path, "--json", "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == load_transcript(out.read_bytes()).report()
+        assert payload["messages"] == {"randomness": 7, "query": 6, "answer": 6}
+
+    def test_text_prints_the_cost_table_and_message_counts(self, config_path, capsys):
+        assert main(["run", "--config", config_path]) == 0
+        out = capsys.readouterr().out
+        assert "  party 3: 6 <- leader\n" in out
+        assert "messages: randomness 7, query 6, answer 6\n" in out
+
+    def test_empty_leader_set_reports_nothing_exchanged(self, tmp_path, capsys):
+        path = tmp_path / "empty-leader.json"
+        path.write_text(json.dumps(EMPTY_LEADER))
+        assert main(["run", "--config", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["decoded"] == []
+        assert payload["download_cost_actual"] == 0
+        assert payload["messages"] == {"randomness": 0, "query": 0, "answer": 0}
 
     def test_networked_run_writes_the_memory_transcript(self, config_path, tmp_path):
         memory, over_tcp = tmp_path / "memory.json", tmp_path / "net.json"
@@ -108,6 +132,25 @@ class TestDemo:
         assert payload["download_cost_actual"] == 15
         assert payload["cost_table"]["2"] == 14
         assert payload["passed"] is True
+
+    def test_demo_json_holds_the_run_report(self, capsys):
+        assert main(["demo", "sec7_2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        report = run_memory_session(DEMOS["sec7_2"].config).report()
+        assert payload.keys() == {*report, "name", "title", "checks", "passed"}
+        assert {key: payload[key] for key in report} == report
+        assert [check["name"] for check in payload["checks"]] == list(DEMOS["sec7_2"].expected)
+
+    def test_wrong_expectation_fails(self, monkeypatch, capsys):
+        fixture = DEMOS["sec4"]
+        wrong = dataclasses.replace(fixture, expected=dict(fixture.expected, decoded=[2]))
+        monkeypatch.setitem(DEMOS, "sec4", wrong)
+        assert main(["demo", "sec4"]) == 1
+        assert "[FAIL] decoded: expected [2], got [1]\n" in capsys.readouterr().out
+        assert main(["demo", "sec4", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert [check["passed"] for check in payload["checks"]] == [False, True, True]
 
 
 AUDIT_SMALL = str(Path(__file__).resolve().parent.parent / "configs" / "audit-small.json")

@@ -532,7 +532,7 @@ class TestExternalAddresses:
         finally:
             for ep in endpoints:
                 ep.stop()
-        assert transcript.result.decoded == demo.expected_decoded
+        assert transcript.result.decoded == frozenset(demo.expected["decoded"])
         assert_memory_transcript_without_shares(transcript, config)
 
     def test_refused_query_connection_is_retried_until_its_database_listens(self):
