@@ -22,7 +22,6 @@ from .leader import (
     CostTable,
     IntersectionResult,
     PartitionPlan,
-    QueryPlan,
     decode,
     download_cost,
     generate_queries,
@@ -43,7 +42,6 @@ __all__ = [
     "PartyProfile",
     "PrimeField",
     "ProtocolViolationError",
-    "QueryPlan",
     "RandomnessPolicy",
     "SessionConfig",
     "SessionTranscript",

@@ -37,10 +37,11 @@ exact rationals or integer counts; zero means zero. The checks are:
   distributions, for the leader-set secret against a single database's view
   and for the non-intersection incidence columns against the leader's view.
 
-Every query here is one leader.lay_out_queries builds, as in a session:
-query_inner_products sums each client's support over them, and the
-delivered query tuples are their values. Base vectors are bytes; they become
-int tuples only in reliability failure text and delivered query outcomes.
+Every query here is one leader.lay_out_queries builds, as in a session, in
+the plan's answer order: query_inner_products sums each client's support
+over them, and the delivered query tuples are their values. Base vectors are
+bytes; they become int tuples only in reliability failure text and delivered
+query outcomes.
 
 Reliability, the masking and the mutual-information checks enumerate one
 realization stream: base vectors from _all_h (or _drawn_h), levels of
@@ -72,14 +73,13 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from .client import support_sum
 from .errors import BoundExceededError
 from .field import PrimeField
-from .leader import (
-    IS_ZERO, PartitionPlan, QueryPlan, decode_indicators, lay_out_queries, make_partition_plan
-)
+from .leader import IS_ZERO, PartitionPlan, decode_indicators, lay_out_queries, make_partition_plan
 from .model import PartyProfile, Universe, brute_force_intersection
 from .protocol import SessionSetup, prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, completion, correlating_client, free_clients
 from .seeding import draw_vector, labeled_rng
 from .session import SessionTranscript
+from .wire import Message
 
 DEFAULT_BOUND = 10_000_000
 DEFAULT_H_ENUM_LIMIT = 729
@@ -231,22 +231,17 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
     )
 
 
-def _lay_out(compiled: CompiledInstance, h_vectors: HVectors) -> QueryPlan:
+def _lay_out(compiled: CompiledInstance, h_vectors: HVectors) -> Tuple[Message, ...]:
     """The leader's queries on these base vectors, as a session lays them out;
     they are never sent, so they carry no session id."""
     return lay_out_queries(compiled.plan, h_vectors, compiled.field.modulus, "")
 
 
-def _inner_products(compiled: CompiledInstance, sent: QueryPlan) -> List[int]:
+def _inner_products(compiled: CompiledInstance, sent: Sequence[Message]) -> List[int]:
     """Inner product of each laid-out query with its client's incidence
-    vector, in plan.answer_keys order."""
-    modulus = compiled.field.modulus
-    sums = compiled.support_sums
-    ips: Dict[Tuple[int, int, Optional[int]], int] = {}
-    for (client_id, _), queries in sent.queries.items():
-        for query in queries:
-            ips[client_id, query.partition, query.target] = sums[client_id](query.values) % modulus
-    return [ips[key] for key in compiled.plan.answer_keys]
+    vector, in plan.answer_keys order, the queries' own."""
+    modulus, sums = compiled.field.modulus, compiled.support_sums
+    return [sums[query.dest[0]](query.values) % modulus for query in sent]
 
 
 def query_inner_products(compiled: CompiledInstance, h_vectors: HVectors) -> List[int]:
@@ -893,7 +888,7 @@ def delivered_query_distribution(
     _joint_space_guard(_h_space(compiled), bound)
     address = (client_id, database)
     return DistributionTable.from_counts(Counter(
-        tuple(tuple(query.values) for query in _lay_out(compiled, h).queries.get(address, []))
+        tuple(tuple(query.values) for query in _lay_out(compiled, h) if query.dest == address)
         for h in _all_h(compiled)
     ))
 
@@ -965,6 +960,7 @@ def leader_privacy_mi(
     if len(set(candidate_sets)) != len(candidate_sets):
         raise ValueError("candidate leader sets must be distinct")
     own_set = tuple(sorted(next(p for p in clients if p.party_id == client_id).data_set))
+    address = (client_id, database)
     joint: Counter = Counter()
     for candidate in candidate_sets:
         compiled = _with_leader(
@@ -974,20 +970,19 @@ def leader_privacy_mi(
             len(candidate_sets) * _h_space(compiled) * compiled.space_size(), bound
         )
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, bound, 0, 0)
-        index = {key: i for i, key in enumerate(compiled.plan.answer_keys)}
+        plan = compiled.plan
+        delivered = [i for i, origin in enumerate(plan.answer_origins) if origin == address]
+        own_t_slots = [compiled.t_slots[i] for i in delivered if plan.answer_keys[i][2]]
         own_s_slots = [i for (cid, _), i in compiled.s_index.items() if cid == client_id]
         secret = tuple(sorted(candidate))
         # Unmasked, every base-vector tuple is replaced by zeros, so one
         # stands for all: each view's count scales by the same factor.
         h_list = _all_h(compiled) if mask_queries else [
-            (bytes(universe.size),) * max(compiled.plan.shape.eta.values())
+            (bytes(universe.size),) * max(plan.shape.eta.values())
         ]
         for h_vectors in h_list:
             sent = _lay_out(compiled, h_vectors)
-            received = sent.queries.get((client_id, database), [])
-            delivered = [index[client_id, q.partition, q.target] for q in received]
-            own_t_slots = [compiled.t_slots[i] for i, q in zip(delivered, received) if q.target]
-            queries = tuple(query.values for query in received)
+            queries = tuple(sent[i].values for i in delivered)
             ips = _inner_products(compiled, sent)
             for s_values, t_values, c_value, answers in answers_for_realization(
                 compiled, ips, draws()

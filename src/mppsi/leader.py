@@ -9,12 +9,14 @@ of query vectors: generate_queries draws the base vectors for it, and the
 auditor calls it on the base vectors it enumerates. Decoding subtracts the
 database-1 answer from each targeted answer and sums the differences per
 element across clients; an element is in the intersection exactly when that
-sum is zero. Each plan fixes one canonical answer order (answer_keys), and
-decode_indicators, the one decode kernel, reads any number of answer
-vectors laid out in that order and joined end to end: a session's decode
-passes one, the auditor's reliability walk a batch of its enumeration
-(audit.DECODE_BATCH). Queries and answers are wire.Message values; decode
-is the one check of an answer message's type, destination and value.
+sum is zero. A plan fixes one order, the transcript's (Message.sort_key):
+query i goes to answer_origins[i] with answer_keys[i]'s tags, and answer i
+comes back from there. decode_indicators, the one decode kernel, reads any
+number of answer vectors in that order, joined end to end: a session's
+decode passes one, the auditor's reliability walk a batch of its
+enumeration (audit.DECODE_BATCH). Queries and answers are wire.Message
+values; decode is the one check of an answer message's type, destination,
+value, tags and origin.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -158,6 +160,7 @@ class PartitionPlan:
     leader_elements: Tuple[int, ...]
     shape: PlanShape
     answer_keys: Tuple[Tuple[int, int, Optional[int]], ...]
+    answer_origins: Tuple[Tuple[int, int], ...]
     # Indices into one answer vector followed by its negation: per client,
     # each element's targeted answer; then per client, the negation of the
     # database-1 answer it is measured against.
@@ -172,50 +175,42 @@ def make_partition_plan(
     if not elements:
         raise ValueError("partition plan needs a nonempty leader set")
     shape = make_plan_shape(len(elements), clients)
-    # The canonical answer order: per client, its database-1 answers by
-    # partition, then its targeted answers by position. Decode blocks refer
-    # to answers by their index in that order.
+    # The answer order, Message.sort_key's: per client and database, by
+    # partition and target; database 1 answers the bare base query of each
+    # partition. Decode blocks refer to answers by their index in that order.
     keys: List[Tuple[int, int, Optional[int]]] = []
+    origins: List[Tuple[int, int]] = []
     negated = sum(eta + len(elements) for eta in shape.eta.values())
     targets: List[Tuple[int, ...]] = []
     bases: List[Tuple[int, ...]] = []
     for client_id in shape.client_ids:
-        first_base = len(keys)
-        keys += [(client_id, ell, None) for ell in range(1, shape.eta[client_id] + 1)]
+        first, eta = len(keys), shape.eta[client_id]
+        keys += [(client_id, ell, None) for ell in range(1, eta + 1)]
+        origins += [(client_id, 1)] * eta
         partitions = [
-            shape.position_location(client_id, position)[0]
-            for position in range(1, len(elements) + 1)
+            shape.position_location(client_id, k)[0] for k in range(1, len(elements) + 1)
         ]
-        bases.append(tuple(negated + first_base + partition - 1 for partition in partitions))
-        targets.append(tuple(range(len(keys), len(keys) + len(elements))))
-        keys += [
-            (client_id, partition, position)
-            for position, partition in enumerate(partitions, start=1)
-        ]
+        bases.append(tuple(negated + first + partition - 1 for partition in partitions))
+        slots = [0] * len(elements)
+        for database in range(2, shape.used_databases[client_id] + 1):
+            for k in shape.positions_of_database(client_id, database):
+                slots[k - 1] = len(keys)
+                keys.append((client_id, partitions[k - 1], k))
+                origins.append((client_id, database))
+        targets.append(tuple(slots))
     return PartitionPlan(
         leader_id=leader.party_id,
         leader_elements=elements,
         shape=shape,
         answer_keys=tuple(keys),
+        answer_origins=tuple(origins),
         decode_blocks=(*targets, *bases),
     )
 
 
-@dataclass(frozen=True)
-class QueryPlan:
-    """The drawn base vectors and every query message derived from them.
-
-    queries[(client, database)] lists the queries delivered to that
-    database, by partition and then target position.
-    """
-
-    h_vectors: Tuple[bytes, ...]
-    queries: Dict[Tuple[int, int], List[Message]]
-
-
 def generate_queries(
     plan: PartitionPlan, field: PrimeField, universe: Universe, seed: int, session_id: str
-) -> QueryPlan:
+) -> Tuple[Message, ...]:
     """Draw one base vector per partition index and lay the queries out on them."""
     h_vectors = tuple(
         draw_vector(seed, field.modulus, universe.size, "h", ell)
@@ -226,33 +221,24 @@ def generate_queries(
 
 def lay_out_queries(
     plan: PartitionPlan, h_vectors: Tuple[bytes, ...], modulus: int, session_id: str
-) -> QueryPlan:
-    """Every per-database query, built from one given base vector per partition.
+) -> Tuple[Message, ...]:
+    """Every query, built from one given base vector per partition, in plan order.
 
     Clients with fewer partitions share the leading base vectors. Database 1
     of a client gets each bare base vector of its partitions, and each element
     is targeted at one further database by bumping its coordinate by one.
     """
-    shape = plan.shape
     leader = (plan.leader_id, 0)
-    queries: Dict[Tuple[int, int], List[Message]] = {}
-    # Fields in order (type, session_id, origin, dest, partition, target,
-    # values): keywords cost about twice as much per message.
-    for client_id in shape.client_ids:
-        base = (client_id, 1)
-        queries[base] = [
-            Message("query", session_id, leader, base, ell, None, vector)
-            for ell, vector in enumerate(h_vectors[: shape.eta[client_id]], start=1)
-        ]
-        for position, element in enumerate(plan.leader_elements, start=1):
-            partition, database = shape.position_location(client_id, position)
-            bumped = bytearray(h_vectors[partition - 1])
-            bumped[element - 1] = (bumped[element - 1] + 1) % modulus
-            dest = (client_id, database)
-            queries.setdefault(dest, []).append(
-                Message("query", session_id, leader, dest, partition, position, bytes(bumped))
-            )
-    return QueryPlan(h_vectors=h_vectors, queries=queries)
+    queries: List[Message] = []
+    for (_, partition, target), dest in zip(plan.answer_keys, plan.answer_origins):
+        vector = h_vectors[partition - 1]
+        if target is not None:
+            at = plan.leader_elements[target - 1] - 1
+            vector = vector[:at] + bytes(((vector[at] + 1) % modulus,)) + vector[at + 1:]
+        # Fields in order (type, session_id, origin, dest, partition, target,
+        # values): keywords cost about twice as much per message.
+        queries.append(Message("query", session_id, leader, dest, partition, target, vector))
+    return tuple(queries)
 
 
 @dataclass(frozen=True)
@@ -330,24 +316,37 @@ def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> byte
     return bytes(indicators)
 
 
-def decode_values(
-    plan: PartitionPlan,
-    answer_values: Dict[Tuple[int, int, Optional[int]], int],
-    modulus: int,
-) -> bytes:
-    """decode_indicators of one answer vector keyed by (client, partition,
-    target_pos), each value a residue below L. Raises on missing or
-    unexpected answers.
+def decode_values(plan: PartitionPlan, answers: Sequence[Message], modulus: int) -> bytes:
+    """decode_indicators of one answer vector: answer messages in
+    Message.sort_key order, each value a residue below L. Raises unless
+    answer i carries plan.answer_keys[i]'s tags from plan.answer_origins[i].
     """
-    expected = frozenset(plan.answer_keys)
-    if answer_values.keys() != expected:
-        got = set(answer_values)
-        raise ProtocolViolationError(
+    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
+    origins = tuple(answer.origin for answer in answers)
+    if keys != plan.answer_keys or origins != plan.answer_origins:
+        raise _answer_mismatch(plan, keys, origins)
+    return decode_indicators(plan, b"".join([answer.values for answer in answers]), modulus)
+
+
+def _answer_mismatch(plan: PartitionPlan, keys: tuple, origins: tuple) -> ProtocolViolationError:
+    """How sorted answers with these tags and origins differ from the plan's."""
+    got = set()
+    for key in keys:
+        if key in got:
+            return ProtocolViolationError(f"duplicate answer for {key}")
+        got.add(key)
+    expected = set(plan.answer_keys)
+    if got != expected:
+        return ProtocolViolationError(
             f"answer set mismatch: missing {sorted(expected - got, key=str)}, "
             f"unexpected {sorted(got - expected, key=str)}"
         )
-    vector = bytes([answer_values[key] for key in plan.answer_keys])
-    return decode_indicators(plan, vector, modulus)
+    for key, origin in zip(keys, origins):
+        client_id, _, target = key
+        planned = (client_id, plan.shape.position_location(client_id, target)[1] if target else 1)
+        if origin != planned:
+            return ProtocolViolationError(f"answer {key} from {origin}, not from {planned}")
+    return ProtocolViolationError("answers out of Message.sort_key order")
 
 
 def decode(
@@ -358,13 +357,13 @@ def decode(
     """Decode collected answer messages into the intersection.
 
     Every message must be an answer to the leader carrying one residue below
-    L. Answers are keyed by their origin client and echoed (partition,
-    target) tags, so arrival order is irrelevant. Duplicate, missing, or
-    unknown tags are protocol violations.
+    L. The answers are put in Message.sort_key order, so arrival order is
+    irrelevant; then answer i must carry the tags of query i and come from
+    the database it went to. Duplicate, missing, or unknown tags, and an
+    answer from another database, are protocol violations.
     """
     leader = (plan.leader_id, 0)
     modulus = field.modulus
-    values: Dict[Tuple[int, int, Optional[int]], int] = {}
     for answer in answers:
         if answer.type != "answer" or answer.dest != leader:
             raise ProtocolViolationError(
@@ -375,13 +374,9 @@ def decode(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
                 f"got {list(answer.values)}"
             )
-        key = (answer.origin[0], answer.partition, answer.target)
-        if key in values:
-            raise ProtocolViolationError(f"duplicate answer for {key}")
-        values[key] = answer.values[0]
-    indicators = decode_values(plan, values, modulus)
+    indicators = decode_values(plan, sorted(answers, key=Message.sort_key), modulus)
     return IntersectionResult(
         decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),
         indicators=dict(zip(plan.leader_elements, indicators)),
-        download_cost_actual=len(values),
+        download_cost_actual=len(answers),
     )

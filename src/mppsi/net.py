@@ -7,7 +7,8 @@ client.answer_all as the in-memory transport does. Client endpoints send
 each other their randomness shares (individual values to the correlating
 client's databases, the global multiplier from database 1 of the lowest
 client); the leader connects to each queried database once, sends its
-queries and reads the answers off the same connection, in any interleaving.
+queries, a consecutive run of the session's (which come in transcript
+order), and reads the answers off the same connection, in any interleaving.
 
 Both sides run on a serve loop: one thread multiplexing the endpoints'
 listening sockets, the connections they accept, and outgoing connections,
@@ -40,6 +41,7 @@ one, and its transcript has no randomness section.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import queue
 import selectors
@@ -550,12 +552,12 @@ def run_networked_session(
     and derives its session id once.
     """
 
-    def exchange(setup, plan, query_plan, session_id):
+    def exchange(setup, plan, sent, session_id):
         leader = (plan.leader_id, 0)
-        queries = {
-            dest: (bytearray().join(map(encode_msg, msgs)), len(msgs))
-            for dest, msgs in query_plan.queries.items()
-        }
+        queries = {}
+        for dest, msgs in itertools.groupby(sent, key=lambda query: query.dest):
+            frames = list(map(encode_msg, msgs))
+            queries[dest] = (bytearray().join(frames), len(frames))
         if endpoints is None and config.addresses:
             _check_external_addresses(setup, config.addresses)
             # The shares pass only between those endpoints.

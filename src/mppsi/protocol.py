@@ -7,14 +7,15 @@ function, of the config alone, so every transport and endpoint derives the
 same id. prepare runs both for a config, once per config object: the
 config's cached SessionConfig.prepared calls it, and the leader's driver,
 the database endpoints and the CLI read that. collect_answers is the
-in-memory answer round: every database answers the queries delivered to it
-from its own database.DatabaseState, through client.answer_all, the
-function a TCP endpoint answers with too.
+in-memory answer round: every database answers its run of the queries, in
+transcript order, from its own database.DatabaseState, through
+client.answer_all, the function a TCP endpoint answers with too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +25,7 @@ from .config import SessionConfig
 from .database import DatabaseState
 from .errors import InfeasibleError
 from .field import PrimeField, select_field_size
-from .leader import CostTable, QueryPlan, cost_table
+from .leader import CostTable, cost_table
 from .model import PartyProfile, Universe, validate_profiles
 from .wire import SESSION_ID_CHARS, Message
 
@@ -94,12 +95,12 @@ def prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
 
 
 def collect_answers(
-    query_plan: QueryPlan,
+    queries: Sequence[Message],
     states: Dict[Tuple[int, int], DatabaseState],
     universe: Universe,
 ) -> List[Message]:
-    """Every database answers exactly the queries delivered to it, from its own state."""
+    """Every database answers exactly its consecutive run of the queries, from its own state."""
     answers: List[Message] = []
-    for address, delivered in query_plan.queries.items():
-        answers.extend(answer_all(states[address], delivered, universe))
+    for address, delivered in itertools.groupby(queries, key=lambda query: query.dest):
+        answers += answer_all(states[address], list(delivered), universe)
     return answers

@@ -16,12 +16,13 @@ messages to TCP endpoints.
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
 run's messages in transcript order (shares in randomness.share_order, then
-queries and answers by Message.sort_key). A transcript file is one line of
-sorted-key JSON whose "messages" list holds each message as the base64 text
-of its binary frame (wire.encode_msg), so the file and the wire share one
-encoding and one rule for a valid message. The file stays a JSON object so
-its head (cost table, leader) and tail (result, session id) stay readable
-with json alone.
+queries and answers by Message.sort_key), in which the leader generates its
+queries: only the answers, in arrival order, need a sort. A transcript file
+is one line of sorted-key JSON whose "messages" list holds each message as
+the base64 text of its binary frame (wire.encode_msg), so the file and the
+wire share one encoding and one rule for a valid message. The file stays a
+JSON object so its head (cost table, leader) and tail (result, session id)
+stay readable with json alone.
 
 The leader never appears as origin or destination of a randomness-phase
 message; those flow only between client databases. Audits rely on each
@@ -42,7 +43,6 @@ from .leader import (
     CostTable,
     IntersectionResult,
     PartitionPlan,
-    QueryPlan,
     decode,
     generate_queries,
     make_partition_plan,
@@ -206,11 +206,12 @@ def load_transcript(data: bytes) -> SessionTranscript:
     return transcript
 
 
-# Given the setup, the plan, the queries and the session id, an exchange
-# delivers the queries and returns the shares it saw, in share_order (none
-# when they passed only between databases it does not run), and the answers.
+# Given the setup, the plan, the queries in transcript order and the session
+# id, an exchange delivers the queries and returns the shares it saw, in
+# share_order (none when only databases it does not run saw them), and the answers.
 Exchange = Callable[
-    [SessionSetup, PartitionPlan, QueryPlan, str], Tuple[Sequence[Message], Sequence[Message]]
+    [SessionSetup, PartitionPlan, Sequence[Message], str],
+    Tuple[Sequence[Message], Sequence[Message]],
 ]
 
 
@@ -218,17 +219,12 @@ def transcript_from_run(
     setup: SessionSetup,
     session_id: str,
     shares: Sequence[Message],
-    query_plan: QueryPlan,
+    queries: Sequence[Message],
     answers: Sequence[Message],
     result: IntersectionResult,
 ) -> SessionTranscript:
     """The run's messages in transcript order, with its setup and result."""
-    queries = [q for sent in query_plan.queries.values() for q in sent]
-    messages = (
-        *shares,
-        *sorted(queries, key=Message.sort_key),
-        *sorted(answers, key=Message.sort_key),
-    )
+    messages = (*shares, *queries, *sorted(answers, key=Message.sort_key))
     return SessionTranscript(
         session_id=session_id,
         leader_id=setup.leader.party_id,
@@ -249,15 +245,15 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
         empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)
     plan = make_partition_plan(setup.leader, setup.clients)
-    query_plan = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
-    shares, answers = exchange(setup, plan, query_plan, session_id)
+    queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    shares, answers = exchange(setup, plan, queries, session_id)
     for msg in answers:
         if msg.session_id != session_id:
             raise ProtocolViolationError(
                 f"answer for session {msg.session_id}, running {session_id}"
             )
     result = decode(plan, answers, setup.field)
-    return transcript_from_run(setup, session_id, shares, query_plan, answers, result)
+    return transcript_from_run(setup, session_id, shares, queries, answers, result)
 
 
 def run_memory_session(
@@ -265,11 +261,11 @@ def run_memory_session(
 ) -> SessionTranscript:
     """Run one session entirely in process, deterministically."""
 
-    def exchange(setup, plan, query_plan, session_id):
+    def exchange(setup, plan, queries, session_id):
         states, shares = build_bundle(
             plan, setup.clients, setup.field, config.seed, session_id, policy
         )
-        return shares, collect_answers(query_plan, states, config.universe)
+        return shares, collect_answers(queries, states, config.universe)
 
     return run_leader(config, exchange)
 

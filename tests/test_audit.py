@@ -39,7 +39,7 @@ from mppsi.seeding import labeled_rng
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.config import SessionConfig
 
-from test_leader import reference_indicators
+from test_leader import queries_to, reference_indicators
 
 
 def profile(pid, elems, dbs):
@@ -747,7 +747,10 @@ def session_realization(config, policy):
     )
     setup, plan, shape = compiled.setup, compiled.plan, compiled.plan.shape
     session_id = make_session_id(config)
-    h = generate_queries(plan, setup.field, config.universe, config.seed, session_id).h_vectors
+    queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    # The client with the most partitions gets every base vector, bare, at database 1.
+    widest = max(shape.client_ids, key=shape.eta.__getitem__)
+    h = tuple(query.values for query in queries_to(queries, (widest, 1)))
     states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id, policy)
     s = tuple(states[client, 1].local[ell - 1] for client, ell in compiled.s_index)
     t = []
@@ -757,6 +760,7 @@ def session_realization(config, policy):
     return compiled, h, (s, tuple(t), states[shape.client_ids[0], 1].c)
 
 
+@pytest.mark.pins
 class TestRunnerAgreesWithAuditor:
     """The auditor's answer walk, fed one memory session's own draws, gives
     that session's answers: the lemmas are proved over the code that runs."""

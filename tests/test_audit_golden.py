@@ -28,6 +28,8 @@ from test_audit import (
     FOUR_PARTY, HETEROGENEOUS, HOMOGENEOUS, POLICIES, TWO_PARTY, break_correlation_at_top, profile
 )
 
+pytestmark = pytest.mark.pins
+
 INSTANCES = {
     "homogeneous": HOMOGENEOUS,
     "heterogeneous": HETEROGENEOUS,

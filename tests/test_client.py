@@ -14,6 +14,8 @@ from mppsi.model import PartyProfile, Universe
 from mppsi.randomness import build_bundle
 from mppsi.wire import Message
 
+from test_leader import queries_to
+
 SESSION = "client-tests"
 
 
@@ -136,15 +138,15 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
     states, _ = build_bundle(plan, clients, field, seed=21, session_id=SESSION)
-    qp = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
-    return clients, plan, field, states, qp
+    sent = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
+    return clients, plan, field, states, sent
 
 
 class TestAnswerAll:
     def test_database_one_answer_formula(self):
-        clients, plan, field, states, qp = _session_pieces()
+        clients, plan, field, states, sent = _session_pieces()
         client = clients[0]
-        queries = qp.queries[client.party_id, 1]
+        queries = queries_to(sent, (client.party_id, 1))
         state = states[client.party_id, 1]
         msgs = answer_all(state, queries, Universe(4))
         assert len(msgs) == 1
@@ -156,8 +158,8 @@ class TestAnswerAll:
         assert msgs[0].target is None
 
     def test_answer_echoes_its_query(self):
-        clients, plan, field, states, qp = _session_pieces()
-        queries = qp.queries[clients[1].party_id, 2]
+        clients, plan, field, states, sent = _session_pieces()
+        queries = queries_to(sent, (clients[1].party_id, 2))
         msgs = answer_all(states[clients[1].party_id, 2], queries, Universe(4))
         assert [
             (m.type, m.phase, m.session_id, m.origin, m.dest, m.partition, m.target)
@@ -168,8 +170,8 @@ class TestAnswerAll:
         ]
 
     def test_one_answer_per_query_with_tags_echoed(self):
-        clients, plan, field, states, qp = _session_pieces(client_dbs=(2, 2))
-        queries = qp.queries[clients[0].party_id, 1]
+        clients, plan, field, states, sent = _session_pieces(client_dbs=(2, 2))
+        queries = queries_to(sent, (clients[0].party_id, 1))
         assert len(queries) == 2  # one base vector per partition
         msgs = answer_all(states[clients[0].party_id, 1], queries, Universe(4))
         assert [(m.partition, m.target) for m in msgs] == [
@@ -177,18 +179,18 @@ class TestAnswerAll:
         ]
 
     def test_no_queries_no_answers(self):
-        clients, plan, field, states, qp = _session_pieces()
+        clients, plan, field, states, sent = _session_pieces()
         assert answer_all(states[1, 1], [], Universe(4)) == []
 
     def test_determinism_is_exact(self):
-        clients, plan, field, states, qp = _session_pieces()
-        queries = qp.queries[clients[1].party_id, 2]
+        clients, plan, field, states, sent = _session_pieces()
+        queries = queries_to(sent, (clients[1].party_id, 2))
         state = states[clients[1].party_id, 2]
         assert answer_all(state, queries, Universe(4)) == answer_all(state, queries, Universe(4))
 
     def test_unknown_partition_tag_rejected(self):
         # Partition 0 would index the last local slot from the end.
-        clients, plan, field, states, qp = _session_pieces()
+        clients, plan, field, states, sent = _session_pieces()
         for partition in (0, 99):
             rogue = query((clients[0].party_id, 1), partition, None, (0, 0, 0, 0))
             with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
@@ -204,14 +206,14 @@ class TestAnswerAll:
             answer_all(state, [query((1, 2), 1, 1, (0, 0))], Universe(2))
 
     def test_misaddressed_query_rejected(self):
-        clients, plan, field, states, qp = _session_pieces()
-        queries = qp.queries[1, 2]
+        clients, plan, field, states, sent = _session_pieces()
+        queries = queries_to(sent, (1, 2))
         with pytest.raises(ProtocolViolationError):
             answer_all(states[2, 2], queries, Universe(4))
 
     def test_base_query_at_non_first_database_rejected(self):
-        clients, plan, field, states, qp = _session_pieces()
-        base = qp.queries[1, 1][0]
+        clients, plan, field, states, sent = _session_pieces()
+        base = queries_to(sent, (1, 1))[0]
         moved = query((1, 2), base.partition, None, base.values)
         with pytest.raises(ProtocolViolationError):
             answer_all(states[1, 2], [moved], Universe(4))
@@ -219,9 +221,9 @@ class TestAnswerAll:
     def test_targeted_query_at_database_one_rejected(self):
         # Database 1 holds no individual values: a targeted query moved to
         # it has no t to add, so it is refused rather than answered with 0.
-        clients, plan, field, states, qp = _session_pieces()
+        clients, plan, field, states, sent = _session_pieces()
         assert states[1, 1].individual == {}
-        targeted = qp.queries[1, 2][0]
+        targeted = queries_to(sent, (1, 2))[0]
         moved = targeted._replace(dest=(1, 1))
         with pytest.raises(ProtocolViolationError, match="no individual randomness"):
             answer_all(states[1, 1], [moved], Universe(4))

@@ -14,6 +14,8 @@ from mppsi.net import run_networked_session
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.wire import decode_msg, encode_msg
 
+pytestmark = pytest.mark.pins
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {

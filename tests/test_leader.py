@@ -14,13 +14,13 @@ from mppsi.leader import (
     cost_table,
     decode,
     decode_indicators,
-    decode_values,
     download_cost,
     generate_queries,
     make_partition_plan,
 )
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import prepare_session
+from mppsi.seeding import draw_vector
 from mppsi.session import run_memory_session
 
 SESSION = "leader-tests"
@@ -44,8 +44,9 @@ def answers_of(transcript):
     return list(transcript.messages_in_phase("answer"))
 
 
-def all_queries(qp):
-    return [q for sent in qp.queries.values() for q in sent]
+def queries_to(queries, dest):
+    """The queries addressed to database dest, in the order sent."""
+    return [query for query in queries if query.dest == dest]
 
 
 def oracle_cost(set_size, counterpart_dbs):
@@ -188,13 +189,13 @@ class TestQueryGeneration:
         leader, clients = HOMOGENEOUS[2], HOMOGENEOUS[:2]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(3)
-        qp = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
-        h = qp.h_vectors[0]
+        sent = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
+        h = draw_vector(5, field.modulus, 4, "h", 1)
         for client_id in (1, 2):
-            base = qp.queries[client_id, 1]
+            base = queries_to(sent, (client_id, 1))
             assert len(base) == 1 and base[0].values == h
-            (bump1,) = qp.queries[client_id, 2]
-            (bump4,) = qp.queries[client_id, 3]
+            (bump1,) = queries_to(sent, (client_id, 2))
+            (bump4,) = queries_to(sent, (client_id, 3))
             assert plan.leader_elements[bump1.target - 1] == 1
             assert plan.leader_elements[bump4.target - 1] == 4
             assert bump1.values[0] == (h[0] + 1) % field.modulus
@@ -204,8 +205,17 @@ class TestQueryGeneration:
 
     def test_queries_are_messages_from_the_leader(self):
         plan = make_partition_plan(HETEROGENEOUS[3], HETEROGENEOUS[:3])
-        qp = generate_queries(plan, select_field_size(4), Universe(5), seed=5, session_id=SESSION)
-        for dest, sent in qp.queries.items():
+        queries = generate_queries(
+            plan, select_field_size(4), Universe(5), seed=5, session_id=SESSION
+        )
+        dests = {
+            (client.party_id, database)
+            for client in HETEROGENEOUS[:3]
+            for database in range(1, plan.shape.used_databases[client.party_id] + 1)
+        }
+        assert {q.dest for q in queries} == dests
+        for dest in dests:
+            sent = queries_to(queries, dest)
             assert sent
             for q in sent:
                 assert (q.type, q.phase, q.session_id) == ("query", "query", SESSION)
@@ -216,14 +226,15 @@ class TestQueryGeneration:
         clients = [profile(1, {1, 2}, 2), profile(2, {1, 3}, 2)]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(3)
-        qp = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
-        assert len(qp.h_vectors) == 2
+        sent = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
+        assert {q.partition for q in sent} == {1, 2}
+        h = [draw_vector(5, field.modulus, 4, "h", ell) for ell in (1, 2)]
         for client_id in (1, 2):
-            base = qp.queries[client_id, 1]
+            base = queries_to(sent, (client_id, 1))
             assert [q.partition for q in base] == [1, 2]
-            assert base[0].values == qp.h_vectors[0]
-            assert base[1].values == qp.h_vectors[1]
-            targeted = qp.queries[client_id, 2]
+            assert base[0].values == h[0]
+            assert base[1].values == h[1]
+            targeted = queries_to(sent, (client_id, 2))
             assert [
                 (q.partition, plan.leader_elements[q.target - 1]) for q in targeted
             ] == [(1, 1), (2, 4)]
@@ -236,10 +247,10 @@ class TestQueryGeneration:
         clients = [profile(1, {1}, 3)]
         plan = make_partition_plan(leader, clients)
         field = select_field_size(2)
-        qp = generate_queries(plan, field, Universe(5), seed=5, session_id=SESSION)
+        sent = generate_queries(plan, field, Universe(5), seed=5, session_id=SESSION)
         elements = plan.leader_elements
-        db2 = qp.queries[1, 2]
-        db3 = qp.queries[1, 3]
+        db2 = queries_to(sent, (1, 2))
+        db3 = queries_to(sent, (1, 3))
         assert [(q.partition, elements[q.target - 1]) for q in db2] == [(1, 1), (2, 5)]
         assert [(q.partition, elements[q.target - 1]) for q in db3] == [(1, 4)]
 
@@ -253,11 +264,10 @@ class TestQueryGeneration:
             leader = profile(m, leader_set, 2)
             plan = make_partition_plan(leader, profiles)
             field = select_field_size(m)
-            qp = generate_queries(
-                plan, field, Universe(k), seed=rng.randint(0, 999), session_id=SESSION
-            )
-            for spec in all_queries(qp):
-                base = qp.h_vectors[spec.partition - 1]
+            seed = rng.randint(0, 999)
+            queries = generate_queries(plan, field, Universe(k), seed=seed, session_id=SESSION)
+            for spec in queries:
+                base = draw_vector(seed, field.modulus, k, "h", spec.partition)
                 diffs = [
                     (i, (v - b) % field.modulus)
                     for i, (v, b) in enumerate(zip(spec.values, base))
@@ -281,11 +291,15 @@ class TestQueryGeneration:
             leader = profile(m, leader_set, 2)
             plan = make_partition_plan(leader, clients)
             field = select_field_size(m)
-            qp = generate_queries(plan, field, Universe(k), seed=1, session_id=SESSION)
+            queries = generate_queries(plan, field, Universe(k), seed=1, session_id=SESSION)
             for client in clients:
-                specs = [q for q in all_queries(qp) if q.dest[0] == client.party_id]
+                specs = [
+                    q
+                    for database in range(1, client.num_databases + 1)
+                    for q in queries_to(queries, (client.party_id, database))
+                ]
                 assert len(specs) == plan.shape.eta[client.party_id] + plan.shape.set_size
-            assert len(all_queries(qp)) == download_cost(leader, clients)
+            assert len(queries) == download_cost(leader, clients)
 
 
 # Each turns a run's answers (to leader 3, L = 3) into a list decode rejects,
@@ -303,6 +317,15 @@ BAD_ANSWERS = {
     ),
     "duplicate tag": (lambda a, L: a + a[:1], "duplicate"),
     "missing tag": (lambda a, L: a[:-1], "missing"),
+    # a[1] is the answer (1, 1, 1), whose query went to database (1, 2).
+    "origin a database of the client never asked for it": (
+        lambda a, L: [a[0], a[1]._replace(origin=(1, 3)), *a[2:]],
+        r"answer \(1, 1, 1\) from \(1, 3\), not from \(1, 2\)",
+    ),
+    "targeted answer from database 1": (
+        lambda a, L: [a[0], a[1]._replace(origin=(1, 1)), *a[2:]],
+        r"answer \(1, 1, 1\) from \(1, 1\), not from \(1, 2\)",
+    ),
 }
 
 
@@ -345,23 +368,20 @@ class TestDecode:
 
     def test_foreign_answer_key_rejected(self):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
-        values = {
-            (a.origin[0], a.partition, a.target): a.values[0] for a in answers_of(transcript)
-        }
-        client_id, partition, _ = key = next(k for k in values if k[2] is not None)
-        values[(client_id, partition, 99)] = values.pop(key)
-        assert len(values) == len(plan.answer_keys)
+        answers = answers_of(transcript)
+        index = next(i for i, a in enumerate(answers) if a.target is not None)
+        answers[index] = answers[index]._replace(target=99)
+        assert len(answers) == len(plan.answer_keys)
         with pytest.raises(ProtocolViolationError, match="unexpected"):
-            decode_values(plan, values, field.modulus)
+            decode(plan, answers, field)
 
     def test_answer_key_beside_every_planned_one_rejected(self):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
-        values = {
-            (a.origin[0], a.partition, a.target): a.values[0] for a in answers_of(transcript)
-        }
-        values[(1, 1, 99)] = 0
+        answers = answers_of(transcript)
+        beside = next(a for a in answers if (a.origin[0], a.partition) == (1, 1))
+        answers.append(beside._replace(target=99, values=bytes(1)))
         with pytest.raises(ProtocolViolationError, match=r"unexpected \[\(1, 1, 99\)\]"):
-            decode_values(plan, values, field.modulus)
+            decode(plan, answers, field)
 
     def test_decode_matches_brute_force_on_random_instances(self):
         rng = random.Random(31)

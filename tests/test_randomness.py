@@ -23,6 +23,7 @@ from mppsi.randomness import (
 )
 from mppsi.session import run_memory_session
 from test_golden import wide_config
+from test_leader import queries_to
 
 
 SESSION = "randomness-tests"
@@ -211,13 +212,12 @@ class TestBundle:
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
         states, _ = build_bundle(plan, clients, field, seed=13, session_id=SESSION)
-        qp = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
+        sent = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
                 q
-                for (client_id, _), sent in qp.queries.items()
-                if client_id == client.party_id
-                for q in sent
+                for database in range(1, client.num_databases + 1)
+                for q in queries_to(sent, (client.party_id, database))
                 if q.target is not None
             ]
             assert len(specs) == plan.shape.set_size

@@ -6,15 +6,23 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
 
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError, InfeasibleError, ProtocolViolationError
 from mppsi.field import MAX_PARTIES
-from mppsi.leader import CostTable, download_cost
+from mppsi.leader import CostTable, download_cost, lay_out_queries, make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
-from mppsi.protocol import make_session_id
+from mppsi.protocol import collect_answers, make_session_id
+from mppsi.randomness import build_bundle
+from mppsi.seeding import draw_vector
 from mppsi.session import load_transcript, run_memory_session, run_session
+from mppsi.wire import Message
+
+from test_audit import session_configs
+
+pytestmark = pytest.mark.pins
 
 
 def config_of(parties, universe, seed=3, leader=None):
@@ -116,6 +124,30 @@ class TestTranscriptShape:
         set_size = 3
         for msg in transcript.messages_in_phase("query"):
             assert msg.target is None or 1 <= msg.target <= set_size
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(session_configs())
+    def test_queries_and_answers_are_laid_out_in_transcript_order(self, config):
+        # Query i goes where answer i comes from, with its tags, and both
+        # rounds leave the leader's plan and the databases already sorted.
+        setup, session_id = config.prepared
+        assume(setup.leader.data_set)
+        plan = make_partition_plan(setup.leader, setup.clients)
+        modulus = setup.field.modulus
+        h = tuple(
+            draw_vector(config.seed, modulus, config.universe_size, "h", ell)
+            for ell in range(1, max(plan.shape.eta.values()) + 1)
+        )
+        queries = lay_out_queries(plan, h, modulus, session_id)
+        keys = [query.sort_key() for query in queries]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert [query.dest for query in queries] == list(plan.answer_origins)
+        assert [(query.partition, query.target) for query in queries] == [
+            key[1:] for key in plan.answer_keys
+        ]
+        states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
+        answers = collect_answers(queries, states, config.universe)
+        assert answers == sorted(answers, key=Message.sort_key)
 
     def test_costs_match_formula_on_random_configs(self):
         rng = random.Random(5)
