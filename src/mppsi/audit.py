@@ -46,14 +46,14 @@ query outcomes.
 Reliability, the masking and the mutual-information checks enumerate one
 realization stream: base vectors from _all_h (or _drawn_h), levels of
 (s, t, c), and answer vectors from _answer_batches. Reliability and the MI
-checks take their levels from _raw_realizations under the caller's policy;
-the masking checks' core, _masking_tables, makes each multiplier group's
-sweep of a context's lemma slots one stream of levels. The masking and MI
-checks read the batches back through answers_for_realization, one
-realization at a time in stream order; reliability decodes whole batches
-and reads back only one that fails. So every check answers through
-_answer_batches and decodes through decode_indicators, and the correlated
-completion is randomness.completion, the one the client databases run.
+checks take their levels from _raw_realizations under the caller's policy. A
+masking check draws each context once; its core, _masking_tables, makes a
+multiplier group's sweep one stream, a level per run of one local tuple. The
+masking and MI checks read the batches back a realization at a time, in stream
+order, through answers_for_realization; reliability decodes whole batches and
+reads back only one that fails. So every check answers through _answer_batches
+and decodes through decode_indicators, and the correlated completion is
+randomness.completion, the client databases' own.
 
 Each check has scheme mutations (RandomnessPolicy knobs, unmasked queries)
 that make it fail, demonstrating the checks have power.
@@ -93,34 +93,43 @@ Level = Tuple[Tuple[int, ...], Sequence[Tuple[Tuple[int, ...], Sequence[int]]]]
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Exact distribution: outcome -> probability as a Fraction summing to 1."""
+    """Exact distribution: distinct outcomes, each with an exact probability
+    in (0, 1], summing to 1 (checked in integers, over one denominator)."""
 
     probs: Tuple[Tuple[object, Fraction], ...]
 
     def __post_init__(self) -> None:
-        total = sum((p for _, p in self.probs), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        probs = [p for _, p in self.probs]
+        if len(dict(self.probs)) != len(probs):
+            raise ValueError("repeated outcome")
+        if not all(isinstance(p, (Fraction, int)) for p in probs):
+            raise ValueError("probabilities must be exact rationals")
+        if not all(0 < p.numerator <= p.denominator for p in probs):
+            raise ValueError("probabilities must lie in (0, 1]")
+        common = math.lcm(*(p.denominator for p in probs))
+        total = sum(p.numerator * (common // p.denominator) for p in probs)
+        if total != common:
+            raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
 
     @classmethod
     def from_counts(cls, counts: Dict) -> "DistributionTable":
         total = sum(counts.values())
-        return cls(
-            tuple(sorted(
-                ((outcome, Fraction(n, total)) for outcome, n in counts.items()),
-                key=lambda item: repr(item[0]),
-            ))
-        )
-
-    @classmethod
-    def uniform_over(cls, outcomes: Sequence) -> "DistributionTable":
-        return cls.from_counts(dict.fromkeys(outcomes, 1))
+        shares = {n: Fraction(n, total) for n in set(counts.values())}
+        return cls(tuple(sorted(
+            ((outcome, shares[n]) for outcome, n in counts.items()),
+            key=lambda item: repr(item[0]),
+        )))
 
     def as_dict(self) -> Dict:
         return dict(self.probs)
 
     def is_uniform_over(self, outcomes: Sequence) -> bool:
-        return self == DistributionTable.uniform_over(outcomes)
+        expected = sorted(dict.fromkeys(outcomes), key=repr)
+        if not expected:
+            raise ValueError("no outcomes to be uniform over")
+        return [outcome for outcome, _ in self.probs] == expected and all(
+            p.numerator == 1 and p.denominator == len(expected) for _, p in self.probs
+        )
 
 
 @dataclass(frozen=True)
@@ -409,8 +418,8 @@ def _answer_batches(
     before a piece that would take it past DECODE_BATCH vectors, so it
     holds at most DECODE_BATCH, or one piece of fewer than DECODE_BATCH +
     L. An exhaustive stream's t-blocks are built once per check
-    (AllTGroups.blocks); other groups' as their level is walked. c must
-    be a residue in [0, L).
+    (AllTGroups.blocks); other groups' once per run of levels that carry
+    the same groups object. c must be a residue in [0, L).
     """
     modulus = compiled.field.modulus
     size = len(compiled.s_slots)
@@ -419,7 +428,7 @@ def _answer_batches(
     ip_row = int.from_bytes(bytes(ips), "big")
     repeaters = {1: 1}  # by row count
     batch: List[Piece] = []
-    vectors = 0
+    vectors, last_groups = 0, None
     for s_values, groups in levels:
         if narrow:
             with_s = ip_row + sum(map(operator.mul, s_values, compiled.s_masks))
@@ -428,9 +437,9 @@ def _answer_batches(
                 [(ip + s_values[i]) % modulus for ip, i in zip(ips, compiled.s_slots)]
             )
         if isinstance(groups, AllTGroups):
-            blocks = groups.blocks(compiled, policy)
-        else:
-            blocks = _t_blocks(compiled, groups, policy)
+            blocks, last_groups = groups.blocks(compiled, policy), None
+        elif groups is not last_groups:  # else the last level's blocks serve again
+            blocks, last_groups = list(_t_blocks(compiled, groups, policy)), groups
         for start, rows, c_values, t_block in blocks:
             if narrow:
                 repeater = repeaters.get(rows)
@@ -491,14 +500,6 @@ def _policy_ranges(
     )
 
 
-def _fixed_draw(
-    seed: int, modulus: int, length: int, label: str, ctx: int, zeroed: bool
-) -> Tuple[int, ...]:
-    """Seeded values for slots a masking check holds fixed: zeros where the
-    policy zeroes their tier, else a labeled draw from F_L."""
-    return tuple(bytes(length) if zeroed else draw_vector(seed, modulus, length, label, ctx))
-
-
 def _h_space(compiled: CompiledInstance) -> int:
     kappa = max(compiled.plan.shape.eta.values())
     return compiled.field.modulus ** (compiled.universe.size * kappa)
@@ -553,9 +554,7 @@ def _raw_realizations(
     one seeded stream from call to call, so each set gets draws of its own.
     """
     s_range, t_range, c_range = _policy_ranges(policy, compiled.field.modulus)
-    space = (
-        len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
-    )
+    space = len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
     if space <= bound:
         levels = len(s_range) ** compiled.n_s
         groups = AllTGroups(t_range, compiled.n_t, tuple(c_range), keep=levels > 1)
@@ -670,35 +669,52 @@ class UniformityReport:
     detail: str = ""
 
 
+def _draw_contexts(
+    compiled: CompiledInstance, policy: RandomnessPolicy, seed: int, contexts: int, label: str
+) -> List[tuple]:
+    """A masking check's contexts, drawn once per check under label: base
+    vectors (_drawn_h), then the local and individual values the lemma holds,
+    drawn unless the policy zeroes their tier, so a completion wrong only at
+    some t meets the sweeps. They depend on the seed, label, context and
+    sizes alone, so every client, position and column-sum variant shares them."""
+    if contexts < 1:
+        raise ValueError(f"a masking check needs at least one context, got {contexts}")
+    modulus = compiled.field.modulus
+    tiers = (("s", compiled.n_s, policy.zero_local), ("t", compiled.n_t, policy.zero_individual))
+    return [(_drawn_h(compiled, seed, f"{label}-h", ctx), *(
+        tuple(bytes(n) if zeroed else draw_vector(seed, modulus, n, f"{label}-{tier}", ctx))
+        for tier, n, zeroed in tiers
+    )) for ctx in range(contexts)]
+
+
+def _with_ips(compiled: CompiledInstance, drawn: Sequence[tuple]) -> List[tuple]:
+    """The drawn contexts with the base vectors' inner products on this instance."""
+    return [(query_inner_products(compiled, h_vectors), s, t) for h_vectors, s, t in drawn]
+
+
 def _masking_tables(
     compiled: CompiledInstance,
     policy: RandomnessPolicy,
-    seed: int,
-    contexts: int,
-    label: str,
+    drawn: Sequence[tuple],
     sweep: Callable[[tuple, tuple], Iterable[Tuple[tuple, tuple]]],
     c_groups: Sequence[Sequence[int]],
     statistic: Callable[[bytes], object],
 ) -> Iterator[Tuple[int, Sequence[int], DistributionTable]]:
-    """The masking lemmas' core: per context, one table per multiplier group.
-
-    Each context is drawn once: its base vectors by _drawn_h, and the local
-    and individual values the lemma holds fixed by _fixed_draw, under label;
-    drawn, not zero, so a completion wrong only at some t meets the sweeps.
-    sweep maps them to the (s, t) pairs the lemma varies. A group's sweep is
-    one stream, a level per (s, t) pair with the group's multipliers, and
-    its table counts statistic over what answers_for_realization reads back.
-    """
-    modulus = compiled.field.modulus
-    for ctx in range(contexts):
-        ips = query_inner_products(compiled, _drawn_h(compiled, seed, f"{label}-h", ctx))
-        s_fixed = _fixed_draw(seed, modulus, compiled.n_s, f"{label}-s", ctx, policy.zero_local)
-        t_fixed = _fixed_draw(
-            seed, modulus, compiled.n_t, f"{label}-t", ctx, policy.zero_individual
-        )
-        pairs = list(sweep(s_fixed, t_fixed))
+    """The masking lemmas' core: per context of drawn (_with_ips), one table
+    per multiplier group. sweep maps a context's held values to the (s, t)
+    pairs the lemma varies. A group's sweep is one stream: a level per run of
+    consecutive pairs sharing s, its groups the run's t tuples under the
+    group's multipliers. Runs of equal t tuples share one groups list, whose
+    t-blocks _answer_batches builds once. The table counts statistic over
+    what answers_for_realization reads back, in the pairs' order."""
+    for ctx, (ips, s_fixed, t_fixed) in enumerate(drawn):
+        runs = [
+            (s, tuple(t for _, t in run))
+            for s, run in itertools.groupby(sweep(s_fixed, t_fixed), operator.itemgetter(0))
+        ]
         for group in c_groups:
-            levels = [(s, [(t, group)]) for s, t in pairs]
+            shared = {ts: [(t, group) for t in ts] for ts in {ts for _, ts in runs}}
+            levels = [(s, shared[ts]) for s, ts in runs]
             counts = Counter(
                 statistic(answers)
                 for *_, answers in answers_for_realization(compiled, ips, levels, policy)
@@ -706,21 +722,12 @@ def _masking_tables(
             yield ctx, group, DistributionTable.from_counts(counts)
 
 
-def _require_contexts(contexts: int) -> None:
-    """A masking check of no context would pass having checked nothing."""
-    if contexts < 1:
-        raise ValueError(f"a masking check needs at least one context, got {contexts}")
-
-
-def _uniformity_report(results: Iterable[tuple]) -> UniformityReport:
+def _uniformity_report(results: List[tuple]) -> UniformityReport:
     """Fold each table's (key, table, failure or None) into one report: it
     passes when no table fails, and its detail is the first failure."""
-    tables: Dict[object, DistributionTable] = {}
-    detail: Optional[str] = None
-    for key, table, failure in results:
-        tables[key] = table
-        detail = detail or failure
-    return UniformityReport(detail is None, tables, detail or "")
+    failures = [failure for _, _, failure in results if failure]
+    tables = {key: table for key, table, _ in results}
+    return UniformityReport(not failures, tables, failures[0] if failures else "")
 
 
 def check_db1_uniformity(
@@ -734,11 +741,10 @@ def check_db1_uniformity(
     The conditional is taken per client against every fixed combination of
     base vectors (sampled contexts), individual values, and multiplier value.
     """
-    _require_contexts(contexts)
     compiled = compile_instance(instance)
-    modulus = compiled.field.modulus
-    plan = compiled.plan
+    modulus, plan = compiled.field.modulus, compiled.plan
     s_range, _, c_range = _policy_ranges(policy, modulus)
+    drawn = _with_ips(compiled, _draw_contexts(compiled, policy, seed, contexts, "db1"))
     results = []
     for client_id in plan.shape.client_ids:
         eta = plan.shape.eta[client_id]
@@ -747,7 +753,7 @@ def check_db1_uniformity(
         db1 = [plan.answer_keys.index((client_id, ell, None)) for ell in range(1, eta + 1)]
         expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
         for ctx, (c_value,), table in _masking_tables(
-            compiled, policy, seed, contexts, "db1",
+            compiled, policy, drawn,
             lambda s, t: [
                 (s[:first] + sweep + s[first + eta:], t)
                 for sweep in itertools.product(s_range, repeat=eta)
@@ -771,10 +777,9 @@ def check_z_uniformity(
 ) -> UniformityReport:
     """Per-element subtraction statistics of non-correlating clients must be
     uniform as their free individual value sweeps; vacuous with two parties."""
-    _require_contexts(contexts)
     compiled = compile_instance(instance)
-    modulus = compiled.field.modulus
-    plan = compiled.plan
+    drawn = _with_ips(compiled, _draw_contexts(compiled, policy, seed, contexts, "z"))
+    modulus, plan = compiled.field.modulus, compiled.plan
     free = free_clients(plan.shape.client_ids)
     if not free:
         return UniformityReport(True, {}, "no non-correlating clients; vacuous")
@@ -788,7 +793,7 @@ def check_z_uniformity(
             target = plan.answer_keys.index((client_id, partition, position))
             base = plan.answer_keys.index((client_id, partition, None))
             for ctx, (c_value,), table in _masking_tables(
-                compiled, policy, seed, contexts, "z",
+                compiled, policy, drawn,
                 lambda s, t: [(s, t[:slot] + (value,) + t[slot + 1:]) for value in t_range],
                 [[c] for c in c_range],
                 lambda answers: (answers[target] - answers[base]) % modulus,
@@ -813,14 +818,13 @@ def check_indicator_privacy(
     column sum, the indicator's distribution over the multiplier must be the
     same exact uniform table over the nonzero residues.
     """
-    _require_contexts(contexts)
     compiled = compile_instance(instance)
     setup, plan = compiled.setup, compiled.plan
     client_ids = plan.shape.client_ids
     modulus = compiled.field.modulus
     truth = instance.true_intersection()
     _, _, c_range = _policy_ranges(policy, modulus)
-    nonzero = list(range(1, modulus))
+    held = _draw_contexts(compiled, policy, seed, contexts, "ind")
     results = []
 
     def indicator_tables(clients, element) -> Iterator[Tuple[int, object, DistributionTable]]:
@@ -828,7 +832,7 @@ def check_indicator_privacy(
         comp = _with_leader(clients, setup.leader, instance.universe)
         lane = comp.plan.leader_elements.index(element)
         return _masking_tables(
-            comp, policy, seed, contexts, "ind", lambda s, t: [(s, t)], [c_range],
+            comp, policy, _with_ips(comp, held), lambda s, t: [(s, t)], [c_range],
             lambda answers: decode_indicators(comp.plan, answers, modulus)[lane],
         )
 
@@ -855,7 +859,7 @@ def check_indicator_privacy(
                 if reference is None:
                     reference = table
                 failure = None
-                if policy.fixed_global is None and not table.is_uniform_over(nonzero):
+                if policy.fixed_global is None and not table.is_uniform_over(c_range):
                     failure = (
                         f"element {element}, column sum {sigma}: indicator not "
                         f"uniform over nonzero residues"

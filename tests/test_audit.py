@@ -1,10 +1,11 @@
 """Exact enumeration audits: reliability, masking lemmas, mutual information."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mppsi import audit
 from mppsi.audit import (
@@ -187,6 +188,49 @@ class TestEnumeration:
     def test_distribution_table_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DistributionTable(((0, Fraction(1, 2)),))
+
+
+class TestDistributionTable:
+    def test_a_short_sum_names_it(self):
+        with pytest.raises(ValueError, match="probabilities sum to 5/6, not 1"):
+            DistributionTable(((0, Fraction(1, 2)), (1, Fraction(1, 3))))
+
+    def test_a_repeated_outcome_is_refused(self):
+        # As a dict it would be {0: 1/2}: half the mass gone.
+        with pytest.raises(ValueError, match="repeated outcome"):
+            DistributionTable(((0, Fraction(1, 2)), (0, Fraction(1, 2))))
+
+    def test_a_probability_outside_zero_one_is_refused(self):
+        # The two sum to 1, but neither is a probability.
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            DistributionTable(((0, Fraction(3, 2)), (1, Fraction(-1, 2))))
+
+    def test_an_inexact_probability_is_refused(self):
+        with pytest.raises(ValueError, match="exact rationals"):
+            DistributionTable(((0, 1.0),))
+
+    def test_uniform_over_no_outcomes_is_an_error(self):
+        with pytest.raises(ValueError):
+            DistributionTable.from_counts({0: 1}).is_uniform_over([])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.dictionaries(st.integers(0, 5) | st.tuples(st.integers(0, 2)), st.integers(1, 3),
+                        min_size=1),
+        st.lists(st.integers(0, 5) | st.tuples(st.integers(0, 2)), min_size=1),
+    )
+    def test_is_uniform_over_is_equality_with_the_uniform_table(self, counts, outcomes):
+        # The uniform table over the outcomes is from_counts of one count per
+        # distinct outcome; is_uniform_over must say whether it is this one.
+        table = DistributionTable.from_counts(counts)
+        uniform = DistributionTable.from_counts(dict.fromkeys(outcomes, 1))
+        assert table.is_uniform_over(outcomes) == (table == uniform)
+        assert uniform.is_uniform_over(outcomes)
+
+    def test_equal_counts_share_one_fraction(self):
+        table = DistributionTable.from_counts({"a": 2, "b": 1, "c": 2, "d": 3})
+        probs = table.as_dict()
+        assert probs["a"] is probs["c"] == Fraction(1, 4)
 
 
 def fail_at_cases(monkeypatch, instance, bad_cases):
@@ -708,11 +752,44 @@ class TestWalkAgreesWithOracle:
         with pytest.raises(IndexError):
             groups[25]
 
+    def test_levels_sharing_groups_batch_as_equal_lists(self, monkeypatch):
+        # A level that carries the last level's groups list reuses its
+        # t-blocks. Small batches cut the blocks and close batches inside
+        # levels; the batches must be those of equal but distinct lists.
+        calls = []
+
+        def counting(compiled, t_values, policy):
+            calls.append(t_values)
+            return individual_values(compiled, t_values, policy)
+
+        monkeypatch.setattr(audit, "individual_values", counting)
+        monkeypatch.setattr(audit, "DECODE_BATCH", 16)
+        compiled = compile_instance(FOUR_PARTY)
+        ips = query_inner_products(compiled, (bytes([2]),))
+        policy = RandomnessPolicy(correlation_offset=1)
+        shared = [(t, (1, 3)) for t in itertools.product(range(5), repeat=compiled.n_t)]
+        other = [((4, 0), (2,)), ((0, 4), (2,))]
+        s_tuples = list(itertools.product(range(5), repeat=compiled.n_s))[:6]
+        streams = {
+            "shared": [(s, shared if k != 3 else other) for k, s in enumerate(s_tuples)],
+            "distinct": [(s, list(shared) if k != 3 else other) for k, s in enumerate(s_tuples)],
+        }
+        batches, rows = {}, {}
+        for name, levels in streams.items():
+            calls.clear()
+            batches[name] = list(audit._answer_batches(compiled, ips, levels, policy))
+            rows[name] = len(calls)
+        assert batches["shared"] == batches["distinct"]
+        assert len(batches["shared"]) > len(s_tuples)
+        # Levels 0-2 and 4-5 are two runs of the shared list; the distinct
+        # lists build their rows at every level.
+        assert rows == {"shared": 25 + 2 + 25, "distinct": 5 * 25 + 2}
+
     @pytest.mark.parametrize(
         "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
     )
     def test_masking_checks_answer_through_the_walk(self, check, monkeypatch):
-        # Each one-realization answer is one level through the walk's kernel.
+        # Every masking table's sweep is answered by the walk's kernel.
         calls = []
         real = audit._answer_batches
 
@@ -837,6 +914,64 @@ class TestZUniformity:
         assert not report.passed
 
 
+def oracle_masking_tables(compiled, policy, drawn, sweep, c_groups, statistic):
+    """_masking_tables one realization at a time: per context and multiplier
+    group, a Counter of statistic over reference_answers of every (s, t, c)
+    of the sweep, in a table."""
+    keys = compiled.plan.answer_keys
+    for ctx, (ips, s_fixed, t_fixed) in enumerate(drawn):
+        pairs = list(sweep(s_fixed, t_fixed))
+        for group in c_groups:
+            counts = Counter()
+            for s, t in pairs:
+                for c in group:
+                    answers = reference_answers(compiled, ips, s, t, c, policy)
+                    counts[statistic(bytes(answers[key] for key in keys))] += 1
+            yield ctx, group, DistributionTable.from_counts(counts)
+
+
+def masking_realizations(config):
+    """How many realizations the masking checks sweep per context, or None
+    when the leader's set is empty and there is nothing to audit."""
+    instance = AuditInstance(config.parties, config.universe, config.leader_override)
+    if not instance.setup().leader.data_set:
+        return None
+    compiled = compile_instance(instance)
+    modulus, shape = compiled.field.modulus, compiled.plan.shape
+    db1 = sum(modulus ** eta for eta in shape.eta.values())
+    z = compiled.n_t * modulus
+    indicator = shape.set_size * len(shape.client_ids)
+    return (db1 + z + indicator) * (modulus - 1)
+
+
+class TestMaskingStreamAgreesWithOracle:
+    """Each masking table, read from the merged levels of its sweep, equals
+    the table counted one realization at a time from reference_answers."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(session_configs())
+    def test_every_table_counts_its_sweep(self, config):
+        size = masking_realizations(config)
+        assume(size is not None and size <= 500)
+        instance = AuditInstance(config.parties, config.universe, config.leader_override)
+        real = audit._masking_tables
+        compared = []
+
+        def checked(compiled, policy, drawn, sweep, c_groups, statistic):
+            tables = list(real(compiled, policy, drawn, sweep, c_groups, statistic))
+            oracle = oracle_masking_tables(compiled, policy, drawn, sweep, c_groups, statistic)
+            assert tables == list(oracle)
+            compared.append(len(tables))
+            return iter(tables)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_masking_tables", checked)
+            for policy in POLICIES:
+                for check in (check_db1_uniformity, check_z_uniformity, check_indicator_privacy):
+                    check(instance, policy=policy)
+        assert sum(compared) > 0
+
+
 @pytest.mark.parametrize(
     "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
 )
@@ -868,6 +1003,42 @@ def test_masking_check_reads_back_once_per_table(check, policy, monkeypatch):
     monkeypatch.setattr(audit, "answers_for_realization", counting)
     report = check(HOMOGENEOUS, policy=policy)
     assert len(calls) == len(report.tables)
+
+
+@pytest.mark.parametrize(
+    "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
+)
+@pytest.mark.parametrize(
+    "instance", [HOMOGENEOUS, FOUR_PARTY, HETEROGENEOUS],
+    ids=["homogeneous", "four-party", "heterogeneous"],
+)
+@pytest.mark.parametrize("contexts", [1, 3])
+def test_masking_check_draws_each_context_once(check, instance, contexts, monkeypatch):
+    # A context's draws depend on the seed, label, context and sizes alone:
+    # kappa base vectors, the held local values and the held individual
+    # values, once per check, however many clients, positions or column-sum
+    # variants it has. Each compiled instance lays out a context's base
+    # vectors once.
+    draws, laid_out = [], []
+    real_draw, real_ips = audit.draw_vector, audit.query_inner_products
+
+    def counting_draw(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    def counting_ips(compiled, h_vectors):
+        laid_out.append(compiled)  # held, so no two instances share an id
+        return real_ips(compiled, h_vectors)
+
+    monkeypatch.setattr(audit, "draw_vector", counting_draw)
+    monkeypatch.setattr(audit, "query_inner_products", counting_ips)
+    report = check(instance, contexts=contexts)
+    assert report.passed and len(report.tables) > contexts
+    kappa = max(compile_instance(instance).plan.shape.eta.values())
+    assert len(draws) == contexts * (kappa + 2)
+    assert set(Counter(map(id, laid_out)).values()) == {contexts}
+    if check is not check_indicator_privacy:
+        assert len(laid_out) == contexts
 
 
 class TestIndicatorPrivacy:
