@@ -7,17 +7,18 @@ exact rationals or integer counts; zero means zero. The checks are:
   randomness realization (and every base-vector realization when that space
   is small enough to enumerate; base vectors are otherwise sampled, which
   loses nothing because the identity holds realization by realization).
-  The randomness stream comes in levels: one local tuple s with its groups,
-  each an individual tuple t with the multipliers c it runs under (an
-  exhaustive stream: one level per s whose groups are one AllTGroups, every
-  t with the whole c range; a sampled one: one level per sample, one t and
-  one c). The walk builds answers a t-block at a time: the t rows (t and
-  its correlated completion, in answer order) of about DECODE_BATCH / |c|
-  consecutive groups held as one int. An exhaustive stream's blocks are
-  built once per check where a later level reads them again, and lazily,
-  one at a time, where none does (zero_local). Per level and block, one
-  multiply-add and one to_bytes give ip + s + t for every group of the
-  block; per multiplier, one bytes.translate scales the block. Each batch
+  The randomness stream comes in levels: one local tuple s with its
+  t-blocks. A t-block is a run of groups, each an individual tuple t, that
+  share the multipliers c they run under: the t rows (t and its correlated
+  completion, in answer order) of about DECODE_BATCH / |c| groups held as
+  one int (an exhaustive stream: one level per s, its blocks every t with
+  the whole c range; a sampled one: one level per sample, one t and one c).
+  The stream's producer builds the blocks with _t_blocks and decides
+  whether to keep them: an exhaustive stream keeps them for the check where
+  a later level reads them again, and makes them lazily, one at a time,
+  where none does (zero_local). Per level and block, one multiply-add and
+  one to_bytes give ip + s + t for every group of the block; per
+  multiplier, one bytes.translate scales the block. Each batch
   of about DECODE_BATCH vectors, running across levels, is decoded in one
   call of leader.decode_indicators, the kernel behind the transports'
   decode. Its vectors are in block order (multiplier, then group), and the
@@ -45,10 +46,11 @@ query outcomes.
 
 Reliability, the masking and the mutual-information checks enumerate one
 realization stream: base vectors from _all_h (or _drawn_h), levels of
-(s, t, c), and answer vectors from _answer_batches. Reliability and the MI
-checks take their levels from _raw_realizations under the caller's policy. A
-masking check draws each context once; its core, _masking_tables, makes a
-multiplier group's sweep one stream, a level per run of one local tuple. The
+(s, t-blocks), and answer vectors from _answer_batches. Reliability and the
+MI checks take their levels from _raw_realizations under the caller's
+policy. A masking check draws each context once; its core, _masking_tables,
+makes a multiplier group's sweep one stream, a level per run of one local
+tuple, and builds the blocks of each distinct t run once. The
 masking and MI checks read the batches back a realization at a time, in stream
 order, through answers_for_realization; reliability decodes whole batches and
 reads back only one that fails. So every check answers through _answer_batches
@@ -84,11 +86,14 @@ from .wire import Message
 DEFAULT_BOUND = 10_000_000
 DEFAULT_H_ENUM_LIMIT = 729
 
-# One base vector per partition index, and one level of the randomness
-# stream: a local tuple s with its groups, each an individual tuple t and
-# the multipliers c it runs under.
+# One base vector per partition index. A t-block: consecutive groups, each
+# an individual tuple t, that share the multipliers c they run under, as
+# (group count, their t tuples joined, a byte per value, the multipliers,
+# their t rows as one int, one row after another). One level of the
+# randomness stream: a local tuple s with its t-blocks.
 HVectors = Tuple[bytes, ...]
-Level = Tuple[Tuple[int, ...], Sequence[Tuple[Tuple[int, ...], Sequence[int]]]]
+TBlock = Tuple[int, bytes, Sequence[int], int]
+Level = Tuple[Tuple[int, ...], Iterable[TBlock]]
 
 
 @dataclass(frozen=True)
@@ -99,15 +104,16 @@ class DistributionTable:
     probs: Tuple[Tuple[object, Fraction], ...]
 
     def __post_init__(self) -> None:
-        probs = [p for _, p in self.probs]
-        if len(dict(self.probs)) != len(probs):
+        if len(dict(self.probs)) != len(self.probs):
             raise ValueError("repeated outcome")
-        if not all(isinstance(p, (Fraction, int)) for p in probs):
-            raise ValueError("probabilities must be exact rationals")
-        if not all(0 < p.numerator <= p.denominator for p in probs):
+        try:  # an exact rational has an integer numerator and denominator
+            ratios = [(p.numerator, p.denominator) for _, p in self.probs]
+        except AttributeError:
+            raise ValueError("probabilities must be exact rationals") from None
+        if not all(0 < n <= d for n, d in ratios):
             raise ValueError("probabilities must lie in (0, 1]")
-        common = math.lcm(*(p.denominator for p in probs))
-        total = sum(p.numerator * (common // p.denominator) for p in probs)
+        common = math.lcm(*(d for _, d in ratios))
+        total = sum(n * (common // d) for n, d in ratios)
         if total != common:
             raise ValueError(f"probabilities sum to {Fraction(total, common)}, not 1")
 
@@ -122,14 +128,6 @@ class DistributionTable:
 
     def as_dict(self) -> Dict:
         return dict(self.probs)
-
-    def is_uniform_over(self, outcomes: Sequence) -> bool:
-        expected = sorted(dict.fromkeys(outcomes), key=repr)
-        if not expected:
-            raise ValueError("no outcomes to be uniform over")
-        return [outcome for outcome, _ in self.probs] == expected and all(
-            p.numerator == 1 and p.denominator == len(expected) for _, p in self.probs
-        )
 
 
 @dataclass(frozen=True)
@@ -284,16 +282,13 @@ def _scale_tables(modulus: int) -> Tuple[bytes, ...]:
 
 
 def answers_for_realization(
-    compiled: CompiledInstance,
-    ips: Sequence[int],
-    levels: Iterable[Level],
-    policy: RandomnessPolicy = FAITHFUL,
+    compiled: CompiledInstance, ips: Sequence[int], levels: Iterable[Level]
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int, bytes]]:
     """Each realization (s, t, c) of the levels with its answers, in stream
     order: the batches of _answer_batches read back, answers as bytes in
     plan.answer_keys order, one residue per byte."""
     size = len(compiled.s_slots)
-    for batch in _answer_batches(compiled, ips, levels, policy):
+    for batch in _answer_batches(compiled, ips, levels):
         vectors = _joined(batch)
         for s_values, t_values, c_value, index in _in_stream_order(batch):
             yield s_values, t_values, c_value, vectors[index * size:(index + 1) * size]
@@ -305,98 +300,38 @@ def answers_for_realization(
 # depends on the vector length alone, not on the policy or bound.
 DECODE_BATCH = 1024
 
-# A t-block: consecutive groups of a level that share their multipliers, as
-# (first group's index, group count, the multipliers, the groups' t rows as
-# one int, one row after another). A piece: a t-block under one level's s,
-# as (s, the level's groups, first index, group count, the multipliers, per
-# multiplier the block's answer vectors joined).
-TBlock = Tuple[int, int, Sequence[int], int]
-Piece = Tuple[Tuple[int, ...], Sequence, int, int, Sequence[int], List[bytes]]
+# A piece: a t-block under one level's s, as (s, the block, per multiplier
+# the block's answer vectors joined).
+Piece = Tuple[Tuple[int, ...], TBlock, List[bytes]]
 
 
 def _t_blocks(
-    compiled: CompiledInstance, groups: Sequence, policy: RandomnessPolicy
+    compiled: CompiledInstance,
+    groups: Iterable[Tuple[Tuple[int, ...], Sequence[int]]],
+    policy: RandomnessPolicy,
 ) -> Iterator[TBlock]:
-    """The t-blocks of a level's groups, in order and made lazily: each
-    run of groups under the same multipliers c, cut every
+    """The t-blocks of groups, each a t tuple with its multipliers c, in
+    order and made lazily: each run of groups under the same c, cut every
     ceil(DECODE_BATCH / |c|) groups. A group's row is its t values and
     their completion (individual_values) gathered into answer order, a
     byte per answer."""
     t_slots = compiled.t_slots
-    start, rows, run_c, limit = 0, [], None, 0
-    for index, (t_values, c_values) in enumerate(groups):
+    rows, ts, run_c, limit = [], [], None, 0
+    for t_values, c_values in groups:
         if rows and (len(rows) == limit or (c_values is not run_c and c_values != run_c)):
-            yield start, len(rows), run_c, int.from_bytes(b"".join(rows), "big")
-            rows = []
+            yield len(rows), b"".join(ts), run_c, int.from_bytes(b"".join(rows), "big")
+            rows, ts = [], []
         if not rows:
-            start, run_c, limit = index, c_values, -(-DECODE_BATCH // len(c_values))
+            run_c, limit = c_values, -(-DECODE_BATCH // len(c_values))
         t_all = individual_values(compiled, t_values, policy)
         rows.append(bytes([t_all[i] for i in t_slots]))
+        ts.append(bytes(t_values))
     if rows:
-        yield start, len(rows), run_c, int.from_bytes(b"".join(rows), "big")
-
-
-class AllTGroups(Sequence):
-    """The groups of each level of an exhaustive stream: every t tuple, in
-    itertools.product order, with the whole c range.
-
-    One object serves every level of a check, so it builds the t-blocks
-    (blocks) once per check, plan and policy, and keeps them where a later
-    level reads them again: with keep set, as when a base-vector set has
-    more than one level. Without it (one level, as under zero_local) each
-    walk builds them lazily and drops them, holding one at a time.
-    """
-
-    def __init__(self, t_range: Sequence[int], n_t: int, c_values: Tuple[int, ...], keep: bool):
-        self.t_range, self.n_t, self.c_values, self.keep = t_range, n_t, c_values, keep
-        self._key: Optional[tuple] = None
-        self._kept: List[TBlock] = []
-        self._making: Iterator[TBlock] = iter(())
-
-    def __len__(self) -> int:
-        return len(self.t_range) ** self.n_t
-
-    def __getitem__(self, index: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        if not 0 <= index < len(self):
-            raise IndexError(f"group {index} of {len(self)}")
-        digits = []
-        for _ in range(self.n_t):
-            index, digit = divmod(index, len(self.t_range))
-            digits.append(self.t_range[digit])
-        return tuple(reversed(digits)), self.c_values
-
-    def __iter__(self) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        return zip(
-            itertools.product(self.t_range, repeat=self.n_t), itertools.repeat(self.c_values)
-        )
-
-    def blocks(self, compiled: CompiledInstance, policy: RandomnessPolicy) -> Iterator[TBlock]:
-        """_t_blocks of these groups. A row depends on the plan and policy
-        alone, so kept blocks serve every instance of the plan; they are
-        kept as they are first made, so a walk that stops early leaves the
-        rest to the next."""
-        if not self.keep:
-            yield from _t_blocks(compiled, self, policy)
-            return
-        key = (compiled.plan, policy, DECODE_BATCH)
-        if key != self._key:
-            self._key, self._kept, self._making = key, [], _t_blocks(compiled, self, policy)
-        index = 0
-        while True:
-            if index == len(self._kept):
-                block = next(self._making, None)
-                if block is None:
-                    return
-                self._kept.append(block)
-            yield self._kept[index]
-            index += 1
+        yield len(rows), b"".join(ts), run_c, int.from_bytes(b"".join(rows), "big")
 
 
 def _answer_batches(
-    compiled: CompiledInstance,
-    ips: Sequence[int],
-    levels: Iterable[Level],
-    policy: RandomnessPolicy,
+    compiled: CompiledInstance, ips: Sequence[int], levels: Iterable[Level]
 ) -> Iterator[List[Piece]]:
     """The answers of every realization of the levels, a t-block at a time,
     in batches of pieces that run across levels.
@@ -417,9 +352,8 @@ def _answer_batches(
     order, group by group and then multiplier by multiplier. A batch closes
     before a piece that would take it past DECODE_BATCH vectors, so it
     holds at most DECODE_BATCH, or one piece of fewer than DECODE_BATCH +
-    L. An exhaustive stream's t-blocks are built once per check
-    (AllTGroups.blocks); other groups' once per run of levels that carry
-    the same groups object. c must be a residue in [0, L).
+    L. The walk builds no t row: the levels carry their blocks, and their
+    producer decides which are kept. c must be a residue in [0, L).
     """
     modulus = compiled.field.modulus
     size = len(compiled.s_slots)
@@ -428,37 +362,33 @@ def _answer_batches(
     ip_row = int.from_bytes(bytes(ips), "big")
     repeaters = {1: 1}  # by row count
     batch: List[Piece] = []
-    vectors, last_groups = 0, None
-    for s_values, groups in levels:
+    vectors = 0
+    for s_values, blocks in levels:
         if narrow:
             with_s = ip_row + sum(map(operator.mul, s_values, compiled.s_masks))
         else:
             with_s = bytes(
                 [(ip + s_values[i]) % modulus for ip, i in zip(ips, compiled.s_slots)]
             )
-        if isinstance(groups, AllTGroups):
-            blocks, last_groups = groups.blocks(compiled, policy), None
-        elif groups is not last_groups:  # else the last level's blocks serve again
-            blocks, last_groups = list(_t_blocks(compiled, groups, policy)), groups
-        for start, rows, c_values, t_block in blocks:
+        for t_block in blocks:
+            rows, _, c_values, t_rows = t_block
             if narrow:
                 repeater = repeaters.get(rows)
                 if repeater is None:
                     repeater = repeaters[rows] = int.from_bytes(
                         (bytes(size - 1) + b"\x01") * rows, "big"
                     )
-                block = (with_s * repeater + t_block).to_bytes(rows * size, "big")
+                block = (with_s * repeater + t_rows).to_bytes(rows * size, "big")
             else:
                 block = bytes([
                     (a + b) % modulus
-                    for a, b in zip(with_s * rows, t_block.to_bytes(rows * size, "big"))
+                    for a, b in zip(with_s * rows, t_rows.to_bytes(rows * size, "big"))
                 ])
             count = rows * len(c_values)
             if batch and vectors + count > DECODE_BATCH:
                 yield batch
                 batch, vectors = [], 0
-            scaled = [block.translate(tables[c]) for c in c_values]
-            batch.append((s_values, groups, start, rows, c_values, scaled))
+            batch.append((s_values, t_block, [block.translate(tables[c]) for c in c_values]))
             vectors += count
     if batch:
         yield batch
@@ -475,9 +405,10 @@ def _in_stream_order(
     """Each realization (s, t, c) of a batch in stream order, with the
     index of its answer vector in the batch's decode order."""
     offset = 0
-    for s_values, groups, start, rows, c_values, _ in batch:
+    for s_values, (rows, ts, c_values, _), _ in batch:
+        n_t = len(ts) // rows
         for row in range(rows):
-            t_values = groups[start + row][0]
+            t_values = tuple(ts[row * n_t:(row + 1) * n_t])
             for k, c_value in enumerate(c_values):
                 yield s_values, t_values, c_value, offset + k * rows + row
         offset += rows * len(c_values)
@@ -542,26 +473,36 @@ def _raw_realizations(
     sample_beyond_bound: int,
     seed: int,
 ) -> Tuple[Callable[[], Iterator[Level]], int, bool]:
-    """Levels of raw (s, t, c) values: exhaustive within the bound, else
+    """Levels of raw (s, t-blocks) values: exhaustive within the bound, else
     seeded samples.
 
     The first item gives one base-vector set's levels per call. An
     exhaustive call yields one level per s tuple, in itertools.product
-    order, whose groups are one AllTGroups, the same object on every level
-    of every call: every t tuple, in the same order, with the whole c
-    range. A sampled call yields one level per sample with one group and
-    one c, drawn in the order s, t, c; the samples continue
-    one seeded stream from call to call, so each set gets draws of its own.
+    order, whose blocks hold every t tuple, in itertools.product order,
+    with the whole c range. With more than one level they are built once,
+    when the first call draws its first level, and that same list serves
+    every level of every call; a single level (zero_local) gets blocks
+    made lazily on each call, held one at a time. A sampled call yields
+    one level per sample with one t and one c, drawn in the order s, t, c;
+    the samples continue one seeded stream from call to call, so each set
+    gets draws of its own. Nothing is built before a level is drawn.
     """
     s_range, t_range, c_range = _policy_ranges(policy, compiled.field.modulus)
     space = len(s_range) ** compiled.n_s * len(t_range) ** compiled.n_t * len(c_range)
     if space <= bound:
-        levels = len(s_range) ** compiled.n_s
-        groups = AllTGroups(t_range, compiled.n_t, tuple(c_range), keep=levels > 1)
+        one_level = len(s_range) ** compiled.n_s == 1
+        kept: List[TBlock] = []
 
         def exhaustive() -> Iterator[Level]:
+            blocks = _t_blocks(compiled, zip(
+                itertools.product(t_range, repeat=compiled.n_t), itertools.repeat(tuple(c_range))
+            ), policy)
+            if not one_level:
+                if not kept:
+                    kept.extend(blocks)
+                blocks = kept
             for s_values in itertools.product(s_range, repeat=compiled.n_s):
-                yield s_values, groups
+                yield s_values, blocks
 
         return exhaustive, space, True
     if sample_beyond_bound <= 0:
@@ -574,7 +515,7 @@ def _raw_realizations(
         for _ in range(sample_beyond_bound):
             s_values = tuple(rng.choice(s_range) for _ in range(compiled.n_s))
             t_values = tuple(rng.choice(t_range) for _ in range(compiled.n_t))
-            yield s_values, [(t_values, (rng.choice(c_range),))]
+            yield s_values, list(_t_blocks(compiled, [(t_values, (rng.choice(c_range),))], policy))
 
     return sampled, space, False
 
@@ -633,7 +574,7 @@ def check_reliability(
     failures: List[str] = []
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        for batch in _answer_batches(compiled, ips, draws(), policy):
+        for batch in _answer_batches(compiled, ips, draws()):
             vectors = _joined(batch)
             count = len(vectors) // size
             zeros = decode_indicators(plan, vectors, modulus).translate(IS_ZERO)
@@ -703,21 +644,25 @@ def _masking_tables(
     """The masking lemmas' core: per context of drawn (_with_ips), one table
     per multiplier group. sweep maps a context's held values to the (s, t)
     pairs the lemma varies. A group's sweep is one stream: a level per run of
-    consecutive pairs sharing s, its groups the run's t tuples under the
-    group's multipliers. Runs of equal t tuples share one groups list, whose
-    t-blocks _answer_batches builds once. The table counts statistic over
-    what answers_for_realization reads back, in the pairs' order."""
+    consecutive pairs sharing s, its blocks the run's t tuples under the
+    group's multipliers. The blocks of each distinct run of t tuples are
+    built once per group, and every level of that run carries them. The
+    table counts statistic over what answers_for_realization reads back, in
+    the pairs' order."""
     for ctx, (ips, s_fixed, t_fixed) in enumerate(drawn):
         runs = [
             (s, tuple(t for _, t in run))
             for s, run in itertools.groupby(sweep(s_fixed, t_fixed), operator.itemgetter(0))
         ]
         for group in c_groups:
-            shared = {ts: [(t, group) for t in ts] for ts in {ts for _, ts in runs}}
-            levels = [(s, shared[ts]) for s, ts in runs]
+            blocks = {
+                ts: list(_t_blocks(compiled, [(t, group) for t in ts], policy))
+                for ts in dict.fromkeys(ts for _, ts in runs)
+            }
+            levels = [(s, blocks[ts]) for s, ts in runs]
             counts = Counter(
                 statistic(answers)
-                for *_, answers in answers_for_realization(compiled, ips, levels, policy)
+                for *_, answers in answers_for_realization(compiled, ips, levels)
             )
             yield ctx, group, DistributionTable.from_counts(counts)
 
@@ -751,7 +696,9 @@ def check_db1_uniformity(
         # A client's local slots are consecutive in s_index.
         first = compiled.s_index[(client_id, 1)]
         db1 = [plan.answer_keys.index((client_id, ell, None)) for ell in range(1, eta + 1)]
-        expected_outcomes = list(itertools.product(range(modulus), repeat=eta))
+        uniform = DistributionTable.from_counts(
+            dict.fromkeys(itertools.product(range(modulus), repeat=eta), 1)
+        )
         for ctx, (c_value,), table in _masking_tables(
             compiled, policy, drawn,
             lambda s, t: [
@@ -761,8 +708,7 @@ def check_db1_uniformity(
             [[c] for c in c_range],
             lambda answers: tuple(answers[i] for i in db1),
         ):
-            uniform = table.is_uniform_over(expected_outcomes)
-            results.append(((client_id, ctx, c_value), table, None if uniform else (
+            results.append(((client_id, ctx, c_value), table, None if table == uniform else (
                 f"client {client_id}: database-1 answers not uniform "
                 f"(context {ctx}, multiplier {c_value})"
             )))
@@ -784,7 +730,7 @@ def check_z_uniformity(
     if not free:
         return UniformityReport(True, {}, "no non-correlating clients; vacuous")
     _, t_range, c_range = _policy_ranges(policy, modulus)
-    expected = list(range(modulus))
+    uniform = DistributionTable.from_counts(dict.fromkeys(range(modulus), 1))
     results = []
     for client_id in free:
         for position in range(1, plan.shape.set_size + 1):
@@ -798,8 +744,8 @@ def check_z_uniformity(
                 [[c] for c in c_range],
                 lambda answers: (answers[target] - answers[base]) % modulus,
             ):
-                uniform = table.is_uniform_over(expected)
-                results.append(((client_id, position, ctx, c_value), table, None if uniform else (
+                key = (client_id, position, ctx, c_value)
+                results.append((key, table, None if table == uniform else (
                     f"client {client_id}, position {position}: subtraction "
                     f"statistic not uniform (context {ctx}, multiplier {c_value})"
                 )))
@@ -825,6 +771,7 @@ def check_indicator_privacy(
     truth = instance.true_intersection()
     _, _, c_range = _policy_ranges(policy, modulus)
     held = _draw_contexts(compiled, policy, seed, contexts, "ind")
+    uniform = DistributionTable.from_counts(dict.fromkeys(c_range, 1))
     results = []
 
     def indicator_tables(clients, element) -> Iterator[Tuple[int, object, DistributionTable]]:
@@ -859,7 +806,7 @@ def check_indicator_privacy(
                 if reference is None:
                     reference = table
                 failure = None
-                if policy.fixed_global is None and not table.is_uniform_over(c_range):
+                if policy.fixed_global is None and table != uniform:
                     failure = (
                         f"element {element}, column sum {sigma}: indicator not "
                         f"uniform over nonzero residues"
@@ -1066,7 +1013,7 @@ def client_privacy_mi(
         joint = joints.setdefault(intersection, Counter())
         for h_vectors in _all_h(comp):
             ips = query_inner_products(comp, h_vectors)
-            for *_, answers in answers_for_realization(comp, ips, draws(), policy):
+            for *_, answers in answers_for_realization(comp, ips, draws()):
                 # The query tuple is a fixed bijection of the base vectors
                 # here (the leader set is the conditioning instance's own),
                 # so the base vectors stand in for the delivered queries in

@@ -31,10 +31,9 @@ from mppsi.audit import (
 )
 from mppsi.client import answer_value
 from mppsi.errors import BoundExceededError
-from mppsi.field import select_field_size
 from mppsi.leader import decode_indicators, generate_queries
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
-from mppsi.protocol import make_session_id, prepare_session
+from mppsi.protocol import make_session_id
 from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from mppsi.seeding import labeled_rng
 from mppsi.session import load_transcript, run_memory_session
@@ -48,8 +47,41 @@ def profile(pid, elems, dbs):
 
 
 def flatten(levels):
-    """The (s, t, c) realizations of a stream of levels, in walk order."""
-    return [(s, t, c) for s, groups in levels for t, c_values in groups for c in c_values]
+    """The (s, t, c) realizations of a stream of levels, in walk order: per
+    level, its t-blocks' groups, one row of t values after another, each
+    under every multiplier of its block."""
+    return [
+        (s, tuple(ts[row * len(ts) // rows:(row + 1) * len(ts) // rows]), c)
+        for s, blocks in levels
+        for rows, ts, c_values, _ in blocks
+        for row in range(rows)
+        for c in c_values
+    ]
+
+
+def levels_of(compiled, levels, policy):
+    """Hand-built levels of (s, groups), each group a t tuple with its
+    multipliers, as the stream carries them: (s, its t-blocks)."""
+    return [(s, list(audit._t_blocks(compiled, groups, policy))) for s, groups in levels]
+
+
+def uniform(outcomes):
+    """The uniform table over the distinct outcomes, the masking checks' reference."""
+    return DistributionTable.from_counts(dict.fromkeys(outcomes, 1))
+
+
+def row_builds(monkeypatch):
+    """The t tuples individual_values is called with from now on, in order:
+    one call per t row the auditor builds."""
+    calls = []
+    real = audit.individual_values
+
+    def counting(compiled, t_values, policy):
+        calls.append(t_values)
+        return real(compiled, t_values, policy)
+
+    monkeypatch.setattr(audit, "individual_values", counting)
+    return calls
 
 
 HOMOGENEOUS = AuditInstance(
@@ -175,9 +207,9 @@ class TestEnumeration:
         modulus = compiled.field.modulus
         values, nonzero = list(range(modulus)), list(range(1, modulus))
         for _ in range(2):
-            levels = [(s, list(groups)) for s, groups in draws()]
-            assert [len(groups) for _, groups in levels] == [1] * 7
-            assert [len(groups[0][1]) for _, groups in levels] == [1] * 7
+            levels = list(draws())
+            assert [len(blocks) for _, blocks in levels] == [1] * 7
+            assert [(rows, len(c_values)) for _, [(rows, _, c_values, _)] in levels] == [(1, 1)] * 7
             expected = []
             for _ in range(7):
                 s = tuple(rng.choice(values) for _ in range(compiled.n_s))
@@ -210,22 +242,9 @@ class TestDistributionTable:
             DistributionTable(((0, 1.0),))
 
     def test_uniform_over_no_outcomes_is_an_error(self):
-        with pytest.raises(ValueError):
-            DistributionTable.from_counts({0: 1}).is_uniform_over([])
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        st.dictionaries(st.integers(0, 5) | st.tuples(st.integers(0, 2)), st.integers(1, 3),
-                        min_size=1),
-        st.lists(st.integers(0, 5) | st.tuples(st.integers(0, 2)), min_size=1),
-    )
-    def test_is_uniform_over_is_equality_with_the_uniform_table(self, counts, outcomes):
-        # The uniform table over the outcomes is from_counts of one count per
-        # distinct outcome; is_uniform_over must say whether it is this one.
-        table = DistributionTable.from_counts(counts)
-        uniform = DistributionTable.from_counts(dict.fromkeys(outcomes, 1))
-        assert table.is_uniform_over(outcomes) == (table == uniform)
-        assert uniform.is_uniform_over(outcomes)
+        # A masking check's reference table over no outcomes sums to 0.
+        with pytest.raises(ValueError, match="probabilities sum to 0, not 1"):
+            uniform([])
 
     def test_equal_counts_share_one_fraction(self):
         table = DistributionTable.from_counts({"a": 2, "b": 1, "c": 2, "d": 3})
@@ -567,9 +586,9 @@ def oracle_reliability(
     report, cases, failures = None, 0, []
     for h_vectors in h_list:
         ips = query_inner_products(compiled, h_vectors)
-        levels = [(s, list(groups)) for s, groups in draws()]
+        levels = [(s, list(blocks)) for s, blocks in draws()]
         tuples = flatten(levels)
-        walked = list(answers_for_realization(compiled, ips, levels, policy))
+        walked = list(answers_for_realization(compiled, ips, levels))
         assert [walk[:3] for walk in walked] == tuples
         for (s, t, c), (*_, vector) in zip(tuples, walked):
             answers = reference_answers(compiled, ips, s, t, c, policy)
@@ -656,8 +675,7 @@ class TestWalkAgreesWithOracle:
         assert compiled.field.modulus == 131
         ips = query_inner_products(compiled, (bytes([130]),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, 10, 3, 0)
-        levels = [(s, list(groups)) for s, groups in draws()]
-        for s, t, c, vector in answers_for_realization(compiled, ips, levels):
+        for s, t, c, vector in answers_for_realization(compiled, ips, draws()):
             answers = reference_answers(compiled, ips, s, t, c)
             assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
         assert check_reliability(instance, bound=10, sample_beyond_bound=3, h_samples=1).passed
@@ -677,10 +695,10 @@ class TestWalkAgreesWithOracle:
         assert top + 1 == parties
         ips = query_inner_products(compiled, (bytes([top - 1]),))
         assert top in ips
-        levels = [(
+        levels = levels_of(compiled, [(
             (top,) * compiled.n_s,
             [((top,) * compiled.n_t, (1, top)), ((0,) * compiled.n_t, (2,))],
-        )]
+        )], FAITHFUL)
         walked = list(answers_for_realization(compiled, ips, levels))
         assert [walk[:3] for walk in walked] == flatten(levels)
         for s, t, c, vector in walked:
@@ -688,26 +706,19 @@ class TestWalkAgreesWithOracle:
             assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
 
     def test_t_rows_belong_to_one_walk(self):
-        # Both walks see the same t tuples over the same compiled instance;
-        # rows kept from the faithful walk would give the shifted one the
-        # faithful completion.
+        # Both streams see the same t tuples over the same compiled instance;
+        # blocks kept from the faithful stream would give the shifted one
+        # the faithful completion.
         compiled = compile_instance(FOUR_PARTY)
         ips = query_inner_products(compiled, (bytes([2]),))
-        draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
-        levels = [(s, list(groups)) for s, groups in draws()]
         for policy in (FAITHFUL, RandomnessPolicy(correlation_offset=1)):
-            for s, t, c, vector in answers_for_realization(compiled, ips, levels, policy):
+            draws, _, _ = _raw_realizations(compiled, policy, DEFAULT_BOUND, 0, 0)
+            for s, t, c, vector in answers_for_realization(compiled, ips, draws()):
                 answers = reference_answers(compiled, ips, s, t, c, policy)
                 assert list(vector) == [answers[key] for key in compiled.plan.answer_keys]
 
     def test_t_level_computed_once_per_t_tuple(self, monkeypatch):
-        calls = []
-
-        def counting(compiled, t_values, policy):
-            calls.append(t_values)
-            return individual_values(compiled, t_values, policy)
-
-        monkeypatch.setattr("mppsi.audit.individual_values", counting)
+        calls = row_builds(monkeypatch)
         compiled = compile_instance(HOMOGENEOUS)
         ips = query_inner_products(compiled, (bytes(4),))
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
@@ -729,61 +740,76 @@ class TestWalkAgreesWithOracle:
         # a check builds each row once. Under zero_local a set is one level
         # and no later level reads its rows again, so none is kept: each of
         # FOUR_PARTY's five sets builds them afresh.
-        calls = []
-
-        def counting(compiled, t_values, policy):
-            calls.append(t_values)
-            return individual_values(compiled, t_values, policy)
-
-        monkeypatch.setattr(audit, "individual_values", counting)
+        calls = row_builds(monkeypatch)
         compiled = compile_instance(instance)
         report = check_reliability(instance, policy=policy)
         assert report.passed and report.exhaustive_h
         t_tuples = list(itertools.product(range(compiled.field.modulus), repeat=compiled.n_t))
         assert sorted(calls) == sorted(t_tuples * sets)
 
-    def test_exhaustive_groups_index_as_they_iterate(self):
+    def test_every_level_of_every_call_carries_one_kept_list(self):
         compiled = compile_instance(FOUR_PARTY)
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
-        (_, groups), *rest = draws()
-        assert all(level_groups is groups for _, level_groups in rest)
-        assert [groups[index] for index in range(len(groups))] == list(groups)
-        assert len(groups) == 25
-        with pytest.raises(IndexError):
-            groups[25]
+        first, second = list(draws()), list(draws())
+        kept = first[0][1]
+        assert type(kept) is list and len(first) == len(second) == 5 ** compiled.n_s
+        assert all(blocks is kept for _, blocks in first + second)
+        assert sum(rows for rows, *_ in kept) == 25
 
-    def test_levels_sharing_groups_batch_as_equal_lists(self, monkeypatch):
-        # A level that carries the last level's groups list reuses its
-        # t-blocks. Small batches cut the blocks and close batches inside
-        # levels; the batches must be those of equal but distinct lists.
-        calls = []
+    def test_a_single_level_builds_its_blocks_on_each_call(self, monkeypatch):
+        # Under zero_local no later level reads a set's blocks again, so
+        # each call makes them afresh, lazily: none is built until walked.
+        calls = row_builds(monkeypatch)
+        compiled = compile_instance(FOUR_PARTY)
+        draws, _, _ = _raw_realizations(
+            compiled, RandomnessPolicy(zero_local=True), DEFAULT_BOUND, 0, 0
+        )
+        t_tuples = list(itertools.product(range(5), repeat=compiled.n_t))
+        for walk in (1, 2):
+            ((_, blocks),) = draws()
+            assert iter(blocks) is blocks and len(calls) == 25 * (walk - 1)
+            assert sum(rows for rows, *_ in blocks) == 25
+            assert calls == t_tuples * walk
 
-        def counting(compiled, t_values, policy):
-            calls.append(t_values)
-            return individual_values(compiled, t_values, policy)
+    @pytest.mark.parametrize(
+        "policy", [FAITHFUL, RandomnessPolicy(zero_local=True)], ids=["faithful", "zero_local"]
+    )
+    def test_no_row_is_built_before_a_level_is_drawn(self, policy, monkeypatch):
+        calls = row_builds(monkeypatch)
+        compiled = compile_instance(FOUR_PARTY)
+        draws, _, _ = _raw_realizations(compiled, policy, DEFAULT_BOUND, 0, 0)
+        levels = draws()
+        assert calls == []
+        _, blocks = next(levels)
+        list(blocks)
+        built = len(calls)
+        assert built == 25
+        # A faithful stream's second walk reads the kept blocks.
+        if not policy.zero_local:
+            assert sum(1 for _ in draws()) == 5 ** compiled.n_s and len(calls) == built
 
-        monkeypatch.setattr(audit, "individual_values", counting)
+    def test_masking_tables_build_each_t_run_once_per_group(self, monkeypatch):
+        # Levels 0-2 and 4-5 share one run of t tuples, level 3 has another.
+        # Each distinct run's rows are built once per multiplier group,
+        # and small batches cut the blocks without changing a table.
+        calls = row_builds(monkeypatch)
         monkeypatch.setattr(audit, "DECODE_BATCH", 16)
         compiled = compile_instance(FOUR_PARTY)
-        ips = query_inner_products(compiled, (bytes([2]),))
         policy = RandomnessPolicy(correlation_offset=1)
-        shared = [(t, (1, 3)) for t in itertools.product(range(5), repeat=compiled.n_t)]
-        other = [((4, 0), (2,)), ((0, 4), (2,))]
+        drawn = [(query_inner_products(compiled, (bytes([2]),)), None, None)]
+        shared = list(itertools.product(range(5), repeat=compiled.n_t))
+        other = [(4, 0), (0, 4)]
         s_tuples = list(itertools.product(range(5), repeat=compiled.n_s))[:6]
-        streams = {
-            "shared": [(s, shared if k != 3 else other) for k, s in enumerate(s_tuples)],
-            "distinct": [(s, list(shared) if k != 3 else other) for k, s in enumerate(s_tuples)],
-        }
-        batches, rows = {}, {}
-        for name, levels in streams.items():
-            calls.clear()
-            batches[name] = list(audit._answer_batches(compiled, ips, levels, policy))
-            rows[name] = len(calls)
-        assert batches["shared"] == batches["distinct"]
-        assert len(batches["shared"]) > len(s_tuples)
-        # Levels 0-2 and 4-5 are two runs of the shared list; the distinct
-        # lists build their rows at every level.
-        assert rows == {"shared": 25 + 2 + 25, "distinct": 5 * 25 + 2}
+
+        def sweep(s_fixed, t_fixed):
+            return [(s, t) for k, s in enumerate(s_tuples) for t in (other if k == 3 else shared)]
+
+        c_groups = [[1, 3], [2]]
+        tables = list(audit._masking_tables(compiled, policy, drawn, sweep, c_groups, bytes))
+        assert len(calls) == (25 + 2) * len(c_groups)
+        assert tables == list(
+            oracle_masking_tables(compiled, policy, drawn, sweep, c_groups, bytes)
+        )
 
     @pytest.mark.parametrize(
         "check", [check_db1_uniformity, check_z_uniformity, check_indicator_privacy]
@@ -793,9 +819,9 @@ class TestWalkAgreesWithOracle:
         calls = []
         real = audit._answer_batches
 
-        def counting(compiled, ips, levels, policy):
+        def counting(compiled, ips, levels):
             calls.append(compiled)
-            return real(compiled, ips, levels, policy)
+            return real(compiled, ips, levels)
 
         monkeypatch.setattr(audit, "_answer_batches", counting)
         assert check(HOMOGENEOUS).passed
@@ -851,8 +877,8 @@ class TestRunnerAgreesWithAuditor:
                 compiled, h, realization = session_realization(config, policy)
                 ips = query_inner_products(compiled, h)
                 s, t, c = realization
-                level = (s, [(t, (c,))])
-                ((*_, walked),) = answers_for_realization(compiled, ips, [level], policy)
+                levels = levels_of(compiled, [(s, [(t, (c,))])], policy)
+                ((*_, walked),) = answers_for_realization(compiled, ips, levels)
                 sent = {
                     (m.origin[0], m.partition, m.target): m.values[0]
                     for m in transcript.messages_in_phase("answer")
@@ -1104,8 +1130,8 @@ class TestIndicatorPrivacy:
         assert report.detail == (
             "element 5, column sum 2: indicator not uniform over nonzero residues"
         )
-        assert report.tables[(5, 2, 0)].is_uniform_over([1, 2, 3, 4])
-        assert not report.tables[(5, 2, 1)].is_uniform_over([1, 2, 3, 4])
+        assert report.tables[(5, 2, 0)] == uniform([1, 2, 3, 4])
+        assert report.tables[(5, 2, 1)] != uniform([1, 2, 3, 4])
 
 
 class TestQueryTupleDistribution:
@@ -1154,9 +1180,9 @@ class TestQueryTupleDistribution:
         for database in (1, 2):
             table = self._table({1, 3}, 1, database)
             assert len(table.probs) == 27
-            assert not table.is_uniform_over(list(itertools.product(
+            assert table != uniform(itertools.product(
                 itertools.product(range(3), repeat=3), repeat=2
-            )))
+            ))
 
 
 class TestLeaderPrivacy:
@@ -1254,6 +1280,25 @@ class TestClientPrivacy:
         assert abs(report.bits_max - 2.2697856487090378) < 1e-12
         with pytest.raises(BoundExceededError, match="cover 864 outcomes"):
             client_privacy_mi(bound=863, **shape)
+
+    @pytest.mark.parametrize(
+        "policy, bound",
+        [(FAITHFUL, 7775), (RandomnessPolicy(zero_local=True), 863)],
+        ids=["faithful", "zero_local"],
+    )
+    def test_over_its_bound_builds_no_row(self, policy, bound, monkeypatch):
+        # The joint guard raises after the randomness stream is made, and
+        # before any level of it is drawn.
+        calls = row_builds(monkeypatch)
+        with pytest.raises(BoundExceededError, match=f"cover {bound + 1} outcomes"):
+            client_privacy_mi(
+                leader=profile(1, {1}, 3),
+                client_shapes=[(2, 3), (3, 3)],
+                universe=Universe(2),
+                bound=bound,
+                policy=policy,
+            )
+        assert calls == []
 
     def test_zeroed_individual_randomness_leaks(self):
         report = client_privacy_mi(
