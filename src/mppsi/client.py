@@ -56,9 +56,11 @@ def answer_all(
     """Answer every query delivered to one database from its state, echoing it.
 
     A query must be addressed to the database and carry K values; its
-    partition must have a local value, and a targeted query (one with a
-    target position) an individual value, at this database; only database 1
-    answers a bare base query. Anything else is a protocol violation.
+    partition must have a local value at this database, and a targeted
+    query (one with a target position) must carry the (partition, target)
+    tags of a position this database holds, whose individual value it has;
+    only database 1 answers a bare base query. Anything else is a protocol
+    violation.
     """
     c, modulus = state.c, state.field.modulus
     if c is None:
@@ -66,7 +68,7 @@ def answer_all(
     profile, address = state.profile, state.address
     # protocol.prepare_session has checked the set against the universe.
     inner_product = support_sum(sorted(elem - 1 for elem in profile.data_set))
-    local, individual = state.local, state.individual
+    local, individual, tags = state.local, state.individual, state.tags
     answers: List[Message] = []
     for query in queries:
         if query.dest != address:
@@ -81,11 +83,12 @@ def answer_all(
                     f"bare base query delivered to database {address[1]}"
                 )
             t_slot = 0
-        elif partition in individual:
+        elif (partition, query.target) in tags and partition in individual:
             t_slot = individual[partition]
         else:
             raise ProtocolViolationError(
-                f"no individual randomness for partition {partition} at database {address}"
+                f"no individual randomness for partition {partition}, position "
+                f"{query.target} at database {address}"
             )
         q = query.values
         if len(q) != universe.size:

@@ -1,17 +1,19 @@
 """One client database's protocol state, with no I/O.
 
 A DatabaseState is built from what one client database is entitled to: the
-public plan shape, its party's own set, its own labeled draws, and a
-RandomnessPolicy. It draws each of its tiers as one labeled stream: its
-client's local vector ("s/<client>"), its individual values when it is a
-free-client database holding a position ("t/<client>/<database>", one slot
-per partition), and the multiplier at the database that sends it ("c"). It
-never touches a socket or a clock. It lists the shares it sends, receives
-one share, and reports whether it is ready; client.answer_all answers a
-batch of queries from it. Shares, queries and answers are all wire.Message
-values. Both transports drive these states: randomness.build_bundle routes
-shares between them in memory, and each net.DatabaseEndpoint keeps one
-behind its serve loop.
+public plan shape, its party's own set and its own labeled draws. Its
+constructor is where a database's randomness is drawn, each tier as one
+labeled stream, side by side: its client's local vector ("s/<client>"), its
+individual values when it is a free-client database holding a position
+("t/<client>/<database>", one slot per partition), and the multiplier at
+the database that sends it ("c"). It runs only the faithful scheme: the
+negative-control mutations are the audit checks'. It never touches a
+socket or a clock. It lists the shares it sends, receives one share, and
+reports whether it is ready; client.answer_all answers a batch of queries
+from it. Shares, queries and answers are all wire.Message values. Both
+transports drive these states: randomness.build_bundle routes shares
+between them in memory, and each net.DatabaseEndpoint keeps one behind its
+serve loop.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .errors import ProtocolViolationError
 from .field import PrimeField
 from .leader import PlanShape
 from .model import PartyProfile
-from .randomness import FAITHFUL, RandomnessPolicy
-from .randomness import completion, correlating_client, free_clients, gen_global, gen_local
-from .seeding import draw_vector
+from .randomness import completion, correlating_client, free_clients
+from .seeding import draw_nonzero, draw_vector
 from .wire import Message
 
 
@@ -36,7 +37,8 @@ class DatabaseState:
     individual[partition] is the value it adds to its targeted answer for
     that partition, only at the partitions of its own positions (none at
     database 1, which gets no targeted query); c is the global multiplier
-    once it has one. Both transports answer from it.
+    once it has one. tags holds the (partition, target position) pair of
+    each targeted query it answers. Both transports answer from it.
     """
 
     def __init__(
@@ -47,7 +49,6 @@ class DatabaseState:
         field: PrimeField,
         seed: int,
         session_id: str,
-        policy: RandomnessPolicy = FAITHFUL,
     ):
         party_id = profile.party_id
         self.session_id = session_id
@@ -55,16 +56,16 @@ class DatabaseState:
         self.profile = profile
         self.address = (party_id, database)
         self.field = field
-        self.policy = policy
         self.correlator = correlating_client(shape.client_ids)
         self.free = free_clients(shape.client_ids)
         self.c_origin = (shape.client_ids[0], 1)
         self.positions = shape.positions_of_database(party_id, database)
+        self.tags = frozenset((shape.position_location(party_id, k)[0], k) for k in self.positions)
         eta = shape.eta[party_id]
-        self.local: List[int] = gen_local(party_id, eta, field, seed, policy)
+        self.local: List[int] = list(draw_vector(seed, field.modulus, eta, "s", party_id))
         self.individual: Dict[int, int] = {}
         self.c: Optional[int] = (
-            gen_global(field, seed, policy) if self.address == self.c_origin else None
+            draw_nonzero(seed, field.modulus, "c") if self.address == self.c_origin else None
         )
         # At the correlating client: position -> {free client: its share}.
         self._received: Dict[int, Dict[int, int]] = {}
@@ -72,11 +73,8 @@ class DatabaseState:
             self._received = {position: {} for position in self.positions}
         elif self.positions:
             # One labeled vector per free database, indexed by partition.
-            draws = bytes(eta) if policy.zero_individual else draw_vector(
-                seed, field.modulus, eta, "t", party_id, database
-            )
-            for position in self.positions:
-                partition, _ = shape.position_location(party_id, position)
+            draws = draw_vector(seed, field.modulus, eta, "t", party_id, database)
+            for partition, _ in self.tags:
                 self.individual[partition] = draws[partition - 1]
         self._missing = len(self._received) * len(self.free)
         self._complete()
@@ -164,5 +162,5 @@ class DatabaseState:
         for position, received in self._received.items():
             partition, _ = self.shape.position_location(self.correlator, position)
             self.individual[partition] = completion(
-                received.values(), self.field.modulus, num_clients, self.policy
+                received.values(), self.field.modulus, num_clients
             )

@@ -3,7 +3,9 @@
 Each database is an independently addressable endpoint, a party only an
 administrative grouping: the database.DatabaseState that the in-memory
 transport routes between, behind sockets, answering its queries through
-client.answer_all as the in-memory transport does. Client endpoints send
+client.answer_all as the in-memory transport does. The state's constructor
+draws the endpoint's randomness, under the faithful scheme only: the
+negative-control mutations are the audit checks'. Client endpoints send
 each other their randomness shares (individual values to the correlating
 client's databases, the global multiplier from database 1 of the lowest
 client); the leader connects to each queried database once, sends its
@@ -56,7 +58,7 @@ from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
 from .leader import make_plan_shape
-from .randomness import FAITHFUL, RandomnessPolicy, share_order
+from .randomness import share_order
 from .session import SessionTranscript, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
 
@@ -90,7 +92,6 @@ class DatabaseEndpoint:
         database: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        policy: RandomnessPolicy = FAITHFUL,
     ):
         self.config = config
         self.party_id = party_id
@@ -124,7 +125,7 @@ class DatabaseEndpoint:
         if set_size:
             shape = make_plan_shape(set_size, setup.clients)
             self.state = DatabaseState(
-                shape, profile, database, self.field, config.seed, self.session_id, policy
+                shape, profile, database, self.field, config.seed, self.session_id
             )
 
     def start(self, loop: Optional[_ServeLoop] = None) -> None:
@@ -523,15 +524,13 @@ def _endpoint_errors(endpoints: Sequence[DatabaseEndpoint]) -> List[TransportErr
     return [error for endpoint in endpoints for error in endpoint.errors]
 
 
-def spawn_endpoints(
-    config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
-) -> List[DatabaseEndpoint]:
+def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
     """Start one in-process endpoint per client database (ephemeral ports)."""
     loop = _ServeLoop()
     endpoints = []
     for client in config.prepared[0].clients:
         for db in range(1, client.num_databases + 1):
-            endpoint = DatabaseEndpoint(config, client.party_id, db, policy=policy)
+            endpoint = DatabaseEndpoint(config, client.party_id, db)
             endpoint.start(loop)
             endpoints.append(endpoint)
     loop.start()
@@ -539,17 +538,15 @@ def spawn_endpoints(
 
 
 def run_networked_session(
-    config: SessionConfig,
-    endpoints: Optional[List[DatabaseEndpoint]] = None,
-    policy: RandomnessPolicy = FAITHFUL,
+    config: SessionConfig, endpoints: Optional[List[DatabaseEndpoint]] = None
 ) -> SessionTranscript:
     """Run one session over TCP loopback endpoints.
 
     Without explicit endpoints (and without configured addresses) the runner
-    spawns one endpoint per client database under policy, all served by one
-    thread, and tears them down afterwards. The runner and endpoints built
-    from this config object read one config.prepared, so the session elects
-    and derives its session id once.
+    spawns one endpoint per client database, all served by one thread, and
+    tears them down afterwards. Every endpoint runs the faithful scheme. The
+    runner and endpoints built from this config object read one
+    config.prepared, so the session elects and derives its session id once.
     """
 
     def exchange(setup, plan, sent, session_id):
@@ -564,7 +561,7 @@ def run_networked_session(
             return (), _query_round(config.addresses, queries, leader)
         serving = endpoints
         if serving is None:
-            serving = spawn_endpoints(config, policy)
+            serving = spawn_endpoints(config)
         try:
             addresses = {(ep.party_id, ep.database): ep.address for ep in serving}
             # In-process endpoints start their randomness traffic only now, so

@@ -20,13 +20,15 @@ party boundaries: clients only ever learn the public set size.
 
 Each client database draws, sends and installs its own values in a
 database.DatabaseState, the one object that holds them and answers from
-them. build_bundle runs the phase in memory by routing shares between one
-such state per client database; share_order is the transcript's order of
-the shares. completion is the one place the correlating client's value is
+them: its constructor makes the three tier draws side by side.
+build_bundle runs the phase in memory by routing shares between one such
+state per client database; share_order is the transcript's order of the
+shares. completion is the one place the correlating client's value is
 computed; the auditor calls it too.
 
-A RandomnessPolicy can deliberately break each tier; the audit module uses
-these mutations as negative controls.
+Sessions run only the faithful scheme. A RandomnessPolicy names the scheme
+mutations that the audit module's negative controls run; completion takes
+one, FAITHFUL by default, and nothing on the session path passes another.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from .field import PrimeField
 from .leader import PartitionPlan
 from .model import PartyProfile
-from .seeding import draw_nonzero, draw_vector
 from .wire import Message
 
 if TYPE_CHECKING:
@@ -68,7 +69,7 @@ def free_clients(client_ids: Sequence[int]) -> List[int]:
 
 
 def completion(
-    free_values: Iterable[int], modulus: int, num_clients: int, policy: RandomnessPolicy
+    free_values: Iterable[int], modulus: int, num_clients: int, policy: RandomnessPolicy = FAITHFUL
 ) -> int:
     """The correlating client's individual value for one leader-set position.
 
@@ -79,37 +80,6 @@ def completion(
     if policy.zero_individual:
         return 0
     return (modulus - num_clients + policy.correlation_offset - sum(free_values)) % modulus
-
-
-def gen_local(
-    client_id: int,
-    eta: int,
-    field: PrimeField,
-    seed: int,
-    policy: RandomnessPolicy = FAITHFUL,
-) -> List[int]:
-    """The client's local vector: one uniform slot per partition.
-
-    The eta slots are one labeled vector draw, "s/<client_id>", so every
-    database of the client draws the same vector for itself.
-    """
-    if eta < 1:
-        raise ValueError(f"local vector needs at least one slot, got {eta}")
-    if policy.zero_local:
-        return [0] * eta
-    return list(draw_vector(seed, field.modulus, eta, "s", client_id))
-
-
-def gen_global(
-    field: PrimeField, seed: int, policy: RandomnessPolicy = FAITHFUL
-) -> int:
-    """The session-wide nonzero answer multiplier."""
-    if policy.fixed_global is not None:
-        value = policy.fixed_global % field.modulus
-        if value == 0:
-            raise ValueError("global multiplier must be nonzero")
-        return value
-    return draw_nonzero(seed, field.modulus, "c")
 
 
 def share_order(share: Message) -> tuple:
@@ -123,7 +93,6 @@ def build_bundle(
     field: PrimeField,
     seed: int,
     session_id: str,
-    policy: RandomnessPolicy = FAITHFUL,
 ) -> Tuple[Dict[Tuple[int, int], DatabaseState], List[Message]]:
     """Run the randomness phase in memory: the router between database states.
 
@@ -131,12 +100,12 @@ def build_bundle(
     in share_order. Returns the states, keyed by their (client, database)
     address, and the shares in that order.
     """
-    # The state module builds on this one's tiers and policy.
+    # The state module builds on this one's completion and client split.
     from .database import DatabaseState
 
     states = {
         (client.party_id, db): DatabaseState(
-            plan.shape, client, db, field, seed, session_id, policy
+            plan.shape, client, db, field, seed, session_id
         )
         for client in clients
         for db in range(1, client.num_databases + 1)

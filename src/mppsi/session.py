@@ -11,7 +11,9 @@ run_leader is the leader's side of every session, set up by config.prepared
 as net's endpoints are. A transport is only the exchange function it hands
 the queries to, which returns the shares and the answers: run_memory_session
 routes database states in memory, and net.run_networked_session frames the
-messages to TCP endpoints.
+messages to TCP endpoints. Either way each database.DatabaseState draws its
+own randomness when it is built, and a session runs only the faithful
+scheme: the negative-control mutations are the audit checks'.
 
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries; transcript_from_run only puts a
@@ -48,7 +50,7 @@ from .leader import (
     make_partition_plan,
 )
 from .protocol import SessionSetup, collect_answers
-from .randomness import FAITHFUL, RandomnessPolicy, build_bundle, share_order
+from .randomness import build_bundle, share_order
 from .wire import Message, decode_msg, encode_msg
 
 
@@ -256,15 +258,11 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
     return transcript_from_run(setup, session_id, shares, queries, answers, result)
 
 
-def run_memory_session(
-    config: SessionConfig, policy: RandomnessPolicy = FAITHFUL
-) -> SessionTranscript:
+def run_memory_session(config: SessionConfig) -> SessionTranscript:
     """Run one session entirely in process, deterministically."""
 
     def exchange(setup, plan, queries, session_id):
-        states, shares = build_bundle(
-            plan, setup.clients, setup.field, config.seed, session_id, policy
-        )
+        states, shares = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
         return shares, collect_answers(queries, states, config.universe)
 
     return run_leader(config, exchange)

@@ -1,6 +1,7 @@
 """Exact enumeration audits: reliability, masking lemmas, mutual information."""
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -747,14 +748,33 @@ class TestWalkAgreesWithOracle:
         t_tuples = list(itertools.product(range(compiled.field.modulus), repeat=compiled.n_t))
         assert sorted(calls) == sorted(t_tuples * sets)
 
-    def test_every_level_of_every_call_carries_one_kept_list(self):
+    def test_every_level_of_every_call_reads_one_kept_list(self, monkeypatch):
+        # Every level of two calls is drawn before any is read, and the last
+        # level drawn is read first: each must still read every block, and
+        # the blocks the levels read are one list, built once.
+        calls = row_builds(monkeypatch)
+        monkeypatch.setattr(audit, "DECODE_BATCH", 16)
         compiled = compile_instance(FOUR_PARTY)
         draws, _, _ = _raw_realizations(compiled, FAITHFUL, DEFAULT_BOUND, 0, 0)
         first, second = list(draws()), list(draws())
-        kept = first[0][1]
-        assert type(kept) is list and len(first) == len(second) == 5 ** compiled.n_s
-        assert all(blocks is kept for _, blocks in first + second)
-        assert sum(rows for rows, *_ in kept) == 25
+        assert len(first) == len(second) == 5 ** compiled.n_s and calls == []
+        read = [list(blocks) for _, blocks in reversed(first + second)]
+        kept = read[0]
+        assert len(kept) == 7 and sum(rows for rows, *_ in kept) == 25
+        for blocks in read:
+            assert len(blocks) == len(kept) and all(map(operator.is_, blocks, kept))
+        assert calls == list(itertools.product(range(5), repeat=compiled.n_t))
+
+    def test_an_early_stopping_walk_builds_only_the_rows_it_read(self, monkeypatch):
+        # The shifted correlation fails at once, so the walk stops inside
+        # its first batch of 16 vectors, one block of 4 groups under 4
+        # multipliers. It has built that block's rows and the next block's,
+        # which closed the batch, out of the stream's 25.
+        calls = row_builds(monkeypatch)
+        monkeypatch.setattr(audit, "DECODE_BATCH", 16)
+        report = check_reliability(FOUR_PARTY, policy=RandomnessPolicy(correlation_offset=1))
+        assert not report.passed and report.cases == len(report.failures) == 5
+        assert len(calls) == 8 < 25
 
     def test_a_single_level_builds_its_blocks_on_each_call(self, monkeypatch):
         # Under zero_local no later level reads a set's blocks again, so
@@ -842,7 +862,7 @@ def session_configs(draw):
     return SessionConfig(k, parties, draw(st.integers(0, 2**32 - 1)), leader)
 
 
-def session_realization(config, policy):
+def session_realization(config):
     """The audit's compiled instance, and the memory session's own base
     vectors and (s, t, c) laid out in the instance's slot order."""
     compiled = compile_instance(
@@ -854,7 +874,7 @@ def session_realization(config, policy):
     # The client with the most partitions gets every base vector, bare, at database 1.
     widest = max(shape.client_ids, key=shape.eta.__getitem__)
     h = tuple(query.values for query in queries_to(queries, (widest, 1)))
-    states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id, policy)
+    states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
     s = tuple(states[client, 1].local[ell - 1] for client, ell in compiled.s_index)
     t = []
     for client, position in compiled.t_index:
@@ -866,30 +886,30 @@ def session_realization(config, policy):
 @pytest.mark.pins
 class TestRunnerAgreesWithAuditor:
     """The auditor's answer walk, fed one memory session's own draws, gives
-    that session's answers: the lemmas are proved over the code that runs."""
+    that session's answers: the lemmas are proved over the code that runs.
+    Sessions run only the faithful scheme; the walk's mutations are checked
+    against a reference by TestWalkAgreesWithOracle."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(session_configs())
     def test_session_answers_equal_the_audited_realization(self, config):
-        for policy in POLICIES:
-            transcript = run_memory_session(config, policy)
-            if transcript.messages:  # an empty leader set draws nothing
-                compiled, h, realization = session_realization(config, policy)
-                ips = query_inner_products(compiled, h)
-                s, t, c = realization
-                levels = levels_of(compiled, [(s, [(t, (c,))])], policy)
-                ((*_, walked),) = answers_for_realization(compiled, ips, levels)
-                sent = {
-                    (m.origin[0], m.partition, m.target): m.values[0]
-                    for m in transcript.messages_in_phase("answer")
-                }
-                assert list(walked) == [sent[key] for key in compiled.plan.answer_keys]
-            if policy == FAITHFUL:
-                assert transcript.result.decoded == brute_force_intersection(config.parties)
-            assert transcript.download_cost_actual == transcript.cost_table.costs[
-                transcript.leader_id
-            ]
-            assert load_transcript(transcript.serialize()) == transcript
+        transcript = run_memory_session(config)
+        if transcript.messages:  # an empty leader set draws nothing
+            compiled, h, realization = session_realization(config)
+            ips = query_inner_products(compiled, h)
+            s, t, c = realization
+            levels = levels_of(compiled, [(s, [(t, (c,))])], FAITHFUL)
+            ((*_, walked),) = answers_for_realization(compiled, ips, levels)
+            sent = {
+                (m.origin[0], m.partition, m.target): m.values[0]
+                for m in transcript.messages_in_phase("answer")
+            }
+            assert list(walked) == [sent[key] for key in compiled.plan.answer_keys]
+        assert transcript.result.decoded == brute_force_intersection(config.parties)
+        assert transcript.download_cost_actual == transcript.cost_table.costs[
+            transcript.leader_id
+        ]
+        assert load_transcript(transcript.serialize()) == transcript
 
 
 class TestDb1Uniformity:

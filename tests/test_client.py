@@ -228,3 +228,16 @@ class TestAnswerAll:
         with pytest.raises(ProtocolViolationError, match="no individual randomness"):
             answer_all(states[1, 1], [moved], Universe(4))
         assert answer_all(states[1, 2], [targeted], Universe(4))
+
+    def test_query_retagged_to_a_position_held_elsewhere_rejected(self):
+        # Partition 1's positions 1 and 2 are held by databases 2 and 3. The
+        # query to database 2 re-tagged to position 2 is refused rather than
+        # answered with database 2's individual value under position 2's tag.
+        clients, plan, field, states, sent = _session_pieces()
+        (targeted,) = queries_to(sent, (1, 2))
+        assert (targeted.partition, targeted.target) == (1, 1)
+        assert plan.shape.position_location(1, 2) == (1, 3)
+        with pytest.raises(ProtocolViolationError, match="partition 1, position 2"):
+            answer_all(states[1, 2], [targeted._replace(target=2)], Universe(4))
+        (answer,) = answer_all(states[1, 2], [targeted], Universe(4))
+        assert answer.target == 1 and states[1, 2].tags == {(1, 1)}

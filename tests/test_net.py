@@ -17,7 +17,7 @@ from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
-from mppsi.randomness import RandomnessPolicy, build_bundle, share_order
+from mppsi.randomness import build_bundle, share_order
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, encode_msg
 
@@ -499,14 +499,6 @@ class TestEndpointBehaviour:
             DatabaseEndpoint(config, 3, 1)
 
 
-POLICIES = {
-    "zero_local": RandomnessPolicy(zero_local=True),
-    "zero_individual": RandomnessPolicy(zero_individual=True),
-    "correlation_offset=1": RandomnessPolicy(correlation_offset=1),
-    "fixed_global=1": RandomnessPolicy(fixed_global=1),
-}
-
-
 class TestExternalAddresses:
     """The runner given only addresses: the shares stay with the endpoints.
 
@@ -633,18 +625,6 @@ def run_while_late(config, endpoints, addresses, late):
             endpoint.stop()
 
 
-class TestPoliciesOverTcp:
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    @pytest.mark.parametrize("name", sorted(DEMOS))
-    def test_transcript_equals_the_memory_transcript(self, name, policy_name):
-        config = DEMOS[name].config
-        policy = POLICIES[policy_name]
-        over_tcp = run_networked_session(config, policy=policy)
-        assert over_tcp.serialize() == run_memory_session(config, policy).serialize()
-        if policy.correlation_offset:
-            assert over_tcp.result.decoded != brute_force_intersection(config.parties)
-
-
 def share(config, kind, origin, dest, target, values):
     return Message(
         type=kind,
@@ -735,6 +715,31 @@ class TestSharesFromTheWire:
             # once: the close comes from the refusal, not from a wait.
             first = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             send_and_expect_close(first, targeted._replace(dest=(1, 1)))
+            over_tcp = run_networked_session(config, endpoints=endpoints)
+            assert over_tcp.serialize() == memory.serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_query_retagged_to_a_position_held_elsewhere_closes_only_its_connection(self):
+        # sec7_2: database (2, 2) holds position 1 of partition 1 and (2, 3)
+        # position 2. The query to (2, 2) re-tagged to position 2 is refused
+        # rather than answered from (2, 2)'s value under (2, 3)'s tag.
+        config = DEMOS["sec7_2"].config
+        memory = run_memory_session(config)
+        query = next(
+            m for m in memory.messages_in_phase("query") if (m.dest, m.target) == ((2, 2), 1)
+        )
+        endpoints = spawn_endpoints(config)
+        try:
+            # A first session installs (2, 2)'s multiplier, so the close comes
+            # from the refusal, not from a wait.
+            assert run_networked_session(config, endpoints=endpoints).serialize() == (
+                memory.serialize()
+            )
+            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (2, 2))
+            assert victim.state.ready
+            send_and_expect_close(victim, query._replace(target=2))
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == memory.serialize()
         finally:

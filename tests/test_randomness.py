@@ -17,8 +17,6 @@ from mppsi.randomness import (
     completion,
     correlating_client,
     free_clients,
-    gen_global,
-    gen_local,
     share_order,
 )
 from mppsi.session import run_memory_session
@@ -52,23 +50,31 @@ def held(states):
     return {address: (s.local, s.individual, s.c) for address, s in states.items()}
 
 
+def bundle(seed, **sizes):
+    """The database states of a seeded bundle over fixture(**sizes)."""
+    plan, clients, field = fixture(**sizes)
+    return build_bundle(plan, clients, field, seed, SESSION)[0]
+
+
 class TestLocal:
     def test_seeded_runs_repeat(self):
-        field = select_field_size(3)
-        assert gen_local(1, 2, field, seed=9) == gen_local(1, 2, field, seed=9)
+        first, second = bundle(seed=9), bundle(seed=9)
+        assert [s.local for s in first.values()] == [s.local for s in second.values()]
 
     def test_vector_length(self):
-        field = select_field_size(4)
-        assert len(gen_local(1, 3, field, seed=0)) == 3
+        sizes = {"num_clients": 3, "leader_set": (1, 2, 3, 4, 5)}
+        plan, _, _ = fixture(**sizes)
+        for (client_id, _), state in bundle(seed=0, **sizes).items():
+            assert len(state.local) == plan.shape.eta[client_id] == 3
+
+    def test_every_database_of_a_client_draws_the_same_vector(self):
+        states = bundle(seed=3, num_clients=3)
+        for (client_id, _), state in states.items():
+            assert state.local == states[client_id, 1].local
 
     def test_values_cover_field_across_seeds(self):
-        field = select_field_size(3)
-        seen = {gen_local(1, 1, field, seed=s)[0] for s in range(60)}
+        seen = {bundle(seed=s)[1, 1].local[0] for s in range(60)}
         assert seen == {0, 1, 2}
-
-    def test_zero_slots_rejected(self):
-        with pytest.raises(ValueError):
-            gen_local(1, 0, select_field_size(3), seed=0)
 
 
 class TestSlotCoverage:
@@ -121,17 +127,14 @@ def test_one_labeled_stream_per_database_and_tier(transport, monkeypatch):
 
 class TestGlobal:
     def test_never_zero(self):
-        field = select_field_size(3)
-        values = {gen_global(field, seed=s) for s in range(60)}
+        values = {bundle(seed=s)[1, 1].c for s in range(60)}
         assert values == {1, 2}
 
     def test_binary_field_forces_one(self):
-        field = select_field_size(2)
-        assert all(gen_global(field, seed=s) == 1 for s in range(10))
+        assert all(bundle(seed=s, num_clients=1)[1, 1].c == 1 for s in range(10))
 
     def test_larger_field_covers_all_nonzero(self):
-        field = select_field_size(4)
-        values = {gen_global(field, seed=s) for s in range(200)}
+        values = {bundle(seed=s, num_clients=3)[1, 1].c for s in range(200)}
         assert values == {1, 2, 3, 4}
 
 
@@ -257,51 +260,3 @@ class TestBundle:
             for db in range(1, c.num_databases + 1)
         } - {(1, 1)}
         assert dests == expected
-
-
-class TestPolicies:
-    def test_zero_local(self):
-        plan, clients, field = fixture()
-        states, _ = build_bundle(
-            plan, clients, field, seed=4, session_id=SESSION,
-            policy=RandomnessPolicy(zero_local=True),
-        )
-        assert all(v == 0 for state in states.values() for v in state.local)
-
-    def test_zero_individual_breaks_correlation(self):
-        plan, clients, field = fixture()
-        states, _ = build_bundle(
-            plan, clients, field, seed=4, session_id=SESSION,
-            policy=RandomnessPolicy(zero_individual=True),
-        )
-        assert all(
-            t_at(states, plan, cid, position) == 0
-            for cid in plan.shape.client_ids
-            for position in range(1, plan.shape.set_size + 1)
-        )
-
-    def test_correlation_offset_shifts_sums(self):
-        plan, clients, field = fixture()
-        states, _ = build_bundle(
-            plan, clients, field, seed=4, session_id=SESSION,
-            policy=RandomnessPolicy(correlation_offset=1),
-        )
-        num_parties = len(clients) + 1
-        broken = (field.modulus - (num_parties - 1) + 1) % field.modulus
-        for position in range(1, plan.shape.set_size + 1):
-            total = sum(
-                t_at(states, plan, cid, position) for cid in plan.shape.client_ids
-            ) % field.modulus
-            assert total == broken
-
-    def test_fixed_global(self):
-        plan, clients, field = fixture()
-        states, _ = build_bundle(
-            plan, clients, field, seed=4, session_id=SESSION,
-            policy=RandomnessPolicy(fixed_global=1),
-        )
-        assert all(state.c == 1 for state in states.values())
-
-    def test_fixed_global_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gen_global(select_field_size(3), seed=0, policy=RandomnessPolicy(fixed_global=0))
