@@ -625,6 +625,20 @@ def run_while_late(config, endpoints, addresses, late):
             endpoint.stop()
 
 
+class TestSeedsOverTcp:
+    """Other seeds change every share, answer and multiplier on the wire;
+    each demo under each gives the memory transcript and the intersection."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_transcript_equals_the_memory_transcript(self, name, seed):
+        config = replace(DEMOS[name].config, seed=seed)
+        assert config.seed != DEMOS[name].config.seed
+        over_tcp = run_networked_session(config)
+        assert over_tcp.serialize() == run_memory_session(config).serialize()
+        assert over_tcp.result.decoded == brute_force_intersection(config.parties)
+
+
 def share(config, kind, origin, dest, target, values):
     return Message(
         type=kind,

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from mppsi import seeding
+from mppsi.audit import AuditInstance, _raw_realizations, compile_instance, individual_values
 from mppsi.field import select_field_size
 from mppsi.leader import generate_queries, make_partition_plan
 from mppsi.model import PartyProfile, Universe
@@ -260,3 +261,55 @@ class TestBundle:
             for db in range(1, c.num_databases + 1)
         } - {(1, 1)}
         assert dests == expected
+
+
+def audited(policy, samples=30):
+    """The auditor's compiled instance of fixture() and (s, t, c) draws
+    sampled from its realization stream under policy. Sessions run only
+    the faithful scheme; the stream is where a policy's mutation acts."""
+    _, clients, _ = fixture()
+    leader = profile(len(clients) + 1, (1, 4), 3)
+    compiled = compile_instance(AuditInstance((*clients, leader), Universe(4), leader.party_id))
+    draws, _, exhaustive = _raw_realizations(compiled, policy, 0, samples, seed=4)
+    assert not exhaustive
+    return compiled, [(s, tuple(ts), c) for s, [(_, ts, (c,), _)] in draws()]
+
+
+def position_sums(compiled, t_values, policy):
+    """Per leader-set position, the sum of every client's individual value."""
+    modulus = compiled.field.modulus
+    completed = individual_values(compiled, t_values, policy)[len(t_values):-1]
+    return [
+        (sum(t_values[i] for i in slots) + value) % modulus
+        for slots, value in zip(compiled.corr_free_indices.values(), completed, strict=True)
+    ]
+
+
+class TestPolicies:
+    def test_zero_local(self):
+        _, draws = audited(RandomnessPolicy(zero_local=True))
+        assert all(v == 0 for s, _, _ in draws for v in s)
+        _, faithful = audited(FAITHFUL)
+        assert any(v for s, _, _ in faithful for v in s)
+
+    def test_zero_individual_breaks_correlation(self):
+        policy = RandomnessPolicy(zero_individual=True)
+        compiled, draws = audited(policy)
+        assert all(not any(individual_values(compiled, t, policy)) for _, t, _ in draws)
+
+    def test_correlation_offset_shifts_sums(self):
+        policy = RandomnessPolicy(correlation_offset=1)
+        compiled, draws = audited(policy)
+        modulus = compiled.field.modulus
+        num_parties = len(compiled.plan.shape.client_ids) + 1
+        faithful = (modulus - (num_parties - 1)) % modulus
+        broken = (faithful + 1) % modulus
+        for _, t, _ in draws:
+            assert position_sums(compiled, t, policy) == [broken] * compiled.plan.shape.set_size
+            assert position_sums(compiled, t, FAITHFUL) == [faithful] * compiled.plan.shape.set_size
+
+    def test_fixed_global(self):
+        _, draws = audited(RandomnessPolicy(fixed_global=1))
+        assert {c for _, _, c in draws} == {1}
+        _, faithful = audited(FAITHFUL)
+        assert {c for _, _, c in faithful} == {1, 2}
