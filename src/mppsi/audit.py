@@ -1042,12 +1042,8 @@ def _canonical(messages: Iterable) -> tuple:
 
 
 def leader_view(transcript: SessionTranscript) -> tuple:
-    """What the leader legitimately holds: query and answer traffic only.
-
-    Randomness-phase messages are excluded by phase; the leader is never
-    their origin or destination in a conforming transcript.
-    """
-    return _canonical(m for m in transcript.messages if m.phase in ("query", "answer"))
+    """What the leader legitimately holds: every message, as each has the leader at one end."""
+    return _canonical(transcript.messages)
 
 
 def database_view(transcript: SessionTranscript, party_id: int, database: int) -> tuple:

@@ -34,7 +34,7 @@ from .config import SessionConfig, load_config
 from .demo import DEMOS, run_demo
 from .errors import BoundExceededError, ConfigError, MppsiError
 from .leader import make_partition_plan
-from .session import run_session
+from .session import deal, run_session
 
 
 def _apply_overrides(config: SessionConfig, args) -> SessionConfig:
@@ -238,10 +238,10 @@ def _cmd_serve_db(args) -> int:
             raise ConfigError(
                 "serve-db needs --port or an addresses entry in the config"
             )
-    endpoint = DatabaseEndpoint(config, args.party, args.db, host=host, port=port)
+    # Its own record of the config's dealing; it needs no peer's address.
+    state = deal(config).get((args.party, args.db))
+    endpoint = DatabaseEndpoint(config, args.party, args.db, state, host=host, port=port)
     endpoint.start()
-    if config.addresses:
-        endpoint.begin_sharing(dict(config.addresses))
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:
         while True:

@@ -14,9 +14,9 @@ order.
 
 answer_all is the one answer function of both transports:
 protocol.collect_answers calls it in memory, and each TCP endpoint's serve
-loop calls it once the endpoint's state is ready. A database uses nothing
-beyond its database.DatabaseState (its own copy of the party's set and its
-own randomness) and the queries delivered to it; answer_all admits nothing
+loop calls it on the queries it reads. A database uses nothing beyond its
+database.DatabaseState (its own copy of the party's set and its own dealt
+randomness) and the queries delivered to it; answer_all admits nothing
 else.
 """
 
@@ -58,13 +58,10 @@ def answer_all(
     A query must be addressed to the database and carry K values; its
     partition must have a local value at this database, and a targeted
     query (one with a target position) must carry the (partition, target)
-    tags of a position this database holds, whose individual value it has;
-    only database 1 answers a bare base query. Anything else is a protocol
-    violation.
+    tags of a position this database holds; only database 1 answers a bare
+    base query. Anything else is a protocol violation.
     """
     c, modulus = state.c, state.field.modulus
-    if c is None:
-        raise ProtocolViolationError("global multiplier not installed")
     profile, address = state.profile, state.address
     # protocol.prepare_session has checked the set against the universe.
     inner_product = support_sum(sorted(elem - 1 for elem in profile.data_set))
@@ -83,7 +80,7 @@ def answer_all(
                     f"bare base query delivered to database {address[1]}"
                 )
             t_slot = 0
-        elif (partition, query.target) in tags and partition in individual:
+        elif (partition, query.target) in tags:
             t_slot = individual[partition]
         else:
             raise ProtocolViolationError(

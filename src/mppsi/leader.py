@@ -351,14 +351,15 @@ def _answer_mismatch(plan: PartitionPlan, keys: tuple, origins: tuple) -> Protoc
 
 def decode(
     plan: PartitionPlan,
-    answers: Sequence[Message],
+    answers: List[Message],
     field: PrimeField,
 ) -> IntersectionResult:
     """Decode collected answer messages into the intersection.
 
     Every message must be an answer to the leader carrying one residue below
-    L. The answers are put in Message.sort_key order, so arrival order is
-    irrelevant; then answer i must carry the tags of query i and come from
+    L. The answers list is sorted in place into Message.sort_key order, the
+    transcript's, so arrival order is irrelevant and the caller keeps the
+    sorted list; then answer i must carry the tags of query i and come from
     the database it went to. Duplicate, missing, or unknown tags, and an
     answer from another database, are protocol violations.
     """
@@ -374,7 +375,8 @@ def decode(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
                 f"got {list(answer.values)}"
             )
-    indicators = decode_values(plan, sorted(answers, key=Message.sort_key), modulus)
+    answers.sort(key=Message.sort_key)
+    indicators = decode_values(plan, answers, modulus)
     return IntersectionResult(
         decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),
         indicators=dict(zip(plan.leader_elements, indicators)),

@@ -1,30 +1,28 @@
-"""Generation and sharing of the three client-side randomness tiers.
+"""The dealing of the clients' common randomness, before the session.
 
-Before any query is sent, the client parties set up:
+In the paper's model the clients already hold their common randomness when
+the leader's queries arrive, and no client database talks to another. A
+trusted set-up party, which sees the randomness but no set, deals it;
+here the runner deals it from the config's seed. build_bundle is that
+dealing: for one session it gives every client database a
+database.DatabaseRecord holding exactly what it adds to its answers, and
+builds its database.DatabaseState from it, ready to answer:
 
-* a local vector per client (one slot per partition), shared by all of that
-  client's databases and added to every answer: one labeled vector draw,
-  "s/<client>", that each of the client's databases makes for itself;
-* an individual value per targeted answer, so none at database 1, which
-  gets no targeted query: drawn freely by every client except the last
-  one, and completed at the last client so that for each leader-set
-  position the values across clients sum to L - (M - 1); a free database
-  draws its values as one labeled vector, "t/<client>/<database>", indexed
-  by partition;
-* a single global nonzero multiplier applied to every answer, labeled "c".
+* its client's local vector (one slot per partition), the same at every
+  database of that client: one labeled vector draw, "s/<client>";
+* its individual value per targeted answer, at the partitions of its own
+  positions, so none at database 1, which gets no targeted query. Every
+  client except the last draws freely, one labeled vector per database
+  holding a position, "t/<client>/<database>", indexed by partition; the
+  last client's value for a leader-set position is the completion of the
+  free values, so that each position's values across clients sum to
+  L - (M - 1);
+* the single global nonzero multiplier, labeled "c", the same at every
+  database.
 
-The free individual values travel to the last client's databases as
-t_share wire.Message values whose target is a leader-set position (1..R),
-and the multiplier as c_share messages. Positions, not element ids, cross
-party boundaries: clients only ever learn the public set size.
-
-Each client database draws, sends and installs its own values in a
-database.DatabaseState, the one object that holds them and answers from
-them: its constructor makes the three tier draws side by side.
-build_bundle runs the phase in memory by routing shares between one such
-state per client database; share_order is the transcript's order of the
-shares. completion is the one place the correlating client's value is
-computed; the auditor calls it too.
+A record names leader-set positions only through its partitions: clients
+only ever learn the public set size. completion is the one place the
+correlating client's value is computed; the auditor calls it too.
 
 Sessions run only the faithful scheme. A RandomnessPolicy names the scheme
 mutations that the audit module's negative controls run; completion takes
@@ -34,15 +32,13 @@ one, FAITHFUL by default, and nothing on the session path passes another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .database import DatabaseRecord, DatabaseState
 from .field import PrimeField
-from .leader import PartitionPlan
+from .leader import PlanShape
 from .model import PartyProfile
-from .wire import Message
-
-if TYPE_CHECKING:
-    from .database import DatabaseState
+from .seeding import draw_nonzero, draw_vector
 
 
 @dataclass(frozen=True)
@@ -82,38 +78,45 @@ def completion(
     return (modulus - num_clients + policy.correlation_offset - sum(free_values)) % modulus
 
 
-def share_order(share: Message) -> tuple:
-    """The transcript's order of shares: t shares, then c shares, by origin, dest, position."""
-    return (share.type != "t_share", share.origin, share.dest, share.target or 0)
-
-
 def build_bundle(
-    plan: PartitionPlan,
+    shape: PlanShape,
     clients: Sequence[PartyProfile],
     field: PrimeField,
     seed: int,
     session_id: str,
-) -> Tuple[Dict[Tuple[int, int], DatabaseState], List[Message]]:
-    """Run the randomness phase in memory: the router between database states.
+) -> Dict[Tuple[int, int], DatabaseState]:
+    """Deal one session's common randomness from the seed, and build every
+    client database's state, ready, from its own record.
 
-    Builds one state per client database and delivers every share they send
-    in share_order. Returns the states, keyed by their (client, database)
-    address, and the shares in that order.
+    Returns the states keyed by their (client, database) address.
     """
-    # The state module builds on this one's completion and client split.
-    from .database import DatabaseState
-
-    states = {
-        (client.party_id, db): DatabaseState(
-            plan.shape, client, db, field, seed, session_id
-        )
-        for client in clients
-        for db in range(1, client.num_databases + 1)
-    }
-    shares = sorted(
-        (share for state in states.values() for share in state.shares()),
-        key=share_order,
-    )
-    for share in shares:
-        states[share.dest].receive(share)
-    return states, shares
+    modulus, num_clients = field.modulus, len(shape.client_ids)
+    correlator = correlating_client(shape.client_ids)
+    c = draw_nonzero(seed, modulus, "c")
+    individual: Dict[Tuple[int, int], Dict[int, int]] = {}  # address -> partition -> value
+    free_values: Dict[int, List[int]] = {}  # position -> the free clients' values
+    # Free clients first: the correlating client's values complete theirs.
+    for client in sorted(clients, key=lambda client: client.party_id == correlator):
+        party_id = client.party_id
+        for database in range(1, client.num_databases + 1):
+            held = individual[party_id, database] = {}
+            positions = shape.positions_of_database(party_id, database)
+            if party_id == correlator:
+                for position in positions:
+                    partition = shape.position_location(party_id, position)[0]
+                    free = free_values.get(position, ())
+                    held[partition] = completion(free, modulus, num_clients)
+            elif positions:
+                draws = draw_vector(seed, modulus, shape.eta[party_id], "t", party_id, database)
+                for position in positions:
+                    partition = shape.position_location(party_id, position)[0]
+                    held[partition] = draws[partition - 1]
+                    free_values.setdefault(position, []).append(held[partition])
+    states = {}
+    for client in clients:
+        local = draw_vector(seed, modulus, shape.eta[client.party_id], "s", client.party_id)
+        for database in range(1, client.num_databases + 1):
+            address = (client.party_id, database)
+            record = DatabaseRecord(session_id, address, local, individual[address], c)
+            states[address] = DatabaseState(shape, client, field, record)
+    return states

@@ -6,8 +6,9 @@ base vector, "s/<client>" for a client's local vector, "t/<client>/<database>"
 for a free-client database's individual values and "c" for the global
 multiplier. Each stream gives one whole vector (draw_vector) or the one
 nonzero multiplier (draw_nonzero). Distinct labels give independent
-streams, the same (seed, label) pair always reproduces the same values, and
-any endpoint can derive exactly the draws it owns without coordination.
+streams, and the same (seed, label) pair always reproduces the same values,
+so the leader and the dealing of the clients' randomness
+(randomness.build_bundle) each derive their draws without coordination.
 """
 
 from __future__ import annotations

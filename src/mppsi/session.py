@@ -1,34 +1,29 @@
 """Session lifecycle: the leader's driver, transcripts, the in-memory transport.
 
-A session runs three phases in order: randomness sharing among client
-databases, one query round from the leader, and one answer round back. The
-transcript records every message (its phase follows from its type) plus the
-cost table and the decoded result; with the in-memory transport it is a pure
-function of (config, seed) and serializes to byte-identical files across
-repeats.
+The clients' common randomness is dealt before the session (deal, through
+randomness.build_bundle), so a session runs two phases in order: one query
+round from the leader and one answer round back. Every message has the
+leader at one end; no client database sends to another. The transcript
+records every message (its phase is its type) plus the cost table and the
+decoded result; with the in-memory transport it is a pure function of
+(config, seed) and serializes to byte-identical files across repeats.
 
 run_leader is the leader's side of every session, set up by config.prepared
 as net's endpoints are. A transport is only the exchange function it hands
-the queries to, which returns the shares and the answers: run_memory_session
-routes database states in memory, and net.run_networked_session frames the
-messages to TCP endpoints. Either way each database.DatabaseState draws its
-own randomness when it is built, and a session runs only the faithful
-scheme: the negative-control mutations are the audit checks'.
+the queries to, which returns the answers: run_memory_session answers from
+the dealt database states in memory, and net.run_networked_session frames
+the messages to TCP endpoints that hold those states. A session runs only
+the faithful scheme: the negative-control mutations are the audit checks'.
 
 Every transcript entry is the wire.Message a database state or the leader
-produced, the same object a frame carries; transcript_from_run only puts a
-run's messages in transcript order (shares in randomness.share_order, then
-queries and answers by Message.sort_key), in which the leader generates its
-queries: only the answers, in arrival order, need a sort. A transcript file
-is one line of sorted-key JSON whose "messages" list holds each message as
-the base64 text of its binary frame (wire.encode_msg), so the file and the
-wire share one encoding and one rule for a valid message. The file stays a
-JSON object so its head (cost table, leader) and tail (result, session id)
-stay readable with json alone.
-
-The leader never appears as origin or destination of a randomness-phase
-message; those flow only between client databases. Audits rely on each
-message's phase to reconstruct each party's legitimate view.
+produced, the same object a frame carries. The leader generates its queries
+in transcript order (Message.sort_key), and leader.decode leaves the answers
+in that order, so transcript_from_run sorts nothing. A transcript file is
+one line of sorted-key JSON whose "messages" list holds each message as the
+base64 text of its binary frame (wire.encode_msg), so the file and the wire
+share one encoding and one rule for a valid message. The file stays a JSON
+object so its head (cost table, leader) and tail (result, session id) stay
+readable with json alone.
 """
 
 from __future__ import annotations
@@ -36,9 +31,10 @@ from __future__ import annotations
 import json
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .config import SessionConfig
+from .database import DatabaseState
 from .errors import ConfigError, ProtocolViolationError
 from .field import select_field_size
 from .leader import (
@@ -48,9 +44,10 @@ from .leader import (
     decode,
     generate_queries,
     make_partition_plan,
+    make_plan_shape,
 )
 from .protocol import SessionSetup, collect_answers
-from .randomness import build_bundle, share_order
+from .randomness import build_bundle
 from .wire import Message, decode_msg, encode_msg
 
 
@@ -128,7 +125,7 @@ def _compact_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-_PHASES = ("randomness", "query", "answer")
+_PHASES = ("query", "answer")
 
 
 def load_transcript(data: bytes) -> SessionTranscript:
@@ -141,8 +138,7 @@ def load_transcript(data: bytes) -> SessionTranscript:
     byte-stable. So is one whose leader, costs (or nulls) and result are not
     all integers, whose leader has no cost, or whose messages carry another
     session id. So is one whose messages are out of transcript order: phases
-    other than randomness, then query, then answer, shares not in strictly
-    increasing randomness.share_order, or queries or answers not in strictly
+    other than query, then answer, or queries or answers not in strictly
     increasing Message.sort_key order (so none repeats). So is one with a
     message value outside [0, L), with L the field of the cost table's
     parties. So, last, is a result that contradicts itself or its
@@ -181,14 +177,11 @@ def load_transcript(data: bytes) -> SessionTranscript:
         raise ProtocolViolationError("a message carries a session id other than the transcript's")
     phases = [m.phase for m in messages]
     if phases != sorted(phases, key=_PHASES.index):
-        raise ProtocolViolationError("messages out of phase order: randomness, query, answer")
-    orders = {"randomness": share_order, "query": Message.sort_key, "answer": Message.sort_key}
-    for phase, order in orders.items():
-        keys = [order(m) for m in messages if m.phase == phase]
+        raise ProtocolViolationError("messages out of phase order: query, answer")
+    for phase in _PHASES:
+        keys = [m.sort_key() for m in messages if m.phase == phase]
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ProtocolViolationError(
-                f"{phase} messages out of {order.__name__} order, or repeated"
-            )
+            raise ProtocolViolationError(f"{phase} messages out of sort_key order, or repeated")
     try:
         modulus = select_field_size(len(costs)).modulus
     except ConfigError as exc:
@@ -208,30 +201,35 @@ def load_transcript(data: bytes) -> SessionTranscript:
     return transcript
 
 
+def deal(config: SessionConfig) -> Dict[Tuple[int, int], DatabaseState]:
+    """The config's session dealt from its seed: every client database's
+    state by address. An empty leader set needs no randomness: none."""
+    setup, session_id = config.prepared
+    if not setup.leader.data_set:
+        return {}
+    shape = make_plan_shape(len(setup.leader.data_set), setup.clients)
+    return build_bundle(shape, setup.clients, setup.field, config.seed, session_id)
+
+
 # Given the setup, the plan, the queries in transcript order and the session
-# id, an exchange delivers the queries and returns the shares it saw, in
-# share_order (none when only databases it does not run saw them), and the answers.
-Exchange = Callable[
-    [SessionSetup, PartitionPlan, Sequence[Message], str],
-    Tuple[Sequence[Message], Sequence[Message]],
-]
+# id, an exchange delivers the queries and returns the answers, as a list in
+# any order.
+Exchange = Callable[[SessionSetup, PartitionPlan, Sequence[Message], str], List[Message]]
 
 
 def transcript_from_run(
     setup: SessionSetup,
     session_id: str,
-    shares: Sequence[Message],
     queries: Sequence[Message],
     answers: Sequence[Message],
     result: IntersectionResult,
 ) -> SessionTranscript:
-    """The run's messages in transcript order, with its setup and result."""
-    messages = (*shares, *queries, *sorted(answers, key=Message.sort_key))
+    """The run's transcript: its queries and answers, each already in transcript order."""
     return SessionTranscript(
         session_id=session_id,
         leader_id=setup.leader.party_id,
         cost_table=setup.costs,
-        messages=messages,
+        messages=(*queries, *answers),
         result=result,
     )
 
@@ -248,22 +246,23 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)
     plan = make_partition_plan(setup.leader, setup.clients)
     queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
-    shares, answers = exchange(setup, plan, queries, session_id)
+    answers = exchange(setup, plan, queries, session_id)
     for msg in answers:
         if msg.session_id != session_id:
             raise ProtocolViolationError(
                 f"answer for session {msg.session_id}, running {session_id}"
             )
+    # decode sorts the answers in place, into transcript order.
     result = decode(plan, answers, setup.field)
-    return transcript_from_run(setup, session_id, shares, queries, answers, result)
+    return transcript_from_run(setup, session_id, queries, answers, result)
 
 
 def run_memory_session(config: SessionConfig) -> SessionTranscript:
-    """Run one session entirely in process, deterministically."""
+    """Run one session entirely in process, deterministically, on the states dealt for it."""
+    states = deal(config)
 
     def exchange(setup, plan, queries, session_id):
-        states, shares = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
-        return shares, collect_answers(queries, states, config.universe)
+        return collect_answers(queries, states, config.universe)
 
     return run_leader(config, exchange)
 

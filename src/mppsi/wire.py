@@ -3,8 +3,7 @@
 Every protocol message is one frame. Its integers are big-endian:
 
     length    u32       the bytes that follow, 1 .. 1 MiB
-    type      u8        1 t_share, 2 c_share, 3 query, 4 answer (PHASE_BY_TYPE
-                        gives the phase)
+    type      u8        3 query, 4 answer (TYPE_CODES); 1 and 2 are retired
     id_len    u8        the session id's length
     id        id_len    the session id, nonempty lowercase hex ASCII
     tags      6 x u32   origin party, origin database, dest party, dest
@@ -22,7 +21,9 @@ for its message.
 A message's values are field residues held as bytes, one byte per residue:
 L <= 251 (field.select_field_size), so every residue fits, and a frame
 carries them unchanged. Message is a named tuple, so a message costs about
-what a tuple of its fields does to build; its phase follows from its type.
+what a tuple of its fields does to build. A session has two phases, the
+leader's queries and the databases' answers, so a message's phase is its
+type.
 
 A transcript file holds each message as the base64 text of this same frame
 (session.SessionTranscript.serialize), so the frame rule above is also the
@@ -44,20 +45,16 @@ HEADER = struct.Struct(">I")
 SESSION_ID_CHARS = 16
 MAX_TAG = 999_999_999  # the widest tag a frame carries: nine decimal digits
 
-PHASE_BY_TYPE = {
-    "t_share": "randomness",
-    "c_share": "randomness",
-    "query": "query",
-    "answer": "answer",
-}
+# The codes 1 and 2 carried the randomness shares of an online phase that
+# sessions no longer run; decode_msg refuses them as unknown.
+TYPE_CODES = {"query": 3, "answer": 4}
 
 # A frame's head: the length, type code and id length, then the id, then
 # the six tags.
 _START = struct.Struct(">IBB")
 _TAGS = struct.Struct(">6I")
 _HEAD_BYTES = _START.size - HEADER.size + _TAGS.size  # the head after the length, bar the id
-_TYPE_CODE = {msg_type: code for code, msg_type in enumerate(PHASE_BY_TYPE, start=1)}
-_TYPE_OF_CODE = {code: msg_type for msg_type, code in _TYPE_CODE.items()}
+_TYPE_OF_CODE = {code: msg_type for msg_type, code in TYPE_CODES.items()}
 _HEX = b"0123456789abcdef"
 
 
@@ -78,7 +75,7 @@ class Message(NamedTuple):
 
     @property
     def phase(self) -> str:
-        return PHASE_BY_TYPE[self.type]
+        return self.type
 
     def sort_key(self) -> tuple:
         return (
@@ -109,7 +106,7 @@ def encode_msg(msg: Message) -> bytes:
     """
     try:
         msg_type, session_id, (o0, o1), (d0, d1), partition, target, values = msg
-        code = _TYPE_CODE.get(msg_type)
+        code = TYPE_CODES.get(msg_type)
         tags = (o0, o1, d0, d1, partition or 0, target or 0)
         sid = session_id.encode("ascii", "replace")
         length = _HEAD_BYTES + len(sid) + len(values)

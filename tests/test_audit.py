@@ -35,9 +35,9 @@ from mppsi.errors import BoundExceededError
 from mppsi.leader import decode_indicators, generate_queries
 from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import make_session_id
-from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
+from mppsi.randomness import FAITHFUL, RandomnessPolicy
 from mppsi.seeding import labeled_rng
-from mppsi.session import load_transcript, run_memory_session
+from mppsi.session import deal, load_transcript, run_memory_session
 from mppsi.config import SessionConfig
 
 from test_leader import queries_to, reference_indicators
@@ -863,8 +863,8 @@ def session_configs(draw):
 
 
 def session_realization(config):
-    """The audit's compiled instance, and the memory session's own base
-    vectors and (s, t, c) laid out in the instance's slot order."""
+    """The audit's compiled instance, and the session's own base vectors
+    and dealt (s, t, c) laid out in the instance's slot order."""
     compiled = compile_instance(
         AuditInstance(config.parties, config.universe, config.leader_override)
     )
@@ -874,7 +874,7 @@ def session_realization(config):
     # The client with the most partitions gets every base vector, bare, at database 1.
     widest = max(shape.client_ids, key=shape.eta.__getitem__)
     h = tuple(query.values for query in queries_to(queries, (widest, 1)))
-    states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
+    states = deal(config)
     s = tuple(states[client, 1].local[ell - 1] for client, ell in compiled.s_index)
     t = []
     for client, position in compiled.t_index:

@@ -44,7 +44,7 @@ class TestRun:
         assert main(["run", "--config", config_path, "--out", str(out)]) == 0
         raw = json.loads(out.read_bytes())
         assert raw["result"]["decoded"] == [1]
-        assert len(raw["messages"]) == 19
+        assert len(raw["messages"]) == 12
         assert load_transcript(out.read_bytes()) == run_memory_session(load_config(config_path))
 
     def test_json_is_the_report_of_the_written_transcript(self, config_path, tmp_path, capsys):
@@ -52,13 +52,13 @@ class TestRun:
         assert main(["run", "--config", config_path, "--json", "--out", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == load_transcript(out.read_bytes()).report()
-        assert payload["messages"] == {"randomness": 7, "query": 6, "answer": 6}
+        assert payload["messages"] == {"query": 6, "answer": 6}
 
     def test_text_prints_the_cost_table_and_message_counts(self, config_path, capsys):
         assert main(["run", "--config", config_path]) == 0
         out = capsys.readouterr().out
         assert "  party 3: 6 <- leader\n" in out
-        assert "messages: randomness 7, query 6, answer 6\n" in out
+        assert "messages: query 6, answer 6\n" in out
 
     def test_empty_leader_set_reports_nothing_exchanged(self, tmp_path, capsys):
         path = tmp_path / "empty-leader.json"
@@ -67,7 +67,7 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["decoded"] == []
         assert payload["download_cost_actual"] == 0
-        assert payload["messages"] == {"randomness": 0, "query": 0, "answer": 0}
+        assert payload["messages"] == {"query": 0, "answer": 0}
 
     def test_networked_run_writes_the_memory_transcript(self, config_path, tmp_path):
         memory, over_tcp = tmp_path / "memory.json", tmp_path / "net.json"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mppsi.client import answer_all, answer_value, support_sum
-from mppsi.database import DatabaseState
+from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi.leader import generate_queries, make_partition_plan, make_plan_shape
@@ -38,16 +38,15 @@ def modular_answer(x, q, s, t, c, modulus):
 
 
 def state_holding(profile, database, s, t, c, modulus):
-    """The state of one of profile's databases, its randomness set to s, t and c.
+    """The state of one of profile's databases, dealt s, t and c.
 
     The profile is the only client of a one-element leader set, so the
     state has one partition, and database 2 one position in it.
     """
     shape = make_plan_shape(1, [profile])
-    state = DatabaseState(shape, profile, database, PrimeField(modulus), 0, SESSION)
-    state.local, state.c = [s], c
-    state.individual = {1: t} if database == 2 else {}
-    return state
+    individual = {1: t} if database == 2 else {}
+    record = DatabaseRecord(SESSION, (profile.party_id, database), bytes((s,)), individual, c)
+    return DatabaseState(shape, profile, PrimeField(modulus), record)
 
 
 def answer(x, q, s, t, c, modulus):
@@ -137,7 +136,7 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
-    states, _ = build_bundle(plan, clients, field, seed=21, session_id=SESSION)
+    states = build_bundle(plan.shape, clients, field, seed=21, session_id=SESSION)
     sent = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
     return clients, plan, field, states, sent
 
@@ -195,15 +194,6 @@ class TestAnswerAll:
             rogue = query((clients[0].party_id, 1), partition, None, (0, 0, 0, 0))
             with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
                 answer_all(states[clients[0].party_id, 1], [rogue], Universe(4))
-
-    def test_answer_before_the_multiplier_is_installed_rejected(self):
-        # Database 2 gets its multiplier from database 1 as a share.
-        profile = PartyProfile(1, 2, frozenset({1}))
-        shape = make_plan_shape(1, [profile])
-        state = DatabaseState(shape, profile, 2, PrimeField(3), 0, SESSION)
-        assert state.c is None
-        with pytest.raises(ProtocolViolationError, match="global multiplier not installed"):
-            answer_all(state, [query((1, 2), 1, 1, (0, 0))], Universe(2))
 
     def test_misaddressed_query_rejected(self):
         clients, plan, field, states, sent = _session_pieces()

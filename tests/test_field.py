@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from mppsi.client import answer_all, answer_value
-from mppsi.database import DatabaseState
+from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError
 from mppsi.field import PrimeField, is_prime, select_field_size
 from mppsi.leader import make_plan_shape
@@ -21,10 +21,8 @@ def modular_dot(xs, qs, modulus):
 def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    state = DatabaseState(
-        make_plan_shape(1, [profile]), profile, 1, PrimeField(modulus), 0, "field-tests"
-    )
-    state.local, state.c = [0], 1
+    record = DatabaseRecord("field-tests", (1, 1), b"\x00", {}, 1)
+    state = DatabaseState(make_plan_shape(1, [profile]), profile, PrimeField(modulus), record)
     spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
     size = len(x) if universe is None else universe
     (msg,) = answer_all(state, [spec], Universe(size))

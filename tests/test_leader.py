@@ -349,6 +349,8 @@ class TestDecode:
         again = decode(plan, shuffled, field)
         assert again.decoded == transcript.result.decoded
         assert again.indicators == transcript.result.indicators
+        # decode leaves the list in transcript order, which the session keeps.
+        assert tuple(shuffled) == transcript.messages_in_phase("answer")
 
     @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
     def test_bad_answer_messages_rejected(self, bad):

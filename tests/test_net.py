@@ -13,13 +13,11 @@ from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.database import DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError, TransportError
-from mppsi.leader import make_partition_plan
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
-from mppsi.randomness import build_bundle, share_order
-from mppsi.session import load_transcript, run_memory_session
-from mppsi.wire import HEADER, Message, encode_msg
+from mppsi.session import deal, load_transcript, run_memory_session
+from mppsi.wire import HEADER, Message, decode_msg, encode_msg
 
 
 def message_multiset(transcript):
@@ -162,96 +160,30 @@ class TestEquivalence:
             for ep in endpoints:
                 ep.stop()
 
-    def test_round_waits_for_a_share_whose_receiver_closes_after_the_last_answer(
-        self, monkeypatch
-    ):
-        # A share connection is done only once its receiver closes it. One
-        # receiver here holds that close until the leader has its last
-        # answer, so the round must wait past that answer.
-        import mppsi.net
-
-        config = DEMOS["sec7_2"].config
-        expected = run_memory_session(config).messages_in_phase("randomness")
-        receiver = expected[0].dest
-        held = []  # the receiver's closes, held until the last answer
-        released = []  # how many closes were held at the last answer
-
-        read_frames = DatabaseEndpoint._read_frames
-
-        def holding(self, sock, conn):
-            try:
-                read_frames(self, sock, conn)
-            except TransportError:
-                if (self.party_id, self.database) != receiver or released:
-                    raise
-                self._loop.selector.unregister(sock)
-                held.append(sock)
-
-        read_replies = mppsi.net._ServeLoop._read_replies
-
-        def releasing(self, key):
-            read_replies(self, key)
-            owner = key.data[0]
-            if isinstance(owner, mppsi.net._Round) and not owner.open and not released:
-                released.append(len(held))
-                for sock in held:
-                    sock.close()
-
-        monkeypatch.setattr(DatabaseEndpoint, "_read_frames", holding)
-        monkeypatch.setattr(mppsi.net._ServeLoop, "_read_replies", releasing)
-        transcript = run_networked_session(config)
-        assert released and released[0] > 0
-        assert transcript.messages_in_phase("randomness") == expected
-
-
 class TestEndpointBehaviour:
     @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])
-    def test_endpoints_install_the_memory_bundles(self, name):
+    def test_endpoints_hold_the_memory_sessions_dealing(self, name):
         config = DEMOS[name].config
-        setup = prepare_session(config.parties, config.universe, config.leader_override)
-        plan = make_partition_plan(setup.leader, setup.clients)
-        expected, _ = build_bundle(
-            plan, setup.clients, setup.field, config.seed, make_session_id(config)
-        )
+        expected = deal(config)
         endpoints = spawn_endpoints(config)
         try:
             run_networked_session(config, endpoints=endpoints)
-            installed = {
-                (ep.party_id, ep.database): (ep.state.local, ep.state.individual, ep.state.c)
-                for ep in endpoints
-            }
-            assert installed == {
-                address: (state.local, state.individual, state.c)
-                for address, state in expected.items()
-            }
+            held = {(ep.party_id, ep.database): vars(ep.state) for ep in endpoints}
+            assert held == {address: vars(state) for address, state in expected.items()}
         finally:
             for ep in endpoints:
                 ep.stop()
 
-    def test_two_sessions_on_one_set_of_endpoints_receive_each_share_once(self, monkeypatch):
-        # The endpoints send their shares in the first session only; each
-        # transcript still has them all, from the endpoints' states.
+    def test_two_sessions_on_one_set_of_endpoints(self):
         config = DEMOS["sec4"].config
-        expected = run_memory_session(config)
-        received = []
-        receive = DatabaseState.receive
-
-        def counting(self, share):
-            received.append(share)
-            receive(self, share)
-
-        monkeypatch.setattr(DatabaseState, "receive", counting)
+        expected = run_memory_session(config).serialize()
         endpoints = spawn_endpoints(config)
         try:
             transcripts = [run_networked_session(config, endpoints) for _ in range(2)]
         finally:
             for ep in endpoints:
                 ep.stop()
-        assert [t.serialize() for t in transcripts] == [expected.serialize()] * 2
-        shares = expected.messages_in_phase("randomness")
-        assert len(shares) == len(received) == 7
-        assert sorted(received, key=share_order) == list(shares)
-        assert all(ep.errors == [] for ep in endpoints)
+        assert [t.serialize() for t in transcripts] == [expected] * 2
 
     def test_cross_session_frames_are_rejected(self):
         config = DEMOS["sec4"].config
@@ -315,34 +247,6 @@ class TestEndpointBehaviour:
         assert time.perf_counter() - start < 0.1
         assert set(threading.enumerate()) <= before
 
-    def test_query_without_randomness_is_dropped_in_bounded_time(self, monkeypatch):
-        import mppsi.net as net_mod
-
-        monkeypatch.setattr(net_mod, "READY_TIMEOUT_SECONDS", 0.2)
-        config = DEMOS["sec4"].config
-        # No begin_sharing: the endpoints never receive their randomness.
-        endpoints = spawn_endpoints(config)
-        try:
-            target = next(ep for ep in endpoints if not ep.state.ready)
-            query = Message(
-                type="query",
-                session_id=make_session_id(config),
-                origin=(3, 0),
-                dest=(target.party_id, target.database),
-                partition=1,
-                target=None,
-                values=bytes(config.universe_size),
-            )
-            with socket.create_connection(target.address, timeout=5) as conn:
-                conn.settimeout(5)
-                start = time.monotonic()
-                conn.sendall(encode_msg(query))
-                assert conn.recv(1) == b""
-                assert 0.15 < time.monotonic() - start < 2.0
-        finally:
-            for ep in endpoints:
-                ep.stop()
-
     def test_spawned_endpoints_and_session_start_one_thread(self, monkeypatch):
         started = []
         start = threading.Thread.start
@@ -373,8 +277,7 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            # No randomness arrives, so a valid query waits on its connection.
-            target = next(ep for ep in endpoints if not ep.state.ready)
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             modulus = target.field.modulus
 
             def query(first_value):
@@ -389,11 +292,9 @@ class TestEndpointBehaviour:
                 )
 
             with socket.create_connection(target.address, timeout=5) as conn:
-                conn.settimeout(0.3)
-                conn.sendall(encode_msg(query(modulus - 1)))
-                with pytest.raises(socket.timeout):
-                    conn.recv(1)
                 conn.settimeout(5)
+                conn.sendall(encode_msg(query(modulus - 1)))
+                assert_one_answer(conn, query(modulus - 1))
                 conn.sendall(encode_msg(query(modulus)))
                 assert conn.recv(1) == b""
         finally:
@@ -404,8 +305,7 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            # No randomness arrives yet, so a valid query waits on its connection.
-            target = next(ep for ep in endpoints if not ep.state.ready)
+            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
@@ -420,15 +320,14 @@ class TestEndpointBehaviour:
             malformed = bytearray(encode_msg(query))
             assert malformed[HEADER.size + 1] == len(query.session_id)
             malformed[HEADER.size + 1] = 255
-            with socket.create_connection(target.address, timeout=5) as waiting:
-                waiting.sendall(encode_msg(query))
+            with socket.create_connection(target.address, timeout=5) as good:
+                good.settimeout(5)
                 with socket.create_connection(target.address, timeout=5) as bad:
                     bad.settimeout(5)
                     bad.sendall(malformed)
                     assert bad.recv(1) == b""
-                waiting.settimeout(0.3)
-                with pytest.raises(socket.timeout):
-                    waiting.recv(1)
+                good.sendall(encode_msg(query))
+                assert_one_answer(good, query)
             # The loop serves on.
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
@@ -436,96 +335,36 @@ class TestEndpointBehaviour:
             for ep in endpoints:
                 ep.stop()
 
-    def test_shares_reach_every_addressed_destination(self):
-        config = DEMOS["sec4"].config
-        endpoints = spawn_endpoints(config)
-        try:
-            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-            others = sorted(key for key in addresses if key != sender.state.c_origin)
-            missing = others[0]
-            del addresses[missing]
-            sender.begin_sharing(addresses)
-            # Set once every share connection is done: closed by its
-            # receiver after reading every frame, or failed.
-            assert sender._shared.wait(timeout=10)
-            received = {
-                (ep.party_id, ep.database)
-                for ep in endpoints
-                if ep is not sender and ep.state.c is not None
-            }
-            assert received == set(others[1:])
-            assert [str(missing) in str(error) for error in sender.errors] == [True]
-        finally:
-            for ep in endpoints:
-                ep.stop()
-
-    def test_refused_share_connection_is_retried_until_its_receiver_listens(self):
-        config = DEMOS["sec4"].config
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        sender = DatabaseEndpoint(config, 1, 1)
-        late = DatabaseEndpoint(config, 2, 3, port=port)
-        others = [DatabaseEndpoint(config, *key) for key in [(1, 2), (1, 3), (2, 1), (2, 2)]]
-        for endpoint in [sender] + others:
-            endpoint.start()
-        try:
-            addresses = {(ep.party_id, ep.database): ep.address for ep in others}
-            addresses[(2, 3)] = ("127.0.0.1", port)
-            sender.begin_sharing(addresses)
-            time.sleep(0.3)
-            late.start()
-            assert sender._shared.wait(timeout=5)
-            assert sender.errors == []
-            assert late.state.c == sender.state.c
-        finally:
-            for endpoint in [sender, late] + others:
-                endpoint.stop()
-
-    @pytest.mark.parametrize("key", [(1, 1), (1, 2)])
-    def test_sharing_before_start_is_a_transport_error(self, key):
-        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, *key)
-        assert endpoint.state.shares()
-        with pytest.raises(TransportError, match="endpoint not started"):
-            endpoint.begin_sharing({})
-
     def test_leader_party_cannot_serve_endpoints(self):
         from mppsi.errors import ConfigError
 
         config = DEMOS["sec4"].config
-        with pytest.raises(ConfigError):
-            DatabaseEndpoint(config, 3, 1)
+        with pytest.raises(ConfigError, match="the leader party does not serve"):
+            DatabaseEndpoint(config, 3, 1, None)
 
 
 class TestExternalAddresses:
-    """The runner given only addresses: the shares stay with the endpoints.
-
-    Its process builds no database state, and its transcript is the memory
-    transcript without the randomness section.
-    """
+    """The runner given only addresses: its process builds no database state,
+    and its transcript is the memory transcript."""
 
     @pytest.mark.parametrize("name", ["sec4", "sec7_2"])
     def test_session_with_endpoints_known_only_by_address(self, name):
         # As serve-db runs them: one endpoint per client database, each on a
-        # loop of its own, sharing at start-up with the full address map.
-        # The runner is given only the addresses.
+        # loop of its own and on its own record of the config's dealing. The
+        # runner is given only the addresses.
         demo = DEMOS[name]
         config = demo.config
-        endpoints = [DatabaseEndpoint(config, *key) for key in client_databases(config)]
+        endpoints = dealt_endpoints(config, client_databases(config))
         try:
             for ep in endpoints:
                 ep.start()
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-            for ep in endpoints:
-                ep.begin_sharing(addresses)
             transcript = run_by_address(config, addresses)
         finally:
             for ep in endpoints:
                 ep.stop()
         assert transcript.result.decoded == frozenset(demo.expected["decoded"])
-        assert_memory_transcript_without_shares(transcript, config)
+        assert_memory_transcript(transcript, config)
 
     def test_refused_query_connection_is_retried_until_its_database_listens(self):
         config = DEMOS["sec4"].config
@@ -534,36 +373,15 @@ class TestExternalAddresses:
         port = probe.getsockname()[1]
         probe.close()
         *keys, late_key = client_databases(config)
-        early = [DatabaseEndpoint(config, *key) for key in keys]
-        late = DatabaseEndpoint(config, *late_key, port=port)
+        early = dealt_endpoints(config, keys)
+        late = DatabaseEndpoint(config, *late_key, deal(config)[late_key], port=port)
         for endpoint in early:
             endpoint.start()
         addresses = {(ep.party_id, ep.database): ep.address for ep in early}
         addresses[late_key] = ("127.0.0.1", port)
-        for endpoint in early:
-            endpoint.begin_sharing(addresses)
-
-        def start_late():
-            late.start()
-            late.begin_sharing(addresses)
-
-        transcript = run_while_late(config, early + [late], addresses, start_late)
+        transcript = run_while_late(config, early + [late], addresses, late.start)
         assert any(m.origin == late_key for m in transcript.messages_in_phase("answer"))
-        assert_memory_transcript_without_shares(transcript, config)
-
-    def test_queries_wait_at_their_databases_for_the_randomness(self):
-        config = DEMOS["sec4"].config
-        endpoints = [DatabaseEndpoint(config, *key) for key in client_databases(config)]
-        for endpoint in endpoints:
-            endpoint.start()
-        addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-
-        def share_late():
-            for endpoint in endpoints:
-                endpoint.begin_sharing(addresses)
-
-        transcript = run_while_late(config, endpoints, addresses, share_late)
-        assert_memory_transcript_without_shares(transcript, config)
+        assert_memory_transcript(transcript, config)
 
     def test_addresses_must_cover_every_client_database(self):
         config = DEMOS["sec4"].config
@@ -583,6 +401,12 @@ def client_databases(config):
     ]
 
 
+def dealt_endpoints(config, keys):
+    """Unstarted endpoints of these databases, each on its state of the config's dealing."""
+    states = deal(config)
+    return [DatabaseEndpoint(config, *key, states[key]) for key in keys]
+
+
 def run_by_address(config, addresses):
     """Run a session on endpoints known only by address; it builds no database state."""
     built = []
@@ -599,13 +423,25 @@ def run_by_address(config, addresses):
     return transcript
 
 
-def assert_memory_transcript_without_shares(transcript, config):
-    memory = run_memory_session(config)
-    assert memory.messages_in_phase("randomness")
-    queries_and_answers = memory.messages_in_phase("query") + memory.messages_in_phase("answer")
+def assert_memory_transcript(transcript, config):
     data = transcript.serialize()
-    assert data == replace(memory, messages=queries_and_answers).serialize()
+    assert data == run_memory_session(config).serialize()
     assert load_transcript(data) == transcript
+
+
+def assert_one_answer(conn, query):
+    """Read the one answer frame to query off conn: its echo, one residue."""
+    expected = len(encode_msg(query._replace(type="answer", values=b"\0")))
+    frame = b""
+    while len(frame) < expected:
+        chunk = conn.recv(expected - len(frame))
+        assert chunk
+        frame += chunk
+    answer = decode_msg(frame)
+    assert (answer.type, answer.origin, answer.dest) == ("answer", query.dest, query.origin)
+    assert (answer.partition, answer.target, len(answer.values)) == (
+        query.partition, query.target, 1
+    )
 
 
 def run_while_late(config, endpoints, addresses, late):
@@ -626,8 +462,8 @@ def run_while_late(config, endpoints, addresses, late):
 
 
 class TestSeedsOverTcp:
-    """Other seeds change every share, answer and multiplier on the wire;
-    each demo under each gives the memory transcript and the intersection."""
+    """Other seeds change every query, answer and dealt value; each demo
+    under each gives the memory transcript and the intersection."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -639,18 +475,6 @@ class TestSeedsOverTcp:
         assert over_tcp.result.decoded == brute_force_intersection(config.parties)
 
 
-def share(config, kind, origin, dest, target, values):
-    return Message(
-        type=kind,
-        session_id=make_session_id(config),
-        origin=origin,
-        dest=dest,
-        partition=None,
-        target=target,
-        values=values,
-    )
-
-
 def send_and_expect_close(endpoint, msg):
     with socket.create_connection(endpoint.address, timeout=5) as conn:
         conn.settimeout(5)
@@ -658,38 +482,25 @@ def send_and_expect_close(endpoint, msg):
         assert conn.recv(1) == b""
 
 
-# sec4: clients 1 and 2, each with three databases; client 2 completes the
-# correlation, and its database (2, 2) takes position 1's share from (1, 2).
-# L = 3 and the multiplier comes from (1, 1).
-BAD_SHARES = {
-    "no value": ("c_share", (1, 1), (1, 2), None, b""),
-    "two values": ("c_share", (1, 1), (1, 2), None, b"\x01\x01"),
-    "multiplier from elsewhere": ("c_share", (9, 9), (1, 2), None, b"\x01"),
-    "multiplier from a client database": ("c_share", (2, 1), (1, 2), None, b"\x01"),
-    "t share from the other database": ("t_share", (1, 3), (2, 2), 1, b"\x01"),
-    "t share from the correlating client": ("t_share", (2, 3), (2, 2), 1, b"\x01"),
-    "t share from the leader": ("t_share", (3, 2), (2, 2), 1, b"\x01"),
-    "t share value equal to L": ("t_share", (1, 2), (2, 2), 1, b"\x03"),
-    "t share without a value": ("t_share", (1, 2), (2, 2), 1, b""),
-    "t share for a position held elsewhere": ("t_share", (1, 3), (2, 2), 2, b"\x01"),
-}
-
-
-class TestSharesFromTheWire:
-    @pytest.mark.parametrize("bad", sorted(BAD_SHARES))
-    def test_rejected_share_closes_its_connection_and_installs_nothing(self, bad):
+class TestQueriesFromTheWire:
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_a_frame_of_a_retired_share_type_closes_only_its_connection(self, code):
+        # Type codes 1 and 2 carried randomness shares between client
+        # databases; an endpoint now takes a leader's query and nothing else.
         config = DEMOS["sec4"].config
-        kind, origin, dest, target, values = BAD_SHARES[bad]
+        query = next(
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (2, 2)
+        )
+        frame = bytearray(encode_msg(query))
+        frame[HEADER.size] = code
         endpoints = spawn_endpoints(config)
         try:
-            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == dest)
-            before = (victim.state.c, dict(victim.state.individual))
-            send_and_expect_close(victim, share(config, kind, origin, dest, target, values))
-            assert (victim.state.c, victim.state.individual) == before
-            # The loop serves on, and the victim still takes the honest shares.
-            start = time.monotonic()
+            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (2, 2))
+            with socket.create_connection(victim.address, timeout=5) as conn:
+                conn.settimeout(5)
+                conn.sendall(frame)
+                assert conn.recv(1) == b""
             over_tcp = run_networked_session(config, endpoints=endpoints)
-            assert time.monotonic() - start < 1.0
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
             for ep in endpoints:
@@ -699,7 +510,6 @@ class TestSharesFromTheWire:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            # (1, 1) draws the multiplier and needs no share, so it answers at once.
             target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             query = Message(
                 type="query",
@@ -725,8 +535,6 @@ class TestSharesFromTheWire:
         targeted = next(m for m in memory.messages_in_phase("query") if m.dest == (1, 2))
         endpoints = spawn_endpoints(config)
         try:
-            # (1, 1) draws the multiplier and needs no share, so it is ready at
-            # once: the close comes from the refusal, not from a wait.
             first = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             send_and_expect_close(first, targeted._replace(dest=(1, 1)))
             over_tcp = run_networked_session(config, endpoints=endpoints)
@@ -746,13 +554,7 @@ class TestSharesFromTheWire:
         )
         endpoints = spawn_endpoints(config)
         try:
-            # A first session installs (2, 2)'s multiplier, so the close comes
-            # from the refusal, not from a wait.
-            assert run_networked_session(config, endpoints=endpoints).serialize() == (
-                memory.serialize()
-            )
             victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (2, 2))
-            assert victim.state.ready
             send_and_expect_close(victim, query._replace(target=2))
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == memory.serialize()
@@ -764,7 +566,6 @@ class TestSharesFromTheWire:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            # (1, 1) needs no share, so a leader's query would be answered at once.
             target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
             query = Message(
                 type="query",
@@ -794,30 +595,6 @@ class TestSharesFromTheWire:
                 assert conn.recv(1) == b""
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
-        finally:
-            for ep in endpoints:
-                ep.stop()
-
-    def test_multiplier_is_taken_only_once(self):
-        config = DEMOS["sec4"].config
-        real_c = next(
-            m.values for m in run_memory_session(config).messages_in_phase("randomness")
-            if m.type == "c_share"
-        )
-        endpoints = spawn_endpoints(config)
-        try:
-            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 2))
-            first = share(config, "c_share", (1, 1), (1, 2), None, real_c)
-            with socket.create_connection(victim.address, timeout=5) as conn:
-                conn.sendall(encode_msg(first))
-                conn.shutdown(socket.SHUT_WR)
-                conn.settimeout(5)
-                assert conn.recv(1) == b""
-            assert victim.state.c == real_c[0]
-            other = 3 - real_c[0]  # the other nonzero residue mod 3
-            second = share(config, "c_share", (1, 1), (1, 2), None, bytes((other,)))
-            send_and_expect_close(victim, second)
-            assert victim.state.c == real_c[0]
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -895,20 +672,20 @@ def leader_query(config, dest, length):
 class TestEndpointRejections:
     def test_unknown_party_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown party 9"):
-            DatabaseEndpoint(DEMOS["sec4"].config, 9, 1)
+            DatabaseEndpoint(DEMOS["sec4"].config, 9, 1, None)
 
     @pytest.mark.parametrize("database", [0, 4])
     def test_unknown_database_is_a_config_error(self, database):
         with pytest.raises(ConfigError, match=f"party 1 has no database {database}"):
-            DatabaseEndpoint(DEMOS["sec4"].config, 1, database)
+            DatabaseEndpoint(DEMOS["sec4"].config, 1, database, None)
 
     def test_address_before_start_is_a_transport_error(self):
-        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, 1, 1)
+        config = DEMOS["sec4"].config
+        endpoint = DatabaseEndpoint(config, 1, 1, deal(config)[1, 1])
         with pytest.raises(TransportError, match="endpoint not started"):
             endpoint.address
 
-    # sec4: the leader is party 3; (1, 1) draws the multiplier and needs no
-    # share, so it answers a query at once.
+    # sec4: the leader is party 3.
     REJECTED_FRAMES = {
         "addressed to another database": (
             lambda config: leader_query(config, (1, 2), config.universe_size),
@@ -964,46 +741,6 @@ class TestEndpointRejections:
         finally:
             for ep in endpoints:
                 ep.stop()
-
-    def test_a_peer_writing_on_a_share_connection_fails_only_that_share(self, monkeypatch):
-        config = DEMOS["sec4"].config
-        endpoints = spawn_endpoints(config)
-        writer = socket.create_server(("127.0.0.1", 0))
-
-        def write_back():
-            conn, _ = writer.accept()
-            with conn:
-                conn.sendall(b"\x00")
-                conn.settimeout(5)
-                while conn.recv(1 << 16):
-                    pass
-
-        thread = threading.Thread(target=write_back, daemon=True)
-        thread.start()
-        try:
-            causes = closing_causes(monkeypatch)
-            sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-            others = sorted(key for key in addresses if key != sender.state.c_origin)
-            addresses[others[0]] = writer.getsockname()[:2]
-            sender.begin_sharing(addresses)
-            assert sender._shared.wait(timeout=10)
-            written = [c for c in causes if type(c) is ProtocolViolationError]
-            assert [str(c) for c in written] == [f"{others[0]} wrote on a share connection"]
-            (error,) = sender.errors
-            assert "wrote on a share connection" in str(error)
-            received = {
-                (ep.party_id, ep.database)
-                for ep in endpoints
-                if ep is not sender and ep.state.c is not None
-            }
-            assert received == set(others[1:])
-        finally:
-            writer.close()
-            thread.join(timeout=5)
-            for ep in endpoints:
-                ep.stop()
-        assert not thread.is_alive()
 
 
 class RogueDatabase:
@@ -1077,8 +814,6 @@ class TestLeaderChecksAnswers:
         rogue = RogueDatabase(answer._replace(session_id="0" * 16))
         try:
             addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
-            for ep in endpoints:
-                ep.begin_sharing(addresses)
             addresses[victim] = rogue.address
             addressed = replace(config, transport="net", addresses=addresses)
             with pytest.raises(ProtocolViolationError, match="answer for session 0000000000000000"):
@@ -1089,36 +824,79 @@ class TestLeaderChecksAnswers:
                 ep.stop()
 
 
-class TestEndpointErrorsReachTheRunner:
-    def test_unsent_shares_fail_the_session_with_their_cause_at_once(self):
-        config = DEMOS["sec4"].config
-        endpoints = spawn_endpoints(config)
-        sender = next(ep for ep in endpoints if (ep.party_id, ep.database) == ep.state.c_origin)
-        share = sender.begin_sharing
-        # The c sender alone lacks the address of (1, 2), which therefore
-        # never gets its multiplier and never answers.
-        sender.begin_sharing = lambda addresses: share(
-            {dest: address for dest, address in addresses.items() if dest != (1, 2)}
-        )
-        try:
-            start = time.monotonic()
-            with pytest.raises(TransportError) as raised:
-                run_networked_session(config, endpoints=endpoints)
-            assert time.monotonic() - start < 2.0
-        finally:
-            for ep in endpoints:
-                ep.stop()
-        assert "no address for database endpoint (1, 2)" in str(raised.value)
-        assert str(sender.state.c_origin) in str(raised.value)
-        assert raised.value.__cause__ is sender.errors[0]
+class TestDealtStates:
+    """An endpoint serves on the state dealt for it, and refuses any other at construction."""
 
-    def test_a_round_failing_otherwise_names_the_endpoint_errors(self):
+    def test_a_state_for_another_database_is_refused(self):
+        config = DEMOS["sec4"].config
+        with pytest.raises(ConfigError, match=r"another database, not for database \(1,2\)"):
+            DatabaseEndpoint(config, 1, 2, deal(config)[1, 3])
+
+    def test_a_state_for_another_plan_shape_is_refused(self):
+        # sec4 with one more leader element: four clients' positions, not two.
+        config = DEMOS["sec4"].config
+        leader = config.parties[2]
+        wider = replace(
+            config,
+            parties=(*config.parties[:2], replace(leader, data_set=leader.data_set | {2})),
+        )
+        with pytest.raises(ConfigError, match="another session and plan shape"):
+            DatabaseEndpoint(config, 1, 2, deal(wider)[1, 2])
+
+    def test_a_state_for_another_session_is_refused(self):
+        config = DEMOS["sec4"].config
+        reseeded = replace(config, seed=config.seed + 1)
+        with pytest.raises(ConfigError, match=r"another session, not for database \(1,2\)"):
+            DatabaseEndpoint(config, 1, 2, deal(reseeded)[1, 2])
+
+    def test_a_state_must_be_given_exactly_when_the_leader_set_is_nonempty(self):
+        config = DEMOS["sec4"].config
+        with pytest.raises(ConfigError, match=r"database \(1,2\) needs its dealt state"):
+            DatabaseEndpoint(config, 1, 2, None)
+        empty = SessionConfig(
+            universe_size=3,
+            parties=(PartyProfile(1, 2, frozenset({1})), PartyProfile(2, 2, frozenset())),
+            seed=1,
+            leader_override=2,
+        )
+        assert deal(empty) == {}
+        with pytest.raises(ConfigError, match="another session and plan shape"):
+            DatabaseEndpoint(empty, 1, 2, deal(config)[1, 2])
+
+    def test_the_round_fails_at_once_for_a_database_without_an_address(self):
         import mppsi.net as net_mod
 
-        endpoint = DatabaseEndpoint(DEMOS["sec4"].config, 1, 1)
-        endpoint.errors.append(TransportError("shares from (1, 1) to (2, 3) not sent: refused"))
-        with pytest.raises(TransportError) as raised:
-            net_mod._query_round({}, {(2, 1): (b"", 1)}, (3, 0), [endpoint])
-        message = str(raised.value)
-        assert "no address for database endpoint (2, 1)" in message
-        assert "shares from (1, 1) to (2, 3) not sent: refused" in message
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=r"no address for database endpoint \(2, 1\)"):
+            net_mod._query_round({}, {(2, 1): (b"", 1)}, (3, 0))
+        assert time.monotonic() - start < 1.0
+
+
+class TestOnlyTheLeaderTalksToDatabases:
+    """The paper's model: the clients are not allowed to talk to each other."""
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_no_message_runs_between_two_client_databases(self, name, transport, monkeypatch):
+        import mppsi.net
+
+        opened = []  # (from, to) of every connection a serve loop opens
+        connect = mppsi.net._ServeLoop._connect
+
+        def recording(self, rnd, conn):
+            opened.append((rnd.leader, conn.dest))
+            connect(self, rnd, conn)
+
+        monkeypatch.setattr(mppsi.net._ServeLoop, "_connect", recording)
+        config = DEMOS[name].config
+        run = run_memory_session if transport == "memory" else run_networked_session
+        transcript = run(config)
+        leader = (transcript.leader_id, 0)
+        clients = set(client_databases(config))
+        assert transcript.messages
+        for m in transcript.messages:
+            assert not (m.origin in clients and m.dest in clients)
+            assert {m.origin, m.dest} <= clients | {leader}
+            assert (m.origin == leader) != (m.dest == leader)
+        queried = sorted({m.dest for m in transcript.messages_in_phase("query")})
+        assert sorted(opened) == ([(leader, dest) for dest in queried] if transport == "tcp" else [])

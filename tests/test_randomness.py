@@ -1,4 +1,4 @@
-"""Randomness tiers: local vectors, correlated individual values, multiplier."""
+"""The dealing of the randomness tiers: local vectors, correlated individual values, multiplier."""
 
 from collections import Counter
 
@@ -18,7 +18,6 @@ from mppsi.randomness import (
     completion,
     correlating_client,
     free_clients,
-    share_order,
 )
 from mppsi.session import run_memory_session
 from test_golden import wide_config
@@ -54,7 +53,7 @@ def held(states):
 def bundle(seed, **sizes):
     """The database states of a seeded bundle over fixture(**sizes)."""
     plan, clients, field = fixture(**sizes)
-    return build_bundle(plan, clients, field, seed, SESSION)[0]
+    return build_bundle(plan.shape, clients, field, seed, SESSION)
 
 
 class TestLocal:
@@ -85,8 +84,7 @@ class TestSlotCoverage:
         # Three clients over F_5; each client's databases 2 and 3 hold two
         # positions each, in partitions 1 and 2.
         plan, clients, field = fixture(num_clients=3, dbs=3, leader_set=(1, 2, 3, 4))
-        states, _ = build_bundle(plan, clients, field, seed, SESSION)
-        return states, field
+        return build_bundle(plan.shape, clients, field, seed, SESSION), field
 
     def test_free_database_values_cover_the_field(self):
         seen = set()
@@ -105,10 +103,11 @@ class TestSlotCoverage:
 
 
 @pytest.mark.parametrize("transport", ("memory", "tcp"))
-def test_one_labeled_stream_per_database_and_tier(transport, monkeypatch):
-    # A session draws each tier as whole labeled vectors: a local vector per
-    # client database ("s"), an individual vector per free-client database
-    # holding a position ("t"), the multiplier ("c") and one base vector per
+def test_one_labeled_stream_per_draw_of_the_dealing(transport, monkeypatch):
+    # A session is dealt each tier as whole labeled vectors, once for every
+    # database on either transport: a local vector per client ("s"), an
+    # individual vector per free-client database holding a position ("t")
+    # and the multiplier ("c"); the leader draws one base vector per
     # partition index ("h").
     config = wide_config()
     setup = prepare_session(config.parties, config.universe)
@@ -123,7 +122,7 @@ def test_one_labeled_stream_per_database_and_tier(transport, monkeypatch):
     monkeypatch.setattr(seeding, "labeled_rng", counting_rng)
     run = run_memory_session if transport == "memory" else run_networked_session
     run(config)
-    assert dict(tiers) == {"s": 12, "t": 6, "c": 1, "h": max(shape.eta.values())}
+    assert dict(tiers) == {"s": 3, "t": 6, "c": 1, "h": max(shape.eta.values())}
 
 
 class TestGlobal:
@@ -138,13 +137,21 @@ class TestGlobal:
         values = {bundle(seed=s, num_clients=3)[1, 1].c for s in range(200)}
         assert values == {1, 2, 3, 4}
 
+    def test_every_database_is_dealt_one_nonzero_multiplier(self):
+        # Three clients of three databases each: nine records, one c.
+        for seed in range(30):
+            states = bundle(seed=seed, num_clients=3)
+            assert len(states) == 9
+            (c,) = {state.c for state in states.values()}
+            assert 0 < c < 5
+
 
 class TestBundle:
     def test_database_one_holds_no_individual_values(self):
         # Database 1 gets only bare base queries, so it holds no t values;
         # every other database holds one per partition of its positions.
         plan, clients, field = fixture(num_clients=3)
-        states, _ = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
+        states = build_bundle(plan.shape, clients, field, seed=4, session_id=SESSION)
         for (client_id, database), state in states.items():
             positions = plan.shape.positions_of_database(client_id, database)
             partitions = {plan.shape.position_location(client_id, k)[0] for k in positions}
@@ -157,7 +164,7 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                states, _ = build_bundle(plan, clients, field, seed=seed, session_id=SESSION)
+                states = build_bundle(plan.shape, clients, field, seed=seed, session_id=SESSION)
                 for position in range(1, plan.shape.set_size + 1):
                     total = sum(
                         t_at(states, plan, cid, position) for cid in plan.shape.client_ids
@@ -168,54 +175,28 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        states, shares = build_bundle(plan, clients, field, seed=0, session_id=SESSION)
+        states = build_bundle(plan.shape, clients, field, seed=0, session_id=SESSION)
         assert field.modulus == 2
         for position in range(1, plan.shape.set_size + 1):
             assert t_at(states, plan, 1, position) == field.modulus - 1
-        assert all(s.type == "c_share" for s in shares)
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
-        first, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
-        second, _ = build_bundle(plan, clients, field, seed=77, session_id=SESSION)
+        first = build_bundle(plan.shape, clients, field, seed=77, session_id=SESSION)
+        second = build_bundle(plan.shape, clients, field, seed=77, session_id=SESSION)
         assert held(first) == held(second)
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
-        runs = [build_bundle(plan, clients, field, seed=s, session_id=SESSION)[0] for s in range(8)]
+        runs = [build_bundle(plan.shape, clients, field, seed=s, session_id=SESSION) for s in range(8)]
         locals_seen = {tuple(tuple(s.local) for _, s in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
-
-    def test_leader_never_appears_in_share_traffic(self):
-        plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
-        leader_id = plan.leader_id
-        for share in shares:
-            assert share.origin[0] != leader_id
-            assert share.dest[0] != leader_id
-
-    def test_share_positions_inside_leader_set_range(self):
-        plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
-        for share in shares:
-            if share.type == "t_share":
-                assert 1 <= share.target <= plan.shape.set_size
-
-    def test_shares_are_randomness_messages_in_share_order(self):
-        plan, clients, field = fixture(num_clients=3)
-        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
-        assert shares == sorted(shares, key=share_order)
-        kinds = [s.type for s in shares]
-        assert kinds == sorted(kinds, key=lambda kind: kind != "t_share")
-        for share in shares:
-            assert (share.phase, share.session_id, share.partition) == ("randomness", SESSION, None)
-            assert len(share.values) == 1
 
     def test_element_alignment_against_query_plan(self):
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        states, _ = build_bundle(plan, clients, field, seed=13, session_id=SESSION)
+        states = build_bundle(plan.shape, clients, field, seed=13, session_id=SESSION)
         sent = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
@@ -248,19 +229,6 @@ class TestBundle:
         assert correlating_client((1, 2, 3)) == 3
         assert free_clients((1, 2, 3)) == [1, 2]
         assert free_clients((1,)) == []
-
-    def test_global_share_origin_is_lowest_client_first_database(self):
-        plan, clients, field = fixture()
-        _, shares = build_bundle(plan, clients, field, seed=4, session_id=SESSION)
-        c_shares = [s for s in shares if s.type == "c_share"]
-        assert all(s.origin == (1, 1) for s in c_shares)
-        dests = {s.dest for s in c_shares}
-        expected = {
-            (c.party_id, db)
-            for c in clients
-            for db in range(1, c.num_databases + 1)
-        } - {(1, 1)}
-        assert dests == expected
 
 
 def audited(policy, samples=30):

@@ -74,7 +74,7 @@ class TestGoldenFixtures:
 class TestTranscriptShape:
     def test_phases_in_order(self):
         transcript = run_memory_session(DEMOS["sec7_2"].config)
-        order = {"randomness": 0, "query": 1, "answer": 2}
+        order = {"query": 0, "answer": 1}
         ranks = [order[m.phase] for m in transcript.messages]
         assert ranks == sorted(ranks)
 
@@ -84,14 +84,7 @@ class TestTranscriptShape:
             transcript.messages_in_phase("answer")
         )
 
-    def test_leader_untouched_by_randomness_phase(self):
-        transcript = run_memory_session(DEMOS["sec7_2"].config)
-        leader = transcript.leader_id
-        for msg in transcript.messages_in_phase("randomness"):
-            assert msg.origin[0] != leader
-            assert msg.dest[0] != leader
-
-    def test_no_client_to_client_traffic_after_randomness(self):
+    def test_no_client_to_client_traffic(self):
         transcript = run_memory_session(DEMOS["sec7_2"].config)
         leader = transcript.leader_id
         for msg in transcript.messages_in_phase("query"):
@@ -145,7 +138,7 @@ class TestTranscriptShape:
         assert [(query.partition, query.target) for query in queries] == [
             key[1:] for key in plan.answer_keys
         ]
-        states, _ = build_bundle(plan, setup.clients, setup.field, config.seed, session_id)
+        states = build_bundle(plan.shape, setup.clients, setup.field, config.seed, session_id)
         answers = collect_answers(queries, states, config.universe)
         assert answers == sorted(answers, key=Message.sort_key)
 
@@ -181,23 +174,15 @@ class TestDeterminism:
         with pytest.raises(ProtocolViolationError, match="cannot be framed"):
             edited.serialize()
 
-    # Each moves or repeats one message of sec7_2's transcript (shares, then
-    # queries, then answers), with what the loader names.
+    # Each moves or repeats one message of sec7_2's transcript (queries, then
+    # answers), with what the loader names.
     @pytest.mark.parametrize(
         "move, error",
         [
             (lambda entries, first: swap(entries, first["answer"]), "answer .* sort_key order"),
             (lambda entries, first: swap(entries, first["query"]), "query .* sort_key order"),
             (
-                lambda entries, first: swap(entries, first["randomness"]),
-                "randomness .* share_order order",
-            ),
-            (
                 lambda entries, first: entries + [entries.pop(first["query"])],
-                "out of phase order",
-            ),
-            (
-                lambda entries, first: entries + [entries.pop(first["randomness"])],
                 "out of phase order",
             ),
             (
@@ -205,20 +190,15 @@ class TestDeterminism:
                 "query .* sort_key order, or repeated",
             ),
             (lambda entries, first: entries + entries[-1:], "answer .* sort_key order, or repeated"),
-            (
-                lambda entries, first: entries[:1] + entries,
-                "randomness .* share_order order, or repeated",
-            ),
+            (lambda entries, first: entries[:1] + entries, "query .* sort_key order, or repeated"),
         ],
         ids=[
             "two-answers-swapped",
             "two-queries-swapped",
-            "two-shares-swapped",
             "query-after-the-answers",
-            "share-after-the-answers",
             "last-query-repeated",
             "last-answer-repeated",
-            "first-share-repeated",
+            "first-query-repeated",
         ],
     )
     def test_messages_out_of_transcript_order_are_a_protocol_violation(self, move, error):
@@ -233,18 +213,6 @@ class TestDeterminism:
         edited = head + b'"messages":[' + b",".join(moved) + b"]" + tail
         assert edited != data
         with pytest.raises(ProtocolViolationError, match=error):
-            load_transcript(edited)
-
-    def test_a_t_share_swapped_with_a_c_share_is_a_protocol_violation(self):
-        # sec4's first share is a t share and its seventh the last c share:
-        # swapped, every phase stays in place.
-        transcript = run_memory_session(DEMOS["sec4"].config)
-        shares = list(transcript.messages_in_phase("randomness"))
-        assert [m.type for m in shares[::6]] == ["t_share", "c_share"]
-        shares[0], shares[6] = shares[6], shares[0]
-        rest = transcript.messages[len(shares):]
-        edited = replace(transcript, messages=(*shares, *rest)).serialize()
-        with pytest.raises(ProtocolViolationError, match="randomness .* share_order order"):
             load_transcript(edited)
 
     @pytest.mark.parametrize(
@@ -349,7 +317,7 @@ class TestDeterminism:
 
     # sec4: L = 3. Each edit sets one value of the first message of its
     # type to a byte that frames but is no residue.
-    @pytest.mark.parametrize("kind, value", [("query", 250), ("t_share", 200)])
+    @pytest.mark.parametrize("kind, value", [("query", 250), ("answer", 200)])
     def test_message_value_outside_the_field_is_a_protocol_violation(self, kind, value):
         transcript = run_memory_session(DEMOS["sec4"].config)
         messages = list(transcript.messages)

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import MAX_PARTIES
 from mppsi.leader import CostTable, IntersectionResult
-from mppsi.randomness import share_order
 from mppsi.session import SessionTranscript, load_transcript, run_memory_session
 from mppsi.wire import (
     HEADER,
     MAX_FRAME_BYTES,
     MAX_TAG,
-    PHASE_BY_TYPE,
     SESSION_ID_CHARS,
+    TYPE_CODES,
     Message,
     decode_msg,
     encode_msg,
@@ -53,16 +52,6 @@ MESSAGES = st.one_of(
         target=st.one_of(st.none(), st.integers(1, 8)),
         values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(bytes),
     ),
-    st.builds(
-        Message,
-        type=st.just("t_share"),
-        session_id=st.just("beef"),
-        origin=ENDPOINT,
-        dest=ENDPOINT,
-        partition=st.none(),
-        target=st.integers(1, 8),
-        values=st.lists(st.integers(0, 6), min_size=1, max_size=1).map(bytes),
-    ),
 )
 
 # Every message a session can send: a lowercase hex session id, endpoints and
@@ -70,7 +59,7 @@ MESSAGES = st.one_of(
 BELOW_1E9 = st.integers(0, 10**9 - 1)
 CANONICAL_MESSAGES = st.builds(
     Message,
-    type=st.sampled_from(sorted(PHASE_BY_TYPE)),
+    type=st.sampled_from(sorted(TYPE_CODES)),
     session_id=st.text(alphabet="0123456789abcdef", min_size=1, max_size=SESSION_ID_CHARS),
     origin=st.tuples(BELOW_1E9, BELOW_1E9),
     dest=st.tuples(BELOW_1E9, BELOW_1E9),
@@ -216,7 +205,7 @@ class TestRoundTrip:
     @given(
         st.builds(
             Message,
-            type=st.sampled_from(sorted(PHASE_BY_TYPE)),
+            type=st.sampled_from(sorted(TYPE_CODES)),
             session_id=ANY_TEXT,
             origin=ENDPOINT,
             dest=ENDPOINT,
@@ -260,7 +249,7 @@ class TestRoundTrip:
 class TestMessage:
     MSG = Message("answer", "feed", (1, 2), (3, 0), 1, None, b"\x04")
     OTHER = {
-        "type": "t_share",
+        "type": "query",
         "session_id": "beef",
         "origin": (1, 3),
         "dest": (3, 1),
@@ -286,10 +275,10 @@ class TestMessage:
             assert changed != self.MSG, name
             assert len({self.MSG, changed}) == 2, name
 
-    @pytest.mark.parametrize("kind", sorted(PHASE_BY_TYPE))
+    @pytest.mark.parametrize("kind", sorted(TYPE_CODES))
     def test_phase_follows_from_the_type(self, kind):
         msg = self.MSG._replace(type=kind)
-        assert msg.phase == PHASE_BY_TYPE[kind]
+        assert msg.phase == kind
         assert decode_msg(encode_msg(msg)).phase == msg.phase
         with pytest.raises(ValueError):
             msg._replace(phase="query")
@@ -342,15 +331,11 @@ class TestTranscriptFile:
 
     @given(st.lists(CANONICAL_MESSAGES, max_size=8))
     def test_every_file_in_transcript_order_loads(self, messages):
-        # Shares by strictly increasing share_order, then queries and answers
-        # each by strictly increasing sort_key: the loader's order rule
-        # accepts every such file whose values are residues of its field,
-        # L = 251.
-        rank = {"randomness": 0, "query": 1, "answer": 2}
-        keyed = {
-            (rank[m.phase], share_order(m) if rank[m.phase] == 0 else m.sort_key()): m
-            for m in messages
-        }
+        # Queries, then answers, each by strictly increasing sort_key: the
+        # loader's order rule accepts every such file whose values are
+        # residues of its field, L = 251.
+        rank = {"query": 0, "answer": 1}
+        keyed = {(rank[m.phase], m.sort_key()): m for m in messages}
         in_order = [keyed[key] for key in sorted(keyed)]
         transcript = transcript_of(*(
             m._replace(session_id="0a1b", values=bytes(v % MAX_PARTIES for v in m.values))
@@ -364,7 +349,7 @@ class TestTranscriptFile:
         assert b'"messages":[]' in data
         assert load_transcript(data) == transcript
 
-    @pytest.mark.parametrize("kind", sorted(PHASE_BY_TYPE))
+    @pytest.mark.parametrize("kind", sorted(TYPE_CODES))
     def test_messages_without_values(self, kind):
         msg = Message(kind, "0a1b", (3, 0), (1, 2), 1, None, b"")
         assert len(encode_msg(msg)) == frame_size(msg) == 34
@@ -419,8 +404,8 @@ ENTRY_EDITS = {
     "no-values": (lambda e: entry_of(raw_frame(values=b"")), True),
     "null-partition-and-target": (lambda e: entry_of(raw_frame(tags=(3, 0, 1, 2, 0, 0))), True),
     "largest-tags": (lambda e: entry_of(raw_frame(tags=(MAX_TAG,) * 6)), True),
-    "t-share": (lambda e: entry_of(raw_frame(code=1)), True),
-    "c-share": (lambda e: entry_of(raw_frame(code=2)), True),
+    "retired-type-code-1": (lambda e: entry_of(raw_frame(code=1)), False),
+    "retired-type-code-2": (lambda e: entry_of(raw_frame(code=2)), False),
 }
 
 
@@ -433,6 +418,8 @@ def with_tag(index: int, value: int) -> bytes:
 # Frames decode_msg rejects, next to raw_frame(), which it accepts.
 REJECTED_FRAMES = {
     "type-code-0": raw_frame(code=0),
+    "type-code-1": raw_frame(code=1),
+    "type-code-2": raw_frame(code=2),
     "type-code-5": raw_frame(code=5),
     "empty-id": raw_frame(session_id=b""),
     "uppercase-id": raw_frame(session_id=b"0A1B"),
@@ -599,6 +586,14 @@ class TestFrameRejections:
     @pytest.mark.parametrize("name", list(REJECTED_FRAMES))
     def test_rejected(self, name):
         assert outcome(decode_msg, REJECTED_FRAMES[name]) == ("rejected",)
+
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_the_retired_share_type_codes_are_unknown(self, code):
+        # Codes 1 and 2 carried the randomness shares of an online phase
+        # that sessions no longer run; query and answer keep 3 and 4.
+        assert TYPE_CODES == {"query": 3, "answer": 4}
+        with pytest.raises(ProtocolViolationError, match=f"unknown message type code {code}"):
+            decode_msg(raw_frame(code=code))
 
     @pytest.mark.parametrize(
         "field,value",
