@@ -7,7 +7,11 @@ common randomness dealt to it before the session
 its answers and nothing of any other database: its client's local vector,
 its individual values at the partitions of its own positions, and the
 multiplier. So a state is ready to answer once built, and it never draws,
-sends or receives randomness. It runs only the faithful scheme: the
+sends or receives randomness. Its constructor refuses a record that is no
+dealing for it: one for another party or a database it does not have, a
+local vector of another length, individual values at partitions other
+than those of its own positions, or a value that is no residue below L
+(the multiplier must also be nonzero). It runs only the faithful scheme: the
 negative-control mutations are the audit checks'. It never touches a
 socket or a clock; client.answer_all answers a batch of queries from it.
 Both transports answer from these states: protocol.collect_answers in
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
+from .errors import ConfigError
 from .field import PrimeField
 from .leader import PlanShape
 from .model import PartyProfile
@@ -51,13 +56,41 @@ class DatabaseState:
         self, shape: PlanShape, profile: PartyProfile, field: PrimeField, record: DatabaseRecord
     ):
         party_id, database = record.address
+        if party_id != profile.party_id or not 1 <= database <= profile.num_databases:
+            raise ConfigError(
+                f"record for database {record.address}, not one of party "
+                f"{profile.party_id}'s {profile.num_databases}"
+            )
+        if party_id not in shape.client_ids:
+            raise ConfigError(f"record for database {record.address} of a party that is no client")
+        modulus = field.modulus
+        if len(record.local) != shape.eta[party_id]:
+            raise ConfigError(
+                f"record's local vector has {len(record.local)} slots, "
+                f"expected {shape.eta[party_id]}"
+            )
+        if max(record.local, default=0) >= modulus:
+            raise ConfigError(f"record's local vector holds a value outside [0, {modulus})")
+        positions = shape.positions_of_database(party_id, database)
+        tags = frozenset((shape.position_location(party_id, k)[0], k) for k in positions)
+        own = sorted({partition for partition, _ in tags})
+        if sorted(record.individual) != own:
+            raise ConfigError(
+                f"record's individual values at partitions {sorted(record.individual)}, "
+                f"expected {own}"
+            )
+        if any(not 0 <= value < modulus for value in record.individual.values()):
+            raise ConfigError(
+                f"record's individual values {record.individual} are not all in [0, {modulus})"
+            )
+        if not 0 < record.c < modulus:
+            raise ConfigError(f"record's multiplier {record.c} is not in [1, {modulus})")
         self.session_id = record.session_id
         self.shape = shape
         self.profile = profile
         self.address = record.address
         self.field = field
-        positions = shape.positions_of_database(party_id, database)
-        self.tags = frozenset((shape.position_location(party_id, k)[0], k) for k in positions)
+        self.tags = tags
         self.local = record.local
         self.individual = record.individual
         self.c = record.c

@@ -701,6 +701,23 @@ class TestEndpointRejections:
             lambda config: leader_query(config, (1, 1), config.universe_size + 1),
             "query vector length 5 != universe 4",
         ),
+        "a query one value short": (
+            lambda config: leader_query(config, (1, 1), config.universe_size - 1),
+            "query vector length 3 != universe 4",
+        ),
+        # Each client has one partition.
+        "a query for a partition past the last": (
+            lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
+                partition=2
+            ),
+            "no local randomness slot for partition 2",
+        ),
+        "a query of another session": (
+            lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
+                session_id="0" * 16
+            ),
+            "frame for session 0{16}, serving [0-9a-f]{16}",
+        ),
     }
 
     @pytest.mark.parametrize("rejected", sorted(REJECTED_FRAMES))
@@ -831,6 +848,11 @@ class TestDealtStates:
         config = DEMOS["sec4"].config
         with pytest.raises(ConfigError, match=r"another database, not for database \(1,2\)"):
             DatabaseEndpoint(config, 1, 2, deal(config)[1, 3])
+
+    def test_a_state_for_a_database_of_another_client_is_refused(self):
+        config = DEMOS["sec4"].config
+        with pytest.raises(ConfigError, match=r"another database, not for database \(1,2\)"):
+            DatabaseEndpoint(config, 1, 2, deal(config)[2, 2])
 
     def test_a_state_for_another_plan_shape_is_refused(self):
         # sec4 with one more leader element: four clients' positions, not two.

@@ -218,6 +218,58 @@ class TestBundle:
                 slot = states[client.party_id, database].individual[spec.partition]
                 assert slot == t_at(states, plan, client.party_id, spec.target)
 
+    def test_the_leader_is_dealt_nothing(self):
+        # Every database of every client gets a record, idle ones too; the
+        # leader's databases get none.
+        plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 4))
+        states = build_bundle(plan.shape, clients, field, seed=5, session_id=SESSION)
+        assert sorted(states) == [(cid, db) for cid in (1, 2, 3) for db in (1, 2, 3, 4)]
+        assert not states[1, 4].individual
+
+    def test_every_record_names_its_session_and_address(self):
+        for address, state in bundle(seed=6, num_clients=3).items():
+            assert (state.session_id, state.address) == (SESSION, address)
+
+    def test_dealt_values_are_their_labeled_draws(self):
+        # The auditor replays these labels: "s/<client>", "t/<client>/<database>"
+        # for a free client's database, and "c".
+        plan, clients, field = fixture(num_clients=3)
+        shape, modulus = plan.shape, field.modulus
+        for seed in range(10):
+            states = build_bundle(shape, clients, field, seed=seed, session_id=SESSION)
+            for (cid, db), state in states.items():
+                eta = shape.eta[cid]
+                assert state.local == seeding.draw_vector(seed, modulus, eta, "s", cid)
+                assert state.c == seeding.draw_nonzero(seed, modulus, "c")
+                if cid != correlating_client(shape.client_ids):
+                    draws = seeding.draw_vector(seed, modulus, eta, "t", cid, db)
+                    for partition, value in state.individual.items():
+                        assert value == draws[partition - 1]
+
+    def test_the_correlating_client_draws_no_individual_stream(self, monkeypatch):
+        # Its values are completions of the free clients', never draws.
+        plan, clients, field = fixture(num_clients=3)
+        labels = []
+        labeled_rng = seeding.labeled_rng
+
+        def recording_rng(seed, *label):
+            labels.append(label)
+            return labeled_rng(seed, *label)
+
+        monkeypatch.setattr(seeding, "labeled_rng", recording_rng)
+        build_bundle(plan.shape, clients, field, seed=8, session_id=SESSION)
+        drawn = sorted(label[1:] for label in labels if label[0] == "t")
+        assert drawn == [(cid, db) for cid in (1, 2) for db in (2, 3)]
+
+    def test_dealing_does_not_depend_on_the_order_of_the_clients(self):
+        plan, clients, field = fixture(num_clients=3)
+        for seed in range(10):
+            forward = build_bundle(plan.shape, clients, field, seed=seed, session_id=SESSION)
+            backward = build_bundle(
+                plan.shape, clients[::-1], field, seed=seed, session_id=SESSION
+            )
+            assert held(forward) == held(backward)
+
     def test_completion_closes_each_position_sum(self):
         # L = 5 and three clients: free values 1 and 3 are completed to sum 5 - 3.
         assert completion([1, 3], 5, 3, FAITHFUL) == 3

@@ -191,6 +191,14 @@ class TestDeterminism:
             ),
             (lambda entries, first: entries + entries[-1:], "answer .* sort_key order, or repeated"),
             (lambda entries, first: entries[:1] + entries, "query .* sort_key order, or repeated"),
+            (
+                lambda entries, first: [entries.pop(first["answer"])] + entries,
+                "out of phase order",
+            ),
+            (
+                lambda entries, first: entries[: first["answer"] + 1] + entries[first["answer"] :],
+                "answer .* sort_key order, or repeated",
+            ),
         ],
         ids=[
             "two-answers-swapped",
@@ -199,6 +207,8 @@ class TestDeterminism:
             "last-query-repeated",
             "last-answer-repeated",
             "first-query-repeated",
+            "answer-before-the-queries",
+            "first-answer-repeated",
         ],
     )
     def test_messages_out_of_transcript_order_are_a_protocol_violation(self, move, error):
