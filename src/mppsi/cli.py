@@ -230,6 +230,16 @@ def _cmd_serve_db(args) -> int:
     from .net import DatabaseEndpoint
 
     config = load_config(args.config)
+    party = next((p for p in config.parties if p.party_id == args.party), None)
+    if party is None:
+        raise ConfigError(f"serve-db names unknown party {args.party}")
+    if not 1 <= args.db <= party.num_databases:
+        raise ConfigError(f"party {args.party} has no database {args.db}")
+    setup, _ = config.prepared
+    if args.party == setup.leader.party_id:
+        raise ConfigError("the leader party does not serve database endpoints")
+    if not setup.leader.data_set:
+        raise ConfigError("the leader set is empty: no database gets a query")
     host, port = args.host, args.port
     if port is None:
         if (args.party, args.db) in config.addresses:
@@ -239,8 +249,7 @@ def _cmd_serve_db(args) -> int:
                 "serve-db needs --port or an addresses entry in the config"
             )
     # Its own record of the config's dealing; it needs no peer's address.
-    state = deal(config).get((args.party, args.db))
-    endpoint = DatabaseEndpoint(config, args.party, args.db, state, host=host, port=port)
+    endpoint = DatabaseEndpoint(deal(config)[args.party, args.db], host=host, port=port)
     endpoint.start()
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:

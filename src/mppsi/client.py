@@ -15,9 +15,9 @@ order.
 answer_all is the one answer function of both transports:
 protocol.collect_answers calls it in memory, and each TCP endpoint's serve
 loop calls it on the queries it reads. A database uses nothing beyond its
-database.DatabaseState (its own copy of the party's set and its own dealt
-randomness) and the queries delivered to it; answer_all admits nothing
-else.
+database.DatabaseState (its own copy of the party's set, its own dealt
+randomness and the public parameters dealt with it, K among them) and the
+queries delivered to it; answer_all admits nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable, List, Sequence
 
 from .database import DatabaseState
 from .errors import ProtocolViolationError
-from .model import Universe
 from .wire import Message
 
 
@@ -50,22 +49,22 @@ def support_sum(support: Sequence[int]) -> Callable[[Sequence[int]], int]:
     return lambda vector: sum(pick(vector))
 
 
-def answer_all(
-    state: DatabaseState, queries: Sequence[Message], universe: Universe
-) -> List[Message]:
+def answer_all(state: DatabaseState, queries: Sequence[Message]) -> List[Message]:
     """Answer every query delivered to one database from its state, echoing it.
 
-    A query must be addressed to the database and carry K values; its
-    partition must have a local value at this database, and a targeted
-    query (one with a target position) must carry the (partition, target)
-    tags of a position this database holds; only database 1 answers a bare
-    base query. Anything else is a protocol violation.
+    A query must be addressed to the database and carry K values, K the
+    state's universe size; its partition must have a local value at this
+    database, and a targeted query (one with a target position) must carry
+    the (partition, target) tags of a position this database holds; only
+    database 1 answers a bare base query. Anything else is a protocol
+    violation.
     """
     c, modulus = state.c, state.field.modulus
-    profile, address = state.profile, state.address
-    # protocol.prepare_session has checked the set against the universe.
-    inner_product = support_sum(sorted(elem - 1 for elem in profile.data_set))
+    address = state.address
+    # The state has checked its set against the universe.
+    inner_product = support_sum(state.support)
     local, individual, tags = state.local, state.individual, state.tags
+    universe_size = state.universe_size
     answers: List[Message] = []
     for query in queries:
         if query.dest != address:
@@ -88,9 +87,9 @@ def answer_all(
                 f"{query.target} at database {address}"
             )
         q = query.values
-        if len(q) != universe.size:
+        if len(q) != universe_size:
             raise ProtocolViolationError(
-                f"query vector length {len(q)} != universe {universe.size}"
+                f"query vector length {len(q)} != universe {universe_size}"
             )
         value = answer_value(inner_product(q), s_slot, t_slot, c, modulus)
         # Fields in order (type, session_id, origin, dest, partition, target,

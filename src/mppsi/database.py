@@ -6,9 +6,12 @@ common randomness dealt to it before the session
 (randomness.build_bundle). A record holds exactly what the database adds to
 its answers and nothing of any other database: its client's local vector,
 its individual values at the partitions of its own positions, and the
-multiplier. So a state is ready to answer once built, and it never draws,
-sends or receives randomness. Its constructor refuses a record that is no
-dealing for it: one for another party or a database it does not have, a
+multiplier. It also carries the public parameters the database serves
+under: the session id, its address, the leader and K. So one record
+describes a database completely, a state is ready to answer once built,
+and it never draws, sends or receives randomness. Its constructor refuses a
+record that is no dealing for it: one for another party or a database it
+does not have, one naming a client as the leader, a set outside 1..K, a
 local vector of another length, individual values at partitions other
 than those of its own positions, or a value that is no residue below L
 (the multiplier must also be nonzero). It runs only the faithful scheme: the
@@ -31,15 +34,19 @@ from .model import PartyProfile
 class DatabaseRecord(NamedTuple):
     """One client database's dealt randomness for one session, all residues in [0, L).
 
-    local[partition - 1] is its client's local value for that partition;
-    individual[partition] is the value it adds to its targeted answer for
-    that partition, only at the partitions of its own positions (none at
-    database 1, which gets no targeted query); c is the nonzero global
-    multiplier.
+    session_id, address, leader (the leader's party id) and universe_size
+    (K) are the public parameters the database serves under; the rest is
+    its dealing. local[partition - 1] is its client's local value for that
+    partition; individual[partition] is the value it adds to its targeted
+    answer for that partition, only at the partitions of its own positions
+    (none at database 1, which gets no targeted query); c is the nonzero
+    global multiplier.
     """
 
     session_id: str
     address: Tuple[int, int]
+    leader: int
+    universe_size: int
     local: bytes
     individual: Dict[int, int]
     c: int
@@ -48,8 +55,9 @@ class DatabaseRecord(NamedTuple):
 class DatabaseState:
     """The answering state of one client database: its party's set and its record.
 
-    tags holds the (partition, target position) pair of each targeted query
-    it answers.
+    support holds the 0-based indices of its set's elements in a query of K
+    values, sorted; tags holds the (partition, target position) pair of
+    each targeted query it answers.
     """
 
     def __init__(
@@ -63,6 +71,11 @@ class DatabaseState:
             )
         if party_id not in shape.client_ids:
             raise ConfigError(f"record for database {record.address} of a party that is no client")
+        if record.leader in shape.client_ids:
+            raise ConfigError(f"record names client {record.leader} as the leader")
+        support = sorted(element - 1 for element in profile.data_set)
+        if support and not 0 <= support[0] <= support[-1] < record.universe_size:
+            raise ConfigError(f"party {party_id}'s set is not within 1..{record.universe_size}")
         modulus = field.modulus
         if len(record.local) != shape.eta[party_id]:
             raise ConfigError(
@@ -88,7 +101,10 @@ class DatabaseState:
         self.session_id = record.session_id
         self.shape = shape
         self.profile = profile
+        self.support = support
         self.address = record.address
+        self.leader = record.leader
+        self.universe_size = record.universe_size
         self.field = field
         self.tags = tags
         self.local = record.local

@@ -3,14 +3,17 @@
 Each database is an independently addressable endpoint, a party only an
 administrative grouping: a database.DatabaseState, dealt before the session
 (session.deal), behind sockets, answering its queries through
-client.answer_all as the in-memory transport does. spawn_endpoints deals
-once and hands each endpoint its state; an endpoint refuses, at
-construction, a state dealt for another database, plan shape or session.
-No endpoint opens a connection: the only connections of a session run from
-the leader to each queried database. The leader connects to each queried
-database once, sends its queries, a consecutive run of the session's (which
-come in transcript order), and reads the answers off the same connection,
-in any interleaving; an endpoint answers the queries of each read at once.
+client.answer_all as the in-memory transport does. The state is all an
+endpoint holds: its address, session id, field, leader and K are the
+state's, so it holds no config, no seed and no other party's set, and it
+refuses the frames of any other session. spawn_endpoints deals once and
+starts one endpoint per dealt state; an empty leader set deals none, and
+gets no endpoint and no serve loop. No endpoint opens a connection: the
+only connections of a session run from the leader to each queried
+database. The leader connects to each queried database once, sends its
+queries, a consecutive run of the session's (which come in transcript
+order), and reads the answers off the same connection, in any
+interleaving; an endpoint answers the queries of each read at once.
 
 Both sides run on a serve loop: one thread multiplexing the endpoints'
 listening sockets, the connections they accept, and the leader's outgoing
@@ -27,7 +30,7 @@ one answer per query, each from the database it reaches to the leader, so
 it is done at the last.
 
 run_networked_session gives session.run_leader the TCP exchange; the runner
-and every endpoint read their setup and session id from config.prepared, so
+and the dealing read their setup and session id from config.prepared, so
 for equal (config, seed) the transcript equals the in-memory transport's.
 """
 
@@ -48,7 +51,6 @@ from .client import answer_all
 from .config import SessionConfig
 from .database import DatabaseState
 from .errors import ConfigError, MppsiError, ProtocolViolationError, TransportError
-from .leader import make_plan_shape
 from .session import SessionTranscript, deal, run_leader
 from .wire import Message, decode_msg, encode_msg, split_frames
 
@@ -71,65 +73,21 @@ class _Connection:
 
 
 class DatabaseEndpoint:
-    """One client database serving its config's sessions over TCP: its dealt state behind sockets.
+    """One client database serving its session over TCP: its dealt state behind sockets.
 
-    state is the database's dealt state (session.deal), or None when the
-    leader set is empty, which deals none.
+    The state (session.deal) is all it holds: its address, session id,
+    field, leader and K are the state's.
     """
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        party_id: int,
-        database: int,
-        state: Optional[DatabaseState],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.config = config
-        self.party_id = party_id
-        self.database = database
+    def __init__(self, state: DatabaseState, host: str = "127.0.0.1", port: int = 0):
+        self.state = state
+        self._residues = bytes(range(state.field.modulus))  # the value bytes a query may carry
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[_ServeLoop] = None
         self._host = host
         self._port = port
-
-        by_id = {p.party_id: p for p in config.parties}
-        if party_id not in by_id:
-            raise ConfigError(f"endpoint names unknown party {party_id}")
-        if not 1 <= database <= by_id[party_id].num_databases:
-            raise ConfigError(f"party {party_id} has no database {database}")
-        setup, self.session_id = config.prepared
-        self.field = setup.field
-        self._residues = bytes(range(self.field.modulus))  # the value bytes a query may carry
-        self.leader_id = setup.leader.party_id
-        if party_id == self.leader_id:
-            raise ConfigError("the leader party does not serve database endpoints")
-        # Public quantity: set cardinalities are known to everyone. An empty
-        # leader set needs no randomness and gets no queries.
-        set_size = len(setup.leader.data_set)
-        if state is None and set_size:
-            raise ConfigError(f"database ({party_id},{database}) needs its dealt state")
-        if state is not None:
-            wanted = {
-                "session": self.session_id,
-                "database": (party_id, database),
-                "plan shape": make_plan_shape(set_size, setup.clients) if set_size else None,
-            }
-            held = {
-                "session": state.session_id,
-                "database": state.address,
-                "plan shape": state.shape,
-            }
-            wrong = [name for name in wanted if held[name] != wanted[name]]
-            if wrong:
-                raise ConfigError(
-                    f"state dealt for another {' and '.join(wrong)}, not for database "
-                    f"({party_id},{database}) of session {self.session_id}"
-                )
-        self.state = state
 
     def start(self, loop: Optional[_ServeLoop] = None) -> None:
         """Listen, served by loop, or by a loop of its own when none is given.
@@ -175,33 +133,30 @@ class DatabaseEndpoint:
         if not chunk:
             raise TransportError("peer closed the connection")
         conn.buffer += chunk
+        state = self.state
         queries = []
         for frame in split_frames(conn.buffer):
             msg = decode_msg(frame)
-            if msg.session_id != self.session_id:
+            if msg.session_id != state.session_id:
                 raise ProtocolViolationError(
-                    f"frame for session {msg.session_id}, serving {self.session_id}"
+                    f"frame for session {msg.session_id}, serving {state.session_id}"
                 )
-            if msg.dest != (self.party_id, self.database):
+            if msg.dest != state.address:
                 raise ProtocolViolationError(
-                    f"frame for {msg.dest} delivered to "
-                    f"({self.party_id},{self.database})"
+                    "frame for {} delivered to ({},{})".format(msg.dest, *state.address)
                 )
-            if self.state is None:
-                raise ProtocolViolationError(f"{msg.type!r} frame for an empty leader set")
             if msg.type != "query":
                 raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
             # An answer goes back to its query's origin: only the leader's.
-            if msg.origin != (self.leader_id, 0):
+            if msg.origin != (state.leader, 0):
                 raise ProtocolViolationError(
-                    f"query from {msg.origin}, not from the leader ({self.leader_id}, 0)"
+                    f"query from {msg.origin}, not from the leader ({state.leader}, 0)"
                 )
             if msg.values.translate(None, self._residues):
                 raise ProtocolViolationError("query value out of field range")
             queries.append(msg)
         if queries:
-            answers = answer_all(self.state, queries, self.config.universe)
-            conn.out += b"".join(map(encode_msg, answers))
+            conn.out += b"".join(map(encode_msg, answer_all(state, queries)))
 
 
 @dataclass(eq=False)
@@ -452,17 +407,16 @@ def _query_round(
 
 def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
     """Deal the config's session once and start one in-process endpoint per
-    client database on its state (ephemeral ports)."""
-    states = deal(config)
-    loop = _ServeLoop()
-    endpoints = []
-    for client in config.prepared[0].clients:
-        for db in range(1, client.num_databases + 1):
-            state = states.get((client.party_id, db))
-            endpoint = DatabaseEndpoint(config, client.party_id, db, state)
+    client database on its state (ephemeral ports), all on one serve loop.
+
+    An empty leader set deals no state: no endpoint, and no loop.
+    """
+    endpoints = [DatabaseEndpoint(state) for state in deal(config).values()]
+    if endpoints:
+        loop = _ServeLoop()
+        for endpoint in endpoints:
             endpoint.start(loop)
-            endpoints.append(endpoint)
-    loop.start()
+        loop.start()
     return endpoints
 
 
@@ -473,13 +427,14 @@ def run_networked_session(
 
     Without explicit endpoints (and without configured addresses) the runner
     spawns one endpoint per client database, all served by one thread, and
-    tears them down afterwards. The runner and endpoints built from this
+    tears them down afterwards. The runner and the endpoints dealt from this
     config object read one config.prepared, so the session elects and
     derives its session id once.
     """
 
-    def exchange(setup, plan, sent, session_id):
-        leader = (plan.leader_id, 0)
+    def exchange(sent):
+        setup, _ = config.prepared
+        leader = (setup.leader.party_id, 0)
         queries = {}
         for dest, msgs in itertools.groupby(sent, key=lambda query: query.dest):
             frames = list(map(encode_msg, msgs))
@@ -489,7 +444,7 @@ def run_networked_session(
             return _query_round(config.addresses, queries, leader)
         serving = endpoints if endpoints is not None else spawn_endpoints(config)
         try:
-            addresses = {(ep.party_id, ep.database): ep.address for ep in serving}
+            addresses = {ep.state.address: ep.address for ep in serving}
             return _query_round(addresses, queries, leader, serving[0]._loop if serving else None)
         finally:
             if endpoints is None:

@@ -1,15 +1,16 @@
 """Transport-free pieces of a session: election, session id, in-memory answers.
 
 prepare_session elects (or accepts) the leader and checks feasibility;
-the leader's driver, session.run_leader, the database endpoints and the
-audit module all elect through it. make_session_id is the one session-id
-function, of the config alone, so every transport and endpoint derives the
-same id. prepare runs both for a config, once per config object: the
-config's cached SessionConfig.prepared calls it, and the leader's driver,
-the database endpoints and the CLI read that. collect_answers is the
-in-memory answer round: every database answers its run of the queries, in
-transcript order, from its own database.DatabaseState, through
-client.answer_all, the function a TCP endpoint answers with too.
+the leader's driver, session.run_leader, the dealing, session.deal, and
+the audit module all elect through it. make_session_id is the one
+session-id function, of the config alone, so every transport derives the
+same id, and each database reads it from its dealt record. prepare runs
+both for a config, once per config object: the config's cached
+SessionConfig.prepared calls it, and the leader's driver, the dealing and
+the CLI read that. collect_answers is the in-memory answer round: every
+database answers its run of the queries, in transcript order, from its own
+database.DatabaseState alone, through client.answer_all, the function a
+TCP endpoint answers with too.
 """
 
 from __future__ import annotations
@@ -97,10 +98,9 @@ def prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
 def collect_answers(
     queries: Sequence[Message],
     states: Dict[Tuple[int, int], DatabaseState],
-    universe: Universe,
 ) -> List[Message]:
     """Every database answers exactly its consecutive run of the queries, from its own state."""
     answers: List[Message] = []
     for address, delivered in itertools.groupby(queries, key=lambda query: query.dest):
-        answers += answer_all(states[address], list(delivered), universe)
+        answers += answer_all(states[address], list(delivered))
     return answers

@@ -5,8 +5,9 @@ the leader's queries arrive, and no client database talks to another. A
 trusted set-up party, which sees the randomness but no set, deals it;
 here the runner deals it from the config's seed. build_bundle is that
 dealing: for one session it gives every client database a
-database.DatabaseRecord holding exactly what it adds to its answers, and
-builds its database.DatabaseState from it, ready to answer:
+database.DatabaseRecord holding exactly what it adds to its answers, next
+to the public parameters it serves under (session id, address, leader and
+K), and builds its database.DatabaseState from it, ready to answer:
 
 * its client's local vector (one slot per partition), the same at every
   database of that client: one labeled vector draw, "s/<client>";
@@ -84,11 +85,15 @@ def build_bundle(
     field: PrimeField,
     seed: int,
     session_id: str,
+    leader: int,
+    universe_size: int,
 ) -> Dict[Tuple[int, int], DatabaseState]:
     """Deal one session's common randomness from the seed, and build every
     client database's state, ready, from its own record.
 
-    Returns the states keyed by their (client, database) address.
+    Each record also carries the session's public parameters: session_id,
+    the leader's party id and the universe size K. Returns the states keyed
+    by their (client, database) address.
     """
     modulus, num_clients = field.modulus, len(shape.client_ids)
     correlator = correlating_client(shape.client_ids)
@@ -117,6 +122,8 @@ def build_bundle(
         local = draw_vector(seed, modulus, shape.eta[client.party_id], "s", client.party_id)
         for database in range(1, client.num_databases + 1):
             address = (client.party_id, database)
-            record = DatabaseRecord(session_id, address, local, individual[address], c)
+            record = DatabaseRecord(
+                session_id, address, leader, universe_size, local, individual[address], c
+            )
             states[address] = DatabaseState(shape, client, field, record)
     return states

@@ -9,11 +9,12 @@ decoded result; with the in-memory transport it is a pure function of
 (config, seed) and serializes to byte-identical files across repeats.
 
 run_leader is the leader's side of every session, set up by config.prepared
-as net's endpoints are. A transport is only the exchange function it hands
-the queries to, which returns the answers: run_memory_session answers from
-the dealt database states in memory, and net.run_networked_session frames
-the messages to TCP endpoints that hold those states. A session runs only
-the faithful scheme: the negative-control mutations are the audit checks'.
+as the dealing is. A transport is only the exchange function it hands the
+queries to, which returns the answers, queries in and answers out:
+run_memory_session answers from the dealt database states in memory, and
+net.run_networked_session frames the messages to TCP endpoints that each
+hold one of those states and nothing else. A session runs only the
+faithful scheme: the negative-control mutations are the audit checks'.
 
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries. The leader generates its queries
@@ -40,7 +41,6 @@ from .field import select_field_size
 from .leader import (
     CostTable,
     IntersectionResult,
-    PartitionPlan,
     decode,
     generate_queries,
     make_partition_plan,
@@ -208,13 +208,15 @@ def deal(config: SessionConfig) -> Dict[Tuple[int, int], DatabaseState]:
     if not setup.leader.data_set:
         return {}
     shape = make_plan_shape(len(setup.leader.data_set), setup.clients)
-    return build_bundle(shape, setup.clients, setup.field, config.seed, session_id)
+    return build_bundle(
+        shape, setup.clients, setup.field, config.seed, session_id,
+        setup.leader.party_id, config.universe_size,
+    )
 
 
-# Given the setup, the plan, the queries in transcript order and the session
-# id, an exchange delivers the queries and returns the answers, as a list in
-# any order.
-Exchange = Callable[[SessionSetup, PartitionPlan, Sequence[Message], str], List[Message]]
+# Given the queries in transcript order, an exchange delivers them and
+# returns the answers, as a list in any order.
+Exchange = Callable[[Sequence[Message]], List[Message]]
 
 
 def transcript_from_run(
@@ -246,7 +248,7 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
         return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)
     plan = make_partition_plan(setup.leader, setup.clients)
     queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
-    answers = exchange(setup, plan, queries, session_id)
+    answers = exchange(queries)
     for msg in answers:
         if msg.session_id != session_id:
             raise ProtocolViolationError(
@@ -260,11 +262,7 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
 def run_memory_session(config: SessionConfig) -> SessionTranscript:
     """Run one session entirely in process, deterministically, on the states dealt for it."""
     states = deal(config)
-
-    def exchange(setup, plan, queries, session_id):
-        return collect_answers(queries, states, config.universe)
-
-    return run_leader(config, exchange)
+    return run_leader(config, lambda queries: collect_answers(queries, states))
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:

@@ -324,7 +324,7 @@ class TestExitCodes:
 
 
 class TestServeDb:
-    # Both configs fail election, which the endpoint's constructor runs
+    # Both configs fail election, which serve-db runs before it deals and
     # before any socket opens.
     ONE_PARTY = {
         "universe_size": 4,
@@ -357,6 +357,36 @@ class TestServeDb:
         serve = ["serve-db", "--config", str(path), "--party", "1", "--db", "1", "--port", "0"]
         assert main(serve) == 3
         assert capsys.readouterr().err == run_error
+
+    # FIXTURE: party 3 leads, and each party has three databases.
+    REFUSED = {
+        "unknown party": (FIXTURE, ["--party", "9", "--db", "1"], "serve-db names unknown party 9"),
+        "database 0": (FIXTURE, ["--party", "1", "--db", "0"], "party 1 has no database 0"),
+        "database 4": (FIXTURE, ["--party", "1", "--db", "4"], "party 1 has no database 4"),
+        "the leader party": (
+            FIXTURE, ["--party", "3", "--db", "1"], "the leader party does not serve"
+        ),
+        "an empty leader set": (
+            dict(FIXTURE, parties=[*FIXTURE["parties"][:2], dict(FIXTURE["parties"][2], set=[])]),
+            ["--party", "1", "--db", "1"],
+            "the leader set is empty: no database gets a query",
+        ),
+    }
+
+    @pytest.mark.parametrize("refused", sorted(REFUSED))
+    def test_a_database_it_cannot_serve_is_a_config_error(
+        self, refused, tmp_path, capsys, monkeypatch
+    ):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        # Should the endpoint start after all, end it at once.
+        monkeypatch.setattr("time.sleep", interrupt)
+        config, address, message = self.REFUSED[refused]
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(config))
+        assert main(["serve-db", "--config", str(path), *address, "--port", "0"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_port_in_use_is_a_transport_error(self, config_path, capsys, monkeypatch):
         def interrupt(seconds):

@@ -37,23 +37,25 @@ def modular_answer(x, q, s, t, c, modulus):
     return (c * (sum(a * b for a, b in zip(x, q)) + s + t)) % modulus
 
 
-def state_holding(profile, database, s, t, c, modulus):
-    """The state of one of profile's databases, dealt s, t and c.
+def state_holding(profile, database, s, t, c, modulus, universe_size):
+    """The state of one of profile's databases, dealt s, t and c, over 1..universe_size.
 
-    The profile is the only client of a one-element leader set, so the
-    state has one partition, and database 2 one position in it.
+    The profile is the only client of a one-element leader set, party 9's,
+    so the state has one partition, and database 2 one position in it.
     """
     shape = make_plan_shape(1, [profile])
     individual = {1: t} if database == 2 else {}
-    record = DatabaseRecord(SESSION, (profile.party_id, database), bytes((s,)), individual, c)
+    record = DatabaseRecord(
+        SESSION, (profile.party_id, database), 9, universe_size, bytes((s,)), individual, c
+    )
     return DatabaseState(shape, profile, PrimeField(modulus), record)
 
 
 def answer(x, q, s, t, c, modulus):
     """One targeted answer through answer_all, for a binary incidence vector x."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    state = state_holding(profile, 2, s, t, c, modulus)
-    (msg,) = answer_all(state, [query((1, 2), 1, 1, q)], Universe(len(x)))
+    state = state_holding(profile, 2, s, t, c, modulus, len(x))
+    (msg,) = answer_all(state, [query((1, 2), 1, 1, q)])
     (value,) = msg.values
     return value
 
@@ -86,10 +88,10 @@ class TestAnswer:
                             )
 
     def test_length_mismatch(self):
-        state = state_holding(PartyProfile(1, 2, frozenset({1})), 1, 0, 0, 1, 3)
+        state = state_holding(PartyProfile(1, 2, frozenset({1})), 1, 0, 0, 1, 3, 1)
         spec = query((1, 1), 1, None, (1, 2))
         with pytest.raises(ProtocolViolationError, match="length 2 != universe 1"):
-            answer_all(state, [spec], Universe(1))
+            answer_all(state, [spec])
 
     def test_linearity_of_query_difference(self):
         # Subtracting two answers with shared randomness isolates the inner
@@ -136,7 +138,7 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
     plan = make_partition_plan(leader, clients)
     field = select_field_size(len(clients) + 1)
-    states = build_bundle(plan.shape, clients, field, seed=21, session_id=SESSION)
+    states = build_bundle(plan.shape, clients, field, 21, SESSION, leader.party_id, universe)
     sent = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
     return clients, plan, field, states, sent
 
@@ -147,7 +149,7 @@ class TestAnswerAll:
         client = clients[0]
         queries = queries_to(sent, (client.party_id, 1))
         state = states[client.party_id, 1]
-        msgs = answer_all(state, queries, Universe(4))
+        msgs = answer_all(state, queries)
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
         q = queries[0].values
@@ -159,7 +161,7 @@ class TestAnswerAll:
     def test_answer_echoes_its_query(self):
         clients, plan, field, states, sent = _session_pieces()
         queries = queries_to(sent, (clients[1].party_id, 2))
-        msgs = answer_all(states[clients[1].party_id, 2], queries, Universe(4))
+        msgs = answer_all(states[clients[1].party_id, 2], queries)
         assert [
             (m.type, m.phase, m.session_id, m.origin, m.dest, m.partition, m.target)
             for m in msgs
@@ -172,20 +174,20 @@ class TestAnswerAll:
         clients, plan, field, states, sent = _session_pieces(client_dbs=(2, 2))
         queries = queries_to(sent, (clients[0].party_id, 1))
         assert len(queries) == 2  # one base vector per partition
-        msgs = answer_all(states[clients[0].party_id, 1], queries, Universe(4))
+        msgs = answer_all(states[clients[0].party_id, 1], queries)
         assert [(m.partition, m.target) for m in msgs] == [
             (q.partition, q.target) for q in queries
         ]
 
     def test_no_queries_no_answers(self):
         clients, plan, field, states, sent = _session_pieces()
-        assert answer_all(states[1, 1], [], Universe(4)) == []
+        assert answer_all(states[1, 1], []) == []
 
     def test_determinism_is_exact(self):
         clients, plan, field, states, sent = _session_pieces()
         queries = queries_to(sent, (clients[1].party_id, 2))
         state = states[clients[1].party_id, 2]
-        assert answer_all(state, queries, Universe(4)) == answer_all(state, queries, Universe(4))
+        assert answer_all(state, queries) == answer_all(state, queries)
 
     def test_unknown_partition_tag_rejected(self):
         # Partition 0 would index the last local slot from the end.
@@ -193,20 +195,20 @@ class TestAnswerAll:
         for partition in (0, 99):
             rogue = query((clients[0].party_id, 1), partition, None, (0, 0, 0, 0))
             with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
-                answer_all(states[clients[0].party_id, 1], [rogue], Universe(4))
+                answer_all(states[clients[0].party_id, 1], [rogue])
 
     def test_misaddressed_query_rejected(self):
         clients, plan, field, states, sent = _session_pieces()
         queries = queries_to(sent, (1, 2))
         with pytest.raises(ProtocolViolationError):
-            answer_all(states[2, 2], queries, Universe(4))
+            answer_all(states[2, 2], queries)
 
     def test_base_query_at_non_first_database_rejected(self):
         clients, plan, field, states, sent = _session_pieces()
         base = queries_to(sent, (1, 1))[0]
         moved = query((1, 2), base.partition, None, base.values)
         with pytest.raises(ProtocolViolationError):
-            answer_all(states[1, 2], [moved], Universe(4))
+            answer_all(states[1, 2], [moved])
 
     def test_targeted_query_at_database_one_rejected(self):
         # Database 1 holds no individual values: a targeted query moved to
@@ -216,8 +218,8 @@ class TestAnswerAll:
         targeted = queries_to(sent, (1, 2))[0]
         moved = targeted._replace(dest=(1, 1))
         with pytest.raises(ProtocolViolationError, match="no individual randomness"):
-            answer_all(states[1, 1], [moved], Universe(4))
-        assert answer_all(states[1, 2], [targeted], Universe(4))
+            answer_all(states[1, 1], [moved])
+        assert answer_all(states[1, 2], [targeted])
 
     def test_query_retagged_to_a_position_held_elsewhere_rejected(self):
         # Partition 1's positions 1 and 2 are held by databases 2 and 3. The
@@ -228,6 +230,6 @@ class TestAnswerAll:
         assert (targeted.partition, targeted.target) == (1, 1)
         assert plan.shape.position_location(1, 2) == (1, 3)
         with pytest.raises(ProtocolViolationError, match="partition 1, position 2"):
-            answer_all(states[1, 2], [targeted._replace(target=2)], Universe(4))
-        (answer,) = answer_all(states[1, 2], [targeted], Universe(4))
+            answer_all(states[1, 2], [targeted._replace(target=2)])
+        (answer,) = answer_all(states[1, 2], [targeted])
         assert answer.target == 1 and states[1, 2].tags == {(1, 1)}

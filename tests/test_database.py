@@ -20,21 +20,28 @@ def sec4_pieces():
 
 
 def test_a_record_holds_nothing_of_another_database():
-    # A state holds its record's fields and, besides them, only public
-    # data and its own party's set.
-    assert DatabaseRecord._fields == ("session_id", "address", "local", "individual", "c")
+    # A state holds its record's fields (the session's public parameters
+    # among them) and, besides them, only public data and its own party's
+    # set.
+    assert DatabaseRecord._fields == (
+        "session_id", "address", "leader", "universe_size", "local", "individual", "c"
+    )
     setup, shape, states = sec4_pieces()
     profiles = {client.party_id: client for client in setup.clients}
     assert sorted(states) == [(party, db) for party in (1, 2) for db in (1, 2, 3)]
     for (party, database), state in states.items():
         assert state.address == (party, database)
+        assert (state.leader, state.universe_size) == (setup.leader.party_id, CONFIG.universe_size)
         assert state.profile is profiles[party]
+        assert state.support == sorted(element - 1 for element in profiles[party].data_set)
         positions = shape.positions_of_database(party, database)
         own = {shape.position_location(party, position)[0] for position in positions}
         assert set(state.individual) == own
         assert bool(own) == (database != 1)
         assert len(state.local) == shape.eta[party]
-        assert set(vars(state)) == {*DatabaseRecord._fields, "shape", "profile", "field", "tags"}
+        assert set(vars(state)) == {
+            *DatabaseRecord._fields, "shape", "profile", "support", "field", "tags"
+        }
 
 
 def record_of(state):
@@ -101,6 +108,12 @@ BAD_RECORDS = {
     ),
     "database zero": (
         (2, 3), lambda r: r._replace(address=(2, 0)), None, r"\(2, 0\), not one of party 2's 3"
+    ),
+    "a client named as the leader": (
+        (2, 3), lambda r: r._replace(leader=3), None, "names client 3 as the leader"
+    ),
+    "a set past K": (
+        (2, 3), lambda r: r._replace(universe_size=3), None, r"party 2's set is not within 1\.\.3"
     ),
     "the leader's database": (
         (2, 3), lambda r: r._replace(address=(4, 1)), None, r"\(4, 1\) of a party that is no client"

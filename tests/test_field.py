@@ -9,7 +9,7 @@ from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError
 from mppsi.field import PrimeField, is_prime, select_field_size
 from mppsi.leader import make_plan_shape
-from mppsi.model import PartyProfile, Universe
+from mppsi.model import PartyProfile
 from mppsi.wire import Message
 
 
@@ -21,11 +21,11 @@ def modular_dot(xs, qs, modulus):
 def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
-    record = DatabaseRecord("field-tests", (1, 1), b"\x00", {}, 1)
+    size = len(x) if universe is None else universe
+    record = DatabaseRecord("field-tests", (1, 1), 2, size, b"\x00", {}, 1)
     state = DatabaseState(make_plan_shape(1, [profile]), profile, PrimeField(modulus), record)
     spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
-    size = len(x) if universe is None else universe
-    (msg,) = answer_all(state, [spec], Universe(size))
+    (msg,) = answer_all(state, [spec])
     (value,) = msg.values
     return value
 

@@ -1,5 +1,7 @@
 """Networked transport: loopback endpoints, equivalence with the simulator."""
 
+import dataclasses
+import json
 import random
 import re
 import socket
@@ -9,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from mppsi.config import SessionConfig
+from mppsi.config import SessionConfig, load_config
 from mppsi.demo import DEMOS
 from mppsi.database import DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError, TransportError
@@ -18,6 +20,7 @@ from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.session import deal, load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, decode_msg, encode_msg
+from test_golden import CONFIGS, eleven_config, wide_config
 
 
 def message_multiset(transcript):
@@ -135,8 +138,9 @@ class TestEquivalence:
         assert given == expected
 
     def test_endpoints_of_an_equal_config_object_serve_the_session(self):
-        # The endpoints prepare their own copy of the config, the runner the
-        # original: both derive the same setup and session id.
+        # The endpoints are dealt from their own copy of the config, the
+        # runner prepares the original: both derive the same setup and
+        # session id.
         config = DEMOS["sec7_2"].config
         endpoints = spawn_endpoints(replace(config))
         try:
@@ -144,21 +148,8 @@ class TestEquivalence:
         finally:
             for ep in endpoints:
                 ep.stop()
-        assert endpoints[0].config is not config
         assert data == run_memory_session(config).serialize()
 
-    def test_endpoints_of_another_config_do_not_lend_their_setup(self):
-        # Endpoints spawned from one seed, a session run with another: the
-        # runner derives its own session id, and the endpoints close on the
-        # queries of a session they do not serve.
-        config = DEMOS["sec4"].config
-        endpoints = spawn_endpoints(config)
-        try:
-            with pytest.raises(TransportError, match="not answered"):
-                run_networked_session(replace(config, seed=config.seed + 1), endpoints)
-        finally:
-            for ep in endpoints:
-                ep.stop()
 
 class TestEndpointBehaviour:
     @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])
@@ -168,7 +159,7 @@ class TestEndpointBehaviour:
         endpoints = spawn_endpoints(config)
         try:
             run_networked_session(config, endpoints=endpoints)
-            held = {(ep.party_id, ep.database): vars(ep.state) for ep in endpoints}
+            held = {ep.state.address: vars(ep.state) for ep in endpoints}
             assert held == {address: vars(state) for address, state in expected.items()}
         finally:
             for ep in endpoints:
@@ -196,7 +187,7 @@ class TestEndpointBehaviour:
                 type="query",
                 session_id=msg_session,
                 origin=(3, 0),
-                dest=(target.party_id, target.database),
+                dest=target.state.address,
                 partition=1,
                 target=None,
                 values=bytes(4),
@@ -277,15 +268,15 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
-            modulus = target.field.modulus
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
+            modulus = target.state.field.modulus
 
             def query(first_value):
                 return Message(
                     type="query",
                     session_id=make_session_id(config),
                     origin=(3, 0),
-                    dest=(target.party_id, target.database),
+                    dest=target.state.address,
                     partition=1,
                     target=None,
                     values=bytes((first_value,)) + bytes(config.universe_size - 1),
@@ -305,12 +296,12 @@ class TestEndpointBehaviour:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
                 origin=(3, 0),
-                dest=(target.party_id, target.database),
+                dest=target.state.address,
                 partition=1,
                 target=None,
                 values=bytes(config.universe_size),
@@ -335,13 +326,6 @@ class TestEndpointBehaviour:
             for ep in endpoints:
                 ep.stop()
 
-    def test_leader_party_cannot_serve_endpoints(self):
-        from mppsi.errors import ConfigError
-
-        config = DEMOS["sec4"].config
-        with pytest.raises(ConfigError, match="the leader party does not serve"):
-            DatabaseEndpoint(config, 3, 1, None)
-
 
 class TestExternalAddresses:
     """The runner given only addresses: its process builds no database state,
@@ -358,7 +342,7 @@ class TestExternalAddresses:
         try:
             for ep in endpoints:
                 ep.start()
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            addresses = {ep.state.address: ep.address for ep in endpoints}
             transcript = run_by_address(config, addresses)
         finally:
             for ep in endpoints:
@@ -374,10 +358,10 @@ class TestExternalAddresses:
         probe.close()
         *keys, late_key = client_databases(config)
         early = dealt_endpoints(config, keys)
-        late = DatabaseEndpoint(config, *late_key, deal(config)[late_key], port=port)
+        late = DatabaseEndpoint(deal(config)[late_key], port=port)
         for endpoint in early:
             endpoint.start()
-        addresses = {(ep.party_id, ep.database): ep.address for ep in early}
+        addresses = {ep.state.address: ep.address for ep in early}
         addresses[late_key] = ("127.0.0.1", port)
         transcript = run_while_late(config, early + [late], addresses, late.start)
         assert any(m.origin == late_key for m in transcript.messages_in_phase("answer"))
@@ -404,7 +388,7 @@ def client_databases(config):
 def dealt_endpoints(config, keys):
     """Unstarted endpoints of these databases, each on its state of the config's dealing."""
     states = deal(config)
-    return [DatabaseEndpoint(config, *key, states[key]) for key in keys]
+    return [DatabaseEndpoint(states[key]) for key in keys]
 
 
 def run_by_address(config, addresses):
@@ -495,7 +479,7 @@ class TestQueriesFromTheWire:
         frame[HEADER.size] = code
         endpoints = spawn_endpoints(config)
         try:
-            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (2, 2))
+            victim = next(ep for ep in endpoints if ep.state.address == (2, 2))
             with socket.create_connection(victim.address, timeout=5) as conn:
                 conn.settimeout(5)
                 conn.sendall(frame)
@@ -510,7 +494,7 @@ class TestQueriesFromTheWire:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
@@ -535,7 +519,7 @@ class TestQueriesFromTheWire:
         targeted = next(m for m in memory.messages_in_phase("query") if m.dest == (1, 2))
         endpoints = spawn_endpoints(config)
         try:
-            first = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            first = next(ep for ep in endpoints if ep.state.address == (1, 1))
             send_and_expect_close(first, targeted._replace(dest=(1, 1)))
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == memory.serialize()
@@ -554,7 +538,7 @@ class TestQueriesFromTheWire:
         )
         endpoints = spawn_endpoints(config)
         try:
-            victim = next(ep for ep in endpoints if (ep.party_id, ep.database) == (2, 2))
+            victim = next(ep for ep in endpoints if ep.state.address == (2, 2))
             send_and_expect_close(victim, query._replace(target=2))
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == memory.serialize()
@@ -566,7 +550,7 @@ class TestQueriesFromTheWire:
         config = DEMOS["sec4"].config
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
@@ -607,7 +591,7 @@ class TestQueriesFromTheWire:
         flood = b"".join(map(encode_msg, own)) * 1000
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             with socket.create_connection(target.address, timeout=10) as peer:
                 written = 0
                 while written < 7_000_000:
@@ -670,18 +654,9 @@ def leader_query(config, dest, length):
 
 
 class TestEndpointRejections:
-    def test_unknown_party_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="unknown party 9"):
-            DatabaseEndpoint(DEMOS["sec4"].config, 9, 1, None)
-
-    @pytest.mark.parametrize("database", [0, 4])
-    def test_unknown_database_is_a_config_error(self, database):
-        with pytest.raises(ConfigError, match=f"party 1 has no database {database}"):
-            DatabaseEndpoint(DEMOS["sec4"].config, 1, database, None)
-
     def test_address_before_start_is_a_transport_error(self):
         config = DEMOS["sec4"].config
-        endpoint = DatabaseEndpoint(config, 1, 1, deal(config)[1, 1])
+        endpoint = DatabaseEndpoint(deal(config)[1, 1])
         with pytest.raises(TransportError, match="endpoint not started"):
             endpoint.address
 
@@ -726,7 +701,7 @@ class TestEndpointRejections:
         make, match = self.REJECTED_FRAMES[rejected]
         endpoints = spawn_endpoints(config)
         try:
-            target = next(ep for ep in endpoints if (ep.party_id, ep.database) == (1, 1))
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             causes = closing_causes(monkeypatch)
             cause = closes_alone(target, make(config), causes)
             assert type(cause) is ProtocolViolationError
@@ -738,26 +713,20 @@ class TestEndpointRejections:
             for ep in endpoints:
                 ep.stop()
 
-    def test_any_frame_for_an_empty_leader_set_closes_only_its_connection(self, monkeypatch):
+    def test_an_empty_leader_set_spawns_no_endpoint_and_no_thread(self, monkeypatch):
+        # An empty leader set deals no state, so there is nothing to serve:
+        # a serve loop started without endpoints would block until woken.
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         config = SessionConfig(
             universe_size=3,
             parties=(PartyProfile(1, 2, frozenset({1})), PartyProfile(2, 2, frozenset())),
             seed=1,
             leader_override=2,
         )
-        endpoints = spawn_endpoints(config)
-        try:
-            assert [ep.state for ep in endpoints] == [None, None]
-            causes = closing_causes(monkeypatch)
-            # Twice: the loop serves on.
-            for _ in range(2):
-                query = leader_query(config, (1, 1), config.universe_size)._replace(origin=(2, 0))
-                cause = closes_alone(endpoints[0], query, causes)
-                assert type(cause) is ProtocolViolationError
-                assert "'query' frame for an empty leader set" in str(cause)
-        finally:
-            for ep in endpoints:
-                ep.stop()
+        assert deal(config) == {}
+        assert spawn_endpoints(config) == []
+        assert started == []
 
 
 class RogueDatabase:
@@ -806,7 +775,7 @@ class TestLeaderChecksAnswers:
         endpoints = spawn_endpoints(config)
         rogue = RogueDatabase(reply)
         try:
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            addresses = {ep.state.address: ep.address for ep in endpoints}
             addresses[victim] = rogue.address
             addressed = replace(config, transport="net", addresses=addresses)
             start = time.monotonic()
@@ -830,7 +799,7 @@ class TestLeaderChecksAnswers:
         endpoints = spawn_endpoints(config)
         rogue = RogueDatabase(answer._replace(session_id="0" * 16))
         try:
-            addresses = {(ep.party_id, ep.database): ep.address for ep in endpoints}
+            addresses = {ep.state.address: ep.address for ep in endpoints}
             addresses[victim] = rogue.address
             addressed = replace(config, transport="net", addresses=addresses)
             with pytest.raises(ProtocolViolationError, match="answer for session 0000000000000000"):
@@ -842,48 +811,30 @@ class TestLeaderChecksAnswers:
 
 
 class TestDealtStates:
-    """An endpoint serves on the state dealt for it, and refuses any other at construction."""
+    """An endpoint serves the session its state was dealt for, and no other."""
 
-    def test_a_state_for_another_database_is_refused(self):
-        config = DEMOS["sec4"].config
-        with pytest.raises(ConfigError, match=r"another database, not for database \(1,2\)"):
-            DatabaseEndpoint(config, 1, 2, deal(config)[1, 3])
-
-    def test_a_state_for_a_database_of_another_client_is_refused(self):
-        config = DEMOS["sec4"].config
-        with pytest.raises(ConfigError, match=r"another database, not for database \(1,2\)"):
-            DatabaseEndpoint(config, 1, 2, deal(config)[2, 2])
-
-    def test_a_state_for_another_plan_shape_is_refused(self):
-        # sec4 with one more leader element: four clients' positions, not two.
-        config = DEMOS["sec4"].config
-        leader = config.parties[2]
-        wider = replace(
-            config,
-            parties=(*config.parties[:2], replace(leader, data_set=leader.data_set | {2})),
-        )
-        with pytest.raises(ConfigError, match="another session and plan shape"):
-            DatabaseEndpoint(config, 1, 2, deal(wider)[1, 2])
-
-    def test_a_state_for_another_session_is_refused(self):
+    def test_endpoints_dealt_under_another_seed_refuse_the_leaders_frames(self, monkeypatch):
         config = DEMOS["sec4"].config
         reseeded = replace(config, seed=config.seed + 1)
-        with pytest.raises(ConfigError, match=r"another session, not for database \(1,2\)"):
-            DatabaseEndpoint(config, 1, 2, deal(reseeded)[1, 2])
-
-    def test_a_state_must_be_given_exactly_when_the_leader_set_is_nonempty(self):
-        config = DEMOS["sec4"].config
-        with pytest.raises(ConfigError, match=r"database \(1,2\) needs its dealt state"):
-            DatabaseEndpoint(config, 1, 2, None)
-        empty = SessionConfig(
-            universe_size=3,
-            parties=(PartyProfile(1, 2, frozenset({1})), PartyProfile(2, 2, frozenset())),
-            seed=1,
-            leader_override=2,
-        )
-        assert deal(empty) == {}
-        with pytest.raises(ConfigError, match="another session and plan shape"):
-            DatabaseEndpoint(empty, 1, 2, deal(config)[1, 2])
+        session, other = make_session_id(config), make_session_id(reseeded)
+        before = set(threading.enumerate())
+        causes = closing_causes(monkeypatch)
+        endpoints = spawn_endpoints(reseeded)
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="not answered"):
+                run_networked_session(config, endpoints)
+            assert time.monotonic() - start < 1.0
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        # Each endpoint closes the leader's connection on its first frame,
+        # for a refusal that names both sessions.
+        refusals = [cause for cause in causes if isinstance(cause, ProtocolViolationError)]
+        assert refusals
+        for cause in refusals:
+            assert str(cause) == f"frame for session {session}, serving {other}"
+        assert set(threading.enumerate()) <= before
 
     def test_the_round_fails_at_once_for_a_database_without_an_address(self):
         import mppsi.net as net_mod
@@ -922,3 +873,99 @@ class TestOnlyTheLeaderTalksToDatabases:
             assert (m.origin == leader) != (m.dest == leader)
         queried = sorted({m.dest for m in transcript.messages_in_phase("query")})
         assert sorted(opened) == ([(leader, dest) for dest in queried] if transport == "tcp" else [])
+
+
+# A seed no residue, party id, element or count of these configs can equal.
+SENTINEL_SEED = 0x5EED_5EED_5EED_5EED
+
+
+def golden_configs():
+    """Every demo and golden config, under SENTINEL_SEED."""
+    configs = {name: DEMOS[name].config for name in sorted(DEMOS)}
+    configs["audit-small"] = load_config(str(CONFIGS / "audit-small.json"))
+    configs["wide"] = wide_config()
+    configs["eleven"] = eleven_config()
+    return {name: replace(config, seed=SENTINEL_SEED) for name, config in configs.items()}
+
+
+def held_values(obj):
+    """Every value of obj's attributes, with containers and dataclasses opened."""
+    stack = list(vars(obj).values())
+    while stack:
+        value = stack.pop()
+        yield value
+        if isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack += value
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            stack += [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+
+def assert_holds_only_its_state(endpoint):
+    """Neither the endpoint nor its state holds a config, the seed, or
+    another party's profile."""
+    party = endpoint.state.address[0]
+    for value in [*held_values(endpoint), *held_values(endpoint.state)]:
+        assert not isinstance(value, SessionConfig)
+        assert not (isinstance(value, int) and value == SENTINEL_SEED)
+        assert not isinstance(value, PartyProfile) or value.party_id == party
+
+
+def config_file(config, path):
+    """Write config as a config file and return its path."""
+    path.write_text(json.dumps({
+        "universe_size": config.universe_size,
+        "parties": [
+            {"id": p.party_id, "databases": p.num_databases, "set": sorted(p.data_set)}
+            for p in config.parties
+        ],
+        "leader": config.leader_override,
+        "seed": config.seed,
+    }))
+    return str(path)
+
+
+class TestEndpointHoldsOnlyItsState:
+    """In the paper's model a database holds its party's set and its dealt
+    randomness: no config, no seed, no other party's set."""
+
+    @pytest.mark.parametrize("name", sorted(golden_configs()))
+    def test_spawned_endpoints(self, name):
+        config = golden_configs()[name]
+        endpoints = spawn_endpoints(config)
+        try:
+            assert endpoints
+            for endpoint in endpoints:
+                assert_holds_only_its_state(endpoint)
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    @pytest.mark.parametrize("name", sorted(golden_configs()))
+    def test_the_endpoint_serve_db_builds(self, name, tmp_path, monkeypatch, capsys):
+        import mppsi.net
+        from mppsi.cli import main
+
+        built = []
+
+        class Recording(mppsi.net.DatabaseEndpoint):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(mppsi.net, "DatabaseEndpoint", Recording)
+        # serve-db serves until interrupted; end it at once.
+        monkeypatch.setattr("time.sleep", interrupt)
+        config = golden_configs()[name]
+        path = config_file(config, tmp_path / "session.json")
+        keys = client_databases(config)
+        for party, db in keys:
+            serve = ["serve-db", "--config", path, "--party", str(party), "--db", str(db)]
+            assert main([*serve, "--port", "0"]) == 0
+        assert [endpoint.state.address for endpoint in built] == keys
+        for endpoint in built:
+            assert_holds_only_its_state(endpoint)

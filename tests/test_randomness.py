@@ -25,6 +25,7 @@ from test_leader import queries_to
 
 
 SESSION = "randomness-tests"
+UNIVERSE_SIZE = 5  # every fixture set lies in 1..5
 
 
 def profile(pid, elems, dbs):
@@ -37,6 +38,11 @@ def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
     plan = make_partition_plan(leader, clients)
     field = select_field_size(num_clients + 1)
     return plan, clients, field
+
+
+def dealt(plan, clients, field, seed):
+    """The database states build_bundle deals for plan's session from seed."""
+    return build_bundle(plan.shape, clients, field, seed, SESSION, plan.leader_id, UNIVERSE_SIZE)
 
 
 def t_at(states, plan, client_id, position):
@@ -53,7 +59,7 @@ def held(states):
 def bundle(seed, **sizes):
     """The database states of a seeded bundle over fixture(**sizes)."""
     plan, clients, field = fixture(**sizes)
-    return build_bundle(plan.shape, clients, field, seed, SESSION)
+    return dealt(plan, clients, field, seed)
 
 
 class TestLocal:
@@ -84,7 +90,7 @@ class TestSlotCoverage:
         # Three clients over F_5; each client's databases 2 and 3 hold two
         # positions each, in partitions 1 and 2.
         plan, clients, field = fixture(num_clients=3, dbs=3, leader_set=(1, 2, 3, 4))
-        return build_bundle(plan.shape, clients, field, seed, SESSION), field
+        return dealt(plan, clients, field, seed), field
 
     def test_free_database_values_cover_the_field(self):
         seen = set()
@@ -151,7 +157,7 @@ class TestBundle:
         # Database 1 gets only bare base queries, so it holds no t values;
         # every other database holds one per partition of its positions.
         plan, clients, field = fixture(num_clients=3)
-        states = build_bundle(plan.shape, clients, field, seed=4, session_id=SESSION)
+        states = dealt(plan, clients, field, 4)
         for (client_id, database), state in states.items():
             positions = plan.shape.positions_of_database(client_id, database)
             partitions = {plan.shape.position_location(client_id, k)[0] for k in positions}
@@ -164,7 +170,7 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                states = build_bundle(plan.shape, clients, field, seed=seed, session_id=SESSION)
+                states = dealt(plan, clients, field, seed)
                 for position in range(1, plan.shape.set_size + 1):
                     total = sum(
                         t_at(states, plan, cid, position) for cid in plan.shape.client_ids
@@ -175,20 +181,20 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        states = build_bundle(plan.shape, clients, field, seed=0, session_id=SESSION)
+        states = dealt(plan, clients, field, 0)
         assert field.modulus == 2
         for position in range(1, plan.shape.set_size + 1):
             assert t_at(states, plan, 1, position) == field.modulus - 1
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
-        first = build_bundle(plan.shape, clients, field, seed=77, session_id=SESSION)
-        second = build_bundle(plan.shape, clients, field, seed=77, session_id=SESSION)
+        first = dealt(plan, clients, field, 77)
+        second = dealt(plan, clients, field, 77)
         assert held(first) == held(second)
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
-        runs = [build_bundle(plan.shape, clients, field, seed=s, session_id=SESSION) for s in range(8)]
+        runs = [dealt(plan, clients, field, s) for s in range(8)]
         locals_seen = {tuple(tuple(s.local) for _, s in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
 
@@ -196,7 +202,7 @@ class TestBundle:
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        states = build_bundle(plan.shape, clients, field, seed=13, session_id=SESSION)
+        states = dealt(plan, clients, field, 13)
         sent = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
@@ -222,7 +228,7 @@ class TestBundle:
         # Every database of every client gets a record, idle ones too; the
         # leader's databases get none.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 4))
-        states = build_bundle(plan.shape, clients, field, seed=5, session_id=SESSION)
+        states = dealt(plan, clients, field, 5)
         assert sorted(states) == [(cid, db) for cid in (1, 2, 3) for db in (1, 2, 3, 4)]
         assert not states[1, 4].individual
 
@@ -236,7 +242,7 @@ class TestBundle:
         plan, clients, field = fixture(num_clients=3)
         shape, modulus = plan.shape, field.modulus
         for seed in range(10):
-            states = build_bundle(shape, clients, field, seed=seed, session_id=SESSION)
+            states = dealt(plan, clients, field, seed)
             for (cid, db), state in states.items():
                 eta = shape.eta[cid]
                 assert state.local == seeding.draw_vector(seed, modulus, eta, "s", cid)
@@ -257,17 +263,15 @@ class TestBundle:
             return labeled_rng(seed, *label)
 
         monkeypatch.setattr(seeding, "labeled_rng", recording_rng)
-        build_bundle(plan.shape, clients, field, seed=8, session_id=SESSION)
+        dealt(plan, clients, field, 8)
         drawn = sorted(label[1:] for label in labels if label[0] == "t")
         assert drawn == [(cid, db) for cid in (1, 2) for db in (2, 3)]
 
     def test_dealing_does_not_depend_on_the_order_of_the_clients(self):
         plan, clients, field = fixture(num_clients=3)
         for seed in range(10):
-            forward = build_bundle(plan.shape, clients, field, seed=seed, session_id=SESSION)
-            backward = build_bundle(
-                plan.shape, clients[::-1], field, seed=seed, session_id=SESSION
-            )
+            forward = dealt(plan, clients, field, seed)
+            backward = dealt(plan, clients[::-1], field, seed)
             assert held(forward) == held(backward)
 
     def test_completion_closes_each_position_sum(self):

@@ -138,8 +138,11 @@ class TestTranscriptShape:
         assert [(query.partition, query.target) for query in queries] == [
             key[1:] for key in plan.answer_keys
         ]
-        states = build_bundle(plan.shape, setup.clients, setup.field, config.seed, session_id)
-        answers = collect_answers(queries, states, config.universe)
+        states = build_bundle(
+            plan.shape, setup.clients, setup.field, config.seed, session_id,
+            plan.leader_id, config.universe_size,
+        )
+        answers = collect_answers(queries, states)
         assert answers == sorted(answers, key=Message.sort_key)
 
     def test_costs_match_formula_on_random_configs(self):
