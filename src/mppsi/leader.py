@@ -95,8 +95,7 @@ class PlanShape:
     number of databases actually used); eta[i] is the number of partitions,
     the last of which may be shorter. Position p of partition L is answered
     by database p + 1; database 1 answers the bare base vector of every
-    partition. Clients with more databases than needed leave the rest idle;
-    databases[i] counts them all.
+    partition. Clients with more databases than needed leave the rest idle.
     """
 
     set_size: int
@@ -104,7 +103,6 @@ class PlanShape:
     chunk: Dict[int, int]
     eta: Dict[int, int]
     used_databases: Dict[int, int]
-    databases: Dict[int, int]
 
     def position_location(self, client_id: int, position: int) -> Tuple[int, int]:
         """Map leader-set position k (1-based) to (partition, database)."""
@@ -121,7 +119,7 @@ class PlanShape:
             return []
         size = self.chunk[client_id]
         offset = database - 2
-        if offset >= size or database > self.used_databases[client_id]:
+        if offset >= size:
             return []
         return list(range(offset + 1, self.set_size + 1, size))
 
@@ -148,7 +146,6 @@ def make_plan_shape(set_size: int, clients: Sequence[PartyProfile]) -> PlanShape
         chunk=chunk,
         eta=eta,
         used_databases=used,
-        databases={c.party_id: c.num_databases for c in clients},
     )
 
 

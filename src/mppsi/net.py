@@ -15,19 +15,19 @@ queries, a consecutive run of the session's (which come in transcript
 order), and reads the answers off the same connection, in any
 interleaving; an endpoint answers the queries of each read at once.
 
-Both sides run on a serve loop: one thread multiplexing the endpoints'
-listening sockets, the connections they accept, and the leader's outgoing
-query connections. The endpoints of spawn_endpoints share one loop, and the
-leader's query round runs on it; an endpoint started alone gets a loop of
-its own, and so does a round whose databases are known only by address,
-until it ends. No socket call blocks the loop: connects are non-blocking
-and a refused one is retried, and frames are queued until their connection
-is writable.
+The endpoints run on a serve loop: one thread multiplexing their listening
+sockets and the connections they accept, so no socket call blocks it; the
+endpoints of spawn_endpoints share one loop, and an endpoint started alone
+gets a loop of its own. The leader's query round runs in its caller's
+thread on blocking sockets: it connects to every queried database
+(retrying a refused connect, as a database may not listen yet), then sends
+each its frames, then reads each one's answers, each connection under a
+deadline.
 
 Frames are wire's binary frames: each carries one wire.Message of a state
 or the leader, its residue bytes as they are. A query connection expects
 one answer per query, each from the database it reaches to the leader, so
-it is done at the last.
+it is done at the last; an endpoint closes a connection at its peer's EOF.
 
 run_networked_session gives session.run_leader the TCP exchange; the runner
 and the dealing read their setup and session id from config.prepared, so
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
-import queue
 import selectors
 import socket
 import threading
@@ -62,13 +60,9 @@ RECV_BYTES = 1 << 16
 
 @dataclass
 class _Connection:
-    """One connection on a serve loop: accepted by an endpoint, or the leader's outgoing one."""
+    """One connection an endpoint accepted, on its serve loop."""
 
     out: bytearray = field(default_factory=bytearray)  # queued for writing
-    deadline: float = 0.0  # when an unfinished outgoing connection gives up
-    dest: Optional[Tuple[int, int]] = None  # where an outgoing connection goes
-    address: Optional[Tuple[str, int]] = None  # the address of dest
-    expected: int = 0  # the answers an outgoing connection still expects
     buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
 
 
@@ -127,11 +121,8 @@ class DatabaseEndpoint:
         if self._sock is not None:
             self._sock.close()
 
-    def _read_frames(self, sock: socket.socket, conn: _Connection) -> None:
-        """Read the leader's queries and queue their answers on conn."""
-        chunk = sock.recv(RECV_BYTES)
-        if not chunk:
-            raise TransportError("peer closed the connection")
+    def _read_frames(self, chunk: bytes, conn: _Connection) -> None:
+        """Take the leader's queries in chunk, read off conn, and queue their answers on conn."""
         conn.buffer += chunk
         state = self.state
         queries = []
@@ -159,32 +150,18 @@ class DatabaseEndpoint:
             conn.out += b"".join(map(encode_msg, answer_all(state, queries)))
 
 
-@dataclass(eq=False)
-class _Round:
-    """The leader's query round on a serve loop: one connection per database."""
-
-    leader: Tuple[int, int]
-    open: int  # query connections not yet done
-    answers: List[Message] = field(default_factory=list)
-    error: Optional[MppsiError] = None
-    done: threading.Event = field(default_factory=threading.Event)
-
-
 class _ServeLoop:
-    """One thread serving database endpoints and the leader's query rounds.
+    """One thread serving database endpoints: it listens, accepts, answers and stops.
 
-    Only the loop thread touches the selector, the connections and the
-    rounds; other threads hand it work through requests and wake. It runs
-    until it serves neither endpoints nor rounds.
+    Only the loop thread touches the selector and the connections; another
+    thread stops an endpoint by setting its stop flag and waking the loop.
+    It runs until it serves no endpoint.
     """
 
     def __init__(self) -> None:
         self.selector = selectors.DefaultSelector()
         self.endpoints: List[DatabaseEndpoint] = []  # changed only by the loop once started
-        self.rounds: List[_Round] = []
         self.thread = threading.Thread(target=self._run, daemon=True)
-        self.requests: queue.SimpleQueue = queue.SimpleQueue()  # (round, its connections)
-        self._retries: List[Tuple[float, _Round, _Connection]] = []
         self._wake_lock = threading.Lock()  # the loop closes the waker while others may write
         self._wakeup, self._waker = socket.socketpair()
         self._wakeup.setblocking(False)
@@ -201,7 +178,7 @@ class _ServeLoop:
         self.thread.start()
 
     def wake(self) -> None:
-        """Make the loop take its requests and look at the stop flags."""
+        """Make the loop look at the stop flags."""
         # Fails once the loop has closed the waker, or while it is full of wakeups.
         with self._wake_lock, contextlib.suppress(OSError):
             self._waker.send(b"\0")
@@ -209,49 +186,23 @@ class _ServeLoop:
     def _run(self) -> None:
         selector = self.selector
         try:
-            patience = None
-            while True:
-                for key, mask in selector.select(patience):
+            while self.endpoints:
+                for key, mask in selector.select():
                     if key.data is None:
-                        self._take_requests()
+                        self._wakeup.recv(RECV_BYTES)
                     elif key.data[1] is None:
                         self._accept(key.data[0])
                     else:
                         self._step(key, mask)
-                patience = self._tick()
-                if not (self.endpoints or self.rounds):
-                    break
+                for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
+                    self._remove(endpoint)
         finally:
-            for owner in self.endpoints + self.rounds:
-                self._remove(owner)
+            for endpoint in list(self.endpoints):
+                self._remove(endpoint)
             selector.close()
             with self._wake_lock:
                 self._wakeup.close()
                 self._waker.close()
-
-    def _take_requests(self) -> None:
-        self._wakeup.recv(RECV_BYTES)
-        while not self.requests.empty():
-            rnd, conns = self.requests.get()
-            self.rounds.append(rnd)
-            for conn in conns:
-                self._connect(rnd, conn)
-
-    def _connect(self, rnd: _Round, conn: _Connection) -> None:
-        """Open a query connection; it is writable once connected or refused."""
-        if conn.address is None:
-            missing = TransportError(f"no address for database endpoint {conn.dest}")
-            self._finish(rnd, conn, missing)
-            return
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        key = self.selector.register(sock, selectors.EVENT_WRITE, (rnd, conn))
-        try:
-            sock.connect(conn.address)
-        except BlockingIOError:
-            pass
-        except OSError as exc:
-            self._close(key, exc)
 
     def _accept(self, endpoint: DatabaseEndpoint) -> None:
         try:
@@ -262,147 +213,132 @@ class _ServeLoop:
         self.selector.register(conn, selectors.EVENT_READ, (endpoint, _Connection()))
 
     def _step(self, key: selectors.SelectorKey, mask: int) -> None:
-        """Serve one ready connection; on failure close it."""
+        """Serve one ready connection; close it at its peer's EOF, or on failure."""
         sock = key.fileobj
-        owner, conn = key.data
+        endpoint, conn = key.data
         try:
             if mask & selectors.EVENT_WRITE:
-                if conn.dest is not None:
-                    # A query connection: its connect may have been refused.
-                    error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-                    if error:
-                        raise OSError(error, os.strerror(error))
-                    conn.deadline = time.monotonic() + SOCKET_TIMEOUT_SECONDS
                 del conn.out[: sock.send(conn.out)]
                 if not conn.out:
                     self.selector.modify(sock, selectors.EVENT_READ, key.data)
             if mask & selectors.EVENT_READ:
-                if conn.dest is not None:
-                    self._read_replies(key)
-                else:
-                    owner._read_frames(sock, conn)
-                    if conn.out:
-                        events = selectors.EVENT_READ | selectors.EVENT_WRITE
-                        self.selector.modify(sock, events, key.data)
-        except (ProtocolViolationError, TransportError, OSError) as exc:
+                chunk = sock.recv(RECV_BYTES)
+                if not chunk:
+                    self._close(key)
+                    return
+                endpoint._read_frames(chunk, conn)
+                if conn.out:
+                    events = selectors.EVENT_READ | selectors.EVENT_WRITE
+                    self.selector.modify(sock, events, key.data)
+        except (ProtocolViolationError, OSError) as exc:
             self._close(key, exc)
 
-    def _read_replies(self, key: selectors.SelectorKey) -> None:
-        """Read a query connection until it has every answer it expects."""
-        sock = key.fileobj
-        rnd, conn = key.data
-        chunk = sock.recv(RECV_BYTES)
-        if not chunk:
-            raise TransportError(f"database {conn.dest} closed before answering")
-        conn.buffer += chunk
-        for frame in split_frames(conn.buffer):
-            msg = decode_msg(frame)
-            if not conn.expected or msg.origin != conn.dest or msg.dest != rnd.leader:
-                raise ProtocolViolationError(
-                    f"unexpected answer from {msg.origin} to {msg.dest} on "
-                    f"the connection to {conn.dest}"
-                )
-            rnd.answers.append(msg)
-            conn.expected -= 1
-        if not conn.expected:
-            self._close(key)
-
-    def _tick(self) -> Optional[float]:
-        """Retry refused connects, enforce deadlines, end rounds and stopped endpoints.
-
-        Returns how long the loop may block: until the next retry or deadline.
-        """
-        now = time.monotonic()
-        due = [retry for retry in self._retries if retry[0] <= now]
-        self._retries = [retry for retry in self._retries if retry[0] > now]
-        for _, rnd, conn in due:
-            self._connect(rnd, conn)
-        times = [retry_at for retry_at, _, _ in self._retries]
-        for key in list(self.selector.get_map().values()):
-            conn = key.data[1] if key.data is not None else None
-            if conn is None or conn.dest is None:
-                continue
-            if now >= conn.deadline:
-                self._close(key, TransportError("timed out"))
-            else:
-                times.append(conn.deadline)
-        for rnd in [rnd for rnd in self.rounds if rnd.error or not rnd.open]:
-            self._remove(rnd)
-        for endpoint in [e for e in self.endpoints if e._stop.is_set()]:
-            self._remove(endpoint)
-        return max(0.0, min(times) - now) if times else None
-
     def _close(self, key: selectors.SelectorKey, cause=None) -> None:
-        """Close a connection, failed when cause is given, which tells the peer.
-
-        A query connection that closes is done, or failed for cause.
-        """
+        """Close an accepted connection: its peer is done, or it failed for cause,
+        which the closing tells the peer."""
         self.selector.unregister(key.fileobj)
         key.fileobj.close()
-        owner, conn = key.data
-        if conn.dest is not None:
-            self._finish(owner, conn, cause)
 
-    def _finish(self, rnd: _Round, conn: _Connection, cause=None) -> None:
-        """End a query connection: done, or failed for cause, which fails its round.
-
-        A refused connect is tried again shortly, until the connection's
-        deadline: its database may not listen yet.
-        """
-        retry_at = time.monotonic() + RETRY_PAUSE_SECONDS
-        if isinstance(cause, ConnectionRefusedError) and retry_at < conn.deadline:
-            self._retries.append((retry_at, rnd, conn))
-            return
-        if cause is not None and rnd.error is None:
-            kind = type(cause) if isinstance(cause, MppsiError) else TransportError
-            rnd.error = kind(f"queries to {conn.dest} not answered: {cause}")
-            rnd.error.__cause__ = cause
-        rnd.open -= 1
-
-    def _remove(self, owner: DatabaseEndpoint | _Round) -> None:
-        """Stop serving an endpoint or a round: close its connections, forget it."""
+    def _remove(self, endpoint: DatabaseEndpoint) -> None:
+        """Stop serving an endpoint: close its connections, forget it."""
         for key in list(self.selector.get_map().values()):
-            if key.data is not None and key.data[0] is owner:
+            if key.data is not None and key.data[0] is endpoint:
                 self.selector.unregister(key.fileobj)
                 if key.data[1] is not None:
                     key.fileobj.close()
-        self._retries = [retry for retry in self._retries if retry[1] is not owner]
-        if isinstance(owner, _Round):
-            self.rounds.remove(owner)
-            owner.done.set()
-        else:
-            self.endpoints.remove(owner)
-            owner._closed.set()
+        self.endpoints.remove(endpoint)
+        endpoint._closed.set()
+
+
+def _within(sock: socket.socket, deadline: float) -> None:
+    """Time sock's next call out at deadline."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    sock.settimeout(left)
+
+
+def _connect(
+    dest: Tuple[int, int], address: Optional[Tuple[str, int]], deadline: float
+) -> socket.socket:
+    """The leader's connection to dest at address.
+
+    A refused connect is tried again shortly, until deadline: its database
+    may not listen yet.
+    """
+    if address is None:
+        raise TransportError(f"no address for database endpoint {dest}")
+    while True:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            _within(sock, deadline)
+            sock.connect(address)
+            return sock
+        except OSError as exc:
+            sock.close()
+            retry_at = time.monotonic() + RETRY_PAUSE_SECONDS
+            if not isinstance(exc, ConnectionRefusedError) or retry_at >= deadline:
+                raise
+        time.sleep(RETRY_PAUSE_SECONDS)
+
+
+def _read_answers(
+    sock: socket.socket, deadline: float, dest: Tuple[int, int], leader: Tuple[int, int],
+    expected: int,
+) -> List[Message]:
+    """Read off sock the expected answers, each from dest to the leader."""
+    answers: List[Message] = []
+    buffer = bytearray()
+    while len(answers) < expected:
+        _within(sock, deadline)
+        chunk = sock.recv(RECV_BYTES)
+        if not chunk:
+            raise TransportError(f"database {dest} closed before answering")
+        buffer += chunk
+        for frame in split_frames(buffer):
+            msg = decode_msg(frame)
+            if len(answers) == expected or msg.origin != dest or msg.dest != leader:
+                raise ProtocolViolationError(
+                    f"unexpected answer from {msg.origin} to {msg.dest} on "
+                    f"the connection to {dest}"
+                )
+            answers.append(msg)
+    return answers
 
 
 def _query_round(
     addresses: Dict[Tuple[int, int], Tuple[str, int]],
     queries: Dict[Tuple[int, int], Tuple[bytearray, int]],
     leader: Tuple[int, int],
-    loop: Optional[_ServeLoop] = None,
 ) -> List[Message]:
-    """Send every query and collect every answer on a serve loop.
+    """Send every query and collect every answer, on blocking sockets in this thread.
 
     queries maps each database to its query frames and their count. The
-    round runs on loop, the in-process endpoints' loop, or on one of its own.
+    round connects to every queried database, then sends each its frames,
+    then reads each one's answers. Each connection times out
+    SOCKET_TIMEOUT_SECONDS after its own connect, so connecting to all
+    first bounds the round by CONNECT_RETRY_SECONDS + SOCKET_TIMEOUT_SECONDS.
     """
-    deadline = time.monotonic() + CONNECT_RETRY_SECONDS
-    conns = [
-        _Connection(frames, deadline, dest, addresses.get(dest), count)
-        for dest, (frames, count) in sorted(queries.items())
-    ]
-    rnd = _Round(leader, len(conns))
-    if loop is None:
-        loop = _ServeLoop()
-        loop.start()
-    loop.requests.put((rnd, conns))
-    loop.wake()
-    # Each connection ends by its deadlines within this time.
-    if rnd.done.wait(CONNECT_RETRY_SECONDS + SOCKET_TIMEOUT_SECONDS) and not (
-        rnd.error or rnd.open
-    ):
-        return rnd.answers
-    raise rnd.error or TransportError("query round did not finish")
+    retry_until = time.monotonic() + CONNECT_RETRY_SECONDS
+    conns = []  # (database, its socket, its deadline)
+    answers: List[Message] = []
+    try:
+        # Each step names its database dest, which a failure is reported for.
+        for dest in sorted(queries):
+            sock = _connect(dest, addresses.get(dest), retry_until)
+            conns.append((dest, sock, time.monotonic() + SOCKET_TIMEOUT_SECONDS))
+        for dest, sock, deadline in conns:
+            _within(sock, deadline)
+            sock.sendall(queries[dest][0])
+        for dest, sock, deadline in conns:
+            answers += _read_answers(sock, deadline, dest, leader, queries[dest][1])
+    except (MppsiError, OSError) as cause:
+        kind = type(cause) if isinstance(cause, MppsiError) else TransportError
+        raise kind(f"queries to {dest} not answered: {cause}") from cause
+    finally:
+        for _, sock, _ in conns:
+            sock.close()
+    return answers
 
 
 def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
@@ -444,8 +380,7 @@ def run_networked_session(
             return _query_round(config.addresses, queries, leader)
         serving = endpoints if endpoints is not None else spawn_endpoints(config)
         try:
-            addresses = {ep.state.address: ep.address for ep in serving}
-            return _query_round(addresses, queries, leader, serving[0]._loop if serving else None)
+            return _query_round({ep.state.address: ep.address for ep in serving}, queries, leader)
         finally:
             if endpoints is None:
                 for ep in serving:

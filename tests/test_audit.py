@@ -1440,7 +1440,7 @@ class TestSampledGrid:
 
 
 class TestTranscriptViews:
-    def test_leader_view_ignores_randomness_traffic(self):
+    def test_leader_view_holds_every_message_each_with_the_leader_at_one_end(self):
         config = SessionConfig(
             universe_size=4,
             parties=HOMOGENEOUS.profiles,
@@ -1448,16 +1448,11 @@ class TestTranscriptViews:
             leader_override=3,
         )
         transcript = run_memory_session(config)
-        stripped = type(transcript)(
-            session_id=transcript.session_id,
-            leader_id=transcript.leader_id,
-            cost_table=transcript.cost_table,
-            messages=tuple(
-                m for m in transcript.messages if m.phase != "randomness"
-            ),
-            result=transcript.result,
-        )
-        assert leader_view(transcript) == leader_view(stripped)
+        (view_msgs,) = leader_view(transcript)
+        assert transcript.messages and list(view_msgs) == sorted(transcript.messages, key=str)
+        leader = (transcript.leader_id, 0)
+        for m in view_msgs:
+            assert (m.origin == leader) != (m.dest == leader)
 
     def test_database_view_contains_only_own_traffic(self):
         config = SessionConfig(

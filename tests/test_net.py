@@ -238,15 +238,31 @@ class TestEndpointBehaviour:
         assert time.perf_counter() - start < 0.1
         assert set(threading.enumerate()) <= before
 
+    def test_a_database_that_never_answers_times_out(self, monkeypatch):
+        import mppsi.net as net_mod
+
+        config = DEMOS["sec4"].config
+        before = set(threading.enumerate())
+        endpoints = spawn_endpoints(config)
+        # Its connections complete in the backlog; nothing reads or answers them.
+        silent = socket.create_server(("127.0.0.1", 0))
+        try:
+            addresses = {ep.state.address: ep.address for ep in endpoints}
+            addresses[1, 2] = silent.getsockname()[:2]
+            monkeypatch.setattr(net_mod, "SOCKET_TIMEOUT_SECONDS", 0.3)
+            start = time.monotonic()
+            with pytest.raises(TransportError) as failed:
+                run_networked_session(replace(config, transport="net", addresses=addresses))
+            assert time.monotonic() - start < 1.0
+            assert str(failed.value) == "queries to (1, 2) not answered: timed out"
+        finally:
+            silent.close()
+            for ep in endpoints:
+                ep.stop()
+        assert set(threading.enumerate()) <= before
+
     def test_spawned_endpoints_and_session_start_one_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def record(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", record)
+        started = record_thread_starts(monkeypatch)
         config = DEMOS["sec7_2"].config
         endpoints = spawn_endpoints(config)
         try:
@@ -332,7 +348,7 @@ class TestExternalAddresses:
     and its transcript is the memory transcript."""
 
     @pytest.mark.parametrize("name", ["sec4", "sec7_2"])
-    def test_session_with_endpoints_known_only_by_address(self, name):
+    def test_session_with_endpoints_known_only_by_address(self, name, monkeypatch):
         # As serve-db runs them: one endpoint per client database, each on a
         # loop of its own and on its own record of the config's dealing. The
         # runner is given only the addresses.
@@ -343,7 +359,10 @@ class TestExternalAddresses:
             for ep in endpoints:
                 ep.start()
             addresses = {ep.state.address: ep.address for ep in endpoints}
+            # The round runs in this thread.
+            started = record_thread_starts(monkeypatch)
             transcript = run_by_address(config, addresses)
+            assert started == []
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -374,6 +393,19 @@ class TestExternalAddresses:
         addresses = {key: ("127.0.0.1", 9) for key in keys[:-1]}
         with pytest.raises(ConfigError, match=re.escape("database (2,3)")):
             run_by_address(config, addresses)
+
+
+def record_thread_starts(monkeypatch):
+    """The threads started from now on, in order; each still starts."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
 
 
 def client_databases(config):
@@ -609,8 +641,7 @@ class TestQueriesFromTheWire:
 def closing_causes(monkeypatch):
     """The errors the serve loops close connections for, in order, from now on.
 
-    A peer that closes its end is left out: that is how a connection to an
-    endpoint ends.
+    A connection closed at its peer's EOF has no cause.
     """
     import mppsi.net
 
@@ -618,7 +649,7 @@ def closing_causes(monkeypatch):
     close = mppsi.net._ServeLoop._close
 
     def recording(self, key, cause=None):
-        if cause is not None and str(cause) != "peer closed the connection":
+        if cause is not None:
             causes.append(cause)
         close(self, key, cause)
 
@@ -709,6 +740,27 @@ class TestEndpointRejections:
             # The loop serves on.
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_a_peers_eof_closes_its_connection_without_a_cause(self, monkeypatch):
+        config = DEMOS["sec4"].config
+        query, *_ = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
+        ]
+        endpoints = spawn_endpoints(config)
+        try:
+            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
+            causes = closing_causes(monkeypatch)
+            with socket.create_connection(target.address, timeout=5) as conn:
+                conn.settimeout(5)
+                conn.sendall(encode_msg(query))
+                assert_one_answer(conn, query)
+                conn.shutdown(socket.SHUT_WR)
+                # The endpoint closes its end at our EOF.
+                assert conn.recv(1) == b""
+            assert causes == []
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -853,14 +905,14 @@ class TestOnlyTheLeaderTalksToDatabases:
     def test_no_message_runs_between_two_client_databases(self, name, transport, monkeypatch):
         import mppsi.net
 
-        opened = []  # (from, to) of every connection a serve loop opens
-        connect = mppsi.net._ServeLoop._connect
+        opened = []  # where every connection the leader opens goes
+        connect = mppsi.net._connect
 
-        def recording(self, rnd, conn):
-            opened.append((rnd.leader, conn.dest))
-            connect(self, rnd, conn)
+        def recording(dest, address, deadline):
+            opened.append(dest)
+            return connect(dest, address, deadline)
 
-        monkeypatch.setattr(mppsi.net._ServeLoop, "_connect", recording)
+        monkeypatch.setattr(mppsi.net, "_connect", recording)
         config = DEMOS[name].config
         run = run_memory_session if transport == "memory" else run_networked_session
         transcript = run(config)
@@ -872,7 +924,7 @@ class TestOnlyTheLeaderTalksToDatabases:
             assert {m.origin, m.dest} <= clients | {leader}
             assert (m.origin == leader) != (m.dest == leader)
         queried = sorted({m.dest for m in transcript.messages_in_phase("query")})
-        assert sorted(opened) == ([(leader, dest) for dest in queried] if transport == "tcp" else [])
+        assert sorted(opened) == (queried if transport == "tcp" else [])
 
 
 # A seed no residue, party id, element or count of these configs can equal.
