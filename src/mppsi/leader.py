@@ -114,7 +114,8 @@ class PlanShape:
         return partition, database
 
     def positions_of_database(self, client_id: int, database: int) -> List[int]:
-        """Leader-set positions whose targeted query goes to this database."""
+        """Leader-set positions whose targeted query goes to this database,
+        ascending: the i-th lies in partition i."""
         if database < 2:
             return []
         size = self.chunk[client_id]
@@ -184,17 +185,14 @@ def make_partition_plan(
         first, eta = len(keys), shape.eta[client_id]
         keys += [(client_id, ell, None) for ell in range(1, eta + 1)]
         origins += [(client_id, 1)] * eta
-        partitions = [
-            shape.position_location(client_id, k)[0] for k in range(1, len(elements) + 1)
-        ]
-        bases.append(tuple(negated + first + partition - 1 for partition in partitions))
-        slots = [0] * len(elements)
+        slots, base_slots = [0] * len(elements), [0] * len(elements)
         for database in range(2, shape.used_databases[client_id] + 1):
-            for k in shape.positions_of_database(client_id, database):
-                slots[k - 1] = len(keys)
-                keys.append((client_id, partitions[k - 1], k))
+            for partition, k in enumerate(shape.positions_of_database(client_id, database), 1):
+                slots[k - 1], base_slots[k - 1] = len(keys), negated + first + partition - 1
+                keys.append((client_id, partition, k))
                 origins.append((client_id, database))
         targets.append(tuple(slots))
+        bases.append(tuple(base_slots))
     return PartitionPlan(
         leader_id=leader.party_id,
         leader_elements=elements,
@@ -224,14 +222,22 @@ def lay_out_queries(
     Clients with fewer partitions share the leading base vectors. Database 1
     of a client gets each bare base vector of its partitions, and each element
     is targeted at one further database by bumping its coordinate by one.
+    Each targeted vector is built once per (partition, target), so clients
+    whose partitions coincide share it as they share the bare ones: the
+    queries hold max_i eta_i bare vectors plus one per distinct targeted
+    (partition, target), whatever number of clients they go to.
     """
     leader = (plan.leader_id, 0)
     queries: List[Message] = []
+    bumped: Dict[Tuple[int, int], bytes] = {}  # (partition, target) -> its targeted vector
     for (_, partition, target), dest in zip(plan.answer_keys, plan.answer_origins):
         vector = h_vectors[partition - 1]
         if target is not None:
-            at = plan.leader_elements[target - 1] - 1
-            vector = vector[:at] + bytes(((vector[at] + 1) % modulus,)) + vector[at + 1:]
+            key = (partition, target)
+            if key not in bumped:
+                at = plan.leader_elements[target - 1] - 1
+                bumped[key] = vector[:at] + bytes(((vector[at] + 1) % modulus,)) + vector[at + 1:]
+            vector = bumped[key]
         # Fields in order (type, session_id, origin, dest, partition, target,
         # values): keywords cost about twice as much per message.
         queries.append(Message("query", session_id, leader, dest, partition, target, vector))
@@ -318,11 +324,16 @@ def decode_values(plan: PartitionPlan, answers: Sequence[Message], modulus: int)
     Message.sort_key order, each value a residue below L. Raises unless
     answer i carries plan.answer_keys[i]'s tags from plan.answer_origins[i].
     """
-    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
-    origins = tuple(answer.origin for answer in answers)
+    keys, origins = _tags(answers)
     if keys != plan.answer_keys or origins != plan.answer_origins:
         raise _answer_mismatch(plan, keys, origins)
     return decode_indicators(plan, b"".join([answer.values for answer in answers]), modulus)
+
+
+def _tags(answers: Sequence[Message]) -> Tuple[tuple, tuple]:
+    """Each answer's (origin party, partition, target) key, and each one's origin."""
+    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
+    return keys, tuple(answer.origin for answer in answers)
 
 
 def _answer_mismatch(plan: PartitionPlan, keys: tuple, origins: tuple) -> ProtocolViolationError:
@@ -356,8 +367,9 @@ def decode(
     Every message must be an answer to the leader carrying one residue below
     L. The answers list is sorted in place into Message.sort_key order, the
     transcript's, so arrival order is irrelevant and the caller keeps the
-    sorted list; then answer i must carry the tags of query i and come from
-    the database it went to. Duplicate, missing, or unknown tags, and an
+    sorted list; a list already in the plan's order, which is that order, is
+    left as it is. Then answer i must carry the tags of query i and come
+    from the database it went to. Duplicate, missing, or unknown tags, and an
     answer from another database, are protocol violations.
     """
     leader = (plan.leader_id, 0)
@@ -372,7 +384,10 @@ def decode(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
                 f"got {list(answer.values)}"
             )
-    answers.sort(key=Message.sort_key)
+    # Answers in the plan's order are in sort_key order already, as both
+    # transports deliver them.
+    if _tags(answers) != (plan.answer_keys, plan.answer_origins):
+        answers.sort(key=Message.sort_key)
     indicators = decode_values(plan, answers, modulus)
     return IntersectionResult(
         decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),

@@ -70,11 +70,13 @@ class DatabaseEndpoint:
     """One client database serving its session over TCP: its dealt state behind sockets.
 
     The state (session.deal) is all it holds: its address, session id,
-    field, leader and K are the state's.
+    field, leader and K are the state's. errors keeps, in order, the cause
+    of every connection it closed on a fault.
     """
 
     def __init__(self, state: DatabaseState, host: str = "127.0.0.1", port: int = 0):
         self.state = state
+        self.errors: List[Exception] = []
         self._residues = bytes(range(state.field.modulus))  # the value bytes a query may carry
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
@@ -235,7 +237,9 @@ class _ServeLoop:
 
     def _close(self, key: selectors.SelectorKey, cause=None) -> None:
         """Close an accepted connection: its peer is done, or it failed for cause,
-        which the closing tells the peer."""
+        which the closing tells the peer and its endpoint's errors keep."""
+        if cause is not None:
+            key.data[0].errors.append(cause)
         self.selector.unregister(key.fileobj)
         key.fileobj.close()
 
@@ -315,9 +319,10 @@ def _query_round(
 
     queries maps each database to its query frames and their count. The
     round connects to every queried database, then sends each its frames,
-    then reads each one's answers. Each connection times out
-    SOCKET_TIMEOUT_SECONDS after its own connect, so connecting to all
-    first bounds the round by CONNECT_RETRY_SECONDS + SOCKET_TIMEOUT_SECONDS.
+    then reads each one's answers, in address order: the transcript's. Each
+    connection times out SOCKET_TIMEOUT_SECONDS after its own connect, so
+    connecting to all first bounds the round by CONNECT_RETRY_SECONDS +
+    SOCKET_TIMEOUT_SECONDS.
     """
     retry_until = time.monotonic() + CONNECT_RETRY_SECONDS
     conns = []  # (database, its socket, its deadline)

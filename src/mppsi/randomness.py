@@ -107,23 +107,23 @@ def build_bundle(
             held = individual[party_id, database] = {}
             positions = shape.positions_of_database(party_id, database)
             if party_id == correlator:
-                for position in positions:
-                    partition = shape.position_location(party_id, position)[0]
+                for partition, position in enumerate(positions, 1):
                     free = free_values.get(position, ())
                     held[partition] = completion(free, modulus, num_clients)
             elif positions:
                 draws = draw_vector(seed, modulus, shape.eta[party_id], "t", party_id, database)
-                for position in positions:
-                    partition = shape.position_location(party_id, position)[0]
+                for partition, position in enumerate(positions, 1):
                     held[partition] = draws[partition - 1]
                     free_values.setdefault(position, []).append(held[partition])
     states = {}
     for client in clients:
         local = draw_vector(seed, modulus, shape.eta[client.party_id], "s", client.party_id)
+        support = None  # its set's support, sorted by its first database's state
         for database in range(1, client.num_databases + 1):
             address = (client.party_id, database)
             record = DatabaseRecord(
                 session_id, address, leader, universe_size, local, individual[address], c
             )
-            states[address] = DatabaseState(shape, client, field, record)
+            state = states[address] = DatabaseState(shape, client, field, record, support)
+            support = state.support
     return states

@@ -30,7 +30,8 @@ readable with json alone.
 from __future__ import annotations
 
 import json
-from base64 import b64decode, b64encode
+from base64 import b64decode
+from binascii import b2a_base64
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -89,7 +90,8 @@ class SessionTranscript:
 
         Its keys in sorted order are cost_table, leader, messages, result and
         session_id, so the text is a head object, each message as the quoted
-        base64 text of its frame (wire.encode_msg), and a tail object.
+        base64 text of its frame (wire.encode_msg, then binascii.b2a_base64
+        without a newline, as base64.b64encode writes it), and a tail object.
         """
         head = _compact_json(
             {
@@ -111,7 +113,7 @@ class SessionTranscript:
         )
         start = f'{head[:-1]},"messages":['.encode("ascii")
         end = f"],{tail[1:]}\n".encode("ascii")
-        entries = list(map(b64encode, map(encode_msg, self.messages)))
+        entries = [b2a_base64(encode_msg(msg), newline=False) for msg in self.messages]
         if not entries:
             return start + end
         # One join: copying a transcript-sized result twice costs more than
@@ -254,7 +256,7 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
             raise ProtocolViolationError(
                 f"answer for session {msg.session_id}, running {session_id}"
             )
-    # decode sorts the answers in place, into transcript order.
+    # decode leaves the answers in transcript order, sorting them in place if need be.
     result = decode(plan, answers, setup.field)
     return transcript_from_run(setup, session_id, queries, answers, result)
 

@@ -35,8 +35,9 @@ message ever names a universe element.
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import ProtocolViolationError
 
@@ -102,31 +103,36 @@ def encode_msg(msg: Message) -> bytes:
     empty, too long or not lowercase hex, a tag that is negative, zero where
     it may be null or above MAX_TAG, a field of the wrong type) or a frame
     above 1 MiB is a protocol violation, even when this process built the
-    message.
+    message. The type and id are checked once per pair, in _frame_head's
+    bounded cache; the tags and length are checked on every frame.
     """
     try:
         msg_type, session_id, (o0, o1), (d0, d1), partition, target, values = msg
-        code = TYPE_CODES.get(msg_type)
-        tags = (o0, o1, d0, d1, partition or 0, target or 0)
-        sid = session_id.encode("ascii", "replace")
-        length = _HEAD_BYTES + len(sid) + len(values)
+        pack, base, code, sid = _frame_head(msg_type, session_id)
+        length = base + len(values)
         if length > MAX_FRAME_BYTES:
             raise ProtocolViolationError(f"frame of {length} bytes exceeds 1 MiB limit")
-        if (
-            code is None
-            or not 0 < len(sid) < 256
-            or sid.translate(None, _HEX)
-            or min(tags) < 0
-            or max(tags) > MAX_TAG
-            or partition == 0
-            or target == 0
-        ):
+        p, t = partition or 0, target or 0
+        if partition == 0 or target == 0 or max(o0, o1, d0, d1, p, t) > MAX_TAG:
             raise ProtocolViolationError(f"message cannot be framed: {msg[:6]!r}")
-        start = _START.pack(length, code, len(sid))
-        return b"".join((start, sid, _TAGS.pack(*tags), values))
+        return pack(length, code, len(sid), sid, o0, o1, d0, d1, p, t) + values
     except (AttributeError, TypeError, ValueError, struct.error) as exc:
-        # A field of the wrong type: a float or str tag, a non-str id, values not bytes.
+        # A field of the wrong type: a float or str tag, a non-str or
+        # unhashable type or id, values not bytes; or a negative tag.
         raise ProtocolViolationError(f"message cannot be framed: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=256)
+def _frame_head(msg_type: str, session_id: str) -> Tuple[Callable, int, int, bytes]:
+    """How to frame messages of this type and session id: the pack of their
+    head (length to tags), the head's length after the length field, the
+    type code and the id bytes. A protocol violation if no frame carries them."""
+    code = TYPE_CODES.get(msg_type)
+    sid = session_id.encode("ascii", "replace")
+    if code is None or not 0 < len(sid) < 256 or sid.translate(None, _HEX):
+        raise ProtocolViolationError(f"message cannot be framed: {(msg_type, session_id)!r}")
+    head = struct.Struct(f">IBB{len(sid)}s6I")
+    return head.pack, head.size - HEADER.size, code, sid
 
 
 def decode_msg(frame: bytes) -> Message:

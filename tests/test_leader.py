@@ -2,11 +2,14 @@
 
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mppsi.config import SessionConfig
+from mppsi.demo import DEMOS
 from mppsi.errors import InfeasibleError, ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
 from mppsi import leader as leader_module
@@ -22,6 +25,7 @@ from mppsi.model import PartyProfile, Universe, brute_force_intersection
 from mppsi.protocol import prepare_session
 from mppsi.seeding import draw_vector
 from mppsi.session import run_memory_session
+from test_golden import wide_config
 
 SESSION = "leader-tests"
 
@@ -300,6 +304,46 @@ class TestQueryGeneration:
                 ]
                 assert len(specs) == plan.shape.eta[client.party_id] + plan.shape.set_size
             assert len(queries) == download_cost(leader, clients)
+
+
+def session_queries(config):
+    """The queries of the config's session, with its plan, as the leader generates them."""
+    setup, session_id = config.prepared
+    plan = make_partition_plan(setup.leader, setup.clients)
+    return generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+
+
+@pytest.mark.pins
+class TestSharedVectors:
+    """Queries with equal (partition, target) tags share one values object."""
+
+    @pytest.mark.parametrize("name", ["wide", "sec7_2"])
+    def test_one_values_object_per_partition_and_target(self, name):
+        queries = session_queries(wide_config() if name == "wide" else DEMOS[name].config)
+        held = {}
+        for query in queries:
+            assert held.setdefault((query.partition, query.target), query.values) is query.values
+        assert len({id(query.values) for query in queries}) == len(held)
+
+    def test_the_wide_queries_hold_a_third_of_their_vectors(self):
+        # M = 4, N = 4, R = 100: three clients of 34 partitions each.
+        queries = session_queries(wide_config())
+        bare = {id(query.values) for query in queries if query.target is None}
+        targeted = {id(query.values) for query in queries if query.target is not None}
+        assert (len(queries), len(bare), len(targeted)) == (402, 34, 100)
+
+    def test_peak_memory_of_the_wide_queries_is_one_vector_per_distinct_query(self):
+        universe = 20_000
+        config = replace(wide_config(), universe_size=universe)
+        config.prepared
+        tracemalloc.start()
+        try:
+            queries = session_queries(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {len(query.values) for query in queries} == {universe}
+        assert peak < 1.1 * 134 * universe
 
 
 # Each turns a run's answers (to leader 3, L = 3) into a list decode rejects,

@@ -638,37 +638,19 @@ class TestQueriesFromTheWire:
                 ep.stop()
 
 
-def closing_causes(monkeypatch):
-    """The errors the serve loops close connections for, in order, from now on.
-
-    A connection closed at its peer's EOF has no cause.
-    """
-    import mppsi.net
-
-    causes = []
-    close = mppsi.net._ServeLoop._close
-
-    def recording(self, key, cause=None):
-        if cause is not None:
-            causes.append(cause)
-        close(self, key, cause)
-
-    monkeypatch.setattr(mppsi.net._ServeLoop, "_close", recording)
-    return causes
-
-
-def closes_alone(endpoint, msg, causes):
+def closes_alone(endpoint, msg):
     """Send msg to endpoint beside an idle connection; the error its connection closed on.
 
-    Only msg's connection closes: the idle one stays open.
+    Only msg's connection closes, and the endpoint keeps its cause: the idle
+    one stays open.
     """
     with socket.create_connection(endpoint.address, timeout=5) as idle:
         send_and_expect_close(endpoint, msg)
-        (cause,) = causes
+        (cause,) = endpoint.errors
         idle.settimeout(0.3)
         with pytest.raises(socket.timeout):
             idle.recv(1)
-    causes.clear()
+    endpoint.errors.clear()
     return cause
 
 
@@ -727,14 +709,13 @@ class TestEndpointRejections:
     }
 
     @pytest.mark.parametrize("rejected", sorted(REJECTED_FRAMES))
-    def test_rejected_frame_closes_only_its_connection(self, rejected, monkeypatch):
+    def test_rejected_frame_closes_only_its_connection(self, rejected):
         config = DEMOS["sec4"].config
         make, match = self.REJECTED_FRAMES[rejected]
         endpoints = spawn_endpoints(config)
         try:
             target = next(ep for ep in endpoints if ep.state.address == (1, 1))
-            causes = closing_causes(monkeypatch)
-            cause = closes_alone(target, make(config), causes)
+            cause = closes_alone(target, make(config))
             assert type(cause) is ProtocolViolationError
             assert re.search(match, str(cause))
             # The loop serves on.
@@ -744,7 +725,7 @@ class TestEndpointRejections:
             for ep in endpoints:
                 ep.stop()
 
-    def test_a_peers_eof_closes_its_connection_without_a_cause(self, monkeypatch):
+    def test_a_peers_eof_closes_its_connection_without_a_cause(self):
         config = DEMOS["sec4"].config
         query, *_ = [
             m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
@@ -752,7 +733,6 @@ class TestEndpointRejections:
         endpoints = spawn_endpoints(config)
         try:
             target = next(ep for ep in endpoints if ep.state.address == (1, 1))
-            causes = closing_causes(monkeypatch)
             with socket.create_connection(target.address, timeout=5) as conn:
                 conn.settimeout(5)
                 conn.sendall(encode_msg(query))
@@ -760,7 +740,7 @@ class TestEndpointRejections:
                 conn.shutdown(socket.SHUT_WR)
                 # The endpoint closes its end at our EOF.
                 assert conn.recv(1) == b""
-            assert causes == []
+            assert target.errors == []
         finally:
             for ep in endpoints:
                 ep.stop()
@@ -865,28 +845,62 @@ class TestLeaderChecksAnswers:
 class TestDealtStates:
     """An endpoint serves the session its state was dealt for, and no other."""
 
-    def test_endpoints_dealt_under_another_seed_refuse_the_leaders_frames(self, monkeypatch):
+    def test_endpoints_dealt_under_another_seed_refuse_the_leaders_frames(self):
         config = DEMOS["sec4"].config
         reseeded = replace(config, seed=config.seed + 1)
         session, other = make_session_id(config), make_session_id(reseeded)
+        queried = {query.dest for query in run_memory_session(config).messages_in_phase("query")}
         before = set(threading.enumerate())
-        causes = closing_causes(monkeypatch)
         endpoints = spawn_endpoints(reseeded)
         try:
             start = time.monotonic()
-            with pytest.raises(TransportError, match="not answered"):
+            with pytest.raises(TransportError, match="closed before answering"):
                 run_networked_session(config, endpoints)
             assert time.monotonic() - start < 1.0
         finally:
             for ep in endpoints:
                 ep.stop()
-        # Each endpoint closes the leader's connection on its first frame,
-        # for a refusal that names both sessions.
-        refusals = [cause for cause in causes if isinstance(cause, ProtocolViolationError)]
-        assert refusals
-        for cause in refusals:
-            assert str(cause) == f"frame for session {session}, serving {other}"
+        # Each queried endpoint closes the leader's connection on its first
+        # frame, for a refusal that names both sessions, and keeps it.
+        assert {ep.state.address for ep in endpoints} >= queried
+        for ep in endpoints:
+            refusals = [str(error) for error in ep.errors]
+            if ep.state.address in queried:
+                assert refusals == [f"frame for session {session}, serving {other}"]
+                assert isinstance(ep.errors[0], ProtocolViolationError)
+            else:
+                assert refusals == []
         assert set(threading.enumerate()) <= before
+
+    def test_an_honest_session_leaves_no_endpoint_error(self):
+        config = DEMOS["sec4"].config
+        endpoints = spawn_endpoints(config)
+        try:
+            data = run_networked_session(config, endpoints).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert data == run_memory_session(config).serialize()
+        assert [ep.errors for ep in endpoints] == [[]] * len(endpoints)
+
+    @pytest.mark.parametrize("name", ["sec4", "wide"])
+    def test_the_query_round_returns_the_answers_in_transcript_order(self, monkeypatch, name):
+        # decode sorts no list already in Message.sort_key order.
+        import mppsi.net
+
+        config = wide_config() if name == "wide" else DEMOS[name].config
+        rounds = []
+        query_round = mppsi.net._query_round
+
+        def recording(*args):
+            rounds.append(query_round(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(mppsi.net, "_query_round", recording)
+        transcript = run_networked_session(config)
+        (answers,) = rounds
+        assert answers == sorted(answers, key=Message.sort_key)
+        assert tuple(answers) == transcript.messages_in_phase("answer")
 
     def test_the_round_fails_at_once_for_a_database_without_an_address(self):
         import mppsi.net as net_mod

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mppsi import wire
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import MAX_PARTIES
 from mppsi.leader import CostTable, IntersectionResult
@@ -123,6 +124,32 @@ def near_frames(draw):
     )
     cut = draw(st.one_of(st.none(), st.integers(HEADER.size, len(frame))))
     return frame if cut is None else frame_with_body(frame[HEADER.size : cut])
+
+
+# A field and a value no frame carries, each: encode_msg refuses the message
+# with a protocol violation (outcome lets any other exception through).
+UNFRAMEABLE = [
+    ("type", "gossip"),
+    ("type", ["query"]),
+    ("session_id", ""),
+    ("session_id", "0A1B"),
+    ("session_id", "0a\u00e9"),
+    ("session_id", "a" * 256),
+    ("origin", (-1, 0)),
+    ("dest", (1, MAX_TAG + 1)),
+    ("partition", 0),
+    ("target", 0),
+    ("target", MAX_TAG + 1),
+    ("partition", 1.0),
+    ("origin", (3, 0.0)),
+    ("target", "1"),
+    ("session_id", 5),
+    ("values", [0, 1, 2]),
+    # A non-str or unhashable id: a protocol violation, never the head cache's TypeError.
+    ("session_id", b"0a1b"),
+    ("session_id", ["0a1b"]),
+    ("session_id", {"0a1b": 1}),
+]
 
 
 def outcome(codec, data) -> tuple:
@@ -595,30 +622,33 @@ class TestFrameRejections:
         with pytest.raises(ProtocolViolationError, match=f"unknown message type code {code}"):
             decode_msg(raw_frame(code=code))
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("type", "gossip"),
-            ("type", ["query"]),
-            ("session_id", ""),
-            ("session_id", "0A1B"),
-            ("session_id", "0a\u00e9"),
-            ("session_id", "a" * 256),
-            ("origin", (-1, 0)),
-            ("dest", (1, MAX_TAG + 1)),
-            ("partition", 0),
-            ("target", 0),
-            ("target", MAX_TAG + 1),
-            ("partition", 1.0),
-            ("origin", (3, 0.0)),
-            ("target", "1"),
-            ("session_id", 5),
-            ("values", [0, 1, 2]),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", UNFRAMEABLE)
     def test_a_message_no_frame_carries_does_not_encode(self, field, value):
         msg = decode_msg(raw_frame())._replace(**{field: value})
         assert outcome(encode_msg, msg) == ("rejected",)
+
+
+@pytest.mark.pins
+class TestFrameHeadCache:
+    """encode_msg checks a (type, session id) pair once, in a bounded cache;
+    the cache never admits what the per-frame check refuses."""
+
+    @pytest.mark.parametrize("field,value", UNFRAMEABLE)
+    def test_a_warm_cache_still_refuses(self, field, value):
+        valid = decode_msg(raw_frame())
+        assert encode_msg(valid) == raw_frame()  # its type and id are now cached
+        assert outcome(encode_msg, valid._replace(**{field: value})) == ("rejected",)
+        assert encode_msg(valid) == raw_frame()
+
+    def test_the_cache_stays_within_its_bound(self):
+        maxsize = wire._frame_head.cache_info().maxsize
+        assert maxsize is not None
+        msg = decode_msg(raw_frame())
+        for index in range(4 * maxsize):
+            session_id = f"{index:x}"
+            frame = encode_msg(msg._replace(session_id=session_id))
+            assert decode_msg(frame).session_id == session_id
+        assert wire._frame_head.cache_info().currsize <= maxsize
 
 
 class TestSplitFrames:
