@@ -248,8 +248,14 @@ def _cmd_serve_db(args) -> int:
             raise ConfigError(
                 "serve-db needs --port or an addresses entry in the config"
             )
+
+    def report(cause: Exception) -> None:
+        print(f"database ({args.party},{args.db}) closed a connection: {cause}", file=sys.stderr)
+
     # Its own record of the config's dealing; it needs no peer's address.
-    endpoint = DatabaseEndpoint(deal(config)[args.party, args.db], host=host, port=port)
+    endpoint = DatabaseEndpoint(
+        deal(config)[args.party, args.db], host=host, port=port, on_error=report
+    )
     endpoint.start()
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:

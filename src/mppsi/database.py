@@ -23,7 +23,7 @@ memory, and each net.DatabaseEndpoint behind its serve loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConfigError
 from .field import PrimeField
@@ -56,14 +56,14 @@ class DatabaseState:
     """The answering state of one client database: its party's set and its record.
 
     support holds the 0-based indices of its set's elements in a query of K
-    values, sorted: given as support when the caller already sorted them for
-    another database of the party. tags holds the (partition, target
-    position) pair of each targeted query it answers.
+    values, sorted: sorted(element - 1 for element in profile.data_set),
+    which the dealing sorts once for all of a party's databases. tags holds
+    the (partition, target position) pair of each targeted query it answers.
     """
 
     def __init__(
         self, shape: PlanShape, profile: PartyProfile, field: PrimeField, record: DatabaseRecord,
-        support: Optional[List[int]] = None,
+        support: List[int],
     ):
         party_id, database = record.address
         if party_id != profile.party_id or not 1 <= database <= profile.num_databases:
@@ -75,8 +75,6 @@ class DatabaseState:
             raise ConfigError(f"record for database {record.address} of a party that is no client")
         if record.leader in shape.client_ids:
             raise ConfigError(f"record names client {record.leader} as the leader")
-        if support is None:
-            support = sorted(element - 1 for element in profile.data_set)
         if support and not 0 <= support[0] <= support[-1] < record.universe_size:
             raise ConfigError(f"party {party_id}'s set is not within 1..{record.universe_size}")
         modulus = field.modulus

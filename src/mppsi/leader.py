@@ -324,16 +324,11 @@ def decode_values(plan: PartitionPlan, answers: Sequence[Message], modulus: int)
     Message.sort_key order, each value a residue below L. Raises unless
     answer i carries plan.answer_keys[i]'s tags from plan.answer_origins[i].
     """
-    keys, origins = _tags(answers)
+    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
+    origins = tuple(answer.origin for answer in answers)
     if keys != plan.answer_keys or origins != plan.answer_origins:
         raise _answer_mismatch(plan, keys, origins)
     return decode_indicators(plan, b"".join([answer.values for answer in answers]), modulus)
-
-
-def _tags(answers: Sequence[Message]) -> Tuple[tuple, tuple]:
-    """Each answer's (origin party, partition, target) key, and each one's origin."""
-    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
-    return keys, tuple(answer.origin for answer in answers)
 
 
 def _answer_mismatch(plan: PartitionPlan, keys: tuple, origins: tuple) -> ProtocolViolationError:
@@ -367,9 +362,8 @@ def decode(
     Every message must be an answer to the leader carrying one residue below
     L. The answers list is sorted in place into Message.sort_key order, the
     transcript's, so arrival order is irrelevant and the caller keeps the
-    sorted list; a list already in the plan's order, which is that order, is
-    left as it is. Then answer i must carry the tags of query i and come
-    from the database it went to. Duplicate, missing, or unknown tags, and an
+    sorted list; then answer i must carry the tags of query i and come from
+    the database it went to. Duplicate, missing, or unknown tags, and an
     answer from another database, are protocol violations.
     """
     leader = (plan.leader_id, 0)
@@ -384,10 +378,7 @@ def decode(
                 f"answer from {answer.origin} must carry one residue below {modulus}, "
                 f"got {list(answer.values)}"
             )
-    # Answers in the plan's order are in sort_key order already, as both
-    # transports deliver them.
-    if _tags(answers) != (plan.answer_keys, plan.answer_origins):
-        answers.sort(key=Message.sort_key)
+    answers.sort(key=Message.sort_key)
     indicators = decode_values(plan, answers, modulus)
     return IntersectionResult(
         decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),

@@ -36,6 +36,7 @@ for equal (config, seed) the transcript equals the in-memory transport's.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import selectors
@@ -43,7 +44,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .client import answer_all
 from .config import SessionConfig
@@ -56,6 +57,7 @@ CONNECT_RETRY_SECONDS = 5.0
 SOCKET_TIMEOUT_SECONDS = 15.0
 RETRY_PAUSE_SECONDS = 0.05
 RECV_BYTES = 1 << 16
+ERRORS_KEPT = 32
 
 
 @dataclass
@@ -70,13 +72,20 @@ class DatabaseEndpoint:
     """One client database serving its session over TCP: its dealt state behind sockets.
 
     The state (session.deal) is all it holds: its address, session id,
-    field, leader and K are the state's. errors keeps, in order, the cause
-    of every connection it closed on a fault.
+    field, leader and K are the state's. errors keeps, in order, the causes
+    of the last ERRORS_KEPT connections it closed on a fault, each stripped
+    of its traceback and chained errors, which held the connection's data;
+    on_error, if given, is called on the serve loop with each cause as it
+    comes.
     """
 
-    def __init__(self, state: DatabaseState, host: str = "127.0.0.1", port: int = 0):
+    def __init__(
+        self, state: DatabaseState, host: str = "127.0.0.1", port: int = 0,
+        on_error: Optional[Callable[[Exception], None]] = None,
+    ):
         self.state = state
-        self.errors: List[Exception] = []
+        self.errors: Deque[Exception] = collections.deque(maxlen=ERRORS_KEPT)
+        self._on_error = on_error
         self._residues = bytes(range(state.field.modulus))  # the value bytes a query may carry
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
@@ -150,6 +159,13 @@ class DatabaseEndpoint:
             queries.append(msg)
         if queries:
             conn.out += b"".join(map(encode_msg, answer_all(state, queries)))
+
+    def _fault(self, cause: Exception) -> None:
+        """Keep the cause of a connection closed on a fault, and report it."""
+        cause.__traceback__ = cause.__context__ = cause.__cause__ = None
+        self.errors.append(cause)
+        if self._on_error is not None:
+            self._on_error(cause)
 
 
 class _ServeLoop:
@@ -239,7 +255,7 @@ class _ServeLoop:
         """Close an accepted connection: its peer is done, or it failed for cause,
         which the closing tells the peer and its endpoint's errors keep."""
         if cause is not None:
-            key.data[0].errors.append(cause)
+            key.data[0]._fault(cause)
         self.selector.unregister(key.fileobj)
         key.fileobj.close()
 

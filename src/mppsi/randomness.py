@@ -118,12 +118,11 @@ def build_bundle(
     states = {}
     for client in clients:
         local = draw_vector(seed, modulus, shape.eta[client.party_id], "s", client.party_id)
-        support = None  # its set's support, sorted by its first database's state
+        support = sorted(element - 1 for element in client.data_set)
         for database in range(1, client.num_databases + 1):
             address = (client.party_id, database)
             record = DatabaseRecord(
                 session_id, address, leader, universe_size, local, individual[address], c
             )
-            state = states[address] = DatabaseState(shape, client, field, record, support)
-            support = state.support
+            states[address] = DatabaseState(shape, client, field, record, support)
     return states

@@ -256,7 +256,7 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
             raise ProtocolViolationError(
                 f"answer for session {msg.session_id}, running {session_id}"
             )
-    # decode leaves the answers in transcript order, sorting them in place if need be.
+    # decode sorts the answers in place, into transcript order.
     result = decode(plan, answers, setup.field)
     return transcript_from_run(setup, session_id, queries, answers, result)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import socket
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from mppsi.cli import main
 from mppsi.config import load_config
 from mppsi.demo import DEMOS
 from mppsi.session import load_transcript, run_memory_session
+from mppsi.wire import Message, encode_msg
 
 FIXTURE = {
     "universe_size": 4,
@@ -387,6 +389,27 @@ class TestServeDb:
         path.write_text(json.dumps(config))
         assert main(["serve-db", "--config", str(path), *address, "--port", "0"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_each_closing_fault_is_printed_as_it_comes(self, config_path, capsys, monkeypatch):
+        # FIXTURE: party 3 leads over a universe of 4.
+        foreign = Message("query", "0" * 16, (3, 0), (1, 1), 1, None, bytes(4))
+
+        def send_then_interrupt(seconds):
+            host, port = capsys.readouterr().out.split(" on ")[1].strip().rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.settimeout(5)
+                conn.sendall(encode_msg(foreign))
+                assert conn.recv(1) == b""
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("time.sleep", send_then_interrupt)
+        serve = ["serve-db", "--config", config_path, "--party", "1", "--db", "1", "--port", "0"]
+        assert main(serve) == 0
+        assert re.fullmatch(
+            r"database \(1,1\) closed a connection: "
+            r"frame for session 0{16}, serving [0-9a-f]{16}\n",
+            capsys.readouterr().err,
+        )
 
     def test_port_in_use_is_a_transport_error(self, config_path, capsys, monkeypatch):
         def interrupt(seconds):

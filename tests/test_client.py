@@ -48,7 +48,8 @@ def state_holding(profile, database, s, t, c, modulus, universe_size):
     record = DatabaseRecord(
         SESSION, (profile.party_id, database), 9, universe_size, bytes((s,)), individual, c
     )
-    return DatabaseState(shape, profile, PrimeField(modulus), record)
+    support = sorted(element - 1 for element in profile.data_set)
+    return DatabaseState(shape, profile, PrimeField(modulus), record, support)
 
 
 def answer(x, q, s, t, c, modulus):

@@ -52,7 +52,9 @@ def record_of(state):
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_every_dealt_record_builds_its_state_again(name):
     for state in deal(DEMOS[name].config).values():
-        again = DatabaseState(state.shape, state.profile, state.field, record_of(state))
+        again = DatabaseState(
+            state.shape, state.profile, state.field, record_of(state), state.support
+        )
         assert vars(again) == vars(state)
 
 
@@ -131,4 +133,5 @@ def test_a_record_that_is_no_dealing_for_its_state_is_refused(bad):
     profiles = {profile.party_id: profile for profile in (*setup.clients, setup.leader)}
     profile = profiles[record.address[0] if party is None else party]
     with pytest.raises(ConfigError, match=error):
-        DatabaseState(state.shape, profile, state.field, record)
+        support = sorted(element - 1 for element in profile.data_set)
+        DatabaseState(state.shape, profile, state.field, record, support)

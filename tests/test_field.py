@@ -23,7 +23,10 @@ def sparse_dot(x, q, modulus, universe=None):
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     size = len(x) if universe is None else universe
     record = DatabaseRecord("field-tests", (1, 1), 2, size, b"\x00", {}, 1)
-    state = DatabaseState(make_plan_shape(1, [profile]), profile, PrimeField(modulus), record)
+    support = sorted(element - 1 for element in profile.data_set)
+    state = DatabaseState(
+        make_plan_shape(1, [profile]), profile, PrimeField(modulus), record, support
+    )
     spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
     (msg,) = answer_all(state, [spec])
     (value,) = msg.values

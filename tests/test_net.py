@@ -7,6 +7,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from mppsi.demo import DEMOS
 from mppsi.database import DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError, TransportError
 from mppsi.model import PartyProfile, brute_force_intersection
-from mppsi.net import DatabaseEndpoint, run_networked_session, spawn_endpoints
+from mppsi.net import ERRORS_KEPT, DatabaseEndpoint, run_networked_session, spawn_endpoints
 from mppsi.protocol import make_session_id, prepare_session
 from mppsi.session import deal, load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, decode_msg, encode_msg
@@ -740,10 +741,42 @@ class TestEndpointRejections:
                 conn.shutdown(socket.SHUT_WR)
                 # The endpoint closes its end at our EOF.
                 assert conn.recv(1) == b""
-            assert target.errors == []
+            assert not target.errors
         finally:
             for ep in endpoints:
                 ep.stop()
+
+    def test_endless_faulted_connections_leave_a_bounded_record(self):
+        # Anyone who reaches the port can fault connections without end, each
+        # on a large frame: the endpoint keeps the last ERRORS_KEPT causes and
+        # none of the data their connections read.
+        config = DEMOS["sec4"].config
+        length = 60_000
+        frame = encode_msg(leader_query(config, (1, 1), length)._replace(session_id="0" * 16))
+        endpoint = DatabaseEndpoint(deal(config)[1, 1])
+        endpoint.start()
+        # The first connection imports what connecting needs.
+        send_and_expect_close(endpoint, leader_query(config, (1, 2), 1))
+        tracemalloc.start()
+        try:
+            for _ in range(4 * ERRORS_KEPT):
+                with socket.create_connection(endpoint.address, timeout=5) as conn:
+                    conn.settimeout(5)
+                    conn.sendall(frame)
+                    assert conn.recv(1) == b""
+            # Its loop thread ends, and with it what the last connection read.
+            endpoint.stop()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            endpoint.stop()
+        assert len(endpoint.errors) == ERRORS_KEPT
+        for cause in endpoint.errors:
+            assert type(cause) is ProtocolViolationError
+            assert re.fullmatch("frame for session 0{16}, serving [0-9a-f]{16}", str(cause))
+            assert (cause.__traceback__, cause.__context__, cause.__cause__) == (None,) * 3
+        # What is left is the causes alone, well under one frame.
+        assert held < length // 2
 
     def test_an_empty_leader_set_spawns_no_endpoint_and_no_thread(self, monkeypatch):
         # An empty leader set deals no state, so there is nothing to serve:
@@ -881,11 +914,12 @@ class TestDealtStates:
             for ep in endpoints:
                 ep.stop()
         assert data == run_memory_session(config).serialize()
-        assert [ep.errors for ep in endpoints] == [[]] * len(endpoints)
+        assert [list(ep.errors) for ep in endpoints] == [[]] * len(endpoints)
 
     @pytest.mark.parametrize("name", ["sec4", "wide"])
     def test_the_query_round_returns_the_answers_in_transcript_order(self, monkeypatch, name):
-        # decode sorts no list already in Message.sort_key order.
+        # The round delivers what the in-memory transport does, in the order
+        # decode sorts into.
         import mppsi.net
 
         config = wide_config() if name == "wide" else DEMOS[name].config
