@@ -227,7 +227,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_serve_db(args) -> int:
-    from .net import DatabaseEndpoint
+    from .net import DatabaseEndpoint, serve
 
     config = load_config(args.config)
     party = next((p for p in config.parties if p.party_id == args.party), None)
@@ -256,7 +256,7 @@ def _cmd_serve_db(args) -> int:
     endpoint = DatabaseEndpoint(
         deal(config)[args.party, args.db], host=host, port=port, on_error=report
     )
-    endpoint.start()
+    serve([endpoint])
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:
         while True:

@@ -1,23 +1,22 @@
 """Per-database answer generation at client parties.
 
 A database answers every query it received with a single residue: the
-inner product of its incidence vector with the query vector, plus its local
-and individual randomness slots for that query's partition, all multiplied
-by the global multiplier. The incidence vector is binary, so the inner
-product is the sum of the query's entries at the coordinates of the party's
-own set, O(|P_i|) per answer rather than O(K), picked in one C-level call by
-support_sum; the auditor computes its inner products with the same function.
-Queries arrive and answers leave as wire.Message values. An answer echoes
-its query: origin and destination swapped, the same session, and the same
-(partition, target position) tags, so the leader can decode in any arrival
-order.
+inner product of its incidence vector with the query vector, plus its dealt
+slot for the query's (partition, target) tags (local plus individual
+randomness), all multiplied by the global multiplier. The incidence vector
+is binary, so the inner product is the sum of the query's entries at the
+coordinates of the party's own set, O(|P_i|) per answer rather than O(K),
+picked in one C-level call by support_sum; the auditor computes its inner
+products with the same function. An answer echoes its query: origin and
+destination swapped, the same session, and the same tags, so the leader
+can decode in any arrival order.
 
-answer_all is the one answer function of both transports:
-protocol.collect_answers calls it in memory, and each TCP endpoint's serve
-loop calls it on the queries it reads. A database uses nothing beyond its
-database.DatabaseState (its own copy of the party's set, its own dealt
-randomness and the public parameters dealt with it, K among them) and the
-queries delivered to it; answer_all admits nothing else.
+answer_all is the one answer function and the one check of a query on both
+transports: protocol.collect_answers calls it in memory, and each TCP
+endpoint's serve loop on the queries it reads, having checked only their
+framing and that their values lie below L. A database uses nothing beyond
+its database.DatabaseState (its party's set, its dealt slots and the public
+parameters dealt with it, K among them) and the queries delivered to it.
 """
 
 from __future__ import annotations
@@ -52,46 +51,41 @@ def support_sum(support: Sequence[int]) -> Callable[[Sequence[int]], int]:
 def answer_all(state: DatabaseState, queries: Sequence[Message]) -> List[Message]:
     """Answer every query delivered to one database from its state, echoing it.
 
-    A query must be addressed to the database and carry K values, K the
-    state's universe size; its partition must have a local value at this
-    database, and a targeted query (one with a target position) must carry
-    the (partition, target) tags of a position this database holds; only
-    database 1 answers a bare base query. Anything else is a protocol
-    violation.
+    A message is answered if and only if it is a query of the state's
+    session, from the leader, addressed to this database, tagged with the
+    (partition, target) of one of its slots, and carrying K values; anything
+    else is a protocol violation.
     """
     c, modulus = state.c, state.field.modulus
-    address = state.address
+    address, session_id, slots = state.address, state.session_id, state.slots
+    leader, universe = (state.leader, 0), state.universe_size
     # The state has checked its set against the universe.
     inner_product = support_sum(state.support)
-    local, individual, tags = state.local, state.individual, state.tags
-    universe_size = state.universe_size
     answers: List[Message] = []
     for query in queries:
-        if query.dest != address:
-            raise ProtocolViolationError(f"query addressed to {query.dest} delivered to {address}")
-        partition = query.partition
-        if partition not in range(1, len(local) + 1):  # None too: a query without one
-            raise ProtocolViolationError(f"no local randomness slot for partition {partition}")
-        s_slot = local[partition - 1]
-        if query.target is None:
-            if address[1] != 1:
-                raise ProtocolViolationError(
-                    f"bare base query delivered to database {address[1]}"
-                )
-            t_slot = 0
-        elif (partition, query.target) in tags:
-            t_slot = individual[partition]
-        else:
+        if query.type != "query":
+            raise ProtocolViolationError(f"unexpected {query.type!r} frame")
+        if query.session_id != session_id:
             raise ProtocolViolationError(
-                f"no individual randomness for partition {partition}, position "
-                f"{query.target} at database {address}"
+                f"frame for session {query.session_id}, serving {session_id}"
+            )
+        # An answer goes back to its query's origin: only the leader's.
+        if query.origin != leader:
+            raise ProtocolViolationError(f"query from {query.origin}, not from the leader {leader}")
+        if query.dest != address:
+            raise ProtocolViolationError(
+                "frame for {} delivered to ({},{})".format(query.dest, *address)
+            )
+        slot = slots.get((query.partition, query.target))
+        if slot is None:
+            raise ProtocolViolationError(
+                f"database {address} holds no slot for (partition, target) "
+                f"{(query.partition, query.target)}"
             )
         q = query.values
-        if len(q) != universe_size:
-            raise ProtocolViolationError(
-                f"query vector length {len(q)} != universe {universe_size}"
-            )
-        value = answer_value(inner_product(q), s_slot, t_slot, c, modulus)
+        if len(q) != universe:
+            raise ProtocolViolationError(f"query vector length {len(q)} != universe {universe}")
+        value = answer_value(inner_product(q), slot, 0, c, modulus)
         # Fields in order (type, session_id, origin, dest, partition, target,
         # values): keywords cost about twice as much per message.
         answers.append(

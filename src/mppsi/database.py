@@ -2,23 +2,22 @@
 
 A DatabaseState is built from what one client database is entitled to: the
 public plan shape, its party's own set and its own DatabaseRecord, the
-common randomness dealt to it before the session
-(randomness.build_bundle). A record holds exactly what the database adds to
-its answers and nothing of any other database: its client's local vector,
-its individual values at the partitions of its own positions, and the
-multiplier. It also carries the public parameters the database serves
-under: the session id, its address, the leader and K. So one record
-describes a database completely, a state is ready to answer once built,
-and it never draws, sends or receives randomness. Its constructor refuses a
-record that is no dealing for it: one for another party or a database it
-does not have, one naming a client as the leader, a set outside 1..K, a
-local vector of another length, individual values at partitions other
-than those of its own positions, or a value that is no residue below L
-(the multiplier must also be nonzero). It runs only the faithful scheme: the
-negative-control mutations are the audit checks'. It never touches a
-socket or a clock; client.answer_all answers a batch of queries from it.
-Both transports answer from these states: protocol.collect_answers in
-memory, and each net.DatabaseEndpoint behind its serve loop.
+common randomness dealt to it before the session (randomness.build_bundle).
+A record holds exactly what the database adds to its answers and nothing of
+any other database's: its client's local vector, its individual values at
+the partitions of its own positions, and the multiplier, with the public
+parameters the database serves under (session id, address, leader and K).
+So a state is ready to answer once built, from one slot per query it
+answers, and never draws, sends or receives randomness. Its constructor
+refuses a record that is no dealing for it: one for another party or a
+database it does not have, one naming a client as the leader, a set outside
+1..K, a local vector of another length, individual values at partitions
+other than those of its own positions, or a value that is no residue below
+L (the multiplier must also be nonzero). It runs only the faithful scheme:
+the negative-control mutations are the audit checks'. Both transports
+answer from these states through client.answer_all, the one check of a
+query: protocol.collect_answers in memory, and each net.DatabaseEndpoint
+behind its serve loop.
 """
 
 from __future__ import annotations
@@ -57,8 +56,11 @@ class DatabaseState:
 
     support holds the 0-based indices of its set's elements in a query of K
     values, sorted: sorted(element - 1 for element in profile.data_set),
-    which the dealing sorts once for all of a party's databases. tags holds
-    the (partition, target position) pair of each targeted query it answers.
+    which the dealing sorts once for all of a party's databases. slots maps
+    the (partition, target position) tags of each query it answers in the
+    session to s + t, its local value plus its individual value: database 1
+    answers a bare query per partition (target None, t = 0), any other a
+    targeted query per position it holds.
     """
 
     def __init__(
@@ -85,8 +87,8 @@ class DatabaseState:
             )
         if max(record.local, default=0) >= modulus:
             raise ConfigError(f"record's local vector holds a value outside [0, {modulus})")
-        tags = frozenset(enumerate(shape.positions_of_database(party_id, database), 1))
-        own = sorted({partition for partition, _ in tags})
+        positions = shape.positions_of_database(party_id, database)
+        own = list(range(1, len(positions) + 1))  # the i-th position lies in partition i
         if sorted(record.individual) != own:
             raise ConfigError(
                 f"record's individual values at partitions {sorted(record.individual)}, "
@@ -98,15 +100,17 @@ class DatabaseState:
             )
         if not 0 < record.c < modulus:
             raise ConfigError(f"record's multiplier {record.c} is not in [1, {modulus})")
+        targets = [None] * len(record.local) if database == 1 else positions
+        self.slots = {
+            (partition, target): record.local[partition - 1] + record.individual.get(partition, 0)
+            for partition, target in enumerate(targets, 1)
+        }
         self.session_id = record.session_id
-        self.shape = shape
-        self.profile = profile
         self.support = support
         self.address = record.address
         self.leader = record.leader
         self.universe_size = record.universe_size
         self.field = field
-        self.tags = tags
         self.local = record.local
         self.individual = record.individual
         self.c = record.c

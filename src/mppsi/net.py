@@ -2,36 +2,35 @@
 
 Each database is an independently addressable endpoint, a party only an
 administrative grouping: a database.DatabaseState, dealt before the session
-(session.deal), behind sockets, answering its queries through
-client.answer_all as the in-memory transport does. The state is all an
-endpoint holds: its address, session id, field, leader and K are the
-state's, so it holds no config, no seed and no other party's set, and it
-refuses the frames of any other session. spawn_endpoints deals once and
-starts one endpoint per dealt state; an empty leader set deals none, and
-gets no endpoint and no serve loop. No endpoint opens a connection: the
-only connections of a session run from the leader to each queried
-database. The leader connects to each queried database once, sends its
-queries, a consecutive run of the session's (which come in transcript
-order), and reads the answers off the same connection, in any
-interleaving; an endpoint answers the queries of each read at once.
+(session.deal), behind sockets. The state is all an endpoint holds (its
+address, session id, field, leader and K are the state's), so it holds no
+config, no seed and no other party's set. It answers through
+client.answer_all, the one check of a query on both transports, and checks
+of a frame only what a state cannot see: its framing, and values below L.
 
-The endpoints run on a serve loop: one thread multiplexing their listening
-sockets and the connections they accept, so no socket call blocks it; the
-endpoints of spawn_endpoints share one loop, and an endpoint started alone
-gets a loop of its own. The leader's query round runs in its caller's
-thread on blocking sockets: it connects to every queried database
-(retrying a refused connect, as a database may not listen yet), then sends
-each its frames, then reads each one's answers, each connection under a
-deadline.
+An endpoint listens from construction. serve(endpoints) runs one serve loop
+for a list of them: one thread multiplexing their listening sockets and the
+connections they accept, so no socket call blocks it. spawn_endpoints
+deals once and serves one endpoint per dealt state; an empty leader set
+deals none, and gets no endpoint and no serve loop.
 
-Frames are wire's binary frames: each carries one wire.Message of a state
-or the leader, its residue bytes as they are. A query connection expects
-one answer per query, each from the database it reaches to the leader, so
-it is done at the last; an endpoint closes a connection at its peer's EOF.
+No endpoint opens a connection: the only connections of a session run from
+the leader to each queried database. The leader's query round runs in its
+caller's thread on blocking sockets: it connects to every queried database
+once (retrying a refused connect, as a database may not listen yet), sends
+each its queries, a consecutive run of the session's in transcript order,
+then reads each one's answers off the same connection, one per query from
+that database to the leader, each connection under a deadline. An
+endpoint answers the queries of each read at once and closes a connection
+at its peer's EOF. A connection asks at most one session's queries, one
+per slot of its database's state, so a peer that never reads makes it
+queue at most one session's answers; one that asks more is closed.
 
-run_networked_session gives session.run_leader the TCP exchange; the runner
-and the dealing read their setup and session id from config.prepared, so
-for equal (config, seed) the transcript equals the in-memory transport's.
+Frames are wire's binary frames, each carrying one wire.Message of a state
+or the leader, its residue bytes as they are. run_networked_session gives
+session.run_leader the TCP exchange; the runner and the dealing read their
+setup and session id from config.prepared, so for equal (config, seed) the
+transcript equals the in-memory transport's.
 """
 
 from __future__ import annotations
@@ -66,15 +65,17 @@ class _Connection:
 
     out: bytearray = field(default_factory=bytearray)  # queued for writing
     buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
+    asked: int = 0  # the queries read
 
 
 class DatabaseEndpoint:
     """One client database serving its session over TCP: its dealt state behind sockets.
 
-    The state (session.deal) is all it holds: its address, session id,
-    field, leader and K are the state's. errors keeps, in order, the causes
-    of the last ERRORS_KEPT connections it closed on a fault, each stripped
-    of its traceback and chained errors, which held the connection's data;
+    It listens from construction and answers once served (serve). The state
+    (session.deal) is all it holds: its address, session id, field, leader
+    and K are the state's. errors keeps, in order, the causes of the last
+    ERRORS_KEPT connections it closed on a fault, each stripped of its
+    traceback and chained errors, which held the connection's data;
     on_error, if given, is called on the serve loop with each cause as it
     comes.
     """
@@ -89,37 +90,18 @@ class DatabaseEndpoint:
         self._residues = bytes(range(state.field.modulus))  # the value bytes a query may carry
         self._stop = threading.Event()
         self._closed = threading.Event()  # set once the loop dropped our sockets
-        self._sock: Optional[socket.socket] = None
         self._loop: Optional[_ServeLoop] = None
-        self._host = host
-        self._port = port
-
-    def start(self, loop: Optional[_ServeLoop] = None) -> None:
-        """Listen, served by loop, or by a loop of its own when none is given.
-
-        A shared loop serves nothing until its owner starts it.
-        """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            sock.bind((self._host, self._port))
+            sock.bind((host, port))
             sock.listen(16)
         except OSError as exc:
             sock.close()
-            raise TransportError(f"cannot listen on {self._host}:{self._port}: {exc}") from exc
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         sock.setblocking(False)
         self._sock = sock
-        self._loop = loop if loop is not None else _ServeLoop()
-        self._loop.add(self)
-        if loop is None:
-            self._loop.start()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._sock is None:
-            raise TransportError("endpoint not started")
-        host, port = self._sock.getsockname()[:2]
-        return host, port
+        self.address: Tuple[str, int] = sock.getsockname()[:2]
 
     def stop(self) -> None:
         self._stop.set()
@@ -129,36 +111,26 @@ class DatabaseEndpoint:
             self._closed.wait(timeout=2.0)
             if not loop.endpoints:
                 loop.thread.join(timeout=2.0)
-        if self._sock is not None:
-            self._sock.close()
+        self._sock.close()
 
     def _read_frames(self, chunk: bytes, conn: _Connection) -> None:
-        """Take the leader's queries in chunk, read off conn, and queue their answers on conn."""
+        """Take the queries in chunk, read off conn, and queue their answers on conn:
+        at most one per slot of the state, as many as one session asks."""
         conn.buffer += chunk
-        state = self.state
         queries = []
         for frame in split_frames(conn.buffer):
             msg = decode_msg(frame)
-            if msg.session_id != state.session_id:
-                raise ProtocolViolationError(
-                    f"frame for session {msg.session_id}, serving {state.session_id}"
-                )
-            if msg.dest != state.address:
-                raise ProtocolViolationError(
-                    "frame for {} delivered to ({},{})".format(msg.dest, *state.address)
-                )
-            if msg.type != "query":
-                raise ProtocolViolationError(f"unexpected {msg.type!r} frame")
-            # An answer goes back to its query's origin: only the leader's.
-            if msg.origin != (state.leader, 0):
-                raise ProtocolViolationError(
-                    f"query from {msg.origin}, not from the leader ({state.leader}, 0)"
-                )
             if msg.values.translate(None, self._residues):
                 raise ProtocolViolationError("query value out of field range")
             queries.append(msg)
         if queries:
-            conn.out += b"".join(map(encode_msg, answer_all(state, queries)))
+            answers = answer_all(self.state, queries)
+            conn.asked += len(answers)
+            if conn.asked > len(self.state.slots):
+                raise ProtocolViolationError(
+                    f"more queries on one connection than a session's {len(self.state.slots)}"
+                )
+            conn.out += b"".join(map(encode_msg, answers))
 
     def _fault(self, cause: Exception) -> None:
         """Keep the cause of a connection closed on a fault, and report it."""
@@ -176,24 +148,18 @@ class _ServeLoop:
     It runs until it serves no endpoint.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, endpoints: List[DatabaseEndpoint]) -> None:
         self.selector = selectors.DefaultSelector()
-        self.endpoints: List[DatabaseEndpoint] = []  # changed only by the loop once started
+        self.endpoints = list(endpoints)  # changed only by the loop
         self.thread = threading.Thread(target=self._run, daemon=True)
         self._wake_lock = threading.Lock()  # the loop closes the waker while others may write
         self._wakeup, self._waker = socket.socketpair()
         self._wakeup.setblocking(False)
         self._waker.setblocking(False)
         self.selector.register(self._wakeup, selectors.EVENT_READ, None)
-
-    def add(self, endpoint: DatabaseEndpoint) -> None:
-        if self.thread.ident is not None:
-            raise TransportError("endpoints join a serve loop before it starts")
-        self.endpoints.append(endpoint)
-        self.selector.register(endpoint._sock, selectors.EVENT_READ, (endpoint, None))
-
-    def start(self) -> None:
-        self.thread.start()
+        for endpoint in self.endpoints:
+            endpoint._loop = self
+            self.selector.register(endpoint._sock, selectors.EVENT_READ, (endpoint, None))
 
     def wake(self) -> None:
         """Make the loop look at the stop flags."""
@@ -362,18 +328,28 @@ def _query_round(
     return answers
 
 
+def serve(endpoints: List[DatabaseEndpoint]) -> None:
+    """Serve the endpoints, if any, on one new serve-loop thread until each is stopped."""
+    if endpoints:
+        _ServeLoop(endpoints).thread.start()
+
+
 def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
-    """Deal the config's session once and start one in-process endpoint per
+    """Deal the config's session once and serve one in-process endpoint per
     client database on its state (ephemeral ports), all on one serve loop.
 
-    An empty leader set deals no state: no endpoint, and no loop.
+    An empty leader set deals no state: no endpoint, and no loop. Should an
+    endpoint fail to listen, those built before it are stopped.
     """
-    endpoints = [DatabaseEndpoint(state) for state in deal(config).values()]
-    if endpoints:
-        loop = _ServeLoop()
+    endpoints: List[DatabaseEndpoint] = []
+    try:
+        for state in deal(config).values():
+            endpoints.append(DatabaseEndpoint(state))
+    except BaseException:
         for endpoint in endpoints:
-            endpoint.start(loop)
-        loop.start()
+            endpoint.stop()
+        raise
+    serve(endpoints)
     return endpoints
 
 

@@ -1,5 +1,6 @@
 """Suite-wide guards."""
 
+import gc
 import os
 import threading
 import time
@@ -29,3 +30,29 @@ def no_thread_left_behind():
     left = [thread.name for thread in set(threading.enumerate()) - before]
     if left:
         pytest.fail(f"the test left threads behind: {sorted(left)}")
+
+
+# The modules whose tests open sockets.
+SOCKET_MODULES = {"test_net", "test_cli"}
+
+
+@pytest.fixture(autouse=True)
+def sockets_closed_by_the_test_that_opened_them(request):
+    """Collect a socket-opening test's garbage at its teardown.
+
+    A socket the test leaves open may sit in a reference cycle (an endpoint
+    and its serve loop; a failed check's traceback and its frames), which
+    only the cycle collector frees, whenever it next runs. Collected here,
+    its ResourceWarning fails the test that leaked it, not a later one.
+    What existed before the test is frozen, so the collection reads only
+    what the test made.
+    """
+    if request.module.__name__ not in SOCKET_MODULES:
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+        gc.collect()
+    finally:
+        gc.unfreeze()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -191,24 +192,28 @@ class TestAnswerAll:
         assert answer_all(state, queries) == answer_all(state, queries)
 
     def test_unknown_partition_tag_rejected(self):
-        # Partition 0 would index the last local slot from the end.
         clients, plan, field, states, sent = _session_pieces()
-        for partition in (0, 99):
-            rogue = query((clients[0].party_id, 1), partition, None, (0, 0, 0, 0))
-            with pytest.raises(ProtocolViolationError, match="no local randomness slot"):
-                answer_all(states[clients[0].party_id, 1], [rogue])
+        leader = sent[0].origin
+        for partition in (0, 99, None):
+            rogue = query((1, 1), partition, None, (0, 0, 0, 0))._replace(origin=leader)
+            with pytest.raises(
+                ProtocolViolationError,
+                match=re.escape(f"database (1, 1) holds no slot for (partition, target) "
+                                f"({partition}, None)"),
+            ):
+                answer_all(states[1, 1], [rogue])
 
     def test_misaddressed_query_rejected(self):
         clients, plan, field, states, sent = _session_pieces()
         queries = queries_to(sent, (1, 2))
-        with pytest.raises(ProtocolViolationError):
+        with pytest.raises(ProtocolViolationError, match=r"frame for \(1, 2\) delivered to \(2,2\)"):
             answer_all(states[2, 2], queries)
 
     def test_base_query_at_non_first_database_rejected(self):
         clients, plan, field, states, sent = _session_pieces()
         base = queries_to(sent, (1, 1))[0]
-        moved = query((1, 2), base.partition, None, base.values)
-        with pytest.raises(ProtocolViolationError):
+        moved = base._replace(dest=(1, 2))
+        with pytest.raises(ProtocolViolationError, match=r"\(1, 2\) holds no slot .* \(1, None\)"):
             answer_all(states[1, 2], [moved])
 
     def test_targeted_query_at_database_one_rejected(self):
@@ -218,7 +223,7 @@ class TestAnswerAll:
         assert states[1, 1].individual == {}
         targeted = queries_to(sent, (1, 2))[0]
         moved = targeted._replace(dest=(1, 1))
-        with pytest.raises(ProtocolViolationError, match="no individual randomness"):
+        with pytest.raises(ProtocolViolationError, match=r"\(1, 1\) holds no slot .* \(1, 1\)"):
             answer_all(states[1, 1], [moved])
         assert answer_all(states[1, 2], [targeted])
 
@@ -230,7 +235,7 @@ class TestAnswerAll:
         (targeted,) = queries_to(sent, (1, 2))
         assert (targeted.partition, targeted.target) == (1, 1)
         assert plan.shape.position_location(1, 2) == (1, 3)
-        with pytest.raises(ProtocolViolationError, match="partition 1, position 2"):
+        with pytest.raises(ProtocolViolationError, match=r"\(1, 2\) holds no slot .* \(1, 2\)"):
             answer_all(states[1, 2], [targeted._replace(target=2)])
         (answer,) = answer_all(states[1, 2], [targeted])
-        assert answer.target == 1 and states[1, 2].tags == {(1, 1)}
+        assert answer.target == 1 and list(states[1, 2].slots) == [(1, 1)]

@@ -6,42 +6,54 @@ from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError
 from mppsi.leader import make_plan_shape
-from mppsi.session import deal
+from mppsi.session import deal, run_memory_session
 
 
 CONFIG = DEMOS["sec4"].config
 
 
-def sec4_pieces():
-    """sec4's setup, plan shape and dealt states."""
-    setup, _ = CONFIG.prepared
+def pieces(config):
+    """A config's plan shape, its clients' profiles by party id, and its dealt states."""
+    setup, _ = config.prepared
     shape = make_plan_shape(len(setup.leader.data_set), setup.clients)
-    return setup, shape, deal(CONFIG)
+    return shape, {client.party_id: client for client in setup.clients}, deal(config)
 
 
 def test_a_record_holds_nothing_of_another_database():
     # A state holds its record's fields (the session's public parameters
-    # among them) and, besides them, only public data and its own party's
-    # set.
+    # among them) and, besides them, only the field, its own party's set and
+    # the slots it answers from.
     assert DatabaseRecord._fields == (
         "session_id", "address", "leader", "universe_size", "local", "individual", "c"
     )
-    setup, shape, states = sec4_pieces()
-    profiles = {client.party_id: client for client in setup.clients}
+    shape, profiles, states = pieces(CONFIG)
+    setup, _ = CONFIG.prepared
     assert sorted(states) == [(party, db) for party in (1, 2) for db in (1, 2, 3)]
     for (party, database), state in states.items():
         assert state.address == (party, database)
         assert (state.leader, state.universe_size) == (setup.leader.party_id, CONFIG.universe_size)
-        assert state.profile is profiles[party]
         assert state.support == sorted(element - 1 for element in profiles[party].data_set)
         positions = shape.positions_of_database(party, database)
         own = {shape.position_location(party, position)[0] for position in positions}
         assert set(state.individual) == own
         assert bool(own) == (database != 1)
         assert len(state.local) == shape.eta[party]
-        assert set(vars(state)) == {
-            *DatabaseRecord._fields, "shape", "profile", "support", "field", "tags"
-        }
+        assert set(vars(state)) == {*DatabaseRecord._fields, "support", "field", "slots"}
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_a_state_holds_one_slot_per_query_it_answers(name):
+    # Database 1 answers each partition's bare query with s; database d > 1
+    # answers the targeted query of each position it holds with s + t.
+    config = DEMOS[name].config
+    shape, _, states = pieces(config)
+    expected = {}
+    for query in run_memory_session(config).messages_in_phase("query"):
+        state = states[query.dest]
+        s = state.local[query.partition - 1]
+        t = 0 if query.target is None else state.individual[query.partition]
+        expected.setdefault(query.dest, {})[query.partition, query.target] = s + t
+    assert {address: state.slots for address, state in states.items() if state.slots} == expected
 
 
 def record_of(state):
@@ -51,10 +63,9 @@ def record_of(state):
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_every_dealt_record_builds_its_state_again(name):
-    for state in deal(DEMOS[name].config).values():
-        again = DatabaseState(
-            state.shape, state.profile, state.field, record_of(state), state.support
-        )
+    shape, profiles, states = pieces(DEMOS[name].config)
+    for (party, _), state in states.items():
+        again = DatabaseState(shape, profiles[party], state.field, record_of(state), state.support)
         assert vars(again) == vars(state)
 
 
@@ -128,10 +139,11 @@ def test_a_record_that_is_no_dealing_for_its_state_is_refused(bad):
     address, edit, party, error = BAD_RECORDS[bad]
     config = DEMOS["sec7_2"].config
     setup, _ = config.prepared
-    state = deal(config)[address]
+    shape, _, states = pieces(config)
+    state = states[address]
     record = edit(record_of(state))
     profiles = {profile.party_id: profile for profile in (*setup.clients, setup.leader)}
     profile = profiles[record.address[0] if party is None else party]
     with pytest.raises(ConfigError, match=error):
         support = sorted(element - 1 for element in profile.data_set)
-        DatabaseState(state.shape, profile, state.field, record, support)
+        DatabaseState(shape, profile, state.field, record, support)

@@ -17,8 +17,10 @@ from mppsi.demo import DEMOS
 from mppsi.database import DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError, TransportError
 from mppsi.model import PartyProfile, brute_force_intersection
-from mppsi.net import ERRORS_KEPT, DatabaseEndpoint, run_networked_session, spawn_endpoints
-from mppsi.protocol import make_session_id, prepare_session
+from mppsi.net import (
+    ERRORS_KEPT, DatabaseEndpoint, run_networked_session, serve, spawn_endpoints
+)
+from mppsi.protocol import collect_answers, make_session_id, prepare_session
 from mppsi.session import deal, load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, decode_msg, encode_msg
 from test_golden import CONFIGS, eleven_config, wide_config
@@ -358,7 +360,7 @@ class TestExternalAddresses:
         endpoints = dealt_endpoints(config, client_databases(config))
         try:
             for ep in endpoints:
-                ep.start()
+                serve([ep])
             addresses = {ep.state.address: ep.address for ep in endpoints}
             # The round runs in this thread.
             started = record_thread_starts(monkeypatch)
@@ -377,13 +379,18 @@ class TestExternalAddresses:
         port = probe.getsockname()[1]
         probe.close()
         *keys, late_key = client_databases(config)
-        early = dealt_endpoints(config, keys)
-        late = DatabaseEndpoint(deal(config)[late_key], port=port)
-        for endpoint in early:
-            endpoint.start()
-        addresses = {ep.state.address: ep.address for ep in early}
+        endpoints = dealt_endpoints(config, keys)
+        late_state = deal(config)[late_key]
+        for endpoint in endpoints:
+            serve([endpoint])
+        addresses = {ep.state.address: ep.address for ep in endpoints}
         addresses[late_key] = ("127.0.0.1", port)
-        transcript = run_while_late(config, early + [late], addresses, late.start)
+
+        def listen_late():
+            endpoints.append(DatabaseEndpoint(late_state, port=port))
+            serve(endpoints[-1:])
+
+        transcript = run_while_late(config, endpoints, addresses, listen_late)
         assert any(m.origin == late_key for m in transcript.messages_in_phase("answer"))
         assert_memory_transcript(transcript, config)
 
@@ -419,7 +426,8 @@ def client_databases(config):
 
 
 def dealt_endpoints(config, keys):
-    """Unstarted endpoints of these databases, each on its state of the config's dealing."""
+    """Listening endpoints of these databases, not yet served, each on its state of
+    the config's dealing."""
     states = deal(config)
     return [DatabaseEndpoint(states[key]) for key in keys]
 
@@ -462,7 +470,10 @@ def assert_one_answer(conn, query):
 
 
 def run_while_late(config, endpoints, addresses, late):
-    """Run a session on endpoints known only by address; late runs 0.3 s in."""
+    """Run a session on endpoints known only by address; late runs 0.3 s in.
+
+    Every endpoint in the list endpoints once late has run is stopped.
+    """
 
     def run_late():
         time.sleep(0.3)
@@ -617,6 +628,10 @@ class TestQueriesFromTheWire:
                 ep.stop()
 
     def test_a_peer_that_never_reads_stalls_no_one(self):
+        # A peer repeats database (1, 1)'s one query for 7 MB and never
+        # reads: its connection closes once it asks more than a session
+        # does, so nothing of it stays queued, and the honest session
+        # alongside finishes at once.
         config = DEMOS["sec4"].config
         own = [
             m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
@@ -626,13 +641,43 @@ class TestQueriesFromTheWire:
         try:
             target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             with socket.create_connection(target.address, timeout=10) as peer:
-                written = 0
-                while written < 7_000_000:
-                    peer.sendall(flood)
-                    written += len(flood)
+                with pytest.raises(ConnectionError):
+                    for _ in range(7_000_000 // len(flood) + 1):
+                        peer.sendall(flood)
                 start = time.monotonic()
                 over_tcp = run_networked_session(config, endpoints=endpoints)
                 assert time.monotonic() - start < 1.0
+            (cause,) = target.errors
+            assert type(cause) is ProtocolViolationError
+            assert str(cause) == "more queries on one connection than a session's 1"
+            assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in endpoints:
+                ep.stop()
+
+    def test_a_connection_asking_more_than_a_session_closes(self):
+        # sec7_2's database (2, 1) answers a session's two bare queries on
+        # one connection; the same query asked again closes it.
+        config = DEMOS["sec7_2"].config
+        own = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (2, 1)
+        ]
+        endpoints = spawn_endpoints(config)
+        try:
+            target = next(ep for ep in endpoints if ep.state.address == (2, 1))
+            assert len(own) == len(target.state.slots) == 2
+            with socket.create_connection(target.address, timeout=5) as conn:
+                conn.settimeout(5)
+                for query in own:
+                    conn.sendall(encode_msg(query))
+                    assert_one_answer(conn, query)
+                conn.sendall(encode_msg(own[0]))
+                assert conn.recv(1) == b""
+            (cause,) = target.errors
+            assert type(cause) is ProtocolViolationError
+            assert str(cause) == "more queries on one connection than a session's 2"
+            # The loop serves on.
+            over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
             for ep in endpoints:
@@ -668,11 +713,22 @@ def leader_query(config, dest, length):
 
 
 class TestEndpointRejections:
-    def test_address_before_start_is_a_transport_error(self):
+    def test_an_endpoint_listens_from_construction(self):
+        # The kernel completes a connection to an endpoint no loop serves
+        # yet; once served, the endpoint answers what it was sent.
         config = DEMOS["sec4"].config
+        (query,) = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
+        ]
         endpoint = DatabaseEndpoint(deal(config)[1, 1])
-        with pytest.raises(TransportError, match="endpoint not started"):
-            endpoint.address
+        try:
+            with socket.create_connection(endpoint.address, timeout=5) as conn:
+                conn.settimeout(5)
+                conn.sendall(encode_msg(query))
+                serve([endpoint])
+                assert_one_answer(conn, query)
+        finally:
+            endpoint.stop()
 
     # sec4: the leader is party 3.
     REJECTED_FRAMES = {
@@ -699,7 +755,13 @@ class TestEndpointRejections:
             lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
                 partition=2
             ),
-            "no local randomness slot for partition 2",
+            r"database \(1, 1\) holds no slot for \(partition, target\) \(2, None\)",
+        ),
+        "a query from a client database": (
+            lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
+                origin=(1, 2)
+            ),
+            r"query from \(1, 2\), not from the leader \(3, 0\)",
         ),
         "a query of another session": (
             lambda config: leader_query(config, (1, 1), config.universe_size)._replace(
@@ -718,13 +780,25 @@ class TestEndpointRejections:
             target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             cause = closes_alone(target, make(config))
             assert type(cause) is ProtocolViolationError
-            assert re.search(match, str(cause))
+            assert re.fullmatch(match, str(cause))
             # The loop serves on.
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
             for ep in endpoints:
                 ep.stop()
+
+    @pytest.mark.parametrize("rejected", sorted(REJECTED_FRAMES))
+    def test_rejected_frame_is_refused_in_memory_as_over_tcp(self, rejected):
+        # Delivered in memory to database (1, 1)'s state, as its connection
+        # delivers it to (1, 1)'s endpoint, the frame's query is refused with
+        # the whole text that connection closes with.
+        config = DEMOS["sec4"].config
+        make, match = self.REJECTED_FRAMES[rejected]
+        msg = make(config)
+        with pytest.raises(ProtocolViolationError) as refused:
+            collect_answers([msg], {msg.dest: deal(config)[1, 1]})
+        assert re.fullmatch(match, str(refused.value))
 
     def test_a_peers_eof_closes_its_connection_without_a_cause(self):
         config = DEMOS["sec4"].config
@@ -754,7 +828,7 @@ class TestEndpointRejections:
         length = 60_000
         frame = encode_msg(leader_query(config, (1, 1), length)._replace(session_id="0" * 16))
         endpoint = DatabaseEndpoint(deal(config)[1, 1])
-        endpoint.start()
+        serve([endpoint])
         # The first connection imports what connecting needs.
         send_and_expect_close(endpoint, leader_query(config, (1, 2), 1))
         tracemalloc.start()
