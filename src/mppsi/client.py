@@ -54,7 +54,10 @@ def answer_all(state: DatabaseState, queries: Sequence[Message]) -> List[Message
     A message is answered if and only if it is a query of the state's
     session, from the leader, addressed to this database, tagged with the
     (partition, target) of one of its slots, and carrying K values; anything
-    else is a protocol violation.
+    else is a protocol violation. A dealt slot masks one answer, so answering
+    spends it: it leaves state.slots, and a second query for it holds no
+    slot, on either transport. A slot answered stays spent even if a later
+    query of the same batch is refused.
     """
     c, modulus = state.c, state.field.modulus
     address, session_id, slots = state.address, state.session_id, state.slots
@@ -76,15 +79,16 @@ def answer_all(state: DatabaseState, queries: Sequence[Message]) -> List[Message
             raise ProtocolViolationError(
                 "frame for {} delivered to ({},{})".format(query.dest, *address)
             )
-        slot = slots.get((query.partition, query.target))
+        q = query.values
+        if len(q) != universe:
+            raise ProtocolViolationError(f"query vector length {len(q)} != universe {universe}")
+        # Spent last, so a query refused by any other check spends nothing.
+        slot = slots.pop((query.partition, query.target), None)
         if slot is None:
             raise ProtocolViolationError(
                 f"database {address} holds no slot for (partition, target) "
                 f"{(query.partition, query.target)}"
             )
-        q = query.values
-        if len(q) != universe:
-            raise ProtocolViolationError(f"query vector length {len(q)} != universe {universe}")
         value = answer_value(inner_product(q), slot, 0, c, modulus)
         # Fields in order (type, session_id, origin, dest, partition, target,
         # values): keywords cost about twice as much per message.

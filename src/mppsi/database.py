@@ -8,16 +8,16 @@ any other database's: its client's local vector, its individual values at
 the partitions of its own positions, and the multiplier, with the public
 parameters the database serves under (session id, address, leader and K).
 So a state is ready to answer once built, from one slot per query it
-answers, and never draws, sends or receives randomness. Its constructor
-refuses a record that is no dealing for it: one for another party or a
-database it does not have, one naming a client as the leader, a set outside
-1..K, a local vector of another length, individual values at partitions
-other than those of its own positions, or a value that is no residue below
-L (the multiplier must also be nonzero). It runs only the faithful scheme:
-the negative-control mutations are the audit checks'. Both transports
-answer from these states through client.answer_all, the one check of a
-query: protocol.collect_answers in memory, and each net.DatabaseEndpoint
-behind its serve loop.
+answers, each spent by its answer, and never draws, sends or receives
+randomness. Its constructor refuses a record that is no dealing for it:
+one for another party or a database it does not have, one naming a client
+as the leader, a set outside 1..K, a local vector of another length,
+individual values at partitions other than those of its own positions, or
+a value that is no residue below L (the multiplier must also be nonzero).
+It runs only the faithful scheme: the negative-control mutations are the
+audit checks'. Both transports answer from these states through
+client.answer_all, the one check of a query: protocol.collect_answers in
+memory, and each net.DatabaseEndpoint behind its serve loop.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class DatabaseState:
     the (partition, target position) tags of each query it answers in the
     session to s + t, its local value plus its individual value: database 1
     answers a bare query per partition (target None, t = 0), any other a
-    targeted query per position it holds.
+    targeted query per position it holds. client.answer_all removes each
+    slot it answers, so slots holds the ones not yet spent.
     """
 
     def __init__(

@@ -22,9 +22,10 @@ each its queries, a consecutive run of the session's in transcript order,
 then reads each one's answers off the same connection, one per query from
 that database to the leader, each connection under a deadline. An
 endpoint answers the queries of each read at once and closes a connection
-at its peer's EOF. A connection asks at most one session's queries, one
-per slot of its database's state, so a peer that never reads makes it
-queue at most one session's answers; one that asks more is closed.
+at its peer's EOF. answer_all spends each slot it answers, so over all its
+connections an endpoint answers at most one session's queries, one per
+slot dealt to its state: a peer that never reads makes it queue at most
+that many answers, and a query for a spent slot closes its connection.
 
 Frames are wire's binary frames, each carrying one wire.Message of a state
 or the leader, its residue bytes as they are. run_networked_session gives
@@ -65,7 +66,6 @@ class _Connection:
 
     out: bytearray = field(default_factory=bytearray)  # queued for writing
     buffer: bytearray = field(default_factory=bytearray)  # read, not yet a whole frame
-    asked: int = 0  # the queries read
 
 
 class DatabaseEndpoint:
@@ -114,8 +114,7 @@ class DatabaseEndpoint:
         self._sock.close()
 
     def _read_frames(self, chunk: bytes, conn: _Connection) -> None:
-        """Take the queries in chunk, read off conn, and queue their answers on conn:
-        at most one per slot of the state, as many as one session asks."""
+        """Take the queries in chunk, read off conn, and queue their answers on conn."""
         conn.buffer += chunk
         queries = []
         for frame in split_frames(conn.buffer):
@@ -124,13 +123,7 @@ class DatabaseEndpoint:
                 raise ProtocolViolationError("query value out of field range")
             queries.append(msg)
         if queries:
-            answers = answer_all(self.state, queries)
-            conn.asked += len(answers)
-            if conn.asked > len(self.state.slots):
-                raise ProtocolViolationError(
-                    f"more queries on one connection than a session's {len(self.state.slots)}"
-                )
-            conn.out += b"".join(map(encode_msg, answers))
+            conn.out += b"".join(map(encode_msg, answer_all(self.state, queries)))
 
     def _fault(self, cause: Exception) -> None:
         """Keep the cause of a connection closed on a fault, and report it."""

@@ -186,10 +186,14 @@ class TestAnswerAll:
         assert answer_all(states[1, 1], []) == []
 
     def test_determinism_is_exact(self):
-        clients, plan, field, states, sent = _session_pieces()
-        queries = queries_to(sent, (clients[1].party_id, 2))
-        state = states[clients[1].party_id, 2]
-        assert answer_all(state, queries) == answer_all(state, queries)
+        # Answering spends a state's slots, so each answer comes from its
+        # own state, the two dealt alike.
+        answers = []
+        for _ in range(2):
+            clients, plan, field, states, sent = _session_pieces()
+            address = (clients[1].party_id, 2)
+            answers.append(answer_all(states[address], queries_to(sent, address)))
+        assert answers[0] == answers[1]
 
     def test_unknown_partition_tag_rejected(self):
         clients, plan, field, states, sent = _session_pieces()
@@ -235,7 +239,9 @@ class TestAnswerAll:
         (targeted,) = queries_to(sent, (1, 2))
         assert (targeted.partition, targeted.target) == (1, 1)
         assert plan.shape.position_location(1, 2) == (1, 3)
+        assert list(states[1, 2].slots) == [(1, 1)]
         with pytest.raises(ProtocolViolationError, match=r"\(1, 2\) holds no slot .* \(1, 2\)"):
             answer_all(states[1, 2], [targeted._replace(target=2)])
         (answer,) = answer_all(states[1, 2], [targeted])
-        assert answer.target == 1 and list(states[1, 2].slots) == [(1, 1)]
+        # The refused query spent nothing; the answer spent the one slot.
+        assert answer.target == 1 and states[1, 2].slots == {}

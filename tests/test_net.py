@@ -157,27 +157,38 @@ class TestEquivalence:
 class TestEndpointBehaviour:
     @pytest.mark.parametrize("name", ["sec4", "sec7_1", "sec7_2"])
     def test_endpoints_hold_the_memory_sessions_dealing(self, name):
+        # They hold it until the session, which spends every slot and
+        # changes nothing else.
         config = DEMOS[name].config
-        expected = deal(config)
+        expected = {address: vars(state) for address, state in deal(config).items()}
         endpoints = spawn_endpoints(config)
         try:
+            assert {ep.state.address: vars(ep.state) for ep in endpoints} == expected
             run_networked_session(config, endpoints=endpoints)
             held = {ep.state.address: vars(ep.state) for ep in endpoints}
-            assert held == {address: vars(state) for address, state in expected.items()}
+            assert held == {address: dict(dealt, slots={}) for address, dealt in expected.items()}
         finally:
             for ep in endpoints:
                 ep.stop()
 
-    def test_two_sessions_on_one_set_of_endpoints(self):
+    def test_a_second_session_on_one_set_of_endpoints_fails(self):
+        # The first session spent every slot: the second is refused at once,
+        # and database (1, 1), read first, records why.
         config = DEMOS["sec4"].config
-        expected = run_memory_session(config).serialize()
         endpoints = spawn_endpoints(config)
         try:
-            transcripts = [run_networked_session(config, endpoints) for _ in range(2)]
+            first = run_networked_session(config, endpoints)
+            assert first.serialize() == run_memory_session(config).serialize()
+            start = time.monotonic()
+            with pytest.raises(TransportError, match=re.escape("queries to (1, 1) not answered")):
+                run_networked_session(config, endpoints)
+            assert time.monotonic() - start < 1.0
+            assert endpoints[0].state.address == (1, 1)
+            (cause,) = endpoints[0].errors
+            assert str(cause) == "database (1, 1) holds no slot for (partition, target) (1, None)"
         finally:
             for ep in endpoints:
                 ep.stop()
-        assert [t.serialize() for t in transcripts] == [expected] * 2
 
     def test_cross_session_frames_are_rejected(self):
         config = DEMOS["sec4"].config
@@ -313,9 +324,8 @@ class TestEndpointBehaviour:
 
     def test_malformed_frame_closes_only_its_connection(self):
         config = DEMOS["sec4"].config
-        endpoints = spawn_endpoints(config)
+        target, endpoints = beside_a_session(config, (1, 1))
         try:
-            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             query = Message(
                 type="query",
                 session_id=make_session_id(config),
@@ -342,7 +352,7 @@ class TestEndpointBehaviour:
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
-            for ep in endpoints:
+            for ep in [target, *endpoints]:
                 ep.stop()
 
 
@@ -430,6 +440,18 @@ def dealt_endpoints(config, keys):
     the config's dealing."""
     states = deal(config)
     return [DatabaseEndpoint(states[key]) for key in keys]
+
+
+def beside_a_session(config, address):
+    """An endpoint of the database at address, and endpoints of every client
+    database on a second dealing of the config, all served on one loop.
+
+    A test may spend the first one's slots: the others still serve a session.
+    """
+    (target,) = dealt_endpoints(config, [address])
+    endpoints = dealt_endpoints(config, client_databases(config))
+    serve([target, *endpoints])
+    return target, endpoints
 
 
 def run_by_address(config, addresses):
@@ -629,17 +651,16 @@ class TestQueriesFromTheWire:
 
     def test_a_peer_that_never_reads_stalls_no_one(self):
         # A peer repeats database (1, 1)'s one query for 7 MB and never
-        # reads: its connection closes once it asks more than a session
-        # does, so nothing of it stays queued, and the honest session
-        # alongside finishes at once.
+        # reads: its connection closes at the query that finds the slot
+        # spent, so nothing of it stays queued, and an honest session on the
+        # same loop finishes at once.
         config = DEMOS["sec4"].config
         own = [
             m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
         ]
         flood = b"".join(map(encode_msg, own)) * 1000
-        endpoints = spawn_endpoints(config)
+        target, endpoints = beside_a_session(config, (1, 1))
         try:
-            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
             with socket.create_connection(target.address, timeout=10) as peer:
                 with pytest.raises(ConnectionError):
                     for _ in range(7_000_000 // len(flood) + 1):
@@ -649,10 +670,10 @@ class TestQueriesFromTheWire:
                 assert time.monotonic() - start < 1.0
             (cause,) = target.errors
             assert type(cause) is ProtocolViolationError
-            assert str(cause) == "more queries on one connection than a session's 1"
+            assert str(cause) == "database (1, 1) holds no slot for (partition, target) (1, None)"
             assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
-            for ep in endpoints:
+            for ep in [target, *endpoints]:
                 ep.stop()
 
     def test_a_connection_asking_more_than_a_session_closes(self):
@@ -662,9 +683,8 @@ class TestQueriesFromTheWire:
         own = [
             m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (2, 1)
         ]
-        endpoints = spawn_endpoints(config)
+        target, endpoints = beside_a_session(config, (2, 1))
         try:
-            target = next(ep for ep in endpoints if ep.state.address == (2, 1))
             assert len(own) == len(target.state.slots) == 2
             with socket.create_connection(target.address, timeout=5) as conn:
                 conn.settimeout(5)
@@ -675,28 +695,54 @@ class TestQueriesFromTheWire:
                 assert conn.recv(1) == b""
             (cause,) = target.errors
             assert type(cause) is ProtocolViolationError
-            assert str(cause) == "more queries on one connection than a session's 2"
+            assert str(cause) == "database (2, 1) holds no slot for (partition, target) (1, None)"
             # The loop serves on.
             over_tcp = run_networked_session(config, endpoints=endpoints)
             assert over_tcp.serialize() == run_memory_session(config).serialize()
+        finally:
+            for ep in [target, *endpoints]:
+                ep.stop()
+
+    def test_a_slot_replayed_on_fresh_connections_answers_once(self):
+        # A peer claiming the leader's origin asks each client's database 1
+        # with the zero vector, then with each unit vector e_j, each on a
+        # new connection. Were the slot answered again, the answer to e_j
+        # would differ from the zero vector's exactly when the client holds j.
+        config = DEMOS["sec4"].config
+        universe = config.universe_size
+        endpoints = spawn_endpoints(config)
+        try:
+            for target in [ep for ep in endpoints if ep.state.address[1] == 1]:
+                party, _ = target.state.address
+                zero = leader_query(config, (party, 1), universe)
+                with socket.create_connection(target.address, timeout=5) as conn:
+                    conn.settimeout(5)
+                    conn.sendall(encode_msg(zero))
+                    assert_one_answer(conn, zero)
+                for j in range(universe):
+                    unit = bytes(j) + b"\1" + bytes(universe - j - 1)
+                    send_and_expect_close(target, zero._replace(values=unit))
+                assert [str(cause) for cause in target.errors] == [
+                    f"database ({party}, 1) holds no slot for (partition, target) (1, None)"
+                ] * universe
         finally:
             for ep in endpoints:
                 ep.stop()
 
 
-def closes_alone(endpoint, msg):
+def closes_alone(endpoint, msg, honest):
     """Send msg to endpoint beside an idle connection; the error its connection closed on.
 
     Only msg's connection closes, and the endpoint keeps its cause: the idle
-    one stays open.
+    one then asks the honest query and gets its answer, from the slot msg
+    did not spend.
     """
     with socket.create_connection(endpoint.address, timeout=5) as idle:
+        idle.settimeout(5)
         send_and_expect_close(endpoint, msg)
         (cause,) = endpoint.errors
-        idle.settimeout(0.3)
-        with pytest.raises(socket.timeout):
-            idle.recv(1)
-    endpoint.errors.clear()
+        idle.sendall(encode_msg(honest))
+        assert_one_answer(idle, honest)
     return cause
 
 
@@ -775,18 +821,17 @@ class TestEndpointRejections:
     def test_rejected_frame_closes_only_its_connection(self, rejected):
         config = DEMOS["sec4"].config
         make, match = self.REJECTED_FRAMES[rejected]
-        endpoints = spawn_endpoints(config)
+        (honest,) = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
+        ]
+        (target,) = dealt_endpoints(config, [(1, 1)])
+        serve([target])
         try:
-            target = next(ep for ep in endpoints if ep.state.address == (1, 1))
-            cause = closes_alone(target, make(config))
+            cause = closes_alone(target, make(config), honest)
             assert type(cause) is ProtocolViolationError
             assert re.fullmatch(match, str(cause))
-            # The loop serves on.
-            over_tcp = run_networked_session(config, endpoints=endpoints)
-            assert over_tcp.serialize() == run_memory_session(config).serialize()
         finally:
-            for ep in endpoints:
-                ep.stop()
+            target.stop()
 
     @pytest.mark.parametrize("rejected", sorted(REJECTED_FRAMES))
     def test_rejected_frame_is_refused_in_memory_as_over_tcp(self, rejected):

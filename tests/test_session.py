@@ -17,7 +17,7 @@ from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.protocol import collect_answers, make_session_id
 from mppsi.randomness import build_bundle
 from mppsi.seeding import draw_vector
-from mppsi.session import load_transcript, run_memory_session, run_session
+from mppsi.session import deal, load_transcript, run_memory_session, run_session
 from mppsi.wire import Message
 
 from test_audit import session_configs
@@ -369,6 +369,49 @@ class TestDeterminism:
 
         config = DEMOS["sec4"].config
         assert make_session_id(config) == make_session_id(replace(config, transport="net"))
+
+
+class TestOneAnswerPerSlot:
+    """A dealt slot masks one answer: its state answers it once, on the
+    in-memory transport as over TCP. sec4's database (1, 1) holds one slot."""
+
+    SPENT = re.escape("database (1, 1) holds no slot for (partition, target) (1, None)")
+
+    @staticmethod
+    def query_and_dealing():
+        """sec4's query to database (1, 1), and a fresh dealing of its session."""
+        config = DEMOS["sec4"].config
+        (query,) = [
+            m for m in run_memory_session(config).messages_in_phase("query") if m.dest == (1, 1)
+        ]
+        return query, deal(config)
+
+    def test_a_slot_replayed_with_unit_vectors_answers_once(self):
+        # Asked again with each unit vector e_j, the slot would answer c * x_j
+        # more than it does the zero vector: the client's whole set.
+        query, states = self.query_and_dealing()
+        universe = len(query.values)
+        zero = query._replace(values=bytes(universe))
+        assert len(collect_answers([zero], states)) == 1
+        assert states[1, 1].slots == {}
+        for j in range(universe):
+            unit = zero._replace(values=bytes(j) + b"\1" + bytes(universe - j - 1))
+            with pytest.raises(ProtocolViolationError, match=self.SPENT):
+                collect_answers([unit], states)
+
+    def test_a_refused_query_spends_no_slot(self):
+        query, states = self.query_and_dealing()
+        slots = dict(states[1, 1].slots)
+        with pytest.raises(ProtocolViolationError, match="query vector length 5 != universe 4"):
+            collect_answers([query._replace(values=query.values + b"\0")], states)
+        assert states[1, 1].slots == slots
+        assert len(collect_answers([query], states)) == 1
+
+    def test_a_slot_answered_stays_spent_when_its_batch_is_refused(self):
+        query, states = self.query_and_dealing()
+        with pytest.raises(ProtocolViolationError, match=self.SPENT):
+            collect_answers([query, query], states)
+        assert states[1, 1].slots == {}
 
 
 class TestEdgeCases:
