@@ -27,7 +27,7 @@ from .leader import (
     generate_queries,
     make_partition_plan,
 )
-from .model import PartyProfile, Universe, brute_force_intersection
+from .model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 from .randomness import RandomnessPolicy, build_bundle
 from .session import SessionTranscript, run_memory_session, run_session
 
@@ -42,6 +42,7 @@ __all__ = [
     "PartyProfile",
     "PrimeField",
     "ProtocolViolationError",
+    "PublicParameters",
     "RandomnessPolicy",
     "SessionConfig",
     "SessionTranscript",

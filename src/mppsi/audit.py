@@ -75,9 +75,12 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from .client import support_sum
 from .errors import BoundExceededError
 from .field import PrimeField
-from .leader import IS_ZERO, PartitionPlan, decode_indicators, lay_out_queries, make_partition_plan
-from .model import PartyProfile, Universe, brute_force_intersection
-from .protocol import SessionSetup, prepare_session
+from .leader import (
+    IS_ZERO, PartitionPlan, decode_indicators, lay_out_queries, make_partition_plan,
+    make_plan_shape,
+)
+from .model import PartyProfile, PublicParameters, Universe, brute_force_intersection
+from .protocol import prepare_session
 from .randomness import FAITHFUL, RandomnessPolicy, completion, correlating_client, free_clients
 from .seeding import draw_vector, labeled_rng
 from .session import SessionTranscript
@@ -138,8 +141,14 @@ class AuditInstance:
     universe: Universe
     leader_override: Optional[int] = None
 
-    def setup(self) -> SessionSetup:
-        return prepare_session(self.profiles, self.universe, self.leader_override)
+    def elect(self) -> Tuple[PublicParameters, PartyProfile, Tuple[PartyProfile, ...]]:
+        """Its public parameters with the leader elected, the leader's profile,
+        and the clients' by party id."""
+        public = PublicParameters.of(self.profiles, self.universe, self.leader_override)
+        public, _ = prepare_session(public)
+        parties = sorted(self.profiles, key=lambda p: p.party_id)
+        clients = tuple(p for p in parties if p.party_id != public.leader)
+        return public, parties[public.leader - 1], clients
 
     def true_intersection(self) -> FrozenSet[int]:
         return brute_force_intersection(self.profiles)
@@ -162,7 +171,9 @@ class CompiledInstance:
     (_answer_batches) and reads them by index in that order.
     """
 
-    setup: SessionSetup
+    field: PrimeField
+    leader: PartyProfile
+    clients: Tuple[PartyProfile, ...]
     plan: PartitionPlan
     universe: Universe
     s_index: Dict[Tuple[int, int], int]
@@ -180,10 +191,6 @@ class CompiledInstance:
     # client id -> the sum of a query's entries over that client's set
     support_sums: Dict[int, Callable[[bytes], int]]
 
-    @property
-    def field(self) -> PrimeField:
-        return self.setup.field
-
     def space_size(self) -> int:
         """Joint outcomes of (local vectors, free individual values, multiplier)."""
         modulus = self.field.modulus
@@ -191,8 +198,8 @@ class CompiledInstance:
 
 
 def compile_instance(instance: AuditInstance) -> CompiledInstance:
-    setup = instance.setup()
-    plan = make_partition_plan(setup.leader, setup.clients)
+    public, leader, clients = instance.elect()
+    plan = make_partition_plan(make_plan_shape(public), leader.sorted_elements())
     shape = plan.shape
     s_index: Dict[Tuple[int, int], int] = {}
     for client_id in shape.client_ids:
@@ -220,7 +227,9 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         for position in range(1, shape.set_size + 1)
     }
     return CompiledInstance(
-        setup=setup,
+        field=public.field,
+        leader=leader,
+        clients=clients,
         plan=plan,
         universe=instance.universe,
         s_index=s_index,
@@ -233,7 +242,7 @@ def compile_instance(instance: AuditInstance) -> CompiledInstance:
         corr_free_indices=corr_free,
         support_sums={
             client.party_id: support_sum(sorted(elem - 1 for elem in client.data_set))
-            for client in setup.clients
+            for client in clients
         },
     )
 
@@ -769,7 +778,7 @@ def check_indicator_privacy(
     same exact uniform table over the nonzero residues.
     """
     compiled = compile_instance(instance)
-    setup, plan = compiled.setup, compiled.plan
+    plan = compiled.plan
     client_ids = plan.shape.client_ids
     modulus = compiled.field.modulus
     truth = instance.true_intersection()
@@ -780,7 +789,7 @@ def check_indicator_privacy(
 
     def indicator_tables(clients, element) -> Iterator[Tuple[int, object, DistributionTable]]:
         """The element's indicator table per context, as the multiplier sweeps."""
-        comp = _with_leader(clients, setup.leader, instance.universe)
+        comp = _with_leader(clients, compiled.leader, instance.universe)
         lane = comp.plan.leader_elements.index(element)
         return _masking_tables(
             comp, policy, _with_ips(comp, held), lambda s, t: [(s, t)], [c_range],
@@ -789,7 +798,7 @@ def check_indicator_privacy(
 
     for element in plan.leader_elements:
         if element in truth:
-            for ctx, _, table in indicator_tables(setup.clients, element):
+            for ctx, _, table in indicator_tables(compiled.clients, element):
                 zero = table.as_dict() == {0: Fraction(1)}
                 results.append(((element, "intersection", ctx), table, None if zero else (
                     f"element {element}: indicator not always zero"
@@ -804,7 +813,7 @@ def check_indicator_privacy(
                 replace(client, data_set=client.data_set | {element})
                 if client.party_id in holders
                 else replace(client, data_set=client.data_set - {element})
-                for client in setup.clients
+                for client in compiled.clients
             ]
             for ctx, _, table in indicator_tables(variant, element):
                 if reference is None:

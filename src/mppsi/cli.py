@@ -31,10 +31,13 @@ from typing import Dict, List, Optional, Tuple
 
 from . import audit as audit_mod
 from .config import SessionConfig, load_config
+from .database import DatabaseState
 from .demo import DEMOS, run_demo
 from .errors import BoundExceededError, ConfigError, MppsiError
-from .leader import make_partition_plan
-from .session import deal, run_session
+from .leader import make_plan_shape
+from .protocol import prepare_session
+from .randomness import build_bundle
+from .session import run_session
 
 
 def _apply_overrides(config: SessionConfig, args) -> SessionConfig:
@@ -81,9 +84,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_cost(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    setup = config.prepared[0]
-    chosen = setup.leader.party_id
-    table = {str(pid): cost for pid, cost in sorted(setup.costs.costs.items())}
+    public, costs = prepare_session(config.public)
+    chosen = public.leader
+    table = {str(pid): cost for pid, cost in sorted(costs.costs.items())}
     if args.json:
         print(json.dumps({"cost_table": table, "leader": chosen}, sort_keys=True))
     else:
@@ -132,12 +135,8 @@ def _leader_mi_candidates(leader_set, universe_size: int) -> Optional[List[froze
 
 def _audit_checks(config: SessionConfig, args) -> List[Dict]:
     universe = config.universe
-    setup = config.prepared[0]
-    instance = audit_mod.AuditInstance(
-        profiles=config.parties,
-        universe=universe,
-        leader_override=setup.leader.party_id,
-    )
+    instance = audit_mod.AuditInstance(config.parties, universe, config.leader_override)
+    public, leader, clients = instance.elect()
     bound = args.bound
 
     # Each check returns (passed, detail).
@@ -153,18 +152,18 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
         return report.passed, report.detail or holds
 
     def leader_mi() -> Tuple[bool, str]:
-        candidates = _leader_mi_candidates(setup.leader.data_set, config.universe_size)
+        candidates = _leader_mi_candidates(leader.data_set, config.universe_size)
         if candidates is None:
             return True, "the leader holds the whole universe; its public set size reveals it"
-        plan = make_partition_plan(setup.leader, setup.clients)
+        shape = make_plan_shape(public)
         worst = 0.0
         all_zero = True
-        for client in setup.clients:
-            for db in range(1, plan.shape.used_databases[client.party_id] + 1):
+        for client in clients:
+            for db in range(1, shape.used_databases[client.party_id] + 1):
                 result = audit_mod.leader_privacy_mi(
-                    clients=list(setup.clients),
-                    leader_id=setup.leader.party_id,
-                    leader_databases=setup.leader.num_databases,
+                    clients=list(clients),
+                    leader_id=leader.party_id,
+                    leader_databases=leader.num_databases,
                     candidate_sets=candidates,
                     universe=universe,
                     client_id=client.party_id,
@@ -177,8 +176,8 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
 
     def client_mi() -> Tuple[bool, str]:
         report = audit_mod.client_privacy_mi(
-            leader=setup.leader,
-            client_shapes=[(c.party_id, c.num_databases) for c in setup.clients],
+            leader=leader,
+            client_shapes=[(c.party_id, c.num_databases) for c in clients],
             universe=universe,
             bound=bound,
         )
@@ -196,7 +195,7 @@ def _audit_checks(config: SessionConfig, args) -> List[Dict]:
     for name, check in checks.items():
         if args.check not in (name, "all"):
             continue
-        if not setup.leader.data_set:
+        if not leader.data_set:
             # No query or answer is exchanged, so every claim holds vacuously.
             passed, detail = True, "empty leader set; nothing is exchanged"
         else:
@@ -230,20 +229,25 @@ def _cmd_serve_db(args) -> int:
     from .net import DatabaseEndpoint, serve
 
     config = load_config(args.config)
-    party = next((p for p in config.parties if p.party_id == args.party), None)
-    if party is None:
+    address = (args.party, args.db)
+    databases = config.public.databases
+    if not 1 <= args.party <= len(databases):
         raise ConfigError(f"serve-db names unknown party {args.party}")
-    if not 1 <= args.db <= party.num_databases:
+    if not 1 <= args.db <= databases[args.party - 1]:
         raise ConfigError(f"party {args.party} has no database {args.db}")
-    setup, _ = config.prepared
-    if args.party == setup.leader.party_id:
+    public, _, session_id = config.prepared
+    if args.party == public.leader:
         raise ConfigError("the leader party does not serve database endpoints")
-    if not setup.leader.data_set:
+    if not public.set_sizes[public.leader - 1]:
         raise ConfigError("the leader set is empty: no database gets a query")
+    # Its own record of the config's dealing; it needs no peer's address.
+    record = build_bundle(public, config.seed, session_id).get(address)
+    if record is None:
+        raise ConfigError(f"database ({args.party},{args.db}) is idle: it gets no query")
     host, port = args.host, args.port
     if port is None:
-        if (args.party, args.db) in config.addresses:
-            host, port = config.addresses[(args.party, args.db)]
+        if address in public.addresses:
+            host, port = public.addresses[address]
         else:
             raise ConfigError(
                 "serve-db needs --port or an addresses entry in the config"
@@ -252,10 +256,9 @@ def _cmd_serve_db(args) -> int:
     def report(cause: Exception) -> None:
         print(f"database ({args.party},{args.db}) closed a connection: {cause}", file=sys.stderr)
 
-    # Its own record of the config's dealing; it needs no peer's address.
-    endpoint = DatabaseEndpoint(
-        deal(config)[args.party, args.db], host=host, port=port, on_error=report
-    )
+    own = next(p for p in config.parties if p.party_id == args.party)
+    state = DatabaseState(public, record, sorted(element - 1 for element in own.data_set))
+    endpoint = DatabaseEndpoint(state, host=host, port=port, on_error=report)
     serve([endpoint])
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")
     try:

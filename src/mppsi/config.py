@@ -17,6 +17,7 @@ A config file is a UTF-8 JSON object:
 
 Party ids must be 1..M without gaps. Set elements must be unique integers
 inside the universe. Validation failures carry field-level diagnostics.
+Each set and the seed are private inputs; SessionConfig.public is the rest.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
+from . import protocol
 from .errors import ConfigError
-from .model import PartyProfile, Universe
+from .leader import CostTable
+from .model import PartyProfile, PublicParameters, Universe
 from .wire import MAX_FRAME_BYTES, max_query_frame_bytes
 
 TRANSPORTS = ("memory", "net")
@@ -52,12 +55,18 @@ class SessionConfig:
     def universe(self) -> Universe:
         return Universe(self.universe_size)
 
-    @functools.cached_property
-    def prepared(self):
-        """protocol.prepare(self), once per config object; protocol imports this module."""
-        from .protocol import prepare
+    @property
+    def public(self) -> PublicParameters:
+        """The config's public parameters: all of it but the sets and the seed."""
+        return PublicParameters.of(
+            self.parties, self.universe, self.leader_override, self.addresses
+        )
 
-        return prepare(self)
+    @functools.cached_property
+    def prepared(self) -> Tuple[PublicParameters, CostTable, str]:
+        """protocol.prepare_session of the public parameters, and
+        protocol.make_session_id of the config, once per config object."""
+        return (*protocol.prepare_session(self.public), protocol.make_session_id(self))
 
 
 def _require_int(value, what: str, minimum: int, maximum: Optional[int] = None) -> int:

@@ -1,19 +1,19 @@
 """One client database's protocol state, with no I/O.
 
 A DatabaseState is built from what one client database is entitled to: the
-public plan shape, its party's own set and its own DatabaseRecord, the
-common randomness dealt to it before the session (randomness.build_bundle).
-A record holds exactly what the database adds to its answers and nothing of
-any other database's: its client's local vector, its individual values at
-the partitions of its own positions, and the multiplier, with the public
-parameters the database serves under (session id, address, leader and K).
-So a state is ready to answer once built, from one slot per query it
-answers, each spent by its answer, and never draws, sends or receives
-randomness. Its constructor refuses a record that is no dealing for it:
-one for another party or a database it does not have, one naming a client
-as the leader, a set outside 1..K, a local vector of another length,
-individual values at partitions other than those of its own positions, or
-a value that is no residue below L (the multiplier must also be nonzero).
+session's model.PublicParameters, from which it derives the plan shape, its
+party's own set and its own DatabaseRecord, the common randomness dealt to
+it before the session (randomness.build_bundle). A record holds exactly
+what the database adds to its answers and nothing of any other database's:
+its client's local vector, its individual values at the partitions of its
+own positions, and the multiplier, with its session id and address. So a
+state is ready to answer once built, from one slot per query it answers,
+each spent by its answer, and never draws, sends or receives randomness.
+Its constructor refuses a record that is no dealing for it: one for a
+database the leader does not query, a set outside 1..K, a local vector of
+another length, individual values at partitions other than those of its own
+positions, or a value that is no residue below L (the multiplier must also
+be nonzero). That the set is its party's, no one but the party can check.
 It runs only the faithful scheme: the negative-control mutations are the
 audit checks'. Both transports answer from these states through
 client.answer_all, the one check of a query: protocol.collect_answers in
@@ -25,27 +25,23 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConfigError
-from .field import PrimeField
-from .leader import PlanShape
-from .model import PartyProfile
+from .leader import make_plan_shape
+from .model import PublicParameters
 
 
 class DatabaseRecord(NamedTuple):
     """One client database's dealt randomness for one session, all residues in [0, L).
 
-    session_id, address, leader (the leader's party id) and universe_size
-    (K) are the public parameters the database serves under; the rest is
-    its dealing. local[partition - 1] is its client's local value for that
-    partition; individual[partition] is the value it adds to its targeted
-    answer for that partition, only at the partitions of its own positions
-    (none at database 1, which gets no targeted query); c is the nonzero
-    global multiplier.
+    session_id and address are the session and the database it serves; the
+    rest is its dealing. local[partition - 1] is its client's local value
+    for that partition; individual[partition] is the value it adds to its
+    targeted answer for that partition, only at the partitions of its own
+    positions (none at database 1, which gets no targeted query); c is the
+    nonzero global multiplier.
     """
 
     session_id: str
     address: Tuple[int, int]
-    leader: int
-    universe_size: int
     local: bytes
     individual: Dict[int, int]
     c: int
@@ -54,8 +50,9 @@ class DatabaseRecord(NamedTuple):
 class DatabaseState:
     """The answering state of one client database: its party's set and its record.
 
-    support holds the 0-based indices of its set's elements in a query of K
-    values, sorted: sorted(element - 1 for element in profile.data_set),
+    leader, universe_size and field are the public parameters'. support
+    holds the 0-based indices of its set's elements in a query of K
+    values, sorted: sorted(element - 1 for element in data_set),
     which the dealing sorts once for all of a party's databases. slots maps
     the (partition, target position) tags of each query it answers in the
     session to s + t, its local value plus its individual value: database 1
@@ -64,22 +61,13 @@ class DatabaseState:
     slot it answers, so slots holds the ones not yet spent.
     """
 
-    def __init__(
-        self, shape: PlanShape, profile: PartyProfile, field: PrimeField, record: DatabaseRecord,
-        support: List[int],
-    ):
+    def __init__(self, public: PublicParameters, record: DatabaseRecord, support: List[int]):
+        shape, field = make_plan_shape(public), public.field
         party_id, database = record.address
-        if party_id != profile.party_id or not 1 <= database <= profile.num_databases:
-            raise ConfigError(
-                f"record for database {record.address}, not one of party "
-                f"{profile.party_id}'s {profile.num_databases}"
-            )
-        if party_id not in shape.client_ids:
-            raise ConfigError(f"record for database {record.address} of a party that is no client")
-        if record.leader in shape.client_ids:
-            raise ConfigError(f"record names client {record.leader} as the leader")
-        if support and not 0 <= support[0] <= support[-1] < record.universe_size:
-            raise ConfigError(f"party {party_id}'s set is not within 1..{record.universe_size}")
+        if not 1 <= database <= shape.used_databases.get(party_id, 0):
+            raise ConfigError(f"record for database {record.address}, which gets no query")
+        if support and not 0 <= support[0] <= support[-1] < public.universe_size:
+            raise ConfigError(f"party {party_id}'s set is not within 1..{public.universe_size}")
         modulus = field.modulus
         if len(record.local) != shape.eta[party_id]:
             raise ConfigError(
@@ -109,8 +97,8 @@ class DatabaseState:
         self.session_id = record.session_id
         self.support = support
         self.address = record.address
-        self.leader = record.leader
-        self.universe_size = record.universe_size
+        self.leader = public.leader
+        self.universe_size = public.universe_size
         self.field = field
         self.local = record.local
         self.individual = record.individual

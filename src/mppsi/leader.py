@@ -20,9 +20,9 @@ value, tags and origin.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
-universe element a position stands for. The chunk geometry (PlanShape)
-depends only on the public set size and database counts, so client
-databases can derive it themselves.
+universe element a position stands for. The election (cost_table) and the
+chunk geometry (PlanShape) read only a session's model.PublicParameters,
+so client databases can derive them themselves.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleError, ProtocolViolationError
 from .field import PrimeField
-from .model import PartyProfile, Universe
+from .model import PublicParameters, Universe
 from .seeding import draw_vector
 from .wire import Message
 
@@ -70,20 +70,21 @@ class CostTable:
         return pid
 
 
-def download_cost(leader: PartyProfile, clients: Sequence[PartyProfile]) -> int:
-    """Total answers the leader downloads across all clients."""
-    size = len(leader.data_set)
-    return sum(per_client_cost(size, c.num_databases) for c in clients)
+def download_cost(set_size: int, client_databases: Sequence[int]) -> int:
+    """Total answers a leader with a set of this size downloads from clients
+    with these database counts."""
+    return sum(per_client_cost(set_size, databases) for databases in client_databases)
 
 
-def cost_table(profiles: Sequence[PartyProfile]) -> CostTable:
+def cost_table(public: PublicParameters) -> CostTable:
+    """Every candidate leader's download cost, from the public parameters alone."""
     costs: Dict[int, Optional[int]] = {}
-    for candidate in profiles:
-        others = [p for p in profiles if p.party_id != candidate.party_id]
+    for candidate, size in enumerate(public.set_sizes, 1):
+        others = [n for party, n in enumerate(public.databases, 1) if party != candidate]
         try:
-            costs[candidate.party_id] = download_cost(candidate, others)
+            costs[candidate] = download_cost(size, others)
         except InfeasibleError:
-            costs[candidate.party_id] = None
+            costs[candidate] = None
     return CostTable(costs)
 
 
@@ -95,9 +96,11 @@ class PlanShape:
     number of databases actually used); eta[i] is the number of partitions,
     the last of which may be shorter. Position p of partition L is answered
     by database p + 1; database 1 answers the bare base vector of every
-    partition. Clients with more databases than needed leave the rest idle.
+    partition. Clients with more databases than needed leave the rest idle:
+    only the first used_databases[i] get a query.
     """
 
+    leader_id: int
     set_size: int
     client_ids: Tuple[int, ...]
     chunk: Dict[int, int]
@@ -125,25 +128,30 @@ class PlanShape:
         return list(range(offset + 1, self.set_size + 1, size))
 
 
-def make_plan_shape(set_size: int, clients: Sequence[PartyProfile]) -> PlanShape:
-    """Geometry for a leader set of the given (public) size."""
+@functools.lru_cache(maxsize=1)
+def make_plan_shape(public: PublicParameters) -> PlanShape:
+    """Geometry for the leader's set from a prepared session's public
+    parameters (protocol.prepare_session), kept for the last ones, so the
+    dealing, every database state and the leader share one shape."""
+    set_size = public.set_sizes[public.leader - 1]
     if set_size < 1:
         raise ValueError("plan shape needs a nonempty leader set")
     chunk: Dict[int, int] = {}
     eta: Dict[int, int] = {}
     used: Dict[int, int] = {}
-    for client in clients:
-        if client.num_databases < 2:
-            raise InfeasibleError(
-                f"party {client.party_id} has a single database; protocol infeasible"
-            )
-        usable = min(client.num_databases, set_size + 1)
-        chunk[client.party_id] = usable - 1
-        eta[client.party_id] = ceil_div(set_size, usable - 1)
-        used[client.party_id] = usable
+    for party_id, databases in enumerate(public.databases, 1):
+        if party_id == public.leader:
+            continue
+        if databases < 2:
+            raise InfeasibleError(f"party {party_id} has a single database; protocol infeasible")
+        usable = min(databases, set_size + 1)
+        chunk[party_id] = usable - 1
+        eta[party_id] = ceil_div(set_size, usable - 1)
+        used[party_id] = usable
     return PlanShape(
+        leader_id=public.leader,
         set_size=set_size,
-        client_ids=tuple(sorted(c.party_id for c in clients)),
+        client_ids=tuple(chunk),
         chunk=chunk,
         eta=eta,
         used_databases=used,
@@ -165,14 +173,11 @@ class PartitionPlan:
     decode_blocks: Tuple[Tuple[int, ...], ...]
 
 
-def make_partition_plan(
-    leader: PartyProfile, clients: Sequence[PartyProfile]
-) -> PartitionPlan:
-    """Chunk the leader's ascending set into runs of N_i - 1 per client."""
-    elements = leader.sorted_elements()
-    if not elements:
-        raise ValueError("partition plan needs a nonempty leader set")
-    shape = make_plan_shape(len(elements), clients)
+def make_partition_plan(shape: PlanShape, elements: Tuple[int, ...]) -> PartitionPlan:
+    """Chunk the leader's ascending set, its elements, into runs of N_i - 1
+    per client, on the shape of its size."""
+    if len(elements) != shape.set_size:
+        raise ValueError(f"{len(elements)} elements for a plan shape of {shape.set_size}")
     # The answer order, Message.sort_key's: per client and database, by
     # partition and target; database 1 answers the bare base query of each
     # partition. Decode blocks refer to answers by their index in that order.
@@ -194,7 +199,7 @@ def make_partition_plan(
         targets.append(tuple(slots))
         bases.append(tuple(base_slots))
     return PartitionPlan(
-        leader_id=leader.party_id,
+        leader_id=shape.leader_id,
         leader_elements=elements,
         shape=shape,
         answer_keys=tuple(keys),

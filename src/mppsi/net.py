@@ -29,9 +29,10 @@ that many answers, and a query for a spent slot closes its connection.
 
 Frames are wire's binary frames, each carrying one wire.Message of a state
 or the leader, its residue bytes as they are. run_networked_session gives
-session.run_leader the TCP exchange; the runner and the dealing read their
-setup and session id from config.prepared, so for equal (config, seed) the
-transcript equals the in-memory transport's.
+session.run_leader the TCP exchange; the runner and the dealing read the
+public parameters and the session id from config.prepared, so for equal
+(config, seed) the transcript equals the in-memory transport's. Given
+addresses, the runner needs one for each database it queries, and no other.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def serve(endpoints: List[DatabaseEndpoint]) -> None:
 
 def spawn_endpoints(config: SessionConfig) -> List[DatabaseEndpoint]:
     """Deal the config's session once and serve one in-process endpoint per
-    client database on its state (ephemeral ports), all on one serve loop.
+    queried client database on its state (ephemeral ports), all on one serve loop.
 
     An empty leader set deals no state: no endpoint, and no loop. Should an
     endpoint fail to listen, those built before it are stopped.
@@ -352,22 +353,27 @@ def run_networked_session(
     """Run one session over TCP loopback endpoints.
 
     Without explicit endpoints (and without configured addresses) the runner
-    spawns one endpoint per client database, all served by one thread, and
-    tears them down afterwards. The runner and the endpoints dealt from this
-    config object read one config.prepared, so the session elects and
-    derives its session id once.
+    spawns one endpoint per queried client database, all served by one
+    thread, and tears them down afterwards. The runner and the endpoints
+    dealt from this config object read one config.prepared, so the session
+    elects and derives its session id once.
     """
 
     def exchange(sent):
-        setup, _ = config.prepared
-        leader = (setup.leader.party_id, 0)
+        public = config.prepared[0]
+        leader = (public.leader, 0)
         queries = {}
         for dest, msgs in itertools.groupby(sent, key=lambda query: query.dest):
             frames = list(map(encode_msg, msgs))
             queries[dest] = (bytearray().join(frames), len(frames))
-        if endpoints is None and config.addresses:
-            _check_external_addresses(setup, config.addresses)
-            return _query_round(config.addresses, queries, leader)
+        if endpoints is None and public.addresses:
+            missing = sorted(set(queries) - set(public.addresses))
+            if missing:
+                raise ConfigError(
+                    "networked transport needs an address for database "
+                    "({},{})".format(*missing[0])
+                )
+            return _query_round(public.addresses, queries, leader)
         serving = endpoints if endpoints is not None else spawn_endpoints(config)
         try:
             return _query_round({ep.state.address: ep.address for ep in serving}, queries, leader)
@@ -377,13 +383,3 @@ def run_networked_session(
                     ep.stop()
 
     return run_leader(config, exchange)
-
-
-def _check_external_addresses(setup, addresses) -> None:
-    for client in setup.clients:
-        for db in range(1, client.num_databases + 1):
-            if (client.party_id, db) not in addresses:
-                raise ConfigError(
-                    f"networked transport needs an address for database "
-                    f"({client.party_id},{db})"
-                )

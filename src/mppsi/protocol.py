@@ -1,16 +1,15 @@
 """Transport-free pieces of a session: election, session id, in-memory answers.
 
-prepare_session elects (or accepts) the leader and checks feasibility;
-the leader's driver, session.run_leader, the dealing, session.deal, and
-the audit module all elect through it. make_session_id is the one
-session-id function, of the config alone, so every transport derives the
-same id, and each database reads it from its dealt record. prepare runs
-both for a config, once per config object: the config's cached
-SessionConfig.prepared calls it, and the leader's driver, the dealing and
-the CLI read that. collect_answers is the in-memory answer round: every
-database answers its run of the queries, in transcript order, from its own
-database.DatabaseState alone, through client.answer_all, the function a
-TCP endpoint answers with too.
+prepare_session elects (or accepts) the leader of a session's public
+parameters and checks feasibility; it reads no set and no seed. The
+config's cached SessionConfig.prepared runs it once per config object,
+with make_session_id, the one session-id function, of the config alone, so
+every transport derives the same id; the leader's driver, session.run_leader,
+the dealing, session.deal, and the CLI read that, and each database reads
+the id from its dealt record. collect_answers is the in-memory answer
+round: every database answers its run of the queries, in transcript order,
+from its own database.DatabaseState alone, through client.answer_all, the
+function a TCP endpoint answers with too.
 """
 
 from __future__ import annotations
@@ -18,63 +17,34 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence, Tuple
 
 from .client import answer_all
-from .config import SessionConfig
 from .database import DatabaseState
 from .errors import InfeasibleError
-from .field import PrimeField, select_field_size
+from .field import select_field_size
 from .leader import CostTable, cost_table
-from .model import PartyProfile, Universe, validate_profiles
+from .model import PublicParameters
 from .wire import SESSION_ID_CHARS, Message
 
 
-@dataclass(frozen=True)
-class SessionSetup:
-    """Everything fixed before any value is drawn."""
-
-    field: PrimeField
-    leader: PartyProfile
-    clients: Tuple[PartyProfile, ...]
-    costs: CostTable
-
-
-def prepare_session(
-    profiles: Sequence[PartyProfile],
-    universe: Universe,
-    leader_override: Optional[int] = None,
-) -> SessionSetup:
-    """Elect (or accept) the leader and check feasibility."""
-    validate_profiles(profiles, universe)
-    if len(profiles) < 2:
-        raise InfeasibleError(f"need at least 2 parties, got {len(profiles)}")
-    table = cost_table(profiles)
-    if leader_override is not None:
-        if leader_override not in table.costs:
-            raise InfeasibleError(f"leader override names unknown party {leader_override}")
-        if table.costs[leader_override] is None:
-            raise InfeasibleError(
-                f"party {leader_override} cannot lead: some counterpart has one database"
-            )
-        leader_id = leader_override
-    else:
-        leader_id = table.best()
-    by_id = {p.party_id: p for p in profiles}
-    leader = by_id[leader_id]
-    clients = tuple(sorted(
-        (p for p in profiles if p.party_id != leader_id), key=lambda p: p.party_id
-    ))
-    return SessionSetup(
-        field=select_field_size(len(profiles)),
-        leader=leader,
-        clients=clients,
-        costs=table,
-    )
+def prepare_session(public: PublicParameters) -> Tuple[PublicParameters, CostTable]:
+    """Elect (or accept) the leader and check feasibility: the public
+    parameters with the leader in place, and every candidate's cost."""
+    if len(public.databases) < 2:
+        raise InfeasibleError(f"need at least 2 parties, got {len(public.databases)}")
+    table = cost_table(public)
+    leader_id = table.best() if public.leader is None else public.leader
+    if leader_id not in table.costs:
+        raise InfeasibleError(f"leader override names unknown party {leader_id}")
+    if table.costs[leader_id] is None:
+        raise InfeasibleError(f"party {leader_id} cannot lead: some counterpart has one database")
+    select_field_size(len(public.databases))  # a residue per byte: at most MAX_PARTIES parties
+    return replace(public, leader=leader_id), table
 
 
-def make_session_id(config: SessionConfig) -> str:
+def make_session_id(config) -> str:
     """The session id of a config: a digest of its transport-independent core."""
     core = {
         "universe_size": config.universe_size,
@@ -87,12 +57,6 @@ def make_session_id(config: SessionConfig) -> str:
     }
     text = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:SESSION_ID_CHARS]
-
-
-def prepare(config: SessionConfig) -> Tuple[SessionSetup, str]:
-    """The config's setup and session id."""
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
-    return setup, make_session_id(config)
 
 
 def collect_answers(

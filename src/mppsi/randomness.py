@@ -4,10 +4,11 @@ In the paper's model the clients already hold their common randomness when
 the leader's queries arrive, and no client database talks to another. A
 trusted set-up party, which sees the randomness but no set, deals it;
 here the runner deals it from the config's seed. build_bundle is that
-dealing: for one session it gives every client database a
-database.DatabaseRecord holding exactly what it adds to its answers, next
-to the public parameters it serves under (session id, address, leader and
-K), and builds its database.DatabaseState from it, ready to answer:
+dealing: from a session's model.PublicParameters, the seed and the session
+id, reading no set, it gives every client database the leader queries a
+database.DatabaseRecord holding exactly what it adds to its answers, with
+the session id and its address; session.deal builds each
+database.DatabaseState from its record:
 
 * its client's local vector (one slot per partition), the same at every
   database of that client: one labeled vector draw, "s/<client>";
@@ -35,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .database import DatabaseRecord, DatabaseState
-from .field import PrimeField
-from .leader import PlanShape
-from .model import PartyProfile
+from .database import DatabaseRecord
+from .leader import make_plan_shape
+from .model import PublicParameters
 from .seeding import draw_nonzero, draw_vector
 
 
@@ -80,30 +80,21 @@ def completion(
 
 
 def build_bundle(
-    shape: PlanShape,
-    clients: Sequence[PartyProfile],
-    field: PrimeField,
-    seed: int,
-    session_id: str,
-    leader: int,
-    universe_size: int,
-) -> Dict[Tuple[int, int], DatabaseState]:
-    """Deal one session's common randomness from the seed, and build every
-    client database's state, ready, from its own record.
-
-    Each record also carries the session's public parameters: session_id,
-    the leader's party id and the universe size K. Returns the states keyed
-    by their (client, database) address.
-    """
-    modulus, num_clients = field.modulus, len(shape.client_ids)
+    public: PublicParameters, seed: int, session_id: str
+) -> Dict[Tuple[int, int], DatabaseRecord]:
+    """Deal one session's common randomness from the seed: the record of
+    every client database the leader queries, by its (client, database)
+    address. The public parameters are a prepared session's, with the
+    leader in place, and its leader set is nonempty."""
+    shape = make_plan_shape(public)
+    modulus, num_clients = public.field.modulus, len(shape.client_ids)
     correlator = correlating_client(shape.client_ids)
     c = draw_nonzero(seed, modulus, "c")
     individual: Dict[Tuple[int, int], Dict[int, int]] = {}  # address -> partition -> value
     free_values: Dict[int, List[int]] = {}  # position -> the free clients' values
     # Free clients first: the correlating client's values complete theirs.
-    for client in sorted(clients, key=lambda client: client.party_id == correlator):
-        party_id = client.party_id
-        for database in range(1, client.num_databases + 1):
+    for party_id in sorted(shape.client_ids, key=lambda party_id: party_id == correlator):
+        for database in range(1, shape.used_databases[party_id] + 1):
             held = individual[party_id, database] = {}
             positions = shape.positions_of_database(party_id, database)
             if party_id == correlator:
@@ -115,14 +106,10 @@ def build_bundle(
                 for partition, position in enumerate(positions, 1):
                     held[partition] = draws[partition - 1]
                     free_values.setdefault(position, []).append(held[partition])
-    states = {}
-    for client in clients:
-        local = draw_vector(seed, modulus, shape.eta[client.party_id], "s", client.party_id)
-        support = sorted(element - 1 for element in client.data_set)
-        for database in range(1, client.num_databases + 1):
-            address = (client.party_id, database)
-            record = DatabaseRecord(
-                session_id, address, leader, universe_size, local, individual[address], c
-            )
-            states[address] = DatabaseState(shape, client, field, record, support)
-    return states
+    records = {}
+    for party_id in shape.client_ids:
+        local = draw_vector(seed, modulus, shape.eta[party_id], "s", party_id)
+        for database in range(1, shape.used_databases[party_id] + 1):
+            address = (party_id, database)
+            records[address] = DatabaseRecord(session_id, address, local, individual[address], c)
+    return records

@@ -47,7 +47,7 @@ from .leader import (
     make_partition_plan,
     make_plan_shape,
 )
-from .protocol import SessionSetup, collect_answers
+from .protocol import collect_answers
 from .randomness import build_bundle
 from .wire import Message, decode_msg, encode_msg
 
@@ -204,16 +204,21 @@ def load_transcript(data: bytes) -> SessionTranscript:
 
 
 def deal(config: SessionConfig) -> Dict[Tuple[int, int], DatabaseState]:
-    """The config's session dealt from its seed: every client database's
-    state by address. An empty leader set needs no randomness: none."""
-    setup, session_id = config.prepared
-    if not setup.leader.data_set:
+    """The config's session dealt from its seed: the state of every client
+    database the leader queries, by address, built from the public
+    parameters, its record and its party's set. An empty leader set needs
+    no randomness: none."""
+    public, _, session_id = config.prepared
+    if not public.set_sizes[public.leader - 1]:
         return {}
-    shape = make_plan_shape(len(setup.leader.data_set), setup.clients)
-    return build_bundle(
-        shape, setup.clients, setup.field, config.seed, session_id,
-        setup.leader.party_id, config.universe_size,
-    )
+    supports = {
+        p.party_id: sorted(element - 1 for element in p.data_set)
+        for p in config.parties if p.party_id != public.leader
+    }
+    return {
+        address: DatabaseState(public, record, supports[address[0]])
+        for address, record in build_bundle(public, config.seed, session_id).items()
+    }
 
 
 # Given the queries in transcript order, an exchange delivers them and
@@ -222,7 +227,8 @@ Exchange = Callable[[Sequence[Message]], List[Message]]
 
 
 def transcript_from_run(
-    setup: SessionSetup,
+    leader_id: int,
+    costs: CostTable,
     session_id: str,
     queries: Sequence[Message],
     answers: Sequence[Message],
@@ -231,8 +237,8 @@ def transcript_from_run(
     """The run's transcript: its queries and answers, each already in transcript order."""
     return SessionTranscript(
         session_id=session_id,
-        leader_id=setup.leader.party_id,
-        cost_table=setup.costs,
+        leader_id=leader_id,
+        cost_table=costs,
         messages=(*queries, *answers),
         result=result,
     )
@@ -241,15 +247,17 @@ def transcript_from_run(
 def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
     """Run the leader's side of one session, its traffic carried by exchange.
 
-    config.prepared gives the setup and session id. An empty leader set short-circuits:
+    config.prepared gives the public parameters, the cost table and the session id, and
+    the leader's set is the one set it reads. An empty leader set short-circuits:
     the intersection is necessarily empty, so nothing is drawn and exchange is never called.
     """
-    setup, session_id = config.prepared
-    if not setup.leader.data_set:
+    public, costs, session_id = config.prepared
+    leader = next(p for p in config.parties if p.party_id == public.leader)
+    if not leader.data_set:
         empty = IntersectionResult(decoded=frozenset(), indicators={}, download_cost_actual=0)
-        return SessionTranscript(session_id, setup.leader.party_id, setup.costs, (), empty)
-    plan = make_partition_plan(setup.leader, setup.clients)
-    queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+        return SessionTranscript(session_id, leader.party_id, costs, (), empty)
+    plan = make_partition_plan(make_plan_shape(public), leader.sorted_elements())
+    queries = generate_queries(plan, public.field, config.universe, config.seed, session_id)
     answers = exchange(queries)
     for msg in answers:
         if msg.session_id != session_id:
@@ -257,8 +265,8 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
                 f"answer for session {msg.session_id}, running {session_id}"
             )
     # decode sorts the answers in place, into transcript order.
-    result = decode(plan, answers, setup.field)
-    return transcript_from_run(setup, session_id, queries, answers, result)
+    result = decode(plan, answers, public.field)
+    return transcript_from_run(leader.party_id, costs, session_id, queries, answers, result)
 
 
 def run_memory_session(config: SessionConfig) -> SessionTranscript:

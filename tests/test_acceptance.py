@@ -24,7 +24,7 @@ from mppsi.audit import (
 from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS, run_demo
 from mppsi.leader import cost_table
-from mppsi.model import PartyProfile, Universe, brute_force_intersection
+from mppsi.model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 from mppsi.net import run_networked_session
 from mppsi.randomness import RandomnessPolicy
 from mppsi.session import run_memory_session
@@ -126,7 +126,7 @@ def test_criterion_4_cost_bound_consistency():
             expected_cost, expected_leader = oracle_best_leader(profiles)
             assert transcript.leader_id == expected_leader
             assert transcript.download_cost_actual == expected_cost
-            table = cost_table(profiles)
+            table = cost_table(PublicParameters.of(profiles, Universe(k)))
             assert transcript.cost_table.costs == table.costs
 
 
@@ -152,7 +152,7 @@ def test_criterion_5_reliability_exhaustive_suite():
                         profiles = tuple(
                             PartyProfile(i + 1, dbs[i], sets[i]) for i in range(m)
                         )
-                        table = cost_table(profiles)
+                        table = cost_table(PublicParameters.of(profiles, Universe(k)))
                         leader = next(
                             p for p in profiles if p.party_id == table.best()
                         )

@@ -33,7 +33,7 @@ from mppsi.audit import (
 from mppsi.client import answer_value
 from mppsi.errors import BoundExceededError
 from mppsi.leader import decode_indicators, generate_queries
-from mppsi.model import PartyProfile, Universe, brute_force_intersection
+from mppsi.model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 from mppsi.protocol import make_session_id
 from mppsi.randomness import FAITHFUL, RandomnessPolicy
 from mppsi.seeding import labeled_rng
@@ -868,9 +868,9 @@ def session_realization(config):
     compiled = compile_instance(
         AuditInstance(config.parties, config.universe, config.leader_override)
     )
-    setup, plan, shape = compiled.setup, compiled.plan, compiled.plan.shape
+    plan, shape = compiled.plan, compiled.plan.shape
     session_id = make_session_id(config)
-    queries = generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    queries = generate_queries(plan, compiled.field, config.universe, config.seed, session_id)
     # The client with the most partitions gets every base vector, bare, at database 1.
     widest = max(shape.client_ids, key=shape.eta.__getitem__)
     h = tuple(query.values for query in queries_to(queries, (widest, 1)))
@@ -980,7 +980,7 @@ def masking_realizations(config):
     """How many realizations the masking checks sweep per context, or None
     when the leader's set is empty and there is nothing to audit."""
     instance = AuditInstance(config.parties, config.universe, config.leader_override)
-    if not instance.setup().leader.data_set:
+    if not instance.elect()[1].data_set:
         return None
     compiled = compile_instance(instance)
     modulus, shape = compiled.field.modulus, compiled.plan.shape
@@ -1381,7 +1381,8 @@ class TestSampledGrid:
             )
             from mppsi.leader import cost_table
 
-            leader = next(p for p in profiles if p.party_id == cost_table(profiles).best())
+            table = cost_table(PublicParameters.of(profiles, Universe(k)))
+            leader = next(p for p in profiles if p.party_id == table.best())
             if leader.data_set:
                 picked.append((profiles, k, leader))
         return picked

@@ -102,6 +102,25 @@ class TestCost:
         assert payload["cost_table"] == {"1": 6, "2": 6, "3": 6}
         assert payload["leader"] == 3
 
+    def test_cost_reads_only_the_public_parameters(self, tmp_path, capsys, monkeypatch):
+        # Sets of other contents at the same sizes print the same bytes, and
+        # cost derives no session id, which digests every set and the seed.
+        import mppsi.protocol
+
+        def refuse(config):
+            raise AssertionError("cost derived a session id")
+
+        monkeypatch.setattr(mppsi.protocol, "make_session_id", refuse)
+        printed = []
+        for sets in ([[1, 2], [1, 3], [1, 4]], [[3, 4], [2, 4], [2, 3]]):
+            parties = [dict(party, set=own) for party, own in zip(FIXTURE["parties"], sets)]
+            path = tmp_path / "session.json"
+            path.write_text(json.dumps(dict(FIXTURE, parties=parties)))
+            assert main(["cost", "--config", str(path), "--json"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0]) == {"cost_table": {"1": 6, "2": 6, "3": 6}, "leader": 3}
+
     def test_unleadable_override_fails_as_run_does(self, tmp_path, capsys):
         # Party 1 cannot lead: party 2 has a single database.
         config = dict(FIXTURE, leader=1)
@@ -372,6 +391,15 @@ class TestServeDb:
             dict(FIXTURE, parties=[*FIXTURE["parties"][:2], dict(FIXTURE["parties"][2], set=[])]),
             ["--party", "1", "--db", "1"],
             "the leader set is empty: no database gets a query",
+        ),
+        # Party 3 leads a set of two, so it queries three databases of each
+        # client: party 1's fourth is idle.
+        "an idle database": (
+            dict(FIXTURE, parties=[
+                dict(FIXTURE["parties"][0], databases=4), *FIXTURE["parties"][1:]
+            ]),
+            ["--party", "1", "--db", "4"],
+            "database (1,4) is idle: it gets no query",
         ),
     }
 

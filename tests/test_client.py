@@ -10,22 +10,22 @@ from mppsi.client import answer_all, answer_value, support_sum
 from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.errors import ProtocolViolationError
 from mppsi.field import PrimeField, select_field_size
-from mppsi.leader import generate_queries, make_partition_plan, make_plan_shape
-from mppsi.model import PartyProfile, Universe
+from mppsi.leader import generate_queries
+from mppsi.model import PartyProfile, PublicParameters, Universe
 from mppsi.randomness import build_bundle
 from mppsi.wire import Message
 
-from test_leader import queries_to
+from test_leader import plan_of, queries_to
 
 SESSION = "client-tests"
 
 
 def query(dest, partition, target, vector):
-    """A query message from the leader, party 9, to dest."""
+    """A query message from the leader, party 2, to dest."""
     return Message(
         type="query",
         session_id=SESSION,
-        origin=(9, 0),
+        origin=(2, 0),
         dest=dest,
         partition=partition,
         target=target,
@@ -39,18 +39,21 @@ def modular_answer(x, q, s, t, c, modulus):
 
 
 def state_holding(profile, database, s, t, c, modulus, universe_size):
-    """The state of one of profile's databases, dealt s, t and c, over 1..universe_size.
+    """The state of one of party 1's databases, dealt s, t and c, over 1..universe_size.
 
-    The profile is the only client of a one-element leader set, party 9's,
-    so the state has one partition, and database 2 one position in it.
+    Party 1 holds profile's set in a session of L = modulus parties, so of
+    the field F_L, whose leader, party 2, holds one element: the state has
+    one partition, and database 2 one position in it.
     """
-    shape = make_plan_shape(1, [profile])
-    individual = {1: t} if database == 2 else {}
-    record = DatabaseRecord(
-        SESSION, (profile.party_id, database), 9, universe_size, bytes((s,)), individual, c
+    public = PublicParameters(
+        universe_size, (profile.num_databases,) + (2,) * (modulus - 1),
+        (len(profile.data_set),) + (1,) * (modulus - 1), 2, {},
     )
-    support = sorted(element - 1 for element in profile.data_set)
-    return DatabaseState(shape, profile, PrimeField(modulus), record, support)
+    individual = {1: t} if database == 2 else {}
+    record = DatabaseRecord(SESSION, (1, database), bytes((s,)), individual, c)
+    state = DatabaseState(public, record, sorted(element - 1 for element in profile.data_set))
+    assert state.field == PrimeField(modulus)
+    return state
 
 
 def answer(x, q, s, t, c, modulus):
@@ -138,9 +141,14 @@ def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
         for i, dbs in enumerate(client_dbs)
     ]
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
-    plan = make_partition_plan(leader, clients)
+    plan = plan_of(leader, clients)
     field = select_field_size(len(clients) + 1)
-    states = build_bundle(plan.shape, clients, field, 21, SESSION, leader.party_id, universe)
+    public = PublicParameters.of([*clients, leader], Universe(universe), leader.party_id)
+    supports = {client.party_id: sorted(e - 1 for e in client.data_set) for client in clients}
+    states = {
+        address: DatabaseState(public, record, supports[address[0]])
+        for address, record in build_bundle(public, 21, SESSION).items()
+    }
     sent = generate_queries(plan, field, Universe(universe), seed=21, session_id=SESSION)
     return clients, plan, field, states, sent
 

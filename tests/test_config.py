@@ -8,7 +8,7 @@ import pytest
 from mppsi.config import parse_config
 from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError, InfeasibleError
-from mppsi.protocol import make_session_id, prepare
+from mppsi.protocol import make_session_id, prepare_session
 
 FIXTURE = {
     "universe_size": 4,
@@ -201,12 +201,14 @@ class TestFrameLimit:
 
 
 class TestPrepared:
-    """SessionConfig.prepared: protocol.prepare, cached on the config object."""
+    """SessionConfig.prepared: protocol.prepare_session of the config's public
+    parameters and protocol.make_session_id of the config, cached on the
+    config object."""
 
     def test_cached_on_the_object(self):
         config = parse_config(as_json(FIXTURE))
         assert config.prepared is config.prepared
-        assert config.prepared == prepare(config)
+        assert config.prepared == (*prepare_session(config.public), make_session_id(config))
 
     def test_cache_is_not_part_of_the_value(self):
         config = parse_config(as_json(FIXTURE))
@@ -219,7 +221,7 @@ class TestPrepared:
     def test_each_config_gets_its_own_session_id(self):
         config = parse_config(as_json(FIXTURE))
         other = replace(config, seed=8)
-        assert other.prepared[1] == make_session_id(other) != config.prepared[1]
+        assert other.prepared[2] == make_session_id(other) != config.prepared[2]
 
     def test_infeasible_config_raises_on_every_access(self):
         parties = json.loads(json.dumps(FIXTURE["parties"]))

@@ -1,44 +1,52 @@
-"""One client database's state: built ready from its own dealt record, and no other."""
+"""One client database's state: built ready from the public parameters, its
+own dealt record and its party's set, and no other."""
+
+from dataclasses import replace
 
 import pytest
 
+from mppsi.client import answer_all
 from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError
 from mppsi.leader import make_plan_shape
+from mppsi.protocol import prepare_session
+from mppsi.randomness import build_bundle
 from mppsi.session import deal, run_memory_session
+from mppsi.wire import encode_msg
+from test_golden import GOLDEN_CONFIGS
 
 
 CONFIG = DEMOS["sec4"].config
 
 
 def pieces(config):
-    """A config's plan shape, its clients' profiles by party id, and its dealt states."""
-    setup, _ = config.prepared
-    shape = make_plan_shape(len(setup.leader.data_set), setup.clients)
-    return shape, {client.party_id: client for client in setup.clients}, deal(config)
+    """A config's plan shape, its parties' profiles by party id, and its dealt states."""
+    shape = make_plan_shape(config.prepared[0])
+    return shape, {party.party_id: party for party in config.parties}, deal(config)
 
 
 def test_a_record_holds_nothing_of_another_database():
-    # A state holds its record's fields (the session's public parameters
-    # among them) and, besides them, only the field, its own party's set and
-    # the slots it answers from.
-    assert DatabaseRecord._fields == (
-        "session_id", "address", "leader", "universe_size", "local", "individual", "c"
-    )
+    # A state holds its record's fields (its session id and address among
+    # them) and, besides them, only the public parameters' leader, K and
+    # field, its own party's set and the slots it answers from.
+    assert DatabaseRecord._fields == ("session_id", "address", "local", "individual", "c")
     shape, profiles, states = pieces(CONFIG)
-    setup, _ = CONFIG.prepared
+    public = CONFIG.prepared[0]
     assert sorted(states) == [(party, db) for party in (1, 2) for db in (1, 2, 3)]
     for (party, database), state in states.items():
         assert state.address == (party, database)
-        assert (state.leader, state.universe_size) == (setup.leader.party_id, CONFIG.universe_size)
+        assert (state.leader, state.universe_size) == (public.leader, CONFIG.universe_size)
+        assert state.field == public.field
         assert state.support == sorted(element - 1 for element in profiles[party].data_set)
         positions = shape.positions_of_database(party, database)
         own = {shape.position_location(party, position)[0] for position in positions}
         assert set(state.individual) == own
         assert bool(own) == (database != 1)
         assert len(state.local) == shape.eta[party]
-        assert set(vars(state)) == {*DatabaseRecord._fields, "support", "field", "slots"}
+        assert set(vars(state)) == {
+            *DatabaseRecord._fields, "leader", "universe_size", "field", "support", "slots"
+        }
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -63,17 +71,42 @@ def record_of(state):
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_every_dealt_record_builds_its_state_again(name):
-    shape, profiles, states = pieces(DEMOS[name].config)
-    for (party, _), state in states.items():
-        again = DatabaseState(shape, profiles[party], state.field, record_of(state), state.support)
+    config = DEMOS[name].config
+    for state in deal(config).values():
+        again = DatabaseState(config.prepared[0], record_of(state), state.support)
         assert vars(again) == vars(state)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_a_state_from_three_things_answers_as_the_dealt_one(name):
+    # Each queried database's state built from only the public parameters
+    # (prepared afresh from the config's public part), its record and its
+    # own party's set answers the memory session's queries byte for byte
+    # as the state deal(config) builds, and as the transcript holds.
+    config = GOLDEN_CONFIGS[name]()
+    public, _ = prepare_session(config.public)
+    session_id = config.prepared[2]
+    records = build_bundle(public, config.seed, session_id)
+    dealt = deal(config)
+    assert sorted(records) == sorted(dealt)
+    transcript = run_memory_session(config)
+    answered = {}
+    for answer in transcript.messages_in_phase("answer"):
+        answered.setdefault(answer.origin, []).append(encode_msg(answer))
+    for address, record in records.items():
+        own = next(p for p in config.parties if p.party_id == address[0])
+        state = DatabaseState(public, record, sorted(e - 1 for e in own.data_set))
+        queries = [q for q in transcript.messages_in_phase("query") if q.dest == address]
+        frames = [encode_msg(a) for a in answer_all(state, queries)]
+        assert frames == [encode_msg(a) for a in answer_all(dealt[address], queries)]
+        assert frames == answered[address]
 
 
 # sec7_2: L = 5, the leader is party 4, and client 2 has three databases
 # and two partitions. Its database (2, 3) holds one position, in partition
 # 1; (2, 2) holds the partition-2 one; client 3's database 5 is idle. Each
-# entry: the database whose dealt record is edited, the edit, the party
-# whose profile builds the state (None: the record's own) and what the
+# entry: the database whose dealt record is edited, the edit, an edit of
+# the public parameters the state is built under (None: none) and what the
 # error names.
 BAD_RECORDS = {
     "local one slot short": (
@@ -97,8 +130,9 @@ BAD_RECORDS = {
     "individual at database 1": (
         (2, 1), lambda r: r._replace(individual={1: 1}), None, r"partitions \[1\], expected \[\]"
     ),
-    "individual at an idle database": (
-        (3, 5), lambda r: r._replace(individual={1: 1}), None, r"partitions \[1\], expected \[\]"
+    "an idle database's record": (
+        (3, 4), lambda r: r._replace(address=(3, 5)), None,
+        r"\(3, 5\), which gets no query",
     ),
     "individual value equal to L": (
         (2, 3), lambda r: r._replace(individual={1: 5}), None, r"not all in \[0, 5\)"
@@ -115,35 +149,32 @@ BAD_RECORDS = {
     "negative multiplier": (
         (2, 3), lambda r: r._replace(c=-1), None, r"multiplier -1 is not in \[1, 5\)"
     ),
-    "another party's record": ((2, 3), lambda r: r, 1, r"\(2, 3\), not one of party 1's 2"),
     "database past the client's last": (
-        (2, 3), lambda r: r._replace(address=(2, 4)), None, r"\(2, 4\), not one of party 2's 3"
+        (2, 3), lambda r: r._replace(address=(2, 4)), None,
+        r"\(2, 4\), which gets no query",
     ),
     "database zero": (
-        (2, 3), lambda r: r._replace(address=(2, 0)), None, r"\(2, 0\), not one of party 2's 3"
-    ),
-    "a client named as the leader": (
-        (2, 3), lambda r: r._replace(leader=3), None, "names client 3 as the leader"
+        (2, 3), lambda r: r._replace(address=(2, 0)), None,
+        r"\(2, 0\), which gets no query",
     ),
     "a set past K": (
-        (2, 3), lambda r: r._replace(universe_size=3), None, r"party 2's set is not within 1\.\.3"
+        (2, 3), lambda r: r, lambda p: replace(p, universe_size=3),
+        r"party 2's set is not within 1\.\.3",
     ),
     "the leader's database": (
-        (2, 3), lambda r: r._replace(address=(4, 1)), None, r"\(4, 1\) of a party that is no client"
+        (2, 3), lambda r: r._replace(address=(4, 1)), None, r"\(4, 1\), which gets no query"
     ),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
 def test_a_record_that_is_no_dealing_for_its_state_is_refused(bad):
-    address, edit, party, error = BAD_RECORDS[bad]
+    address, edit, edit_public, error = BAD_RECORDS[bad]
     config = DEMOS["sec7_2"].config
-    setup, _ = config.prepared
-    shape, _, states = pieces(config)
-    state = states[address]
-    record = edit(record_of(state))
-    profiles = {profile.party_id: profile for profile in (*setup.clients, setup.leader)}
-    profile = profiles[record.address[0] if party is None else party]
+    public = config.prepared[0]
+    state = deal(config)[address]
     with pytest.raises(ConfigError, match=error):
-        support = sorted(element - 1 for element in profile.data_set)
-        DatabaseState(shape, profile, state.field, record, support)
+        DatabaseState(
+            public if edit_public is None else edit_public(public), edit(record_of(state)),
+            state.support,
+        )

@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from mppsi.client import answer_all, answer_value
-from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.errors import ConfigError, ProtocolViolationError
 from mppsi.field import PrimeField, is_prime, select_field_size
-from mppsi.leader import make_plan_shape
 from mppsi.model import PartyProfile
 from mppsi.wire import Message
+
+from test_client import state_holding
 
 
 def modular_dot(xs, qs, modulus):
@@ -22,12 +22,8 @@ def sparse_dot(x, q, modulus, universe=None):
     """<x, q> mod L through answer_all, whose s = t = 0 and c = 1 leave it bare."""
     profile = PartyProfile(1, 2, frozenset(j + 1 for j, bit in enumerate(x) if bit))
     size = len(x) if universe is None else universe
-    record = DatabaseRecord("field-tests", (1, 1), 2, size, b"\x00", {}, 1)
-    support = sorted(element - 1 for element in profile.data_set)
-    state = DatabaseState(
-        make_plan_shape(1, [profile]), profile, PrimeField(modulus), record, support
-    )
-    spec = Message("query", "field-tests", (2, 0), (1, 1), 1, None, bytes(q))
+    state = state_holding(profile, 1, 0, 0, 1, modulus, size)
+    spec = Message("query", state.session_id, (2, 0), (1, 1), 1, None, bytes(q))
     (msg,) = answer_all(state, [spec])
     (value,) = msg.values
     return value

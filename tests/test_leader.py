@@ -20,8 +20,9 @@ from mppsi.leader import (
     download_cost,
     generate_queries,
     make_partition_plan,
+    make_plan_shape,
 )
-from mppsi.model import PartyProfile, Universe, brute_force_intersection
+from mppsi.model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 from mppsi.protocol import prepare_session
 from mppsi.seeding import draw_vector
 from mppsi.session import run_memory_session
@@ -34,14 +35,32 @@ def profile(pid, elems, dbs):
     return PartyProfile(pid, dbs, frozenset(elems))
 
 
+def public_of(profiles, k=None, leader=None):
+    """The public parameters of these parties over a universe of k (by
+    default their largest element), with this leader in place."""
+    k = k or max(max(p.data_set, default=1) for p in profiles)
+    return PublicParameters.of(profiles, Universe(k), leader)
+
+
+def plan_of(leader, clients):
+    """The partition plan of this leader's set against these clients."""
+    shape = make_plan_shape(public_of([leader, *clients], leader=leader.party_id))
+    return make_partition_plan(shape, leader.sorted_elements())
+
+
+def session_plan(config):
+    """The partition plan and field of the config's session, as its leader makes them."""
+    public = config.prepared[0]
+    leader = next(p for p in config.parties if p.party_id == public.leader)
+    return make_partition_plan(make_plan_shape(public), leader.sorted_elements()), public.field
+
+
 def memory_run(profiles, k, seed, leader=None):
     """A memory session's transcript, with its leader's plan and field."""
     config = SessionConfig(
         universe_size=k, parties=tuple(profiles), seed=seed, leader_override=leader
     )
-    setup = prepare_session(config.parties, config.universe, leader)
-    plan = make_partition_plan(setup.leader, setup.clients)
-    return run_memory_session(config), plan, setup.field
+    return (run_memory_session(config), *session_plan(config))
 
 
 def answers_of(transcript):
@@ -71,9 +90,9 @@ class TestCostsAndElection:
     def test_homogeneous_tie_breaks_to_lowest_id(self):
         expected = oracle_cost(2, [3, 3])
         assert expected == 6
-        setup = prepare_session(HOMOGENEOUS, Universe(4))
-        assert setup.costs.costs == {1: 6, 2: 6, 3: 6}
-        assert setup.leader.party_id == 1
+        public, table = prepare_session(public_of(HOMOGENEOUS, 4))
+        assert table.costs == {1: 6, 2: 6, 3: 6}
+        assert public.leader == 1
 
     def test_heterogeneous_table_and_argmin(self):
         sizes = {p.party_id: len(p.data_set) for p in HETEROGENEOUS}
@@ -82,47 +101,46 @@ class TestCostsAndElection:
             t: oracle_cost(sizes[t], [dbs[i] for i in dbs if i != t]) for t in dbs
         }
         assert expected == {1: 17, 2: 14, 3: 15, 4: 15}
-        setup = prepare_session(HETEROGENEOUS, Universe(5))
-        assert setup.costs.costs == expected
-        assert setup.leader.party_id == 2
+        public, table = prepare_session(public_of(HETEROGENEOUS, 5))
+        assert table.costs == expected
+        assert public.leader == 2
 
     def test_candidate_facing_single_database_is_infeasible(self):
         parties = [profile(1, {1}, 1), profile(2, {2}, 1)]
         with pytest.raises(InfeasibleError):
-            prepare_session(parties, Universe(2))
+            prepare_session(public_of(parties, 2))
 
     def test_leader_override_naming_no_party_is_infeasible(self):
         with pytest.raises(InfeasibleError, match="leader override names unknown party 9"):
-            prepare_session(HOMOGENEOUS, Universe(4), leader_override=9)
+            prepare_session(public_of(HOMOGENEOUS, 4, leader=9))
 
     def test_nonempty_candidate_with_single_database_counterpart(self):
         parties = [profile(1, {1}, 1), profile(2, {1, 2}, 5)]
-        table = cost_table(parties)
+        table = cost_table(public_of(parties))
         assert table.costs[2] is None  # blocked by party 1's lone database
         assert table.costs[1] is not None
         assert table.best() == 1
 
     def test_zero_cost_only_for_empty_set(self):
         parties = [profile(1, set(), 2), profile(2, {1}, 2)]
-        table = cost_table(parties)
+        table = cost_table(public_of(parties))
         assert table.costs[1] == 0
         assert table.costs[2] > 0
 
 
 class TestDownloadCost:
     def test_homogeneous(self):
-        assert download_cost(HOMOGENEOUS[2], HOMOGENEOUS[:2]) == 6
+        assert download_cost(2, [3, 3]) == 6
 
     def test_two_databases_per_client(self):
-        clients = [profile(1, {1, 2}, 2), profile(2, {1, 3}, 2)]
-        assert download_cost(profile(3, {1, 4}, 2), clients) == 8
+        assert download_cost(2, [2, 2]) == 8
 
     def test_heterogeneous(self):
-        assert download_cost(HETEROGENEOUS[3], HETEROGENEOUS[:3]) == 15
+        assert download_cost(3, [2, 3, 5]) == 15
 
     def test_single_database_client_rejected(self):
         with pytest.raises(InfeasibleError):
-            download_cost(profile(2, {1}, 3), [profile(1, {1}, 1)])
+            download_cost(1, [1])
 
 
 def chunks(plan, client_id):
@@ -139,7 +157,7 @@ class TestPartitionPlan:
     def test_heterogeneous_partitions(self):
         leader = HETEROGENEOUS[3]
         clients = HETEROGENEOUS[:3]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         assert plan.leader_elements == (1, 4, 5)
         assert chunks(plan, 1) == [[1], [4], [5]]
         assert plan.shape.eta[1] == 3
@@ -153,7 +171,7 @@ class TestPartitionPlan:
     def test_whole_set_in_one_partition(self):
         leader = profile(2, {2, 3, 5}, 2)
         clients = [profile(1, {1}, 4)]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         assert plan.shape.eta[1] == 1
         assert chunks(plan, 1) == [[2, 3, 5]]
 
@@ -166,7 +184,7 @@ class TestPartitionPlan:
                 profile(i, set(), rng.randint(2, 6)) for i in range(1, rng.randint(2, 4))
             ]
             leader = profile(len(clients) + 1, leader_set, 2)
-            plan = make_partition_plan(leader, clients)
+            plan = plan_of(leader, clients)
             for client in clients:
                 parts = chunks(plan, client.party_id)
                 chunk = plan.shape.chunk[client.party_id]
@@ -176,7 +194,7 @@ class TestPartitionPlan:
                 assert 1 <= len(parts[-1]) <= chunk
 
     def test_position_location_matches_partitions(self):
-        plan = make_partition_plan(HETEROGENEOUS[3], HETEROGENEOUS[:3])
+        plan = plan_of(HETEROGENEOUS[3], HETEROGENEOUS[:3])
         for client_id in plan.shape.client_ids:
             for position, element in enumerate(plan.leader_elements, start=1):
                 ell, db = plan.shape.position_location(client_id, position)
@@ -185,13 +203,13 @@ class TestPartitionPlan:
 
     def test_infeasible_client(self):
         with pytest.raises(InfeasibleError):
-            make_partition_plan(profile(2, {1}, 3), [profile(1, {1}, 1)])
+            plan_of(profile(2, {1}, 3), [profile(1, {1}, 1)])
 
 
 class TestQueryGeneration:
     def test_single_partition_layout(self):
         leader, clients = HOMOGENEOUS[2], HOMOGENEOUS[:2]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         field = select_field_size(3)
         sent = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
         h = draw_vector(5, field.modulus, 4, "h", 1)
@@ -208,7 +226,7 @@ class TestQueryGeneration:
             assert bump4.values[:3] == h[:3]
 
     def test_queries_are_messages_from_the_leader(self):
-        plan = make_partition_plan(HETEROGENEOUS[3], HETEROGENEOUS[:3])
+        plan = plan_of(HETEROGENEOUS[3], HETEROGENEOUS[:3])
         queries = generate_queries(
             plan, select_field_size(4), Universe(5), seed=5, session_id=SESSION
         )
@@ -228,7 +246,7 @@ class TestQueryGeneration:
     def test_two_base_vectors_when_databases_are_scarce(self):
         leader = profile(3, {1, 4}, 2)
         clients = [profile(1, {1, 2}, 2), profile(2, {1, 3}, 2)]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         field = select_field_size(3)
         sent = generate_queries(plan, field, Universe(4), seed=5, session_id=SESSION)
         assert {q.partition for q in sent} == {1, 2}
@@ -249,7 +267,7 @@ class TestQueryGeneration:
         # query for it.
         leader = profile(2, {1, 4, 5}, 2)
         clients = [profile(1, {1}, 3)]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         field = select_field_size(2)
         sent = generate_queries(plan, field, Universe(5), seed=5, session_id=SESSION)
         elements = plan.leader_elements
@@ -266,7 +284,7 @@ class TestQueryGeneration:
             leader_set = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
             profiles = [profile(i, set(), rng.randint(2, 5)) for i in range(1, m)]
             leader = profile(m, leader_set, 2)
-            plan = make_partition_plan(leader, profiles)
+            plan = plan_of(leader, profiles)
             field = select_field_size(m)
             seed = rng.randint(0, 999)
             queries = generate_queries(plan, field, Universe(k), seed=seed, session_id=SESSION)
@@ -293,7 +311,7 @@ class TestQueryGeneration:
             leader_set = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
             clients = [profile(i, set(), rng.randint(2, 5)) for i in range(1, m)]
             leader = profile(m, leader_set, 2)
-            plan = make_partition_plan(leader, clients)
+            plan = plan_of(leader, clients)
             field = select_field_size(m)
             queries = generate_queries(plan, field, Universe(k), seed=1, session_id=SESSION)
             for client in clients:
@@ -303,14 +321,14 @@ class TestQueryGeneration:
                     for q in queries_to(queries, (client.party_id, database))
                 ]
                 assert len(specs) == plan.shape.eta[client.party_id] + plan.shape.set_size
-            assert len(queries) == download_cost(leader, clients)
+            databases = [client.num_databases for client in clients]
+            assert len(queries) == download_cost(len(leader_set), databases)
 
 
 def session_queries(config):
     """The queries of the config's session, with its plan, as the leader generates them."""
-    setup, session_id = config.prepared
-    plan = make_partition_plan(setup.leader, setup.clients)
-    return generate_queries(plan, setup.field, config.universe, config.seed, session_id)
+    plan, field = session_plan(config)
+    return generate_queries(plan, field, config.universe, config.seed, config.prepared[2])
 
 
 @pytest.mark.pins
@@ -495,7 +513,7 @@ class TestDecodeKernel:
             profile(pid, (), data.draw(st.integers(2, 4)))
             for pid in range(2, data.draw(st.integers(2, 6)) + 1)
         ]
-        plan = make_partition_plan(leader, clients)
+        plan = plan_of(leader, clients)
         modulus = data.draw(st.sampled_from((2, 3, 5, 7, 11, 127, 131, 251)))
         answers = len(plan.answer_keys)
         vector = st.lists(st.integers(0, modulus - 1), min_size=answers, max_size=answers)
@@ -517,7 +535,7 @@ class TestDecodeKernel:
         # parties give the largest field and the largest lane sum.
         modulus = select_field_size(parties).modulus
         clients = [profile(pid, {1}, 2) for pid in range(2, parties + 1)]
-        plan = make_partition_plan(profile(1, leader_set, 2), clients)
+        plan = plan_of(profile(1, leader_set, 2), clients)
         size = len(plan.answer_keys)
         assert leader_module._lanes(len(plan.decode_blocks) // 2, modulus)[0] == lane
         rng = random.Random(parties)
@@ -529,7 +547,7 @@ class TestDecodeKernel:
 
     @pytest.mark.parametrize("length", [0, 5, 15])
     def test_partial_vectors_rejected(self, length):
-        plan = make_partition_plan(profile(1, {1, 2}, 2), [profile(2, (), 3), profile(3, (), 2)])
+        plan = plan_of(profile(1, {1, 2}, 2), [profile(2, (), 3), profile(3, (), 2)])
         assert len(plan.answer_keys) == 7
         with pytest.raises(ValueError, match="not whole vectors of 7"):
             decode_indicators(plan, bytes(length), 3)

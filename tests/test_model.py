@@ -1,10 +1,10 @@
-"""Universe, party profiles, brute-force intersection."""
+"""Universe, party profiles, public parameters, brute-force intersection."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mppsi.errors import ConfigError
-from mppsi.model import PartyProfile, Universe, brute_force_intersection, validate_profiles
+from mppsi.model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 
 
 def profile(pid, elems, dbs=2):
@@ -50,18 +50,26 @@ class TestBruteForce:
         assert brute_force_intersection(profiles + profiles) == expected
 
 
+class TestPublicParameters:
+    def test_the_public_part_in_party_order(self):
+        profiles = [profile(2, {1, 3, 4}, 5), profile(1, {2}, 3)]
+        public = PublicParameters.of(profiles, Universe(4), 2, {(1, 1): ("127.0.0.1", 9)})
+        assert public == PublicParameters(4, (3, 5), (1, 3), 2, {(1, 1): ("127.0.0.1", 9)})
+        assert public.field.modulus == 2
+
+
 class TestProfiles:
     def test_database_count_validated(self):
         with pytest.raises(ConfigError):
             PartyProfile(1, 0, frozenset())
 
     def test_ids_must_be_contiguous(self):
-        with pytest.raises(ConfigError):
-            validate_profiles([profile(1, set()), profile(3, set())], Universe(4))
+        with pytest.raises(ConfigError, match=r"ids must be 1\.\.2 without gaps, got \[1, 3\]"):
+            PublicParameters.of([profile(1, set()), profile(3, set())], Universe(4))
 
     def test_element_past_the_universe(self):
         with pytest.raises(ConfigError, match=r"^party 2: element 5 outside universe of size 4$"):
-            validate_profiles([profile(1, {1}), profile(2, {2, 5})], Universe(4))
+            PublicParameters.of([profile(1, {1}), profile(2, {2, 5})], Universe(4))
 
     def test_sorted_elements(self):
         assert profile(1, {4, 1, 3}).sorted_elements() == (1, 3, 4)

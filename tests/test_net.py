@@ -20,7 +20,8 @@ from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.net import (
     ERRORS_KEPT, DatabaseEndpoint, run_networked_session, serve, spawn_endpoints
 )
-from mppsi.protocol import collect_answers, make_session_id, prepare_session
+from mppsi.leader import make_plan_shape
+from mppsi.protocol import collect_answers, make_session_id
 from mppsi.session import deal, load_transcript, run_memory_session
 from mppsi.wire import HEADER, Message, decode_msg, encode_msg
 from test_golden import CONFIGS, eleven_config, wide_config
@@ -104,10 +105,11 @@ class TestEquivalence:
 
     def test_spawning_runner_elects_and_derives_the_session_id_once(self, monkeypatch):
         # session.run_leader and the endpoints read config.prepared, which
-        # runs protocol.prepare once per config object: once when the runner
-        # spawns its endpoints, once when it is given endpoints spawned from
-        # the same config. Each half builds its own config, as a config
-        # prepared before holds its setup and counts no call.
+        # runs protocol.prepare_session and protocol.make_session_id once
+        # per config object: once when the runner spawns its endpoints, once
+        # when it is given endpoints spawned from the same config. Each half
+        # builds its own config, as a config prepared before holds its
+        # election and session id and counts no call.
         import mppsi.protocol
 
         calls = {"prepare_session": 0, "make_session_id": 0}
@@ -142,8 +144,8 @@ class TestEquivalence:
 
     def test_endpoints_of_an_equal_config_object_serve_the_session(self):
         # The endpoints are dealt from their own copy of the config, the
-        # runner prepares the original: both derive the same setup and
-        # session id.
+        # runner prepares the original: both derive the same public
+        # parameters and session id.
         config = DEMOS["sec7_2"].config
         endpoints = spawn_endpoints(replace(config))
         try:
@@ -404,6 +406,26 @@ class TestExternalAddresses:
         assert any(m.origin == late_key for m in transcript.messages_in_phase("answer"))
         assert_memory_transcript(transcript, config)
 
+    def test_an_idle_database_gets_no_endpoint_and_needs_no_address(self):
+        # sec7_2's leader holds three elements, so client 3 uses four of its
+        # five databases: (3, 5) is dealt no state, gets no spawned endpoint,
+        # and the runner given addresses needs none for it.
+        config = DEMOS["sec7_2"].config
+        keys = client_databases(config)
+        assert (3, 4) in keys and (3, 5) not in keys
+        spawned = spawn_endpoints(config)
+        for ep in spawned:
+            ep.stop()
+        assert sorted(ep.state.address for ep in spawned) == sorted(deal(config)) == keys
+        endpoints = dealt_endpoints(config, keys)
+        serve(endpoints)
+        try:
+            transcript = run_by_address(config, {ep.state.address: ep.address for ep in endpoints})
+        finally:
+            for ep in endpoints:
+                ep.stop()
+        assert_memory_transcript(transcript, config)
+
     def test_addresses_must_cover_every_client_database(self):
         config = DEMOS["sec4"].config
         keys = client_databases(config)
@@ -427,11 +449,12 @@ def record_thread_starts(monkeypatch):
 
 
 def client_databases(config):
-    setup = prepare_session(config.parties, config.universe, config.leader_override)
+    """Every client database the config's leader queries, in address order."""
+    shape = make_plan_shape(config.prepared[0])
     return [
-        (client.party_id, db)
-        for client in setup.clients
-        for db in range(1, client.num_databases + 1)
+        (client, db)
+        for client in shape.client_ids
+        for db in range(1, shape.used_databases[client] + 1)
     ]
 
 

@@ -7,10 +7,9 @@ import pytest
 from mppsi import seeding
 from mppsi.audit import AuditInstance, _raw_realizations, compile_instance, individual_values
 from mppsi.field import select_field_size
-from mppsi.leader import generate_queries, make_partition_plan
-from mppsi.model import PartyProfile, Universe
+from mppsi.leader import generate_queries, make_plan_shape
+from mppsi.model import PartyProfile, PublicParameters, Universe
 from mppsi.net import run_networked_session
-from mppsi.protocol import prepare_session
 from mppsi.randomness import (
     FAITHFUL,
     RandomnessPolicy,
@@ -21,7 +20,7 @@ from mppsi.randomness import (
 )
 from mppsi.session import run_memory_session
 from test_golden import wide_config
-from test_leader import queries_to
+from test_leader import plan_of, queries_to
 
 
 SESSION = "randomness-tests"
@@ -35,14 +34,17 @@ def profile(pid, elems, dbs):
 def fixture(num_clients=2, dbs=3, leader_set=(1, 4)):
     clients = [profile(i, {i}, dbs) for i in range(1, num_clients + 1)]
     leader = profile(num_clients + 1, leader_set, dbs)
-    plan = make_partition_plan(leader, clients)
+    plan = plan_of(leader, clients)
     field = select_field_size(num_clients + 1)
     return plan, clients, field
 
 
-def dealt(plan, clients, field, seed):
-    """The database states build_bundle deals for plan's session from seed."""
-    return build_bundle(plan.shape, clients, field, seed, SESSION, plan.leader_id, UNIVERSE_SIZE)
+def dealt(plan, clients, seed):
+    """The records build_bundle deals for plan's session from seed, from
+    the public parameters of its leader and these clients."""
+    leader = profile(plan.leader_id, plan.leader_elements, 2)
+    public = PublicParameters.of([*clients, leader], Universe(UNIVERSE_SIZE), plan.leader_id)
+    return build_bundle(public, seed, SESSION)
 
 
 def t_at(states, plan, client_id, position):
@@ -52,14 +54,14 @@ def t_at(states, plan, client_id, position):
 
 
 def held(states):
-    """What each database state holds: its (local, individual, c) by address."""
+    """What each database record holds: its (local, individual, c) by address."""
     return {address: (s.local, s.individual, s.c) for address, s in states.items()}
 
 
 def bundle(seed, **sizes):
-    """The database states of a seeded bundle over fixture(**sizes)."""
-    plan, clients, field = fixture(**sizes)
-    return dealt(plan, clients, field, seed)
+    """The database records of a seeded bundle over fixture(**sizes)."""
+    plan, clients, _ = fixture(**sizes)
+    return dealt(plan, clients, seed)
 
 
 class TestLocal:
@@ -90,7 +92,7 @@ class TestSlotCoverage:
         # Three clients over F_5; each client's databases 2 and 3 hold two
         # positions each, in partitions 1 and 2.
         plan, clients, field = fixture(num_clients=3, dbs=3, leader_set=(1, 2, 3, 4))
-        return dealt(plan, clients, field, seed), field
+        return dealt(plan, clients, seed), field
 
     def test_free_database_values_cover_the_field(self):
         seen = set()
@@ -116,8 +118,7 @@ def test_one_labeled_stream_per_draw_of_the_dealing(transport, monkeypatch):
     # and the multiplier ("c"); the leader draws one base vector per
     # partition index ("h").
     config = wide_config()
-    setup = prepare_session(config.parties, config.universe)
-    shape = make_partition_plan(setup.leader, setup.clients).shape
+    shape = make_plan_shape(config.prepared[0])
     tiers = Counter()
     labeled_rng = seeding.labeled_rng
 
@@ -157,7 +158,7 @@ class TestBundle:
         # Database 1 gets only bare base queries, so it holds no t values;
         # every other database holds one per partition of its positions.
         plan, clients, field = fixture(num_clients=3)
-        states = dealt(plan, clients, field, 4)
+        states = dealt(plan, clients, 4)
         for (client_id, database), state in states.items():
             positions = plan.shape.positions_of_database(client_id, database)
             partitions = {plan.shape.position_location(client_id, k)[0] for k in positions}
@@ -170,7 +171,7 @@ class TestBundle:
             num_parties = num_clients + 1
             expected = (field.modulus - (num_parties - 1)) % field.modulus
             for seed in range(25):
-                states = dealt(plan, clients, field, seed)
+                states = dealt(plan, clients, seed)
                 for position in range(1, plan.shape.set_size + 1):
                     total = sum(
                         t_at(states, plan, cid, position) for cid in plan.shape.client_ids
@@ -181,20 +182,20 @@ class TestBundle:
         # A single client computes its values directly: the empty sum leaves
         # the full target L - 1.
         plan, clients, field = fixture(num_clients=1, dbs=3)
-        states = dealt(plan, clients, field, 0)
+        states = dealt(plan, clients, 0)
         assert field.modulus == 2
         for position in range(1, plan.shape.set_size + 1):
             assert t_at(states, plan, 1, position) == field.modulus - 1
 
     def test_same_seed_reproduces_bundle(self):
         plan, clients, field = fixture()
-        first = dealt(plan, clients, field, 77)
-        second = dealt(plan, clients, field, 77)
+        first = dealt(plan, clients, 77)
+        second = dealt(plan, clients, 77)
         assert held(first) == held(second)
 
     def test_distinct_seeds_differ_somewhere(self):
         plan, clients, field = fixture()
-        runs = [dealt(plan, clients, field, s) for s in range(8)]
+        runs = [dealt(plan, clients, s) for s in range(8)]
         locals_seen = {tuple(tuple(s.local) for _, s in sorted(run.items())) for run in runs}
         assert len(locals_seen) > 1
 
@@ -202,7 +203,7 @@ class TestBundle:
         # The value a database holds for a position must be the one used by
         # the unique targeted query that serves that position.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 3, 4))
-        states = dealt(plan, clients, field, 13)
+        states = dealt(plan, clients, 13)
         sent = generate_queries(plan, field, Universe(4), seed=13, session_id=SESSION)
         for client in clients:
             specs = [
@@ -224,13 +225,14 @@ class TestBundle:
                 slot = states[client.party_id, database].individual[spec.partition]
                 assert slot == t_at(states, plan, client.party_id, spec.target)
 
-    def test_the_leader_is_dealt_nothing(self):
-        # Every database of every client gets a record, idle ones too; the
-        # leader's databases get none.
+    def test_the_leader_and_the_idle_databases_are_dealt_nothing(self):
+        # Every database the leader queries gets a record. A two-element
+        # leader set queries three of each client's four databases, so the
+        # fourth is idle and gets none; the leader's databases get none.
         plan, clients, field = fixture(num_clients=3, dbs=4, leader_set=(1, 4))
-        states = dealt(plan, clients, field, 5)
-        assert sorted(states) == [(cid, db) for cid in (1, 2, 3) for db in (1, 2, 3, 4)]
-        assert not states[1, 4].individual
+        assert set(plan.shape.used_databases.values()) == {3}
+        states = dealt(plan, clients, 5)
+        assert sorted(states) == [(cid, db) for cid in (1, 2, 3) for db in (1, 2, 3)]
 
     def test_every_record_names_its_session_and_address(self):
         for address, state in bundle(seed=6, num_clients=3).items():
@@ -242,7 +244,7 @@ class TestBundle:
         plan, clients, field = fixture(num_clients=3)
         shape, modulus = plan.shape, field.modulus
         for seed in range(10):
-            states = dealt(plan, clients, field, seed)
+            states = dealt(plan, clients, seed)
             for (cid, db), state in states.items():
                 eta = shape.eta[cid]
                 assert state.local == seeding.draw_vector(seed, modulus, eta, "s", cid)
@@ -263,15 +265,15 @@ class TestBundle:
             return labeled_rng(seed, *label)
 
         monkeypatch.setattr(seeding, "labeled_rng", recording_rng)
-        dealt(plan, clients, field, 8)
+        dealt(plan, clients, 8)
         drawn = sorted(label[1:] for label in labels if label[0] == "t")
         assert drawn == [(cid, db) for cid in (1, 2) for db in (2, 3)]
 
     def test_dealing_does_not_depend_on_the_order_of_the_clients(self):
         plan, clients, field = fixture(num_clients=3)
         for seed in range(10):
-            forward = dealt(plan, clients, field, seed)
-            backward = dealt(plan, clients[::-1], field, seed)
+            forward = dealt(plan, clients, seed)
+            backward = dealt(plan, clients[::-1], seed)
             assert held(forward) == held(backward)
 
     def test_completion_closes_each_position_sum(self):

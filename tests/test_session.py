@@ -12,15 +12,15 @@ from mppsi.config import SessionConfig
 from mppsi.demo import DEMOS
 from mppsi.errors import ConfigError, InfeasibleError, ProtocolViolationError
 from mppsi.field import MAX_PARTIES
-from mppsi.leader import CostTable, download_cost, lay_out_queries, make_partition_plan
+from mppsi.leader import CostTable, download_cost, lay_out_queries
 from mppsi.model import PartyProfile, brute_force_intersection
 from mppsi.protocol import collect_answers, make_session_id
-from mppsi.randomness import build_bundle
 from mppsi.seeding import draw_vector
 from mppsi.session import deal, load_transcript, run_memory_session, run_session
 from mppsi.wire import Message
 
 from test_audit import session_configs
+from test_leader import session_plan
 
 pytestmark = pytest.mark.pins
 
@@ -123,10 +123,10 @@ class TestTranscriptShape:
     def test_queries_and_answers_are_laid_out_in_transcript_order(self, config):
         # Query i goes where answer i comes from, with its tags, and both
         # rounds leave the leader's plan and the databases already sorted.
-        setup, session_id = config.prepared
-        assume(setup.leader.data_set)
-        plan = make_partition_plan(setup.leader, setup.clients)
-        modulus = setup.field.modulus
+        public, _, session_id = config.prepared
+        assume(public.set_sizes[public.leader - 1])
+        plan, field = session_plan(config)
+        modulus = field.modulus
         h = tuple(
             draw_vector(config.seed, modulus, config.universe_size, "h", ell)
             for ell in range(1, max(plan.shape.eta.values()) + 1)
@@ -138,11 +138,7 @@ class TestTranscriptShape:
         assert [(query.partition, query.target) for query in queries] == [
             key[1:] for key in plan.answer_keys
         ]
-        states = build_bundle(
-            plan.shape, setup.clients, setup.field, config.seed, session_id,
-            plan.leader_id, config.universe_size,
-        )
-        answers = collect_answers(queries, states)
+        answers = collect_answers(queries, deal(config))
         assert answers == sorted(answers, key=Message.sort_key)
 
     def test_costs_match_formula_on_random_configs(self):
@@ -153,7 +149,9 @@ class TestTranscriptShape:
             by_id = {p.party_id: p for p in config.parties}
             leader = by_id[transcript.leader_id]
             clients = [p for p in config.parties if p.party_id != leader.party_id]
-            assert transcript.download_cost_actual == download_cost(leader, clients)
+            assert transcript.download_cost_actual == download_cost(
+                len(leader.data_set), [client.num_databases for client in clients]
+            )
             assert transcript.result.decoded == brute_force_intersection(config.parties)
 
 
