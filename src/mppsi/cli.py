@@ -258,6 +258,7 @@ def _cmd_serve_db(args) -> int:
 
     own = next(p for p in config.parties if p.party_id == args.party)
     state = DatabaseState(public, record, sorted(element - 1 for element in own.data_set))
+    del record  # the state's slots are its only copy of s + t, each spent by its answer
     endpoint = DatabaseEndpoint(state, host=host, port=port, on_error=report)
     serve([endpoint])
     print(f"serving database ({args.party},{args.db}) on {endpoint.address[0]}:{endpoint.address[1]}")

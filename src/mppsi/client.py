@@ -8,8 +8,9 @@ is binary, so the inner product is the sum of the query's entries at the
 coordinates of the party's own set, O(|P_i|) per answer rather than O(K),
 picked in one C-level call by support_sum; the auditor computes its inner
 products with the same function. An answer echoes its query: origin and
-destination swapped, the same session, and the same tags, so the leader
-can decode in any arrival order.
+destination swapped, the same session, and the same tags. A database
+answers its run in its queries' order, the one order the leader decodes
+answers in (leader.decode_values).
 
 answer_all is the one answer function and the one check of a query on both
 transports: protocol.collect_answers calls it in memory, and each TCP

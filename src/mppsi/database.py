@@ -58,7 +58,9 @@ class DatabaseState:
     session to s + t, its local value plus its individual value: database 1
     answers a bare query per partition (target None, t = 0), any other a
     targeted query per position it holds. client.answer_all removes each
-    slot it answers, so slots holds the ones not yet spent.
+    slot it answers, so slots holds the ones not yet spent. Of its record
+    it keeps only the slots, c, the session id and the address, so a spent
+    slot's s + t is gone from it.
     """
 
     def __init__(self, public: PublicParameters, record: DatabaseRecord, support: List[int]):
@@ -100,6 +102,4 @@ class DatabaseState:
         self.leader = public.leader
         self.universe_size = public.universe_size
         self.field = field
-        self.local = record.local
-        self.individual = record.individual
         self.c = record.c

@@ -15,8 +15,9 @@ comes back from there. decode_indicators, the one decode kernel, reads any
 number of answer vectors in that order, joined end to end: a session's
 decode passes one, the auditor's reliability walk a batch of its
 enumeration (audit.DECODE_BATCH). Queries and answers are wire.Message
-values; decode is the one check of an answer message's type, destination,
-value, tags and origin.
+values; decode_values is the one check of an answer run: it reads the
+answers in the order they came, in one pass, and answer i must be the
+answer to query i, with its type, destination, value, tags and origin.
 
 Targets are referred to by their position k = 1..R in the leader's ordered
 set wherever a value crosses a party boundary; clients never see which
@@ -92,18 +93,17 @@ def cost_table(public: PublicParameters) -> CostTable:
 class PlanShape:
     """Chunk geometry per client, derived from public quantities only.
 
-    chunk[i] is the full partition size for client i (one less than the
-    number of databases actually used); eta[i] is the number of partitions,
-    the last of which may be shorter. Position p of partition L is answered
-    by database p + 1; database 1 answers the bare base vector of every
-    partition. Clients with more databases than needed leave the rest idle:
-    only the first used_databases[i] get a query.
+    used_databases[i] is the number of client i's databases that get a
+    query, so its full partition size is one less; eta[i] is the number of
+    partitions, the last of which may be shorter. Position p of partition L
+    is answered by database p + 1; database 1 answers the bare base vector
+    of every partition. Clients with more databases than needed leave the
+    rest idle.
     """
 
     leader_id: int
     set_size: int
     client_ids: Tuple[int, ...]
-    chunk: Dict[int, int]
     eta: Dict[int, int]
     used_databases: Dict[int, int]
 
@@ -111,7 +111,7 @@ class PlanShape:
         """Map leader-set position k (1-based) to (partition, database)."""
         if not 1 <= position <= self.set_size:
             raise ValueError(f"position {position} out of range 1..{self.set_size}")
-        size = self.chunk[client_id]
+        size = self.used_databases[client_id] - 1
         partition = 1 + (position - 1) // size
         database = 2 + (position - 1) % size
         return partition, database
@@ -121,7 +121,7 @@ class PlanShape:
         ascending: the i-th lies in partition i."""
         if database < 2:
             return []
-        size = self.chunk[client_id]
+        size = self.used_databases[client_id] - 1
         offset = database - 2
         if offset >= size:
             return []
@@ -136,7 +136,6 @@ def make_plan_shape(public: PublicParameters) -> PlanShape:
     set_size = public.set_sizes[public.leader - 1]
     if set_size < 1:
         raise ValueError("plan shape needs a nonempty leader set")
-    chunk: Dict[int, int] = {}
     eta: Dict[int, int] = {}
     used: Dict[int, int] = {}
     for party_id, databases in enumerate(public.databases, 1):
@@ -145,14 +144,12 @@ def make_plan_shape(public: PublicParameters) -> PlanShape:
         if databases < 2:
             raise InfeasibleError(f"party {party_id} has a single database; protocol infeasible")
         usable = min(databases, set_size + 1)
-        chunk[party_id] = usable - 1
         eta[party_id] = ceil_div(set_size, usable - 1)
         used[party_id] = usable
     return PlanShape(
         leader_id=public.leader,
         set_size=set_size,
-        client_ids=tuple(chunk),
-        chunk=chunk,
+        client_ids=tuple(used),
         eta=eta,
         used_databases=used,
     )
@@ -325,66 +322,40 @@ def decode_indicators(plan: PartitionPlan, answers: bytes, modulus: int) -> byte
 
 
 def decode_values(plan: PartitionPlan, answers: Sequence[Message], modulus: int) -> bytes:
-    """decode_indicators of one answer vector: answer messages in
-    Message.sort_key order, each value a residue below L. Raises unless
-    answer i carries plan.answer_keys[i]'s tags from plan.answer_origins[i].
+    """decode_indicators of one answer vector, read in one pass over the
+    answer messages as they came, which must be plan.answer_keys' order.
+
+    Answer i must be an answer to the leader with plan.answer_keys[i]'s
+    tags, from plan.answer_origins[i], carrying one residue below L. The
+    first that is not, or a count other than the plan's, is a protocol
+    violation naming what came and what the plan expects.
     """
-    keys = tuple((answer.origin[0], answer.partition, answer.target) for answer in answers)
-    origins = tuple(answer.origin for answer in answers)
-    if keys != plan.answer_keys or origins != plan.answer_origins:
-        raise _answer_mismatch(plan, keys, origins)
-    return decode_indicators(plan, b"".join([answer.values for answer in answers]), modulus)
-
-
-def _answer_mismatch(plan: PartitionPlan, keys: tuple, origins: tuple) -> ProtocolViolationError:
-    """How sorted answers with these tags and origins differ from the plan's."""
-    got = set()
-    for key in keys:
-        if key in got:
-            return ProtocolViolationError(f"duplicate answer for {key}")
-        got.add(key)
-    expected = set(plan.answer_keys)
-    if got != expected:
-        return ProtocolViolationError(
-            f"answer set mismatch: missing {sorted(expected - got, key=str)}, "
-            f"unexpected {sorted(got - expected, key=str)}"
+    leader = (plan.leader_id, 0)
+    planned = zip(plan.answer_keys, plan.answer_origins)
+    for index, (answer, ((_, partition, target), origin)) in enumerate(zip(answers, planned)):
+        got = (answer.type, answer.origin, answer.dest, answer.partition, answer.target)
+        expected = ("answer", origin, leader, partition, target)
+        if got != expected or len(answer.values) != 1 or answer.values[0] >= modulus:
+            raise ProtocolViolationError(
+                f"answer {index} (type, origin, dest, partition, target) is {got} carrying "
+                f"{list(answer.values)}; the plan expects {expected} carrying one residue "
+                f"below {modulus}"
+            )
+    if len(answers) != len(plan.answer_keys):
+        raise ProtocolViolationError(
+            f"{len(answers)} answers; the plan expects {len(plan.answer_keys)}"
         )
-    for key, origin in zip(keys, origins):
-        client_id, _, target = key
-        planned = (client_id, plan.shape.position_location(client_id, target)[1] if target else 1)
-        if origin != planned:
-            return ProtocolViolationError(f"answer {key} from {origin}, not from {planned}")
-    return ProtocolViolationError("answers out of Message.sort_key order")
+    return decode_indicators(plan, b"".join([answer.values for answer in answers]), modulus)
 
 
 def decode(
     plan: PartitionPlan,
-    answers: List[Message],
+    answers: Sequence[Message],
     field: PrimeField,
 ) -> IntersectionResult:
-    """Decode collected answer messages into the intersection.
-
-    Every message must be an answer to the leader carrying one residue below
-    L. The answers list is sorted in place into Message.sort_key order, the
-    transcript's, so arrival order is irrelevant and the caller keeps the
-    sorted list; then answer i must carry the tags of query i and come from
-    the database it went to. Duplicate, missing, or unknown tags, and an
-    answer from another database, are protocol violations.
-    """
-    leader = (plan.leader_id, 0)
-    modulus = field.modulus
-    for answer in answers:
-        if answer.type != "answer" or answer.dest != leader:
-            raise ProtocolViolationError(
-                f"{answer.type!r} from {answer.origin} to {answer.dest}, not an answer to {leader}"
-            )
-        if len(answer.values) != 1 or not 0 <= answer.values[0] < modulus:
-            raise ProtocolViolationError(
-                f"answer from {answer.origin} must carry one residue below {modulus}, "
-                f"got {list(answer.values)}"
-            )
-    answers.sort(key=Message.sort_key)
-    indicators = decode_values(plan, answers, modulus)
+    """Decode the answer messages, in plan order as they came, into the
+    intersection; decode_values checks them, and the list is left as it is."""
+    indicators = decode_values(plan, answers, field.modulus)
     return IntersectionResult(
         decoded=frozenset(itertools.compress(plan.leader_elements, indicators.translate(IS_ZERO))),
         indicators=dict(zip(plan.leader_elements, indicators)),

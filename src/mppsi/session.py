@@ -18,8 +18,9 @@ faithful scheme: the negative-control mutations are the audit checks'.
 
 Every transcript entry is the wire.Message a database state or the leader
 produced, the same object a frame carries. The leader generates its queries
-in transcript order (Message.sort_key), and leader.decode leaves the answers
-in that order, so transcript_from_run sorts nothing. A transcript file is
+in transcript order (Message.sort_key), and every database answers its run
+in its queries' order, which leader.decode reads them in, so
+transcript_from_run keeps both as they are. A transcript file is
 one line of sorted-key JSON whose "messages" list holds each message as the
 base64 text of its binary frame (wire.encode_msg), so the file and the wire
 share one encoding and one rule for a valid message. The file stays a JSON
@@ -33,7 +34,7 @@ import json
 from base64 import b64decode
 from binascii import b2a_base64
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .config import SessionConfig
 from .database import DatabaseState
@@ -222,8 +223,8 @@ def deal(config: SessionConfig) -> Dict[Tuple[int, int], DatabaseState]:
 
 
 # Given the queries in transcript order, an exchange delivers them and
-# returns the answers, as a list in any order.
-Exchange = Callable[[Sequence[Message]], List[Message]]
+# returns the answers as they came, which must be the queries' order.
+Exchange = Callable[[Sequence[Message]], Sequence[Message]]
 
 
 def transcript_from_run(
@@ -264,7 +265,6 @@ def run_leader(config: SessionConfig, exchange: Exchange) -> SessionTranscript:
             raise ProtocolViolationError(
                 f"answer for session {msg.session_id}, running {session_id}"
             )
-    # decode sorts the answers in place, into transcript order.
     result = decode(plan, answers, public.field)
     return transcript_from_run(leader.party_id, costs, session_id, queries, answers, result)
 

@@ -35,9 +35,9 @@ from mppsi.errors import BoundExceededError
 from mppsi.leader import decode_indicators, generate_queries
 from mppsi.model import PartyProfile, PublicParameters, Universe, brute_force_intersection
 from mppsi.protocol import make_session_id
-from mppsi.randomness import FAITHFUL, RandomnessPolicy
+from mppsi.randomness import FAITHFUL, RandomnessPolicy, build_bundle
 from mppsi.seeding import labeled_rng
-from mppsi.session import deal, load_transcript, run_memory_session
+from mppsi.session import load_transcript, run_memory_session
 from mppsi.config import SessionConfig
 
 from test_leader import queries_to, reference_indicators
@@ -874,13 +874,13 @@ def session_realization(config):
     # The client with the most partitions gets every base vector, bare, at database 1.
     widest = max(shape.client_ids, key=shape.eta.__getitem__)
     h = tuple(query.values for query in queries_to(queries, (widest, 1)))
-    states = deal(config)
-    s = tuple(states[client, 1].local[ell - 1] for client, ell in compiled.s_index)
+    records = build_bundle(config.prepared[0], config.seed, session_id)
+    s = tuple(records[client, 1].local[ell - 1] for client, ell in compiled.s_index)
     t = []
     for client, position in compiled.t_index:
         partition, database = shape.position_location(client, position)
-        t.append(states[client, database].individual[partition])
-    return compiled, h, (s, tuple(t), states[shape.client_ids[0], 1].c)
+        t.append(records[client, database].individual[partition])
+    return compiled, h, (s, tuple(t), records[shape.client_ids[0], 1].c)
 
 
 @pytest.mark.pins

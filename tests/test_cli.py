@@ -4,12 +4,14 @@ import dataclasses
 import json
 import re
 import socket
+import sys
 from pathlib import Path
 
 import pytest
 
 from mppsi.cli import main
 from mppsi.config import load_config
+from mppsi.database import DatabaseRecord, DatabaseState
 from mppsi.demo import DEMOS
 from mppsi.session import load_transcript, run_memory_session
 from mppsi.wire import Message, encode_msg
@@ -438,6 +440,21 @@ class TestServeDb:
             r"frame for session 0{16}, serving [0-9a-f]{16}\n",
             capsys.readouterr().err,
         )
+
+    def test_a_serving_database_keeps_no_record(self, config_path, monkeypatch):
+        # While it serves, serve-db holds its state, whose slots are spent as
+        # they are answered, and no record from which to deal them again.
+        held = []
+
+        def look_then_interrupt(seconds):
+            held.extend(sys._getframe(1).f_locals.values())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("time.sleep", look_then_interrupt)
+        serve = ["serve-db", "--config", config_path, "--party", "1", "--db", "1", "--port", "0"]
+        assert main(serve) == 0
+        assert any(isinstance(value, DatabaseState) for value in held)
+        assert not any(isinstance(value, DatabaseRecord) for value in held)
 
     def test_port_in_use_is_a_transport_error(self, config_path, capsys, monkeypatch):
         def interrupt(seconds):

@@ -135,15 +135,21 @@ class TestSparseSum:
         assert support_sum(support)(list(q)) == support_sum(support)(q)
 
 
-def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
+def _public(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
+    """A test session's clients (client i holds {i}), leader and public parameters."""
     clients = [
         PartyProfile(i + 1, dbs, frozenset({i + 1}))
         for i, dbs in enumerate(client_dbs)
     ]
     leader = PartyProfile(len(clients) + 1, 3, frozenset(leader_set))
+    public = PublicParameters.of([*clients, leader], Universe(universe), leader.party_id)
+    return clients, leader, public
+
+
+def _session_pieces(leader_set=(1, 4), client_dbs=(3, 3), universe=4):
+    clients, leader, public = _public(leader_set, client_dbs, universe)
     plan = plan_of(leader, clients)
     field = select_field_size(len(clients) + 1)
-    public = PublicParameters.of([*clients, leader], Universe(universe), leader.party_id)
     supports = {client.party_id: sorted(e - 1 for e in client.data_set) for client in clients}
     states = {
         address: DatabaseState(public, record, supports[address[0]])
@@ -163,7 +169,7 @@ class TestAnswerAll:
         assert len(msgs) == 1
         x = [1 if e in client.data_set else 0 for e in range(1, 5)]
         q = queries[0].values
-        s = state.local[0]
+        s = build_bundle(_public()[2], 21, SESSION)[client.party_id, 1].local[0]
         expected = modular_answer(x, q, s, 0, state.c, field.modulus)
         assert msgs[0].values == bytes((expected,))
         assert msgs[0].target is None
@@ -232,7 +238,8 @@ class TestAnswerAll:
         # Database 1 holds no individual values: a targeted query moved to
         # it has no t to add, so it is refused rather than answered with 0.
         clients, plan, field, states, sent = _session_pieces()
-        assert states[1, 1].individual == {}
+        assert build_bundle(_public()[2], 21, SESSION)[1, 1].individual == {}
+        assert list(states[1, 1].slots) == [(1, None)]
         targeted = queries_to(sent, (1, 2))[0]
         moved = targeted._replace(dest=(1, 1))
         with pytest.raises(ProtocolViolationError, match=r"\(1, 1\) holds no slot .* \(1, 1\)"):

@@ -26,26 +26,38 @@ def pieces(config):
     return shape, {party.party_id: party for party in config.parties}, deal(config)
 
 
+def records_of(config):
+    """The records of the config's dealing, which deal builds its states from."""
+    public, _, session_id = config.prepared
+    return build_bundle(public, config.seed, session_id)
+
+
 def test_a_record_holds_nothing_of_another_database():
-    # A state holds its record's fields (its session id and address among
-    # them) and, besides them, only the public parameters' leader, K and
-    # field, its own party's set and the slots it answers from.
+    # A record holds its session id, address and multiplier, its client's
+    # local vector and its individual values at its own positions' partitions.
+    # A state keeps of it only those three and the slots it answers from,
+    # and besides them only the public parameters' leader, K and field and
+    # its own party's set: a spent slot's s + t is kept nowhere.
     assert DatabaseRecord._fields == ("session_id", "address", "local", "individual", "c")
     shape, profiles, states = pieces(CONFIG)
-    public = CONFIG.prepared[0]
-    assert sorted(states) == [(party, db) for party in (1, 2) for db in (1, 2, 3)]
+    public, records = CONFIG.prepared[0], records_of(CONFIG)
+    addresses = [(party, db) for party in (1, 2) for db in (1, 2, 3)]
+    assert sorted(states) == sorted(records) == addresses
     for (party, database), state in states.items():
-        assert state.address == (party, database)
+        record = records[party, database]
+        assert (state.session_id, state.address, state.c) == (
+            record.session_id, (party, database), record.c
+        )
         assert (state.leader, state.universe_size) == (public.leader, CONFIG.universe_size)
         assert state.field == public.field
         assert state.support == sorted(element - 1 for element in profiles[party].data_set)
         positions = shape.positions_of_database(party, database)
         own = {shape.position_location(party, position)[0] for position in positions}
-        assert set(state.individual) == own
+        assert set(record.individual) == own
         assert bool(own) == (database != 1)
-        assert len(state.local) == shape.eta[party]
+        assert len(record.local) == shape.eta[party]
         assert set(vars(state)) == {
-            *DatabaseRecord._fields, "leader", "universe_size", "field", "support", "slots"
+            "session_id", "address", "c", "leader", "universe_size", "field", "support", "slots"
         }
 
 
@@ -55,26 +67,23 @@ def test_a_state_holds_one_slot_per_query_it_answers(name):
     # answers the targeted query of each position it holds with s + t.
     config = DEMOS[name].config
     shape, _, states = pieces(config)
+    records = records_of(config)
     expected = {}
     for query in run_memory_session(config).messages_in_phase("query"):
-        state = states[query.dest]
-        s = state.local[query.partition - 1]
-        t = 0 if query.target is None else state.individual[query.partition]
+        record = records[query.dest]
+        s = record.local[query.partition - 1]
+        t = 0 if query.target is None else record.individual[query.partition]
         expected.setdefault(query.dest, {})[query.partition, query.target] = s + t
     assert {address: state.slots for address, state in states.items() if state.slots} == expected
-
-
-def record_of(state):
-    """The record a state was built from."""
-    return DatabaseRecord(*(getattr(state, name) for name in DatabaseRecord._fields))
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_every_dealt_record_builds_its_state_again(name):
     config = DEMOS[name].config
-    for state in deal(config).values():
-        again = DatabaseState(config.prepared[0], record_of(state), state.support)
-        assert vars(again) == vars(state)
+    states = deal(config)
+    for address, record in records_of(config).items():
+        again = DatabaseState(config.prepared[0], record, states[address].support)
+        assert vars(again) == vars(states[address])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -175,6 +184,6 @@ def test_a_record_that_is_no_dealing_for_its_state_is_refused(bad):
     state = deal(config)[address]
     with pytest.raises(ConfigError, match=error):
         DatabaseState(
-            public if edit_public is None else edit_public(public), edit(record_of(state)),
-            state.support,
+            public if edit_public is None else edit_public(public),
+            edit(records_of(config)[address]), state.support,
         )

@@ -187,7 +187,7 @@ class TestPartitionPlan:
             plan = plan_of(leader, clients)
             for client in clients:
                 parts = chunks(plan, client.party_id)
-                chunk = plan.shape.chunk[client.party_id]
+                chunk = plan.shape.used_databases[client.party_id] - 1
                 flattened = [e for part in parts for e in part]
                 assert flattened == sorted(leader_set)
                 assert all(len(part) == chunk for part in parts[:-1])
@@ -365,28 +365,46 @@ class TestSharedVectors:
 
 
 # Each turns a run's answers (to leader 3, L = 3) into a list decode rejects,
-# with what the error names.
+# with what the error names: the first answer out of its planned place, as
+# (type, origin, dest, partition, target) and its values, or the count. The
+# answers are, per client, database 1's bare one, then the targeted ones
+# of databases 2 and 3: client 1's are a[0] to a[2].
 BAD_ANSWERS = {
     "wrong type": (
         lambda a, L: [a[0]._replace(type="query")] + a[1:],
-        r"not an answer to \(3, 0\)",
+        r"answer 0 .* is \('query', \(1, 1\), \(3, 0\), 1, None\) .* "
+        r"expects \('answer', \(1, 1\), \(3, 0\), 1, None\)",
     ),
-    "two values": (lambda a, L: [a[0]._replace(values=a[0].values * 2)] + a[1:], "one residue"),
-    "value equal to L": (lambda a, L: [a[0]._replace(values=bytes((L,)))] + a[1:], "one residue"),
+    "two values": (
+        lambda a, L: [a[0]._replace(values=a[0].values * 2)] + a[1:],
+        r"answer 0 .* carrying \[\d, \d\]; .* carrying one residue below 3",
+    ),
+    "value equal to L": (
+        lambda a, L: [a[0]._replace(values=bytes((L,)))] + a[1:],
+        r"answer 0 .* carrying \[3\]; .* carrying one residue below 3",
+    ),
     "dest other than the leader": (
         lambda a, L: [a[0]._replace(dest=(3, 1))] + a[1:],
-        r"not an answer to \(3, 0\)",
+        r"answer 0 .* is \('answer', \(1, 1\), \(3, 1\), 1, None\) .* "
+        r"expects \('answer', \(1, 1\), \(3, 0\), 1, None\)",
     ),
-    "duplicate tag": (lambda a, L: a + a[:1], "duplicate"),
-    "missing tag": (lambda a, L: a[:-1], "missing"),
+    "duplicate tag": (lambda a, L: a + a[:1], "7 answers; the plan expects 6"),
+    "duplicate in place of the next": (
+        lambda a, L: [a[0], a[1], a[1], *a[3:]],
+        r"answer 2 .* is \('answer', \(1, 2\), \(3, 0\), 1, 1\) .* "
+        r"expects \('answer', \(1, 3\), \(3, 0\), 1, 2\)",
+    ),
+    "missing tag": (lambda a, L: a[:-1], "5 answers; the plan expects 6"),
     # a[1] is the answer (1, 1, 1), whose query went to database (1, 2).
     "origin a database of the client never asked for it": (
         lambda a, L: [a[0], a[1]._replace(origin=(1, 3)), *a[2:]],
-        r"answer \(1, 1, 1\) from \(1, 3\), not from \(1, 2\)",
+        r"answer 1 .* is \('answer', \(1, 3\), \(3, 0\), 1, 1\) .* "
+        r"expects \('answer', \(1, 2\), \(3, 0\), 1, 1\)",
     ),
     "targeted answer from database 1": (
         lambda a, L: [a[0], a[1]._replace(origin=(1, 1)), *a[2:]],
-        r"answer \(1, 1, 1\) from \(1, 1\), not from \(1, 2\)",
+        r"answer 1 .* is \('answer', \(1, 1\), \(3, 0\), 1, 1\) .* "
+        r"expects \('answer', \(1, 2\), \(3, 0\), 1, 1\)",
     ),
 }
 
@@ -404,16 +422,34 @@ class TestDecode:
         assert result.decoded == {1, 2, 3}
         assert all(v == 0 for v in result.indicators.values())
 
-    def test_order_invariance(self):
+    @pytest.mark.pins
+    def test_answers_in_plan_order_decode_and_stay_as_they_are(self):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
-        shuffled = answers_of(transcript)
-        random.Random(0).shuffle(shuffled)
-        again = decode(plan, shuffled, field)
-        assert again.decoded == transcript.result.decoded
-        assert again.indicators == transcript.result.indicators
-        # decode leaves the list in transcript order, which the session keeps.
-        assert tuple(shuffled) == transcript.messages_in_phase("answer")
+        answers = transcript.messages_in_phase("answer")
+        again = decode(plan, answers, field)
+        assert (again.decoded, again.indicators) == (
+            transcript.result.decoded, transcript.result.indicators
+        )
+        listed = list(answers)
+        decode(plan, listed, field)
+        assert tuple(listed) == answers
 
+    @pytest.mark.pins
+    def test_a_permuted_answer_list_is_refused_at_its_first_misplaced_answer(self):
+        transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
+        answers = answers_of(transcript)
+        shuffled = list(answers)
+        random.Random(0).shuffle(shuffled)
+        first = next(i for i, (a, b) in enumerate(zip(shuffled, answers)) if a != b)
+        (_, partition, target), origin = plan.answer_keys[first], plan.answer_origins[first]
+        expected = ("answer", origin, (3, 0), partition, target)
+        with pytest.raises(ProtocolViolationError) as refused:
+            decode(plan, shuffled, field)
+        assert str(refused.value).startswith(f"answer {first} ")
+        assert f"the plan expects {expected}" in str(refused.value)
+        assert shuffled != answers  # decode does not put them in order either
+
+    @pytest.mark.pins
     @pytest.mark.parametrize("bad", sorted(BAD_ANSWERS))
     def test_bad_answer_messages_rejected(self, bad):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
@@ -422,29 +458,40 @@ class TestDecode:
         with pytest.raises(ProtocolViolationError, match=named):
             decode(plan, answers, field)
 
-    def test_missing_base_and_targeted_answers_rejected(self):
-        # The missing keys (1, 1, None) and (1, 1, 1) differ only where None
-        # meets an int; the error message must still list them.
+    @pytest.mark.pins
+    def test_missing_answers_are_named_where_they_leave_a_gap(self):
+        # Client 1's three answers are missing, so client 2's first stands
+        # where client 1's database-1 answer belongs.
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
         kept = [a for a in answers_of(transcript) if (a.origin[0], a.partition) != (1, 1)]
-        with pytest.raises(ProtocolViolationError, match=r"\(1, 1, None\)"):
+        with pytest.raises(
+            ProtocolViolationError,
+            match=r"answer 0 .* is \('answer', \(2, 1\), \(3, 0\), 1, None\) .* "
+            r"expects \('answer', \(1, 1\), \(3, 0\), 1, None\)",
+        ):
             decode(plan, kept, field)
 
+    @pytest.mark.pins
     def test_foreign_answer_key_rejected(self):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
         answers = answers_of(transcript)
         index = next(i for i, a in enumerate(answers) if a.target is not None)
         answers[index] = answers[index]._replace(target=99)
         assert len(answers) == len(plan.answer_keys)
-        with pytest.raises(ProtocolViolationError, match="unexpected"):
+        with pytest.raises(
+            ProtocolViolationError,
+            match=rf"answer {index} .* is \('answer', \(1, 2\), \(3, 0\), 1, 99\) .* "
+            r"expects \('answer', \(1, 2\), \(3, 0\), 1, 1\)",
+        ):
             decode(plan, answers, field)
 
+    @pytest.mark.pins
     def test_answer_key_beside_every_planned_one_rejected(self):
         transcript, plan, field = memory_run(HOMOGENEOUS, 4, seed=3, leader=3)
         answers = answers_of(transcript)
         beside = next(a for a in answers if (a.origin[0], a.partition) == (1, 1))
         answers.append(beside._replace(target=99, values=bytes(1)))
-        with pytest.raises(ProtocolViolationError, match=r"unexpected \[\(1, 1, 99\)\]"):
+        with pytest.raises(ProtocolViolationError, match="7 answers; the plan expects 6"):
             decode(plan, answers, field)
 
     def test_decode_matches_brute_force_on_random_instances(self):

@@ -937,10 +937,10 @@ class TestEndpointRejections:
 
 
 class RogueDatabase:
-    """A listener that answers the leader's first query read with one frame."""
+    """A listener that answers the leader's first query read with these frames."""
 
-    def __init__(self, reply: Message):
-        self.reply = reply
+    def __init__(self, *replies: Message):
+        self.replies = replies
         self.server = socket.create_server(("127.0.0.1", 0))
         self.address = self.server.getsockname()[:2]
         self.done = threading.Event()
@@ -953,7 +953,7 @@ class RogueDatabase:
         with conn:
             conn.settimeout(5)
             conn.recv(1 << 16)
-            conn.sendall(encode_msg(self.reply))
+            conn.sendall(b"".join(map(encode_msg, self.replies)))
             self.done.wait(5)
 
     def close(self):
@@ -1016,6 +1016,36 @@ class TestLeaderChecksAnswers:
             for ep in endpoints:
                 ep.stop()
 
+    @pytest.mark.pins
+    def test_a_run_answered_out_of_query_order_is_refused(self):
+        # Database (1, 1) of sec7_1 gets two bare queries, partitions 1 and
+        # 2. Its true answers, sent reversed, each come from its connection
+        # to the leader, so only the order is wrong: the leader reads
+        # answers in the order it asked, and names the first misplaced one.
+        config = DEMOS["sec7_1"].config
+        victim = (1, 1)
+        run = [m for m in run_memory_session(config).messages_in_phase("answer")
+               if m.origin == victim]
+        assert [(m.partition, m.target) for m in run] == [(1, None), (2, None)]
+        endpoints = spawn_endpoints(config)
+        rogue = RogueDatabase(*reversed(run))
+        try:
+            addresses = {ep.state.address: ep.address for ep in endpoints}
+            addresses[victim] = rogue.address
+            addressed = replace(config, transport="net", addresses=addresses)
+            start = time.monotonic()
+            with pytest.raises(
+                ProtocolViolationError,
+                match=r"answer 0 .* is \('answer', \(1, 1\), \(3, 0\), 2, None\) .* "
+                r"expects \('answer', \(1, 1\), \(3, 0\), 1, None\)",
+            ):
+                run_networked_session(addressed)
+            assert time.monotonic() - start < 1.0
+        finally:
+            rogue.close()
+            for ep in endpoints:
+                ep.stop()
+
 
 class TestDealtStates:
     """An endpoint serves the session its state was dealt for, and no other."""
@@ -1061,7 +1091,7 @@ class TestDealtStates:
     @pytest.mark.parametrize("name", ["sec4", "wide"])
     def test_the_query_round_returns_the_answers_in_transcript_order(self, monkeypatch, name):
         # The round delivers what the in-memory transport does, in the order
-        # decode sorts into.
+        # the leader asked, which decode reads them in.
         import mppsi.net
 
         config = wide_config() if name == "wide" else DEMOS[name].config
